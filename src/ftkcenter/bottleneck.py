@@ -5,7 +5,8 @@ first threshold whose unweighted solver succeeds; success is not monotone in
 the threshold, so no bisection here.  On a disconnected threshold graph each
 component gets its own minimal budget (a component can never borrow service
 across components), the leftovers go back to the first component, and the
-per-component solutions merge into one.
+per-component solutions merge into one.  All four solvers run through
+`solve_bottleneck`; they differ only in the connected-graph solver.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .instance import ContractViolation, MetricInstance, Radius, ThresholdGraph
+from .instance import (
+    ContractViolation,
+    InstanceError,
+    MetricInstance,
+    Radius,
+    ThresholdGraph,
+    strip_zero_zero_edges,
+    uniform_capacity_level,
+)
 
 
 @dataclass
@@ -188,3 +197,71 @@ def sweep(inst: MetricInstance, per_tau_solver: Callable):
             return SweepSuccess(tau2, out, len(reasons) + 1)
         reasons.append((tau2, out.reason))
     return SweepInfeasible(reasons)
+
+
+def solve_threshold(
+    graph: ThresholdGraph, k: int, alpha: int, caps, connected: Callable, uniform: bool
+):
+    """One threshold of a pipeline: `connected(sub, budget, caps, alpha)` per
+    component, after stripping 0-0 edges for {0,L} pipelines."""
+    if uniform:
+        graph = strip_zero_zero_edges(graph, caps)
+    return solve_components(
+        graph, k, alpha, caps, lambda sub, budget, sub_caps: connected(sub, budget, sub_caps, alpha)
+    )
+
+
+@dataclass
+class SolveResult:
+    algorithm: str
+    instance: MetricInstance
+    outcome: object  # SweepSuccess | SweepInfeasible
+
+    @property
+    def feasible(self) -> bool:
+        return isinstance(self.outcome, SweepSuccess)
+
+    @property
+    def tau2_star(self):
+        return self.outcome.tau2_star if self.feasible else None
+
+    @property
+    def centers(self):
+        return self.outcome.solution.centers if self.feasible else None
+
+    @property
+    def assignment(self):
+        return self.outcome.solution.assignment if self.feasible else None
+
+    @property
+    def stretch(self):
+        return self.outcome.solution.stretch if self.feasible else None
+
+    def radius(self) -> Radius:
+        if not self.feasible:
+            raise InstanceError("no radius: instance certified infeasible")
+        return self.outcome.radius()
+
+    def scenario(self, F):
+        if not self.feasible:
+            raise InstanceError("no solution to fail centers in")
+        return self.outcome.solution.scenario(F)
+
+
+def solve_bottleneck(
+    inst: MetricInstance, name: str, variant: str, connected: Callable, uniform: bool = False
+) -> SolveResult:
+    """Sweep `inst` with `connected(graph, budget, caps, alpha)` as the
+    distance-1 solver of each threshold-graph component.
+
+    `uniform` marks a {0,L} pipeline: the capacities must have that form, and
+    0-0 edges are stripped at every threshold.
+    """
+    if inst.variant != variant:
+        raise InstanceError(f"{name} solves the {variant!r} variant, instance is {inst.variant!r}")
+    if uniform:
+        uniform_capacity_level(inst.capacities)
+    outcome = sweep(
+        inst, lambda G: solve_threshold(G, inst.k, inst.alpha, inst.capacities, connected, uniform)
+    )
+    return SolveResult(name, inst, outcome)

@@ -6,7 +6,8 @@ verify (check a solution file against an instance at a given radius), gap
 instances, one JSON line per run).
 
 Exit codes: 0 success, 1 bad input, 2 a negative verdict (certified
-infeasibility or failed verification).
+infeasibility or failed verification), 3 an internal bug (a violated
+guarantee).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .conservative import solve_conservative_general, solve_conservative_uniform
+from .conservative import RESIDUALS, solve_conservative_general, solve_conservative_uniform
 from .instance import (
     ContractViolation,
     InstanceError,
@@ -40,25 +41,20 @@ from .oracle import (
 )
 from .solvers import DEFAULT_ALPHA_BOUND, solve_ft_general, solve_ft_uniform
 
-ALGORITHMS = ("ft-general", "ft-0l", "cons-0l", "cons-general")
+# algorithm name -> solve(instance, parsed arguments)
+SOLVERS = {
+    "ft-general": lambda inst, args: solve_ft_general(inst, alpha_bound=args.alpha_bound),
+    "ft-0l": lambda inst, args: solve_ft_uniform(inst),
+    "cons-0l": lambda inst, args: solve_conservative_uniform(inst),
+    "cons-general": lambda inst, args: solve_conservative_general(inst, residual=args.residual),
+}
+ALGORITHMS = tuple(SOLVERS)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are input errors, not verdicts
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _run_algorithm(inst: MetricInstance, alg: str, alpha_bound: int, residual: str):
-    if alg == "ft-general":
-        return solve_ft_general(inst, alpha_bound=alpha_bound)
-    if alg == "ft-0l":
-        return solve_ft_uniform(inst)
-    if alg == "cons-0l":
-        return solve_conservative_uniform(inst)
-    if alg == "cons-general":
-        return solve_conservative_general(inst, residual=residual)
-    raise InstanceError(f"unknown algorithm {alg!r}")
 
 
 def _verify_result(inst: MetricInstance, res) -> bool:
@@ -127,7 +123,7 @@ def _emit(text: str, path):
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.input)
-    res = _run_algorithm(inst, args.alg, args.alpha_bound, args.residual)
+    res = SOLVERS[args.alg](inst, args)
     report = build_report(inst, res, with_oracle=args.with_oracle)
     _emit(canonical_json(report), args.output)
     if not res.feasible:
@@ -180,7 +176,7 @@ def _cmd_bench(args) -> int:
             name=f"bench-{i}",
         )
         t0 = time.perf_counter()
-        res = _run_algorithm(inst, args.alg, args.alpha_bound, args.residual)
+        res = SOLVERS[args.alg](inst, args)
         elapsed = time.perf_counter() - t0
         report = build_report(inst, res, with_oracle=args.with_oracle)
         report["seconds"] = round(elapsed, 6)
@@ -200,7 +196,7 @@ def _add_common_solve_flags(p):
     )
     p.add_argument(
         "--residual",
-        choices=("lp", "exact"),
+        choices=tuple(RESIDUALS),
         default="lp",
         help="residual solver for cons-general: lp (stretch 9+6a) or exact "
         "exhaustive (stretch 1+6a, tiny inputs only)",
@@ -251,7 +247,7 @@ def main(argv=None) -> int:
         return 1
     except ContractViolation as exc:
         print(f"ftkc: internal guarantee violated: {exc}", file=sys.stderr)
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,15 +11,17 @@ hops, where beta is the stretch of the residual solver).
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from typing import Callable
 
 from .bottleneck import (
     PerTauInfeasible,
     PerTauSolution,
+    SolveResult,
     quick_infeasible,
-    solve_components,
-    sweep,
+    solve_bottleneck,
+    solve_threshold,
 )
 from .clustering import greedy_independent, is_alpha_ell_independent
 from .flow import FlowNetwork, INF, max_flow
@@ -27,11 +29,14 @@ from .instance import (
     ContractViolation,
     InstanceError,
     MetricInstance,
+    SizeLimitError,
     ThresholdGraph,
-    strip_zero_zero_edges,
     uniform_capacity_level,
 )
-from .solvers import SolveResult, _require_variant, ft_general_connected, ft_uniform_connected
+from .oracle import exact_distance1
+from .solvers import ft_general_connected, ft_uniform_connected
+
+EXACT_RESIDUAL_MAX_N = 10  # exact_distance1 enumerates C(n, k) center sets
 
 
 def _pad_centers(centers, k: int, n: int) -> tuple:
@@ -80,14 +85,7 @@ def conservative_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: i
             f"{len(bset)} backups leave no budget for the residual solve (k={k})"
         )
     inner_caps = [0 if v in bset else caps[v] for v in range(graph.n)]
-    stripped = strip_zero_zero_edges(graph, inner_caps)
-    inner = solve_components(
-        stripped,
-        budget,
-        0,
-        inner_caps,
-        lambda sub, b, c: ft_uniform_connected(sub, b, c, 0),
-    )
+    inner = solve_threshold(graph, budget, 0, inner_caps, ft_uniform_connected, uniform=True)
     if isinstance(inner, PerTauInfeasible):
         return PerTauInfeasible(f"residual uniform solve: {inner.reason}")
     phi0 = dict(inner.assignment)
@@ -155,20 +153,9 @@ def reassign_uniform(
 
 def solve_conservative_uniform(inst: MetricInstance) -> SolveResult:
     """{0,L} conservative solver, radius at most 7 * tau*."""
-    _require_variant(inst, "conservative", "cons-0l")
-    uniform_capacity_level(inst.capacities)
-
-    def per_tau(G):
-        stripped = strip_zero_zero_edges(G, inst.capacities)
-        return solve_components(
-            stripped,
-            inst.k,
-            inst.alpha,
-            inst.capacities,
-            lambda sub, budget, caps: conservative_uniform_connected(sub, budget, caps, inst.alpha),
-        )
-
-    return SolveResult("cons-0l", inst, sweep(inst, per_tau))
+    return solve_bottleneck(
+        inst, "cons-0l", "conservative", conservative_uniform_connected, uniform=True
+    )
 
 
 # -- general conservative algorithm ------------------------------------------
@@ -380,50 +367,43 @@ def reassign_flow(
     return phi
 
 
-def solve_conservative_general(
-    inst: MetricInstance, residual: str = "lp"
-) -> SolveResult:
-    """General conservative solver; radius (beta + 6*alpha) * tau* with
-    beta = 9 for the LP residual solver, beta = 1 for the exact one."""
-    _require_variant(inst, "conservative", "cons-general")
-    if residual == "lp":
-        beta = 9
-
-        def res_solver(G, budget, caps):
-            return ft_general_connected(G, budget, caps, 0)
-
-    elif residual == "exact":
-        beta = 1
-
-        def res_solver(G, budget, caps):
-            from .oracle import exact_distance1
-
-            found = exact_distance1(G, budget, caps)
-            if found is None:
-                return PerTauInfeasible("no exact distance-1 residual solution")
-            S, phi = found
-            return PerTauSolution(
-                tuple(sorted(S)), phi, 1, lambda F: _failfree_only(phi, F), {"kind": "exact"}
-            )
-
-    else:
-        raise InstanceError(f"unknown residual solver {residual!r}")
-
-    def per_tau(G):
-        return solve_components(
-            G,
-            inst.k,
-            inst.alpha,
-            inst.capacities,
-            lambda sub, budget, caps: conservative_general_connected(
-                sub, budget, caps, inst.alpha, res_solver, beta
-            ),
-        )
-
-    return SolveResult(f"cons-general[{residual}]", inst, sweep(inst, per_tau))
+def exact_residual(graph: ThresholdGraph, budget: int, caps):
+    """Exhaustive failure-free residual solver, stretch 1 (tiny inputs only)."""
+    found = exact_distance1(graph, budget, caps)
+    if found is None:
+        return PerTauInfeasible("no exact distance-1 residual solution")
+    S, phi = found
+    return PerTauSolution(
+        tuple(sorted(S)), phi, 1, lambda F: _failfree_only(phi, F), {"kind": "exact"}
+    )
 
 
 def _failfree_only(phi, F):
     if F:
         raise InstanceError("the exact residual solver only serves the empty scenario")
     return dict(phi)
+
+
+# residual name -> (residual_solver(graph, budget, caps), its stretch beta)
+RESIDUALS = {
+    "lp": (lambda graph, budget, caps: ft_general_connected(graph, budget, caps, 0), 9),
+    "exact": (exact_residual, 1),
+}
+
+
+def solve_conservative_general(
+    inst: MetricInstance, residual: str = "lp"
+) -> SolveResult:
+    """General conservative solver; radius (beta + 6*alpha) * tau* with
+    beta = 9 for the LP residual solver, beta = 1 for the exact one."""
+    if residual not in RESIDUALS:
+        raise InstanceError(f"unknown residual solver {residual!r}")
+    if residual == "exact" and inst.n > EXACT_RESIDUAL_MAX_N:
+        raise SizeLimitError(
+            f"n={inst.n} exceeds max_n={EXACT_RESIDUAL_MAX_N} for the exact residual solver"
+        )
+    residual_solver, beta = RESIDUALS[residual]
+    connected = partial(conservative_general_connected, residual_solver=residual_solver, beta=beta)
+    res = solve_bottleneck(inst, "cons-general", "conservative", connected)
+    res.algorithm = f"cons-general[{residual}]"
+    return res

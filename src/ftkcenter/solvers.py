@@ -9,29 +9,17 @@ number of failures below k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from typing import Callable
 
 from .bottleneck import (
     PerTauInfeasible,
     PerTauSolution,
-    SweepInfeasible,
-    SweepSuccess,
+    SolveResult,
     quick_infeasible,
-    solve_components,
-    sweep,
+    solve_bottleneck,
 )
 from .clustering import backup_union, build_gprime, monarch_clustering, select_backups
-from .instance import (
-    InstanceError,
-    MetricInstance,
-    Radius,
-    ThresholdGraph,
-    strip_zero_zero_edges,
-    uniform_capacity_level,
-)
+from .instance import InstanceError, MetricInstance, ThresholdGraph
 from .lp import (
     lp_general_static,
     lp_uniform_static,
@@ -119,86 +107,18 @@ def ft_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     )
 
 
-@dataclass
-class SolveResult:
-    algorithm: str
-    instance: MetricInstance
-    outcome: object  # SweepSuccess | SweepInfeasible
-
-    @property
-    def feasible(self) -> bool:
-        return isinstance(self.outcome, SweepSuccess)
-
-    @property
-    def tau2_star(self):
-        return self.outcome.tau2_star if self.feasible else None
-
-    @property
-    def centers(self):
-        return self.outcome.solution.centers if self.feasible else None
-
-    @property
-    def assignment(self):
-        return self.outcome.solution.assignment if self.feasible else None
-
-    @property
-    def stretch(self):
-        return self.outcome.solution.stretch if self.feasible else None
-
-    def radius(self) -> Radius:
-        if not self.feasible:
-            raise InstanceError("no radius: instance certified infeasible")
-        return self.outcome.radius()
-
-    def scenario(self, F):
-        if not self.feasible:
-            raise InstanceError("no solution to fail centers in")
-        return self.outcome.solution.scenario(F)
-
-
-def _require_variant(inst: MetricInstance, variant: str, algorithm: str):
-    if inst.variant != variant:
-        raise InstanceError(
-            f"{algorithm} solves the {variant!r} variant, instance is {inst.variant!r}"
-        )
-
-
 def solve_ft_general(
     inst: MetricInstance, alpha_bound: int = DEFAULT_ALPHA_BOUND
 ) -> SolveResult:
     """General-capacity fault-tolerant solver, radius at most 10 * tau*."""
-    _require_variant(inst, "ft", "ft-general")
-    if inst.alpha > alpha_bound:
+    if inst.variant == "ft" and inst.alpha > alpha_bound:  # a variant error comes first
         raise InstanceError(
             f"alpha={inst.alpha} exceeds the scenario-enumeration bound {alpha_bound}; "
             "use the uniform-capacity path or a conservative algorithm, or raise the bound"
         )
-
-    def per_tau(G):
-        return solve_components(
-            G,
-            inst.k,
-            inst.alpha,
-            inst.capacities,
-            lambda sub, budget, caps: ft_general_connected(sub, budget, caps, inst.alpha),
-        )
-
-    return SolveResult("ft-general", inst, sweep(inst, per_tau))
+    return solve_bottleneck(inst, "ft-general", "ft", ft_general_connected)
 
 
 def solve_ft_uniform(inst: MetricInstance) -> SolveResult:
     """{0,L}-capacity fault-tolerant solver, radius at most 6 * tau*."""
-    _require_variant(inst, "ft", "ft-0l")
-    uniform_capacity_level(inst.capacities)
-
-    def per_tau(G):
-        stripped = strip_zero_zero_edges(G, inst.capacities)
-        return solve_components(
-            stripped,
-            inst.k,
-            inst.alpha,
-            inst.capacities,
-            lambda sub, budget, caps: ft_uniform_connected(sub, budget, caps, inst.alpha),
-        )
-
-    return SolveResult("ft-0l", inst, sweep(inst, per_tau))
+    return solve_bottleneck(inst, "ft-0l", "ft", ft_uniform_connected, uniform=True)

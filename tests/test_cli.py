@@ -108,6 +108,16 @@ class TestSolve:
                      "--alpha-bound", "4", "--output", out]) == 0
         assert json.loads(open(out).read())["tau_star_sq"] == "0"
 
+    def test_exact_residual_size_cap(self, tmp_path, capsys):
+        inst = MetricInstance.from_points(
+            [(i, 0) for i in range(11)], 3, 1, [11] * 11,
+            variant="conservative", name="line11c")
+        p = str(tmp_path / "line11c.json")
+        save_instance(inst, p)
+        rc = main(["solve", "--input", p, "--alg", "cons-general", "--residual", "exact"])
+        assert rc == 1
+        assert "exceeds max_n=10" in capsys.readouterr().err
+
     def test_oracle_skipped_when_too_big(self, tmp_path):
         inst = MetricInstance.from_points(
             [(i, 0) for i in range(11)], 3, 1, [11] * 11, name="line11")
@@ -224,5 +234,5 @@ class TestErrorPaths:
 
         monkeypatch.setattr("ftkcenter.cli.solve_ft_general", boom)
         rc = main(["solve", "--input", files["ft"], "--alg", "ft-general"])
-        assert rc == 1
+        assert rc == 3
         assert "internal guarantee violated: deliberate test failure" in capsys.readouterr().err

@@ -21,6 +21,8 @@ from ftkcenter.conservative import (
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
+    MetricInstance,
+    SizeLimitError,
     ThresholdGraph,
     hop_metric_instance,
 )
@@ -125,6 +127,14 @@ def test_conservative_general_c6_both_residuals():
 
     with pytest.raises(InstanceError):
         solve_conservative_general(inst, residual="bogus")
+
+
+def test_exact_residual_size_cap():
+    inst = MetricInstance.from_points(
+        [(i, 0) for i in range(11)], 3, 1, [11] * 11, variant="conservative"
+    )
+    with pytest.raises(SizeLimitError, match="n=11 exceeds max_n=10"):
+        solve_conservative_general(inst, residual="exact")
 
 
 def test_conservative_general_connected_detail():

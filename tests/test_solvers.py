@@ -123,6 +123,18 @@ class TestVariantEnforcement:
         with pytest.raises(InstanceError, match="cons-general solves the 'conservative' variant"):
             solve_conservative_general(inst)
 
+    def test_variant_checked_before_alpha_bound(self):
+        inst = MetricInstance.from_points([(5, 5)] * 6, 5, 4, [6] * 6, variant="conservative")
+        with pytest.raises(InstanceError, match="ft-general solves the 'ft' variant"):
+            solve_ft_general(inst)
+
+    def test_uniform_solvers_reject_non_0l_capacities(self):
+        caps = [4, 2, 4, 4]
+        with pytest.raises(InstanceError, match=r"not of \{0,L\} form"):
+            solve_ft_uniform(line4(caps=caps))
+        with pytest.raises(InstanceError, match=r"not of \{0,L\} form"):
+            solve_conservative_uniform(line4(variant="conservative", caps=caps))
+
 
 class TestAlphaBound:
     """Scenario enumeration is exponential in alpha, so the general solver

@@ -99,7 +99,7 @@ def solve_components(
             return PerTauInfeasible(
                 f"component containing vertex {comp[0]}: no distance-1 solution with budget <= {hi}"
             )
-        picked.append([comp, orig, found[0], found[1]])
+        picked.append([sub, sub_caps, orig, found[0], found[1]])
         total += found[0]
     if total > k:
         return PerTauInfeasible(
@@ -109,19 +109,17 @@ def solve_components(
     for entry in picked:
         if surplus == 0:
             break
-        comp, orig, budget, _ = entry
-        sub, orig = graph.induced(comp)
+        sub, sub_caps, _, budget, _ = entry
         extra = min(surplus, sub.n - budget)  # a component holds at most n centers
         if extra == 0:
             continue
-        sub_caps = [caps[v] for v in orig]
         out = solver(sub, budget + extra, sub_caps)
         if not isinstance(out, PerTauSolution):
             raise ContractViolation(
                 "solver succeeded at a budget but failed at a larger one"
             )
-        entry[2] = budget + extra
-        entry[3] = out
+        entry[3] = budget + extra
+        entry[4] = out
         surplus -= extra
     if surplus:
         raise ContractViolation("surplus centers exceed the total vertex count")
@@ -133,7 +131,7 @@ def _merge(picked):
     assignment = {}
     stretch = 0
     parts = []
-    for comp, orig, budget, sol in picked:
+    for _, _, orig, _, sol in picked:
         to_global = dict(enumerate(orig))
         centers.extend(to_global[c] for c in sol.centers)
         assignment.update(

@@ -1,8 +1,13 @@
-"""Exact max-flow and capacitated assignment.
+"""Exact max-flow, the client -> center transport network, and capacitated
+assignment.
 
 Edmonds-Karp over rational capacities.  The number of augmentations is
 bounded by O(V*E) independently of capacity values, so Fraction capacities
 are safe.  Infinite capacity is math.inf, never a large surrogate number.
+
+`transport` is the one network behind every Hall-type check in the package
+(separation, transfer conditions, assignments, the relaxed ILP): client
+demand routed to allowed centers within their supply.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .instance import ContractViolation, InstanceError
@@ -149,17 +153,33 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     return FlowResult(value, {a: f for a, f in flow.items() if f > 0}, frozenset(reachable))
 
 
-def cut_capacity(net: FlowNetwork, source_side: Iterable[Hashable]):
-    """Total capacity crossing from source_side to its complement."""
-    side = set(source_side)
-    total = 0
-    for u in side:
-        for v, c in net.cap.get(u, {}).items():
-            if v not in side:
-                if c is INF:
-                    return INF
-                total += c
-    return total
+def transport(demand: Mapping, allowed: Mapping, supply: Mapping):
+    """Route client demand to allowed centers within their supply.
+
+    The network is source -> client (capacity demand[c]) -> each center of
+    allowed[c] (unbounded) -> sink (capacity supply[v]), with arcs added in
+    the order given: client by client, then center by center.  A center
+    without a supply entry is a dead end.  Returns (value, flow, blocked):
+    the flow value, the positive client -> center flow keyed
+    (client, center), and the clients on the source side of the minimal
+    min cut, which violate Hall's condition together when value falls
+    short of the total demand.
+    """
+    source, sink = ("s",), ("t",)
+    net = FlowNetwork(source, sink)
+    for c, d in demand.items():
+        node = ("c", c)
+        net.add_arc(source, node, d)
+        for v in allowed[c]:
+            net.add_arc(node, ("v", v), INF)
+    for v, s in supply.items():
+        net.add_arc(("v", v), sink, s)
+    res = max_flow(net)
+    if res.value is INF:
+        raise ContractViolation("transport value is infinite")
+    flow = {(u[1], v[1]): f for (u, v), f in res.flow.items() if u[0] == "c"}
+    blocked = frozenset(node[1] for node in res.min_cut if node[0] == "c")
+    return res.value, flow, blocked
 
 
 @dataclass
@@ -184,33 +204,22 @@ def capacitated_assignment(
     integer capacities keep the flow integral.
     """
     center_set = set(centers)
-    source, sink = ("s",), ("t",)
-    net = FlowNetwork(source, sink)
     for c in clients:
-        net.add_arc(source, ("c", c), 1)
-        for v in allowed[c]:
-            if v not in center_set:
-                raise InstanceError(f"allowed center {v!r} not in centers")
-            net.add_arc(("c", c), ("v", v), INF)
-    added = set()
-    for v in centers:
-        if v not in added:
-            added.add(v)
-            net.add_arc(("v", v), sink, capacities[v])
-    res = max_flow(net)
-    if res.value == len(clients):
+        if not center_set.issuperset(allowed[c]):
+            v = next(v for v in allowed[c] if v not in center_set)
+            raise InstanceError(f"allowed center {v!r} not in centers")
+    value, flow, witness = transport(
+        dict.fromkeys(clients, 1), allowed, {v: capacities[v] for v in centers}
+    )
+    if value == len(clients):
         phi = {}
-        for (tail, head), f in res.flow.items():
-            if isinstance(tail, tuple) and tail[0] == "c" and f:
-                if f != 1:
-                    raise ContractViolation("non-unit client flow")
-                phi[tail[1]] = head[1]
+        for (c, v), f in flow.items():
+            if f != 1:
+                raise ContractViolation("non-unit client flow")
+            phi[c] = v
         if len(phi) != len(clients):
             raise ContractViolation("assignment misses a client")
         return phi, None
-    witness = frozenset(
-        node[1] for node in res.min_cut if isinstance(node, tuple) and node[0] == "c"
-    )
     reach = set()
     for c in witness:
         reach.update(allowed[c])

@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class InstanceError(ValueError):
@@ -178,19 +178,6 @@ class ThresholdGraph:
             row = hops[u]
             out.update(w for w in range(self.n) if row[w] <= ell)
         return frozenset(out)
-
-    def power(self, ell: int) -> "ThresholdGraph":
-        """Graph with an edge wherever the hop distance is between 1 and ell."""
-        if ell < 1:
-            raise InstanceError("power exponent must be >= 1")
-        hops = self.hops()
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if hops[u][v] <= ell
-        ]
-        return ThresholdGraph(self.n, edges)
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""

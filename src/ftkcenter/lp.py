@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .clustering import Clustering, DirectedGraph
-from .flow import INF, FlowNetwork, max_flow
+from .flow import INF, transport
 from .instance import (
     ContractViolation,
     InstanceError,
@@ -221,10 +221,6 @@ class Separation:
         return self.value < self.threshold
 
 
-def _client_side(cut) -> tuple[int, ...]:
-    return tuple(sorted(node[1] for node in cut if isinstance(node, tuple) and node[0] == "a"))
-
-
 def separate_general(
     y: Mapping[int, Fraction],
     graph: ThresholdGraph,
@@ -238,25 +234,19 @@ def separate_general(
     lowest-indexed violated witness."""
     n = graph.n
     B = sorted(backup_set)
+    demand = dict.fromkeys(range(n), 1)
     best = None
     witness = None
     for F in combinations(B, alpha):
         Fset = frozenset(F)
-        net = FlowNetwork("s", "t")
-        for v in range(n):
-            net.add_arc("s", ("a", v), 1)
-            for u in gprime.closed_out(v):
-                if u not in Fset:
-                    net.add_arc(("a", v), ("b", u), INF)
-        for u in range(n):
-            if u not in Fset:
-                net.add_arc(("b", u), "t", y[u] * capacities[u])
-        res = max_flow(net)
-        val = res.value - n
+        allowed = {v: [u for u in gprime.closed_out(v) if u not in Fset] for v in range(n)}
+        supply = {u: y[u] * capacities[u] for u in range(n) if u not in Fset}
+        value, _, blocked = transport(demand, allowed, supply)
+        val = value - n
         if best is None or val < best:
             best = val
         if val < 0 and witness is None:
-            witness = (_client_side(res.min_cut), F)
+            witness = (tuple(sorted(blocked)), F)
     if best is None:  # no scenario to separate over
         return Separation(ZERO, ZERO, None, None, None)
     row = None
@@ -282,32 +272,26 @@ def separate_uniform(
     """
     n = graph.n
     L = uniform_capacity_level(capacities)
-    lverts = [u for u in range(n) if capacities[u] > 0]
     threshold = Fraction(alpha * L)
+    allowed = {
+        v: [u for u in (graph.adj[v] | {v}) if capacities[u] > 0] for v in range(n)
+    }
+    supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
     best = None
     witness = None
     for w in range(n):
-        net = FlowNetwork("s", "t")
-        for v in range(n):
-            net.add_arc("s", ("a", v), INF if v == w else 1)
-            for u in (graph.adj[v] | {v}):
-                if capacities[u] > 0:
-                    net.add_arc(("a", v), ("b", u), INF)
-        for u in lverts:
-            net.add_arc(("b", u), "t", y[u] * L)
-        res = max_flow(net)
-        if res.value is INF:
-            raise ContractViolation("uniform separation cut is infinite")
-        val = res.value - n
+        demand = {v: INF if v == w else 1 for v in range(n)}
+        value, _, blocked = transport(demand, allowed, supply)
+        val = value - n
         if best is None or val < best:
             best = val
         if val < threshold and witness is None:
-            witness = _client_side(res.min_cut)
+            witness = tuple(sorted(blocked))
     row = None
     if witness is not None:
         reach = set()
         for v in witness:
-            reach |= {u for u in (graph.adj[v] | {v}) if capacities[u] > 0}
+            reach.update(allowed[v])
         row = Row.make(
             {u: L for u in reach}, ">=", len(witness) + alpha * L
         )

@@ -1,6 +1,6 @@
 """Ground-truth tools: solution verifiers, exhaustive optimum search on small
-instances, the unbounded-integrality-gap family, and random instance
-generators.
+instances, the exhaustive transfer-condition oracle, the unbounded
+integrality-gap family, and random instance generators.
 
 The exhaustive searches are exponential by design; they exist to certify the
 approximation factors of the polynomial algorithms on small inputs, so they
@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .flow import FlowNetwork, INF, capacitated_assignment, max_flow
+from .flow import capacitated_assignment, transport
 from .instance import (
     InstanceError,
     MetricInstance,
@@ -268,7 +268,51 @@ def exact_distance1(graph: ThresholdGraph, k: int, caps: Sequence[int]):
     return None
 
 
-# -- LP relaxation check and the gap family ----------------------------------
+# -- transfer condition, LP relaxation check and the gap family -------------
+
+
+def condition_b_exhaustive(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
+    """Coverage condition of a distance-r transfer checked over every vertex
+    subset via bitmasks; the reference for `rounding.condition_b_flow`."""
+    n = graph.n
+    if n > 22:
+        raise InstanceError(f"exhaustive subset check infeasible for n={n}")
+    hops = graph.hops()
+    B = frozenset(B)
+    nbr = []
+    for v in range(n):
+        m = 0
+        row = hops[v]
+        for w in range(n):
+            if row[w] <= r:
+                m |= 1 << w
+        nbr.append(m)
+    zero = Fraction(0)
+    demand = [Fraction(caps[v]) * Fraction(y.get(v, 0)) for v in range(n)]
+    supply = [Fraction(caps[v]) * Fraction(y2.get(v, 0)) for v in range(n)]
+    bmask = 0
+    for v in B:
+        bmask |= 1 << v
+    dem = [zero] * (1 << n)
+    cov = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & (-mask)
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        dem[mask] = dem[rest] + (zero if (low & bmask) else demand[v])
+        cov[mask] = cov[rest] | nbr[v]
+        need = dem[mask]
+        if need == 0:
+            continue
+        have = zero
+        avail = cov[mask] & ~bmask
+        while avail:
+            lw = avail & (-avail)
+            have += supply[lw.bit_length() - 1]
+            avail ^= lw
+        if have < need:
+            return False
+    return True
 
 
 def relaxed_ilp_holds(
@@ -286,17 +330,12 @@ def relaxed_ilp_holds(
         return False
     if any(val < 0 or val > 1 for val in yv.values()):
         return False
+    demand = dict.fromkeys(range(n), 1)
     for F in combinations(range(n), alpha):
         fset = set(F)
-        net = FlowNetwork("s", "t")
-        for u in range(n):
-            net.add_arc("s", ("a", u), 1)
-            for w in (graph.adj[u] | {u}) - fset:
-                net.add_arc(("a", u), ("b", w), INF)
-        for w in range(n):
-            if w not in fset:
-                net.add_arc(("b", w), "t", yv[w] * caps[w])
-        if max_flow(net).value < n:
+        allowed = {u: (graph.adj[u] | {u}) - fset for u in range(n)}
+        supply = {w: yv[w] * caps[w] for w in range(n) if w not in fset}
+        if transport(demand, allowed, supply)[0] < n:
             return False
     return True
 

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .clustering import Clustering, DirectedGraph, backup_union
-from .flow import FlowNetwork, INF, capacitated_assignment, max_flow
+from .flow import capacitated_assignment, transport
 from .instance import (
     ContractViolation,
     InstanceError,
@@ -37,78 +37,23 @@ def _mass(y: Mapping[int, Fraction], verts) -> Fraction:
     return sum((Fraction(y.get(v, 0)) for v in verts), ZERO)
 
 
-def condition_b_exhaustive(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
-    """Coverage condition checked over every vertex subset via bitmasks."""
-    n = graph.n
-    if n > 22:
-        raise InstanceError(f"exhaustive subset check infeasible for n={n}")
-    hops = graph.hops()
-    B = frozenset(B)
-    nbr = []
-    for v in range(n):
-        m = 0
-        row = hops[v]
-        for w in range(n):
-            if row[w] <= r:
-                m |= 1 << w
-        nbr.append(m)
-    demand = [Fraction(caps[v]) * Fraction(y.get(v, 0)) for v in range(n)]
-    supply = [Fraction(caps[v]) * Fraction(y2.get(v, 0)) for v in range(n)]
-    bmask = 0
-    for v in B:
-        bmask |= 1 << v
-    dem = [ZERO] * (1 << n)
-    cov = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & (-mask)
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        dem[mask] = dem[rest] + (ZERO if (low & bmask) else demand[v])
-        cov[mask] = cov[rest] | nbr[v]
-        need = dem[mask]
-        if need == 0:
-            continue
-        have = ZERO
-        avail = cov[mask] & ~bmask
-        while avail:
-            lw = avail & (-avail)
-            have += supply[lw.bit_length() - 1]
-            avail ^= lw
-        if have < need:
-            return False
-    return True
-
-
 def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
-    """Same condition via a single max-flow (Hall with fractional demands)."""
-    n = graph.n
+    """Coverage condition of a distance-r transfer, by one transport flow:
+    the capacity-weighted y-mass of every vertex set outside B fits into the
+    y2-mass within r hops of it (Hall with fractional demands)."""
     hops = graph.hops()
     B = frozenset(B)
-    net = FlowNetwork("s", "t")
-    total = ZERO
-    for v in range(n):
-        if v in B:
-            continue
-        d = Fraction(caps[v]) * Fraction(y.get(v, 0))
-        if d == 0:
-            continue
-        total += d
-        net.add_arc("s", ("a", v), d)
-        row = hops[v]
-        for w in range(n):
-            if w not in B and row[w] <= r:
-                net.add_arc(("a", v), ("b", w), INF)
-    for w in range(n):
-        if w not in B:
-            s = Fraction(caps[w]) * Fraction(y2.get(w, 0))
-            if s > 0:
-                net.add_arc(("b", w), "t", s)
+    live = [v for v in range(graph.n) if v not in B]
+    demand = {v: d for v in live if (d := Fraction(caps[v]) * Fraction(y.get(v, 0))) != 0}
+    total = sum(demand.values(), ZERO)
     if total == 0:
         return True
-    return max_flow(net).value == total
+    allowed = {v: [w for w in live if hops[v][w] <= r] for v in demand}
+    supply = {w: s for w in live if (s := Fraction(caps[w]) * Fraction(y2.get(w, 0))) > 0}
+    return transport(demand, allowed, supply)[0] == total
 
 
-def verify_transfer(y, y2, graph: ThresholdGraph, r: int, B, caps, method="auto") -> bool:
+def verify_transfer(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     """Certify that y2 is a distance-r transfer of y on graph avoiding B:
     (a) total mass preserved, (b) r-hop coverage dominates for every subset,
     (c) y2 agrees with y on B."""
@@ -119,13 +64,7 @@ def verify_transfer(y, y2, graph: ThresholdGraph, r: int, B, caps, method="auto"
     for v in B:
         if Fraction(y.get(v, 0)) != Fraction(y2.get(v, 0)):
             return False
-    if method == "auto":
-        method = "exhaustive" if n <= 14 else "flow"
-    if method == "exhaustive":
-        return condition_b_exhaustive(y, y2, graph, r, B, caps)
-    if method == "flow":
-        return condition_b_flow(y, y2, graph, r, B, caps)
-    raise InstanceError(f"unknown method {method!r}")
+    return condition_b_flow(y, y2, graph, r, B, caps)
 
 
 # -- tree transfer ---------------------------------------------------------
@@ -152,22 +91,13 @@ def tree_transfer(tree: ThresholdGraph, members, y, caps):
         if Fraction(y.get(w, 0)) != 1:
             raise ContractViolation("internal tree node with fractional mass")
     free = [w for w in members if deg[w] <= 1]
+    demand = {w: d for w in members if (d := Fraction(caps[w]) * Fraction(y.get(w, 0))) != 0}
+    total = sum(demand.values(), ZERO)
 
     def feasible(opened) -> bool:
-        net = FlowNetwork("s", "t")
-        total = ZERO
-        for w in members:
-            d = Fraction(caps[w]) * Fraction(y.get(w, 0))
-            if d == 0:
-                continue
-            total += d
-            net.add_arc("s", ("a", w), d)
-            for x in opened:
-                if tree.hop(w, x) <= 2:
-                    net.add_arc(("a", w), ("b", x), INF)
-        for x in opened:
-            net.add_arc(("b", x), "t", Fraction(caps[x]))
-        return total == 0 or max_flow(net).value == total
+        allowed = {w: [x for x in opened if tree.hop(w, x) <= 2] for w in demand}
+        supply = {x: Fraction(caps[x]) for x in opened}
+        return total == 0 or transport(demand, allowed, supply)[0] == total
 
     def result(opened):
         y2 = dict(y)

@@ -1,9 +1,11 @@
 """Shared test utilities: tiny graph builders, exhaustive reference
-implementations of the separation problems, and assignment checkers."""
+implementations of the separation problems, cut capacities, and assignment
+checkers."""
 
 from fractions import Fraction
 from itertools import combinations
 
+from ftkcenter.flow import INF
 from ftkcenter.instance import ThresholdGraph, uniform_capacity_level
 
 
@@ -13,6 +15,32 @@ def path_graph(n: int) -> ThresholdGraph:
 
 def cycle_graph(n: int) -> ThresholdGraph:
     return ThresholdGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def power(graph: ThresholdGraph, ell: int) -> ThresholdGraph:
+    """Graph with an edge wherever the hop distance is between 1 and ell."""
+    hops = graph.hops()
+    edges = [
+        (u, v)
+        for u in range(graph.n)
+        for v in range(u + 1, graph.n)
+        if hops[u][v] <= ell
+    ]
+    return ThresholdGraph(graph.n, edges)
+
+
+def cut_capacity(net, source_side):
+    """Total capacity of a FlowNetwork crossing from source_side to its
+    complement."""
+    side = set(source_side)
+    total = 0
+    for u in side:
+        for v, c in net.cap.get(u, {}).items():
+            if v not in side:
+                if c is INF:
+                    return INF
+                total += c
+    return total
 
 
 def all_subsets(items, max_size=None):

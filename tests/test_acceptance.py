@@ -38,6 +38,7 @@ from ftkcenter.instance import (
 )
 from ftkcenter.lp import separate_general, separate_uniform
 from ftkcenter.oracle import (
+    condition_b_exhaustive,
     exact_distance1,
     exact_opt_conservative,
     exact_opt_ft,
@@ -50,7 +51,7 @@ from ftkcenter.oracle import (
     verify_conservative,
     verify_ft,
 )
-from ftkcenter.rounding import condition_b_exhaustive, condition_b_flow, verify_transfer
+from ftkcenter.rounding import condition_b_flow, verify_transfer
 from ftkcenter.solvers import (
     ft_general_connected,
     ft_uniform_connected,

@@ -28,7 +28,7 @@ from ftkcenter.instance import (
 )
 from ftkcenter.oracle import exact_opt_conservative
 
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, power
 
 
 def test_pad_centers():
@@ -100,7 +100,7 @@ def test_conservative_uniform_c6_frozen():
 
 
 def test_conservative_uniform_connected_details():
-    out = conservative_uniform_connected(path_graph(4).power(3), 2, [4] * 4, 1)
+    out = conservative_uniform_connected(power(path_graph(4), 3), 2, [4] * 4, 1)
     assert isinstance(out, PerTauSolution)
     assert out.detail["kind"] == "conservative-0l"
     assert out.detail["anchors"] == (0,)
@@ -148,7 +148,7 @@ def test_conservative_general_connected_detail():
         return PerTauSolution(tuple(sorted(S)), phi, 1, lambda F: dict(phi))
 
     g = path_graph(5)
-    out = conservative_general_connected(g.power(4), 2, [5, 1, 1, 1, 5], 1, exactish, 1)
+    out = conservative_general_connected(power(g, 4), 2, [5, 1, 1, 1, 5], 1, exactish, 1)
     assert isinstance(out, PerTauSolution)
     assert out.detail["B"] == frozenset({0})
     assert out.detail["trace"] == [((0,), 5)]

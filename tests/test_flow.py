@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from ftkcenter.flow import INF, FlowNetwork, capacitated_assignment, cut_capacity, max_flow
-from ftkcenter.instance import InstanceError
+from ftkcenter.flow import INF, FlowNetwork, capacitated_assignment, max_flow, transport
+from ftkcenter.instance import ContractViolation, InstanceError
+
+from helpers import cut_capacity
 
 
 def test_diamond_max_flow():
@@ -105,3 +107,36 @@ def test_capacitated_assignment_hall_witness():
 def test_capacitated_assignment_empty_clients():
     phi, witness = capacitated_assignment([], [5], {}, {5: 1})
     assert phi == {} and witness is None
+
+
+def test_capacitated_assignment_rejects_center_outside_centers():
+    with pytest.raises(InstanceError):
+        capacitated_assignment([0, 1], [10], {0: [10], 1: [11]}, {10: 2, 11: 2})
+
+
+def test_transport_fractional_demand_with_dead_end_center():
+    # center 12 has no supply entry: client 1 gets only the 1/3 of center 11
+    demand = {0: Fraction(1, 2), 1: Fraction(2, 3)}
+    allowed = {0: [10], 1: [11, 12]}
+    supply = {10: 1, 11: Fraction(1, 3)}
+    value, flow, blocked = transport(demand, allowed, supply)
+    assert value == Fraction(5, 6)
+    assert flow == {(0, 10): Fraction(1, 2), (1, 11): Fraction(1, 3)}
+    assert blocked == frozenset({1})
+
+
+def test_transport_infinite_demand_is_always_blocked():
+    allowed = {0: [10], 1: [10, 11], 2: [11]}
+    supply = {10: 5, 11: 5}
+    values = []
+    for w in allowed:
+        demand = {v: INF if v == w else 1 for v in allowed}
+        value, _, blocked = transport(demand, allowed, supply)
+        assert w in blocked
+        values.append(value)
+    assert values == [7, 10, 7]
+
+
+def test_transport_unbounded_supply_is_a_contract_violation():
+    with pytest.raises(ContractViolation):
+        transport({0: INF}, {0: [10]}, {10: INF})

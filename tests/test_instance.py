@@ -15,7 +15,7 @@ from ftkcenter.instance import (
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, power
 
 LINE3 = [(0, 0), (1, 0), (2, 0)]
 
@@ -142,9 +142,9 @@ def test_threshold_graph_hops_and_components():
 
 def test_power_of_cycle():
     c6 = cycle_graph(6)
-    p2 = c6.power(2)
+    p2 = power(c6, 2)
     assert all(len(p2.adj[v]) == 4 for v in range(6))  # everyone but the antipode
-    p3 = c6.power(3)
+    p3 = power(c6, 3)
     assert all(len(p3.adj[v]) == 5 for v in range(6))  # complete graph
 
 

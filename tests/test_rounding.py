@@ -8,11 +8,10 @@ import pytest
 
 from ftkcenter.clustering import monarch_clustering, select_backups
 from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
-from ftkcenter.oracle import random_connected_graph
+from ftkcenter.oracle import condition_b_exhaustive, random_connected_graph
 from ftkcenter.rounding import (
     assign_scenario_uniform,
     build_augmented,
-    condition_b_exhaustive,
     condition_b_flow,
     round_general,
     round_uniform,
@@ -74,9 +73,6 @@ def test_verify_transfer_gatekeeping():
     assert not verify_transfer(y, {0: Fraction(1, 2)}, g, 1, frozenset(), caps)
     # disagreement on a protected vertex
     assert not verify_transfer(y, {0: Fraction(1)}, g, 1, frozenset({1}), caps)
-    with pytest.raises(InstanceError):
-        verify_transfer(y, {0: Fraction(1)}, g, 1, frozenset(), caps, method="bogus")
-    assert verify_transfer(y, {0: Fraction(1)}, g, 1, frozenset(), caps, method="flow")
 
 
 def test_tree_transfer_simple_path():

@@ -131,6 +131,11 @@ def _cmd_solve(args) -> int:
     return 0 if report["verified"] else 2
 
 
+def _is_plain_int(x) -> bool:
+    """An int from JSON; true and false are not vertex indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _cmd_verify(args) -> int:
     inst = load_instance(args.input)
     with open(args.solution, "r", encoding="utf-8") as fh:
@@ -138,11 +143,17 @@ def _cmd_verify(args) -> int:
     if not isinstance(sol, dict) or "centers" not in sol:
         raise InstanceError("solution file needs a 'centers' list")
     centers = sol["centers"]
+    if not isinstance(centers, list) or not all(map(_is_plain_int, centers)):
+        raise InstanceError("'centers' must be a list of integer vertex indices")
     radius = Radius.exact(Fraction(args.radius))
     if inst.variant == "conservative":
         phi_raw = sol.get("initial_assignment")
         if phi_raw is None:
             raise InstanceError("conservative verification needs 'initial_assignment'")
+        if not isinstance(phi_raw, dict) or not all(map(_is_plain_int, phi_raw.values())):
+            raise InstanceError(
+                "'initial_assignment' must map each vertex to an integer center index"
+            )
         phi0 = {int(u): c for u, c in phi_raw.items()}
         rep = verify_conservative(inst, centers, phi0, radius)
     else:

@@ -1,6 +1,14 @@
 """Exact rational LP feasibility and the cutting-plane separation oracles.
 
-Phase-1 simplex with Bland's rule over Fractions: no floats, no cycling.
+Phase-1 simplex with Bland's rule on an integer-row tableau: exact, and it
+cannot cycle.  Each tableau row is a list of Python ints, a positive integer
+multiple of the rational row it stands for (scaled by the lcm of its
+denominators at set-up, then fraction-free: a pivot replaces a row by
+p * row - f * pivot_row and divides out the gcd of its entries).  Signs and
+ratio comparisons do not change under positive row scaling, so the pivots
+are the ones the same Bland simplex makes over Fractions; points are
+returned as Fractions, rhs over the basic coefficient.
+
 The two separators turn the exponential Hall-style constraint families into
 polynomially many min-cut computations; generated rows live for one
 threshold's solve and are discarded afterwards.
@@ -11,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 from .clustering import Clustering, DirectedGraph
@@ -23,9 +32,9 @@ from .instance import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _RELS = ("<=", ">=", "==")
+_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}  # the relation after negating a row
 
 
 @dataclass(frozen=True)
@@ -58,57 +67,62 @@ class LinearProgram:
 def feasible_point(lp: LinearProgram):
     """A feasible assignment (dict var -> Fraction) or None if infeasible."""
     nvars = lp.num_vars
-    norm = []
+    norm = []  # (int coefficients, relation, int rhs >= 0, scale > 0)
     for row in lp.rows:
-        dense = [ZERO] * nvars
+        num, den = row.rhs.numerator, row.rhs.denominator
+        scale = lcm(den, *(c.denominator for _, c in row.coeffs))
+        sign, rel = 1, row.rel
+        if num < 0:
+            sign, rel = -1, _FLIPPED[rel]
+        coeffs = []
         for v, c in row.coeffs:
             if not 0 <= v < nvars:
                 raise InstanceError(f"variable {v} out of range")
-            dense[v] += c
-        rhs, rel = row.rhs, row.rel
-        if rhs < 0:
-            dense = [-c for c in dense]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm.append((dense, rel, rhs))
+            coeffs.append((v, sign * c.numerator * (scale // c.denominator)))
+        norm.append((coeffs, rel, sign * num * (scale // den), scale))
 
     cols = nvars
     slack_col, art_col = {}, {}
-    for i, (_, rel, _) in enumerate(norm):
+    for i, (_, rel, _, _) in enumerate(norm):
         if rel != "==":
             slack_col[i] = cols
             cols += 1
-    for i, (_, rel, _) in enumerate(norm):
+    for i, (_, rel, _, _) in enumerate(norm):
         if rel != "<=":
             art_col[i] = cols
             cols += 1
 
     tableau = []
     basis = []
-    for i, (dense, rel, rhs) in enumerate(norm):
-        row = dense + [ZERO] * (cols - nvars) + [rhs]
+    for i, (coeffs, rel, rhs, scale) in enumerate(norm):
+        row = [0] * (cols + 1)
+        for v, c in coeffs:
+            row[v] += c
+        row[-1] = rhs
         if rel == "<=":
-            row[slack_col[i]] = ONE
+            row[slack_col[i]] = scale
             basis.append(slack_col[i])
         elif rel == ">=":
-            row[slack_col[i]] = -ONE
-            row[art_col[i]] = ONE
+            row[slack_col[i]] = -scale
+            row[art_col[i]] = scale
             basis.append(art_col[i])
         else:
-            row[art_col[i]] = ONE
+            row[art_col[i]] = scale
             basis.append(art_col[i])
         tableau.append(row)
 
-    artificials = set(art_col.values())
-    # reduced-cost row for minimizing the sum of artificials
-    obj = [ZERO] * (cols + 1)
-    for i, b in enumerate(basis):
-        if b in artificials:
-            row = tableau[i]
-            for j in range(cols + 1):
-                obj[j] -= row[j]
-    for j in artificials:
-        obj[j] += ONE
+    # reduced-cost row for minimizing the sum of artificials, times the lcm
+    # of the artificial rows' scales; its artificial entries cancel to 0
+    obj_scale = lcm(*(norm[i][3] for i in art_col))
+    obj = [0] * (cols + 1)
+    for i in art_col:
+        coeffs, rel, rhs, scale = norm[i]
+        m = obj_scale // scale
+        for v, c in coeffs:
+            obj[v] -= m * c
+        if rel == ">=":
+            obj[slack_col[i]] += obj_scale
+        obj[-1] -= m * rhs
 
     while True:
         enter = None
@@ -118,44 +132,53 @@ def feasible_point(lp: LinearProgram):
                 break
         if enter is None:
             break
-        leave = None
+        # ratio test, ties to the lowest basic column:
+        # rhs_i / a_i < rhs_l / a_l  <=>  rhs_i * a_l < rhs_l * a_i
+        pi = None
         for i, row in enumerate(tableau):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if leave is None or ratio < leave[0] or (
-                    ratio == leave[0] and basis[i] < leave[1]
-                ):
-                    leave = (ratio, basis[i], i)
-        if leave is None:
+                if pi is None:
+                    pi, la, lr = i, a, row[-1]
+                    continue
+                here, best = row[-1] * la, lr * a
+                if here < best or (here == best and basis[i] < basis[pi]):
+                    pi, la, lr = i, a, row[-1]
+        if pi is None:
             raise ContractViolation("phase-1 objective unbounded below")
-        pi = leave[2]
         pj = enter
         prow = tableau[pi]
-        p = prow[pj]
-        if p != 1:
-            tableau[pi] = prow = [c / p for c in prow]
-        nz = [j for j, c in enumerate(prow) if c != 0]
+        p = prow[pj]  # > 0, so every row stays a positive multiple
+        pivots = [(j, c) for j, c in enumerate(prow) if c != 0]
         for row in tableau:
-            if row is prow:
-                continue
-            f = row[pj]
-            if f != 0:
-                for j in nz:
-                    row[j] -= f * prow[j]
-        f = obj[pj]
-        if f != 0:
-            for j in nz:
-                obj[j] -= f * prow[j]
+            if row is not prow and row[pj] != 0:
+                _eliminate(row, pivots, p, pj)
+        if obj[pj] != 0:
+            _eliminate(obj, pivots, p, pj)
         basis[pi] = pj
 
-    if obj[-1] != 0:  # optimum of the artificial sum is -obj[-1] > 0
+    if obj[-1] != 0:  # optimum of the artificial sum is -obj[-1] / obj_scale > 0
         return None
     x = {j: ZERO for j in range(nvars)}
     for i, b in enumerate(basis):
         if b < nvars:
-            x[b] = tableau[i][-1]
+            row = tableau[i]
+            x[b] = Fraction(row[-1], row[b])
     return x
+
+
+def _eliminate(row, pivots, p, pj):
+    """Replace row, in place, by p * row - row[pj] * prow divided by the gcd
+    of its entries, where `pivots` lists the (column, entry) pairs of the
+    nonzero entries of the pivot row prow and p = prow[pj] > 0."""
+    f = row[pj]
+    if p != 1:
+        row[:] = [p * a for a in row]
+    for j, c in pivots:
+        row[j] -= f * c
+    g = gcd(*row)
+    if g > 1:
+        row[:] = [a // g for a in row]
 
 
 # -- static systems ------------------------------------------------------

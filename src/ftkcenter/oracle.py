@@ -1,6 +1,6 @@
 """Ground-truth tools: solution verifiers, exhaustive optimum search on small
-instances, the exhaustive transfer-condition oracle, the unbounded
-integrality-gap family, and random instance generators.
+instances, the transfer certificate with its exhaustive transfer-condition
+oracle, the unbounded integrality-gap family, and random instance generators.
 
 The exhaustive searches are exponential by design; they exist to certify the
 approximation factors of the polynomial algorithms on small inputs, so they
@@ -23,6 +23,7 @@ from .instance import (
     SizeLimitError,
     ThresholdGraph,
 )
+from .rounding import condition_b_flow
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ def exact_distance1(graph: ThresholdGraph, k: int, caps: Sequence[int]):
     return None
 
 
-# -- transfer condition, LP relaxation check and the gap family -------------
+# -- transfer certificates, LP relaxation check and the gap family ----------
 
 
 def condition_b_exhaustive(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
@@ -313,6 +314,20 @@ def condition_b_exhaustive(y, y2, graph: ThresholdGraph, r: int, B, caps) -> boo
         if have < need:
             return False
     return True
+
+
+def verify_transfer(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
+    """Certify that y2 is a distance-r transfer of y on graph avoiding B:
+    (a) total mass preserved, (b) r-hop coverage dominates for every subset,
+    (c) y2 agrees with y on B."""
+    B = frozenset(B)
+    mass = sum((Fraction(y.get(v, 0)) for v in range(graph.n)), Fraction(0))
+    if mass != sum((Fraction(y2.get(v, 0)) for v in range(graph.n)), Fraction(0)):
+        return False
+    for v in B:
+        if Fraction(y.get(v, 0)) != Fraction(y2.get(v, 0)):
+            return False
+    return condition_b_flow(y, y2, graph, r, B, caps)
 
 
 def relaxed_ilp_holds(

@@ -53,20 +53,6 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     return transport(demand, allowed, supply)[0] == total
 
 
-def verify_transfer(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
-    """Certify that y2 is a distance-r transfer of y on graph avoiding B:
-    (a) total mass preserved, (b) r-hop coverage dominates for every subset,
-    (c) y2 agrees with y on B."""
-    B = frozenset(B)
-    n = graph.n
-    if _mass(y, range(n)) != _mass(y2, range(n)):
-        return False
-    for v in B:
-        if Fraction(y.get(v, 0)) != Fraction(y2.get(v, 0)):
-            return False
-    return condition_b_flow(y, y2, graph, r, B, caps)
-
-
 # -- tree transfer ---------------------------------------------------------
 
 

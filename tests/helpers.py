@@ -1,12 +1,17 @@
 """Shared test utilities: tiny graph builders, exhaustive reference
-implementations of the separation problems, cut capacities, and assignment
-checkers."""
+implementations of the separation problems, the Fraction-tableau simplex,
+cut capacities, and assignment checkers."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from ftkcenter.flow import INF
-from ftkcenter.instance import ThresholdGraph, uniform_capacity_level
+from ftkcenter.instance import (
+    ContractViolation,
+    InstanceError,
+    ThresholdGraph,
+    uniform_capacity_level,
+)
 
 
 def path_graph(n: int) -> ThresholdGraph:
@@ -85,6 +90,112 @@ def brute_separate_uniform(y, graph, caps, alpha):
             if best is None or have < best:
                 best = have
     return best
+
+
+def fraction_feasible_point(lp):
+    """Phase-1 simplex with Bland's rule over a dense Fraction tableau: the
+    reference for `lp.feasible_point`, which makes the same pivots on
+    integer-scaled rows.  A feasible assignment (dict var -> Fraction) or
+    None if infeasible."""
+    nvars = lp.num_vars
+    norm = []
+    for row in lp.rows:
+        dense = [Fraction(0)] * nvars
+        for v, c in row.coeffs:
+            if not 0 <= v < nvars:
+                raise InstanceError(f"variable {v} out of range")
+            dense[v] += c
+        rhs, rel = row.rhs, row.rel
+        if rhs < 0:
+            dense = [-c for c in dense]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        norm.append((dense, rel, rhs))
+
+    cols = nvars
+    slack_col, art_col = {}, {}
+    for i, (_, rel, _) in enumerate(norm):
+        if rel != "==":
+            slack_col[i] = cols
+            cols += 1
+    for i, (_, rel, _) in enumerate(norm):
+        if rel != "<=":
+            art_col[i] = cols
+            cols += 1
+
+    tableau = []
+    basis = []
+    for i, (dense, rel, rhs) in enumerate(norm):
+        row = dense + [Fraction(0)] * (cols - nvars) + [rhs]
+        if rel == "<=":
+            row[slack_col[i]] = Fraction(1)
+            basis.append(slack_col[i])
+        elif rel == ">=":
+            row[slack_col[i]] = Fraction(-1)
+            row[art_col[i]] = Fraction(1)
+            basis.append(art_col[i])
+        else:
+            row[art_col[i]] = Fraction(1)
+            basis.append(art_col[i])
+        tableau.append(row)
+
+    artificials = set(art_col.values())
+    # reduced-cost row for minimizing the sum of artificials
+    obj = [Fraction(0)] * (cols + 1)
+    for i, b in enumerate(basis):
+        if b in artificials:
+            row = tableau[i]
+            for j in range(cols + 1):
+                obj[j] -= row[j]
+    for j in artificials:
+        obj[j] += Fraction(1)
+
+    while True:
+        enter = None
+        for j in range(cols):
+            if obj[j] < 0:
+                enter = j  # Bland: lowest index
+                break
+        if enter is None:
+            break
+        leave = None
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if leave is None or ratio < leave[0] or (
+                    ratio == leave[0] and basis[i] < leave[1]
+                ):
+                    leave = (ratio, basis[i], i)
+        if leave is None:
+            raise ContractViolation("phase-1 objective unbounded below")
+        pi = leave[2]
+        pj = enter
+        prow = tableau[pi]
+        p = prow[pj]
+        if p != 1:
+            tableau[pi] = prow = [c / p for c in prow]
+        nz = [j for j, c in enumerate(prow) if c != 0]
+        for row in tableau:
+            if row is prow:
+                continue
+            f = row[pj]
+            if f != 0:
+                for j in nz:
+                    row[j] -= f * prow[j]
+        f = obj[pj]
+        if f != 0:
+            for j in nz:
+                obj[j] -= f * prow[j]
+        basis[pi] = pj
+
+    if obj[-1] != 0:  # optimum of the artificial sum is -obj[-1] > 0
+        return None
+    x = {j: Fraction(0) for j in range(nvars)}
+    for i, b in enumerate(basis):
+        if b < nvars:
+            x[b] = tableau[i][-1]
+    return x
 
 
 def check_assignment(graph_or_d2, phi, centers, caps, bound, squared=False):

@@ -50,8 +50,9 @@ from ftkcenter.oracle import (
     relaxed_ilp_holds,
     verify_conservative,
     verify_ft,
+    verify_transfer,
 )
-from ftkcenter.rounding import condition_b_flow, verify_transfer
+from ftkcenter.rounding import condition_b_flow
 from ftkcenter.solvers import (
     ft_general_connected,
     ft_uniform_connected,

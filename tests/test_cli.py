@@ -177,6 +177,24 @@ class TestVerify:
         assert rc == 1
         assert "needs a 'centers' list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("centers", [5, [[0]], [True, 0], [0.5, 0]],
+                             ids=["int", "nested", "bool", "fraction"])
+    def test_centers_must_be_int_list(self, files, tmp_path, capsys, centers):
+        sol = write_json(tmp_path, "sol.json", {"centers": centers})
+        rc = main(["verify", "--input", files["ft"], "--solution", sol,
+                   "--radius", "2"])
+        assert rc == 1
+        assert "'centers' must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phi0", [[0, 0, 1, 1], {"0": [1], "1": 1, "2": 2, "3": 2}],
+                             ids=["list", "nested"])
+    def test_initial_assignment_must_map_to_ints(self, files, tmp_path, capsys, phi0):
+        sol = write_json(tmp_path, "sol.json", {"centers": [1, 2], "initial_assignment": phi0})
+        rc = main(["verify", "--input", files["cons"], "--solution", sol,
+                   "--radius", "2"])
+        assert rc == 1
+        assert "'initial_assignment' must map" in capsys.readouterr().err
+
 
 class TestGapAndBench:
     def test_gap_instance_file(self, tmp_path):

@@ -29,6 +29,7 @@ from helpers import (
     brute_separate_general,
     brute_separate_uniform,
     cycle_graph,
+    fraction_feasible_point,
     path_graph,
 )
 
@@ -109,6 +110,62 @@ def test_feasible_point_satisfies_random_systems():
         assert all(v >= 0 for v in x.values())
         assert satisfies(lp.rows, x)
     assert feasible_seen and infeasible_seen
+
+
+def assert_same_point_as_fraction_tableau(lp):
+    """The integer-row tableau makes the pivots of the Fraction tableau, so
+    it returns the same point (or None); returns that point."""
+    x = feasible_point(lp)
+    assert x == fraction_feasible_point(lp)
+    if x is not None:
+        assert satisfies(lp.rows, x)
+    return x
+
+
+def test_feasible_point_matches_fraction_tableau():
+    """Rows that need lcm scaling, negative right-hand sides and all three
+    relations."""
+    rng = random.Random(2016)
+
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    verdicts = set()
+    fractional_points = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 5)
+        lp = LinearProgram(nvars)
+        for _ in range(rng.randint(1, 6)):
+            coeffs = {v: frac() for v in range(nvars) if rng.random() < 0.7}
+            lp.add(coeffs, rng.choice(["<=", ">=", "=="]), frac())
+        x = assert_same_point_as_fraction_tableau(lp)
+        verdicts.add(x is None)
+        if x is not None:
+            fractional_points += any(v.denominator != 1 for v in x.values())
+    assert verdicts == {True, False}
+    assert fractional_points
+
+
+def test_feasible_point_matches_fraction_tableau_on_covering_systems():
+    """Degenerate systems shaped like the static LPs plus Hall cuts (total
+    mass, 0/1 coverage rows, y <= 1, cuts with a fractional rhs), where
+    ratio ties are common and the basis-index tie-break picks the vertex."""
+    rng = random.Random(2016)
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        lp = LinearProgram(n)
+        lp.add({u: 1 for u in range(n)}, "==", rng.randint(1, n))
+        for _ in range(rng.randint(1, n)):
+            lp.add({u: 1 for u in rng.sample(range(n), rng.randint(1, n))}, ">=", 1)
+        for _ in range(rng.randint(0, 2)):
+            U = rng.sample(range(n), rng.randint(1, n))
+            level = rng.randint(1, 3)
+            lp.add({u: level for u in U}, ">=", Fraction(rng.randint(1, 2 * n), rng.randint(1, 2)))
+        for u in range(n):
+            lp.add({u: 1}, "<=", 1)
+        verdicts.add(assert_same_point_as_fraction_tableau(lp) is None)
+    assert verdicts == {True, False}
 
 
 def test_general_static_c6_pinned_backups_overrun_k():

@@ -8,7 +8,11 @@ import pytest
 
 from ftkcenter.clustering import monarch_clustering, select_backups
 from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
-from ftkcenter.oracle import condition_b_exhaustive, random_connected_graph
+from ftkcenter.oracle import (
+    condition_b_exhaustive,
+    random_connected_graph,
+    verify_transfer,
+)
 from ftkcenter.rounding import (
     assign_scenario_uniform,
     build_augmented,
@@ -16,7 +20,6 @@ from ftkcenter.rounding import (
     round_general,
     round_uniform,
     tree_transfer,
-    verify_transfer,
 )
 
 from helpers import cycle_graph, path_graph

@@ -3,9 +3,10 @@
 Both algorithms pre-open backup sets sized for the failure budget, solve a
 residual non-fault-tolerant instance on the remaining capacity, and repair
 failure scenarios locally: the {0,L} algorithm walks each orphaned client to
-a nearby anchor's backups (seven hops), the general one routes orphans
-through a chain of failed centers' neighborhoods via max-flow (beta + 6*alpha
-hops, where beta is the stretch of the residual solver).
+a nearby anchor's backups (seven hops); the general one moves orphans to
+backups reachable through chains of failed centers, assigned by the
+transport network (beta + 6*alpha hops, where beta is the stretch of the
+residual solver).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .bottleneck import (
     solve_threshold,
 )
 from .clustering import greedy_independent, is_alpha_ell_independent
-from .flow import FlowNetwork, INF, max_flow
+from .flow import capacitated_assignment
 from .instance import (
     ContractViolation,
     InstanceError,
@@ -245,77 +246,6 @@ def conservative_general_connected(
     )
 
 
-def reassignment_network(graph: ThresholdGraph, caps, B, phi0: dict, F_pad):
-    """Flow network whose saturation reroutes every orphaned client.
-
-    Unit arcs client -> its failed center; failed centers fan out to backups
-    within six hops (a failed backup's node chains back to its own failure
-    node, letting orphans hop across up to alpha failures); backups absorb up
-    to their capacity.
-    """
-    hops = graph.hops()
-    F_pad = frozenset(F_pad)
-    moved = sorted(u for u, c in phi0.items() if c in F_pad)
-    net = FlowNetwork("s", "t")
-    for u in moved:
-        net.add_arc("s", ("y", u), INF)
-        net.add_arc(("y", u), ("f", phi0[u]), 1)
-    for v in F_pad:
-        for w in B:
-            if w != v and hops[v][w] <= 6:
-                if w in F_pad:
-                    net.add_arc(("f", v), ("w2", w), INF)
-                else:
-                    net.add_arc(("f", v), ("u", w), INF)
-    for w in B & F_pad:
-        net.add_arc(("w2", w), ("f", w), INF)
-    for w in B - F_pad:
-        net.add_arc(("u", w), "t", caps[w])
-    return net, moved
-
-
-def _unit_paths(flow: dict, sources, sink):
-    """Decompose an integral flow into one unit path per source, cancelling
-    any circulation met along the way."""
-    left = Counter()
-    for arc, f in flow.items():
-        left[arc] = f
-    out = {}
-    adj = {}
-    for (a, b) in flow:
-        adj.setdefault(a, []).append(b)
-    for a in adj:
-        adj[a].sort(key=repr)
-    for src in sources:
-        path = [src]
-        on_path = {src: 0}
-        while path[-1] != sink:
-            u = path[-1]
-            nxt = None
-            for v in adj.get(u, []):
-                if left[(u, v)] > 0:
-                    nxt = v
-                    break
-            if nxt is None:
-                raise ContractViolation("flow decomposition stuck")
-            if nxt in on_path:  # cancel the circulation and resume from nxt
-                i = on_path[nxt]
-                for a, b in zip(path[i:], path[i + 1 :] + [nxt]):
-                    left[(a, b)] -= 1
-                for w in path[i + 1 :]:
-                    del on_path[w]
-                path = path[: i + 1]
-                continue
-            on_path[nxt] = len(path)
-            path.append(nxt)
-        for a, b in zip(path, path[1:]):
-            left[(a, b)] -= 1
-            if left[(a, b)] < 0:
-                raise ContractViolation("flow decomposition oversubscribed an arc")
-        out[src] = path
-    return out
-
-
 def reassign_flow(
     graph: ThresholdGraph,
     caps,
@@ -326,7 +256,14 @@ def reassign_flow(
     beta: int,
     centers,
 ) -> dict:
-    """Scenario repair for the general conservative algorithm."""
+    """Scenario repair for the general conservative algorithm.
+
+    F is padded to alpha failures with the lowest live backups.  From each
+    failed center, a chain of failed backups is walked in steps of at most
+    six hops; its orphans may move to any live backup within six hops of
+    that chain, and the transport network assigns them within the backups'
+    capacities.
+    """
     F = frozenset(F)
     if len(F) > alpha:
         raise InstanceError("too many failures")
@@ -337,24 +274,33 @@ def reassign_flow(
         if len(pad) >= alpha:
             break
         pad.add(b)
-    net, moved = reassignment_network(graph, caps, B, phi0, pad)
+    moved = sorted(u for u, c in phi0.items() if c in pad)
     if not moved:
         return dict(phi0)
-    res = max_flow(net)
-    if res.value != len(moved):
-        raise ContractViolation(
-            f"reassignment flow saturates {res.value} of {len(moved)} orphans"
-        )
-    paths = _unit_paths(res.flow, [("y", u) for u in moved], "t")
     hops = graph.hops()
+    live = sorted(B - pad)
+    failed_backups = B & pad
+    reach = {}
+    for v in {phi0[u] for u in moved}:
+        chain, todo = {v}, [v]
+        while todo:
+            x = todo.pop()
+            for w in failed_backups:
+                if w not in chain and hops[x][w] <= 6:
+                    chain.add(w)
+                    todo.append(w)
+        reach[v] = [w for w in live if any(hops[x][w] <= 6 for x in chain)]
+    got, witness = capacitated_assignment(
+        moved, live, {u: reach[phi0[u]] for u in moved}, {w: caps[w] for w in live}
+    )
+    if got is None:
+        raise ContractViolation(
+            f"reassignment does not saturate: orphans {sorted(witness.clients)} reach "
+            f"backup capacity {witness.capacity} < {witness.demand}"
+        )
     phi = dict(phi0)
     load = Counter(c for u, c in phi0.items() if c not in pad)
-    for u in moved:
-        path = paths[("y", u)]
-        last = path[-2]
-        if not (isinstance(last, tuple) and last[0] == "u"):
-            raise ContractViolation("path does not end at a live backup")
-        w = last[1]
+    for u, w in got.items():
         if hops[phi0[u]][w] > 6 * alpha:
             raise ContractViolation("rerouted client strays beyond 6*alpha of its center")
         if hops[u][w] > beta + 6 * alpha:

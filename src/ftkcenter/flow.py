@@ -6,8 +6,8 @@ bounded by O(V*E) independently of capacity values, so Fraction capacities
 are safe.  Infinite capacity is math.inf, never a large surrogate number.
 
 `transport` is the one network behind every Hall-type check in the package
-(separation, transfer conditions, assignments, the relaxed ILP): client
-demand routed to allowed centers within their supply.
+(separation, transfer conditions, assignments, the conservative repair, the
+relaxed ILP): client demand routed to allowed centers within their supply.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class FlowNetwork:
         self.cap.setdefault(head, {})
         old = row.get(head, 0)
         row[head] = INF if (old is INF or capacity is INF) else old + capacity
-
-    def nodes(self):
-        return list(self.cap)
 
 
 @dataclass

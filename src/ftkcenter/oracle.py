@@ -35,6 +35,17 @@ class VerifyReport:
 # -- verifiers ---------------------------------------------------------------
 
 
+def _check_centers(inst: MetricInstance, centers) -> Optional[VerifyReport]:
+    """None when centers are exactly k distinct plain ints in 0..n-1, else the
+    rejecting report (bools are not vertex indices)."""
+    centers = list(centers)
+    if not all(type(c) is int and 0 <= c < inst.n for c in centers):
+        return VerifyReport(False, f"centers out of range 0..{inst.n - 1}: {centers!r}")
+    if len(centers) != inst.k or len(set(centers)) != inst.k:
+        return VerifyReport(False, f"expected {inst.k} distinct centers, got {centers!r}")
+    return None
+
+
 def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
     """Check that every failure scenario leaves a capacity-respecting
     assignment within the radius.
@@ -42,11 +53,10 @@ def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
     Only scenarios of size exactly alpha are tried: an assignment that avoids
     a failure set also serves every subset of it.
     """
-    S = sorted(set(centers))
-    if len(S) != inst.k or len(S) != len(set(centers)):
-        return VerifyReport(False, f"expected {inst.k} distinct centers, got {centers!r}")
-    if not all(isinstance(c, int) and 0 <= c < inst.n for c in S):
-        return VerifyReport(False, "centers out of range")
+    bad = _check_centers(inst, centers)
+    if bad is not None:
+        return bad
+    S = sorted(centers)
     caps = {c: inst.capacities[c] for c in S}
     for F in combinations(S, inst.alpha):
         live = [c for c in S if c not in F]
@@ -73,9 +83,10 @@ def verify_conservative(
     rerouted to surviving centers whose spare capacity, after the untouched
     clients keep their seats, suffices.
     """
-    S = sorted(set(centers))
-    if len(S) != inst.k or len(S) != len(set(centers)):
-        return VerifyReport(False, f"expected {inst.k} distinct centers, got {centers!r}")
+    bad = _check_centers(inst, centers)
+    if bad is not None:
+        return bad
+    S = sorted(centers)
     if set(phi0) != set(range(inst.n)):
         return VerifyReport(False, "base assignment must cover every vertex")
     load = {c: 0 for c in S}
@@ -144,8 +155,8 @@ def ft_feasible_at(inst: MetricInstance, tau2) -> Optional[tuple]:
 
 
 def _phi_search(inst: MetricInstance, S, tau2):
-    """Lowest-index-first search over base assignments, testing scenarios at
-    the leaves.  Returns a working phi0 or None."""
+    """Lowest-index-first search over base assignments, checking each complete
+    one with `verify_conservative`.  Returns a working phi0 or None."""
     n = inst.n
     r = Radius(1, tau2)
     options = []
@@ -157,22 +168,9 @@ def _phi_search(inst: MetricInstance, S, tau2):
     load = {c: 0 for c in S}
     phi = {}
 
-    def leaf_ok() -> bool:
-        for F in combinations(S, inst.alpha):
-            moved = [u for u in range(n) if phi[u] in F]
-            if not moved:
-                continue
-            live = [c for c in S if c not in F]
-            spare = {c: inst.capacities[c] - load[c] for c in live}
-            allowed = {u: [c for c in live if inst.d2[u][c] <= tau2] for u in moved}
-            got, _ = capacitated_assignment(moved, live, allowed, spare)
-            if got is None:
-                return False
-        return True
-
     def rec(u: int):
         if u == n:
-            return leaf_ok()
+            return verify_conservative(inst, S, phi, r).ok
         for c in options[u]:
             if load[c] < inst.capacities[c]:
                 phi[u] = c

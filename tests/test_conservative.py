@@ -1,5 +1,5 @@
 """Conservative solvers: the {0,L} anchor/backup algorithm, the general
-backup-loop algorithm with both residual solvers, and the flow-based
+backup-loop algorithm with both residual solvers, and the transport-based
 scenario repair."""
 
 import pytest
@@ -8,13 +8,11 @@ from ftkcenter.bottleneck import PerTauInfeasible, PerTauSolution
 from ftkcenter.clustering import is_alpha_ell_independent
 from ftkcenter.conservative import (
     _pad_centers,
-    _unit_paths,
     build_backup_set,
     conservative_general_connected,
     conservative_uniform_connected,
     reassign_flow,
     reassign_uniform,
-    reassignment_network,
     solve_conservative_general,
     solve_conservative_uniform,
 )
@@ -167,20 +165,23 @@ def test_reassign_uniform_direct_and_tripwire():
         )
 
 
-def test_reassignment_network_chains_through_failed_backups():
-    """A failed backup's absorber chains into its own failure node, letting an
-    orphan cross two failures: 11 -> f(12) -> f(6) -> u(0)."""
+def test_reassign_flow_chains_through_failed_backups():
+    """A failed backup passes its orphans on to the backups six hops further,
+    letting an orphan cross two failures: 11 -> 12 -> 6 -> 0."""
     g = path_graph(13)
     caps = [1] + [0] * 5 + [1] + [0] * 5 + [1]
     B = frozenset({0, 6, 12})
-    net, moved = reassignment_network(g, caps, B, {11: 12}, {6, 12})
-    assert moved == [11]
-    assert net.cap[("f", 12)] == {("w2", 6): float("inf")}
-    assert ("u", 0) in net.cap[("f", 6)]
-    assert net.cap[("u", 0)] == {"t": 1}
-
     phi = reassign_flow(g, caps, B, {11: 12}, {6, 12}, 2, 1, (0, 6, 12))
     assert phi == {11: 0}
+
+
+def test_reassign_flow_saturation_tripwire():
+    """Two orphans of 12 reach only backup 6, of capacity 1."""
+    g = path_graph(13)
+    caps = [1] + [0] * 5 + [1] + [0] * 5 + [1]
+    B = frozenset({0, 6, 12})
+    with pytest.raises(ContractViolation, match="does not saturate"):
+        reassign_flow(g, caps, B, {10: 12, 11: 12}, {12}, 1, 1, (0, 6, 12))
 
 
 def test_reassign_flow_padding_withholds_backup_capacity():
@@ -198,26 +199,6 @@ def test_reassign_flow_padding_withholds_backup_capacity():
         reassign_flow(g, caps, B, {11: 12}, {6, 12, 0}, 2, 1, (0, 6, 12))
     with pytest.raises(InstanceError):
         reassign_flow(g, caps, B, {11: 12}, {5}, 2, 1, (0, 6, 12))
-
-
-def test_unit_paths_cancels_circulation():
-    flow = {
-        ("s", "a"): 1,
-        ("a", "b"): 1,
-        ("b", "t"): 1,
-        ("b", "c"): 1,
-        ("c", "b"): 1,
-    }
-    paths = _unit_paths(flow, ["s"], "t")
-    assert paths == {"s": ["s", "a", "b", "t"]}
-
-
-def test_unit_paths_error_modes():
-    with pytest.raises(ContractViolation):
-        _unit_paths({("s", "a"): 1}, ["s"], "t")
-    flow = {("s1", "m"): 1, ("s2", "m"): 1, ("m", "t"): 1}
-    with pytest.raises(ContractViolation):
-        _unit_paths(flow, ["s1", "s2"], "t")
 
 
 def test_variant_enforcement():

@@ -43,6 +43,7 @@ def test_verify_ft_accepts_and_rejects():
     assert "expected 2 distinct centers" in verify_ft(inst, (1,), Radius(1, 4)).detail
     assert "expected 2 distinct centers" in verify_ft(inst, (1, 1), Radius(1, 4)).detail
     assert "out of range" in verify_ft(inst, (0, 9), Radius(1, 4)).detail
+    assert "out of range" in verify_ft(inst, [True, 2], Radius(1, 100)).detail
 
 
 def test_verify_ft_alpha_zero_checks_plain_assignment():
@@ -62,6 +63,9 @@ def test_verify_conservative_rejects():
     r = Radius(1, 4)
     assert "cover every vertex" in verify_conservative(inst, (1, 2), {0: 1}, r).detail
     phi0 = {u: 1 for u in range(4)}
+    for centers in ([1, -1], [1, 9], [True, 2]):  # -1 would wrap, 9 would IndexError
+        rep = verify_conservative(inst, centers, phi0, Radius(1, 100))
+        assert not rep.ok and "out of range" in rep.detail
     bad = {**phi0, 0: 3}
     assert "non-center" in verify_conservative(inst, (1, 2), bad, r).detail
     assert "outside the radius" in verify_conservative(

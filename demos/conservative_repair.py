@@ -9,8 +9,9 @@ Run:  python3 demos/conservative_repair.py
 
 from itertools import combinations
 
+from ftkcenter.bottleneck import MergedComponents
 from ftkcenter.conservative import solve_conservative_general
-from ftkcenter.oracle import exact_opt_conservative, verify_conservative
+from ftkcenter.oracle import exact_opt_conservative
 
 from ftkcenter.instance import MetricInstance
 
@@ -29,13 +30,13 @@ def main():
     phi0 = res.assignment
     print(f"initial assignment phi0: {phi0}")
 
-    detail = res.outcome.solution.detail
-    if "components" in detail:
-        for centers, part in detail["components"]:
-            print(f"  component with centers {centers}: "
-                  f"backups {sorted(part['B'])} (component-local ids)")
+    record = res.outcome.solution.scenario
+    if isinstance(record, MergedComponents):
+        for orig, sol in record.parts:  # orig maps component ids to instance ids
+            print(f"  component with centers {[orig[c] for c in sol.centers]}: "
+                  f"backups {sorted(orig[b] for b in sol.scenario.B)}")
     else:
-        print(f"  backups: {sorted(detail['B'])} (growth trace {detail['trace']})")
+        print(f"  backups: {sorted(record.B)}")
 
     print("\nfailing each center in turn:")
     for F in combinations(res.centers, inst.alpha):
@@ -45,7 +46,7 @@ def main():
         print(f"  F={F}: orphans {sorted(orphans)}, moved {moved or 'nobody'}")
         assert set(moved) <= orphans, "a non-orphan moved; repair is not conservative"
 
-    ok = verify_conservative(inst, res.centers, phi0, res.radius())
+    ok = res.verify()  # verify_conservative at the solution's radius
     print(f"\nindependent verifier: ok={ok.ok} ({ok.detail})")
     opt2, _ = exact_opt_conservative(inst)
     print(f"exact conservative optimum squared: {opt2}; tau*^2 = {res.tau2_star} <= {opt2}")

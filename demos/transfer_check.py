@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ftkcenter.instance import MetricInstance
 from ftkcenter.oracle import condition_b_exhaustive, verify_transfer
-from ftkcenter.rounding import condition_b_flow
+from ftkcenter.rounding import GeneralRounding, condition_b_flow
 from ftkcenter.solvers import solve_ft_general
 
 POINTS = [(0, 0), (1, 0), (1, 1), (2, 1), (6, 0), (6, 1), (7, 0)]
@@ -24,12 +24,11 @@ def main():
         POINTS, k=3, alpha=1, capacities=[4, 2, 2, 4, 4, 2, 4], name="transfer-demo"
     )
     res = solve_ft_general(inst)
-    detail = res.outcome.solution.detail
-    if detail.get("kind") != "general":
+    state = res.outcome.solution.scenario
+    if not isinstance(state, GeneralRounding):
         raise SystemExit("threshold graph split into components; pick other points")
 
-    rr = detail["rounding"]
-    state = detail["state"]
+    rr = state.rr
     B = state.backup_set()
     n = inst.n
     print(f"tau*^2 = {res.tau2_star}, centers {res.centers}, backups {sorted(B)}")

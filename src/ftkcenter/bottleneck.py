@@ -7,11 +7,14 @@ component gets its own minimal budget (a component can never borrow service
 across components), the leftovers go back to the first component, and the
 per-component solutions merge into one.  All four solvers run through
 `solve_bottleneck`; they differ only in the connected-graph solver.
+
+A solution's `scenario` is its pipeline's repair record, called with a
+failure set; a merged solution's is `MergedComponents`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -24,6 +27,7 @@ from .instance import (
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
+from .oracle import verify_conservative, verify_ft
 
 
 @dataclass
@@ -33,8 +37,7 @@ class PerTauSolution:
     centers: tuple  # sorted vertex ids, exactly the budget many
     assignment: dict  # initial client -> center map
     stretch: int  # hop bound honored by assignments (7, 6, 10, or beta+6*alpha)
-    scenario: Callable  # failure set -> full assignment avoiding it
-    detail: dict = field(default_factory=dict)  # per-pipeline artifacts for tests
+    scenario: Callable  # repair record: failure set -> full assignment avoiding it
 
 
 @dataclass
@@ -126,37 +129,38 @@ def solve_components(
     return _merge(picked)
 
 
+@dataclass(frozen=True)
+class MergedComponents:
+    """Repair record of a threshold graph solved per component: a failure set
+    is split by component and repaired by each component's own record."""
+
+    centers: frozenset  # every component's centers, global ids
+    parts: tuple  # (orig, PerTauSolution) per component; orig[local id] = global id
+
+    def __call__(self, F) -> dict:
+        F = set(F)
+        unknown = F - self.centers
+        if unknown:
+            raise ContractViolation(f"failed vertices {sorted(unknown)} are not centers")
+        out = {}
+        for orig, sol in self.parts:
+            phi = sol.scenario([local for local, glob in enumerate(orig) if glob in F])
+            out.update((orig[u], orig[c]) for u, c in phi.items())
+        return out
+
+
 def _merge(picked):
     centers = []
     assignment = {}
     stretch = 0
     parts = []
     for _, _, orig, _, sol in picked:
-        to_global = dict(enumerate(orig))
-        centers.extend(to_global[c] for c in sol.centers)
-        assignment.update(
-            (to_global[u], to_global[c]) for u, c in sol.assignment.items()
-        )
+        centers.extend(orig[c] for c in sol.centers)
+        assignment.update((orig[u], orig[c]) for u, c in sol.assignment.items())
         stretch = max(stretch, sol.stretch)
-        parts.append((set(to_global[c] for c in sol.centers), to_global, sol))
-
-    def scenario(F):
-        F = set(F)
-        all_centers = set().union(*(c for c, _, _ in parts))
-        unknown = F - all_centers
-        if unknown:
-            raise ContractViolation(f"failed vertices {sorted(unknown)} are not centers")
-        out = {}
-        for cset, to_global, sol in parts:
-            local_F = [
-                local for local, glob in to_global.items() if glob in F
-            ]
-            phi = sol.scenario(local_F)
-            out.update((to_global[u], to_global[c]) for u, c in phi.items())
-        return out
-
-    detail = {"components": [(tuple(sorted(c)), s.detail) for c, _, s in parts]}
-    return PerTauSolution(tuple(sorted(centers)), assignment, stretch, scenario, detail)
+        parts.append((orig, sol))
+    record = MergedComponents(frozenset(centers), tuple(parts))
+    return PerTauSolution(tuple(sorted(centers)), assignment, stretch, record)
 
 
 @dataclass
@@ -239,6 +243,14 @@ class SolveResult:
         if not self.feasible:
             raise InstanceError("no radius: instance certified infeasible")
         return self.outcome.radius()
+
+    def verify(self):
+        """The independent verifier's report at `radius()`: `verify_conservative`
+        with the base assignment on conservative instances, else `verify_ft`."""
+        radius = self.radius()
+        if self.instance.variant == "conservative":
+            return verify_conservative(self.instance, self.centers, self.assignment, radius)
+        return verify_ft(self.instance, self.centers, radius)
 
     def scenario(self, F):
         if not self.feasible:

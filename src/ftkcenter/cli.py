@@ -27,18 +27,12 @@ from .instance import (
     SizeLimitError,
     canonical_json,
     decimal_str,
+    is_plain_int,
     load_instance,
     parse_exact_json,
     save_instance,
 )
-from .oracle import (
-    exact_opt_conservative,
-    exact_opt_ft,
-    gap_instance,
-    random_point_instance,
-    verify_conservative,
-    verify_ft,
-)
+from .oracle import exact_opt, gap_instance, random_point_instance, verify_conservative, verify_ft
 from .solvers import DEFAULT_ALPHA_BOUND, solve_ft_general, solve_ft_uniform
 
 # algorithm name -> solve(instance, parsed arguments)
@@ -55,13 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are input errors, not verdicts
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _verify_result(inst: MetricInstance, res) -> bool:
-    r = res.radius()
-    if inst.variant == "conservative":
-        return verify_conservative(inst, res.centers, res.assignment, r).ok
-    return verify_ft(inst, res.centers, r).ok
 
 
 def build_report(inst: MetricInstance, res, with_oracle: bool = False) -> dict:
@@ -90,13 +77,10 @@ def build_report(inst: MetricInstance, res, with_oracle: bool = False) -> dict:
     report["radius_bound_sq"] = decimal_str(res.radius().value_sq())
     report["centers"] = list(res.centers)
     report["initial_assignment"] = {str(u): res.assignment[u] for u in sorted(res.assignment)}
-    report["verified"] = _verify_result(inst, res)
+    report["verified"] = res.verify().ok
     if with_oracle:
         try:
-            if inst.variant == "conservative":
-                opt2, _ = exact_opt_conservative(inst)
-            else:
-                opt2, _ = exact_opt_ft(inst)
+            opt2, _ = exact_opt(inst)
         except SizeLimitError as exc:
             report["oracle_skipped"] = str(exc)
         else:
@@ -131,11 +115,6 @@ def _cmd_solve(args) -> int:
     return 0 if report["verified"] else 2
 
 
-def _is_plain_int(x) -> bool:
-    """An int from JSON; true and false are not vertex indices."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _cmd_verify(args) -> int:
     inst = load_instance(args.input)
     with open(args.solution, "r", encoding="utf-8") as fh:
@@ -143,18 +122,26 @@ def _cmd_verify(args) -> int:
     if not isinstance(sol, dict) or "centers" not in sol:
         raise InstanceError("solution file needs a 'centers' list")
     centers = sol["centers"]
-    if not isinstance(centers, list) or not all(map(_is_plain_int, centers)):
+    if not isinstance(centers, list) or not all(map(is_plain_int, centers)):
         raise InstanceError("'centers' must be a list of integer vertex indices")
-    radius = Radius.exact(Fraction(args.radius))
+    try:
+        value = Fraction(args.radius)
+    except (ValueError, ZeroDivisionError):
+        raise InstanceError(f"--radius must be a decimal number: {args.radius!r}") from None
+    radius = Radius.exact(value)
     if inst.variant == "conservative":
         phi_raw = sol.get("initial_assignment")
         if phi_raw is None:
             raise InstanceError("conservative verification needs 'initial_assignment'")
-        if not isinstance(phi_raw, dict) or not all(map(_is_plain_int, phi_raw.values())):
+        vertex = {str(u): u for u in range(inst.n)}
+        if not isinstance(phi_raw, dict) or not all(
+            u in vertex and is_plain_int(c) for u, c in phi_raw.items()
+        ):
             raise InstanceError(
-                "'initial_assignment' must map each vertex to an integer center index"
+                f"'initial_assignment' must map each vertex, written as a decimal index "
+                f"0..{inst.n - 1}, to an integer center index"
             )
-        phi0 = {int(u): c for u, c in phi_raw.items()}
+        phi0 = {vertex[u]: c for u, c in phi_raw.items()}
         rep = verify_conservative(inst, centers, phi0, radius)
     else:
         rep = verify_ft(inst, centers, radius)

@@ -6,15 +6,17 @@ failure scenarios locally: the {0,L} algorithm walks each orphaned client to
 a nearby anchor's backups (seven hops); the general one moves orphans to
 backups reachable through chains of failed centers, assigned by the
 transport network (beta + 6*alpha hops, where beta is the stretch of the
-residual solver).
+residual solver).  The repair records are `ConservativeUniform` and
+`ConservativeGeneral`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from .bottleneck import (
     PerTauInfeasible,
@@ -32,6 +34,7 @@ from .instance import (
     MetricInstance,
     SizeLimitError,
     ThresholdGraph,
+    failure_set,
     uniform_capacity_level,
 )
 from .oracle import exact_distance1
@@ -91,44 +94,36 @@ def conservative_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: i
         return PerTauInfeasible(f"residual uniform solve: {inner.reason}")
     phi0 = dict(inner.assignment)
     centers = _pad_centers(set(inner.centers) | bset, k, graph.n)
-    detail = {
-        "kind": "conservative-0l",
-        "anchors": anchors,
-        "backups": backups,
-        "residual_centers": inner.centers,
-        "inner": inner.detail,
-    }
-    return PerTauSolution(
-        centers,
-        phi0,
-        7,
-        lambda F: reassign_uniform(graph, caps, anchors, backups, phi0, F, alpha, centers),
-        detail,
-    )
+    state = ConservativeUniform(graph, caps, anchors, backups, phi0, alpha, centers)
+    return PerTauSolution(centers, phi0, 7, state)
 
 
-def reassign_uniform(
-    graph: ThresholdGraph,
-    caps,
-    anchors,
-    backups,
-    phi0: dict,
-    F,
-    alpha: int,
-    centers,
-) -> dict:
+@dataclass(frozen=True)
+class ConservativeUniform:
+    """Repair record of the {0,L} conservative pipeline."""
+
+    graph: ThresholdGraph
+    caps: Sequence[int]
+    anchors: tuple  # pairwise at least seven hops apart
+    backups: dict  # anchor -> its alpha backups within one hop
+    phi0: dict  # base assignment
+    alpha: int
+    centers: tuple
+
+    def __call__(self, F) -> dict:
+        return reassign_uniform(self, F)
+
+
+def reassign_uniform(state: ConservativeUniform, F) -> dict:
     """Move each orphaned client to a free backup of its nearest anchor.
 
     Conservative by construction: only clients of failed centers move, and
     they land within seven hops (six to the anchor, one more to a backup).
     """
-    F = frozenset(F)
-    if len(F) > alpha:
-        raise InstanceError("too many failures")
-    if not F <= set(centers):
-        raise InstanceError("failures must be centers")
+    F = failure_set(F, state.alpha, state.centers)
+    caps, anchors, backups, phi0 = state.caps, state.anchors, state.backups, state.phi0
     uniform_capacity_level(caps)
-    hops = graph.hops()
+    hops = state.graph.hops()
     load = Counter(c for u, c in phi0.items() if c not in F)
     phi = dict(phi0)
     moved = sorted(u for u, c in phi0.items() if c in F)
@@ -215,7 +210,7 @@ def conservative_general_connected(
     why = quick_infeasible(graph, k, capped, alpha)
     if why:
         return PerTauInfeasible(why)
-    B, trace = build_backup_set(graph, capped, alpha)
+    B, _ = build_backup_set(graph, capped, alpha)
     if not is_alpha_ell_independent(graph, B, alpha, 6):
         raise ContractViolation("backup set is not (alpha,6)-independent")
     budget = k - len(B)
@@ -229,33 +224,27 @@ def conservative_general_connected(
         return PerTauInfeasible(f"residual solve: {inner.reason}")
     phi0 = dict(inner.assignment)
     centers = _pad_centers(set(inner.centers) | B, k, graph.n)
-    detail = {
-        "kind": "conservative-general",
-        "B": B,
-        "trace": trace,
-        "beta": beta,
-        "residual_centers": inner.centers,
-        "inner": inner.detail,
-    }
-    return PerTauSolution(
-        centers,
-        phi0,
-        beta + 6 * alpha,
-        lambda F: reassign_flow(graph, capped, B, phi0, F, alpha, beta, centers),
-        detail,
-    )
+    state = ConservativeGeneral(graph, capped, B, phi0, alpha, beta, centers)
+    return PerTauSolution(centers, phi0, beta + 6 * alpha, state)
 
 
-def reassign_flow(
-    graph: ThresholdGraph,
-    caps,
-    B,
-    phi0: dict,
-    F,
-    alpha: int,
-    beta: int,
-    centers,
-) -> dict:
+@dataclass(frozen=True)
+class ConservativeGeneral:
+    """Repair record of the general conservative pipeline."""
+
+    graph: ThresholdGraph
+    caps: Sequence[int]  # capacities capped at n
+    B: frozenset  # the pre-opened backup set
+    phi0: dict  # base assignment
+    alpha: int
+    beta: int  # stretch of the residual solver
+    centers: tuple
+
+    def __call__(self, F) -> dict:
+        return reassign_flow(self, F)
+
+
+def reassign_flow(state: ConservativeGeneral, F) -> dict:
     """Scenario repair for the general conservative algorithm.
 
     F is padded to alpha failures with the lowest live backups.  From each
@@ -264,11 +253,8 @@ def reassign_flow(
     that chain, and the transport network assigns them within the backups'
     capacities.
     """
-    F = frozenset(F)
-    if len(F) > alpha:
-        raise InstanceError("too many failures")
-    if not F <= set(centers):
-        raise InstanceError("failures must be centers")
+    F = failure_set(F, state.alpha, state.centers)
+    alpha, B, phi0 = state.alpha, state.B, state.phi0
     pad = set(F)
     for b in sorted(B - F):
         if len(pad) >= alpha:
@@ -277,7 +263,8 @@ def reassign_flow(
     moved = sorted(u for u, c in phi0.items() if c in pad)
     if not moved:
         return dict(phi0)
-    hops = graph.hops()
+    hops = state.graph.hops()
+    caps = state.caps
     live = sorted(B - pad)
     failed_backups = B & pad
     reach = {}
@@ -303,7 +290,7 @@ def reassign_flow(
     for u, w in got.items():
         if hops[phi0[u]][w] > 6 * alpha:
             raise ContractViolation("rerouted client strays beyond 6*alpha of its center")
-        if hops[u][w] > beta + 6 * alpha:
+        if hops[u][w] > state.beta + 6 * alpha:
             raise ContractViolation("rerouted client exceeds the distance bound")
         phi[u] = w
         load[w] += 1
@@ -319,15 +306,18 @@ def exact_residual(graph: ThresholdGraph, budget: int, caps):
     if found is None:
         return PerTauInfeasible("no exact distance-1 residual solution")
     S, phi = found
-    return PerTauSolution(
-        tuple(sorted(S)), phi, 1, lambda F: _failfree_only(phi, F), {"kind": "exact"}
-    )
+    return PerTauSolution(tuple(sorted(S)), phi, 1, FailureFree(phi))
 
 
-def _failfree_only(phi, F):
-    if F:
-        raise InstanceError("the exact residual solver only serves the empty scenario")
-    return dict(phi)
+@dataclass(frozen=True)
+class FailureFree:
+    """Repair record of the exact residual solve: only the empty scenario."""
+
+    phi0: dict
+
+    def __call__(self, F) -> dict:
+        failure_set(F, 0, ())
+        return dict(self.phi0)
 
 
 # residual name -> (residual_solver(graph, budget, caps), its stretch beta)

@@ -34,14 +34,25 @@ VARIANTS = ("ft", "conservative")
 ZERO = Fraction(0)
 
 
-def _is_plain_int(x) -> bool:
+def is_plain_int(x) -> bool:
+    """An int and not a bool: true and false are not counts or vertex indices."""
     return type(x) is int
+
+
+def failure_set(F, alpha: int, centers) -> frozenset:
+    """F as a frozenset, checked to fail at most alpha of `centers`."""
+    F = frozenset(F)
+    if len(F) > alpha:
+        raise InstanceError("too many failures")
+    if not F <= set(centers):
+        raise InstanceError("failures must be centers")
+    return F
 
 
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if _is_plain_int(x):
+    if is_plain_int(x):
         return Fraction(x)
     raise InstanceError(f"expected an exact number, got {type(x).__name__}")
 
@@ -309,7 +320,7 @@ class MetricInstance:
         n = self.n
         if n < 1:
             raise InstanceError("need at least one vertex")
-        if not (_is_plain_int(self.k) and _is_plain_int(self.alpha)):
+        if not (is_plain_int(self.k) and is_plain_int(self.alpha)):
             raise InstanceError("k and alpha must be integers")
         if not 1 <= self.k <= n:
             raise InstanceError(f"k={self.k} out of range 1..{n}")
@@ -318,7 +329,7 @@ class MetricInstance:
         if len(self.capacities) != n:
             raise InstanceError("capacities length mismatch")
         for c in self.capacities:
-            if not _is_plain_int(c) or c < 0:
+            if not is_plain_int(c) or c < 0:
                 raise InstanceError("capacities must be non-negative integers")
         _validate_square(self.d2, n, "squared distances")
         for i in range(n):
@@ -394,7 +405,7 @@ class MetricInstance:
         if extra:
             raise InstanceError(f"unknown keys: {sorted(extra)}")
         n = data["n"]
-        if not _is_plain_int(n):
+        if not is_plain_int(n):
             raise InstanceError("n must be an integer")
         caps = data["capacities"]
         if not isinstance(caps, list):

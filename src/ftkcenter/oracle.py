@@ -22,6 +22,7 @@ from .instance import (
     Radius,
     SizeLimitError,
     ThresholdGraph,
+    is_plain_int,
 )
 from .rounding import condition_b_flow
 
@@ -39,7 +40,7 @@ def _check_centers(inst: MetricInstance, centers) -> Optional[VerifyReport]:
     """None when centers are exactly k distinct plain ints in 0..n-1, else the
     rejecting report (bools are not vertex indices)."""
     centers = list(centers)
-    if not all(type(c) is int and 0 <= c < inst.n for c in centers):
+    if not all(is_plain_int(c) and 0 <= c < inst.n for c in centers):
         return VerifyReport(False, f"centers out of range 0..{inst.n - 1}: {centers!r}")
     if len(centers) != inst.k or len(set(centers)) != inst.k:
         return VerifyReport(False, f"expected {inst.k} distinct centers, got {centers!r}")
@@ -87,6 +88,8 @@ def verify_conservative(
     if bad is not None:
         return bad
     S = sorted(centers)
+    if not all(is_plain_int(u) and is_plain_int(c) for u, c in phi0.items()):
+        return VerifyReport(False, "base assignment must map vertex indices to center indices")
     if set(phi0) != set(range(inst.n)):
         return VerifyReport(False, "base assignment must cover every vertex")
     load = {c: 0 for c in S}
@@ -246,6 +249,13 @@ def exact_opt_conservative(
     if inst.alpha > max_alpha:
         raise SizeLimitError(f"alpha={inst.alpha} exceeds max_alpha={max_alpha}")
     return _binary_search_opt(inst, conservative_feasible_at)
+
+
+def exact_opt(inst: MetricInstance):
+    """The exhaustive optimum of the instance's variant, at the default caps."""
+    if inst.variant == "conservative":
+        return exact_opt_conservative(inst)
+    return exact_opt_ft(inst)
 
 
 def exact_distance1(graph: ThresholdGraph, k: int, caps: Sequence[int]):
@@ -428,10 +438,7 @@ def random_feasible_instance(
             rng, n, k, alpha, variant=variant, caps_mode=caps_mode, span=span,
             name=f"random-{variant}-{t}",
         )
-        if variant == "conservative":
-            opt2, wit = exact_opt_conservative(inst)
-        else:
-            opt2, wit = exact_opt_ft(inst)
+        opt2, wit = exact_opt(inst)
         if opt2 is not None:
             return inst, opt2, wit
     raise RuntimeError("no feasible instance found; loosen the parameters")

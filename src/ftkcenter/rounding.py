@@ -23,6 +23,7 @@ from .instance import (
     ContractViolation,
     InstanceError,
     ThresholdGraph,
+    failure_set,
     uniform_capacity_level,
 )
 
@@ -160,7 +161,6 @@ class RoundResult:
     support2: frozenset  # support after the tree step (real + aux ids)
     y0: dict
     y1: dict
-    y2: dict
     y3: dict
     aug: Augmented
     tree: ThresholdGraph
@@ -239,7 +239,7 @@ def round_general(
     if _mass(y3, range(n)) != _mass(y0, range(aug.ext.n)):
         raise ContractViolation("rounding changed the total mass")
     support2 = frozenset(v for v, val in y2.items() if val == 1)
-    return RoundResult(R, support2, y0, y1, y2, y3, aug, tree, frozenset(members))
+    return RoundResult(R, support2, y0, y1, y3, aug, tree, frozenset(members))
 
 
 # -- scenario assignments (general pipeline) --------------------------------
@@ -247,7 +247,8 @@ def round_general(
 
 @dataclass
 class GeneralRounding:
-    """Everything scenario assignment needs from one per-threshold solve."""
+    """Repair record of the general pipeline: everything scenario assignment
+    needs from one per-threshold solve."""
 
     graph: ThresholdGraph
     caps: Sequence[int]
@@ -256,6 +257,9 @@ class GeneralRounding:
     gprime: DirectedGraph
     rr: RoundResult
     alpha: int
+
+    def __call__(self, F) -> dict:
+        return assign_scenario_general(self, F)
 
     def backup_set(self) -> frozenset:
         return frozenset(backup_union(self.backups))
@@ -333,11 +337,7 @@ def assign_scenario_general(state: GeneralRounding, F) -> dict:
     smaller capacity, then swapped back; clients stay within ten hops of
     their center.
     """
-    F = frozenset(F)
-    if len(F) > state.alpha:
-        raise InstanceError("too many failures")
-    if not F <= set(state.rr.R):
-        raise InstanceError("failures must be centers of the solution")
+    F = failure_set(F, state.alpha, state.rr.R)
     B = state.backup_set()
     alpha = state.alpha
     if F <= B:
@@ -419,16 +419,27 @@ def round_uniform(y: Mapping[int, Fraction], graph: ThresholdGraph, k: int, caps
     raise ContractViolation("no distance-5 transfer despite LP feasibility")
 
 
-def assign_scenario_uniform(graph: ThresholdGraph, R, caps, F, alpha: int) -> dict:
+@dataclass(frozen=True)
+class UniformRounding:
+    """Repair record of the {0,L} pipeline: centers R rounded from LP point y."""
+
+    graph: ThresholdGraph
+    caps: Sequence[int]
+    R: tuple
+    y: Mapping[int, Fraction]
+    alpha: int
+
+    def __call__(self, F) -> dict:
+        return assign_scenario_uniform(self, F)
+
+
+def assign_scenario_uniform(state: UniformRounding, F) -> dict:
     """Assignment within six hops avoiding up to alpha failed centers."""
-    F = frozenset(F)
-    if len(F) > alpha:
-        raise InstanceError("too many failures")
-    if not F <= set(R):
-        raise InstanceError("failures must be centers")
+    F = failure_set(F, state.alpha, state.R)
+    graph, caps = state.graph, state.caps
     n = graph.n
     hops = graph.hops()
-    targets = sorted(v for v in R if v not in F and caps[v] > 0)
+    targets = sorted(v for v in state.R if v not in F and caps[v] > 0)
     allowed = {
         u: [c for c in targets if hops[u][c] <= 6] for u in range(n)
     }

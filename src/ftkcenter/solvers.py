@@ -4,7 +4,8 @@ Two pipelines: the general-capacity one (clustered LP with scenario cuts,
 distance-8 transfer rounding, ten-hop scenario assignments) and the
 uniform-capacity one for {0,L} instances (direct LP with scenario-free
 rows plus Hall cuts, distance-5 transfer, six-hop assignments for any
-number of failures below k).
+number of failures below k).  Their repair records are
+`rounding.GeneralRounding` and `rounding.UniformRounding`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .lp import (
 )
 from .rounding import (
     GeneralRounding,
-    assign_scenario_general,
-    assign_scenario_uniform,
+    UniformRounding,
     round_general,
     round_uniform,
 )
@@ -54,7 +54,7 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
         )
     gp = build_gprime(graph, cl, backups)
     lp = lp_general_static(graph, k, caps, cl, bset)
-    y, cuts = solve_cutting_plane(
+    y, _ = solve_cutting_plane(
         lp, partial(separate_general, graph=graph, gprime=gp, backup_set=bset, alpha=alpha, capacities=caps)
     )
     if y is None:
@@ -63,23 +63,7 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
         )
     rr = round_general(y, graph, cl, backups, caps)
     state = GeneralRounding(graph, list(caps), cl, backups, gp, rr, alpha)
-    phi0 = assign_scenario_general(state, frozenset())
-    detail = {
-        "kind": "general",
-        "y": y,
-        "rounding": rr,
-        "state": state,
-        "clustering": cl,
-        "backups": backups,
-        "cuts": len(cuts),
-    }
-    return PerTauSolution(
-        tuple(rr.R),
-        phi0,
-        10,
-        lambda F: assign_scenario_general(state, F),
-        detail,
-    )
+    return PerTauSolution(tuple(rr.R), state(frozenset()), 10, state)
 
 
 def ft_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
@@ -88,7 +72,7 @@ def ft_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     if why:
         return PerTauInfeasible(why)
     lp = lp_uniform_static(graph, k, caps)
-    y, cuts = solve_cutting_plane(
+    y, _ = solve_cutting_plane(
         lp, partial(separate_uniform, graph=graph, capacities=caps, alpha=alpha)
     )
     if y is None:
@@ -96,15 +80,8 @@ def ft_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
             "uniform LP with Hall cuts is infeasible: no distance-1 solution"
         )
     R = round_uniform(y, graph, k, caps)
-    phi0 = assign_scenario_uniform(graph, R, caps, frozenset(), alpha)
-    detail = {"kind": "uniform", "y": y, "R": R, "cuts": len(cuts)}
-    return PerTauSolution(
-        R,
-        phi0,
-        6,
-        lambda F: assign_scenario_uniform(graph, R, caps, F, alpha),
-        detail,
-    )
+    state = UniformRounding(graph, caps, R, y, alpha)
+    return PerTauSolution(R, state(frozenset()), 6, state)
 
 
 def solve_ft_general(

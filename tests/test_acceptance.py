@@ -47,11 +47,10 @@ from ftkcenter.oracle import (
     random_feasible_instance,
     random_point_instance,
     relaxed_ilp_holds,
-    verify_conservative,
     verify_ft,
     verify_transfer,
 )
-from ftkcenter.rounding import condition_b_flow
+from ftkcenter.rounding import GeneralRounding, UniformRounding, condition_b_flow
 from ftkcenter.solvers import (
     ft_general_connected,
     ft_uniform_connected,
@@ -151,10 +150,7 @@ def test_factor_bounds_vs_oracle():
                 violations.append(f"{tag}: stretch {res.stretch}")
             if res.tau2_star > opt2:
                 violations.append(f"{tag}: tau*^2 {res.tau2_star} > opt^2 {opt2}")
-            if variant == "conservative":
-                rep = verify_conservative(inst, res.centers, res.assignment, res.radius())
-            else:
-                rep = verify_ft(inst, res.centers, res.radius())
+            rep = res.verify()
             if not rep.ok:
                 violations.append(f"{tag}: verifier says {rep.detail}")
     _report(
@@ -214,11 +210,10 @@ def test_transfer_certificates():
         res = solve_ft_general(inst)
         if not res.feasible:
             continue
-        detail = res.outcome.solution.detail
-        if detail.get("kind") != "general":
+        state = res.outcome.solution.scenario
+        if not isinstance(state, GeneralRounding):
             continue  # threshold graph split into components; rounding is per part
-        rr = detail["rounding"]
-        state = detail["state"]
+        rr = state.rr
         got_general += 1
         if not verify_transfer(rr.y0, rr.y3, rr.aug.ext, 8, state.backup_set(), rr.aug.caps_ext):
             violations.append(f"general rounding #{attempts}: transfer check failed")
@@ -236,12 +231,12 @@ def test_transfer_certificates():
         res = solve_ft_uniform(inst)
         if not res.feasible:
             continue
-        detail = res.outcome.solution.detail
-        if detail.get("kind") != "uniform":
+        state = res.outcome.solution.scenario
+        if not isinstance(state, UniformRounding):
             continue
         G = strip_zero_zero_edges(inst.threshold_graph(res.tau2_star), inst.capacities)
-        y = {v: Fraction(detail["y"].get(v, 0)) for v in range(n)}
-        y2 = {v: Fraction(1 if v in detail["R"] else 0) for v in range(n)}
+        y = {v: Fraction(state.y.get(v, 0)) for v in range(n)}
+        y2 = {v: Fraction(1 if v in state.R else 0) for v in range(n)}
         got_uniform += 1
         if not verify_transfer(y, y2, G, 5, frozenset(), inst.capacities):
             violations.append(f"uniform rounding #{attempts}: transfer check failed")
@@ -393,7 +388,7 @@ def test_conservative_flow_saturation():
             continue
         runs += 1
         capped = [min(c, n) for c in caps]
-        B = out.detail["B"]
+        B = out.scenario.B
         phi0 = out.assignment
         hops = G.hops()
         for F in combinations(out.centers, alpha):
@@ -404,7 +399,7 @@ def test_conservative_flow_saturation():
                     break
                 pad.add(b)
             try:
-                phi = reassign_flow(G, capped, B, phi0, frozenset(F), alpha, beta, out.centers)
+                phi = reassign_flow(out.scenario, frozenset(F))
             except ContractViolation as e:  # unsaturated transport or a broken bound
                 violations.append(f"run {runs} F={F}: {e}")
                 continue

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from ftkcenter.bottleneck import (
+    MergedComponents,
     PerTauInfeasible,
     PerTauSolution,
     SweepInfeasible,
@@ -164,5 +165,7 @@ def test_merged_scenario_remaps_and_validates():
     assert phi == {0: 0, 1: 0, 2: 2, 3: 2, 4: 2, 5: 2}
     with pytest.raises(ContractViolation):
         out.scenario([1])  # vertex 1 is not a center
-    assert out.detail["components"][0][0] == (0,)
-    assert out.detail["components"][1][0] == (2, 3)
+    assert isinstance(out.scenario, MergedComponents)
+    assert out.scenario.centers == {0, 2, 3}
+    assert [orig for orig, _ in out.scenario.parts] == [(0, 1), (2, 3, 4, 5)]
+    assert [sol.centers for _, sol in out.scenario.parts] == [(0,), (0, 1)]

@@ -186,14 +186,32 @@ class TestVerify:
         assert rc == 1
         assert "'centers' must be a list" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("phi0", [[0, 0, 1, 1], {"0": [1], "1": 1, "2": 2, "3": 2}],
-                             ids=["list", "nested"])
+    @pytest.mark.parametrize(
+        "phi0",
+        [
+            [0, 0, 1, 1],
+            {"0": [1], "1": 1, "2": 2, "3": 2},
+            {"0": 1, "1": 1, "01": 1, "2": 2, "3": 2},  # "1" and "01" name one vertex
+            {"0": 1, " 1": 1, "2": 2, "3": 2},
+            {"0": 1, "1": 1, "2": 2, "x": 2},
+            {"0": 1, "1": 1, "2": 2, "3": 2, "4": 2},
+        ],
+        ids=["list", "nested", "leading-zero-key", "space-key", "word-key", "out-of-range-key"],
+    )
     def test_initial_assignment_must_map_to_ints(self, files, tmp_path, capsys, phi0):
         sol = write_json(tmp_path, "sol.json", {"centers": [1, 2], "initial_assignment": phi0})
         rc = main(["verify", "--input", files["cons"], "--solution", sol,
                    "--radius", "2"])
         assert rc == 1
         assert "'initial_assignment' must map" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["1/0", "two", "-1"])
+    def test_radius_must_be_a_number(self, files, tmp_path, capsys, radius):
+        sol = write_json(tmp_path, "sol.json", {"centers": [1, 2]})
+        rc = main(["verify", "--input", files["ft"], "--solution", sol, "--radius", radius])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ftkc: ") and "radius must be" in err
 
 
 class TestGapAndBench:

@@ -7,6 +7,8 @@ import pytest
 from ftkcenter.bottleneck import PerTauInfeasible, PerTauSolution
 from ftkcenter.clustering import is_alpha_ell_independent
 from ftkcenter.conservative import (
+    ConservativeGeneral,
+    ConservativeUniform,
     _pad_centers,
     build_backup_set,
     conservative_general_connected,
@@ -100,9 +102,9 @@ def test_conservative_uniform_c6_frozen():
 def test_conservative_uniform_connected_details():
     out = conservative_uniform_connected(power(path_graph(4), 3), 2, [4] * 4, 1)
     assert isinstance(out, PerTauSolution)
-    assert out.detail["kind"] == "conservative-0l"
-    assert out.detail["anchors"] == (0,)
-    assert out.detail["backups"] == {0: (0,)}
+    assert isinstance(out.scenario, ConservativeUniform)
+    assert out.scenario.anchors == (0,)
+    assert out.scenario.backups == {0: (0,)}
     assert out.centers == (0, 1)
 
     # two anchors pin two backups and eat the whole budget
@@ -148,20 +150,23 @@ def test_conservative_general_connected_detail():
     g = path_graph(5)
     out = conservative_general_connected(power(g, 4), 2, [5, 1, 1, 1, 5], 1, exactish, 1)
     assert isinstance(out, PerTauSolution)
-    assert out.detail["B"] == frozenset({0})
-    assert out.detail["trace"] == [((0,), 5)]
+    assert isinstance(out.scenario, ConservativeGeneral)
+    assert out.scenario.B == frozenset({0})
+    assert out.scenario.beta == 1
     assert 0 in out.centers
 
 
 def test_reassign_uniform_direct_and_tripwire():
     g = path_graph(4)
     phi0 = {u: 1 for u in range(4)}
-    phi = reassign_uniform(g, [4] * 4, (0,), {0: (0,)}, phi0, {1}, 1, (0, 1))
+    state = ConservativeUniform(g, [4] * 4, (0,), {0: (0,)}, phi0, 1, (0, 1))
+    phi = reassign_uniform(state, {1})
     assert phi == {u: 0 for u in range(4)}
+    assert state({1}) == phi
     # backup capacity exhausted: the capacity argument tripwire fires
     with pytest.raises(ContractViolation):
         reassign_uniform(
-            g, [1, 1, 1, 1], (0,), {0: (0,)}, {0: 1, 1: 1}, {1}, 1, (0, 1)
+            ConservativeUniform(g, [1, 1, 1, 1], (0,), {0: (0,)}, {0: 1, 1: 1}, 1, (0, 1)), {1}
         )
 
 
@@ -171,7 +176,7 @@ def test_reassign_flow_chains_through_failed_backups():
     g = path_graph(13)
     caps = [1] + [0] * 5 + [1] + [0] * 5 + [1]
     B = frozenset({0, 6, 12})
-    phi = reassign_flow(g, caps, B, {11: 12}, {6, 12}, 2, 1, (0, 6, 12))
+    phi = reassign_flow(ConservativeGeneral(g, caps, B, {11: 12}, 2, 1, (0, 6, 12)), {6, 12})
     assert phi == {11: 0}
 
 
@@ -181,7 +186,7 @@ def test_reassign_flow_saturation_tripwire():
     caps = [1] + [0] * 5 + [1] + [0] * 5 + [1]
     B = frozenset({0, 6, 12})
     with pytest.raises(ContractViolation, match="does not saturate"):
-        reassign_flow(g, caps, B, {10: 12, 11: 12}, {12}, 1, 1, (0, 6, 12))
+        reassign_flow(ConservativeGeneral(g, caps, B, {10: 12, 11: 12}, 1, 1, (0, 6, 12)), {12})
 
 
 def test_reassign_flow_padding_withholds_backup_capacity():
@@ -190,15 +195,14 @@ def test_reassign_flow_padding_withholds_backup_capacity():
     g = path_graph(13)
     caps = [1] + [0] * 5 + [1] + [0] * 5 + [1]
     B = frozenset({0, 6, 12})
-    phi = reassign_flow(g, caps, B, {11: 12}, {12}, 2, 1, (0, 6, 12))
-    assert phi == {11: 6}
+    state = ConservativeGeneral(g, caps, B, {11: 12}, 2, 1, (0, 6, 12))
+    assert reassign_flow(state, {12}) == {11: 6}
     # nothing moves when the failed centers serve nobody
-    phi = reassign_flow(g, caps, B, {11: 12}, {6}, 2, 1, (0, 6, 12))
-    assert phi == {11: 12}
+    assert reassign_flow(state, {6}) == {11: 12}
     with pytest.raises(InstanceError):
-        reassign_flow(g, caps, B, {11: 12}, {6, 12, 0}, 2, 1, (0, 6, 12))
+        reassign_flow(state, {6, 12, 0})
     with pytest.raises(InstanceError):
-        reassign_flow(g, caps, B, {11: 12}, {5}, 2, 1, (0, 6, 12))
+        reassign_flow(state, {5})
 
 
 def test_variant_enforcement():

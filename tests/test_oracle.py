@@ -66,6 +66,10 @@ def test_verify_conservative_rejects():
     for centers in ([1, -1], [1, 9], [True, 2]):  # -1 would wrap, 9 would IndexError
         rep = verify_conservative(inst, centers, phi0, Radius(1, 100))
         assert not rep.ok and "out of range" in rep.detail
+    # bools are not vertex or center indices, though True == 1
+    for bad in ({u: True for u in range(4)}, {0: 1, True: 1, 2: 1, 3: 1}):
+        rep = verify_conservative(inst, [1, 2], bad, r)
+        assert not rep.ok and "must map vertex indices" in rep.detail
     bad = {**phi0, 0: 3}
     assert "non-center" in verify_conservative(inst, (1, 2), bad, r).detail
     assert "outside the radius" in verify_conservative(

@@ -1,0 +1,119 @@
+"""Repair records and `SolveResult.verify`.
+
+A solution's scenario is its pipeline's repair record.  The records and the
+sweep reach the repair functions and the connected solvers through their
+module globals at call time, so a wrapper bound on the defining module (as
+the per-layer benchmark probes bind theirs) sees every call.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from ftkcenter import conservative, rounding, solvers
+from ftkcenter.bottleneck import SweepSuccess
+from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
+from ftkcenter.instance import InstanceError, MetricInstance
+from ftkcenter.oracle import random_point_instance, verify_conservative, verify_ft
+from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
+
+LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+
+def line4(variant="ft", caps=(4, 4, 4, 4)):
+    return MetricInstance.from_points(LINE4, 2, 1, list(caps), variant=variant)
+
+
+def verify_ft_direct(inst, res):
+    return verify_ft(inst, res.centers, res.radius())
+
+
+def verify_conservative_direct(inst, res):
+    return verify_conservative(inst, res.centers, res.assignment, res.radius())
+
+
+# (label, solve, variant, capacities, the verifier called directly)
+PLANS = [
+    ("ft-general", solve_ft_general, "ft", "general", verify_ft_direct),
+    ("ft-0l", solve_ft_uniform, "ft", "uniform", verify_ft_direct),
+    ("cons-0l", solve_conservative_uniform, "conservative", "uniform",
+     verify_conservative_direct),
+    ("cons-general", solve_conservative_general, "conservative", "general",
+     verify_conservative_direct),
+    ("cons-general-exact", lambda inst: solve_conservative_general(inst, residual="exact"),
+     "conservative", "general", verify_conservative_direct),
+]
+
+WRAPPED = [
+    (solvers, "ft_general_connected"),
+    (solvers, "ft_uniform_connected"),
+    (rounding, "assign_scenario_general"),
+    (rounding, "assign_scenario_uniform"),
+    (conservative, "reassign_flow"),
+    (conservative, "reassign_uniform"),
+]
+
+
+def test_solvers_and_repairs_are_reached_through_module_globals(monkeypatch):
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in WRAPPED:
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    repair_of = {
+        "ft-general": "assign_scenario_general",
+        "ft-0l": "assign_scenario_uniform",
+        "cons-0l": "reassign_uniform",
+        "cons-general": "reassign_flow",
+    }
+    for label, solve, variant, _, _ in PLANS[:4]:
+        res = solve(line4(variant))
+        before = calls[repair_of[label]]
+        res.scenario({res.centers[1]})
+        assert calls[repair_of[label]] == before + 1, label  # line4 solves are connected
+    assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=[p[0] for p in PLANS])
+def test_verify_is_the_variant_verifier(plan):
+    label, solve, variant, caps_mode, direct = plan
+    rng = random.Random(label)
+    feasible = 0
+    for i in range(6):
+        inst = random_point_instance(rng, rng.randint(5, 8), 3, 1, variant=variant,
+                                     caps_mode=caps_mode, name=f"{label}-{i}")
+        res = solve(inst)
+        if not res.feasible:
+            with pytest.raises(InstanceError):
+                res.verify()
+            continue
+        feasible += 1
+        assert res.verify() == direct(inst, res)
+        assert res.verify().ok
+        # at a smaller radius both reject, with the same report
+        shrunk = replace(res, outcome=SweepSuccess(Fraction(res.tau2_star, 400),
+                                                   res.outcome.solution, 1))
+        assert shrunk.verify() == direct(inst, shrunk)
+        assert not shrunk.verify().ok
+    assert feasible >= 2
+
+
+@pytest.mark.parametrize("solve, variant", [(solve_ft_general, "ft"),
+                                            (solve_conservative_general, "conservative")])
+def test_verify_raises_on_an_infeasible_result(solve, variant):
+    res = solve(line4(variant, caps=(1, 1, 1, 1)))
+    assert not res.feasible
+    with pytest.raises(InstanceError, match="infeasible"):
+        res.radius()
+    with pytest.raises(InstanceError, match="infeasible"):
+        res.verify()

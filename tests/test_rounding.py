@@ -14,6 +14,7 @@ from ftkcenter.oracle import (
     verify_transfer,
 )
 from ftkcenter.rounding import (
+    UniformRounding,
     assign_scenario_uniform,
     build_augmented,
     condition_b_flow,
@@ -184,7 +185,9 @@ def test_round_uniform_reports_impossible_transfer():
 def test_assign_scenario_uniform():
     g = path_graph(3)
     caps = [2, 2, 2]
-    phi = assign_scenario_uniform(g, (0, 1, 2), caps, {1}, 1)
+    state = UniformRounding(g, caps, (0, 1, 2), {}, 1)
+    phi = assign_scenario_uniform(state, {1})
+    assert state({1}) == phi
     assert set(phi) == {0, 1, 2}
     assert set(phi.values()) <= {0, 2}
     loads = {}
@@ -192,8 +195,8 @@ def test_assign_scenario_uniform():
         loads[c] = loads.get(c, 0) + 1
     assert all(l <= 2 for l in loads.values())
     with pytest.raises(InstanceError):
-        assign_scenario_uniform(g, (0, 1, 2), caps, {1, 2}, 1)
+        assign_scenario_uniform(state, {1, 2})
     with pytest.raises(InstanceError):
-        assign_scenario_uniform(g, (0, 2), caps, {1}, 1)
+        assign_scenario_uniform(UniformRounding(g, caps, (0, 2), {}, 1), {1})
     with pytest.raises(ContractViolation):
-        assign_scenario_uniform(g, (0, 1, 2), [1, 1, 1], {1}, 1)
+        assign_scenario_uniform(UniformRounding(g, [1, 1, 1], (0, 1, 2), {}, 1), {1})

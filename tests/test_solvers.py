@@ -6,6 +6,7 @@ Values frozen here were cross-checked against the exhaustive oracle
 
 import pytest
 
+from ftkcenter.clustering import Clustering
 from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
 from ftkcenter.instance import InstanceError, MetricInstance, Radius
 from ftkcenter.oracle import (
@@ -14,6 +15,7 @@ from ftkcenter.oracle import (
     verify_conservative,
     verify_ft,
 )
+from ftkcenter.rounding import GeneralRounding, RoundResult, UniformRounding
 from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
@@ -45,12 +47,14 @@ class TestFtGeneralLine4:
         # failing a non-backup remaps onto its stand-in
         assert res.scenario({1}) == {0: 0, 1: 0, 2: 0, 3: 0}
 
-    def test_detail_keys(self):
+    def test_repair_record(self):
         res = solve_ft_general(line4())
-        detail = res.outcome.solution.detail
-        assert detail["kind"] == "general"
-        assert detail["cuts"] == 0
-        assert set(detail) >= {"y", "rounding", "state", "clustering", "backups"}
+        state = res.outcome.solution.scenario
+        assert isinstance(state, GeneralRounding)
+        assert isinstance(state.rr, RoundResult) and state.rr.R == res.centers
+        assert isinstance(state.clustering, Clustering)
+        assert state.backup_set() <= set(res.centers)
+        assert state.alpha == 1
 
     def test_never_beats_oracle_here(self):
         opt2, witness = exact_opt_ft(line4())
@@ -67,11 +71,12 @@ class TestFtUniformLine4:
         assert res.stretch == 6
         assert res.assignment == {0: 0, 1: 0, 2: 0, 3: 0}
 
-    def test_detail_has_support(self):
+    def test_repair_record(self):
         res = solve_ft_uniform(line4())
-        detail = res.outcome.solution.detail
-        assert detail["kind"] == "uniform"
-        assert detail["R"] == (0, 1)
+        state = res.outcome.solution.scenario
+        assert isinstance(state, UniformRounding)
+        assert state.R == (0, 1)
+        assert sum(state.y.values()) == 2  # the LP point has mass k
 
     def test_verifies(self):
         res = solve_ft_uniform(line4())

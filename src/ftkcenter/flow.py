@@ -1,9 +1,11 @@
 """Exact max-flow, the client -> center transport network, and capacitated
 assignment.
 
-Edmonds-Karp over rational capacities.  The number of augmentations is
-bounded by O(V*E) independently of capacity values, so Fraction capacities
-are safe.  Infinite capacity is math.inf, never a large surrogate number.
+Dinic's algorithm on integer-indexed arrays: each phase builds a level graph
+by BFS and saturates it with a blocking flow.  There are at most V phases of
+O(VE) work each, O(V^2 E) in all, a bound that does not depend on capacity
+values, so Fraction capacities are safe and stay exact.  Infinite capacity is
+math.inf, never a large surrogate number.
 
 `transport` is the one network behind every Hall-type check in the package
 (separation, transfer conditions, assignments, the conservative repair, the
@@ -13,7 +15,6 @@ relaxed ILP): client demand routed to allowed centers within their supply.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -58,124 +59,164 @@ class FlowResult:
     min_cut: frozenset | None  # source side; None if value is infinite
 
 
-def _bfs_path(adj, residual, source, sink):
-    prev = {source: None}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        if u == sink:
-            break
-        for v in adj[u]:
-            if v not in prev and residual[u].get(v, 0) > 0:
-                prev[v] = u
-                q.append(v)
-    if sink not in prev:
-        return None
-    path = [sink]
-    while path[-1] != source:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
 def max_flow(net: FlowNetwork) -> FlowResult:
     """Maximum flow value, a per-arc flow, and the minimal source-side min cut.
 
     If the source can reach the sink through infinite-capacity arcs alone the
     value is math.inf and no flow/cut is reported.
     """
-    source, sink = net.source, net.sink
-    # residual[u][v] > 0 means u->v is usable; seeded with original capacities
-    residual = {u: dict(vs) for u, vs in net.cap.items()}
-    # adjacency keeps arc insertion order so BFS (and hence the particular
-    # optimal flow chosen) does not depend on hash randomization
-    adj = {u: list(vs) for u, vs in net.cap.items()}
-    members = {u: set(vs) for u, vs in net.cap.items()}
-    for u, vs in net.cap.items():
-        for v in vs:
-            if u not in members[v]:
-                members[v].add(u)
-                adj[v].append(u)
-            residual[v].setdefault(u, 0)
+    nodes = list(net.cap)
+    index = {u: i for i, u in enumerate(nodes)}
+    s, t = index[net.source], index[net.sink]
+    # arc 2k is the k-th arc of net.cap in insertion order and arc 2k+1 its
+    # reverse; a node lists its own arcs first, then the reverse arcs into
+    # it, so the flow chosen never depends on hash randomization
+    head, res = [], []
+    adj = [[] for _ in nodes]
+    back = [[] for _ in nodes]
+    for i, row in enumerate(net.cap.values()):
+        out = adj[i]
+        for v, c in row.items():
+            j = index[v]
+            e = len(head)
+            out.append(e)
+            back[j].append(e + 1)
+            head += (j, i)
+            res += (c, 0)
+    for out, rev in zip(adj, back):
+        out += rev
 
-    # infinite value iff an all-infinite path exists
-    seen = {source}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v, c in net.cap.get(u, {}).items():
-            if c is INF and v not in seen:
-                seen.add(v)
-                q.append(v)
-    if sink in seen:
-        return FlowResult(INF, {}, None)
+    # infinite value iff an all-infinite path exists; its last arc enters t
+    if any(res[e ^ 1] is INF for e in back[t]):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for e in adj[stack.pop()]:
+                if e & 1 == 0 and res[e] is INF and head[e] not in seen:
+                    seen.add(head[e])
+                    stack.append(head[e])
+        if t in seen:
+            return FlowResult(INF, {}, None)
 
-    flow: dict = {}
     value = 0
     while True:
-        path = _bfs_path(adj, residual, source, sink)
-        if path is None:
+        # level graph: BFS over arcs with residual capacity
+        level = [-1] * len(nodes)
+        level[s] = 0
+        reached = [s]
+        for u in reached:
+            lv = level[u] + 1
+            for e in adj[u]:
+                if res[e] and level[head[e]] < 0:
+                    level[head[e]] = lv
+                    reached.append(head[e])
+        if level[t] < 0:
             break
-        push = min(residual[u][v] for u, v in zip(path, path[1:]))
-        if push is INF:  # cannot happen: some arc on any s-t path is finite
-            raise ContractViolation("infinite bottleneck after the infinite-path check")
-        for u, v in zip(path, path[1:]):
-            if residual[u][v] is not INF:
-                residual[u][v] -= push
-            back = residual[v].get(u, 0)
-            if back is not INF:
-                residual[v][u] = back + push
-            # account per original arc, cancelling opposite flow first
-            cancel = min(push, flow.get((v, u), 0))
-            if cancel:
-                flow[(v, u)] -= cancel
-            remainder = push - cancel
-            if remainder:
-                flow[(u, v)] = flow.get((u, v), 0) + remainder
-        value += push
+        # blocking flow: iterative DFS along level-increasing arcs, each node
+        # resuming at its current arc
+        pos = [0] * len(nodes)
+        path = []
+        u = s
+        while True:
+            if u == t:
+                push = min(res[e] for e in path)
+                if push == INF:  # cannot happen: some arc on any s-t path is finite
+                    raise ContractViolation("infinite bottleneck after the infinite-path check")
+                value += push
+                cut = None
+                for k, e in enumerate(path):
+                    res[e] -= push
+                    res[e ^ 1] += push
+                    if cut is None and not res[e]:
+                        cut = k
+                # resume at the tail of the first saturated arc
+                u = head[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs = adj[u]
+            i = pos[u]
+            lv = level[u] + 1
+            while i < len(arcs):
+                e = arcs[i]
+                if res[e] and level[head[e]] == lv:
+                    break
+                i += 1
+            pos[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = head[arcs[i]]
+            elif u == s:
+                break
+            else:  # dead end: retreat and skip the arc that led here
+                level[u] = -1
+                u = head[path.pop() ^ 1]
+                pos[u] += 1
 
-    reachable = {source}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in reachable and residual[u].get(v, 0) > 0:
-                reachable.add(v)
-                q.append(v)
-
-    for (u, v), f in flow.items():
-        cap = net.cap.get(u, {}).get(v, 0)
-        if f < 0 or (cap is not INF and f > cap):
-            raise ContractViolation("flow outside arc capacity")
-    return FlowResult(value, {a: f for a, f in flow.items() if f > 0}, frozenset(reachable))
+    # flow on arc 2k is the residual of its reverse; opposite flows on
+    # antiparallel arcs cancel
+    flow: dict = {}
+    e = 1
+    for u, row in net.cap.items():
+        for v, c in row.items():
+            f = res[e]
+            e += 2
+            if f:
+                if f < 0 or f > c:
+                    raise ContractViolation("flow outside arc capacity")
+                g = flow.pop((v, u), 0)
+                if f > g:
+                    flow[(u, v)] = f - g
+                elif g > f:
+                    flow[(v, u)] = g - f
+    return FlowResult(value, flow, frozenset(nodes[i] for i in reached))
 
 
 def transport(demand: Mapping, allowed: Mapping, supply: Mapping):
     """Route client demand to allowed centers within their supply.
 
     The network is source -> client (capacity demand[c]) -> each center of
-    allowed[c] (unbounded) -> sink (capacity supply[v]), with arcs added in
-    the order given: client by client, then center by center.  A center
+    allowed[c] (unbounded) -> sink (capacity supply[v]), on integer node ids:
+    source 0, sink 1, the clients in the order given, then the centers in
+    the order they are first named, allowed lists before supply.  A center
     without a supply entry is a dead end.  Returns (value, flow, blocked):
     the flow value, the positive client -> center flow keyed
     (client, center), and the clients on the source side of the minimal
     min cut, which violate Hall's condition together when value falls
     short of the total demand.
     """
-    source, sink = ("s",), ("t",)
-    net = FlowNetwork(source, sink)
-    for c, d in demand.items():
-        node = ("c", c)
-        net.add_arc(source, node, d)
+    clients = list(demand)
+    first = len(clients) + 2  # id of the first center
+    center_id: dict = {}
+    for c in clients:
         for v in allowed[c]:
-            net.add_arc(node, ("v", v), INF)
+            center_id.setdefault(v, first + len(center_id))
+    for v in supply:
+        center_id.setdefault(v, first + len(center_id))
+    net = FlowNetwork(0, 1)
+    cap = net.cap
+    src = cap[0]
+    for i, c in enumerate(clients, 2):
+        d = demand[c]
+        if d is not INF and d < 0:
+            raise InstanceError("negative capacity")
+        src[i] = d
+        cap[i] = dict.fromkeys([center_id[v] for v in allowed[c]], INF)
+    for i in center_id.values():
+        cap[i] = {}
     for v, s in supply.items():
-        net.add_arc(("v", v), sink, s)
+        if s is not INF and s < 0:
+            raise InstanceError("negative capacity")
+        cap[center_id[v]][1] = s
     res = max_flow(net)
     if res.value is INF:
         raise ContractViolation("transport value is infinite")
-    flow = {(u[1], v[1]): f for (u, v), f in res.flow.items() if u[0] == "c"}
-    blocked = frozenset(node[1] for node in res.min_cut if node[0] == "c")
+    centers = list(center_id)
+    flow = {
+        (clients[u - 2], centers[v - first]): f
+        for (u, v), f in res.flow.items()
+        if 2 <= u < first
+    }
+    blocked = frozenset(clients[u - 2] for u in res.min_cut if 2 <= u < first)
     return res.value, flow, blocked
 
 

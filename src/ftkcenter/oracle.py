@@ -47,6 +47,12 @@ def _check_centers(inst: MetricInstance, centers) -> Optional[VerifyReport]:
     return None
 
 
+def _covering(inst: MetricInstance, S, radius: Radius) -> list[list]:
+    """For every vertex, the centers of S (in order) within the radius."""
+    reach = radius.value_sq()
+    return [[c for c in S if row[c] <= reach] for row in inst.d2]
+
+
 def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
     """Check that every failure scenario leaves a capacity-respecting
     assignment within the radius.
@@ -59,12 +65,10 @@ def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
         return bad
     S = sorted(centers)
     caps = {c: inst.capacities[c] for c in S}
+    near = _covering(inst, S, radius)
     for F in combinations(S, inst.alpha):
         live = [c for c in S if c not in F]
-        allowed = {
-            u: [c for c in live if radius.covers(inst.d2[u][c])]
-            for u in range(inst.n)
-        }
+        allowed = {u: [c for c in cs if c not in F] for u, cs in enumerate(near)}
         phi, witness = capacitated_assignment(list(range(inst.n)), live, allowed, caps)
         if phi is None:
             return VerifyReport(
@@ -93,24 +97,24 @@ def verify_conservative(
     if set(phi0) != set(range(inst.n)):
         return VerifyReport(False, "base assignment must cover every vertex")
     load = {c: 0 for c in S}
+    reach = radius.value_sq()
     for u, c in phi0.items():
         if c not in load:
             return VerifyReport(False, f"vertex {u} assigned to non-center {c}")
-        if not radius.covers(inst.d2[u][c]):
+        if inst.d2[u][c] > reach:
             return VerifyReport(False, f"vertex {u} is outside the radius of its center {c}")
         load[c] += 1
     for c, l in load.items():
         if l > inst.capacities[c]:
             return VerifyReport(False, f"center {c} carries {l} > capacity {inst.capacities[c]}")
+    near = _covering(inst, S, radius)
     for F in combinations(S, inst.alpha):
         moved = sorted(u for u in range(inst.n) if phi0[u] in F)
         if not moved:
             continue
         live = [c for c in S if c not in F]
         spare = {c: inst.capacities[c] - load[c] for c in live}
-        allowed = {
-            u: [c for c in live if radius.covers(inst.d2[u][c])] for u in moved
-        }
+        allowed = {u: [c for c in near[u] if c not in F] for u in moved}
         phi, witness = capacitated_assignment(moved, live, allowed, spare)
         if phi is None:
             return VerifyReport(

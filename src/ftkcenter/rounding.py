@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -245,7 +246,7 @@ def round_general(
 # -- scenario assignments (general pipeline) --------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneralRounding:
     """Repair record of the general pipeline: everything scenario assignment
     needs from one per-threshold solve."""
@@ -270,19 +271,24 @@ class GeneralRounding:
             return self.rr.aug.head_of[center]
         return self.clustering.cluster_of[center]
 
-
-def _reach_set(state: GeneralRounding, u: int) -> set:
-    """Centers u may use: backups granted by the arc-augmented digraph, plus
-    everything within two tree hops of its 2-neighborhood in the extended
-    graph (the one with auxiliary nodes, so drained mass stays reachable)."""
-    B = state.backup_set()
-    out = set(state.gprime.closed_out(u) & B)
-    near = state.rr.aug.ext.neighborhood([u], 2)
-    out |= near
-    T, members = state.rr.tree, state.rr.tree_members
-    for w in near & members:
-        out.update(x for x in members if T.hop(w, x) <= 2)
-    return out
+    @cached_property
+    def reach(self) -> tuple[tuple[int, ...], ...]:
+        """Per client, the opened centers (sorted) it may use before failures:
+        backups granted by the arc-augmented digraph, plus everything within
+        two tree hops of its 2-neighborhood in the extended graph (the one
+        with auxiliary nodes, so drained mass stays reachable).  No scenario
+        changes them, so they are built once per record."""
+        B = self.backup_set()
+        ext = self.rr.aug.ext
+        T, members = self.rr.tree, self.rr.tree_members
+        out = []
+        for u in range(self.graph.n):
+            near = ext.neighborhood([u], 2)
+            cover = set(self.gprime.closed_out(u) & B) | near
+            for w in near & members:
+                cover.update(x for x in members if T.hop(w, x) <= 2)
+            out.append(tuple(sorted(cover & self.rr.support2)))
+        return tuple(out)
 
 
 def assign_scenario_backups(state: GeneralRounding, F) -> dict:
@@ -301,10 +307,7 @@ def assign_scenario_backups(state: GeneralRounding, F) -> dict:
     targets = sorted(rr.support2 - F)
     caps_ext = rr.aug.caps_ext
     n = state.graph.n
-    allowed = {}
-    tset = set(targets)
-    for u in range(n):
-        allowed[u] = sorted((_reach_set(state, u) - F) & tset)
+    allowed = {u: [c for c in reach if c not in F] for u, reach in enumerate(state.reach)}
     phi_bar, witness = capacitated_assignment(
         list(range(n)), targets, allowed, {t: caps_ext[t] for t in targets}
     )

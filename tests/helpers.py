@@ -1,11 +1,12 @@
 """Shared test utilities: tiny graph builders, exhaustive reference
 implementations of the separation problems, the Fraction-tableau simplex,
-cut capacities, and assignment checkers."""
+the Edmonds-Karp max-flow, cut capacities, and assignment checkers."""
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from ftkcenter.flow import INF
+from ftkcenter.flow import INF, FlowResult
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
@@ -196,6 +197,88 @@ def fraction_feasible_point(lp):
         if b < nvars:
             x[b] = tableau[i][-1]
     return x
+
+
+def _bfs_path(adj, residual, source, sink):
+    prev = {source: None}
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        if u == sink:
+            break
+        for v in adj[u]:
+            if v not in prev and residual[u].get(v, 0) > 0:
+                prev[v] = u
+                q.append(v)
+    if sink not in prev:
+        return None
+    path = [sink]
+    while path[-1] != source:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
+
+
+def edmonds_karp_max_flow(net):
+    """Edmonds-Karp over a dict-of-dicts residual network, one shortest
+    augmenting path at a time: the reference for `flow.max_flow`.  Same
+    FlowResult contract: infinite value without flow or cut when an
+    all-infinite path exists."""
+    source, sink = net.source, net.sink
+    # residual[u][v] > 0 means u->v is usable; seeded with original capacities
+    residual = {u: dict(vs) for u, vs in net.cap.items()}
+    adj = {u: list(vs) for u, vs in net.cap.items()}
+    members = {u: set(vs) for u, vs in net.cap.items()}
+    for u, vs in net.cap.items():
+        for v in vs:
+            if u not in members[v]:
+                members[v].add(u)
+                adj[v].append(u)
+            residual[v].setdefault(u, 0)
+
+    seen = {source}
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        for v, c in net.cap.get(u, {}).items():
+            if c is INF and v not in seen:
+                seen.add(v)
+                q.append(v)
+    if sink in seen:
+        return FlowResult(INF, {}, None)
+
+    flow = {}
+    value = 0
+    while True:
+        path = _bfs_path(adj, residual, source, sink)
+        if path is None:
+            break
+        push = min(residual[u][v] for u, v in zip(path, path[1:]))
+        assert push is not INF
+        for u, v in zip(path, path[1:]):
+            if residual[u][v] is not INF:
+                residual[u][v] -= push
+            back = residual[v].get(u, 0)
+            if back is not INF:
+                residual[v][u] = back + push
+            # account per original arc, cancelling opposite flow first
+            cancel = min(push, flow.get((v, u), 0))
+            if cancel:
+                flow[(v, u)] -= cancel
+            remainder = push - cancel
+            if remainder:
+                flow[(u, v)] = flow.get((u, v), 0) + remainder
+        value += push
+
+    reachable = {source}
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        for v in adj[u]:
+            if v not in reachable and residual[u].get(v, 0) > 0:
+                reachable.add(v)
+                q.append(v)
+    return FlowResult(value, {a: f for a, f in flow.items() if f > 0}, frozenset(reachable))
 
 
 def check_assignment(graph_or_d2, phi, centers, caps, bound, squared=False):

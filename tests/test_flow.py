@@ -1,12 +1,18 @@
-import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from ftkcenter import flow
+from ftkcenter.clustering import backup_union, build_gprime, monarch_clustering, select_backups
 from ftkcenter.flow import INF, FlowNetwork, capacitated_assignment, max_flow, transport
-from ftkcenter.instance import ContractViolation, InstanceError
+from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, Radius
+from ftkcenter.lp import separate_general, separate_uniform
+from ftkcenter.oracle import verify_ft
+from ftkcenter.rounding import condition_b_flow
 
-from helpers import cut_capacity
+from helpers import cut_capacity, cycle_graph, edmonds_karp_max_flow, path_graph
 
 
 def test_diamond_max_flow():
@@ -140,3 +146,122 @@ def test_transport_infinite_demand_is_always_blocked():
 def test_transport_unbounded_supply_is_a_contract_violation():
     with pytest.raises(ContractViolation):
         transport({0: INF}, {0: [10]}, {10: INF})
+
+
+# -- the engine against the Edmonds-Karp reference ----------------------------
+
+
+def random_network(rng):
+    """Up to ten inner nodes with int, Fraction and infinite capacities,
+    parallel and antiparallel arcs; the sink may be unreachable and some
+    nodes are dead ends."""
+    inner = list(range(rng.randint(0, 10)))
+    net = FlowNetwork("s", "t")
+    tails = ["s", *inner]
+    heads = [*inner, "t"]
+    for _ in range(rng.randint(0, 30)):
+        u, v = rng.choice(tails), rng.choice(heads)
+        if u == v:
+            continue
+        roll = rng.random()
+        if roll < 0.15:
+            cap = INF
+        elif roll < 0.5:
+            cap = Fraction(rng.randint(0, 12), rng.randint(1, 4))
+        else:
+            cap = rng.randint(0, 6)
+        net.add_arc(u, v, cap)
+        if rng.random() < 0.2:
+            net.add_arc(u, v, rng.randint(0, 3))  # parallel arc, merged
+        if v != "t" and u != "s" and rng.random() < 0.3:
+            net.add_arc(v, u, rng.randint(0, 4))  # antiparallel arc
+    return net
+
+
+def test_max_flow_agrees_with_edmonds_karp():
+    rng = random.Random(2024)
+    kinds = {"infinite": 0, "zero": 0, "positive": 0, "antiparallel flow": 0}
+    for _ in range(300):
+        net = random_network(rng)
+        res, ref = max_flow(net), edmonds_karp_max_flow(net)
+        assert res.value == ref.value
+        assert res.min_cut == ref.min_cut
+        if res.value is INF:
+            kinds["infinite"] += 1
+            assert res.flow == {}
+            continue
+        kinds["zero" if res.value == 0 else "positive"] += 1
+        net_out = dict.fromkeys(net.cap, 0)
+        for (u, v), f in res.flow.items():
+            assert 0 < f <= net.cap[u][v]
+            assert (v, u) not in res.flow  # opposite flows cancel
+            kinds["antiparallel flow"] += u in net.cap[v]
+            net_out[u] += f
+            net_out[v] -= f
+        assert net_out.pop("s") == res.value == -net_out.pop("t")
+        assert set(net_out.values()) <= {0}
+        assert cut_capacity(net, res.min_cut) == res.value
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_max_flow_on_a_long_path_needs_no_recursion():
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    net = FlowNetwork("s", "t")
+    chain = ["s", *range(n - 2), "t"]
+    for i, (u, v) in enumerate(zip(chain, chain[1:])):
+        net.add_arc(u, v, 2 if i == n // 2 else 5)
+    res = max_flow(net)
+    assert res.value == 2
+    assert len(res.flow) == n - 1
+    assert res.min_cut == frozenset(chain[: n // 2 + 1])
+
+
+# -- probe contract -----------------------------------------------------------
+
+
+def test_every_transport_runs_one_max_flow_through_the_module_global(monkeypatch):
+    """Each transport call reaches `flow.max_flow` through the module global,
+    once, as the per-layer benchmark probe that wraps it expects."""
+    calls = {"transport": 0, "max_flow": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(flow, "max_flow", counting("max_flow", flow.max_flow))
+    original = flow.transport
+    wrapped = counting("transport", original)
+    for name, module in list(sys.modules.items()):
+        if name == "ftkcenter" or name.startswith("ftkcenter."):
+            for key, val in list(vars(module).items()):
+                if val is original:
+                    monkeypatch.setattr(module, key, wrapped)
+
+    g6 = cycle_graph(6)
+    caps6 = [2, 1, 3, 1, 2, 1]
+    cl = monarch_clustering(g6)
+    backups, reason = select_backups(cl, caps6, 1)
+    assert reason is None
+    half = {u: Fraction(1, 2) for u in range(6)}
+    p3 = path_graph(3)
+    line = MetricInstance.from_points([(0, 0), (1, 0), (2, 0), (3, 0)], 2, 1, [4, 4, 4, 4])
+    runs = {
+        "capacitated_assignment": lambda: capacitated_assignment(
+            [0, 1, 2], [10, 11], {0: [10, 11], 1: [10], 2: [11]}, {10: 1, 11: 2}),
+        "separate_general": lambda: separate_general(
+            half, g6, build_gprime(g6, cl, backups), backup_union(backups), 1, caps6),
+        "separate_uniform": lambda: separate_uniform(
+            {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}, p3, [1, 1, 1], 0),
+        "condition_b_flow": lambda: condition_b_flow(
+            {1: Fraction(1)}, {0: Fraction(1)}, p3, 1, frozenset(), [1, 1, 1]),
+        "verify_ft": lambda: verify_ft(line, [1, 2], Radius.exact(Fraction(2))),
+    }
+    for label, run in runs.items():
+        calls.update(transport=0, max_flow=0)
+        run()
+        assert calls["transport"] > 0, label
+        assert calls["max_flow"] == calls["transport"], (label, calls)

@@ -2,7 +2,9 @@
 pipeline's three-step rounding, and the uniform-capacity transfer."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,9 +13,11 @@ from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
 from ftkcenter.oracle import (
     condition_b_exhaustive,
     random_connected_graph,
+    random_point_instance,
     verify_transfer,
 )
 from ftkcenter.rounding import (
+    GeneralRounding,
     UniformRounding,
     assign_scenario_uniform,
     build_augmented,
@@ -22,6 +26,7 @@ from ftkcenter.rounding import (
     round_uniform,
     tree_transfer,
 )
+from ftkcenter.solvers import solve_ft_general
 
 from helpers import cycle_graph, path_graph
 
@@ -200,3 +205,37 @@ def test_assign_scenario_uniform():
         assign_scenario_uniform(UniformRounding(g, caps, (0, 2), {}, 1), {1})
     with pytest.raises(ContractViolation):
         assign_scenario_uniform(UniformRounding(g, [1, 1, 1], (0, 1, 2), {}, 1), {1})
+
+
+def test_reach_sets_are_built_once_per_record(monkeypatch):
+    """Scenario repairs reuse the record's reach sets: every size-alpha
+    scenario together costs the neighborhood calls of a single one, and the
+    repairs equal those of a fresh record per scenario."""
+    rng = random.Random(17)
+    for i in range(40):
+        inst = random_point_instance(rng, 9, 4, 2, name=f"reach{i}")
+        res = solve_ft_general(inst)
+        if res.feasible and isinstance(res.outcome.solution.scenario, GeneralRounding):
+            break
+    else:
+        pytest.fail("no connected general rounding found")
+    record = res.outcome.solution.scenario
+    scenarios = list(combinations(res.centers, inst.alpha))
+    assert len(scenarios) == 6
+
+    calls = []
+    original = ThresholdGraph.neighborhood
+
+    def counting(self, U, ell=1):
+        calls.append(ell)
+        return original(self, U, ell)
+
+    monkeypatch.setattr(ThresholdGraph, "neighborhood", counting)
+    replace(record)(scenarios[0])
+    single = len(calls)
+    assert single > 0
+    calls.clear()
+    fresh = replace(record)
+    repairs = [fresh(F) for F in scenarios]
+    assert len(calls) == single
+    assert repairs == [replace(record)(F) for F in scenarios]

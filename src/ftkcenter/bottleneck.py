@@ -53,8 +53,12 @@ def quick_infeasible(graph: ThresholdGraph, k: int, caps: Sequence[int], alpha: 
     capacities must cover all n clients.
     """
     n = graph.n
-    for v in range(n):
-        good = sum(1 for u in (graph.adj[v] | {v}) if caps[u] > 0)
+    positive = 0
+    for u, c in enumerate(caps):
+        if c > 0:
+            positive |= 1 << u
+    for v, mask in enumerate(graph.masks):
+        good = ((mask | 1 << v) & positive).bit_count()
         if good <= alpha:
             return (
                 f"vertex {v} has {good} positive-capacity neighbors, needs alpha+1={alpha + 1}"
@@ -79,12 +83,18 @@ def solve_components(
 
     `solver(subgraph, budget, caps)` must return PerTauSolution or
     PerTauInfeasible.  Each component must tolerate alpha failures on its
-    own, so budgets below alpha+1 are never tried; any surplus goes to the
-    first component, where success is guaranteed by budget monotonicity.
+    own, so budgets below alpha+1 are never tried, and more than
+    k // (alpha+1) components are rejected without calling the solver; any
+    surplus goes to the first component, where success is guaranteed by
+    budget monotonicity.
     """
     comps = graph.components()
     if len(comps) == 1 and not budget_search_when_connected:
         return solver(graph, k, list(caps))
+    if len(comps) > k // (alpha + 1):
+        return PerTauInfeasible(
+            f"{len(comps)} components need alpha+1={alpha + 1} centers each, more than k = {k}"
+        )
 
     picked = []
     total = 0

@@ -2,7 +2,8 @@
 
 The decomposition picks heads pairwise at least three hops apart, growing
 deterministically from vertex 0, so that closed neighborhoods of heads are
-disjoint while every vertex stays within two hops of its head.  Backups are
+disjoint while every vertex stays within two hops of its head.  It reads
+only the heads' closed ball masks, never a hop matrix.  Backups are
 the alpha largest-capacity members of each cluster.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .instance import ContractViolation, InstanceError, ThresholdGraph
+from .instance import ContractViolation, InstanceError, ThresholdGraph, mask_bits
 
 
 @dataclass(frozen=True)
@@ -29,41 +30,49 @@ def monarch_clustering(graph: ThresholdGraph) -> Clustering:
     Properties relied on downstream: tree edges join heads exactly three hops
     apart, N(head) is contained in its cluster, every cluster sits inside the
     closed 2-neighborhood of its head, and the clusters partition the vertex
-    set.
+    set.  Works on the closed 1-, 2- and 3-hop ball masks of the heads alone:
+    the next head is the lowest vertex in the union of the 3-balls but in no
+    2-ball, its parent the earliest head whose 3-ball but not 2-ball holds
+    it, and a vertex outside every 1-ball joins the earliest head whose
+    2-ball holds it.
     """
     if graph.n == 0:
         raise InstanceError("empty graph")
     if not graph.is_connected():
         raise InstanceError("clustering requires a connected graph")
     n = graph.n
-    hops = graph.hops()
-    heads = [0]
+    heads = []
+    balls = []  # per head: its closed 0..3-hop balls
     parents = {}
+    near = far = 0  # unions of the heads' 2- and 3-balls
+    nxt = 0
     while True:
-        nxt = None
-        for w in range(n):
-            if min(hops[w][h] for h in heads) == 3:
-                nxt = w
-                break
-        if nxt is None:
+        heads.append(nxt)
+        balls.append(graph.balls(nxt, 3))
+        near |= balls[-1][2]
+        far |= balls[-1][3]
+        rim = far & ~near
+        if not rim:
             break
-        for h in heads:  # earliest-created head at distance exactly 3
-            if hops[nxt][h] == 3:
+        nxt = (rim & -rim).bit_length() - 1
+        for h, ball in zip(heads, balls):  # earliest-created head at distance exactly 3
+            if (ball[3] & ~ball[2]) >> nxt & 1:
                 parents[nxt] = h
                 break
-        heads.append(nxt)
 
     cluster_of = [-1] * n
-    for h in heads:
-        for v in graph.adj[h] | {h}:
-            if cluster_of[v] != -1:
-                raise ContractViolation("head neighborhoods overlap")
+    taken = 0
+    for h, ball in zip(heads, balls):
+        if ball[1] & taken:
+            raise ContractViolation("head neighborhoods overlap")
+        taken |= ball[1]
+        for v in mask_bits(ball[1]):
             cluster_of[v] = h
     for v in range(n):
         if cluster_of[v] != -1:
             continue
-        for h in heads:  # earliest-created head within two hops
-            if hops[v][h] <= 2:
+        for h, ball in zip(heads, balls):  # earliest-created head within two hops
+            if ball[2] >> v & 1:
                 cluster_of[v] = h
                 break
         else:

@@ -5,15 +5,23 @@ comparison made anywhere in the package is exact: instances given as 2-D
 rational points have rational squared distances, and instances given as a
 distance matrix are squared losslessly on load.  Nothing downstream ever
 takes a square root.
+
+The sweep compares each distance once per instance: the first threshold
+graph ranks the vertex pairs by squared distance, and every threshold graph
+is the prefix of that ranking up to its threshold.  Graphs carry int
+adjacency bitmasks, from which hop rows, balls and components are grown by
+bitset frontier expansion.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 
@@ -128,16 +136,39 @@ class Radius:
         return repr(self.approx())
 
 
+def _expand(masks: Sequence[int], frontier: int) -> int:
+    """Union of the adjacency masks of the vertices in `frontier`."""
+    reach = 0
+    while frontier:
+        low = frontier & -frontier
+        reach |= masks[low.bit_length() - 1]
+        frontier ^= low
+    return reach
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class ThresholdGraph:
     """Immutable unweighted graph on vertices 0..n-1.
 
     Built by thresholding a metric (edge iff distance <= tau, u != v) but also
     used for derived graphs (powers, strips, trees over augmented vertex sets).
+    Adjacency is held as an edge set, as neighbor frozensets, and as int
+    bitmasks (bit w of `masks[u]` is set iff uw is an edge).  Hop rows, balls
+    and components grow by bitset frontier expansion over the masks.
     All-pairs hop distances are computed lazily and cached; unreachable pairs
     are math.inf.
     """
 
-    __slots__ = ("n", "tau2", "edges", "adj", "_hops")
+    __slots__ = ("n", "tau2", "edges", "adj", "masks", "_hops")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], tau2: Fraction | None = None):
         if n < 0:
@@ -153,29 +184,46 @@ class ThresholdGraph:
         self.tau2 = tau2
         self.edges = frozenset(norm)
         adj = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in norm:
             adj[u].add(v)
             adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.adj = tuple(frozenset(a) for a in adj)
+        self.masks = tuple(masks)
         self._hops = None
 
     def hops(self):
         """All-pairs hop distance matrix (list of lists; math.inf if unreachable)."""
         if self._hops is None:
+            n, masks = self.n, self.masks
             mat = []
-            for s in range(self.n):
-                row = [math.inf] * self.n
+            for s in range(n):
+                row = [math.inf] * n
                 row[s] = 0
-                q = deque([s])
-                while q:
-                    u = q.popleft()
-                    for w in self.adj[u]:
-                        if row[w] is math.inf or row[w] > row[u] + 1:
-                            row[w] = row[u] + 1
-                            q.append(w)
+                seen = frontier = 1 << s
+                d = 0
+                while frontier:
+                    d += 1
+                    frontier = _expand(masks, frontier) & ~seen
+                    seen |= frontier
+                    for w in mask_bits(frontier):
+                        row[w] = d
                 mat.append(row)
             self._hops = mat
         return self._hops
+
+    def balls(self, s: int, radius: int) -> list[int]:
+        """Closed balls around s as bitmasks: entry r holds every vertex
+        within r hops of s, for r = 0..radius."""
+        seen = frontier = 1 << s
+        out = [seen]
+        for _ in range(radius):
+            frontier = _expand(self.masks, frontier) & ~seen
+            seen |= frontier
+            out.append(seen)
+        return out
 
     def hop(self, u: int, v: int):
         return self.hops()[u][v]
@@ -192,23 +240,17 @@ class ThresholdGraph:
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
-        seen = [False] * self.n
+        masks = self.masks
+        left = (1 << self.n) - 1
         comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            q = deque([s])
-            seen[s] = True
-            while q:
-                u = q.popleft()
-                comp.append(u)
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        q.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(sorted(comps, key=lambda c: c[0]))
+        while left:
+            seen = frontier = left & -left
+            while frontier:
+                frontier = _expand(masks, frontier) & ~seen
+                seen |= frontier
+            comps.append(tuple(mask_bits(seen)))
+            left &= ~seen
+        return tuple(comps)
 
     def induced(self, vertices: Sequence[int]) -> tuple["ThresholdGraph", tuple[int, ...]]:
         """Induced subgraph with vertices relabeled 0..m-1; returns (graph, orig_ids)."""
@@ -351,22 +393,46 @@ class MetricInstance:
 
     # -- thresholds ------------------------------------------------------
 
+    def _ranking(self):
+        """(thresholds, pairs, prefix), computed on first use and kept.
+
+        `thresholds` are the sorted distinct squared distances with 0.
+        `pairs` holds every pair u < v as the id u*n + v, ranked by squared
+        distance, ties by id.  `prefix[i]` counts the pairs within
+        `thresholds[i]`.
+        """
+        ranking = self.__dict__.get("_ranked")
+        if ranking is None:
+            n, d2 = self.n, self.d2
+            vals = {ZERO}
+            for row in d2:
+                vals.update(row)
+            thresholds = tuple(sorted(vals))
+            rank = {t: i for i, t in enumerate(thresholds)}
+            buckets = [[] for _ in thresholds]
+            for u in range(n):
+                row = d2[u]
+                for v in range(u + 1, n):
+                    buckets[rank[row[v]]].append(u * n + v)
+            pairs = array("H" if n <= 256 else "L", chain.from_iterable(buckets))
+            prefix = array("L", accumulate(map(len, buckets)))
+            ranking = (thresholds, pairs, prefix)
+            object.__setattr__(self, "_ranked", ranking)
+        return ranking
+
     def thresholds_sq(self) -> tuple[Fraction, ...]:
         """Sorted distinct squared distances, always including 0."""
-        vals = {ZERO}
-        for row in self.d2:
-            vals.update(row)
-        return tuple(sorted(vals))
+        return self._ranking()[0]
 
     def threshold_graph(self, tau2: Fraction) -> ThresholdGraph:
-        """Unweighted graph with an edge iff the squared distance is <= tau2."""
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if self.d2[u][v] <= tau2
-        ]
-        return ThresholdGraph(self.n, edges, tau2=_to_fraction(tau2))
+        """Unweighted graph with an edge iff the squared distance is <= tau2:
+        the ranked pairs up to the last threshold not above tau2, passed in
+        (u, v) order."""
+        thresholds, pairs, prefix = self._ranking()
+        i = bisect_right(thresholds, tau2)
+        n = self.n
+        edges = [divmod(p, n) for p in sorted(pairs[: prefix[i - 1] if i else 0])]
+        return ThresholdGraph(n, edges, tau2=_to_fraction(tau2))
 
     # -- serialization ---------------------------------------------------
 

@@ -176,7 +176,12 @@ def _eliminate(row, pivots, p, pj):
         row[:] = [p * a for a in row]
     for j, c in pivots:
         row[j] -= f * c
-    g = gcd(*row)
+    g = 0  # folded, not gcd(*row): no argument tuple per row, and it stops at 1
+    for a in row:
+        if a:
+            g = gcd(g, a)
+            if g == 1:
+                break
     if g > 1:
         row[:] = [a // g for a in row]
 

@@ -1,11 +1,15 @@
-"""Shared test utilities: tiny graph builders, exhaustive reference
-implementations of the separation problems, the Fraction-tableau simplex,
-the Edmonds-Karp max-flow, cut capacities, and assignment checkers."""
+"""Shared test utilities: tiny graph builders, the brute-force threshold
+filter, deque-BFS hop matrices and the hop-matrix clustering, exhaustive
+reference implementations of the separation problems, the Fraction-tableau
+simplex, the Edmonds-Karp max-flow, cut capacities, and assignment
+checkers."""
 
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+from ftkcenter.clustering import Clustering
 from ftkcenter.flow import INF, FlowResult
 from ftkcenter.instance import (
     ContractViolation,
@@ -33,6 +37,63 @@ def power(graph: ThresholdGraph, ell: int) -> ThresholdGraph:
         if hops[u][v] <= ell
     ]
     return ThresholdGraph(graph.n, edges)
+
+
+def brute_threshold_graph(inst, tau2) -> ThresholdGraph:
+    """Every pair compared against tau2, in (u, v) order: the reference for
+    `MetricInstance.threshold_graph`, which reads a prefix of ranked pairs."""
+    edges = [
+        (u, v)
+        for u in range(inst.n)
+        for v in range(u + 1, inst.n)
+        if inst.d2[u][v] <= tau2
+    ]
+    return ThresholdGraph(inst.n, edges, tau2=Fraction(tau2))
+
+
+def bfs_hops(graph: ThresholdGraph):
+    """All-pairs hop matrix by a deque BFS from every vertex over the
+    neighbor sets: the reference for the bitset rows of `graph.hops()`."""
+    mat = []
+    for s in range(graph.n):
+        row = [math.inf] * graph.n
+        row[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for w in graph.adj[u]:
+                if row[w] is math.inf:
+                    row[w] = row[u] + 1
+                    q.append(w)
+        mat.append(row)
+    return mat
+
+
+def hop_matrix_clustering(graph: ThresholdGraph) -> Clustering:
+    """The monarch decomposition read off a full hop matrix: the reference
+    for `clustering.monarch_clustering`, which reads only head balls.
+    Expects a connected graph."""
+    n = graph.n
+    hops = bfs_hops(graph)
+    heads = [0]
+    parents = {}
+    while True:
+        nxt = next((w for w in range(n) if min(hops[w][h] for h in heads) == 3), None)
+        if nxt is None:
+            break
+        parents[nxt] = next(h for h in heads if hops[nxt][h] == 3)
+        heads.append(nxt)
+    cluster_of = [-1] * n
+    for h in heads:
+        for v in graph.adj[h] | {h}:
+            assert cluster_of[v] == -1, "head neighborhoods overlap"
+            cluster_of[v] = h
+    for v in range(n):
+        if cluster_of[v] == -1:
+            cluster_of[v] = next(h for h in heads if hops[v][h] <= 2)
+    clusters = {h: tuple(v for v in range(n) if cluster_of[v] == h) for h in heads}
+    tree_edges = frozenset((min(c, p), max(c, p)) for c, p in parents.items())
+    return Clustering(graph, tuple(heads), tuple(cluster_of), clusters, tree_edges)
 
 
 def cut_capacity(net, source_side):

@@ -16,6 +16,7 @@ from ftkcenter.bottleneck import (
     sweep,
 )
 from ftkcenter.instance import ContractViolation, MetricInstance, ThresholdGraph
+from ftkcenter.solvers import solve_ft_uniform
 
 from helpers import path_graph
 
@@ -169,3 +170,33 @@ def test_merged_scenario_remaps_and_validates():
     assert out.scenario.centers == {0, 2, 3}
     assert [orig for orig, _ in out.scenario.parts] == [(0, 1), (2, 3, 4, 5)]
     assert [sol.centers for _, sol in out.scenario.parts] == [(0,), (0, 1)]
+
+
+def test_components_count_exit_skips_the_solver():
+    """More than k // (alpha+1) components: every component needs alpha+1
+    centers, so the graph is rejected before any solver call."""
+
+    def never(sub, budget, caps):
+        raise AssertionError("solver called on a graph with too many components")
+
+    g = ThresholdGraph(6, [(0, 1), (2, 3), (4, 5)])  # 3 components
+    for k, alpha in ((5, 1), (2, 0), (8, 2)):
+        assert k // (alpha + 1) + 1 == 3
+        out = solve_components(g, k, alpha, [2] * 6, never)
+        assert isinstance(out, PerTauInfeasible)
+        assert out.reason == f"3 components need alpha+1={alpha + 1} centers each, more than k = {k}"
+
+    record = []  # at exactly k // (alpha+1) components the solver still runs
+    out = solve_components(g, 6, 1, [2] * 6, make_fake_solver(lambda sub: 2, record))
+    assert record == [(2, 2), (2, 2), (2, 2)]
+    assert out.centers == (0, 1, 2, 3, 4, 5)
+
+
+def test_all_zero_capacity_final_reason():
+    """With every capacity zero, 0-0 stripping leaves even the last
+    threshold graph edgeless, so the component count rejects it."""
+    inst = MetricInstance.from_points([(0, 0), (1, 0), (3, 0), (7, 0)], 2, 1, [0] * 4)
+    res = solve_ft_uniform(inst)
+    assert not res.feasible
+    assert [t for t, _ in res.outcome.reasons] == list(inst.thresholds_sq())
+    assert res.outcome.final_reason == "4 components need alpha+1=2 centers each, more than k = 2"

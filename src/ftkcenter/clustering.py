@@ -144,16 +144,15 @@ def build_gprime(
 ) -> DirectedGraph:
     """Arc-augmented digraph: base edges both ways, plus arcs into each
     cluster's backups from every vertex adjacent to the head's neighborhood."""
-    out = [set(graph.adj[u]) for u in range(graph.n)]
+    out = [set(mask_bits(mask)) for mask in graph.masks]
     for h in clustering.heads:
         B_h = backups.get(h, ())
         if not B_h:
             continue
-        closed = graph.adj[h] | {h}
-        zone = set()
-        for t in closed:
-            zone |= graph.adj[t]
-        for u in zone:
+        zone = 0
+        for t in graph.closed(h):
+            zone |= graph.masks[t]
+        for u in mask_bits(zone):
             out[u].update(w for w in B_h if w != u)
     return DirectedGraph(graph.n, out)
 

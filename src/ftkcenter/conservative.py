@@ -73,7 +73,7 @@ def conservative_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: i
     anchors = greedy_independent(graph, 7)
     backups = {}
     for a in anchors:
-        pool = sorted(v for v in (graph.adj[a] | {a}) if caps[v] > 0)
+        pool = [v for v in graph.closed(a) if caps[v] > 0]
         if len(pool) < alpha:
             return PerTauInfeasible(
                 f"anchor {a}: {len(pool)} positive-capacity vertices within one hop, "

@@ -8,9 +8,9 @@ takes a square root.
 
 The sweep compares each distance once per instance: the first threshold
 graph ranks the vertex pairs by squared distance, and every threshold graph
-is the prefix of that ranking up to its threshold.  Graphs carry int
-adjacency bitmasks, from which hop rows, balls and components are grown by
-bitset frontier expansion.
+is the prefix of that ranking up to its threshold.  A graph is its int
+adjacency bitmasks alone: closed neighborhoods, hop rows, balls and
+components are read off them by bitset frontier expansion.
 """
 
 from __future__ import annotations
@@ -160,39 +160,42 @@ class ThresholdGraph:
     """Immutable unweighted graph on vertices 0..n-1.
 
     Built by thresholding a metric (edge iff distance <= tau, u != v) but also
-    used for derived graphs (powers, strips, trees over augmented vertex sets).
-    Adjacency is held as an edge set, as neighbor frozensets, and as int
-    bitmasks (bit w of `masks[u]` is set iff uw is an edge).  Hop rows, balls
-    and components grow by bitset frontier expansion over the masks.
-    All-pairs hop distances are computed lazily and cached; unreachable pairs
-    are math.inf.
+    used for derived graphs (strips, induced subgraphs, trees over augmented
+    vertex sets).  Adjacency is held only as int bitmasks: bit w of
+    `masks[u]` is set iff uw is an edge.  Closed neighborhoods, hop rows,
+    balls and components are read off the masks by bitset frontier
+    expansion.  All-pairs hop distances are computed lazily and cached;
+    unreachable pairs are math.inf.
     """
 
-    __slots__ = ("n", "tau2", "edges", "adj", "masks", "_hops")
+    __slots__ = ("n", "tau2", "masks", "_hops")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], tau2: Fraction | None = None):
         if n < 0:
             raise InstanceError("vertex count must be non-negative")
-        norm = set()
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InstanceError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InstanceError(f"self-loop at {u}")
-            norm.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.tau2 = tau2
-        self.edges = frozenset(norm)
-        adj = [set() for _ in range(n)]
-        masks = [0] * n
-        for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.adj = tuple(frozenset(a) for a in adj)
+        self.n = n
+        self.tau2 = tau2
         self.masks = tuple(masks)
         self._hops = None
+
+    @classmethod
+    def from_masks(cls, masks: Sequence[int], tau2: Fraction | None) -> "ThresholdGraph":
+        """Graph with adjacency `masks` as given: symmetric, no self bits."""
+        graph = cls(len(masks), (), tau2)
+        graph.masks = tuple(masks)
+        return graph
+
+    def closed(self, v: int) -> list[int]:
+        """v and its neighbors, ascending."""
+        return mask_bits(self.masks[v] | 1 << v)
 
     def hops(self):
         """All-pairs hop distance matrix (list of lists; math.inf if unreachable)."""
@@ -225,18 +228,13 @@ class ThresholdGraph:
             out.append(seen)
         return out
 
-    def hop(self, u: int, v: int):
-        return self.hops()[u][v]
-
     def neighborhood(self, U: Iterable[int], ell: int = 1) -> frozenset:
         """Closed ell-hop neighborhood of a vertex set (always contains U)."""
-        verts = [U] if isinstance(U, int) else list(U)
-        hops = self.hops()
-        out = set(verts)
+        verts = [U] if isinstance(U, int) else U
+        reach = 0
         for u in verts:
-            row = hops[u]
-            out.update(w for w in range(self.n) if row[w] <= ell)
-        return frozenset(out)
+            reach |= self.balls(u, ell)[-1]
+        return frozenset(mask_bits(reach))
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
@@ -256,18 +254,16 @@ class ThresholdGraph:
         """Induced subgraph with vertices relabeled 0..m-1; returns (graph, orig_ids)."""
         orig = tuple(sorted(set(vertices)))
         pos = {v: i for i, v in enumerate(orig)}
-        edges = [
-            (pos[u], pos[v])
-            for (u, v) in self.edges
-            if u in pos and v in pos
-        ]
-        return ThresholdGraph(len(orig), edges, self.tau2), orig
+        keep = sum(1 << v for v in orig)
+        masks = [sum(1 << pos[w] for w in mask_bits(self.masks[v] & keep)) for v in orig]
+        return ThresholdGraph.from_masks(masks, self.tau2), orig
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
     def __repr__(self):
-        return f"ThresholdGraph(n={self.n}, m={len(self.edges)}, tau2={self.tau2})"
+        m = sum(mask.bit_count() for mask in self.masks) // 2
+        return f"ThresholdGraph(n={self.n}, m={m}, tau2={self.tau2})"
 
 
 def strip_zero_zero_edges(graph: ThresholdGraph, capacities: Sequence[int]) -> ThresholdGraph:
@@ -279,12 +275,9 @@ def strip_zero_zero_edges(graph: ThresholdGraph, capacities: Sequence[int]) -> T
     """
     if len(capacities) != graph.n:
         raise InstanceError("capacity vector length mismatch")
-    kept = [
-        (u, v)
-        for (u, v) in graph.edges
-        if capacities[u] > 0 or capacities[v] > 0
-    ]
-    return ThresholdGraph(graph.n, kept, graph.tau2)
+    positive = sum(1 << v for v, c in enumerate(capacities) if c > 0)
+    masks = [m if capacities[v] > 0 else m & positive for v, m in enumerate(graph.masks)]
+    return ThresholdGraph.from_masks(masks, graph.tau2)
 
 
 def uniform_capacity_level(capacities: Sequence[int]) -> int:
@@ -383,8 +376,9 @@ class MetricInstance:
                 if self.d2[i][j] != self.d2[j][i]:
                     raise InstanceError(f"asymmetric distances at ({i},{j})")
         if check_triangle:
+            # (j, i) repeats the verdict of (i, j): d2 and the check are symmetric
             for i in range(n):
-                for j in range(n):
+                for j in range(i + 1, n):
                     for m in range(n):
                         if not _triangle_sq_ok(self.d2[i][j], self.d2[i][m], self.d2[m][j]):
                             raise InstanceError(
@@ -426,12 +420,11 @@ class MetricInstance:
 
     def threshold_graph(self, tau2: Fraction) -> ThresholdGraph:
         """Unweighted graph with an edge iff the squared distance is <= tau2:
-        the ranked pairs up to the last threshold not above tau2, passed in
-        (u, v) order."""
+        the ranked pairs up to the last threshold not above tau2."""
         thresholds, pairs, prefix = self._ranking()
         i = bisect_right(thresholds, tau2)
         n = self.n
-        edges = [divmod(p, n) for p in sorted(pairs[: prefix[i - 1] if i else 0])]
+        edges = [divmod(p, n) for p in pairs[: prefix[i - 1] if i else 0]]
         return ThresholdGraph(n, edges, tau2=_to_fraction(tau2))
 
     # -- serialization ---------------------------------------------------

@@ -205,7 +205,7 @@ def lp_general_static(
     for u in sorted(backup_set):
         lp.add({u: 1}, "==", 1)
     for h in clustering.heads:
-        cov = {u: 1 for u in (graph.adj[h] | {h}) if u not in backup_set}
+        cov = {u: 1 for u in graph.closed(h) if u not in backup_set}
         lp.add(cov, ">=", 1)
     for u in range(n):
         lp.add({u: 1}, "<=", 1)
@@ -220,7 +220,7 @@ def lp_uniform_static(graph: ThresholdGraph, k: int, capacities: Sequence[int]) 
     lp = LinearProgram(n)
     lp.add({u: 1 for u in range(n)}, "==", k)
     for v in range(n):
-        cov = {u: 1 for u in (graph.adj[v] | {v}) if capacities[u] > 0}
+        cov = {u: 1 for u in graph.closed(v) if capacities[u] > 0}
         lp.add(cov, ">=", 1)
     for u in range(n):
         lp.add({u: 1}, "<=", 1)
@@ -301,9 +301,7 @@ def separate_uniform(
     n = graph.n
     L = uniform_capacity_level(capacities)
     threshold = Fraction(alpha * L)
-    allowed = {
-        v: [u for u in (graph.adj[v] | {v}) if capacities[u] > 0] for v in range(n)
-    }
+    allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
     supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
     best = None
     witness = None

@@ -269,7 +269,7 @@ def exact_distance1(graph: ThresholdGraph, k: int, caps: Sequence[int]):
     """
     if k > graph.n:
         return None
-    balls = [sorted(graph.adj[u] | {u}) for u in range(graph.n)]
+    balls = [graph.closed(u) for u in range(graph.n)]
     for S in combinations(range(graph.n), k):
         sset = set(S)
         allowed = {u: [c for c in balls[u] if c in sset] for u in range(graph.n)}
@@ -360,7 +360,7 @@ def relaxed_ilp_holds(
     demand = dict.fromkeys(range(n), 1)
     for F in combinations(range(n), alpha):
         fset = set(F)
-        allowed = {u: (graph.adj[u] | {u}) - fset for u in range(n)}
+        allowed = {u: [w for w in graph.closed(u) if w not in fset] for u in range(n)}
         supply = {w: yv[w] * caps[w] for w in range(n) if w not in fset}
         if transport(demand, allowed, supply)[0] < n:
             return False
@@ -463,4 +463,4 @@ def random_connected_graph(rng, n: int, extra: int = 0) -> ThresholdGraph:
         tries += 1
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    return ThresholdGraph(n, sorted(edges))
+    return ThresholdGraph(n, edges)

@@ -25,6 +25,7 @@ from .instance import (
     InstanceError,
     ThresholdGraph,
     failure_set,
+    mask_bits,
     uniform_capacity_level,
 )
 
@@ -68,12 +69,12 @@ def tree_transfer(tree: ThresholdGraph, members, y, caps):
     exists.
     """
     members = sorted(set(members))
-    mset = set(members)
+    member_mask = sum(1 << w for w in members)
     kappa = _mass(y, members)
     if kappa.denominator != 1:
         raise ContractViolation("tree transfer needs integral total mass")
     kappa = int(kappa)
-    deg = {w: len(tree.adj[w] & mset) for w in members}
+    deg = {w: (tree.masks[w] & member_mask).bit_count() for w in members}
     internal = [w for w in members if deg[w] >= 2]
     for w in internal:
         if Fraction(y.get(w, 0)) != 1:
@@ -81,9 +82,10 @@ def tree_transfer(tree: ThresholdGraph, members, y, caps):
     free = [w for w in members if deg[w] <= 1]
     demand = {w: d for w in members if (d := Fraction(caps[w]) * Fraction(y.get(w, 0))) != 0}
     total = sum(demand.values(), ZERO)
+    within2 = {w: tree.balls(w, 2)[2] for w in demand}
 
     def feasible(opened) -> bool:
-        allowed = {w: [x for x in opened if tree.hop(w, x) <= 2] for w in demand}
+        allowed = {w: [x for x in opened if within2[w] >> x & 1] for w in demand}
         supply = {x: Fraction(caps[x]) for x in opened}
         return total == 0 or transport(demand, allowed, supply)[0] == total
 
@@ -135,11 +137,12 @@ def build_augmented(
 ) -> Augmented:
     n = graph.n
     aux_of, head_of, m_of = {}, {}, {}
-    edges = list(graph.edges)
+    masks = list(graph.masks) + [0] * len(clustering.heads)
     caps_ext = list(caps)
     for i, h in enumerate(clustering.heads):
+        closed = graph.closed(h)
         pool = sorted(
-            (v for v in (graph.adj[h] | {h}) if v not in backup_set),
+            (v for v in closed if v not in backup_set),
             key=lambda v: (-caps[v], v),
         )
         if not pool:
@@ -149,9 +152,10 @@ def build_augmented(
         m = pool[0]
         a = n + i
         aux_of[h], head_of[a], m_of[h] = a, h, m
-        for u in graph.adj[h] | {h}:
-            edges.append((a, u))
-    ext = ThresholdGraph(n + len(clustering.heads), edges)
+        for u in closed:
+            masks[u] |= 1 << a
+            masks[a] |= 1 << u
+    ext = ThresholdGraph.from_masks(masks, None)
     caps_ext += [caps[m_of[h]] for h in clustering.heads]
     return Augmented(ext, tuple(caps_ext), aux_of, head_of, m_of)
 
@@ -194,7 +198,7 @@ def round_general(
         a = aug.aux_of[h]
         m = aug.m_of[h]
         order = [m] + sorted(
-            (v for v in (graph.adj[h] | {h}) if v not in bset and v != m),
+            (v for v in graph.closed(h) if v not in bset and v != m),
             key=lambda v: (caps[v], v),
         )
         need = ONE
@@ -281,12 +285,13 @@ class GeneralRounding:
         B = self.backup_set()
         ext = self.rr.aug.ext
         T, members = self.rr.tree, self.rr.tree_members
+        within2 = {w: T.balls(w, 2)[2] for w in members}
         out = []
         for u in range(self.graph.n):
             near = ext.neighborhood([u], 2)
             cover = set(self.gprime.closed_out(u) & B) | near
             for w in near & members:
-                cover.update(x for x in members if T.hop(w, x) <= 2)
+                cover.update(mask_bits(within2[w]))
             out.append(tuple(sorted(cover & self.rr.support2)))
         return tuple(out)
 

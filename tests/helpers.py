@@ -1,8 +1,8 @@
-"""Shared test utilities: tiny graph builders, the brute-force threshold
-filter, deque-BFS hop matrices and the hop-matrix clustering, exhaustive
-reference implementations of the separation problems, the Fraction-tableau
-simplex, the Edmonds-Karp max-flow, cut capacities, and assignment
-checkers."""
+"""Shared test utilities: tiny graph builders, edge sets and masks read
+straight off the bits, the brute-force threshold filter, deque-BFS hop
+matrices and the hop-matrix clustering, exhaustive reference
+implementations of the separation problems, the Fraction-tableau simplex,
+the Edmonds-Karp max-flow, cut capacities, and assignment checkers."""
 
 import math
 from collections import deque
@@ -39,21 +39,44 @@ def power(graph: ThresholdGraph, ell: int) -> ThresholdGraph:
     return ThresholdGraph(graph.n, edges)
 
 
-def brute_threshold_graph(inst, tau2) -> ThresholdGraph:
-    """Every pair compared against tau2, in (u, v) order: the reference for
+def edge_set(graph: ThresholdGraph) -> frozenset:
+    """The edges of a graph as pairs (u, v), u < v, one bit test per pair."""
+    return frozenset(
+        (u, v)
+        for u in range(graph.n)
+        for v in range(u + 1, graph.n)
+        if graph.masks[u] >> v & 1
+    )
+
+
+def pair_masks(n: int, pairs) -> tuple:
+    """Adjacency bitmasks of an edge list on vertices 0..n-1."""
+    masks = [0] * n
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
+def brute_threshold_pairs(inst, tau2) -> list:
+    """Every pair compared against tau2: the reference for
     `MetricInstance.threshold_graph`, which reads a prefix of ranked pairs."""
-    edges = [
+    return [
         (u, v)
         for u in range(inst.n)
         for v in range(u + 1, inst.n)
         if inst.d2[u][v] <= tau2
     ]
-    return ThresholdGraph(inst.n, edges, tau2=Fraction(tau2))
 
 
 def bfs_hops(graph: ThresholdGraph):
     """All-pairs hop matrix by a deque BFS from every vertex over the
-    neighbor sets: the reference for the bitset rows of `graph.hops()`."""
+    neighbor lists of `edge_set`: the reference for the bitset rows of
+    `graph.hops()`."""
+    nbrs = [[] for _ in range(graph.n)]
+    for u, v in edge_set(graph):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     mat = []
     for s in range(graph.n):
         row = [math.inf] * graph.n
@@ -61,7 +84,7 @@ def bfs_hops(graph: ThresholdGraph):
         q = deque([s])
         while q:
             u = q.popleft()
-            for w in graph.adj[u]:
+            for w in nbrs[u]:
                 if row[w] is math.inf:
                     row[w] = row[u] + 1
                     q.append(w)
@@ -85,7 +108,7 @@ def hop_matrix_clustering(graph: ThresholdGraph) -> Clustering:
         heads.append(nxt)
     cluster_of = [-1] * n
     for h in heads:
-        for v in graph.adj[h] | {h}:
+        for v in (w for w in range(n) if hops[h][w] <= 1):
             assert cluster_of[v] == -1, "head neighborhoods overlap"
             cluster_of[v] = h
     for v in range(n):
@@ -344,6 +367,7 @@ def edmonds_karp_max_flow(net):
 
 def check_assignment(graph_or_d2, phi, centers, caps, bound, squared=False):
     """Totality, membership, capacity, and distance bound of an assignment."""
+    hops = None if squared else graph_or_d2.hops()
     load = {}
     for u, c in phi.items():
         assert c in centers, f"vertex {u} assigned outside the solution"
@@ -351,7 +375,7 @@ def check_assignment(graph_or_d2, phi, centers, caps, bound, squared=False):
         if squared:
             assert graph_or_d2[u][c] <= bound, (u, c)
         else:
-            assert graph_or_d2.hop(u, c) <= bound, (u, c)
+            assert hops[u][c] <= bound, (u, c)
     for c, l in load.items():
         assert l <= caps[c], f"center {c} overloaded: {l} > {caps[c]}"
 

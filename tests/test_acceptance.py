@@ -291,7 +291,7 @@ def _brute_uniform(y, graph, caps):
         for U in combinations(range(n), size):
             reach = set()
             for v in U:
-                reach |= {u for u in (graph.adj[v] | {v}) if caps[u] > 0}
+                reach |= {u for u in graph.closed(v) if caps[u] > 0}
             val = sum(Fraction(L) * y[u] for u in reach) - len(U)
             if best is None or val < best:
                 best = val
@@ -453,7 +453,7 @@ def test_structural_invariants():
             if members & seen:
                 violations.append(f"{tag}: clusters overlap")
             seen |= members
-            if not (G.adj[h] | {h}) <= members:
+            if not set(G.closed(h)) <= members:
                 violations.append(f"{tag}: head {h} does not own its neighborhood")
             if not members <= G.neighborhood([h], 2):
                 violations.append(f"{tag}: cluster of {h} leaves the 2-ball")
@@ -538,7 +538,7 @@ def test_residual_feasibility_lemmas():
         A = greedy_independent(G, 7)
         B = set()
         for a in A:
-            pool = sorted(v for v in (G.adj[a] | {a}) if caps[v] > 0)
+            pool = sorted(v for v in G.closed(a) if caps[v] > 0)
             if len(pool) < alpha:
                 violations.append(
                     f"lemma (b): anchor {a} has {len(pool)} positive neighbors < alpha={alpha} "

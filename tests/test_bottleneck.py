@@ -18,7 +18,7 @@ from ftkcenter.bottleneck import (
 from ftkcenter.instance import ContractViolation, MetricInstance, ThresholdGraph
 from ftkcenter.solvers import solve_ft_uniform
 
-from helpers import path_graph
+from helpers import edge_set, path_graph
 
 
 def make_fake_solver(need, record=None):
@@ -59,7 +59,7 @@ def test_sweep_returns_first_success():
     script = {0: "no", 1: "no", 4: "yes"}
 
     def per_tau(G):
-        tau2 = [t for t in inst.thresholds_sq() if inst.threshold_graph(t).edges == G.edges]
+        tau2 = [t for t in inst.thresholds_sq() if edge_set(inst.threshold_graph(t)) == edge_set(G)]
         verdict = script[tau2[0]]
         if verdict == "yes":
             return PerTauSolution((0,), {u: 0 for u in range(3)}, 1, lambda F: {})
@@ -76,7 +76,7 @@ def test_sweep_collects_reasons_in_order():
     inst = MetricInstance.from_points([(0, 0), (1, 0), (2, 0)], 2, 0, [3, 3, 3])
 
     def per_tau(G):
-        return PerTauInfeasible(f"fails with {len(G.edges)} edges")
+        return PerTauInfeasible(f"fails with {len(edge_set(G))} edges")
 
     out = sweep(inst, per_tau)
     assert isinstance(out, SweepInfeasible)

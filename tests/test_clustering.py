@@ -124,7 +124,7 @@ def test_monarch_properties_random():
             members = set(cl.clusters[h])
             assert not (members & seen)
             seen |= members
-            assert (g.adj[h] | {h}) <= members
+            assert set(g.closed(h)) <= members
             assert all(hops[v][h] <= 2 for v in members)
         assert seen == set(range(g.n))
         for a, b in cl.tree_edges:

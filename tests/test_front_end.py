@@ -1,8 +1,9 @@
 """The sweep front end against its references: ranked-prefix threshold
 graphs against the brute-force filter, bitset hop rows, balls and
-components against the deque BFS, the ball-based clustering against the
-hop-matrix one, and the mask popcount of `quick_infeasible` against the
-neighbor sets."""
+components against the deque BFS, closed neighborhoods, induced subgraphs
+and 0-0 strips against filters over the generated edge list, the
+ball-based clustering against the hop-matrix one, and the mask popcount of
+`quick_infeasible` against the closed neighborhoods."""
 
 import math
 import random
@@ -12,17 +13,35 @@ import pytest
 
 from ftkcenter.bottleneck import quick_infeasible
 from ftkcenter.clustering import monarch_clustering
-from ftkcenter.instance import MetricInstance, ThresholdGraph
+from ftkcenter.instance import MetricInstance, ThresholdGraph, strip_zero_zero_edges
 from ftkcenter.oracle import random_connected_graph
 
-from helpers import bfs_hops, brute_threshold_graph, hop_matrix_clustering
+from helpers import (
+    bfs_hops,
+    brute_threshold_pairs,
+    edge_set,
+    hop_matrix_clustering,
+    pair_masks,
+)
+
+
+def random_edges(rng, n, p):
+    """Each pair an edge with probability p, in shuffled order."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(edges)
+    return edges
 
 
 def random_graph(rng, n, p):
-    """Each pair an edge with probability p, passed in shuffled order."""
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    rng.shuffle(edges)
-    return ThresholdGraph(n, edges)
+    return ThresholdGraph(n, random_edges(rng, n, p))
+
+
+def brute_neighborhood(edges, U, ell):
+    """U grown ell times by every edge with an endpoint inside."""
+    reach = set(U)
+    for _ in range(ell):
+        reach |= {b for a, b in edges if a in reach} | {a for a, b in edges if b in reach}
+    return reach
 
 
 def reference_components(graph):
@@ -44,11 +63,9 @@ def probe_thresholds(inst):
     return [Fraction(-1), *taus, *between, taus[-1] + 1]
 
 
-def assert_same_graph(got, want):
-    assert got.n == want.n and got.tau2 == want.tau2
-    assert list(got.edges) == list(want.edges)  # same set, same iteration order
-    assert got.adj == want.adj
-    assert got.masks == tuple(sum(1 << w for w in a) for a in want.adj)
+def assert_same_graph(got, n, tau2, pairs):
+    assert got.n == n and got.tau2 == tau2
+    assert got.masks == pair_masks(n, pairs)
 
 
 def assert_same_clustering(graph):
@@ -60,7 +77,9 @@ def test_random_graphs_hops_balls_components(n):
     rng = random.Random(f"front-end/{n}")
     for p in (0.0, 0.1, 0.25, 0.5, 0.9):
         for _ in range(4):
-            g = random_graph(rng, n, p)
+            edges = random_edges(rng, n, p)
+            g = ThresholdGraph(n, edges)
+            assert_same_graph(g, n, None, edges)
             want = bfs_hops(g)
             assert g.hops() == want
             assert g.components() == reference_components(g)
@@ -68,6 +87,19 @@ def test_random_graphs_hops_balls_components(n):
             for s in range(n):
                 for r, ball in enumerate(g.balls(s, 4)):
                     assert ball == sum(1 << v for v in range(n) if want[s][v] <= r)
+                assert g.closed(s) == sorted(brute_neighborhood(edges, [s], 1))
+            U = [v for v in range(n) if rng.random() < 0.3]
+            for ell in range(4):
+                assert g.neighborhood(U, ell) == brute_neighborhood(edges, U, ell)
+            for verts in (*g.components(), U):
+                sub, orig = g.induced(verts)
+                pos = {v: i for i, v in enumerate(orig)}
+                kept = [(pos[a], pos[b]) for a, b in edges if a in pos and b in pos]
+                assert orig == tuple(sorted(verts))
+                assert_same_graph(sub, len(orig), None, kept)
+            caps = [rng.choice((0, 0, 1, 3)) for _ in range(n)]
+            kept = [(a, b) for a, b in edges if caps[a] > 0 or caps[b] > 0]
+            assert_same_graph(strip_zero_zero_edges(g, caps), n, None, kept)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 11, 17])
@@ -82,7 +114,7 @@ def test_random_graphs_quick_infeasible(n):
         thin = [
             (v, good)
             for v in range(n)
-            for good in [sum(1 for u in g.adj[v] | {v} if caps[u] > 0)]
+            for good in [sum(1 for u in g.closed(v) if caps[u] > 0)]
             if good <= alpha
         ]
         if thin:
@@ -115,7 +147,7 @@ def test_grid_threshold_graphs_match_brute_filter(shape):
     inst = grid_instance(cols, rows, k, alpha)
     for tau2 in probe_thresholds(inst):
         G = inst.threshold_graph(tau2)
-        assert_same_graph(G, brute_threshold_graph(inst, tau2))
+        assert_same_graph(G, inst.n, tau2, brute_threshold_pairs(inst, tau2))
         assert G.hops() == bfs_hops(G)
         assert G.components() == reference_components(G)
         if G.is_connected():
@@ -125,10 +157,10 @@ def test_grid_threshold_graphs_match_brute_filter(shape):
 def test_threshold_graph_accepts_ints_and_ranks_lazily():
     inst = grid_instance(3, 3, 3, 1)
     assert "_ranked" not in vars(inst)  # parsing does not rank the pairs
-    assert_same_graph(inst.threshold_graph(2), brute_threshold_graph(inst, 2))
+    assert_same_graph(inst.threshold_graph(2), inst.n, 2, brute_threshold_pairs(inst, 2))
     assert "_ranked" in vars(inst)
-    assert inst.threshold_graph(-5).edges == frozenset()
-    assert len(inst.threshold_graph(10**6).edges) == 9 * 8 // 2
+    assert edge_set(inst.threshold_graph(-5)) == frozenset()
+    assert len(edge_set(inst.threshold_graph(10**6))) == 9 * 8 // 2
     assert inst.thresholds_sq() == (0, 1, 2, 4, 5, 8)
 
 
@@ -138,4 +170,4 @@ def test_random_point_instances_match_brute_filter():
         points = [(rng.randrange(6), Fraction(rng.randrange(12), 2)) for _ in range(n)]
         inst = MetricInstance.from_points(points, 1, 0, [1] * n)
         for tau2 in probe_thresholds(inst):
-            assert_same_graph(inst.threshold_graph(tau2), brute_threshold_graph(inst, tau2))
+            assert_same_graph(inst.threshold_graph(tau2), inst.n, tau2, brute_threshold_pairs(inst, tau2))

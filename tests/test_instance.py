@@ -15,7 +15,7 @@ from ftkcenter.instance import (
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
-from helpers import cycle_graph, path_graph, power
+from helpers import cycle_graph, edge_set, path_graph, power
 
 LINE3 = [(0, 0), (1, 0), (2, 0)]
 
@@ -52,16 +52,16 @@ def test_line3_thresholds_and_graphs():
     inst = MetricInstance.from_points(LINE3, 2, 1, [3, 3, 3], name="line3")
     assert inst.thresholds_sq() == (Fraction(0), Fraction(1), Fraction(4))
     g1 = inst.threshold_graph(Fraction(1))
-    assert g1.edges == frozenset({(0, 1), (1, 2)})
+    assert edge_set(g1) == frozenset({(0, 1), (1, 2)})
     g4 = inst.threshold_graph(Fraction(4))
-    assert g4.edges == frozenset({(0, 1), (1, 2), (0, 2)})
+    assert edge_set(g4) == frozenset({(0, 1), (1, 2), (0, 2)})
     g0 = inst.threshold_graph(Fraction(0))
-    assert g0.edges == frozenset()
+    assert edge_set(g0) == frozenset()
 
 
 def test_from_matrix_checks_triangle():
     bad = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]  # 5 > 1 + 1
-    with pytest.raises(InstanceError):
+    with pytest.raises(InstanceError, match=r"^triangle inequality fails on \(0,2\) via 1$"):
         MetricInstance.from_matrix(bad, 1, 0, [3, 3, 3])
     ok = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     inst = MetricInstance.from_matrix(ok, 1, 0, [3, 3, 3])
@@ -134,7 +134,7 @@ def test_threshold_graph_hops_and_components():
     assert hops[0][3] == math.inf
     assert g.components() == ((0, 1), (2,), (3, 4))
     sub, orig = g.induced((3, 4))
-    assert sub.n == 2 and sub.edges == frozenset({(0, 1)})
+    assert sub.n == 2 and edge_set(sub) == frozenset({(0, 1)})
     assert orig == (3, 4)
     assert not g.is_connected()
     assert path_graph(4).is_connected()
@@ -143,9 +143,9 @@ def test_threshold_graph_hops_and_components():
 def test_power_of_cycle():
     c6 = cycle_graph(6)
     p2 = power(c6, 2)
-    assert all(len(p2.adj[v]) == 4 for v in range(6))  # everyone but the antipode
+    assert all(len(p2.closed(v)) - 1 == 4 for v in range(6))  # everyone but the antipode
     p3 = power(c6, 3)
-    assert all(len(p3.adj[v]) == 5 for v in range(6))  # complete graph
+    assert all(len(p3.closed(v)) - 1 == 5 for v in range(6))  # complete graph
 
 
 def test_neighborhood_closed():
@@ -158,7 +158,7 @@ def test_neighborhood_closed():
 def test_strip_zero_zero_edges():
     g = ThresholdGraph(3, [(0, 1), (1, 2), (0, 2)])
     stripped = strip_zero_zero_edges(g, [0, 0, 5])
-    assert stripped.edges == frozenset({(1, 2), (0, 2)})
+    assert edge_set(stripped) == frozenset({(1, 2), (0, 2)})
 
 
 def test_uniform_capacity_level():

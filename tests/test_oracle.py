@@ -26,7 +26,7 @@ from ftkcenter.oracle import (
     verify_ft,
 )
 
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, edge_set, path_graph
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
 
@@ -189,4 +189,4 @@ def test_random_connected_graph():
         g = random_connected_graph(rng, n, extra=2)
         assert isinstance(g, ThresholdGraph)
         assert g.is_connected()
-        assert len(g.edges) >= n - 1
+        assert len(edge_set(g)) >= n - 1

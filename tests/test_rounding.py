@@ -26,7 +26,8 @@ from ftkcenter.rounding import (
     round_uniform,
     tree_transfer,
 )
-from ftkcenter.solvers import solve_ft_general
+from ftkcenter.bottleneck import PerTauSolution
+from ftkcenter.solvers import ft_general_connected, solve_ft_general
 
 from helpers import cycle_graph, path_graph
 
@@ -128,8 +129,8 @@ def test_build_augmented_c6():
     assert aug.head_of == {6: 0, 7: 3}
     assert aug.m_of == {0: 0, 3: 3}
     assert aug.caps_ext == (1, 2, 2, 1, 1, 1, 1, 1)
-    assert aug.ext.adj[6] == frozenset({0, 1, 5})
-    assert aug.ext.adj[7] == frozenset({2, 3, 4})
+    assert set(aug.ext.closed(6)) - {6} == {0, 1, 5}
+    assert set(aug.ext.closed(7)) - {7} == {2, 3, 4}
 
 
 def test_build_augmented_needs_a_non_backup_neighbor():
@@ -239,3 +240,32 @@ def test_reach_sets_are_built_once_per_record(monkeypatch):
     repairs = [fresh(F) for F in scenarios]
     assert len(calls) == single
     assert repairs == [replace(record)(F) for F in scenarios]
+
+
+def test_reach_sets_match_hop_matrix_reference():
+    """Each client's reach set against one built from the extended graph's
+    and the tree's full hop matrices: the opened centers among the 2-hop
+    neighborhood in the extended graph, the tree members within two tree
+    hops of a member in it, and the granted backups."""
+    rng = random.Random("reach-reference")
+    records = []
+    while len(records) < 12:
+        n = rng.randint(15, 30)  # enough heads that clients see several tree members
+        g = random_connected_graph(rng, n, extra=rng.randint(0, n))
+        caps = [rng.randint(1, n) for _ in range(n)]
+        alpha = rng.randint(1, 2)
+        out = ft_general_connected(g, rng.randint(alpha + 1, n), caps, alpha)
+        if isinstance(out, PerTauSolution):
+            records.append(out.scenario)
+    for state in records:
+        rr = state.rr
+        ext_hops, tree_hops = rr.aug.ext.hops(), rr.tree.hops()
+        B = state.backup_set()
+        want = []
+        for u in range(state.graph.n):
+            near = {v for v in range(rr.aug.ext.n) if ext_hops[u][v] <= 2}
+            cover = (state.gprime.closed_out(u) & B) | near
+            for w in near & rr.tree_members:
+                cover |= {x for x in rr.tree_members if tree_hops[w][x] <= 2}
+            want.append(tuple(sorted(cover & rr.support2)))
+        assert state.reach == tuple(want)

@@ -5,17 +5,23 @@ Dinic's algorithm on integer-indexed arrays: each phase builds a level graph
 by BFS and saturates it with a blocking flow.  There are at most V phases of
 O(VE) work each, O(V^2 E) in all, a bound that does not depend on capacity
 values, so Fraction capacities are safe and stay exact.  Infinite capacity is
-math.inf, never a large surrogate number.
+math.inf, never a large surrogate number.  `max_flow` and `transport_cuts`
+run the same Dinic loop, `_augment`.
 
-`transport` is the one network behind every Hall-type check in the package
-(separation, transfer conditions, assignments, the conservative repair, the
-relaxed ILP): client demand routed to allowed centers within their supply.
+`transport` is the one network behind the Hall-type checks of the package
+(transfer conditions, assignments, verification, the conservative repair,
+the relaxed ILP): client demand routed to allowed centers within their
+supply.  `transport_cuts` serves the LP separators, which solve one
+transport network many times with one client forced in or one center set
+closed: it builds the integer arrays once per call, scales demands and
+supplies to ints, and starts every forced variant from one base flow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .instance import ContractViolation, InstanceError
@@ -59,22 +65,19 @@ class FlowResult:
     min_cut: frozenset | None  # source side; None if value is infinite
 
 
-def max_flow(net: FlowNetwork) -> FlowResult:
-    """Maximum flow value, a per-arc flow, and the minimal source-side min cut.
+def _arrays(cap, index):
+    """Residual arrays of the dict-of-dicts network `cap`, whose node u has
+    the id index[u], its position in `cap`.
 
-    If the source can reach the sink through infinite-capacity arcs alone the
-    value is math.inf and no flow/cut is reported.
+    Arc 2k is the k-th arc of `cap` in insertion order and arc 2k+1 its
+    reverse; a node lists its own arcs first, then the reverse arcs into it,
+    so the flow chosen never depends on hash randomization.  Returns (head,
+    res, adj, back), where back[j] lists the reverse arcs out of node j.
     """
-    nodes = list(net.cap)
-    index = {u: i for i, u in enumerate(nodes)}
-    s, t = index[net.source], index[net.sink]
-    # arc 2k is the k-th arc of net.cap in insertion order and arc 2k+1 its
-    # reverse; a node lists its own arcs first, then the reverse arcs into
-    # it, so the flow chosen never depends on hash randomization
     head, res = [], []
-    adj = [[] for _ in nodes]
-    back = [[] for _ in nodes]
-    for i, row in enumerate(net.cap.values()):
+    adj = [[] for _ in cap]
+    back = [[] for _ in cap]
+    for i, row in enumerate(cap.values()):
         out = adj[i]
         for v, c in row.items():
             j = index[v]
@@ -85,23 +88,17 @@ def max_flow(net: FlowNetwork) -> FlowResult:
             res += (c, 0)
     for out, rev in zip(adj, back):
         out += rev
+    return head, res, adj, back
 
-    # infinite value iff an all-infinite path exists; its last arc enters t
-    if any(res[e ^ 1] is INF for e in back[t]):
-        seen = {s}
-        stack = [s]
-        while stack:
-            for e in adj[stack.pop()]:
-                if e & 1 == 0 and res[e] is INF and head[e] not in seen:
-                    seen.add(head[e])
-                    stack.append(head[e])
-        if t in seen:
-            return FlowResult(INF, {}, None)
 
+def _augment(head, res, adj, s, t):
+    """Dinic from the flow that the residuals `res` hold to a maximum flow,
+    updating `res` in place.  Returns the value added and the nodes the last
+    BFS reached: the minimal source side of a min cut."""
     value = 0
     while True:
         # level graph: BFS over arcs with residual capacity
-        level = [-1] * len(nodes)
+        level = [-1] * len(adj)
         level[s] = 0
         reached = [s]
         for u in reached:
@@ -111,10 +108,10 @@ def max_flow(net: FlowNetwork) -> FlowResult:
                     level[head[e]] = lv
                     reached.append(head[e])
         if level[t] < 0:
-            break
+            return value, reached
         # blocking flow: iterative DFS along level-increasing arcs, each node
         # resuming at its current arc
-        pos = [0] * len(nodes)
+        pos = [0] * len(adj)
         path = []
         u = s
         while True:
@@ -134,15 +131,16 @@ def max_flow(net: FlowNetwork) -> FlowResult:
                 del path[cut:]
                 continue
             arcs = adj[u]
+            end = len(arcs)
             i = pos[u]
             lv = level[u] + 1
-            while i < len(arcs):
+            while i < end:
                 e = arcs[i]
                 if res[e] and level[head[e]] == lv:
                     break
                 i += 1
             pos[u] = i
-            if i < len(arcs):
+            if i < end:
                 path.append(arcs[i])
                 u = head[arcs[i]]
             elif u == s:
@@ -151,6 +149,32 @@ def max_flow(net: FlowNetwork) -> FlowResult:
                 level[u] = -1
                 u = head[path.pop() ^ 1]
                 pos[u] += 1
+
+
+def max_flow(net: FlowNetwork) -> FlowResult:
+    """Maximum flow value, a per-arc flow, and the minimal source-side min cut.
+
+    If the source can reach the sink through infinite-capacity arcs alone the
+    value is math.inf and no flow/cut is reported.
+    """
+    nodes = list(net.cap)
+    index = {u: i for i, u in enumerate(nodes)}
+    s, t = index[net.source], index[net.sink]
+    head, res, adj, back = _arrays(net.cap, index)
+
+    # infinite value iff an all-infinite path exists; its last arc enters t
+    if any(res[e ^ 1] is INF for e in back[t]):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for e in adj[stack.pop()]:
+                if e & 1 == 0 and res[e] is INF and head[e] not in seen:
+                    seen.add(head[e])
+                    stack.append(head[e])
+        if t in seen:
+            return FlowResult(INF, {}, None)
+
+    value, reached = _augment(head, res, adj, s, t)
 
     # flow on arc 2k is the residual of its reverse; opposite flows on
     # antiparallel arcs cancel
@@ -171,19 +195,9 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     return FlowResult(value, flow, frozenset(nodes[i] for i in reached))
 
 
-def transport(demand: Mapping, allowed: Mapping, supply: Mapping):
-    """Route client demand to allowed centers within their supply.
-
-    The network is source -> client (capacity demand[c]) -> each center of
-    allowed[c] (unbounded) -> sink (capacity supply[v]), on integer node ids:
-    source 0, sink 1, the clients in the order given, then the centers in
-    the order they are first named, allowed lists before supply.  A center
-    without a supply entry is a dead end.  Returns (value, flow, blocked):
-    the flow value, the positive client -> center flow keyed
-    (client, center), and the clients on the source side of the minimal
-    min cut, which violate Hall's condition together when value falls
-    short of the total demand.
-    """
+def _transport_network(cap, demand, allowed, supply):
+    """Fill `cap`, a dict-of-dicts holding only the source 0 and the sink 1,
+    with the transport network of `transport`; returns the center ids."""
     clients = list(demand)
     first = len(clients) + 2  # id of the first center
     center_id: dict = {}
@@ -192,8 +206,6 @@ def transport(demand: Mapping, allowed: Mapping, supply: Mapping):
             center_id.setdefault(v, first + len(center_id))
     for v in supply:
         center_id.setdefault(v, first + len(center_id))
-    net = FlowNetwork(0, 1)
-    cap = net.cap
     src = cap[0]
     for i, c in enumerate(clients, 2):
         d = demand[c]
@@ -207,9 +219,29 @@ def transport(demand: Mapping, allowed: Mapping, supply: Mapping):
         if s is not INF and s < 0:
             raise InstanceError("negative capacity")
         cap[center_id[v]][1] = s
+    return center_id
+
+
+def transport(demand: Mapping, allowed: Mapping, supply: Mapping):
+    """Route client demand to allowed centers within their supply.
+
+    The network is source -> client (capacity demand[c]) -> each center of
+    allowed[c] (unbounded) -> sink (capacity supply[v]), on integer node ids:
+    source 0, sink 1, the clients in the order given, then the centers in
+    the order they are first named, allowed lists before supply.  A center
+    without a supply entry is a dead end.  Returns (value, flow, blocked):
+    the flow value, the positive client -> center flow keyed
+    (client, center), and the clients on the source side of the minimal
+    min cut, which violate Hall's condition together when value falls
+    short of the total demand.
+    """
+    net = FlowNetwork(0, 1)
+    center_id = _transport_network(net.cap, demand, allowed, supply)
     res = max_flow(net)
     if res.value is INF:
         raise ContractViolation("transport value is infinite")
+    clients = list(demand)
+    first = len(clients) + 2
     centers = list(center_id)
     flow = {
         (clients[u - 2], centers[v - first]): f
@@ -218,6 +250,60 @@ def transport(demand: Mapping, allowed: Mapping, supply: Mapping):
     }
     blocked = frozenset(clients[u - 2] for u in res.min_cut if 2 <= u < first)
     return res.value, flow, blocked
+
+
+def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=(), closed=()):
+    """The network of `transport`, solved once per variant: first for each
+    client w of `forced`, with w's demand made infinite, then for each center
+    set of `closed`, with the supply of those centers made 0.
+
+    Returns one (value, blocked) pair per variant, in that order, with the
+    value and blocked clients `transport` returns for that variant; the
+    value is a Fraction.  Every supply must be finite.  The arrays are built
+    once, with every finite demand and supply scaled by the lcm of their
+    denominators, so every residual is an int.  A forced variant starts from
+    the base maximum flow, which stays feasible when a capacity rises; a
+    closed variant starts from the zero flow.  The value and the minimal
+    min cut do not depend on the maximum flow reached.
+    """
+    if any(s is INF for s in supply.values()):
+        raise ContractViolation("infinite supply in transport_cuts")
+    cap: dict = {0: {}, 1: {}}
+    center_id = _transport_network(cap, demand, allowed, supply)
+    finite = [c for row in cap.values() for c in row.values() if c is not INF]
+    scale = math.lcm(*(c.denominator for c in finite))
+    for row in cap.values():
+        for v, c in row.items():
+            if c is not INF:
+                row[v] = c.numerator * (scale // c.denominator)
+    head, zero, adj, _ = _arrays(cap, range(len(cap)))
+    clients = list(demand)
+    first = len(clients) + 2
+
+    def cut(total, reached):
+        blocked = frozenset(clients[u - 2] for u in reached if 2 <= u < first)
+        return Fraction(total, scale), blocked
+
+    out = []
+    base = None
+    position = {c: k for k, c in enumerate(clients)}
+    for w in forced:
+        if w not in position:
+            raise InstanceError(f"forced client {w!r} has no demand")
+        if base is None:
+            base = zero[:]
+            base_value, _ = _augment(head, base, adj, 0, 1)
+        res = base[:]
+        res[adj[0][position[w]]] = INF  # the source arc of w, listed first
+        more, reached = _augment(head, res, adj, 0, 1)
+        out.append(cut(base_value + more, reached))
+    for F in closed:
+        res = zero[:]
+        for v in F:
+            if v in supply:
+                res[adj[center_id[v]][0]] = 0  # the sink arc of v, its only own arc
+        out.append(cut(*_augment(head, res, adj, 0, 1)))
+    return out
 
 
 @dataclass

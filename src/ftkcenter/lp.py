@@ -10,8 +10,9 @@ are the ones the same Bland simplex makes over Fractions; points are
 returned as Fractions, rhs over the basic coefficient.
 
 The two separators turn the exponential Hall-style constraint families into
-polynomially many min-cut computations; generated rows live for one
-threshold's solve and are discarded afterwards.
+polynomially many min-cut computations, each family one `transport_cuts`
+call on integer residuals; generated rows live for one threshold's solve
+and are discarded afterwards.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 from .clustering import Clustering, DirectedGraph
-from .flow import INF, transport
+from .flow import transport_cuts
 from .instance import (
     ContractViolation,
     InstanceError,
@@ -258,25 +259,27 @@ def separate_general(
     capacities: Sequence[int],
 ) -> Separation:
     """Min-cut separation for the Hall rows over (U, F): one cut per failure
-    scenario F (alpha backups).  Returns the global minimum value and the
-    lowest-indexed violated witness."""
+    scenario F (alpha backups), each the network of supplies y * capacity
+    over G' with F closed, all solved by one `transport_cuts` call.  Returns
+    the global minimum value and the lowest-indexed violated witness."""
     n = graph.n
-    B = sorted(backup_set)
-    demand = dict.fromkeys(range(n), 1)
+    scenarios = list(combinations(sorted(backup_set), alpha))
+    if not scenarios:  # no scenario to separate over
+        return Separation(ZERO, ZERO, None, None, None)
+    cuts = transport_cuts(
+        dict.fromkeys(range(n), 1),
+        {v: gprime.closed_out(v) for v in range(n)},
+        {u: y[u] * capacities[u] for u in range(n)},
+        closed=scenarios,
+    )
     best = None
     witness = None
-    for F in combinations(B, alpha):
-        Fset = frozenset(F)
-        allowed = {v: [u for u in gprime.closed_out(v) if u not in Fset] for v in range(n)}
-        supply = {u: y[u] * capacities[u] for u in range(n) if u not in Fset}
-        value, _, blocked = transport(demand, allowed, supply)
+    for F, (value, blocked) in zip(scenarios, cuts):
         val = value - n
         if best is None or val < best:
             best = val
         if val < 0 and witness is None:
             witness = (tuple(sorted(blocked)), F)
-    if best is None:  # no scenario to separate over
-        return Separation(ZERO, ZERO, None, None, None)
     row = None
     U = F = None
     if witness is not None:
@@ -296,7 +299,9 @@ def separate_uniform(
 
     A single cut cannot rule out the empty set, so one cut is run per forced
     vertex (an infinite source arc pins it inside U); the minimum over all n
-    cuts is the true minimum over nonempty U.
+    cuts is the true minimum over nonempty U.  The n cuts are the forced
+    variants of one `transport_cuts` call, each warm-started from the
+    maximum flow of the unforced network.
     """
     n = graph.n
     L = uniform_capacity_level(capacities)
@@ -305,9 +310,9 @@ def separate_uniform(
     supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
     best = None
     witness = None
-    for w in range(n):
-        demand = {v: INF if v == w else 1 for v in range(n)}
-        value, _, blocked = transport(demand, allowed, supply)
+    for value, blocked in transport_cuts(
+        dict.fromkeys(range(n), 1), allowed, supply, forced=range(n)
+    ):
         val = value - n
         if best is None or val < best:
             best = val

@@ -1,8 +1,9 @@
 """Shared test utilities: tiny graph builders, edge sets and masks read
 straight off the bits, the brute-force threshold filter, deque-BFS hop
 matrices and the hop-matrix clustering, exhaustive reference
-implementations of the separation problems, the Fraction-tableau simplex,
-the Edmonds-Karp max-flow, cut capacities, and assignment checkers."""
+implementations of the separation problems, the separators with one
+`transport` per cut, the Fraction-tableau simplex, the Edmonds-Karp
+max-flow, cut capacities, and the conservative-repair check."""
 
 import math
 from collections import deque
@@ -10,13 +11,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from ftkcenter.clustering import Clustering
-from ftkcenter.flow import INF, FlowResult
+from ftkcenter.flow import INF, FlowResult, transport
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
     ThresholdGraph,
     uniform_capacity_level,
 )
+from ftkcenter.lp import Row, Separation
 
 
 def path_graph(n: int) -> ThresholdGraph:
@@ -175,6 +177,64 @@ def brute_separate_uniform(y, graph, caps, alpha):
             if best is None or have < best:
                 best = have
     return best
+
+
+def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
+    """`lp.separate_general` with one `transport` per failure scenario F on
+    the network rebuilt without F: the reference for the single
+    `transport_cuts` call of the separator."""
+    n = graph.n
+    B = sorted(backup_set)
+    demand = dict.fromkeys(range(n), 1)
+    best = None
+    witness = None
+    for F in combinations(B, alpha):
+        Fset = frozenset(F)
+        allowed = {v: [u for u in gprime.closed_out(v) if u not in Fset] for v in range(n)}
+        supply = {u: y[u] * capacities[u] for u in range(n) if u not in Fset}
+        value, _, blocked = transport(demand, allowed, supply)
+        val = value - n
+        if best is None or val < best:
+            best = val
+        if val < 0 and witness is None:
+            witness = (tuple(sorted(blocked)), F)
+    if best is None:
+        return Separation(Fraction(0), Fraction(0), None, None, None)
+    row = None
+    U = F = None
+    if witness is not None:
+        U, F = witness
+        reach = gprime.closed_out(U) - set(F)
+        row = Row.make({u: capacities[u] for u in reach}, ">=", len(U))
+    return Separation(best, Fraction(0), U, F, row)
+
+
+def per_cut_separate_uniform(y, graph, capacities, alpha):
+    """`lp.separate_uniform` with one `transport` from scratch per forced
+    vertex w, w's demand infinite: the reference for the warm-started
+    `transport_cuts` call of the separator."""
+    n = graph.n
+    L = uniform_capacity_level(capacities)
+    threshold = Fraction(alpha * L)
+    allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
+    supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
+    best = None
+    witness = None
+    for w in range(n):
+        demand = {v: INF if v == w else 1 for v in range(n)}
+        value, _, blocked = transport(demand, allowed, supply)
+        val = value - n
+        if best is None or val < best:
+            best = val
+        if val < threshold and witness is None:
+            witness = tuple(sorted(blocked))
+    row = None
+    if witness is not None:
+        reach = set()
+        for v in witness:
+            reach.update(allowed[v])
+        row = Row.make({u: L for u in reach}, ">=", len(witness) + alpha * L)
+    return Separation(best, threshold, witness, None, row)
 
 
 def fraction_feasible_point(lp):
@@ -363,21 +423,6 @@ def edmonds_karp_max_flow(net):
                 reachable.add(v)
                 q.append(v)
     return FlowResult(value, {a: f for a, f in flow.items() if f > 0}, frozenset(reachable))
-
-
-def check_assignment(graph_or_d2, phi, centers, caps, bound, squared=False):
-    """Totality, membership, capacity, and distance bound of an assignment."""
-    hops = None if squared else graph_or_d2.hops()
-    load = {}
-    for u, c in phi.items():
-        assert c in centers, f"vertex {u} assigned outside the solution"
-        load[c] = load.get(c, 0) + 1
-        if squared:
-            assert graph_or_d2[u][c] <= bound, (u, c)
-        else:
-            assert hops[u][c] <= bound, (u, c)
-    for c, l in load.items():
-        assert l <= caps[c], f"center {c} overloaded: {l} > {caps[c]}"
 
 
 def conservative_consistent(phi0, phi, F):

@@ -6,7 +6,14 @@ import pytest
 
 from ftkcenter import flow
 from ftkcenter.clustering import backup_union, build_gprime, monarch_clustering, select_backups
-from ftkcenter.flow import INF, FlowNetwork, capacitated_assignment, max_flow, transport
+from ftkcenter.flow import (
+    INF,
+    FlowNetwork,
+    capacitated_assignment,
+    max_flow,
+    transport,
+    transport_cuts,
+)
 from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, Radius
 from ftkcenter.lp import separate_general, separate_uniform
 from ftkcenter.oracle import verify_ft
@@ -148,6 +155,67 @@ def test_transport_unbounded_supply_is_a_contract_violation():
         transport({0: INF}, {0: [10]}, {10: INF})
 
 
+def test_transport_cuts_match_transport_per_variant():
+    """Each forced variant is `transport` with that client's demand infinite
+    and each closed variant `transport` without the closed centers, on
+    random transport networks with Fraction, zero and infinite demands,
+    Fraction and zero supplies, and dead-end centers."""
+    rng = random.Random(1970)
+    forced_total = closed_total = short = 0
+    for _ in range(200):
+        clients = rng.sample(range(20), rng.randint(0, 6))
+        centers = list(range(20, 20 + rng.randint(0, 5)))
+
+        def amount():
+            roll = rng.random()
+            if roll < 0.2:
+                return 0
+            if roll < 0.6:
+                return Fraction(rng.randint(0, 9), rng.randint(1, 6))
+            return rng.randint(0, 4)
+
+        demand = {c: INF if rng.random() < 0.1 else amount() for c in clients}
+        allowed = {c: rng.sample(centers, rng.randint(0, len(centers))) for c in clients}
+        supply = {v: amount() for v in centers if rng.random() < 0.85}
+        forced = rng.sample(clients, rng.randint(0, len(clients)))
+        closed = [
+            tuple(rng.sample(centers, rng.randint(0, len(centers))))
+            for _ in range(rng.randint(0, 3))
+        ]
+        cuts = transport_cuts(demand, allowed, supply, forced=forced, closed=closed)
+        assert len(cuts) == len(forced) + len(closed)
+        expected = []
+        for w in forced:
+            value, _, blocked = transport({**demand, w: INF}, allowed, supply)
+            expected.append((value, blocked))
+            assert w in blocked
+        for F in closed:
+            value, _, blocked = transport(
+                demand,
+                {c: [v for v in allowed[c] if v not in F] for c in clients},
+                {v: s for v, s in supply.items() if v not in F},
+            )
+            expected.append((value, blocked))
+        assert cuts == expected
+        assert all(isinstance(value, Fraction) for value, _ in cuts)
+        forced_total += len(forced)
+        closed_total += len(closed)
+        short += sum(1 for value, _ in cuts[len(forced):] if value < sum(
+            d for d in demand.values() if d is not INF))
+    assert forced_total > 100 and closed_total > 100 and short > 20
+
+
+def test_transport_cuts_rejects_infinite_supply_and_unknown_clients():
+    with pytest.raises(ContractViolation):
+        transport_cuts({0: 1}, {0: [10]}, {10: INF}, forced=[0])
+    with pytest.raises(ContractViolation):
+        transport_cuts({0: 1}, {0: [10]}, {10: INF})
+    with pytest.raises(InstanceError):
+        transport_cuts({0: 1}, {0: [10]}, {10: 1}, forced=[1])
+    with pytest.raises(InstanceError):
+        transport_cuts({0: 1}, {0: [10]}, {10: -1}, closed=[()])
+
+
 # -- the engine against the Edmonds-Karp reference ----------------------------
 
 
@@ -220,42 +288,33 @@ def test_max_flow_on_a_long_path_needs_no_recursion():
 # -- probe contract -----------------------------------------------------------
 
 
+def count_calls(monkeypatch, calls, fn):
+    """Rebind every package-module global bound to fn, as the benchmark
+    probes do, to a wrapper that counts calls in calls[fn.__name__]."""
+
+    def wrapper(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ftkcenter" or name.startswith("ftkcenter."):
+            for key, val in list(vars(module).items()):
+                if val is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+
+
 def test_every_transport_runs_one_max_flow_through_the_module_global(monkeypatch):
     """Each transport call reaches `flow.max_flow` through the module global,
     once, as the per-layer benchmark probe that wraps it expects."""
     calls = {"transport": 0, "max_flow": 0}
+    count_calls(monkeypatch, calls, flow.max_flow)
+    count_calls(monkeypatch, calls, flow.transport)
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(flow, "max_flow", counting("max_flow", flow.max_flow))
-    original = flow.transport
-    wrapped = counting("transport", original)
-    for name, module in list(sys.modules.items()):
-        if name == "ftkcenter" or name.startswith("ftkcenter."):
-            for key, val in list(vars(module).items()):
-                if val is original:
-                    monkeypatch.setattr(module, key, wrapped)
-
-    g6 = cycle_graph(6)
-    caps6 = [2, 1, 3, 1, 2, 1]
-    cl = monarch_clustering(g6)
-    backups, reason = select_backups(cl, caps6, 1)
-    assert reason is None
-    half = {u: Fraction(1, 2) for u in range(6)}
     p3 = path_graph(3)
     line = MetricInstance.from_points([(0, 0), (1, 0), (2, 0), (3, 0)], 2, 1, [4, 4, 4, 4])
     runs = {
         "capacitated_assignment": lambda: capacitated_assignment(
             [0, 1, 2], [10, 11], {0: [10, 11], 1: [10], 2: [11]}, {10: 1, 11: 2}),
-        "separate_general": lambda: separate_general(
-            half, g6, build_gprime(g6, cl, backups), backup_union(backups), 1, caps6),
-        "separate_uniform": lambda: separate_uniform(
-            {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}, p3, [1, 1, 1], 0),
         "condition_b_flow": lambda: condition_b_flow(
             {1: Fraction(1)}, {0: Fraction(1)}, p3, 1, frozenset(), [1, 1, 1]),
         "verify_ft": lambda: verify_ft(line, [1, 2], Radius.exact(Fraction(2))),
@@ -265,3 +324,31 @@ def test_every_transport_runs_one_max_flow_through_the_module_global(monkeypatch
         run()
         assert calls["transport"] > 0, label
         assert calls["max_flow"] == calls["transport"], (label, calls)
+
+
+def test_every_separation_pass_runs_one_transport_cuts_through_the_module_global(monkeypatch):
+    """Each separator call is one `flow.transport_cuts` call, reached through
+    the module global, and runs no `max_flow`: its cuts share one set of
+    integer residual arrays, so the benchmark charges their time to the
+    separator itself."""
+    calls = {"transport_cuts": 0, "max_flow": 0}
+    count_calls(monkeypatch, calls, flow.max_flow)
+    count_calls(monkeypatch, calls, flow.transport_cuts)
+
+    g6 = cycle_graph(6)
+    caps6 = [2, 1, 3, 1, 2, 1]
+    cl = monarch_clustering(g6)
+    backups, reason = select_backups(cl, caps6, 1)
+    assert reason is None
+    half = {u: Fraction(1, 2) for u in range(6)}
+    p3 = path_graph(3)
+    runs = {
+        "separate_general": lambda: separate_general(
+            half, g6, build_gprime(g6, cl, backups), backup_union(backups), 1, caps6),
+        "separate_uniform": lambda: separate_uniform(
+            {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}, p3, [1, 1, 1], 0),
+    }
+    for label, run in runs.items():
+        calls.update(transport_cuts=0, max_flow=0)
+        run()
+        assert calls == {"transport_cuts": 1, "max_flow": 0}, (label, calls)

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from ftkcenter.clustering import (
+    DirectedGraph,
     backup_union,
     build_gprime,
     monarch_clustering,
     select_backups,
 )
-from ftkcenter.instance import ContractViolation, InstanceError
+from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
 from ftkcenter.lp import (
     LinearProgram,
     Row,
@@ -31,6 +32,8 @@ from helpers import (
     cycle_graph,
     fraction_feasible_point,
     path_graph,
+    per_cut_separate_general,
+    per_cut_separate_uniform,
 )
 
 
@@ -266,6 +269,42 @@ def test_separate_general_no_scenarios_is_clean():
     cl = monarch_clustering(g)
     sep = separate_general({0: Fraction(1), 1: Fraction(0)}, g, build_gprime(g, cl, {}), frozenset(), 1, [1, 1])
     assert not sep.violated and sep.row is None
+
+
+def test_separators_match_one_transport_per_cut():
+    """One `transport_cuts` call per pass gives the records of one
+    `transport` per forced vertex or failure scenario: value, threshold,
+    witnesses and row, on graphs that may be disconnected, y with mixed
+    denominators and zeros, {0,L} capacities with zeros, alpha 0..2 and
+    backup sets too small for any scenario."""
+    rng = random.Random(1994)
+    seen = {"uniform violated": 0, "general violated": 0, "no scenario": 0, "disconnected": 0}
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = ThresholdGraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        seen["disconnected"] += len(g.components()) > 1
+        y = {
+            u: Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(0, 6), rng.randint(1, 7))
+            for u in range(n)
+        }
+        alpha = rng.randint(0, 2)
+
+        L = rng.randint(1, 3)
+        caps = [L if rng.random() < 0.75 else 0 for _ in range(n)]
+        sep = separate_uniform(y, g, caps, alpha)
+        assert sep == per_cut_separate_uniform(y, g, caps, alpha)
+        seen["uniform violated"] += sep.violated
+
+        out = [set(rng.sample(range(n), rng.randint(0, n))) - {u} for u in range(n)]
+        gp = DirectedGraph(n, out)
+        backups = frozenset(rng.sample(range(n), rng.randint(0, min(n, 3))))
+        caps = [rng.randint(0, 3) for _ in range(n)]
+        sep = separate_general(y, g, gp, backups, alpha, caps)
+        assert sep == per_cut_separate_general(y, g, gp, backups, alpha, caps)
+        seen["general violated"] += sep.violated
+        seen["no scenario"] += len(backups) < alpha
+    assert min(seen.values()) >= 5, seen
 
 
 def test_cutting_plane_uniform_path5():

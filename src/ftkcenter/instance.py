@@ -8,9 +8,10 @@ takes a square root.
 
 The sweep compares each distance once per instance: the first threshold
 graph ranks the vertex pairs by squared distance, and every threshold graph
-is the prefix of that ranking up to its threshold.  A graph is its int
-adjacency bitmasks alone: closed neighborhoods, hop rows, balls and
-components are read off them by bitset frontier expansion.
+is the prefix of that ranking up to its threshold, grown from the last
+prefix built.  A graph is its int adjacency bitmasks alone: closed
+neighborhoods, hop rows, balls and components are read off them by bitset
+frontier expansion.
 """
 
 from __future__ import annotations
@@ -296,10 +297,39 @@ def _validate_square(rows, n, what):
             raise InstanceError(f"{what} must be {n}x{n}")
 
 
-def _triangle_sq_ok(a2: Fraction, b2: Fraction, c2: Fraction) -> bool:
+def _triangle_sq_ok(a2: int, b2: int, c2: int) -> bool:
     # sqrt(a2) <= sqrt(b2) + sqrt(c2), decided without square roots
     diff = a2 - b2 - c2
     return diff <= 0 or diff * diff <= 4 * b2 * c2
+
+
+def _triangle_failure(d2) -> tuple[int, int, int] | None:
+    """The lexicographically smallest (i, j, m), i < j, with d(i,j) > d(i,m)
+    + d(m,j), or None for a metric.
+
+    Only the longest side of a triangle can exceed the sum of the other two,
+    so each unordered triple a < b < c is checked once, on its longest side,
+    on the squares scaled to ints by the lcm of their denominators.
+    """
+    n = len(d2)
+    scale = math.lcm(*(x.denominator for row in d2 for x in row))
+    d2 = [[x.numerator * (scale // x.denominator) for x in row] for row in d2]
+    bad = None
+    for a in range(n):
+        row_a = d2[a]
+        for b in range(a + 1, n):
+            ab, row_b = row_a[b], d2[b]
+            for c in range(b + 1, n):
+                ac, bc = row_a[c], row_b[c]
+                if ab >= ac and ab >= bc:
+                    fail = (a, b, c) if not _triangle_sq_ok(ab, ac, bc) else None
+                elif ac >= bc:
+                    fail = (a, c, b) if not _triangle_sq_ok(ac, ab, bc) else None
+                else:
+                    fail = (b, c, a) if not _triangle_sq_ok(bc, ab, ac) else None
+                if fail and (bad is None or fail < bad):
+                    bad = fail
+    return bad
 
 
 @dataclass(frozen=True)
@@ -376,14 +406,10 @@ class MetricInstance:
                 if self.d2[i][j] != self.d2[j][i]:
                     raise InstanceError(f"asymmetric distances at ({i},{j})")
         if check_triangle:
-            # (j, i) repeats the verdict of (i, j): d2 and the check are symmetric
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for m in range(n):
-                        if not _triangle_sq_ok(self.d2[i][j], self.d2[i][m], self.d2[m][j]):
-                            raise InstanceError(
-                                f"triangle inequality fails on ({i},{j}) via {m}"
-                            )
+            bad = _triangle_failure(self.d2)
+            if bad:
+                i, j, m = bad
+                raise InstanceError(f"triangle inequality fails on ({i},{j}) via {m}")
 
     # -- thresholds ------------------------------------------------------
 
@@ -420,12 +446,24 @@ class MetricInstance:
 
     def threshold_graph(self, tau2: Fraction) -> ThresholdGraph:
         """Unweighted graph with an edge iff the squared distance is <= tau2:
-        the ranked pairs up to the last threshold not above tau2."""
+        the ranked pairs up to the last threshold not above tau2.
+
+        The masks of the last prefix built are kept, so a sweep adds each
+        ranked pair once; a shorter prefix is grown again from no edges.
+        """
         thresholds, pairs, prefix = self._ranking()
         i = bisect_right(thresholds, tau2)
+        end = prefix[i - 1] if i else 0
         n = self.n
-        edges = [divmod(p, n) for p in pairs[: prefix[i - 1] if i else 0]]
-        return ThresholdGraph(n, edges, tau2=_to_fraction(tau2))
+        start, masks = self.__dict__.get("_grown", (0, None))
+        if masks is None or end < start:
+            start, masks = 0, [0] * n
+        for p in pairs[start:end]:
+            u, v = divmod(p, n)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "_grown", (end, masks))
+        return ThresholdGraph.from_masks(masks, _to_fraction(tau2))
 
     # -- serialization ---------------------------------------------------
 

@@ -199,7 +199,12 @@ def lp_general_static(
 ) -> LinearProgram:
     """Static rows of the clustered LP: total mass k, backups pinned open,
     one fractional center in each head's neighborhood outside the backups,
-    and y <= 1."""
+    and y <= 1.
+
+    The heads of a monarch clustering are at least three hops apart, so
+    their closed neighborhoods are disjoint and the system is a count:
+    `static_general_infeasible` decides it without a simplex, and this LP
+    is its reference in the tests."""
     n = graph.n
     lp = LinearProgram(n)
     lp.add({u: 1 for u in range(n)}, "==", k)
@@ -211,6 +216,37 @@ def lp_general_static(
     for u in range(n):
         lp.add({u: 1}, "<=", 1)
     return lp
+
+
+def static_general_infeasible(
+    graph: ThresholdGraph, k: int, clustering: Clustering, backup_set
+) -> str | None:
+    """Why the rows of `lp_general_static` are infeasible, or None if they
+    are feasible.
+
+    The sets closed(h) minus B are pairwise disjoint (heads are at least
+    three hops apart) and disjoint from the backups B, so every feasible y
+    has mass at least |B| + #heads, and mass k needs k <= n.  Conversely,
+    if every such set is nonempty and |B| + #heads <= k <= n, then opening
+    B, one vertex of each set and any further k - |B| - #heads vertices is
+    an integral feasible point.
+    """
+    pinned = 0
+    for b in backup_set:
+        pinned |= 1 << b
+    masks = graph.masks
+    for h in clustering.heads:
+        if not (masks[h] | 1 << h) & ~pinned:
+            return f"the closed neighborhood of head {h} holds only pinned backups"
+    pins, heads = len(backup_set), len(clustering.heads)
+    if pins + heads > k:
+        return (
+            f"{pins} pinned backups and one center near each of {heads} heads "
+            f"exceed the budget {k}"
+        )
+    if k > graph.n:
+        return f"budget k = {k} exceeds the {graph.n} vertices"
+    return None
 
 
 def lp_uniform_static(graph: ThresholdGraph, k: int, capacities: Sequence[int]) -> LinearProgram:

@@ -27,6 +27,7 @@ from .lp import (
     separate_general,
     separate_uniform,
     solve_cutting_plane,
+    static_general_infeasible,
 )
 from .rounding import (
     GeneralRounding,
@@ -39,7 +40,14 @@ DEFAULT_ALPHA_BOUND = 3
 
 
 def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
-    """Distance-1 solver for connected graphs with arbitrary capacities."""
+    """Distance-1 solver for connected graphs with arbitrary capacities.
+
+    The static rows of the clustered LP are decided by a count before G' is
+    built or the simplex runs: the heads' closed neighborhoods are disjoint,
+    so `static_general_infeasible` rejects exactly the thresholds whose
+    static system is infeasible.  Cuts only add rows, so each threshold it
+    rejects the cutting-plane LP would reject as well.
+    """
     why = quick_infeasible(graph, k, caps, alpha)
     if why:
         return PerTauInfeasible(why)
@@ -48,10 +56,9 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     if backups is None:
         return PerTauInfeasible(why)
     bset = backup_union(backups)
-    if len(bset) > k:
-        return PerTauInfeasible(
-            f"{len(bset)} pinned backups exceed the budget {k}"
-        )
+    why = static_general_infeasible(graph, k, cl, bset)
+    if why:
+        return PerTauInfeasible(why)
     gp = build_gprime(graph, cl, backups)
     lp = lp_general_static(graph, k, caps, cl, bset)
     y, _ = solve_cutting_plane(

@@ -71,6 +71,22 @@ def brute_threshold_pairs(inst, tau2) -> list:
     ]
 
 
+def per_pair_triangle_failure(d2):
+    """The first (i, j, m), i < j, in lexicographic order with
+    d(i,j) > d(i,m) + d(m,j), checking every pair against every vertex on
+    squared distances: the reference for the once-per-triple check of
+    `MetricInstance.from_matrix`."""
+    n = len(d2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for m in range(n):
+                a2, b2, c2 = d2[i][j], d2[i][m], d2[m][j]
+                diff = a2 - b2 - c2
+                if diff > 0 and diff * diff > 4 * b2 * c2:
+                    return i, j, m
+    return None
+
+
 def bfs_hops(graph: ThresholdGraph):
     """All-pairs hop matrix by a deque BFS from every vertex over the
     neighbor lists of `edge_set`: the reference for the bitset rows of

@@ -171,3 +171,27 @@ def test_random_point_instances_match_brute_filter():
         inst = MetricInstance.from_points(points, 1, 0, [1] * n)
         for tau2 in probe_thresholds(inst):
             assert_same_graph(inst.threshold_graph(tau2), inst.n, tau2, brute_threshold_pairs(inst, tau2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_threshold_graphs_in_any_query_order(seed):
+    """Ascending, descending, repeated and shuffled queries, and two sweeps
+    interleaved on one instance: every graph matches the brute-force
+    filter, also after later queries have grown or restarted the prefix."""
+    rng = random.Random(f"front-end/order/{seed}")
+    n = 3 + 3 * seed
+    points = [(rng.randrange(5), rng.randrange(5)) for _ in range(n)]
+    inst = MetricInstance.from_points(points, 1, 0, [1] * n)
+    taus = probe_thresholds(inst)
+    shuffled = taus[:]
+    rng.shuffle(shuffled)
+    repeated = [t for t in taus for _ in range(2)]
+    interleaved = [t for pair in zip(taus, reversed(taus)) for t in pair]
+    built = []
+    for order in (taus, taus[::-1], repeated, shuffled, interleaved):
+        for tau2 in order:
+            G = inst.threshold_graph(tau2)
+            assert_same_graph(G, n, tau2, brute_threshold_pairs(inst, tau2))
+            built.append((G, tau2))
+    for G, tau2 in built:
+        assert_same_graph(G, n, tau2, brute_threshold_pairs(inst, tau2))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from ftkcenter.instance import (
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
-from helpers import cycle_graph, edge_set, path_graph, power
+from helpers import cycle_graph, edge_set, path_graph, per_pair_triangle_failure, power
 
 LINE3 = [(0, 0), (1, 0), (2, 0)]
 
@@ -66,6 +67,30 @@ def test_from_matrix_checks_triangle():
     ok = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     inst = MetricInstance.from_matrix(ok, 1, 0, [3, 3, 3])
     assert inst.d2[0][2] == 4
+
+
+def test_from_matrix_triangle_check_matches_per_pair_scan():
+    """Random symmetric matrices, metric or not: the once-per-triple check
+    reports the same first failing (i, j) via m as the scan of every pair
+    against every vertex."""
+    rng = random.Random("triangle")
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        top = rng.choice((2, 4, 10))
+        dist = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist[i][j] = dist[j][i] = Fraction(rng.randint(1, top), rng.choice((1, 2)))
+        want = per_pair_triangle_failure([[x * x for x in row] for row in dist])
+        outcomes.add(want is None)
+        if want is None:
+            MetricInstance.from_matrix(dist, 1, 0, [1] * n)
+            continue
+        i, j, m = want
+        with pytest.raises(InstanceError, match=rf"^triangle inequality fails on \({i},{j}\) via {m}$"):
+            MetricInstance.from_matrix(dist, 1, 0, [1] * n)
+    assert outcomes == {True, False}
 
 
 def test_validation_rejects_bad_parameters():

@@ -23,6 +23,7 @@ from ftkcenter.lp import (
     separate_general,
     separate_uniform,
     solve_cutting_plane,
+    static_general_infeasible,
 )
 from ftkcenter.oracle import random_connected_graph
 
@@ -184,6 +185,66 @@ def test_general_static_c6_pinned_backups_overrun_k():
     lp0 = lp_general_static(g, 2, caps, cl, frozenset())
     x = feasible_point(lp0)
     assert x is not None and satisfies(lp0.rows, x)
+
+
+def count_agrees_with_lp(graph, k, caps, clustering, backup_set):
+    """The count's reason, asserted to exist exactly when the static LP is
+    infeasible."""
+    why = static_general_infeasible(graph, k, clustering, backup_set)
+    lp = lp_general_static(graph, k, caps, clustering, backup_set)
+    assert (why is not None) == (feasible_point(lp) is None)
+    return why
+
+
+def test_static_count_matches_lp_on_random_connected_graphs():
+    rng = random.Random("static-count")
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        g = random_connected_graph(rng, n, rng.choice((0, 1, n // 2, n)))
+        caps = [rng.randint(0, n) for _ in range(n)]
+        alpha = rng.randint(0, 3)
+        k = rng.randint(1, n)
+        cl = monarch_clustering(g)
+        backups, _ = select_backups(cl, caps, alpha)
+        if backups is None:
+            continue
+        why = count_agrees_with_lp(g, k, caps, cl, backup_union(backups))
+        verdicts.add(why is None)
+    assert verdicts == {True, False}
+
+
+def test_static_count_hand_built_cases():
+    # path 0-1-2 is one cluster around head 0; alpha=2 pins 0 and 1, which is
+    # all of closed(0), although |B| + #heads = 3 = k = n
+    g = path_graph(3)
+    cl = monarch_clustering(g)
+    caps = [5, 5, 1]
+    backups, _ = select_backups(cl, caps, 2)
+    bset = backup_union(backups)
+    assert bset == {0, 1}
+    assert count_agrees_with_lp(g, 3, caps, cl, bset) == (
+        "the closed neighborhood of head 0 holds only pinned backups"
+    )
+
+    # C6 with alpha=1: two heads and two backups fit k = 4 exactly, not k = 3
+    g = cycle_graph(6)
+    cl = monarch_clustering(g)
+    caps = [1] * 6
+    backups, _ = select_backups(cl, caps, 1)
+    bset = backup_union(backups)
+    assert len(cl.heads) == 2 and len(bset) == 2
+    assert count_agrees_with_lp(g, 4, caps, cl, bset) is None
+    assert count_agrees_with_lp(g, 3, caps, cl, bset) == (
+        "2 pinned backups and one center near each of 2 heads exceed the budget 3"
+    )
+
+    # more budget than vertices
+    g = path_graph(3)
+    cl = monarch_clustering(g)
+    assert count_agrees_with_lp(g, 4, [1, 1, 1], cl, frozenset()) == (
+        "budget k = 4 exceeds the 3 vertices"
+    )
 
 
 def test_uniform_static_rows():

@@ -121,9 +121,6 @@ class Radius:
     def __le__(self, other: "Radius") -> bool:
         return self.value_sq() <= other.value_sq()
 
-    def approx(self) -> float:
-        return self.mult * math.sqrt(self.base2)
-
     def display(self) -> str:
         """Exact decimal string when the value is rational, float repr otherwise."""
         sq = self.value_sq()
@@ -134,7 +131,7 @@ class Radius:
                 return decimal_str(Fraction(rp, rq))
             except InstanceError:
                 return f"{rp}/{rq}"
-        return repr(self.approx())
+        return repr(self.mult * math.sqrt(self.base2))
 
 
 def _expand(masks: Sequence[int], frontier: int) -> int:

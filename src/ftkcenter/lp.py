@@ -9,6 +9,17 @@ ratio comparisons do not change under positive row scaling, so the pivots
 are the ones the same Bland simplex makes over Fractions; points are
 returned as Fractions, rhs over the basic coefficient.
 
+`solve_cutting_plane` runs phase 1 once and keeps the tableau between
+rounds.  Artificials left basic at level 0 are pivoted out (or their
+redundant rows dropped) and the artificial columns deleted.  Each cut then
+enters as `<=` rows with new basic slacks, reduced to basis coordinates,
+and Lemke's dual simplex re-solves from there: the row with a negative rhs
+and the lowest basic column leaves, and the lowest column with a negative
+entry in it enters.  Every reduced cost of a feasibility LP is 0, so the
+dual ratio test always ties and this is Bland's rule applied to the dual;
+a negative-rhs row with no negative entry proves infeasibility.
+`feasible_point` is the one-shot phase 1.
+
 The two separators turn the exponential Hall-style constraint families into
 polynomially many min-cut computations, each family one `transport_cuts`
 call on integer residuals; generated rows live for one threshold's solve
@@ -36,6 +47,7 @@ ZERO = Fraction(0)
 
 _RELS = ("<=", ">=", "==")
 _FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}  # the relation after negating a row
+_LE_SIGNS = {"<=": (1,), ">=": (-1,), "==": (1, -1)}  # a row as sign * row <= ...
 
 
 @dataclass(frozen=True)
@@ -67,20 +79,34 @@ class LinearProgram:
 
 def feasible_point(lp: LinearProgram):
     """A feasible assignment (dict var -> Fraction) or None if infeasible."""
+    tab = _phase1(lp)
+    return None if tab is None else tab.point()
+
+
+def _int_row(row: Row, nvars: int, sign: int):
+    """(int coefficients, int rhs, scale > 0) of sign * row times the lcm
+    `scale` of its denominators."""
+    num, den = row.rhs.numerator, row.rhs.denominator
+    scale = lcm(den, *(c.denominator for _, c in row.coeffs))
+    coeffs = []
+    for v, c in row.coeffs:
+        if not 0 <= v < nvars:
+            raise InstanceError(f"variable {v} out of range")
+        coeffs.append((v, sign * c.numerator * (scale // c.denominator)))
+    return coeffs, sign * num * (scale // den), scale
+
+
+def _phase1(lp: LinearProgram) -> "_Tableau | None":
+    """Phase 1 on lp's rows: a feasible basis without artificial columns, or
+    None if the rows are infeasible."""
     nvars = lp.num_vars
     norm = []  # (int coefficients, relation, int rhs >= 0, scale > 0)
     for row in lp.rows:
-        num, den = row.rhs.numerator, row.rhs.denominator
-        scale = lcm(den, *(c.denominator for _, c in row.coeffs))
         sign, rel = 1, row.rel
-        if num < 0:
+        if row.rhs < 0:
             sign, rel = -1, _FLIPPED[rel]
-        coeffs = []
-        for v, c in row.coeffs:
-            if not 0 <= v < nvars:
-                raise InstanceError(f"variable {v} out of range")
-            coeffs.append((v, sign * c.numerator * (scale // c.denominator)))
-        norm.append((coeffs, rel, sign * num * (scale // den), scale))
+        coeffs, rhs, scale = _int_row(row, nvars, sign)
+        norm.append((coeffs, rel, rhs, scale))
 
     cols = nvars
     slack_col, art_col = {}, {}
@@ -88,6 +114,7 @@ def feasible_point(lp: LinearProgram):
         if rel != "==":
             slack_col[i] = cols
             cols += 1
+    art = cols  # the first artificial column
     for i, (_, rel, _, _) in enumerate(norm):
         if rel != "<=":
             art_col[i] = cols
@@ -147,25 +174,110 @@ def feasible_point(lp: LinearProgram):
                     pi, la, lr = i, a, row[-1]
         if pi is None:
             raise ContractViolation("phase-1 objective unbounded below")
-        pj = enter
-        prow = tableau[pi]
-        p = prow[pj]  # > 0, so every row stays a positive multiple
-        pivots = [(j, c) for j, c in enumerate(prow) if c != 0]
-        for row in tableau:
-            if row is not prow and row[pj] != 0:
-                _eliminate(row, pivots, p, pj)
-        if obj[pj] != 0:
-            _eliminate(obj, pivots, p, pj)
-        basis[pi] = pj
+        pivots = _pivot(tableau, basis, pi, enter)
+        if obj[enter] != 0:
+            _eliminate(obj, pivots, tableau[pi][enter], enter)
 
     if obj[-1] != 0:  # optimum of the artificial sum is -obj[-1] / obj_scale > 0
         return None
-    x = {j: ZERO for j in range(nvars)}
-    for i, b in enumerate(basis):
-        if b < nvars:
-            row = tableau[i]
-            x[b] = Fraction(row[-1], row[b])
-    return x
+    # every artificial left basic is at level 0: pivot it out on the lowest
+    # other column with a nonzero entry, or drop its row, which is then 0 = 0
+    i = 0
+    while i < len(tableau):
+        row = tableau[i]
+        if basis[i] >= art:
+            j = next((j for j in range(art) if row[j] != 0), None)
+            if j is None:
+                del tableau[i], basis[i]
+                continue
+            if row[j] < 0:
+                row[:] = [-a for a in row]
+            _pivot(tableau, basis, i, j)
+        i += 1
+    for row in tableau:
+        del row[art:-1]
+    return _Tableau(nvars, art, tableau, basis)
+
+
+@dataclass
+class _Tableau:
+    """A feasible basis of a system over nvars variables: int rows over the
+    variables and one slack column per inequality, rhs last.  basis[i] is
+    the basic column of row i, its entry there is positive, and every rhs is
+    nonnegative."""
+
+    nvars: int
+    cols: int  # columns before the rhs
+    rows: list
+    basis: list
+
+    def point(self) -> dict:
+        x = {j: ZERO for j in range(self.nvars)}
+        for row, b in zip(self.rows, self.basis):
+            if b < self.nvars:
+                x[b] = Fraction(row[-1], row[b])
+        return x
+
+    def cut(self, row: Row) -> bool:
+        """Add `row`, which the current point must violate, and re-solve by
+        dual simplex; False if the system is now infeasible.
+
+        The row enters as `<=` rows (an `==` row as its two halves), each
+        with a new basic slack, reduced against every basic column where it
+        has a nonzero entry; the multipliers are positive, so the slack's
+        entry stays positive."""
+        halves = [_int_row(row, self.nvars, s) for s in _LE_SIGNS[row.rel]]
+        tableau, basis = self.rows, self.basis
+        violated = False
+        for coeffs, rhs, scale in halves:
+            for r in tableau:
+                r.insert(-1, 0)
+            new = [0] * (self.cols + 2)
+            for v, c in coeffs:
+                new[v] += c
+            new[-2] = scale
+            new[-1] = rhs
+            for r, b in zip(tableau, basis):
+                if new[b] != 0:
+                    _eliminate(new, [(j, c) for j, c in enumerate(r) if c != 0], r[b], b)
+            tableau.append(new)
+            basis.append(self.cols)
+            self.cols += 1
+            violated |= new[-1] < 0
+        if not violated:
+            raise ContractViolation("separator returned a row the current point satisfies")
+        return self._dual_simplex()
+
+    def _dual_simplex(self) -> bool:
+        """Pivot until every rhs is nonnegative (True) or a negative-rhs row
+        with no negative entry proves infeasibility (False)."""
+        tableau, basis = self.rows, self.basis
+        while True:
+            pi = None
+            for i, row in enumerate(tableau):
+                if row[-1] < 0 and (pi is None or basis[i] < basis[pi]):
+                    pi = i
+            if pi is None:
+                return True
+            prow = tableau[pi]
+            pj = next((j for j in range(self.cols) if prow[j] < 0), None)
+            if pj is None:
+                return False
+            prow[:] = [-a for a in prow]  # a positive pivot keeps rows positive multiples
+            _pivot(tableau, basis, pi, pj)
+
+
+def _pivot(tableau, basis, pi, pj):
+    """Make column pj basic in row pi, whose entry there must be positive;
+    returns the pivot row's nonzero (column, entry) pairs."""
+    prow = tableau[pi]
+    p = prow[pj]  # > 0, so every row stays a positive multiple
+    pivots = [(j, c) for j, c in enumerate(prow) if c != 0]
+    for row in tableau:
+        if row is not prow and row[pj] != 0:
+            _eliminate(row, pivots, p, pj)
+    basis[pi] = pj
+    return pivots
 
 
 def _eliminate(row, pivots, p, pj):
@@ -373,23 +485,22 @@ def solve_cutting_plane(
     """Iterate solve/separate until a separation-clean point or infeasibility.
 
     Returns (y, cuts) where y is None on infeasibility; the returned y has
-    passed a full final separation pass.  Cuts are not reused across calls.
+    passed a full final separation pass.  Phase 1 runs once; each cut is
+    added to the kept tableau and re-solved by dual simplex.  Cuts are not
+    reused across calls.
     """
-    rows = list(lp.rows)
-    seen = set(rows)
+    tab = _phase1(lp)
     cuts = []
     for _ in range(max_rounds):
-        y = feasible_point(LinearProgram(lp.num_vars, rows))
-        if y is None:
+        if tab is None:
             return None, cuts
+        y = tab.point()
         sep = separator(y)
         if sep is None or not sep.violated:
             return y, cuts
         if sep.row is None:
             raise ContractViolation("violated separation without a row")
-        if sep.row in seen:
-            raise ContractViolation("separator returned an already-satisfied row")
-        seen.add(sep.row)
-        rows.append(sep.row)
         cuts.append(sep)
+        if not tab.cut(sep.row):
+            tab = None
     raise ContractViolation("cutting plane did not converge")

@@ -2,8 +2,9 @@
 straight off the bits, the brute-force threshold filter, deque-BFS hop
 matrices and the hop-matrix clustering, exhaustive reference
 implementations of the separation problems, the separators with one
-`transport` per cut, the Fraction-tableau simplex, the Edmonds-Karp
-max-flow, cut capacities, and the conservative-repair check."""
+`transport` per cut, the Fraction-tableau simplex, the from-scratch
+cutting-plane loop, the Edmonds-Karp max-flow, cut capacities, and the
+conservative-repair check."""
 
 import math
 from collections import deque
@@ -18,7 +19,7 @@ from ftkcenter.instance import (
     ThresholdGraph,
     uniform_capacity_level,
 )
-from ftkcenter.lp import Row, Separation
+from ftkcenter.lp import LinearProgram, Row, Separation, feasible_point
 
 
 def path_graph(n: int) -> ThresholdGraph:
@@ -357,6 +358,31 @@ def fraction_feasible_point(lp):
         if b < nvars:
             x[b] = tableau[i][-1]
     return x
+
+
+def scratch_cutting_plane(lp, separator, max_rounds=10_000):
+    """The cutting-plane loop with a from-scratch phase 1 on all rows so far
+    in every round: the reference for `lp.solve_cutting_plane`, which keeps
+    its tableau and re-solves each cut by dual simplex.  Returns (y, cuts)
+    with y None on infeasibility."""
+    rows = list(lp.rows)
+    seen = set(rows)
+    cuts = []
+    for _ in range(max_rounds):
+        y = feasible_point(LinearProgram(lp.num_vars, rows))
+        if y is None:
+            return None, cuts
+        sep = separator(y)
+        if sep is None or not sep.violated:
+            return y, cuts
+        if sep.row is None:
+            raise ContractViolation("violated separation without a row")
+        if sep.row in seen:
+            raise ContractViolation("separator returned an already-satisfied row")
+        seen.add(sep.row)
+        rows.append(sep.row)
+        cuts.append(sep)
+    raise ContractViolation("cutting plane did not converge")
 
 
 def _bfs_path(adj, residual, source, sink):

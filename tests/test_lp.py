@@ -1,7 +1,9 @@
 """LP layer: exact phase-1 simplex, the static row systems, min-cut
-separation against exhaustive enumeration, and the cutting-plane loop."""
+separation against exhaustive enumeration, and the warm-started
+cutting-plane loop against the from-scratch one."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
 from ftkcenter.lp import (
     LinearProgram,
     Row,
+    Separation,
     feasible_point,
     lp_general_static,
     lp_uniform_static,
@@ -35,6 +38,7 @@ from helpers import (
     path_graph,
     per_cut_separate_general,
     per_cut_separate_uniform,
+    scratch_cutting_plane,
 )
 
 
@@ -410,3 +414,152 @@ def test_cutting_plane_clean_separator_returns_first_point():
     lp.add({0: 1}, "==", 1)
     y, cuts = solve_cutting_plane(lp, lambda y: None)
     assert y == {0: Fraction(1)} and cuts == []
+
+
+def violated_cut(rng, y, nvars):
+    """A random row that y violates: any relation, a fractional rhs, and
+    sometimes no coefficients at all (then a contradiction like 0 >= 1)."""
+    coeffs = {}
+    if rng.random() < 0.9:
+        coeffs = {
+            v: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for v in range(nvars)
+            if rng.random() < 0.6
+        }
+    lhs = sum((c * y[v] for v, c in coeffs.items()), Fraction(0))
+    gap = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    rel = rng.choice(["<=", ">=", "=="])
+    if rel == "<=":
+        return Row.make(coeffs, rel, lhs - gap)
+    if rel == ">=":
+        return Row.make(coeffs, rel, lhs + gap)
+    return Row.make(coeffs, rel, lhs + rng.choice((-gap, gap)))
+
+
+def test_warm_cuts_match_from_scratch_verdicts():
+    """Cuts go into the kept tableau and are re-solved by dual simplex.
+    After every cut the verdict is the one `feasible_point` gives on all
+    rows so far, and a point is nonnegative and satisfies every row.  A
+    repeated `==` row leaves a basic artificial at level 0 after phase 1
+    (its copy is redundant), and so can an `==` row with rhs 0."""
+    rng = random.Random("warm-cuts")
+
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    seen = Counter()
+    for _ in range(500):
+        nvars = rng.randint(1, 5)
+        lp = LinearProgram(nvars)
+        for _ in range(rng.randint(0, 6)):
+            coeffs = {v: frac() for v in range(nvars) if rng.random() < 0.7}
+            lp.add(coeffs, rng.choice(["<=", ">=", "=="]), frac())
+        if rng.random() < 0.3:
+            coeffs = {v: frac() for v in range(nvars) if rng.random() < 0.7}
+            rhs = rng.choice((0, frac()))
+            lp.add(coeffs, "==", rhs)
+            lp.add(coeffs, "==", rhs)
+            seen["repeated =="] += 1
+        rows = list(lp.rows)
+        length = rng.randint(1, 8)
+
+        def separator(y):
+            assert all(v >= 0 for v in y.values())
+            assert satisfies(rows, y)
+            assert feasible_point(LinearProgram(nvars, rows)) is not None
+            seen["feasible"] += 1
+            if len(rows) - len(lp.rows) == length:
+                return None
+            row = violated_cut(rng, y, nvars)
+            seen[row.rel if row.coeffs else "empty"] += 1
+            rows.append(row)
+            return Separation(Fraction(-1), Fraction(0), None, None, row)
+
+        y, cuts = solve_cutting_plane(lp, separator)
+        assert len(cuts) == len(rows) - len(lp.rows)
+        if y is None:
+            assert feasible_point(LinearProgram(nvars, rows)) is None
+            seen["infeasible after a cut" if cuts else "infeasible"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_cutting_plane_rejects_a_satisfied_cut():
+    """A separator whose row the point already satisfies breaks the
+    contract, whichever the relation; a cut on an unknown variable is bad
+    input."""
+    lp = LinearProgram(2)
+    lp.add({0: 1, 1: 1}, "==", 1)
+    y = feasible_point(lp)
+    for row in (
+        Row.make({0: 1, 1: 1}, ">=", 1),
+        Row.make({0: 1}, "<=", y[0]),
+        Row.make({1: 2}, "==", 2 * y[1]),
+        Row.make({}, "<=", 0),
+    ):
+        with pytest.raises(ContractViolation, match="satisfies"):
+            solve_cutting_plane(
+                lp, lambda y: Separation(Fraction(-1), Fraction(0), None, None, row), max_rounds=2
+            )
+    with pytest.raises(InstanceError):
+        solve_cutting_plane(
+            lp, lambda y: Separation(Fraction(-1), Fraction(0), None, None, Row.make({2: 1}, ">=", 1))
+        )
+
+
+def test_cutting_plane_matches_from_scratch_loop_uniform():
+    """Same verdict as the from-scratch loop on random {0,L} graphs with the
+    uniform Hall separator, and a clean point that satisfies the static
+    rows."""
+    rng = random.Random("warm-uniform")
+    seen = Counter()
+    for _ in range(120):
+        n = rng.randint(2, 8)
+        g = random_connected_graph(rng, n, rng.randint(0, n))
+        L = rng.randint(1, 3)
+        caps = [L if rng.random() < 0.8 else 0 for _ in range(n)]
+        if not any(caps):
+            caps[0] = L
+        alpha = rng.randint(0, 2)
+        lp = lp_uniform_static(g, rng.randint(1, n), caps)
+
+        def separator(y):
+            return separate_uniform(y, g, caps, alpha)
+
+        y, cuts = solve_cutting_plane(lp, separator)
+        ref, _ = scratch_cutting_plane(lp, separator)
+        assert (y is None) == (ref is None)
+        if y is not None:
+            assert satisfies(lp.rows, y) and not separator(y).violated
+        seen[(y is None, bool(cuts))] += 1
+    assert len(seen) == 4, seen
+
+
+def test_cutting_plane_matches_from_scratch_loop_general():
+    """Same verdict as the from-scratch loop on random clustered instances
+    with the scenario separator, and a clean point that satisfies the
+    static rows."""
+    rng = random.Random("warm-general")
+    seen = Counter()
+    while sum(seen.values()) < 120:
+        n = rng.randint(2, 8)
+        g = random_connected_graph(rng, n, rng.randint(0, n))
+        caps = [rng.randint(0, 4) for _ in range(n)]
+        alpha = rng.randint(0, 2)
+        cl = monarch_clustering(g)
+        backups, _ = select_backups(cl, caps, alpha)
+        if backups is None:
+            continue
+        bset = backup_union(backups)
+        gp = build_gprime(g, cl, backups)
+        lp = lp_general_static(g, rng.randint(1, n), caps, cl, bset)
+
+        def separator(y):
+            return separate_general(y, g, gp, bset, alpha, caps)
+
+        y, cuts = solve_cutting_plane(lp, separator)
+        ref, _ = scratch_cutting_plane(lp, separator)
+        assert (y is None) == (ref is None)
+        if y is not None:
+            assert satisfies(lp.rows, y) and not separator(y).violated
+        seen[(y is None, bool(cuts))] += 1
+    assert len(seen) == 4, seen

@@ -9,12 +9,14 @@ math.inf, never a large surrogate number.  `max_flow` and `transport_cuts`
 run the same Dinic loop, `_augment`.
 
 `transport` is the one network behind the Hall-type checks of the package
-(transfer conditions, assignments, verification, the conservative repair,
-the relaxed ILP): client demand routed to allowed centers within their
-supply.  `transport_cuts` serves the LP separators, which solve one
-transport network many times with one client forced in or one center set
-closed: it builds the integer arrays once per call, scales demands and
-supplies to ints, and starts every forced variant from one base flow.
+(transfer conditions, assignments, the conservative repair): client demand
+routed to allowed centers within their supply.  `transport_cuts` serves the
+LP separators, `verify_ft` and the relaxed ILP, which solve one transport
+network many times with one client forced in or one center set closed: it
+builds the integer arrays once per call, scales demands and supplies to
+ints, starts every forced variant from one base flow, and solves the closed
+variants as one chain, each from the maximum flow of the one before with
+only the load of the newly closed centers re-augmented.
 """
 
 from __future__ import annotations
@@ -262,9 +264,12 @@ def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=()
     value is a Fraction.  Every supply must be finite.  The arrays are built
     once, with every finite demand and supply scaled by the lcm of their
     denominators, so every residual is an int.  A forced variant starts from
-    the base maximum flow, which stays feasible when a capacity rises; a
-    closed variant starts from the zero flow.  The value and the minimal
-    min cut do not depend on the maximum flow reached.
+    the base maximum flow, which stays feasible when a capacity rises.  The
+    first closed variant starts from the zero flow and each later one from
+    the maximum flow of the one before: the sink arcs closed there reopen,
+    the flow through each newly closed center is cancelled back to the
+    source, and only that displaced load is augmented again.  The value and
+    the minimal min cut do not depend on the maximum flow reached.
     """
     if any(s is INF for s in supply.values()):
         raise ContractViolation("infinite supply in transport_cuts")
@@ -297,12 +302,34 @@ def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=()
         res[adj[0][position[w]]] = INF  # the source arc of w, listed first
         more, reached = _augment(head, res, adj, 0, 1)
         out.append(cut(base_value + more, reached))
+    # the closed variants form one chain: each starts from the maximum flow
+    # of the one before, reopens that one's sink arcs, and cancels the flow
+    # through each newly closed center
+    res = zero[:]
+    total = 0
+    opened = []  # the sink arcs the previous variant closed
     for F in closed:
-        res = zero[:]
+        for e in opened:
+            res[e] = zero[e] - res[e ^ 1]  # raising a capacity keeps the flow feasible
+        opened = []
         for v in F:
-            if v in supply:
-                res[adj[center_id[v]][0]] = 0  # the sink arc of v, its only own arc
-        out.append(cut(*_augment(head, res, adj, 0, 1)))
+            if v not in supply:
+                continue
+            arcs = adj[center_id[v]]
+            e = arcs[0]  # the sink arc of v, its only own arc
+            total -= res[e ^ 1]
+            res[e ^ 1] = res[e] = 0
+            for r in arcs[1:]:  # the reverse of each client -> v arc holds its flow
+                f = res[r]
+                if f:
+                    res[r] = 0
+                    a = adj[0][head[r] - 2]  # the client's source arc
+                    res[a] += f
+                    res[a ^ 1] -= f
+            opened.append(e)
+        more, reached = _augment(head, res, adj, 0, 1)
+        total += more
+        out.append(cut(total, reached))
     return out
 
 

@@ -15,8 +15,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .flow import capacitated_assignment, transport
+from .flow import capacitated_assignment, transport_cuts
 from .instance import (
+    ContractViolation,
     InstanceError,
     MetricInstance,
     Radius,
@@ -58,23 +59,32 @@ def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
     assignment within the radius.
 
     Only scenarios of size exactly alpha are tried: an assignment that avoids
-    a failure set also serves every subset of it.
+    a failure set also serves every subset of it.  The scenarios are the
+    closed variants of one `transport_cuts` call, each re-augmenting only the
+    load its failures displace; the first one short of n is reported with
+    the clients of its minimal min cut and the capacity they reach.
     """
     bad = _check_centers(inst, centers)
     if bad is not None:
         return bad
+    n = inst.n
     S = sorted(centers)
     caps = {c: inst.capacities[c] for c in S}
     near = _covering(inst, S, radius)
-    for F in combinations(S, inst.alpha):
-        live = [c for c in S if c not in F]
-        allowed = {u: [c for c in cs if c not in F] for u, cs in enumerate(near)}
-        phi, witness = capacitated_assignment(list(range(inst.n)), live, allowed, caps)
-        if phi is None:
+    scenarios = list(combinations(S, inst.alpha))
+    cuts = transport_cuts(
+        dict.fromkeys(range(n), 1), dict(enumerate(near)), caps, closed=scenarios
+    )
+    for F, (value, blocked) in zip(scenarios, cuts):
+        if value < n:
+            reach = {c for u in blocked for c in near[u] if c not in F}
+            capacity = sum(caps[c] for c in reach)
+            if capacity >= len(blocked):
+                raise ContractViolation("min-cut witness does not violate Hall's condition")
             return VerifyReport(
                 False,
-                f"failures {sorted(F)}: clients {sorted(witness.clients)} see "
-                f"capacity {witness.capacity} < {witness.demand}",
+                f"failures {sorted(F)}: clients {sorted(blocked)} see "
+                f"capacity {capacity} < {len(blocked)}",
             )
     return VerifyReport(True, "all scenarios served")
 
@@ -349,7 +359,8 @@ def relaxed_ilp_holds(
 
     Checks mass k, bounds, and for each F (any alpha vertices, not only
     centers) a max-flow certifying that closed neighborhoods minus F hold
-    enough capacity-weighted mass for all clients at once.
+    enough capacity-weighted mass for all clients at once; the scenarios are
+    the closed variants of one `transport_cuts` call.
     """
     n = graph.n
     yv = {v: Fraction(y.get(v, 0)) for v in range(n)}
@@ -357,14 +368,14 @@ def relaxed_ilp_holds(
         return False
     if any(val < 0 or val > 1 for val in yv.values()):
         return False
-    demand = dict.fromkeys(range(n), 1)
-    for F in combinations(range(n), alpha):
-        fset = set(F)
-        allowed = {u: [w for w in graph.closed(u) if w not in fset] for u in range(n)}
-        supply = {w: yv[w] * caps[w] for w in range(n) if w not in fset}
-        if transport(demand, allowed, supply)[0] < n:
-            return False
-    return True
+    # closing F's sink arcs makes F a dead end, as if F were removed
+    cuts = transport_cuts(
+        dict.fromkeys(range(n), 1),
+        {u: graph.closed(u) for u in range(n)},
+        {w: yv[w] * caps[w] for w in range(n)},
+        closed=combinations(range(n), alpha),
+    )
+    return all(value >= n for value, _ in cuts)
 
 
 def gap_instance(s: int) -> MetricInstance:

@@ -2,9 +2,10 @@
 straight off the bits, the brute-force threshold filter, deque-BFS hop
 matrices and the hop-matrix clustering, exhaustive reference
 implementations of the separation problems, the separators with one
-`transport` per cut, the Fraction-tableau simplex, the from-scratch
-cutting-plane loop, the Edmonds-Karp max-flow, cut capacities, and the
-conservative-repair check."""
+`transport` per cut, the verifier with one assignment per failure
+scenario, the Fraction-tableau simplex, the from-scratch cutting-plane
+loop, the Edmonds-Karp max-flow, cut capacities, and the conservative-repair
+check."""
 
 import math
 from collections import deque
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ftkcenter.clustering import Clustering
-from ftkcenter.flow import INF, FlowResult, transport
+from ftkcenter.flow import INF, FlowResult, capacitated_assignment, transport
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
@@ -20,6 +21,7 @@ from ftkcenter.instance import (
     uniform_capacity_level,
 )
 from ftkcenter.lp import LinearProgram, Row, Separation, feasible_point
+from ftkcenter.oracle import VerifyReport, _check_centers
 
 
 def path_graph(n: int) -> ThresholdGraph:
@@ -252,6 +254,30 @@ def per_cut_separate_uniform(y, graph, capacities, alpha):
             reach.update(allowed[v])
         row = Row.make({u: L for u in reach}, ">=", len(witness) + alpha * L)
     return Separation(best, threshold, witness, None, row)
+
+
+def scratch_verify_ft(inst, centers, radius):
+    """`oracle.verify_ft` with one `capacitated_assignment` per failure
+    scenario, each on the network rebuilt without the failed centers: the
+    reference for the single `transport_cuts` call of the verifier."""
+    bad = _check_centers(inst, centers)
+    if bad is not None:
+        return bad
+    S = sorted(centers)
+    caps = {c: inst.capacities[c] for c in S}
+    reach = radius.value_sq()
+    near = [[c for c in S if row[c] <= reach] for row in inst.d2]
+    for F in combinations(S, inst.alpha):
+        live = [c for c in S if c not in F]
+        allowed = {u: [c for c in cs if c not in F] for u, cs in enumerate(near)}
+        phi, witness = capacitated_assignment(list(range(inst.n)), live, allowed, caps)
+        if phi is None:
+            return VerifyReport(
+                False,
+                f"failures {sorted(F)}: clients {sorted(witness.clients)} see "
+                f"capacity {witness.capacity} < {witness.demand}",
+            )
+    return VerifyReport(True, "all scenarios served")
 
 
 def fraction_feasible_point(lp):

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -205,6 +206,58 @@ def test_transport_cuts_match_transport_per_variant():
     assert forced_total > 100 and closed_total > 100 and short > 20
 
 
+def test_closed_chains_match_transport_per_variant():
+    """Each closed variant starts from the maximum flow of the one before,
+    so a long chain reopens, cancels and re-augments many times; every
+    variant must still be `transport` without its closed centers.  Chains
+    hold all C(m, a) center sets in shuffled order, the same set twice in a
+    row, overlapping and empty sets, and names without a supply entry or
+    without any arc; demands and supplies are ints, Fractions and zeros."""
+    rng = random.Random(1982)
+    variants = short = moved = 0
+    for _ in range(150):
+        clients = list(range(rng.randint(1, 7)))
+        centers = list(range(20, 20 + rng.randint(1, 6)))
+
+        def amount():
+            roll = rng.random()
+            if roll < 0.15:
+                return 0
+            if roll < 0.5:
+                return Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            return rng.randint(1, 3)
+
+        demand = {c: amount() for c in clients}
+        allowed = {c: rng.sample(centers, rng.randint(1, len(centers))) for c in clients}
+        supply = {v: amount() for v in centers if rng.random() < 0.9}
+        closed = list(combinations(centers, rng.randint(0, min(3, len(centers)))))
+        rng.shuffle(closed)
+        for _ in range(rng.randint(2, 6)):
+            i = rng.randrange(len(closed) + 1)
+            extra = rng.choice([
+                closed[i - 1] if i else (),  # the same set twice in a row
+                (),
+                (99, *rng.sample(centers, 1)),  # a name no arc touches
+                tuple(rng.sample(centers, rng.randint(1, len(centers)))),
+            ])
+            closed.insert(i, extra)
+        cuts = transport_cuts(demand, allowed, supply, closed=closed)
+        full = transport(demand, allowed, supply)[0]
+        expected = []
+        for F in closed:
+            value, _, blocked = transport(
+                demand,
+                {c: [v for v in allowed[c] if v not in F] for c in clients},
+                {v: s for v, s in supply.items() if v not in F},
+            )
+            expected.append((value, blocked))
+            short += value < sum(demand.values())
+            moved += value < full
+        assert cuts == expected
+        variants += len(closed)
+    assert variants > 1000 and short > 500 and moved > 400, (variants, short, moved)
+
+
 def test_transport_cuts_rejects_infinite_supply_and_unknown_clients():
     with pytest.raises(ContractViolation):
         transport_cuts({0: 1}, {0: [10]}, {10: INF}, forced=[0])
@@ -311,13 +364,11 @@ def test_every_transport_runs_one_max_flow_through_the_module_global(monkeypatch
     count_calls(monkeypatch, calls, flow.transport)
 
     p3 = path_graph(3)
-    line = MetricInstance.from_points([(0, 0), (1, 0), (2, 0), (3, 0)], 2, 1, [4, 4, 4, 4])
     runs = {
         "capacitated_assignment": lambda: capacitated_assignment(
             [0, 1, 2], [10, 11], {0: [10, 11], 1: [10], 2: [11]}, {10: 1, 11: 2}),
         "condition_b_flow": lambda: condition_b_flow(
             {1: Fraction(1)}, {0: Fraction(1)}, p3, 1, frozenset(), [1, 1, 1]),
-        "verify_ft": lambda: verify_ft(line, [1, 2], Radius.exact(Fraction(2))),
     }
     for label, run in runs.items():
         calls.update(transport=0, max_flow=0)
@@ -327,10 +378,10 @@ def test_every_transport_runs_one_max_flow_through_the_module_global(monkeypatch
 
 
 def test_every_separation_pass_runs_one_transport_cuts_through_the_module_global(monkeypatch):
-    """Each separator call is one `flow.transport_cuts` call, reached through
-    the module global, and runs no `max_flow`: its cuts share one set of
-    integer residual arrays, so the benchmark charges their time to the
-    separator itself."""
+    """Each separator call, and each `verify_ft` call, is one
+    `flow.transport_cuts` call, reached through the module global, and runs
+    no `max_flow`: its cuts share one set of integer residual arrays, so the
+    benchmark charges their time to the caller itself."""
     calls = {"transport_cuts": 0, "max_flow": 0}
     count_calls(monkeypatch, calls, flow.max_flow)
     count_calls(monkeypatch, calls, flow.transport_cuts)
@@ -342,11 +393,13 @@ def test_every_separation_pass_runs_one_transport_cuts_through_the_module_global
     assert reason is None
     half = {u: Fraction(1, 2) for u in range(6)}
     p3 = path_graph(3)
+    line = MetricInstance.from_points([(0, 0), (1, 0), (2, 0), (3, 0)], 2, 1, [4, 4, 4, 4])
     runs = {
         "separate_general": lambda: separate_general(
             half, g6, build_gprime(g6, cl, backups), backup_union(backups), 1, caps6),
         "separate_uniform": lambda: separate_uniform(
             {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}, p3, [1, 1, 1], 0),
+        "verify_ft": lambda: verify_ft(line, [1, 2], Radius.exact(Fraction(2))),
     }
     for label, run in runs.items():
         calls.update(transport_cuts=0, max_flow=0)

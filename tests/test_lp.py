@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from ftkcenter import lp as lp_module
 from ftkcenter.clustering import (
     DirectedGraph,
     backup_union,
@@ -481,6 +482,37 @@ def test_warm_cuts_match_from_scratch_verdicts():
             assert feasible_point(LinearProgram(nvars, rows)) is None
             seen["infeasible after a cut" if cuts else "infeasible"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_dual_simplex_leaves_on_the_lowest_basic_column(monkeypatch):
+    """A degenerate system on which the dual simplex cycles when the
+    negative-rhs row with the highest basic column leaves: after the second
+    cut it walks through ten bases forever.  The lowest-basic-column rule
+    (Bland's rule on the dual) proves the system infeasible in a few
+    pivots."""
+    lp = LinearProgram(6)
+    lp.add({1: 2, 3: -2, 4: 2, 5: 2}, ">=", 0)
+    lp.add({0: -1, 1: 3, 4: -2, 5: -1}, "<=", 0)
+    lp.add({0: -2, 1: 2, 2: 3, 4: 3, 5: 3}, ">=", 0)
+    lp.add({0: 3, 3: 3, 5: 3}, ">=", 0)
+    cuts = [Row.make({1: 1, 2: 3}, ">=", 1), Row.make({0: -1, 1: -2, 3: -1}, ">=", 3)]
+    cap = 50
+    pivots = []
+    pivot = lp_module._pivot
+
+    def counted(tableau, basis, pi, pj):
+        pivots.append(pj)
+        if len(pivots) > cap:
+            raise RuntimeError(f"more than {cap} pivots")
+        return pivot(tableau, basis, pi, pj)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    rows = iter(cuts)
+    y, added = solve_cutting_plane(
+        lp, lambda y: Separation(Fraction(-1), Fraction(0), None, None, next(rows))
+    )
+    assert y is None and len(added) == 2
+    assert len(pivots) <= cap
 
 
 def test_cutting_plane_rejects_a_satisfied_cut():

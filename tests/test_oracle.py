@@ -26,7 +26,7 @@ from ftkcenter.oracle import (
     verify_ft,
 )
 
-from helpers import cycle_graph, edge_set, path_graph
+from helpers import cycle_graph, edge_set, path_graph, scratch_verify_ft
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
 
@@ -50,6 +50,28 @@ def test_verify_ft_alpha_zero_checks_plain_assignment():
     inst = MetricInstance.from_points(LINE4, 1, 0, [4, 4, 4, 4])
     assert verify_ft(inst, (1,), Radius(1, 4)).ok
     assert not verify_ft(inst, (0,), Radius(1, 4)).ok  # vertex 3 at distance 3
+
+
+def test_verify_ft_matches_the_per_scenario_loop():
+    """The one warm-started `transport_cuts` chain of `verify_ft` reports
+    what one assignment per failure scenario reports, detail string and
+    all, on random instances, centers and radii, alpha = 0 included."""
+    rng = random.Random(2016)
+    verdicts = {True: 0, False: 0, "alpha 0": 0}
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, min(n, 5))
+        alpha = rng.randint(0, k - 1)
+        inst = random_point_instance(
+            rng, n, k, alpha, caps_mode=rng.choice(["general", "unit"]), span=6
+        )
+        centers = rng.sample(range(n), k)
+        radius = Radius(rng.randint(1, 3), rng.choice((0, *inst.thresholds_sq())))
+        got = verify_ft(inst, centers, radius)
+        assert got == scratch_verify_ft(inst, centers, radius)
+        verdicts[got.ok] += 1
+        verdicts["alpha 0"] += alpha == 0
+    assert verdicts[True] > 40 and verdicts[False] > 150 and verdicts["alpha 0"] > 60, verdicts
 
 
 def test_verify_conservative_accepts():

@@ -26,6 +26,7 @@ from .instance import (
     ThresholdGraph,
     strip_zero_zero_edges,
     uniform_capacity_level,
+    vertex_set,
 )
 from .oracle import verify_conservative, verify_ft
 
@@ -148,7 +149,7 @@ class MergedComponents:
     parts: tuple  # (orig, PerTauSolution) per component; orig[local id] = global id
 
     def __call__(self, F) -> dict:
-        F = set(F)
+        F = vertex_set(F)
         unknown = F - self.centers
         if unknown:
             raise ContractViolation(f"failed vertices {sorted(unknown)} are not centers")

@@ -48,9 +48,18 @@ def is_plain_int(x) -> bool:
     return type(x) is int
 
 
+def vertex_set(F) -> frozenset:
+    """F as a frozenset, checked to hold only plain int vertex indices: True
+    equals 1, so a bool would otherwise fail center 1."""
+    F = tuple(F)
+    if not all(map(is_plain_int, F)):
+        raise InstanceError("failures must be integer vertex indices")
+    return frozenset(F)
+
+
 def failure_set(F, alpha: int, centers) -> frozenset:
     """F as a frozenset, checked to fail at most alpha of `centers`."""
-    F = frozenset(F)
+    F = vertex_set(F)
     if len(F) > alpha:
         raise InstanceError("too many failures")
     if not F <= set(centers):

@@ -1,24 +1,26 @@
 """Exact rational LP feasibility and the cutting-plane separation oracles.
 
-Phase-1 simplex with Bland's rule on an integer-row tableau: exact, and it
-cannot cycle.  Each tableau row is a list of Python ints, a positive integer
-multiple of the rational row it stands for (scaled by the lcm of its
-denominators at set-up, then fraction-free: a pivot replaces a row by
-p * row - f * pivot_row and divides out the gcd of its entries).  Signs and
-ratio comparisons do not change under positive row scaling, so the pivots
-are the ones the same Bland simplex makes over Fractions; points are
-returned as Fractions, rhs over the basic coefficient.
+One simplex: Lemke's dual simplex with Bland's rule on an integer-row
+tableau, exact, and it cannot cycle.  Every row enters as `<=` rows (an
+`==` row as its two halves), each with a new basic slack, so the start is
+the slack basis at y = 0.  Every reduced cost of a feasibility LP is 0, so
+every basis is dual feasible and no phase 1 is needed: the row with a
+negative rhs and the lowest basic column leaves, and the lowest column with
+a negative entry in it enters.  The dual ratio test always ties, so this is
+Bland's rule applied to the dual; a negative-rhs row with no negative entry
+proves infeasibility.
 
-`solve_cutting_plane` runs phase 1 once and keeps the tableau between
-rounds.  Artificials left basic at level 0 are pivoted out (or their
-redundant rows dropped) and the artificial columns deleted.  Each cut then
-enters as `<=` rows with new basic slacks, reduced to basis coordinates,
-and Lemke's dual simplex re-solves from there: the row with a negative rhs
-and the lowest basic column leaves, and the lowest column with a negative
-entry in it enters.  Every reduced cost of a feasibility LP is 0, so the
-dual ratio test always ties and this is Bland's rule applied to the dual;
-a negative-rhs row with no negative entry proves infeasibility.
-`feasible_point` is the one-shot phase 1.
+Each tableau row is a list of Python ints, a positive integer multiple of
+the rational row it stands for (scaled by the lcm of its denominators when
+it enters, then fraction-free: a pivot replaces a row by
+p * row - f * pivot_row and divides out the gcd of its entries).  Signs do
+not change under positive row scaling, so the pivots are the ones the same
+dual simplex makes over Fractions; points are returned as Fractions, rhs
+over the basic coefficient.
+
+`feasible_point` solves a system once.  `solve_cutting_plane` keeps the
+tableau between rounds: each cut enters the same way, reduced to basis
+coordinates, and the dual simplex re-solves from the last basis.
 
 The two separators turn the exponential Hall-style constraint families into
 polynomially many min-cut computations, each family one `transport_cuts`
@@ -46,7 +48,6 @@ from .instance import (
 ZERO = Fraction(0)
 
 _RELS = ("<=", ">=", "==")
-_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}  # the relation after negating a row
 _LE_SIGNS = {"<=": (1,), ">=": (-1,), "==": (1, -1)}  # a row as sign * row <= ...
 
 
@@ -78,8 +79,9 @@ class LinearProgram:
 
 
 def feasible_point(lp: LinearProgram):
-    """A feasible assignment (dict var -> Fraction) or None if infeasible."""
-    tab = _phase1(lp)
+    """A feasible assignment (dict var -> Fraction) or None if infeasible:
+    the vertex the dual simplex reaches from the slack basis at y = 0."""
+    tab = _solve(lp)
     return None if tab is None else tab.point()
 
 
@@ -96,115 +98,20 @@ def _int_row(row: Row, nvars: int, sign: int):
     return coeffs, sign * num * (scale // den), scale
 
 
-def _phase1(lp: LinearProgram) -> "_Tableau | None":
-    """Phase 1 on lp's rows: a feasible basis without artificial columns, or
-    None if the rows are infeasible."""
-    nvars = lp.num_vars
-    norm = []  # (int coefficients, relation, int rhs >= 0, scale > 0)
-    for row in lp.rows:
-        sign, rel = 1, row.rel
-        if row.rhs < 0:
-            sign, rel = -1, _FLIPPED[rel]
-        coeffs, rhs, scale = _int_row(row, nvars, sign)
-        norm.append((coeffs, rel, rhs, scale))
-
-    cols = nvars
-    slack_col, art_col = {}, {}
-    for i, (_, rel, _, _) in enumerate(norm):
-        if rel != "==":
-            slack_col[i] = cols
-            cols += 1
-    art = cols  # the first artificial column
-    for i, (_, rel, _, _) in enumerate(norm):
-        if rel != "<=":
-            art_col[i] = cols
-            cols += 1
-
-    tableau = []
-    basis = []
-    for i, (coeffs, rel, rhs, scale) in enumerate(norm):
-        row = [0] * (cols + 1)
-        for v, c in coeffs:
-            row[v] += c
-        row[-1] = rhs
-        if rel == "<=":
-            row[slack_col[i]] = scale
-            basis.append(slack_col[i])
-        elif rel == ">=":
-            row[slack_col[i]] = -scale
-            row[art_col[i]] = scale
-            basis.append(art_col[i])
-        else:
-            row[art_col[i]] = scale
-            basis.append(art_col[i])
-        tableau.append(row)
-
-    # reduced-cost row for minimizing the sum of artificials, times the lcm
-    # of the artificial rows' scales; its artificial entries cancel to 0
-    obj_scale = lcm(*(norm[i][3] for i in art_col))
-    obj = [0] * (cols + 1)
-    for i in art_col:
-        coeffs, rel, rhs, scale = norm[i]
-        m = obj_scale // scale
-        for v, c in coeffs:
-            obj[v] -= m * c
-        if rel == ">=":
-            obj[slack_col[i]] += obj_scale
-        obj[-1] -= m * rhs
-
-    while True:
-        enter = None
-        for j in range(cols):
-            if obj[j] < 0:
-                enter = j  # Bland: lowest index
-                break
-        if enter is None:
-            break
-        # ratio test, ties to the lowest basic column:
-        # rhs_i / a_i < rhs_l / a_l  <=>  rhs_i * a_l < rhs_l * a_i
-        pi = None
-        for i, row in enumerate(tableau):
-            a = row[enter]
-            if a > 0:
-                if pi is None:
-                    pi, la, lr = i, a, row[-1]
-                    continue
-                here, best = row[-1] * la, lr * a
-                if here < best or (here == best and basis[i] < basis[pi]):
-                    pi, la, lr = i, a, row[-1]
-        if pi is None:
-            raise ContractViolation("phase-1 objective unbounded below")
-        pivots = _pivot(tableau, basis, pi, enter)
-        if obj[enter] != 0:
-            _eliminate(obj, pivots, tableau[pi][enter], enter)
-
-    if obj[-1] != 0:  # optimum of the artificial sum is -obj[-1] / obj_scale > 0
-        return None
-    # every artificial left basic is at level 0: pivot it out on the lowest
-    # other column with a nonzero entry, or drop its row, which is then 0 = 0
-    i = 0
-    while i < len(tableau):
-        row = tableau[i]
-        if basis[i] >= art:
-            j = next((j for j in range(art) if row[j] != 0), None)
-            if j is None:
-                del tableau[i], basis[i]
-                continue
-            if row[j] < 0:
-                row[:] = [-a for a in row]
-            _pivot(tableau, basis, i, j)
-        i += 1
-    for row in tableau:
-        del row[art:-1]
-    return _Tableau(nvars, art, tableau, basis)
+def _solve(lp: LinearProgram) -> "_Tableau | None":
+    """A feasible basis of lp's rows, or None if they are infeasible."""
+    tab = _Tableau(lp.num_vars, lp.num_vars, [], [])
+    tab.append(lp.rows)
+    return tab if tab._dual_simplex() else None
 
 
 @dataclass
 class _Tableau:
-    """A feasible basis of a system over nvars variables: int rows over the
-    variables and one slack column per inequality, rhs last.  basis[i] is
-    the basic column of row i, its entry there is positive, and every rhs is
-    nonnegative."""
+    """A basis of a system over nvars variables: int rows over the variables
+    and one slack column per `<=` half of a row, rhs last.  basis[i] is the
+    basic column of row i and its entry there is positive.  Every reduced
+    cost is 0, so every basis is dual feasible; the basis is feasible once
+    `_dual_simplex` has made every rhs nonnegative."""
 
     nvars: int
     cols: int  # columns before the rhs
@@ -218,33 +125,41 @@ class _Tableau:
                 x[b] = Fraction(row[-1], row[b])
         return x
 
-    def cut(self, row: Row) -> bool:
-        """Add `row`, which the current point must violate, and re-solve by
-        dual simplex; False if the system is now infeasible.
-
-        The row enters as `<=` rows (an `==` row as its two halves), each
+    def append(self, rows) -> bool:
+        """Append `rows` as `<=` rows (an `==` row as its two halves), each
         with a new basic slack, reduced against every basic column where it
         has a nonzero entry; the multipliers are positive, so the slack's
-        entry stays positive."""
-        halves = [_int_row(row, self.nvars, s) for s in _LE_SIGNS[row.rel]]
+        entry stays positive.  True if the current point violates one of
+        them, that is, some new rhs is negative."""
+        halves = [
+            _int_row(row, self.nvars, s) for row in rows for s in _LE_SIGNS[row.rel]
+        ]
         tableau, basis = self.rows, self.basis
+        old = list(zip(tableau, basis))
+        for r in tableau:
+            r[-1:-1] = [0] * len(halves)
+        first = self.cols  # the new slack columns are first, first + 1, ...
+        self.cols += len(halves)
         violated = False
-        for coeffs, rhs, scale in halves:
-            for r in tableau:
-                r.insert(-1, 0)
-            new = [0] * (self.cols + 2)
+        for i, (coeffs, rhs, scale) in enumerate(halves):
+            col = first + i
+            new = [0] * (self.cols + 1)
             for v, c in coeffs:
                 new[v] += c
-            new[-2] = scale
+            new[col] = scale
             new[-1] = rhs
-            for r, b in zip(tableau, basis):
+            for r, b in old:
                 if new[b] != 0:
                     _eliminate(new, [(j, c) for j, c in enumerate(r) if c != 0], r[b], b)
             tableau.append(new)
-            basis.append(self.cols)
-            self.cols += 1
+            basis.append(col)
             violated |= new[-1] < 0
-        if not violated:
+        return violated
+
+    def cut(self, row: Row) -> bool:
+        """Append `row`, which the current point must violate, and re-solve
+        by dual simplex; False if the system is now infeasible."""
+        if not self.append([row]):
             raise ContractViolation("separator returned a row the current point satisfies")
         return self._dual_simplex()
 
@@ -268,8 +183,7 @@ class _Tableau:
 
 
 def _pivot(tableau, basis, pi, pj):
-    """Make column pj basic in row pi, whose entry there must be positive;
-    returns the pivot row's nonzero (column, entry) pairs."""
+    """Make column pj basic in row pi, whose entry there must be positive."""
     prow = tableau[pi]
     p = prow[pj]  # > 0, so every row stays a positive multiple
     pivots = [(j, c) for j, c in enumerate(prow) if c != 0]
@@ -277,7 +191,6 @@ def _pivot(tableau, basis, pi, pj):
         if row is not prow and row[pj] != 0:
             _eliminate(row, pivots, p, pj)
     basis[pi] = pj
-    return pivots
 
 
 def _eliminate(row, pivots, p, pj):
@@ -485,11 +398,11 @@ def solve_cutting_plane(
     """Iterate solve/separate until a separation-clean point or infeasibility.
 
     Returns (y, cuts) where y is None on infeasibility; the returned y has
-    passed a full final separation pass.  Phase 1 runs once; each cut is
-    added to the kept tableau and re-solved by dual simplex.  Cuts are not
-    reused across calls.
+    passed a full final separation pass.  The static rows are solved once;
+    each cut is added to the kept tableau and re-solved by dual simplex.
+    Cuts are not reused across calls.
     """
-    tab = _phase1(lp)
+    tab = _solve(lp)
     cuts = []
     for _ in range(max_rounds):
         if tab is None:

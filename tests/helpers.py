@@ -3,9 +3,9 @@ straight off the bits, the brute-force threshold filter, deque-BFS hop
 matrices and the hop-matrix clustering, exhaustive reference
 implementations of the separation problems, the separators with one
 `transport` per cut, the verifier with one assignment per failure
-scenario, the Fraction-tableau simplex, the from-scratch cutting-plane
-loop, the Edmonds-Karp max-flow, cut capacities, and the conservative-repair
-check."""
+scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
+cutting-plane loop, the Edmonds-Karp max-flow, cut capacities, and the
+conservative-repair check."""
 
 import math
 from collections import deque
@@ -281,10 +281,10 @@ def scratch_verify_ft(inst, centers, radius):
 
 
 def fraction_feasible_point(lp):
-    """Phase-1 simplex with Bland's rule over a dense Fraction tableau: the
-    reference for `lp.feasible_point`, which makes the same pivots on
-    integer-scaled rows.  A feasible assignment (dict var -> Fraction) or
-    None if infeasible."""
+    """Phase-1 primal simplex with Bland's rule and artificial columns over
+    a dense Fraction tableau: an independent reference for the verdicts of
+    `lp.feasible_point`, which reaches its vertex by dual simplex instead.
+    A feasible assignment (dict var -> Fraction) or None if infeasible."""
     nvars = lp.num_vars
     norm = []
     for row in lp.rows:
@@ -386,11 +386,64 @@ def fraction_feasible_point(lp):
     return x
 
 
+def fraction_dual_simplex_point(lp):
+    """Dual simplex with Bland's rule from the slack basis over a dense
+    Fraction tableau, without gcd scaling: the twin of `lp.feasible_point`,
+    which makes the same pivots on integer-scaled rows.  Every row enters as
+    `<=` halves with slack columns in row order; the negative-rhs row with
+    the lowest basic column leaves and the lowest column with a negative
+    entry in it enters.  A feasible assignment (dict var -> Fraction) or
+    None if infeasible."""
+    nvars = lp.num_vars
+    halves = []
+    for row in lp.rows:
+        dense = [Fraction(0)] * nvars
+        for v, c in row.coeffs:
+            if not 0 <= v < nvars:
+                raise InstanceError(f"variable {v} out of range")
+            dense[v] += c
+        for sign in {"<=": (1,), ">=": (-1,), "==": (1, -1)}[row.rel]:
+            halves.append(([sign * c for c in dense], sign * row.rhs))
+
+    cols = nvars + len(halves)
+    tableau = []
+    basis = []
+    for i, (dense, rhs) in enumerate(halves):
+        row = dense + [Fraction(0)] * len(halves) + [rhs]
+        row[nvars + i] = Fraction(1)
+        tableau.append(row)
+        basis.append(nvars + i)
+
+    while True:
+        leave = [i for i, row in enumerate(tableau) if row[-1] < 0]
+        if not leave:
+            break
+        pi = min(leave, key=lambda i: basis[i])
+        prow = tableau[pi]
+        pj = next((j for j in range(cols) if prow[j] < 0), None)
+        if pj is None:
+            return None
+        p = prow[pj]
+        tableau[pi] = prow = [c / p for c in prow]
+        for row in tableau:
+            f = row[pj]
+            if row is not prow and f != 0:
+                for j in range(cols + 1):
+                    row[j] -= f * prow[j]
+        basis[pi] = pj
+
+    x = {j: Fraction(0) for j in range(nvars)}
+    for i, b in enumerate(basis):
+        if b < nvars:
+            x[b] = tableau[i][-1]
+    return x
+
+
 def scratch_cutting_plane(lp, separator, max_rounds=10_000):
-    """The cutting-plane loop with a from-scratch phase 1 on all rows so far
-    in every round: the reference for `lp.solve_cutting_plane`, which keeps
-    its tableau and re-solves each cut by dual simplex.  Returns (y, cuts)
-    with y None on infeasibility."""
+    """The cutting-plane loop with a from-scratch `feasible_point` on all
+    rows so far in every round: the reference for `lp.solve_cutting_plane`,
+    which keeps its tableau and re-solves only from the last basis after
+    each cut.  Returns (y, cuts) with y None on infeasibility."""
     rows = list(lp.rows)
     seen = set(rows)
     cuts = []

@@ -15,7 +15,7 @@ from ftkcenter.bottleneck import (
     solve_components,
     sweep,
 )
-from ftkcenter.instance import ContractViolation, MetricInstance, ThresholdGraph
+from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, ThresholdGraph
 from ftkcenter.solvers import solve_ft_uniform
 
 from helpers import edge_set, path_graph
@@ -166,6 +166,8 @@ def test_merged_scenario_remaps_and_validates():
     assert phi == {0: 0, 1: 0, 2: 2, 3: 2, 4: 2, 5: 2}
     with pytest.raises(ContractViolation):
         out.scenario([1])  # vertex 1 is not a center
+    with pytest.raises(InstanceError, match="integer vertex indices"):
+        out.scenario([False])  # False == 0, a center, but not a vertex index
     assert isinstance(out.scenario, MergedComponents)
     assert out.scenario.centers == {0, 2, 3}
     assert [orig for orig, _ in out.scenario.parts] == [(0, 1), (2, 3, 4, 5)]

@@ -1,4 +1,5 @@
-"""LP layer: exact phase-1 simplex, the static row systems, min-cut
+"""LP layer: the exact dual simplex from the slack basis against its
+Fraction twin and the phase-1 reference, the static row systems, min-cut
 separation against exhaustive enumeration, and the warm-started
 cutting-plane loop against the from-scratch one."""
 
@@ -35,6 +36,7 @@ from helpers import (
     brute_separate_general,
     brute_separate_uniform,
     cycle_graph,
+    fraction_dual_simplex_point,
     fraction_feasible_point,
     path_graph,
     per_cut_separate_general,
@@ -122,10 +124,13 @@ def test_feasible_point_satisfies_random_systems():
 
 
 def assert_same_point_as_fraction_tableau(lp):
-    """The integer-row tableau makes the pivots of the Fraction tableau, so
-    it returns the same point (or None); returns that point."""
+    """The integer-row tableau makes the pivots of the Fraction dual
+    simplex, so it returns the same point (or None); the verdict is the one
+    of the phase-1 reference, and a point satisfies every row.  Returns the
+    point."""
     x = feasible_point(lp)
-    assert x == fraction_feasible_point(lp)
+    assert x == fraction_dual_simplex_point(lp)
+    assert (x is None) == (fraction_feasible_point(lp) is None)
     if x is not None:
         assert satisfies(lp.rows, x)
     return x
@@ -158,7 +163,8 @@ def test_feasible_point_matches_fraction_tableau():
 def test_feasible_point_matches_fraction_tableau_on_covering_systems():
     """Degenerate systems shaped like the static LPs plus Hall cuts (total
     mass, 0/1 coverage rows, y <= 1, cuts with a fractional rhs), where
-    ratio ties are common and the basis-index tie-break picks the vertex."""
+    degenerate pivots are common and the lowest-index rules pick the
+    vertex."""
     rng = random.Random(2016)
     verdicts = set()
     for _ in range(200):
@@ -441,8 +447,8 @@ def test_warm_cuts_match_from_scratch_verdicts():
     """Cuts go into the kept tableau and are re-solved by dual simplex.
     After every cut the verdict is the one `feasible_point` gives on all
     rows so far, and a point is nonnegative and satisfies every row.  A
-    repeated `==` row leaves a basic artificial at level 0 after phase 1
-    (its copy is redundant), and so can an `==` row with rhs 0."""
+    repeated `==` row gives a redundant pair of halves whose slacks may stay
+    basic at level 0, and an `==` row with rhs 0 starts degenerate."""
     rng = random.Random("warm-cuts")
 
     def frac():
@@ -484,19 +490,10 @@ def test_warm_cuts_match_from_scratch_verdicts():
     assert min(seen.values()) >= 20, seen
 
 
-def test_dual_simplex_leaves_on_the_lowest_basic_column(monkeypatch):
-    """A degenerate system on which the dual simplex cycles when the
-    negative-rhs row with the highest basic column leaves: after the second
-    cut it walks through ten bases forever.  The lowest-basic-column rule
-    (Bland's rule on the dual) proves the system infeasible in a few
-    pivots."""
-    lp = LinearProgram(6)
-    lp.add({1: 2, 3: -2, 4: 2, 5: 2}, ">=", 0)
-    lp.add({0: -1, 1: 3, 4: -2, 5: -1}, "<=", 0)
-    lp.add({0: -2, 1: 2, 2: 3, 4: 3, 5: 3}, ">=", 0)
-    lp.add({0: 3, 3: 3, 5: 3}, ">=", 0)
-    cuts = [Row.make({1: 1, 2: 3}, ">=", 1), Row.make({0: -1, 1: -2, 3: -1}, ">=", 3)]
-    cap = 50
+def solve_with_pivot_cap(monkeypatch, lp, cuts, cap=50):
+    """`solve_cutting_plane` on lp with a separator that returns `cuts` in
+    order, failing once the simplex makes more than `cap` pivots, so that a
+    cycling pivot rule fails here instead of hanging.  Returns (y, cuts)."""
     pivots = []
     pivot = lp_module._pivot
 
@@ -508,11 +505,38 @@ def test_dual_simplex_leaves_on_the_lowest_basic_column(monkeypatch):
 
     monkeypatch.setattr(lp_module, "_pivot", counted)
     rows = iter(cuts)
-    y, added = solve_cutting_plane(
+    return solve_cutting_plane(
         lp, lambda y: Separation(Fraction(-1), Fraction(0), None, None, next(rows))
     )
+
+
+def test_dual_simplex_leaves_on_the_lowest_basic_column(monkeypatch):
+    """A degenerate system on which the dual simplex cycles when the
+    negative-rhs row with the highest basic column leaves: after the second
+    cut it walks through a ring of bases forever.  The lowest-basic-column
+    rule (Bland's rule on the dual) proves the system infeasible in a few
+    pivots."""
+    lp = LinearProgram(6)
+    lp.add({1: 2, 3: -2, 4: 2, 5: 2}, ">=", 0)
+    lp.add({0: -1, 1: 3, 4: -2, 5: -1}, "<=", 0)
+    lp.add({0: -2, 1: 2, 2: 3, 4: 3, 5: 3}, ">=", 0)
+    lp.add({0: 3, 3: 3, 5: 3}, ">=", 0)
+    cuts = [Row.make({1: 1, 2: 3}, ">=", 1), Row.make({0: -1, 1: -2, 3: -1}, ">=", 3)]
+    y, added = solve_with_pivot_cap(monkeypatch, lp, cuts)
     assert y is None and len(added) == 2
-    assert len(pivots) <= cap
+
+
+def test_dual_simplex_enters_on_the_lowest_column(monkeypatch):
+    """An infeasible system on which the dual simplex cycles from the slack
+    basis when the highest column with a negative entry enters.  The
+    lowest-column rule proves it infeasible in two pivots: the first row
+    needs 2 y1 >= y0 + 3 y3 + 2, the cut 2 y1 <= 1."""
+    lp = LinearProgram(4)
+    lp.add({0: 1, 1: -2, 3: 3}, "<=", -2)
+    lp.add({0: 3, 1: 1, 2: 1, 3: 2}, ">=", 2)
+    cuts = [Row.make({1: 2, 2: 3, 3: 2}, "<=", 1)]
+    y, added = solve_with_pivot_cap(monkeypatch, lp, cuts)
+    assert y is None and len(added) == 1
 
 
 def test_cutting_plane_rejects_a_satisfied_cut():

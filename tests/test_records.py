@@ -84,6 +84,19 @@ def test_solvers_and_repairs_are_reached_through_module_globals(monkeypatch):
     assert all(calls.values()), calls
 
 
+@pytest.mark.parametrize("plan", PLANS[:4], ids=[p[0] for p in PLANS[:4]])
+def test_repairs_reject_bools_as_failed_centers(plan):
+    """True == 1 and False == 0, and both are centers of the line4 solve, so
+    a bool would otherwise be repaired as that center failing."""
+    label, solve, variant, _, _ = plan
+    res = solve(line4(variant))
+    assert res.centers == (0, 1)
+    res.scenario([1])
+    for bad in ([True], [False], (0, True)):
+        with pytest.raises(InstanceError, match="integer vertex indices"):
+            res.scenario(bad)
+
+
 @pytest.mark.parametrize("plan", PLANS, ids=[p[0] for p in PLANS])
 def test_verify_is_the_variant_verifier(plan):
     label, solve, variant, caps_mode, direct = plan

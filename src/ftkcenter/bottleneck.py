@@ -24,9 +24,9 @@ from .instance import (
     MetricInstance,
     Radius,
     ThresholdGraph,
+    failure_set,
     strip_zero_zero_edges,
     uniform_capacity_level,
-    vertex_set,
 )
 from .oracle import verify_conservative, verify_ft
 
@@ -137,7 +137,7 @@ def solve_components(
         surplus -= extra
     if surplus:
         raise ContractViolation("surplus centers exceed the total vertex count")
-    return _merge(picked)
+    return _merge(picked, alpha)
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,10 @@ class MergedComponents:
 
     centers: frozenset  # every component's centers, global ids
     parts: tuple  # (orig, PerTauSolution) per component; orig[local id] = global id
+    alpha: int
 
     def __call__(self, F) -> dict:
-        F = vertex_set(F)
-        unknown = F - self.centers
-        if unknown:
-            raise ContractViolation(f"failed vertices {sorted(unknown)} are not centers")
+        F = failure_set(F, self.alpha, self.centers)
         out = {}
         for orig, sol in self.parts:
             phi = sol.scenario([local for local, glob in enumerate(orig) if glob in F])
@@ -160,7 +158,7 @@ class MergedComponents:
         return out
 
 
-def _merge(picked):
+def _merge(picked, alpha: int):
     centers = []
     assignment = {}
     stretch = 0
@@ -170,7 +168,7 @@ def _merge(picked):
         assignment.update((orig[u], orig[c]) for u, c in sol.assignment.items())
         stretch = max(stretch, sol.stretch)
         parts.append((orig, sol))
-    record = MergedComponents(frozenset(centers), tuple(parts))
+    record = MergedComponents(frozenset(centers), tuple(parts), alpha)
     return PerTauSolution(tuple(sorted(centers)), assignment, stretch, record)
 
 

@@ -7,25 +7,25 @@ a distance-1 aggregation onto auxiliary vertices, a distance-2 transfer on a
 spanning tree of cluster heads (distance 6 on the base graph), and a final
 distance-1 shift, for an integral distance-8 transfer; the uniform-capacity
 pipeline finds an integral distance-5 transfer directly.
+
+A scenario repair is one capacitated transport of every client to the live
+centers within the pipeline's hop bound: six for {0,L} capacities; nine for
+general capacities when only backups fail, ten otherwise.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .clustering import Clustering, DirectedGraph, backup_union
+from .clustering import Clustering, backup_union
 from .flow import capacitated_assignment, transport
 from .instance import (
     ContractViolation,
-    InstanceError,
     ThresholdGraph,
     failure_set,
-    mask_bits,
     uniform_capacity_level,
 )
 
@@ -125,7 +125,6 @@ class Augmented:
     ext: ThresholdGraph
     caps_ext: tuple
     aux_of: dict  # head -> aux vertex id
-    head_of: dict  # aux vertex id -> head
     m_of: dict  # head -> designated heavy neighbor
 
 
@@ -136,7 +135,7 @@ def build_augmented(
     caps: Sequence[int],
 ) -> Augmented:
     n = graph.n
-    aux_of, head_of, m_of = {}, {}, {}
+    aux_of, m_of = {}, {}
     masks = list(graph.masks) + [0] * len(clustering.heads)
     caps_ext = list(caps)
     for i, h in enumerate(clustering.heads):
@@ -151,13 +150,13 @@ def build_augmented(
             )
         m = pool[0]
         a = n + i
-        aux_of[h], head_of[a], m_of[h] = a, h, m
+        aux_of[h], m_of[h] = a, m
         for u in closed:
             masks[u] |= 1 << a
             masks[a] |= 1 << u
     ext = ThresholdGraph.from_masks(masks, None)
     caps_ext += [caps[m_of[h]] for h in clustering.heads]
-    return Augmented(ext, tuple(caps_ext), aux_of, head_of, m_of)
+    return Augmented(ext, tuple(caps_ext), aux_of, m_of)
 
 
 @dataclass
@@ -168,8 +167,6 @@ class RoundResult:
     y1: dict
     y3: dict
     aug: Augmented
-    tree: ThresholdGraph
-    tree_members: frozenset
 
 
 def round_general(
@@ -244,22 +241,35 @@ def round_general(
     if _mass(y3, range(n)) != _mass(y0, range(aug.ext.n)):
         raise ContractViolation("rounding changed the total mass")
     support2 = frozenset(v for v, val in y2.items() if val == 1)
-    return RoundResult(R, support2, y0, y1, y3, aug, tree, frozenset(members))
+    return RoundResult(R, support2, y0, y1, y3, aug)
 
 
-# -- scenario assignments (general pipeline) --------------------------------
+# -- scenario assignments ---------------------------------------------------
+
+
+def _repair(graph: ThresholdGraph, caps, centers, F: frozenset, bound: int) -> dict:
+    """One transport of every client to the live centers within `bound` hops."""
+    hops = graph.hops()
+    targets = sorted(v for v in centers if v not in F and caps[v] > 0)
+    allowed = {u: [c for c in targets if hops[u][c] <= bound] for u in range(graph.n)}
+    phi, _ = capacitated_assignment(
+        list(range(graph.n)), targets, allowed, {c: caps[c] for c in targets}
+    )
+    if phi is None:
+        raise ContractViolation(
+            f"scenario {sorted(F)}: no assignment within {bound} hops despite the rounding guarantee"
+        )
+    return phi
 
 
 @dataclass(frozen=True)
 class GeneralRounding:
-    """Repair record of the general pipeline: everything scenario assignment
-    needs from one per-threshold solve."""
+    """Repair record of the general pipeline: the rounding of one
+    per-threshold solve and the backups it pinned."""
 
     graph: ThresholdGraph
     caps: Sequence[int]
-    clustering: Clustering
     backups: Mapping[int, tuple]
-    gprime: DirectedGraph
     rr: RoundResult
     alpha: int
 
@@ -269,138 +279,19 @@ class GeneralRounding:
     def backup_set(self) -> frozenset:
         return frozenset(backup_union(self.backups))
 
-    def delta(self, center: int) -> int:
-        """Head of the cluster a (possibly auxiliary) center belongs to."""
-        if center in self.rr.aug.head_of:
-            return self.rr.aug.head_of[center]
-        return self.clustering.cluster_of[center]
-
-    @cached_property
-    def reach(self) -> tuple[tuple[int, ...], ...]:
-        """Per client, the opened centers (sorted) it may use before failures:
-        backups granted by the arc-augmented digraph, plus everything within
-        two tree hops of its 2-neighborhood in the extended graph (the one
-        with auxiliary nodes, so drained mass stays reachable).  No scenario
-        changes them, so they are built once per record."""
-        B = self.backup_set()
-        ext = self.rr.aug.ext
-        T, members = self.rr.tree, self.rr.tree_members
-        within2 = {w: T.balls(w, 2)[2] for w in members}
-        out = []
-        for u in range(self.graph.n):
-            near = ext.neighborhood([u], 2)
-            cover = set(self.gprime.closed_out(u) & B) | near
-            for w in near & members:
-                cover.update(mask_bits(within2[w]))
-            out.append(tuple(sorted(cover & self.rr.support2)))
-        return tuple(out)
-
-
-def assign_scenario_backups(state: GeneralRounding, F) -> dict:
-    """Assignment avoiding a failure set of backups (|F| <= alpha, F within B).
-
-    Clients within nine hops of their center and eight hops of the center's
-    cluster head; guaranteed feasible for LP-derived roundings.
-    """
-    F = frozenset(F)
-    B = state.backup_set()
-    if not F <= B:
-        raise InstanceError("failure set must consist of backups")
-    if len(F) > state.alpha:
-        raise InstanceError("too many failures")
-    rr = state.rr
-    targets = sorted(rr.support2 - F)
-    caps_ext = rr.aug.caps_ext
-    n = state.graph.n
-    allowed = {u: [c for c in reach if c not in F] for u, reach in enumerate(state.reach)}
-    phi_bar, witness = capacitated_assignment(
-        list(range(n)), targets, allowed, {t: caps_ext[t] for t in targets}
-    )
-    if phi_bar is None:
-        raise ContractViolation(
-            f"scenario {sorted(F)}: assignment infeasible despite the LP guarantee"
-        )
-    phi = {}
-    for u, c in phi_bar.items():
-        if c in rr.aug.head_of:
-            c = rr.aug.m_of[rr.aug.head_of[c]]
-        phi[u] = c
-    hops = state.graph.hops()
-    load = Counter(phi.values())
-    for c, l in load.items():
-        if l > state.caps[c]:
-            raise ContractViolation("capacity exceeded after auxiliary substitution")
-    for u, c in phi.items():
-        if hops[u][c] > 9 or hops[u][state.delta(c)] > 8:
-            raise ContractViolation("assignment exceeds its distance bound")
-        if c not in rr.R or c in F:
-            raise ContractViolation("assignment uses a closed or failed center")
-    return phi
-
 
 def assign_scenario_general(state: GeneralRounding, F) -> dict:
-    """Assignment avoiding an arbitrary failure set F within the solution.
+    """Assignment avoiding up to alpha failed centers: nine hops when only
+    backups fail, ten otherwise.
 
-    Failed non-backups are routed through same-cluster backup stand-ins of no
-    smaller capacity, then swapped back; clients stay within ten hops of
-    their center.
+    The rounding's analysis reassigns the clients within those bounds
+    (backups fail in place; a failed non-backup hands its clients to a
+    same-cluster backup of no smaller capacity), so any capacitated
+    assignment within them is a valid repair.
     """
     F = failure_set(F, state.alpha, state.rr.R)
-    B = state.backup_set()
-    alpha = state.alpha
-    if F <= B:
-        F2 = set(F)
-        for b in sorted(B - F):
-            if len(F2) >= alpha:
-                break
-            F2.add(b)
-        return assign_scenario_backups(state, F2)
-
-    caps = state.caps
-    by_head = {}
-    for f in F:
-        by_head.setdefault(state.clustering.cluster_of[f], []).append(f)
-    stand_ins = {}
-    for h, fs in by_head.items():
-        ranked = sorted(state.backups[h], key=lambda v: (-caps[v], v))
-        stand_ins[h] = (sorted(fs), ranked[: len(fs)])
-    Fprime = set()
-    for h, (_, reps) in stand_ins.items():
-        Fprime.update(reps)
-    F2 = set(Fprime)
-    for b in sorted(B - Fprime - F):
-        if len(F2) >= alpha:
-            break
-        F2.add(b)
-    for b in sorted((B & F) - Fprime):
-        if len(F2) >= alpha:
-            break
-        F2.add(b)
-    phi_pre = assign_scenario_backups(state, F2)
-
-    remap = {}
-    for h, (fs, reps) in stand_ins.items():
-        dead = sorted(set(fs) - set(reps))
-        alive = sorted(set(reps) - set(fs))
-        if len(dead) != len(alive):
-            raise ContractViolation("stand-in bookkeeping out of balance")
-        for d, a in zip(dead, alive):
-            if caps[d] > caps[a]:
-                raise ContractViolation("stand-in has smaller capacity than the center it replaces")
-            remap[d] = a
-    phi = {u: remap.get(c, c) for u, c in phi_pre.items()}
-
-    hops = state.graph.hops()
-    load = Counter(phi.values())
-    for c, l in load.items():
-        if l > caps[c]:
-            raise ContractViolation("capacity exceeded after the stand-in swap")
-    for u, c in phi.items():
-        if c in F or c not in state.rr.R:
-            raise ContractViolation("assignment uses a closed or failed center")
-        if hops[u][c] > 10:
-            raise ContractViolation("assignment exceeds the ten-hop bound")
-    return phi
+    bound = 9 if F <= state.backup_set() else 10
+    return _repair(state.graph, state.caps, state.rr.R, F, bound)
 
 
 # -- uniform-capacity pipeline ----------------------------------------------
@@ -444,18 +335,4 @@ class UniformRounding:
 def assign_scenario_uniform(state: UniformRounding, F) -> dict:
     """Assignment within six hops avoiding up to alpha failed centers."""
     F = failure_set(F, state.alpha, state.R)
-    graph, caps = state.graph, state.caps
-    n = graph.n
-    hops = graph.hops()
-    targets = sorted(v for v in state.R if v not in F and caps[v] > 0)
-    allowed = {
-        u: [c for c in targets if hops[u][c] <= 6] for u in range(n)
-    }
-    phi, witness = capacitated_assignment(
-        list(range(n)), targets, allowed, {c: caps[c] for c in targets}
-    )
-    if phi is None:
-        raise ContractViolation(
-            f"uniform scenario {sorted(F)} infeasible despite the transfer guarantee"
-        )
-    return phi
+    return _repair(state.graph, state.caps, state.R, F, 6)

@@ -1,7 +1,7 @@
 """End-to-end fault-tolerant solvers built on the threshold sweep.
 
 Two pipelines: the general-capacity one (clustered LP with scenario cuts,
-distance-8 transfer rounding, ten-hop scenario assignments) and the
+distance-8 transfer rounding, nine- or ten-hop scenario assignments) and the
 uniform-capacity one for {0,L} instances (direct LP with scenario-free
 rows plus Hall cuts, distance-5 transfer, six-hop assignments for any
 number of failures below k).  Their repair records are
@@ -69,7 +69,7 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
             "LP with scenario cuts is infeasible: no distance-1 solution"
         )
     rr = round_general(y, graph, cl, backups, caps)
-    state = GeneralRounding(graph, list(caps), cl, backups, gp, rr, alpha)
+    state = GeneralRounding(graph, list(caps), backups, rr, alpha)
     return PerTauSolution(tuple(rr.R), state(frozenset()), 10, state)
 
 

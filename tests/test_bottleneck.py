@@ -16,7 +16,7 @@ from ftkcenter.bottleneck import (
     sweep,
 )
 from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, ThresholdGraph
-from ftkcenter.solvers import solve_ft_uniform
+from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
 
 from helpers import edge_set, path_graph
 
@@ -161,17 +161,35 @@ def test_components_connected_shortcut_and_budget_search():
 def test_merged_scenario_remaps_and_validates():
     g = two_plus_four()
     solver = make_fake_solver(lambda sub: math.ceil(sub.n / 2))
-    out = solve_components(g, 3, 0, [1] * 6, solver)
+    out = solve_components(g, 4, 1, [1] * 6, solver)
     phi = out.scenario([2])
     assert phi == {0: 0, 1: 0, 2: 2, 3: 2, 4: 2, 5: 2}
-    with pytest.raises(ContractViolation):
-        out.scenario([1])  # vertex 1 is not a center
+    with pytest.raises(InstanceError, match="failures must be centers"):
+        out.scenario([4])  # vertex 4 is not a center
+    with pytest.raises(InstanceError, match="too many failures"):
+        out.scenario([0, 2])  # two centers, alpha = 1
     with pytest.raises(InstanceError, match="integer vertex indices"):
         out.scenario([False])  # False == 0, a center, but not a vertex index
     assert isinstance(out.scenario, MergedComponents)
-    assert out.scenario.centers == {0, 2, 3}
+    assert out.scenario.centers == {0, 1, 2, 3}
+    assert out.scenario.alpha == 1
     assert [orig for orig, _ in out.scenario.parts] == [(0, 1), (2, 3, 4, 5)]
-    assert [sol.centers for _, sol in out.scenario.parts] == [(0,), (0, 1)]
+    assert [sol.centers for _, sol in out.scenario.parts] == [(0, 1), (0, 1)]
+
+
+def test_merged_scenario_validates_like_a_connected_record():
+    """A real solve split into two components rejects bad failure sets with
+    the same `InstanceError` as a connected record."""
+    inst = MetricInstance.from_points([(0, 0), (1, 0), (100, 0), (101, 0)], 4, 1, [2] * 4)
+    res = solve_ft_general(inst)
+    assert isinstance(res.outcome.solution.scenario, MergedComponents)
+    with pytest.raises(InstanceError, match="failures must be centers"):
+        res.scenario([7])
+    with pytest.raises(InstanceError, match="too many failures"):
+        res.scenario([0, 2])
+    phi = res.scenario([0])  # center 1 is all that is left of the first component
+    assert set(phi) == {0, 1, 2, 3}
+    assert phi[0] == phi[1] == 1 and {phi[2], phi[3]} <= {2, 3}
 
 
 def test_components_count_exit_skips_the_solver():

@@ -51,7 +51,7 @@ class TestSolve:
         assert rep["radius_bound"] == "20"
         assert rep["radius_bound_sq"] == "400"
         assert rep["centers"] == [0, 1]
-        assert rep["initial_assignment"] == {"0": 1, "1": 1, "2": 1, "3": 1}
+        assert rep["initial_assignment"] == {"0": 0, "1": 0, "2": 0, "3": 0}
         assert rep["verified"] is True
         assert rep["oracle_opt"] == "2"
         assert rep["oracle_opt_sq"] == "4"

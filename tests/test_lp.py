@@ -123,11 +123,33 @@ def test_feasible_point_satisfies_random_systems():
     assert feasible_seen and infeasible_seen
 
 
-def assert_same_point_as_fraction_tableau(lp):
+def cap_pivots(monkeypatch, cap=25):
+    """Count `lp._pivot` calls in the returned list and fail once it holds
+    more than `cap`, so that a cycling pivot rule or broken tableau
+    arithmetic fails the test instead of hanging it.  The systems here need
+    at most 9 pivots; the cap also stops early enough that entries left
+    unreduced by a broken elimination (their bit length grows like the
+    Fibonacci numbers, per pivot) stay small."""
+    pivots = []
+    pivot = lp_module._pivot
+
+    def counted(tableau, basis, pi, pj):
+        pivots.append(pj)
+        if len(pivots) > cap:
+            raise RuntimeError(f"more than {cap} pivots")
+        return pivot(tableau, basis, pi, pj)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    return pivots
+
+
+def assert_same_point_as_fraction_tableau(lp, pivots):
     """The integer-row tableau makes the pivots of the Fraction dual
     simplex, so it returns the same point (or None); the verdict is the one
-    of the phase-1 reference, and a point satisfies every row.  Returns the
-    point."""
+    of the phase-1 reference, and a point satisfies every row.  `pivots` is
+    the list of `cap_pivots`, emptied first so that the cap holds per
+    system.  Returns the point."""
+    pivots.clear()
     x = feasible_point(lp)
     assert x == fraction_dual_simplex_point(lp)
     assert (x is None) == (fraction_feasible_point(lp) is None)
@@ -136,9 +158,10 @@ def assert_same_point_as_fraction_tableau(lp):
     return x
 
 
-def test_feasible_point_matches_fraction_tableau():
+def test_feasible_point_matches_fraction_tableau(monkeypatch):
     """Rows that need lcm scaling, negative right-hand sides and all three
     relations."""
+    pivots = cap_pivots(monkeypatch)
     rng = random.Random(2016)
 
     def frac():
@@ -152,7 +175,7 @@ def test_feasible_point_matches_fraction_tableau():
         for _ in range(rng.randint(1, 6)):
             coeffs = {v: frac() for v in range(nvars) if rng.random() < 0.7}
             lp.add(coeffs, rng.choice(["<=", ">=", "=="]), frac())
-        x = assert_same_point_as_fraction_tableau(lp)
+        x = assert_same_point_as_fraction_tableau(lp, pivots)
         verdicts.add(x is None)
         if x is not None:
             fractional_points += any(v.denominator != 1 for v in x.values())
@@ -160,11 +183,12 @@ def test_feasible_point_matches_fraction_tableau():
     assert fractional_points
 
 
-def test_feasible_point_matches_fraction_tableau_on_covering_systems():
+def test_feasible_point_matches_fraction_tableau_on_covering_systems(monkeypatch):
     """Degenerate systems shaped like the static LPs plus Hall cuts (total
     mass, 0/1 coverage rows, y <= 1, cuts with a fractional rhs), where
     degenerate pivots are common and the lowest-index rules pick the
     vertex."""
+    pivots = cap_pivots(monkeypatch)
     rng = random.Random(2016)
     verdicts = set()
     for _ in range(200):
@@ -179,7 +203,7 @@ def test_feasible_point_matches_fraction_tableau_on_covering_systems():
             lp.add({u: level for u in U}, ">=", Fraction(rng.randint(1, 2 * n), rng.randint(1, 2)))
         for u in range(n):
             lp.add({u: 1}, "<=", 1)
-        verdicts.add(assert_same_point_as_fraction_tableau(lp) is None)
+        verdicts.add(assert_same_point_as_fraction_tableau(lp, pivots) is None)
     assert verdicts == {True, False}
 
 
@@ -490,20 +514,10 @@ def test_warm_cuts_match_from_scratch_verdicts():
     assert min(seen.values()) >= 20, seen
 
 
-def solve_with_pivot_cap(monkeypatch, lp, cuts, cap=50):
+def solve_with_pivot_cap(monkeypatch, lp, cuts):
     """`solve_cutting_plane` on lp with a separator that returns `cuts` in
-    order, failing once the simplex makes more than `cap` pivots, so that a
-    cycling pivot rule fails here instead of hanging.  Returns (y, cuts)."""
-    pivots = []
-    pivot = lp_module._pivot
-
-    def counted(tableau, basis, pi, pj):
-        pivots.append(pj)
-        if len(pivots) > cap:
-            raise RuntimeError(f"more than {cap} pivots")
-        return pivot(tableau, basis, pi, pj)
-
-    monkeypatch.setattr(lp_module, "_pivot", counted)
+    order, under `cap_pivots`.  Returns (y, cuts)."""
+    cap_pivots(monkeypatch)
     rows = iter(cuts)
     return solve_cutting_plane(
         lp, lambda y: Separation(Fraction(-1), Fraction(0), None, None, next(rows))

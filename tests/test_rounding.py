@@ -2,6 +2,7 @@
 pipeline's three-step rounding, and the uniform-capacity transfer."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +19,9 @@ from ftkcenter.oracle import (
 )
 from ftkcenter.rounding import (
     GeneralRounding,
+    RoundResult,
     UniformRounding,
+    assign_scenario_general,
     assign_scenario_uniform,
     build_augmented,
     condition_b_flow,
@@ -26,8 +29,7 @@ from ftkcenter.rounding import (
     round_uniform,
     tree_transfer,
 )
-from ftkcenter.bottleneck import PerTauSolution
-from ftkcenter.solvers import ft_general_connected, solve_ft_general
+from ftkcenter.solvers import solve_ft_general
 
 from helpers import cycle_graph, path_graph
 
@@ -126,7 +128,6 @@ def test_build_augmented_c6():
     aug = build_augmented(g, cl, frozenset({1, 2}), caps)
     assert aug.ext.n == 8
     assert aug.aux_of == {0: 6, 3: 7}
-    assert aug.head_of == {6: 0, 7: 3}
     assert aug.m_of == {0: 0, 3: 3}
     assert aug.caps_ext == (1, 2, 2, 1, 1, 1, 1, 1)
     assert set(aug.ext.closed(6)) - {6} == {0, 1, 5}
@@ -208,64 +209,57 @@ def test_assign_scenario_uniform():
         assign_scenario_uniform(UniformRounding(g, [1, 1, 1], (0, 1, 2), {}, 1), {1})
 
 
-def test_reach_sets_are_built_once_per_record(monkeypatch):
-    """Scenario repairs reuse the record's reach sets: every size-alpha
-    scenario together costs the neighborhood calls of a single one, and the
-    repairs equal those of a fresh record per scenario."""
-    rng = random.Random(17)
-    for i in range(40):
-        inst = random_point_instance(rng, 9, 4, 2, name=f"reach{i}")
+def test_assign_scenario_general_hop_bound():
+    """Nine hops when only backups fail (here none), ten otherwise: on an
+    11-vertex path the only center with capacity is ten hops from the far
+    end, so the empty set has no repair and failing the non-backup center 5
+    (capacity 0) has one."""
+    g = path_graph(11)
+    rr = RoundResult((0, 5), frozenset(), {}, {}, {}, None)  # the repair reads only R
+    state = GeneralRounding(g, [11] + [0] * 10, {0: (0,)}, rr, 1)
+    with pytest.raises(ContractViolation, match="within 9 hops"):
+        assign_scenario_general(state, set())
+    assert assign_scenario_general(state, {5}) == dict.fromkeys(range(11), 0)
+    with pytest.raises(InstanceError):
+        assign_scenario_general(state, {3})
+
+
+def test_general_repairs_fit_capacities_and_hop_bounds():
+    """On connected and merged ft-general records, every failure set of every
+    size up to alpha is repaired: each client goes to a live center, loads
+    fit the capacities, distances fit the radius, and on a connected record
+    hops fit nine when only backups fail and ten otherwise.  The empty set
+    gives the base assignment, and a fresh record gives the same repairs."""
+    rng = random.Random("general-repairs")
+    seen = Counter()
+    attempts = 0
+    while min(seen["connected"], seen["merged"]) < 15 and attempts < 400:
+        attempts += 1
+        n = rng.randint(5, 12)
+        k = rng.randint(2, min(5, n - 1))
+        alpha = rng.randint(0, min(2, k - 1))
+        span = rng.choice((12, 60))
+        inst = random_point_instance(rng, n, k, alpha, span=span, name=f"repair{attempts}")
         res = solve_ft_general(inst)
-        if res.feasible and isinstance(res.outcome.solution.scenario, GeneralRounding):
-            break
-    else:
-        pytest.fail("no connected general rounding found")
-    record = res.outcome.solution.scenario
-    scenarios = list(combinations(res.centers, inst.alpha))
-    assert len(scenarios) == 6
-
-    calls = []
-    original = ThresholdGraph.neighborhood
-
-    def counting(self, U, ell=1):
-        calls.append(ell)
-        return original(self, U, ell)
-
-    monkeypatch.setattr(ThresholdGraph, "neighborhood", counting)
-    replace(record)(scenarios[0])
-    single = len(calls)
-    assert single > 0
-    calls.clear()
-    fresh = replace(record)
-    repairs = [fresh(F) for F in scenarios]
-    assert len(calls) == single
-    assert repairs == [replace(record)(F) for F in scenarios]
-
-
-def test_reach_sets_match_hop_matrix_reference():
-    """Each client's reach set against one built from the extended graph's
-    and the tree's full hop matrices: the opened centers among the 2-hop
-    neighborhood in the extended graph, the tree members within two tree
-    hops of a member in it, and the granted backups."""
-    rng = random.Random("reach-reference")
-    records = []
-    while len(records) < 12:
-        n = rng.randint(15, 30)  # enough heads that clients see several tree members
-        g = random_connected_graph(rng, n, extra=rng.randint(0, n))
-        caps = [rng.randint(1, n) for _ in range(n)]
-        alpha = rng.randint(1, 2)
-        out = ft_general_connected(g, rng.randint(alpha + 1, n), caps, alpha)
-        if isinstance(out, PerTauSolution):
-            records.append(out.scenario)
-    for state in records:
-        rr = state.rr
-        ext_hops, tree_hops = rr.aug.ext.hops(), rr.tree.hops()
-        B = state.backup_set()
-        want = []
-        for u in range(state.graph.n):
-            near = {v for v in range(rr.aug.ext.n) if ext_hops[u][v] <= 2}
-            cover = (state.gprime.closed_out(u) & B) | near
-            for w in near & rr.tree_members:
-                cover |= {x for x in rr.tree_members if tree_hops[w][x] <= 2}
-            want.append(tuple(sorted(cover & rr.support2)))
-        assert state.reach == tuple(want)
+        if not res.feasible:
+            continue
+        record = res.outcome.solution.scenario
+        connected = isinstance(record, GeneralRounding)
+        seen["connected" if connected else "merged"] += 1
+        fresh = replace(record)
+        r2 = res.radius().value_sq()
+        assert record(()) == res.assignment
+        for size in range(alpha + 1):
+            for F in combinations(res.centers, size):
+                phi = record(F)
+                assert fresh(F) == phi
+                assert set(phi) == set(range(n))
+                assert set(phi.values()) <= set(res.centers) - set(F)
+                load = Counter(phi.values())
+                assert all(load[c] <= inst.capacities[c] for c in load)
+                assert all(inst.d2[u][c] <= r2 for u, c in phi.items())
+                if connected:
+                    hops = record.graph.hops()
+                    bound = 9 if set(F) <= record.backup_set() else 10
+                    assert all(hops[u][c] <= bound for u, c in phi.items())
+    assert min(seen["connected"], seen["merged"]) >= 15, seen

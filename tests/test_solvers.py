@@ -4,9 +4,10 @@ Values frozen here were cross-checked against the exhaustive oracle
 (exact_opt_ft / exact_opt_conservative) before being pinned.
 """
 
+from dataclasses import fields
+
 import pytest
 
-from ftkcenter.clustering import Clustering
 from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
 from ftkcenter.instance import InstanceError, MetricInstance, Radius
 from ftkcenter.oracle import (
@@ -32,7 +33,7 @@ class TestFtGeneralLine4:
         assert res.tau2_star == 4
         assert res.centers == (0, 1)
         assert res.stretch == 10
-        assert res.assignment == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert res.assignment == {0: 0, 1: 0, 2: 0, 3: 0}
 
     def test_radius_covers_assignment(self):
         res = solve_ft_general(line4())
@@ -42,9 +43,9 @@ class TestFtGeneralLine4:
 
     def test_scenarios(self):
         res = solve_ft_general(line4())
-        # failing a backup rides the precomputed scenario assignment
+        # one center survives either failure and takes every client
+        assert res.outcome.solution.scenario.backup_set() == {0}
         assert res.scenario({0}) == {0: 1, 1: 1, 2: 1, 3: 1}
-        # failing a non-backup remaps onto its stand-in
         assert res.scenario({1}) == {0: 0, 1: 0, 2: 0, 3: 0}
 
     def test_repair_record(self):
@@ -52,7 +53,7 @@ class TestFtGeneralLine4:
         state = res.outcome.solution.scenario
         assert isinstance(state, GeneralRounding)
         assert isinstance(state.rr, RoundResult) and state.rr.R == res.centers
-        assert isinstance(state.clustering, Clustering)
+        assert [f.name for f in fields(state)] == ["graph", "caps", "backups", "rr", "alpha"]
         assert state.backup_set() <= set(res.centers)
         assert state.alpha == 1
 

@@ -162,7 +162,7 @@ def _cmd_bench(args) -> int:
     import random
 
     rng = random.Random(args.seed)
-    lines = []
+    reports = []
     for i in range(args.count):
         inst = random_point_instance(
             rng,
@@ -178,9 +178,10 @@ def _cmd_bench(args) -> int:
         elapsed = time.perf_counter() - t0
         report = build_report(inst, res, with_oracle=args.with_oracle)
         report["seconds"] = round(elapsed, 6)
-        lines.append(json.dumps(report))  # reports are JSON-native by now
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        reports.append(report)
+    # reports are JSON-native by now
+    _emit("".join(json.dumps(r) + "\n" for r in reports), args.output)
+    return 2 if any(r.get("verified") is False for r in reports) else 0
 
 
 def _add_common_solve_flags(p):

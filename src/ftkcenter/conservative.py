@@ -1,18 +1,17 @@
 """Conservative solvers: failures only move the clients of failed centers.
 
-Both algorithms pre-open backup sets sized for the failure budget, solve a
-residual non-fault-tolerant instance on the remaining capacity, and repair
-failure scenarios locally: the {0,L} algorithm walks each orphaned client to
-a nearby anchor's backups (seven hops); the general one moves orphans to
-backups reachable through chains of failed centers, assigned by the
-transport network (beta + 6*alpha hops, where beta is the stretch of the
-residual solver).  The repair records are `ConservativeUniform` and
-`ConservativeGeneral`.
+Both algorithms pre-open backup sets sized for the failure budget and solve
+a residual non-fault-tolerant instance on the remaining capacity.  A failure
+scenario is repaired by one seat-keeping transport (`rounding.repair`):
+every client of a live center keeps its seat, and the orphans go to live
+centers with capacity left, within seven hops for {0,L} capacities (six to
+an anchor, one more to its backups) and within beta + 6*alpha hops for
+general ones, where beta is the stretch of the residual solver.  The repair
+records are `ConservativeUniform` and `ConservativeGeneral`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -27,7 +26,6 @@ from .bottleneck import (
     solve_threshold,
 )
 from .clustering import greedy_independent, is_alpha_ell_independent
-from .flow import capacitated_assignment
 from .instance import (
     ContractViolation,
     InstanceError,
@@ -38,6 +36,7 @@ from .instance import (
     uniform_capacity_level,
 )
 from .oracle import exact_distance1
+from .rounding import repair
 from .solvers import ft_general_connected, ft_uniform_connected
 
 EXACT_RESIDUAL_MAX_N = 10  # exact_distance1 enumerates C(n, k) center sets
@@ -94,7 +93,7 @@ def conservative_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: i
         return PerTauInfeasible(f"residual uniform solve: {inner.reason}")
     phi0 = dict(inner.assignment)
     centers = _pad_centers(set(inner.centers) | bset, k, graph.n)
-    state = ConservativeUniform(graph, caps, anchors, backups, phi0, alpha, centers)
+    state = ConservativeUniform(graph, caps, phi0, alpha, centers)
     return PerTauSolution(centers, phi0, 7, state)
 
 
@@ -104,8 +103,6 @@ class ConservativeUniform:
 
     graph: ThresholdGraph
     caps: Sequence[int]
-    anchors: tuple  # pairwise at least seven hops apart
-    backups: dict  # anchor -> its alpha backups within one hop
     phi0: dict  # base assignment
     alpha: int
     centers: tuple
@@ -115,36 +112,17 @@ class ConservativeUniform:
 
 
 def reassign_uniform(state: ConservativeUniform, F) -> dict:
-    """Move each orphaned client to a free backup of its nearest anchor.
+    """Keep every client of a live center in its seat and move the orphans,
+    by one transport, to live centers within seven hops.
 
-    Conservative by construction: only clients of failed centers move, and
-    they land within seven hops (six to the anchor, one more to a backup).
+    The analysis's repair is one the transport may pick: each orphan's
+    nearest anchor lies within six hops, and that anchor's backups, one hop
+    further, have room for the orphans.
     """
     F = failure_set(F, state.alpha, state.centers)
-    caps, anchors, backups, phi0 = state.caps, state.anchors, state.backups, state.phi0
-    uniform_capacity_level(caps)
-    hops = state.graph.hops()
-    load = Counter(c for u, c in phi0.items() if c not in F)
-    phi = dict(phi0)
-    moved = sorted(u for u, c in phi0.items() if c in F)
-    for u in moved:
-        a = min(anchors, key=lambda x: (hops[u][x], x))
-        if hops[u][a] > 6:
-            raise ContractViolation("anchor maximality violated")
-        target = None
-        for b in backups[a]:
-            if b not in F and load[b] < caps[b]:
-                target = b
-                break
-        if target is None:
-            raise ContractViolation(
-                f"no free backup near anchor {a} for client {u}; capacity argument failed"
-            )
-        phi[u] = target
-        load[target] += 1
-        if hops[u][target] > 7:
-            raise ContractViolation("reassignment exceeds seven hops")
-    return phi
+    uniform_capacity_level(state.caps)
+    keep = {u: c for u, c in state.phi0.items() if c not in F}
+    return repair(state.graph, state.caps, state.centers, F, 7, keep)
 
 
 def solve_conservative_uniform(inst: MetricInstance) -> SolveResult:
@@ -245,59 +223,18 @@ class ConservativeGeneral:
 
 
 def reassign_flow(state: ConservativeGeneral, F) -> dict:
-    """Scenario repair for the general conservative algorithm.
+    """Keep every client of a live center in its seat and move the orphans,
+    by one transport on the capped capacities, to live centers within
+    beta + 6*alpha hops.
 
-    F is padded to alpha failures with the lowest live backups.  From each
-    failed center, a chain of failed backups is walked in steps of at most
-    six hops; its orphans may move to any live backup within six hops of
-    that chain, and the transport network assigns them within the backups'
-    capacities.
+    The analysis's repair is one the transport may pick: each client sits
+    within beta hops of its base center, and the backup loop leaves the
+    orphans room at live backups within 6*alpha hops of their failed
+    centers, reached through chains of failed backups six hops per link.
     """
     F = failure_set(F, state.alpha, state.centers)
-    alpha, B, phi0 = state.alpha, state.B, state.phi0
-    pad = set(F)
-    for b in sorted(B - F):
-        if len(pad) >= alpha:
-            break
-        pad.add(b)
-    moved = sorted(u for u, c in phi0.items() if c in pad)
-    if not moved:
-        return dict(phi0)
-    hops = state.graph.hops()
-    caps = state.caps
-    live = sorted(B - pad)
-    failed_backups = B & pad
-    reach = {}
-    for v in {phi0[u] for u in moved}:
-        chain, todo = {v}, [v]
-        while todo:
-            x = todo.pop()
-            for w in failed_backups:
-                if w not in chain and hops[x][w] <= 6:
-                    chain.add(w)
-                    todo.append(w)
-        reach[v] = [w for w in live if any(hops[x][w] <= 6 for x in chain)]
-    got, witness = capacitated_assignment(
-        moved, live, {u: reach[phi0[u]] for u in moved}, {w: caps[w] for w in live}
-    )
-    if got is None:
-        raise ContractViolation(
-            f"reassignment does not saturate: orphans {sorted(witness.clients)} reach "
-            f"backup capacity {witness.capacity} < {witness.demand}"
-        )
-    phi = dict(phi0)
-    load = Counter(c for u, c in phi0.items() if c not in pad)
-    for u, w in got.items():
-        if hops[phi0[u]][w] > 6 * alpha:
-            raise ContractViolation("rerouted client strays beyond 6*alpha of its center")
-        if hops[u][w] > state.beta + 6 * alpha:
-            raise ContractViolation("rerouted client exceeds the distance bound")
-        phi[u] = w
-        load[w] += 1
-    for c, l in load.items():
-        if l > caps[c]:
-            raise ContractViolation("reassignment exceeds a capacity")
-    return phi
+    keep = {u: c for u, c in state.phi0.items() if c not in F}
+    return repair(state.graph, state.caps, state.centers, F, state.beta + 6 * state.alpha, keep)
 
 
 def exact_residual(graph: ThresholdGraph, budget: int, caps):

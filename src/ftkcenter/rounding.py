@@ -8,9 +8,11 @@ spanning tree of cluster heads (distance 6 on the base graph), and a final
 distance-1 shift, for an integral distance-8 transfer; the uniform-capacity
 pipeline finds an integral distance-5 transfer directly.
 
-A scenario repair is one capacitated transport of every client to the live
-centers within the pipeline's hop bound: six for {0,L} capacities; nine for
-general capacities when only backups fail, ten otherwise.
+A scenario repair is one capacitated transport (`repair`) of every client
+to the live centers within the pipeline's hop bound: six for {0,L}
+capacities; nine for general capacities when only backups fail, ten
+otherwise.  The conservative pipelines make their repairs with the same
+transport, keeping the clients of live centers in their seats.
 """
 
 from __future__ import annotations
@@ -162,9 +164,7 @@ def build_augmented(
 @dataclass
 class RoundResult:
     R: tuple  # sorted real centers, |R| = k
-    support2: frozenset  # support after the tree step (real + aux ids)
     y0: dict
-    y1: dict
     y3: dict
     aug: Augmented
 
@@ -240,25 +240,30 @@ def round_general(
         raise ContractViolation("a pinned backup was closed by rounding")
     if _mass(y3, range(n)) != _mass(y0, range(aug.ext.n)):
         raise ContractViolation("rounding changed the total mass")
-    support2 = frozenset(v for v, val in y2.items() if val == 1)
-    return RoundResult(R, support2, y0, y1, y3, aug)
+    return RoundResult(R, y0, y3, aug)
 
 
 # -- scenario assignments ---------------------------------------------------
 
 
-def _repair(graph: ThresholdGraph, caps, centers, F: frozenset, bound: int) -> dict:
-    """One transport of every client to the live centers within `bound` hops."""
+def repair(graph: ThresholdGraph, caps, centers, F: frozenset, bound: int, keep=None) -> dict:
+    """One transport of every client not in `keep` (client -> the center it
+    keeps) to the live centers within `bound` hops, on the capacity that the
+    kept clients leave free."""
+    keep = keep or {}
     hops = graph.hops()
-    targets = sorted(v for v in centers if v not in F and caps[v] > 0)
-    allowed = {u: [c for c in targets if hops[u][c] <= bound] for u in range(graph.n)}
-    phi, _ = capacitated_assignment(
-        list(range(graph.n)), targets, allowed, {c: caps[c] for c in targets}
-    )
+    free = {c: caps[c] for c in centers if c not in F}
+    for c in keep.values():
+        free[c] -= 1
+    targets = sorted(c for c, f in free.items() if f > 0)
+    clients = [u for u in range(graph.n) if u not in keep]
+    allowed = {u: [c for c in targets if hops[u][c] <= bound] for u in clients}
+    phi, _ = capacitated_assignment(clients, targets, allowed, {c: free[c] for c in targets})
     if phi is None:
         raise ContractViolation(
-            f"scenario {sorted(F)}: no assignment within {bound} hops despite the rounding guarantee"
+            f"scenario {sorted(F)}: no assignment within {bound} hops despite the stretch guarantee"
         )
+    phi.update(keep)
     return phi
 
 
@@ -291,7 +296,7 @@ def assign_scenario_general(state: GeneralRounding, F) -> dict:
     """
     F = failure_set(F, state.alpha, state.rr.R)
     bound = 9 if F <= state.backup_set() else 10
-    return _repair(state.graph, state.caps, state.rr.R, F, bound)
+    return repair(state.graph, state.caps, state.rr.R, F, bound)
 
 
 # -- uniform-capacity pipeline ----------------------------------------------
@@ -335,4 +340,4 @@ class UniformRounding:
 def assign_scenario_uniform(state: UniformRounding, F) -> dict:
     """Assignment within six hops avoiding up to alpha failed centers."""
     F = failure_set(F, state.alpha, state.R)
-    return _repair(state.graph, state.caps, state.R, F, 6)
+    return repair(state.graph, state.caps, state.R, F, 6)

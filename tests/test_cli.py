@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from ftkcenter.bottleneck import SolveResult
 from ftkcenter.cli import ALGORITHMS, main
 from ftkcenter.instance import ContractViolation, MetricInstance, save_instance
+from ftkcenter.oracle import VerifyReport
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
 
@@ -238,6 +240,20 @@ class TestGapAndBench:
             assert rep["instance"] == f"bench-{i}"
             assert rep["algorithm"] == "ft-general"
             assert rep["seconds"] >= 0
+
+    def test_bench_exits_2_when_an_answer_fails_verification(self, capsys, monkeypatch):
+        argv = ["bench", "--count", "2", "--n", "8", "--k", "3", "--alpha", "1",
+                "--alg", "ft-general", "--seed", "0"]
+        assert main(argv) == 0
+        monkeypatch.setattr(SolveResult, "verify", lambda self: VerifyReport(False, "patched"))
+        assert main(argv) == 2
+        reports = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
+        assert [r.get("verified") for r in reports[-2:]] == [False, False]
+        # an infeasible instance has no answer to verify: k = 2 leaves one survivor
+        argv[argv.index("--k") + 1] = "2"
+        assert main(argv) == 0
+        reports = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
+        assert [r["feasible"] for r in reports] == [False, False]
 
     def test_bench_is_seed_deterministic(self, tmp_path):
         outs = []

@@ -1,6 +1,11 @@
 """Conservative solvers: the {0,L} anchor/backup algorithm, the general
-backup-loop algorithm with both residual solvers, and the transport-based
-scenario repair."""
+backup-loop algorithm with both residual solvers, and the seat-keeping
+transport that repairs their failure scenarios."""
+
+import random
+from collections import Counter
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +31,8 @@ from ftkcenter.instance import (
     ThresholdGraph,
     hop_metric_instance,
 )
-from ftkcenter.oracle import exact_opt_conservative
+from ftkcenter.oracle import exact_opt_conservative, random_point_instance
+from ftkcenter.rounding import repair
 
 from helpers import cycle_graph, path_graph, power
 
@@ -103,8 +109,7 @@ def test_conservative_uniform_connected_details():
     out = conservative_uniform_connected(power(path_graph(4), 3), 2, [4] * 4, 1)
     assert isinstance(out, PerTauSolution)
     assert isinstance(out.scenario, ConservativeUniform)
-    assert out.scenario.anchors == (0,)
-    assert out.scenario.backups == {0: (0,)}
+    assert out.scenario.phi0 == out.assignment
     assert out.centers == (0, 1)
 
     # two anchors pin two backups and eat the whole budget
@@ -159,50 +164,122 @@ def test_conservative_general_connected_detail():
 def test_reassign_uniform_direct_and_tripwire():
     g = path_graph(4)
     phi0 = {u: 1 for u in range(4)}
-    state = ConservativeUniform(g, [4] * 4, (0,), {0: (0,)}, phi0, 1, (0, 1))
+    state = ConservativeUniform(g, [4] * 4, phi0, 1, (0, 1))
     phi = reassign_uniform(state, {1})
     assert phi == {u: 0 for u in range(4)}
     assert state({1}) == phi
-    # backup capacity exhausted: the capacity argument tripwire fires
-    with pytest.raises(ContractViolation):
-        reassign_uniform(
-            ConservativeUniform(g, [1, 1, 1, 1], (0,), {0: (0,)}, {0: 1, 1: 1}, 1, (0, 1)), {1}
-        )
+    # the clients of 0 fill it, so the orphans of 1 find no seat
+    full = ConservativeUniform(g, [2] * 4, {0: 0, 1: 0, 2: 1, 3: 1}, 1, (0, 1))
+    with pytest.raises(ContractViolation, match="no assignment within 7 hops"):
+        reassign_uniform(full, {1})
+
+
+def test_reassign_uniform_hop_bound():
+    """Seven hops: on an 8-vertex path the only live center is seven hops
+    from the orphan at the far end, so the same transport within six fails."""
+    g = path_graph(8)
+    caps = [8] + [0] * 6 + [8]
+    state = ConservativeUniform(g, caps, dict.fromkeys(range(8), 7), 1, (0, 7))
+    assert reassign_uniform(state, {7}) == dict.fromkeys(range(8), 0)
+    with pytest.raises(ContractViolation, match="no assignment within 6 hops"):
+        repair(g, caps, (0, 7), frozenset({7}), 6, {})
+
+
+# path 0..12 with centers 0, 6 and 12; the base assignment fills 6 and 12
+PATH13_CENTERS = (0, 6, 12)
+PATH13_PHI0 = {u: 0 if u < 4 else 6 if u < 9 else 12 for u in range(13)}
+
+
+def path13(cap0: int, alpha: int) -> ConservativeGeneral:
+    caps = [cap0] + [0] * 5 + [5] + [0] * 5 + [4]
+    B = frozenset(PATH13_CENTERS)
+    return ConservativeGeneral(path_graph(13), caps, B, PATH13_PHI0, alpha, 1, PATH13_CENTERS)
 
 
 def test_reassign_flow_chains_through_failed_backups():
-    """A failed backup passes its orphans on to the backups six hops further,
-    letting an orphan cross two failures: 11 -> 12 -> 6 -> 0."""
-    g = path_graph(13)
-    caps = [1] + [0] * 5 + [1] + [0] * 5 + [1]
-    B = frozenset({0, 6, 12})
-    phi = reassign_flow(ConservativeGeneral(g, caps, B, {11: 12}, 2, 1, (0, 6, 12)), {6, 12})
-    assert phi == {11: 0}
+    """With two failed backups, the orphans of both cross them to the last
+    live one: 12 -> 0 is 12 hops, within beta + 6*alpha = 13."""
+    assert reassign_flow(path13(13, 2), {6, 12}) == dict.fromkeys(range(13), 0)
 
 
 def test_reassign_flow_saturation_tripwire():
-    """Two orphans of 12 reach only backup 6, of capacity 1."""
-    g = path_graph(13)
-    caps = [1] + [0] * 5 + [1] + [0] * 5 + [1]
-    B = frozenset({0, 6, 12})
-    with pytest.raises(ContractViolation, match="does not saturate"):
-        reassign_flow(ConservativeGeneral(g, caps, B, {10: 12, 11: 12}, 1, 1, (0, 6, 12)), {12})
+    """The orphans of 12 reach only backup 6 within seven hops, and 6 is full."""
+    with pytest.raises(ContractViolation, match="no assignment within 7 hops"):
+        reassign_flow(path13(8, 1), {12})
 
 
-def test_reassign_flow_padding_withholds_backup_capacity():
-    """|F| < alpha pads with the lowest live backups; the padded backup's
-    capacity is withheld, so the orphan lands on the next one over."""
-    g = path_graph(13)
-    caps = [1] + [0] * 5 + [1] + [0] * 5 + [1]
-    B = frozenset({0, 6, 12})
-    state = ConservativeGeneral(g, caps, B, {11: 12}, 2, 1, (0, 6, 12))
-    assert reassign_flow(state, {12}) == {11: 6}
-    # nothing moves when the failed centers serve nobody
-    assert reassign_flow(state, {6}) == {11: 12}
+def test_reassign_flow_withholds_no_live_backup_capacity():
+    """|F| < alpha withholds no live backup: the orphans of 12 take the room
+    left at 0, and every other client keeps its seat."""
+    state = path13(8, 2)
+    assert reassign_flow(state, {12}) == {**PATH13_PHI0, 9: 0, 10: 0, 11: 0, 12: 0}
     with pytest.raises(InstanceError):
         reassign_flow(state, {6, 12, 0})
     with pytest.raises(InstanceError):
         reassign_flow(state, {5})
+
+
+def test_reassign_flow_hop_bound():
+    """beta + 6*alpha hops: on a 14-vertex path the only live center is 13
+    hops from the orphan at the far end, so a residual stretch one smaller
+    leaves no repair."""
+    caps = [14] + [0] * 12 + [14]
+    state = ConservativeGeneral(
+        path_graph(14), caps, frozenset({0}), dict.fromkeys(range(14), 13), 1, 7, (0, 13)
+    )
+    assert reassign_flow(state, {13}) == dict.fromkeys(range(14), 0)
+    with pytest.raises(ContractViolation, match="no assignment within 12 hops"):
+        reassign_flow(replace(state, beta=6), {13})
+
+
+@pytest.mark.parametrize(
+    "solve, caps_mode, record_type",
+    [
+        (solve_conservative_uniform, "uniform", ConservativeUniform),
+        (solve_conservative_general, "general", ConservativeGeneral),
+    ],
+    ids=["cons-0l", "cons-general"],
+)
+def test_conservative_repairs_keep_seats_and_fit_bounds(solve, caps_mode, record_type):
+    """On connected and merged records with alpha >= 1, every failure set of
+    every size up to alpha is repaired: clients of live centers keep their
+    seats, orphans land on live centers, loads fit the capacities (a
+    connected cons-general record's, capped at n), distances fit the radius,
+    and on a connected record hops fit seven (cons-0l) or beta + 6*alpha."""
+    rng = random.Random(f"conservative-repairs-{caps_mode}")
+    seen = Counter()
+    attempts = 0
+    while min(seen["connected"], seen["merged"]) < 10 and attempts < 600:
+        attempts += 1
+        n = rng.randint(5, 10)
+        k = rng.randint(2, min(5, n - 1))
+        alpha = rng.randint(1, min(2, k - 1))
+        span = rng.choice((12, 60))
+        inst = random_point_instance(rng, n, k, alpha, variant="conservative",
+                                     caps_mode=caps_mode, span=span, name=f"cons{attempts}")
+        res = solve(inst)
+        if not res.feasible:
+            continue
+        record = res.outcome.solution.scenario
+        connected = isinstance(record, record_type)
+        seen["connected" if connected else "merged"] += 1
+        caps = record.caps if connected else inst.capacities
+        r2 = res.radius().value_sq()
+        assert record(()) == res.assignment
+        for size in range(alpha + 1):
+            for F in combinations(res.centers, size):
+                phi = record(F)
+                assert set(phi) == set(range(n))
+                assert all(phi[u] == c for u, c in res.assignment.items() if c not in F)
+                assert set(phi.values()) <= set(res.centers) - set(F)
+                load = Counter(phi.values())
+                assert all(load[c] <= caps[c] for c in load)
+                assert all(inst.d2[u][c] <= r2 for u, c in phi.items())
+                if connected:
+                    hops = record.graph.hops()
+                    bound = 7 if record_type is ConservativeUniform else record.beta + 6 * alpha
+                    assert all(hops[u][c] <= bound for u, c in phi.items())
+    assert min(seen["connected"], seen["merged"]) >= 10, seen
 
 
 def test_variant_enforcement():

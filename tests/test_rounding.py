@@ -147,8 +147,7 @@ def test_round_general_c6_no_backups():
     y = {0: Fraction(1), 3: Fraction(1)}
     rr = round_general(y, g, cl, {}, [1] * 6)
     assert rr.R == (0, 2)
-    assert rr.support2 == frozenset({6, 7})
-    assert rr.y1[6] == 1 and rr.y1[7] == 1
+    assert {v for v, val in rr.y3.items() if val} == {0, 2}  # auxiliaries 6 and 7 shifted
     assert sum(rr.y3[v] for v in range(6)) == 2
 
 
@@ -161,7 +160,8 @@ def test_round_general_c6_pinned_backups():
     y = {0: H, 1: Fraction(1), 2: Fraction(1), 3: H, 4: H, 5: H}
     rr = round_general(y, g, cl, backups, caps)
     assert rr.R == (0, 1, 2, 3)
-    assert rr.support2 == frozenset({1, 2, 6, 7})
+    assert {v for v, val in rr.y3.items() if val} == {0, 1, 2, 3}
+    assert rr.y3[6] == rr.y3[7] == 0
     assert {1, 2} <= set(rr.R)
 
 
@@ -215,7 +215,7 @@ def test_assign_scenario_general_hop_bound():
     end, so the empty set has no repair and failing the non-backup center 5
     (capacity 0) has one."""
     g = path_graph(11)
-    rr = RoundResult((0, 5), frozenset(), {}, {}, {}, None)  # the repair reads only R
+    rr = RoundResult((0, 5), {}, {}, None)  # the repair reads only R
     state = GeneralRounding(g, [11] + [0] * 10, {0: (0,)}, rr, 1)
     with pytest.raises(ContractViolation, match="within 9 hops"):
         assign_scenario_general(state, set())

@@ -1,10 +1,14 @@
 """Problem instances, exact rational metrics, and threshold graphs.
 
-Distances are kept as exact squared values (`Fraction`) so that every
-comparison made anywhere in the package is exact: instances given as 2-D
-rational points have rational squared distances, and instances given as a
-distance matrix are squared losslessly on load.  Nothing downstream ever
-takes a square root.
+Distances are kept as exact squared values so that every comparison made
+anywhere in the package is exact.  Parsing scales the input to ints by the
+lcm of its denominators: 2-D rational points become int points whose
+squared distances are ints over the scale squared, and a distance matrix
+becomes an int matrix that is squared on load.  Each instance keeps that
+int matrix of squares; validation, the triangle check and the threshold
+ranking run on it, and `d2` and the thresholds hold one interned
+`Fraction` per distinct square.  Nothing downstream ever takes a square
+root.
 
 The sweep compares each distance once per instance: the first threshold
 graph ranks the vertex pairs by squared distance, and every threshold graph
@@ -39,8 +43,6 @@ class ContractViolation(RuntimeError):
 
 
 VARIANTS = ("ft", "conservative")
-
-ZERO = Fraction(0)
 
 
 def is_plain_int(x) -> bool:
@@ -303,6 +305,33 @@ def _validate_square(rows, n, what):
             raise InstanceError(f"{what} must be {n}x{n}")
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """The rationals `values` as ints over one scale, the lcm of their
+    denominators: (ints, scale)."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _validate_parameters(name, n, k, alpha, variant, capacities):
+    if not isinstance(name, str):
+        raise InstanceError("name must be a string")
+    if variant not in VARIANTS:
+        raise InstanceError(f"variant must be one of {VARIANTS}")
+    if n < 1:
+        raise InstanceError("need at least one vertex")
+    if not (is_plain_int(k) and is_plain_int(alpha)):
+        raise InstanceError("k and alpha must be integers")
+    if not 1 <= k <= n:
+        raise InstanceError(f"k={k} out of range 1..{n}")
+    if not 0 <= alpha < k:
+        raise InstanceError(f"alpha={alpha} must satisfy 0 <= alpha < k")
+    if len(capacities) != n:
+        raise InstanceError("capacities length mismatch")
+    for c in capacities:
+        if not is_plain_int(c) or c < 0:
+            raise InstanceError("capacities must be non-negative integers")
+
+
 def _triangle_sq_ok(a2: int, b2: int, c2: int) -> bool:
     # sqrt(a2) <= sqrt(b2) + sqrt(c2), decided without square roots
     diff = a2 - b2 - c2
@@ -313,13 +342,11 @@ def _triangle_failure(d2) -> tuple[int, int, int] | None:
     """The lexicographically smallest (i, j, m), i < j, with d(i,j) > d(i,m)
     + d(m,j), or None for a metric.
 
-    Only the longest side of a triangle can exceed the sum of the other two,
-    so each unordered triple a < b < c is checked once, on its longest side,
-    on the squares scaled to ints by the lcm of their denominators.
+    `d2` is the instance's int matrix of scaled squares.  Only the longest
+    side of a triangle can exceed the sum of the other two, so each
+    unordered triple a < b < c is checked once, on its longest side.
     """
     n = len(d2)
-    scale = math.lcm(*(x.denominator for row in d2 for x in row))
-    d2 = [[x.numerator * (scale // x.denominator) for x in row] for row in d2]
     bad = None
     for a in range(n):
         row_a = d2[a]
@@ -361,85 +388,84 @@ class MetricInstance:
     @classmethod
     def from_points(cls, points, k, alpha, capacities, variant="ft", name="instance"):
         pts = tuple((_to_fraction(x), _to_fraction(y)) for x, y in points)
-        n = len(pts)
-        d2 = tuple(
-            tuple(
-                (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        inst = cls(name, n, k, alpha, variant, tuple(capacities), d2, points=pts)
-        inst._validate(check_triangle=False)  # Euclidean metrics satisfy it
-        return inst
+        flat, scale = _scaled([c for p in pts for c in p])
+        xy = tuple(zip(flat[::2], flat[1::2]))
+        # each pair once: row i is its pairs j < i, 0, then the pairs j > i
+        # read off the later rows, which share the int objects
+        sq = [[(x - u) ** 2 + (y - v) ** 2 for u, v in xy[:i]] for i, (x, y) in enumerate(xy)]
+        for i, row in enumerate(sq):
+            row.append(0)
+            row.extend([sq[j][i] for j in range(i + 1, len(sq))])
+        return cls._from_ints(sq, scale * scale, False, name, k, alpha, variant, capacities, points=pts)
 
     @classmethod
     def from_matrix(cls, dist, k, alpha, capacities, variant="ft", name="instance"):
         rows = tuple(tuple(_to_fraction(x) for x in row) for row in dist)
         n = len(rows)
         _validate_square(rows, n, "dist")
-        d2 = tuple(tuple(x * x for x in row) for row in rows)
-        inst = cls(name, n, k, alpha, variant, tuple(capacities), d2, dist=rows)
-        inst._validate(check_triangle=True)
-        return inst
+        flat, scale = _scaled([x for row in rows for x in row])
+        ints = [flat[i * n : (i + 1) * n] for i in range(n)]
+        return cls._from_ints(ints, scale, True, name, k, alpha, variant, capacities, dist=rows)
 
-    def _validate(self, check_triangle: bool):
-        if not isinstance(self.name, str):
-            raise InstanceError("name must be a string")
-        if self.variant not in VARIANTS:
-            raise InstanceError(f"variant must be one of {VARIANTS}")
-        n = self.n
-        if n < 1:
-            raise InstanceError("need at least one vertex")
-        if not (is_plain_int(self.k) and is_plain_int(self.alpha)):
-            raise InstanceError("k and alpha must be integers")
-        if not 1 <= self.k <= n:
-            raise InstanceError(f"k={self.k} out of range 1..{n}")
-        if not 0 <= self.alpha < self.k:
-            raise InstanceError(f"alpha={self.alpha} must satisfy 0 <= alpha < k")
-        if len(self.capacities) != n:
-            raise InstanceError("capacities length mismatch")
-        for c in self.capacities:
-            if not is_plain_int(c) or c < 0:
-                raise InstanceError("capacities must be non-negative integers")
-        _validate_square(self.d2, n, "squared distances")
-        for i in range(n):
-            if self.d2[i][i] != 0:
+    @classmethod
+    def _from_ints(cls, ints, scale, lengths, name, k, alpha, variant, capacities, **given):
+        """The instance on the n x n int matrix `ints` over `scale`: its
+        entries are the distances when `lengths` (a `dist` matrix, whose
+        triangle inequality is checked), else the squared distances
+        (Euclidean points, a metric by construction).
+
+        The entry checks run on `ints`.  The int matrix of squares is kept
+        with the `Fraction` of each distinct square, and `d2` holds those
+        interned `Fraction`s.
+        """
+        capacities = tuple(capacities)
+        n = len(ints)
+        _validate_parameters(name, n, k, alpha, variant, capacities)
+        for i, (row, col) in enumerate(zip(ints, zip(*ints))):
+            if row[i]:
                 raise InstanceError(f"nonzero self-distance at {i}")
-            for j in range(n):
-                if self.d2[i][j] < 0:
+            if min(row) < 0 or tuple(row) != col:
+                j = next(j for j, x in enumerate(row) if x < 0 or x != col[j])
+                if row[j] < 0:
                     raise InstanceError("negative distance")
-                if self.d2[i][j] != self.d2[j][i]:
-                    raise InstanceError(f"asymmetric distances at ({i},{j})")
-        if check_triangle:
-            bad = _triangle_failure(self.d2)
+                raise InstanceError(f"asymmetric distances at ({i},{j})")
+        if lengths:
+            ints = [[x * x for x in row] for row in ints]
+            scale *= scale
+        fracs = {x: Fraction(x, scale) for x in set().union(*ints)}
+        d2 = tuple(tuple(map(fracs.__getitem__, row)) for row in ints)
+        inst = cls(name, n, k, alpha, variant, capacities, d2, **given)
+        object.__setattr__(inst, "_ints", (ints, fracs))
+        if lengths:
+            bad = _triangle_failure(ints)
             if bad:
                 i, j, m = bad
                 raise InstanceError(f"triangle inequality fails on ({i},{j}) via {m}")
+        return inst
 
     # -- thresholds ------------------------------------------------------
 
     def _ranking(self):
         """(thresholds, pairs, prefix), computed on first use and kept.
 
-        `thresholds` are the sorted distinct squared distances with 0.
-        `pairs` holds every pair u < v as the id u*n + v, ranked by squared
-        distance, ties by id.  `prefix[i]` counts the pairs within
-        `thresholds[i]`.
+        The distinct int squares are sorted and ranked, and `thresholds`
+        holds the interned `Fraction` of each: the sorted distinct squared
+        distances, 0 among them.  `pairs` holds every pair u < v as the id
+        u*n + v, ranked by squared distance, ties by id.  `prefix[i]` counts
+        the pairs within `thresholds[i]`.
         """
         ranking = self.__dict__.get("_ranked")
         if ranking is None:
-            n, d2 = self.n, self.d2
-            vals = {ZERO}
-            for row in d2:
-                vals.update(row)
-            thresholds = tuple(sorted(vals))
-            rank = {t: i for i, t in enumerate(thresholds)}
-            buckets = [[] for _ in thresholds]
+            n = self.n
+            ints, fracs = self.__dict__["_ints"]
+            keys = sorted(fracs)
+            rank = {x: i for i, x in enumerate(keys)}
+            buckets = [[] for _ in keys]
             for u in range(n):
-                row = d2[u]
+                row = ints[u]
                 for v in range(u + 1, n):
                     buckets[rank[row[v]]].append(u * n + v)
+            thresholds = tuple(map(fracs.__getitem__, keys))
             pairs = array("H" if n <= 256 else "L", chain.from_iterable(buckets))
             prefix = array("L", accumulate(map(len, buckets)))
             ranking = (thresholds, pairs, prefix)

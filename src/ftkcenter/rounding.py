@@ -249,14 +249,17 @@ def round_general(
 def repair(graph: ThresholdGraph, caps, centers, F: frozenset, bound: int, keep=None) -> dict:
     """One transport of every client not in `keep` (client -> the center it
     keeps) to the live centers within `bound` hops, on the capacity that the
-    kept clients leave free."""
+    kept clients leave free.  When `keep` covers every client, nothing moves
+    and the kept seats are the answer."""
     keep = keep or {}
+    clients = [u for u in range(graph.n) if u not in keep]
+    if not clients:
+        return dict(keep)
     hops = graph.hops()
     free = {c: caps[c] for c in centers if c not in F}
     for c in keep.values():
         free[c] -= 1
     targets = sorted(c for c, f in free.items() if f > 0)
-    clients = [u for u in range(graph.n) if u not in keep]
     allowed = {u: [c for c in targets if hops[u][c] <= bound] for u in clients}
     phi, _ = capacitated_assignment(clients, targets, allowed, {c: free[c] for c in targets})
     if phi is None:

@@ -32,6 +32,7 @@ from ftkcenter.instance import (
     hop_metric_instance,
 )
 from ftkcenter.oracle import exact_opt_conservative, random_point_instance
+from ftkcenter import rounding
 from ftkcenter.rounding import repair
 
 from helpers import cycle_graph, path_graph, power
@@ -230,6 +231,25 @@ def test_reassign_flow_hop_bound():
     assert reassign_flow(state, {13}) == dict.fromkeys(range(14), 0)
     with pytest.raises(ContractViolation, match="no assignment within 12 hops"):
         reassign_flow(replace(state, beta=6), {13})
+
+
+def test_repair_without_orphans_keeps_every_seat(monkeypatch):
+    """F is a center that serves no client: both conservative records return
+    the base assignment as it stands, and no transport is built."""
+
+    def no_transport(*args):
+        raise AssertionError("a transport was built with no client to move")
+
+    monkeypatch.setattr(rounding, "capacitated_assignment", no_transport)
+    phi0 = {u: 0 if u < 4 else 6 for u in range(13)}
+    state = ConservativeGeneral(
+        path_graph(13), [4] + [0] * 5 + [9] + [0] * 5 + [4], frozenset(PATH13_CENTERS), phi0, 1, 1, PATH13_CENTERS
+    )
+    assert reassign_flow(state, {12}) == phi0
+    assert state.graph._hops is None
+    uniform = ConservativeUniform(path_graph(8), [8] + [0] * 6 + [8], dict.fromkeys(range(8), 0), 1, (0, 7))
+    assert reassign_uniform(uniform, {7}) == dict.fromkeys(range(8), 0)
+    assert uniform.graph._hops is None
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,82 @@ def test_from_matrix_triangle_check_matches_per_pair_scan():
     assert outcomes == {True, False}
 
 
+def test_from_payload_rejects_bad_dist_entries():
+    """The entry checks run on the scaled distances, before squaring: a
+    negative entry is rejected even though its square is not negative."""
+    base = {"name": "pair", "n": 2, "k": 1, "alpha": 0, "variant": "ft", "capacities": [2, 2]}
+    cases = [
+        ([[0, -1], [-1, 0]], r"^negative distance$"),
+        ([[0, Fraction(-1, 2)], [Fraction(-1, 2), 0]], r"^negative distance$"),
+        ([[0, 1], [2, 0]], r"^asymmetric distances at \(0,1\)$"),
+        ([[1, 1], [1, 0]], r"^nonzero self-distance at 0$"),
+    ]
+    for dist, message in cases:
+        with pytest.raises(InstanceError, match=message):
+            MetricInstance.from_payload({**base, "dist": dist})
+
+
+def random_denominator_point(rng):
+    return Fraction(rng.randrange(-30, 30), rng.choice((1, 2, 3, 4, 6, 10)))
+
+
+def test_points_with_mixed_denominators_square_exactly():
+    """Coordinates over mixed denominators, given as parsed decimals and as
+    Fractions: every entry of d2 is the Fraction formula, the thresholds are
+    its sorted distinct values with 0, and equal values are one object."""
+    rng = random.Random("int-squares/points")
+    for trial in range(40):
+        n = rng.randint(1, 9)
+        if trial % 2:
+            pts = [(random_denominator_point(rng), random_denominator_point(rng)) for _ in range(n)]
+            inst = MetricInstance.from_points(pts, 1, 0, [1] * n)
+        else:
+            pts = [(Fraction(rng.randrange(-40, 40), 4), Fraction(rng.randrange(-9, 9), 2)) for _ in range(n)]
+            text = canonical_json(
+                {"name": "p", "n": n, "k": 1, "alpha": 0, "variant": "ft", "capacities": [1] * n,
+                 "points": [list(p) for p in pts]}
+            )
+            inst = MetricInstance.from_json(text)
+        for i, (xi, yi) in enumerate(pts):
+            for j, (xj, yj) in enumerate(pts):
+                assert type(inst.d2[i][j]) is Fraction
+                assert inst.d2[i][j] == (xi - xj) ** 2 + (yi - yj) ** 2
+        values = {x for row in inst.d2 for x in row}
+        assert inst.thresholds_sq() == tuple(sorted(values | {Fraction(0)}))
+    assert any("." in x for x in text.split())  # the decimal path was taken
+
+
+def test_rational_dist_matrices_square_exactly():
+    """Random rational metrics (every distance in [1, 2]) over mixed
+    denominators: every entry of d2 is the square of its dist entry, and the
+    thresholds are the sorted distinct squares with 0."""
+    rng = random.Random("int-squares/dist")
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        dist = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                den = rng.choice((1, 2, 3, 7, 10))
+                dist[i][j] = dist[j][i] = Fraction(rng.randint(den, 2 * den), den)
+        inst = MetricInstance.from_matrix(dist, 1, 0, [1] * n)
+        assert inst.d2 == tuple(tuple(x * x for x in row) for row in dist)
+        assert all(type(x) is Fraction for row in inst.d2 for x in row)
+        values = {x * x for row in dist for x in row}
+        assert inst.thresholds_sq() == tuple(sorted(values | {Fraction(0)}))
+
+
+def test_grid_squares_are_interned():
+    """A 12-span grid has at most 145 distinct squares, and d2 and the
+    thresholds hold one object for each."""
+    rng = random.Random("int-squares/grid")
+    pts = [(rng.randrange(12), rng.randrange(12)) for _ in range(36)]
+    inst = MetricInstance.from_points(pts, 1, 0, [1] * 36)
+    entries = [x for row in inst.d2 for x in row]
+    objects = {id(x): x for x in entries}
+    assert len(objects) == len(set(entries)) <= 145
+    assert {id(t) for t in inst.thresholds_sq()} == set(objects)
+
+
 def test_validation_rejects_bad_parameters():
     with pytest.raises(InstanceError):
         MetricInstance.from_points(LINE3, 0, 0, [1, 1, 1])

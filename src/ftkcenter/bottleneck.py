@@ -4,7 +4,7 @@ The sweep walks the sorted distinct distances from below and returns the
 first threshold whose unweighted solver succeeds; success is not monotone in
 the threshold, so no bisection here.  On a disconnected threshold graph each
 component gets its own minimal budget (a component can never borrow service
-across components), the leftovers go back to the first component, and the
+across components), the leftovers go to the components in order, and the
 per-component solutions merge into one.  All four solvers run through
 `solve_bottleneck`; they differ only in the connected-graph solver.
 
@@ -78,7 +78,6 @@ def solve_components(
     alpha: int,
     caps: Sequence[int],
     solver: Callable,
-    budget_search_when_connected: bool = False,
 ):
     """Run a connected-graph solver per component with minimal budgets.
 
@@ -86,34 +85,34 @@ def solve_components(
     PerTauInfeasible.  Each component must tolerate alpha failures on its
     own, so budgets below alpha+1 are never tried, and more than
     k // (alpha+1) components are rejected without calling the solver; any
-    surplus goes to the first component, where success is guaranteed by
-    budget monotonicity.
+    surplus goes to the components in order, where success is guaranteed
+    by budget monotonicity.
+
+    The component count comes from `graph.component_count()`, which a
+    threshold graph reads off the instance's ranking: a connected graph
+    goes straight to the solver with budget k, and the components are
+    listed only when there are between 2 and k // (alpha+1) of them.
     """
-    comps = graph.components()
-    if len(comps) == 1 and not budget_search_when_connected:
+    count = graph.component_count()
+    if count == 1:
         return solver(graph, k, list(caps))
-    if len(comps) > k // (alpha + 1):
+    if count > k // (alpha + 1):
         return PerTauInfeasible(
-            f"{len(comps)} components need alpha+1={alpha + 1} centers each, more than k = {k}"
+            f"{count} components need alpha+1={alpha + 1} centers each, more than k = {k}"
         )
 
     picked = []
     total = 0
-    for comp in comps:
+    for comp in graph.components():
         sub, orig = graph.induced(comp)
         sub_caps = [caps[v] for v in orig]
         hi = min(k, sub.n)
-        found = None
-        for budget in range(alpha + 1, hi + 1):
-            out = solver(sub, budget, sub_caps)
-            if isinstance(out, PerTauSolution):
-                found = (budget, out)
-                break
+        found = _least_budget(sub, sub_caps, solver, alpha + 1, hi)
         if found is None:
             return PerTauInfeasible(
                 f"component containing vertex {comp[0]}: no distance-1 solution with budget <= {hi}"
             )
-        picked.append([sub, sub_caps, orig, found[0], found[1]])
+        picked.append([sub, sub_caps, orig, *found])
         total += found[0]
     if total > k:
         return PerTauInfeasible(
@@ -127,17 +126,28 @@ def solve_components(
         extra = min(surplus, sub.n - budget)  # a component holds at most n centers
         if extra == 0:
             continue
-        out = solver(sub, budget + extra, sub_caps)
-        if not isinstance(out, PerTauSolution):
+        found = _least_budget(sub, sub_caps, solver, budget + extra, budget + extra)
+        if found is None:
             raise ContractViolation(
                 "solver succeeded at a budget but failed at a larger one"
             )
-        entry[3] = budget + extra
-        entry[4] = out
+        entry[3:] = found
         surplus -= extra
     if surplus:
         raise ContractViolation("surplus centers exceed the total vertex count")
     return _merge(picked, alpha)
+
+
+def _least_budget(sub: ThresholdGraph, sub_caps, solver: Callable, lo: int, hi: int):
+    """(budget, solution) for the least budget in lo..hi at which `solver`
+    succeeds on the component `sub`, or None.  `solve_components` calls it
+    once per component to search the minimal budget, and again with
+    lo = hi to hand that component its share of the surplus."""
+    for budget in range(lo, hi + 1):
+        out = solver(sub, budget, sub_caps)
+        if isinstance(out, PerTauSolution):
+            return budget, out
+    return None
 
 
 @dataclass(frozen=True)

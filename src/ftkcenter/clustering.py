@@ -3,8 +3,11 @@
 The decomposition picks heads pairwise at least three hops apart, growing
 deterministically from vertex 0, so that closed neighborhoods of heads are
 disjoint while every vertex stays within two hops of its head.  It reads
-only the heads' closed ball masks, never a hop matrix.  Backups are
-the alpha largest-capacity members of each cluster.
+only the heads' closed ball masks, never a hop matrix, and the same masks
+decide connectivity: when the head walk ends, the heads' 2-balls cover
+every vertex iff the graph is connected.  A caller that can use at most
+some number of heads passes it as a cap, and the walk stops as soon as it
+has more.  Backups are the alpha largest-capacity members of each cluster.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class Clustering:
     tree_edges: frozenset  # unordered head pairs at hop distance exactly 3
 
 
-def monarch_clustering(graph: ThresholdGraph) -> Clustering:
+def monarch_clustering(graph: ThresholdGraph, max_heads: int | None = None) -> Clustering | None:
     """Partition a connected graph into clusters around mutually far heads.
 
     Properties relied on downstream: tree edges join heads exactly three hops
@@ -35,11 +38,16 @@ def monarch_clustering(graph: ThresholdGraph) -> Clustering:
     2-ball, its parent the earliest head whose 3-ball but not 2-ball holds
     it, and a vertex outside every 1-ball joins the earliest head whose
     2-ball holds it.
+
+    The walk ends when the 3-balls add nothing to the 2-balls; the union of
+    the 2-balls is then closed under neighbors, so it is the component of
+    vertex 0, and a graph it does not cover is disconnected (InstanceError).
+    With `max_heads`, the walk returns None as soon as it has more heads
+    than that, before the connectivity check and the clusters; otherwise
+    the result is the uncapped one.
     """
     if graph.n == 0:
         raise InstanceError("empty graph")
-    if not graph.is_connected():
-        raise InstanceError("clustering requires a connected graph")
     n = graph.n
     heads = []
     balls = []  # per head: its closed 0..3-hop balls
@@ -47,6 +55,8 @@ def monarch_clustering(graph: ThresholdGraph) -> Clustering:
     near = far = 0  # unions of the heads' 2- and 3-balls
     nxt = 0
     while True:
+        if len(heads) == max_heads:
+            return None
         heads.append(nxt)
         balls.append(graph.balls(nxt, 3))
         near |= balls[-1][2]
@@ -59,6 +69,8 @@ def monarch_clustering(graph: ThresholdGraph) -> Clustering:
             if (ball[3] & ~ball[2]) >> nxt & 1:
                 parents[nxt] = h
                 break
+    if near != (1 << n) - 1:
+        raise InstanceError("clustering requires a connected graph")
 
     cluster_of = [-1] * n
     taken = 0

@@ -13,9 +13,10 @@ root.
 The sweep compares each distance once per instance: the first threshold
 graph ranks the vertex pairs by squared distance, and every threshold graph
 is the prefix of that ranking up to its threshold, grown from the last
-prefix built.  A graph is its int adjacency bitmasks alone: closed
-neighborhoods, hop rows, balls and components are read off them by bitset
-frontier expansion.
+prefix built.  The same ranking is walked once by a union-find, so each
+threshold graph knows its component count without a search.  A graph is
+its int adjacency bitmasks alone: closed neighborhoods, hop rows, balls and
+components are read off them by bitset frontier expansion.
 """
 
 from __future__ import annotations
@@ -173,11 +174,12 @@ class ThresholdGraph:
     vertex sets).  Adjacency is held only as int bitmasks: bit w of
     `masks[u]` is set iff uw is an edge.  Closed neighborhoods, hop rows,
     balls and components are read off the masks by bitset frontier
-    expansion.  All-pairs hop distances are computed lazily and cached;
-    unreachable pairs are math.inf.
+    expansion.  All-pairs hop distances and the components are computed
+    lazily and cached; unreachable pairs are math.inf.  A threshold graph
+    also carries its component count from the instance's ranking.
     """
 
-    __slots__ = ("n", "tau2", "masks", "_hops")
+    __slots__ = ("n", "tau2", "masks", "_hops", "_components", "_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], tau2: Fraction | None = None):
         if n < 0:
@@ -194,6 +196,8 @@ class ThresholdGraph:
         self.tau2 = tau2
         self.masks = tuple(masks)
         self._hops = None
+        self._components = None
+        self._count = None
 
     @classmethod
     def from_masks(cls, masks: Sequence[int], tau2: Fraction | None) -> "ThresholdGraph":
@@ -247,17 +251,27 @@ class ThresholdGraph:
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
-        masks = self.masks
-        left = (1 << self.n) - 1
-        comps = []
-        while left:
-            seen = frontier = left & -left
-            while frontier:
-                frontier = _expand(masks, frontier) & ~seen
-                seen |= frontier
-            comps.append(tuple(mask_bits(seen)))
-            left &= ~seen
-        return tuple(comps)
+        if self._components is None:
+            masks = self.masks
+            left = (1 << self.n) - 1
+            comps = []
+            while left:
+                seen = frontier = left & -left
+                while frontier:
+                    frontier = _expand(masks, frontier) & ~seen
+                    seen |= frontier
+                comps.append(tuple(mask_bits(seen)))
+                left &= ~seen
+            self._components = tuple(comps)
+        return self._components
+
+    def component_count(self) -> int:
+        """The number of connected components: read off the instance's
+        ranking for a graph from `MetricInstance.threshold_graph`, else
+        counted by `components()`."""
+        if self._count is None:
+            self._count = len(self.components())
+        return self._count
 
     def induced(self, vertices: Sequence[int]) -> tuple["ThresholdGraph", tuple[int, ...]]:
         """Induced subgraph with vertices relabeled 0..m-1; returns (graph, orig_ids)."""
@@ -268,7 +282,7 @@ class ThresholdGraph:
         return ThresholdGraph.from_masks(masks, self.tau2), orig
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or self.component_count() == 1
 
     def __repr__(self):
         m = sum(mask.bit_count() for mask in self.masks) // 2
@@ -295,6 +309,12 @@ def uniform_capacity_level(capacities: Sequence[int]) -> int:
     if len(levels) > 1:
         raise InstanceError(f"capacities are not of {{0,L}} form: levels {levels}")
     return levels[0] if levels else 0
+
+
+def _point(p) -> tuple[Fraction, Fraction]:
+    if not isinstance(p, (list, tuple)) or len(p) != 2:
+        raise InstanceError("each point must be an [x, y] pair")
+    return _to_fraction(p[0]), _to_fraction(p[1])
 
 
 def _validate_square(rows, n, what):
@@ -365,6 +385,31 @@ def _triangle_failure(d2) -> tuple[int, int, int] | None:
     return bad
 
 
+def _component_counts(n: int, buckets) -> array:
+    """Entry i: the connected components of the graph on vertices 0..n-1
+    whose edges are the pair ids u*n + v of buckets 0..i.  One union-find
+    (path halving, no ranks) takes the buckets in order; once a single
+    component is left, every later entry is 1."""
+    parent = list(range(n))
+    count = n
+    counts = array("L")
+    for bucket in buckets:
+        if count == 1:
+            break
+        for p in bucket:
+            u, v = divmod(p, n)
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                count -= 1
+        counts.append(count)
+    counts.extend([1] * (len(buckets) - len(counts)))
+    return counts
+
+
 @dataclass(frozen=True)
 class MetricInstance:
     """A capacitated fault-tolerant k-center instance.
@@ -387,7 +432,7 @@ class MetricInstance:
 
     @classmethod
     def from_points(cls, points, k, alpha, capacities, variant="ft", name="instance"):
-        pts = tuple((_to_fraction(x), _to_fraction(y)) for x, y in points)
+        pts = tuple(map(_point, points))
         flat, scale = _scaled([c for p in pts for c in p])
         xy = tuple(zip(flat[::2], flat[1::2]))
         # each pair once: row i is its pairs j < i, 0, then the pairs j > i
@@ -400,6 +445,8 @@ class MetricInstance:
 
     @classmethod
     def from_matrix(cls, dist, k, alpha, capacities, variant="ft", name="instance"):
+        if not isinstance(dist, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in dist):
+            raise InstanceError("dist must be a list of rows")
         rows = tuple(tuple(_to_fraction(x) for x in row) for row in dist)
         n = len(rows)
         _validate_square(rows, n, "dist")
@@ -446,13 +493,16 @@ class MetricInstance:
     # -- thresholds ------------------------------------------------------
 
     def _ranking(self):
-        """(thresholds, pairs, prefix), computed on first use and kept.
+        """(thresholds, pairs, prefix, counts), computed on first use and kept.
 
         The distinct int squares are sorted and ranked, and `thresholds`
         holds the interned `Fraction` of each: the sorted distinct squared
         distances, 0 among them.  `pairs` holds every pair u < v as the id
         u*n + v, ranked by squared distance, ties by id.  `prefix[i]` counts
-        the pairs within `thresholds[i]`.
+        the pairs within `thresholds[i]`, and `counts[i]` the connected
+        components of the graph they form.  The counts come from one
+        union-find pass over the ranked pairs that stops once everything
+        is connected.
         """
         ranking = self.__dict__.get("_ranked")
         if ranking is None:
@@ -468,7 +518,7 @@ class MetricInstance:
             thresholds = tuple(map(fracs.__getitem__, keys))
             pairs = array("H" if n <= 256 else "L", chain.from_iterable(buckets))
             prefix = array("L", accumulate(map(len, buckets)))
-            ranking = (thresholds, pairs, prefix)
+            ranking = (thresholds, pairs, prefix, _component_counts(n, buckets))
             object.__setattr__(self, "_ranked", ranking)
         return ranking
 
@@ -483,7 +533,7 @@ class MetricInstance:
         The masks of the last prefix built are kept, so a sweep adds each
         ranked pair once; a shorter prefix is grown again from no edges.
         """
-        thresholds, pairs, prefix = self._ranking()
+        thresholds, pairs, prefix, counts = self._ranking()
         i = bisect_right(thresholds, tau2)
         end = prefix[i - 1] if i else 0
         n = self.n
@@ -495,7 +545,9 @@ class MetricInstance:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         object.__setattr__(self, "_grown", (end, masks))
-        return ThresholdGraph.from_masks(masks, _to_fraction(tau2))
+        graph = ThresholdGraph.from_masks(masks, _to_fraction(tau2))
+        graph._count = counts[i - 1] if i else n
+        return graph
 
     # -- serialization ---------------------------------------------------
 
@@ -550,9 +602,6 @@ class MetricInstance:
             pts = data["points"]
             if not isinstance(pts, list) or len(pts) != n:
                 raise InstanceError("points must be a list of n pairs")
-            for p in pts:
-                if not isinstance(p, list) or len(p) != 2:
-                    raise InstanceError("each point must be an [x, y] pair")
             inst = cls.from_points(pts, **common)
         else:
             inst = cls.from_matrix(data["dist"], **common)

@@ -42,6 +42,13 @@ DEFAULT_ALPHA_BOUND = 3
 def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     """Distance-1 solver for connected graphs with arbitrary capacities.
 
+    The clustering stops once it has more than k // (alpha+1) heads.  The
+    heads' closed neighborhoods are disjoint, and a distance-1 solution
+    needs alpha+1 centers in each, so such a threshold is infeasible.
+    Backup selection or the static count would reject it after a full
+    clustering anyway (|B| = alpha * #heads whenever the backups exist), so
+    the cap changes only the reason.
+
     The static rows of the clustered LP are decided by a count before G' is
     built or the simplex runs: the heads' closed neighborhoods are disjoint,
     so `static_general_infeasible` rejects exactly the thresholds whose
@@ -51,7 +58,13 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     why = quick_infeasible(graph, k, caps, alpha)
     if why:
         return PerTauInfeasible(why)
-    cl = monarch_clustering(graph)
+    cap = k // (alpha + 1)
+    cl = monarch_clustering(graph, cap)
+    if cl is None:
+        return PerTauInfeasible(
+            f"{cap + 1} heads exceed k // (alpha+1) = {k} // {alpha + 1} = {cap}: their "
+            "closed neighborhoods are disjoint and need alpha+1 centers each"
+        )
     backups, why = select_backups(cl, caps, alpha)
     if backups is None:
         return PerTauInfeasible(why)

@@ -1,6 +1,7 @@
 """Shared test utilities: tiny graph builders, edge sets and masks read
 straight off the bits, the brute-force threshold filter, deque-BFS hop
-matrices and the hop-matrix clustering, exhaustive reference
+matrices and the hop-matrix clustering, the uncapped general-capacity
+front end with component counts from `components()`, exhaustive reference
 implementations of the separation problems, the separators with one
 `transport` per cut, the verifier with one assignment per failure
 scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
@@ -12,7 +13,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from ftkcenter.clustering import Clustering
+from ftkcenter.bottleneck import PerTauInfeasible, quick_infeasible, solve_threshold
+from ftkcenter.clustering import Clustering, backup_union, monarch_clustering, select_backups
 from ftkcenter.flow import INF, FlowResult, capacitated_assignment, transport
 from ftkcenter.instance import (
     ContractViolation,
@@ -20,8 +22,9 @@ from ftkcenter.instance import (
     ThresholdGraph,
     uniform_capacity_level,
 )
-from ftkcenter.lp import LinearProgram, Row, Separation, feasible_point
+from ftkcenter.lp import LinearProgram, Row, Separation, feasible_point, static_general_infeasible
 from ftkcenter.oracle import VerifyReport, _check_centers
+from ftkcenter.solvers import ft_general_connected
 
 
 def path_graph(n: int) -> ThresholdGraph:
@@ -138,6 +141,32 @@ def hop_matrix_clustering(graph: ThresholdGraph) -> Clustering:
     clusters = {h: tuple(v for v in range(n) if cluster_of[v] == h) for h in heads}
     tree_edges = frozenset((min(c, p), max(c, p)) for c, p in parents.items())
     return Clustering(graph, tuple(heads), tuple(cluster_of), clusters, tree_edges)
+
+
+def uncapped_ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
+    """The front end of `solvers.ft_general_connected` without its head cap:
+    the full clustering, then backup selection and the static count.  A
+    threshold that passes all three goes on to `ft_general_connected`
+    itself, whose later stages it shares; the reference for the capped
+    front end."""
+    why = quick_infeasible(graph, k, caps, alpha)
+    if why:
+        return PerTauInfeasible(why)
+    cl = monarch_clustering(graph)
+    backups, why = select_backups(cl, caps, alpha)
+    if backups is None:
+        return PerTauInfeasible(why)
+    why = static_general_infeasible(graph, k, cl, backup_union(backups))
+    if why:
+        return PerTauInfeasible(why)
+    return ft_general_connected(graph, k, caps, alpha)
+
+
+def uncounted_threshold(graph: ThresholdGraph, k: int, alpha: int, caps, connected):
+    """`bottleneck.solve_threshold` on a copy of `graph` that carries no
+    component count, so `solve_components` counts by `components()`."""
+    fresh = ThresholdGraph.from_masks(graph.masks, graph.tau2)
+    return solve_threshold(fresh, k, alpha, caps, connected, False)
 
 
 def cut_capacity(net, source_side):

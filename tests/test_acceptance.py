@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from ftkcenter.bottleneck import PerTauSolution, solve_components
+from ftkcenter.bottleneck import PerTauSolution, _least_budget
 from ftkcenter.clustering import (
     build_gprime,
     greedy_independent,
@@ -612,9 +612,12 @@ def test_bottleneck_soundness():
             return ft_general_connected(sub, budget, c, alpha)
 
         direct = solver(G, k, caps)
-        via = solve_components(G, k, alpha, caps, solver, budget_search_when_connected=True)
+        found = _least_budget(G, caps, solver, alpha + 1, k)  # the per-component budget search
+        if found:
+            found = _least_budget(G, caps, solver, k, k)  # the surplus hand-out up to k
+        via = found[1] if found else None
         agreements += 1
-        if isinstance(direct, PerTauSolution) != isinstance(via, PerTauSolution):
+        if isinstance(direct, PerTauSolution) != (via is not None):
             violations.append(f"agreement #{i}: verdicts differ (n={n}, k={k}, a={alpha})")
         elif isinstance(direct, PerTauSolution):
             if direct.centers != via.centers or direct.assignment != via.assignment:

@@ -11,6 +11,7 @@ from ftkcenter.bottleneck import (
     PerTauSolution,
     SweepInfeasible,
     SweepSuccess,
+    _least_budget,
     quick_infeasible,
     solve_components,
     sweep,
@@ -152,10 +153,13 @@ def test_components_connected_shortcut_and_budget_search():
     assert record == [(2, 2)]  # one call, full k
     assert out.centers == (0, 1)
 
-    record.clear()
-    out = solve_components(g, 2, 0, [1, 1], solver, budget_search_when_connected=True)
-    assert record[0] == (2, 1)  # search starts at alpha+1
-    assert out.centers == (0, 1)
+    record.clear()  # the per-component search on the connected graph
+    budget, out = _least_budget(g, [1, 1], solver, 1, 2)
+    assert record == [(2, 1)]  # search starts at alpha+1
+    assert (budget, out.centers) == (1, (0,))
+    budget, out = _least_budget(g, [1, 1], solver, 2, 2)  # its surplus hand-out
+    assert (budget, out.centers) == (2, (0, 1))
+    assert _least_budget(g, [1, 1], make_fake_solver(lambda sub: 3), 1, 2) is None
 
 
 def test_merged_scenario_remaps_and_validates():

@@ -2,19 +2,29 @@
 graphs against the brute-force filter, bitset hop rows, balls and
 components against the deque BFS, closed neighborhoods, induced subgraphs
 and 0-0 strips against filters over the generated edge list, the
-ball-based clustering against the hop-matrix one, and the mask popcount of
-`quick_infeasible` against the closed neighborhoods."""
+ball-based clustering against the hop-matrix one, the mask popcount of
+`quick_infeasible` against the closed neighborhoods, the ranking's
+component counts against the BFS, the capped clustering against the full
+one, and the general-capacity sweeps against the uncapped front end."""
 
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from ftkcenter.bottleneck import quick_infeasible
+from ftkcenter import clustering, solvers
+from ftkcenter.bottleneck import PerTauSolution, SweepSuccess, quick_infeasible, solve_threshold, sweep
 from ftkcenter.clustering import monarch_clustering
-from ftkcenter.instance import MetricInstance, ThresholdGraph, strip_zero_zero_edges
-from ftkcenter.oracle import random_connected_graph
+from ftkcenter.conservative import (
+    RESIDUALS,
+    conservative_general_connected,
+    solve_conservative_general,
+)
+from ftkcenter.instance import InstanceError, MetricInstance, ThresholdGraph, strip_zero_zero_edges
+from ftkcenter.oracle import random_connected_graph, random_point_instance
+from ftkcenter.solvers import ft_general_connected, solve_ft_general
 
 from helpers import (
     bfs_hops,
@@ -22,6 +32,8 @@ from helpers import (
     edge_set,
     hop_matrix_clustering,
     pair_masks,
+    uncapped_ft_general_connected,
+    uncounted_threshold,
 )
 
 
@@ -195,3 +207,158 @@ def test_threshold_graphs_in_any_query_order(seed):
             built.append((G, tau2))
     for G, tau2 in built:
         assert_same_graph(G, n, tau2, brute_threshold_pairs(inst, tau2))
+
+
+def assert_counts_match(inst, order):
+    for tau2 in order:
+        G = inst.threshold_graph(tau2)
+        want = len(reference_components(G))
+        assert G.component_count() == want
+        assert len(G.components()) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_threshold_graph_component_counts_in_any_query_order(seed):
+    """The ranking's union-find count equals the BFS count at every
+    threshold, between thresholds and outside them, however the queries
+    grow or restart the prefix, on random points and tie-heavy grids."""
+    rng = random.Random(f"front-end/counts/{seed}")
+    n = 2 + 4 * seed
+    points = [(rng.randrange(6), Fraction(rng.randrange(12), 2)) for _ in range(n)]
+    for inst in (
+        MetricInstance.from_points(points, 1, 0, [1] * n),
+        grid_instance(2 + seed, 1 + seed, 1, 0),
+    ):
+        taus = probe_thresholds(inst)
+        shuffled = taus[:]
+        rng.shuffle(shuffled)
+        for order in (taus, taus[::-1], shuffled):
+            assert_counts_match(inst, order)
+    g = ThresholdGraph(5, [(0, 1), (3, 4)])  # built from edges: counted by components()
+    assert g.component_count() == 3 and not g.is_connected()
+
+
+def test_capped_clustering_stops_iff_the_heads_exceed_the_cap():
+    rng = random.Random("front-end/cap")
+    for n in (1, 2, 5, 9, 16, 30):
+        for extra in (0, 2, n):
+            g = random_connected_graph(rng, n, extra)
+            full = monarch_clustering(g)
+            for cap in range(len(full.heads) + 2):
+                got = monarch_clustering(g, cap)
+                if len(full.heads) > cap:
+                    assert got is None
+                else:
+                    assert got == full
+
+
+def test_head_cap_reason_names_k_alpha_and_the_cap():
+    path = ThresholdGraph(7, [(i, i + 1) for i in range(6)])  # heads 0, 3, 6
+    assert monarch_clustering(path).heads == (0, 3, 6)
+    out = ft_general_connected(path, 3, [7] * 7, 1)
+    assert out.reason == (
+        "2 heads exceed k // (alpha+1) = 3 // 2 = 1: their "
+        "closed neighborhoods are disjoint and need alpha+1 centers each"
+    )
+
+
+def test_clustering_decides_connectivity_from_its_balls():
+    rng = random.Random("front-end/connectivity")
+    for n in (1, 2, 5, 9, 14):
+        for p in (0.1, 0.25, 0.5):
+            for _ in range(4):
+                g = random_graph(rng, n, p)
+                if len(reference_components(g)) == 1:
+                    assert monarch_clustering(g) == hop_matrix_clustering(g)
+                else:
+                    with pytest.raises(InstanceError, match="requires a connected graph"):
+                        monarch_clustering(g)
+
+
+def logged_sweep(inst, per_tau):
+    """The sweep and its (tau2, reason or None) per threshold tried."""
+    log = []
+
+    def logged(G):
+        out = per_tau(G)
+        log.append((G.tau2, None if isinstance(out, PerTauSolution) else out.reason))
+        return out
+
+    return sweep(inst, logged), log
+
+
+def cons_general(residual_connected):
+    residual = lambda graph, budget, caps: residual_connected(graph, budget, caps, 0)
+    return partial(conservative_general_connected, residual_solver=residual, beta=RESIDUALS["lp"][1])
+
+
+HEAD_CAP = " heads exceed k // (alpha+1) = "
+FULL_CLUSTERING_REJECTIONS = ("cluster of head", "pinned backups")  # select_backups, the static count
+
+
+@pytest.mark.parametrize("variant", ["ft", "conservative"])
+def test_sweeps_match_the_uncapped_front_end(variant):
+    """Every threshold gets the verdict of the uncapped front end with BFS
+    component counts, and the sweeps pick the same tau*, centers and
+    assignment; a reason changes only where the head cap rejects what
+    backup selection or the static count rejected."""
+    rng = random.Random(f"front-end/sweeps/{variant}")
+    capped, uncapped = ft_general_connected, uncapped_ft_general_connected
+    if variant == "conservative":
+        capped, uncapped = cons_general(capped), cons_general(uncapped)
+    head_capped = 0
+    for _ in range(40):
+        n = rng.randint(5, 12)
+        k = rng.randint(2, min(4, n))
+        alpha = rng.randint(0, min(2, k - 1))
+        inst = random_point_instance(rng, n, k, alpha, variant=variant, span=rng.choice((6, 12, 1000)))
+        args = (inst.k, inst.alpha, inst.capacities)
+        got, got_log = logged_sweep(inst, lambda G: solve_threshold(G, *args, capped, False))
+        want, want_log = logged_sweep(inst, lambda G: uncounted_threshold(G, *args, uncapped))
+        assert [(t, r is None) for t, r in got_log] == [(t, r is None) for t, r in want_log]
+        for (_, r), (_, w) in zip(got_log, want_log):
+            if r != w:
+                assert HEAD_CAP in r and any(x in w for x in FULL_CLUSTERING_REJECTIONS)
+                head_capped += 1
+        if isinstance(want, SweepSuccess):
+            public = (solve_ft_general if variant == "ft" else solve_conservative_general)(inst)
+            for sol in (got, public.outcome):
+                assert sol.tau2_star == want.tau2_star
+                assert sol.solution.centers == want.solution.centers
+                assert sol.solution.assignment == want.solution.assignment
+    assert head_capped > 0
+
+
+def test_rejected_thresholds_skip_backups_and_component_lists(monkeypatch):
+    """k = 3, alpha = 1: at most one head fits, so backup selection sees
+    only one-head clusterings, and with at most one component allowed
+    the components of a threshold graph are never listed.  A connected
+    threshold graph never lists its components, whatever k."""
+    heads_seen, capped, listed = [], [], []
+    select_backups, cluster = clustering.select_backups, clustering.monarch_clustering
+    components = ThresholdGraph.components
+
+    def counting_select(cl, caps, alpha):
+        heads_seen.append(len(cl.heads))
+        return select_backups(cl, caps, alpha)
+
+    def counting_cluster(graph, max_heads=None):
+        out = cluster(graph, max_heads)
+        capped.append(out is None)
+        return out
+
+    def counting_components(graph):
+        listed.append(len(reference_components(graph)))
+        return components(graph)
+
+    monkeypatch.setattr(solvers, "select_backups", counting_select)
+    monkeypatch.setattr(solvers, "monarch_clustering", counting_cluster)
+    monkeypatch.setattr(ThresholdGraph, "components", counting_components)
+    rng = random.Random("front-end/count")
+    assert solve_ft_general(random_point_instance(rng, 16, 3, 1, span=1000)).feasible
+    assert heads_seen and set(heads_seen) == {1}
+    assert sum(capped) > 0 and len(heads_seen) == capped.count(False)
+    assert listed == []
+    # k = 5: two components fit, and only then are they listed
+    assert solve_ft_general(random_point_instance(rng, 16, 5, 1, span=1000)).feasible
+    assert listed and set(listed) == {2}

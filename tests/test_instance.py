@@ -108,6 +108,24 @@ def test_from_payload_rejects_bad_dist_entries():
             MetricInstance.from_payload({**base, "dist": dist})
 
 
+def test_from_payload_rejects_dist_that_is_not_a_list_of_rows():
+    base = {"name": "one", "n": 1, "k": 1, "alpha": 0, "variant": "ft", "capacities": [2]}
+    for dist in ([5], 5, [[0], 5], None):
+        with pytest.raises(InstanceError, match=r"^dist must be a list of rows$"):
+            MetricInstance.from_payload({**base, "dist": dist})
+    with pytest.raises(InstanceError, match=r"^dist must be a list of rows$"):
+        MetricInstance.from_matrix([0], 1, 0, [2])
+
+
+def test_from_points_rejects_a_point_that_is_not_a_pair():
+    for bad in ([(0, 0), (1,)], [(0, 0), (1, 2, 3)], [(0, 0), 7], [(0, 0), "ab"]):
+        with pytest.raises(InstanceError, match=r"^each point must be an \[x, y\] pair$"):
+            MetricInstance.from_points(bad, 1, 0, [2, 2])
+    base = {"name": "two", "n": 2, "k": 1, "alpha": 0, "variant": "ft", "capacities": [2, 2]}
+    with pytest.raises(InstanceError, match=r"^each point must be an \[x, y\] pair$"):
+        MetricInstance.from_payload({**base, "points": [[0, 0], [1]]})
+
+
 def random_denominator_point(rng):
     return Fraction(rng.randrange(-30, 30), rng.choice((1, 2, 3, 4, 6, 10)))
 

@@ -126,12 +126,12 @@ def solve_components(
         extra = min(surplus, sub.n - budget)  # a component holds at most n centers
         if extra == 0:
             continue
-        found = _least_budget(sub, sub_caps, solver, budget + extra, budget + extra)
-        if found is None:
+        out = solver(sub, budget + extra, sub_caps)
+        if not isinstance(out, PerTauSolution):
             raise ContractViolation(
                 "solver succeeded at a budget but failed at a larger one"
             )
-        entry[3:] = found
+        entry[3:] = budget + extra, out
         surplus -= extra
     if surplus:
         raise ContractViolation("surplus centers exceed the total vertex count")
@@ -141,8 +141,7 @@ def solve_components(
 def _least_budget(sub: ThresholdGraph, sub_caps, solver: Callable, lo: int, hi: int):
     """(budget, solution) for the least budget in lo..hi at which `solver`
     succeeds on the component `sub`, or None.  `solve_components` calls it
-    once per component to search the minimal budget, and again with
-    lo = hi to hand that component its share of the surplus."""
+    once per component to search the minimal budget."""
     for budget in range(lo, hi + 1):
         out = solver(sub, budget, sub_caps)
         if isinstance(out, PerTauSolution):

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from ftkcenter.bottleneck import PerTauSolution, _least_budget
+from ftkcenter.bottleneck import PerTauSolution, _least_budget, _merge
 from ftkcenter.clustering import (
     build_gprime,
     greedy_independent,
@@ -612,16 +612,22 @@ def test_bottleneck_soundness():
             return ft_general_connected(sub, budget, c, alpha)
 
         direct = solver(G, k, caps)
-        found = _least_budget(G, caps, solver, alpha + 1, k)  # the per-component budget search
-        if found:
-            found = _least_budget(G, caps, solver, k, k)  # the surplus hand-out up to k
-        via = found[1] if found else None
+        sub, orig = G.induced(list(range(n)))  # the one component, as solve_components cuts it
+        found = _least_budget(sub, caps, solver, alpha + 1, k)  # the per-component budget search
         agreements += 1
-        if isinstance(direct, PerTauSolution) != (via is not None):
+        if isinstance(direct, PerTauSolution) != (found is not None):
             violations.append(f"agreement #{i}: verdicts differ (n={n}, k={k}, a={alpha})")
-        elif isinstance(direct, PerTauSolution):
-            if direct.centers != via.centers or direct.assignment != via.assignment:
-                violations.append(f"agreement #{i}: solutions differ (n={n}, k={k})")
+        if found is None:
+            continue
+        handed = solver(sub, k, caps)  # the surplus hand-out up to k
+        if not isinstance(handed, PerTauSolution):
+            violations.append(f"agreement #{i}: solver failed at k after budget {found[0]}")
+            continue
+        via = _merge([[sub, caps, orig, k, handed]], alpha)
+        if isinstance(direct, PerTauSolution) and (
+            direct.centers != via.centers or direct.assignment != via.assignment
+        ):
+            violations.append(f"agreement #{i}: solutions differ (n={n}, k={k})")
     _report(
         "bottleneck soundness",
         violations,

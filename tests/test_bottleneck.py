@@ -157,9 +157,12 @@ def test_components_connected_shortcut_and_budget_search():
     budget, out = _least_budget(g, [1, 1], solver, 1, 2)
     assert record == [(2, 1)]  # search starts at alpha+1
     assert (budget, out.centers) == (1, (0,))
-    budget, out = _least_budget(g, [1, 1], solver, 2, 2)  # its surplus hand-out
-    assert (budget, out.centers) == (2, (0, 1))
     assert _least_budget(g, [1, 1], make_fake_solver(lambda sub: 3), 1, 2) is None
+
+    record.clear()  # two copies of g: the search, then the hand-out up to each copy's n
+    out = solve_components(ThresholdGraph(4, [(0, 1), (2, 3)]), 4, 0, [1] * 4, solver)
+    assert record == [(2, 1), (2, 1), (2, 2), (2, 2)]
+    assert out.centers == (0, 1, 2, 3)
 
 
 def test_merged_scenario_remaps_and_validates():

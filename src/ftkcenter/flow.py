@@ -12,11 +12,12 @@ run the same Dinic loop, `_augment`.
 (transfer conditions, assignments, the conservative repair): client demand
 routed to allowed centers within their supply.  `transport_cuts` serves the
 LP separators, `verify_ft` and the relaxed ILP, which solve one transport
-network many times with one client forced in or one center set closed: it
-builds the integer arrays once per call, scales demands and supplies to
-ints, starts every forced variant from one base flow, and solves the closed
-variants as one chain, each from the maximum flow of the one before with
-only the load of the newly closed centers re-augmented.
+network many times with one client forced in or one center set closed and
+stop at the first variant that falls short: it builds the integer arrays
+once per call, scales demands and supplies to ints, and yields the variants
+on demand, every forced one from one base flow and the closed ones as one
+chain, each from the maximum flow of the one before with only the load of
+the newly closed centers re-augmented.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def _transport_network(cap, demand, allowed, supply):
     for i, c in enumerate(clients, 2):
         d = demand[c]
         if d is not INF and d < 0:
-            raise InstanceError("negative capacity")
+            raise InstanceError("negative demand")
         src[i] = d
         cap[i] = dict.fromkeys([center_id[v] for v in allowed[c]], INF)
     for i in center_id.values():
@@ -259,17 +260,21 @@ def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=()
     client w of `forced`, with w's demand made infinite, then for each center
     set of `closed`, with the supply of those centers made 0.
 
-    Returns one (value, blocked) pair per variant, in that order, with the
-    value and blocked clients `transport` returns for that variant; the
-    value is a Fraction.  Every supply must be finite.  The arrays are built
-    once, with every finite demand and supply scaled by the lcm of their
-    denominators, so every residual is an int.  A forced variant starts from
-    the base maximum flow, which stays feasible when a capacity rises.  The
-    first closed variant starts from the zero flow and each later one from
-    the maximum flow of the one before: the sink arcs closed there reopen,
-    the flow through each newly closed center is cancelled back to the
-    source, and only that displaced load is augmented again.  The value and
-    the minimal min cut do not depend on the maximum flow reached.
+    Returns an iterator of one (value, blocked) pair per variant, in that
+    order, with the value and blocked clients `transport` returns for that
+    variant; the value is a Fraction.  Each variant is solved only when the
+    iterator is asked for it, so a caller that stops at the first variant it
+    needs solves no later one.  The input is checked at the call: every
+    supply must be finite, every amount nonnegative and every forced client
+    one of `demand`.  The arrays are built once, with every finite demand
+    and supply scaled by the lcm of their denominators, so every residual is
+    an int.  A forced variant starts from the base maximum flow, which stays
+    feasible when a capacity rises.  The first closed variant starts from
+    the zero flow and each later one from the maximum flow of the one
+    before: the sink arcs closed there reopen, the flow through each newly
+    closed center is cancelled back to the source, and only that displaced
+    load is augmented again.  The value and the minimal min cut do not
+    depend on the maximum flow reached.
     """
     if any(s is INF for s in supply.values()):
         raise ContractViolation("infinite supply in transport_cuts")
@@ -284,53 +289,56 @@ def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=()
     head, zero, adj, _ = _arrays(cap, range(len(cap)))
     clients = list(demand)
     first = len(clients) + 2
+    position = {c: k for k, c in enumerate(clients)}
+    forced_arcs = []  # the source arc of each forced client, listed first
+    for w in forced:
+        if w not in position:
+            raise InstanceError(f"forced client {w!r} has no demand")
+        forced_arcs.append(adj[0][position[w]])
 
     def cut(total, reached):
         blocked = frozenset(clients[u - 2] for u in reached if 2 <= u < first)
         return Fraction(total, scale), blocked
 
-    out = []
-    base = None
-    position = {c: k for k, c in enumerate(clients)}
-    for w in forced:
-        if w not in position:
-            raise InstanceError(f"forced client {w!r} has no demand")
-        if base is None:
+    def variants():
+        if forced_arcs:
             base = zero[:]
             base_value, _ = _augment(head, base, adj, 0, 1)
-        res = base[:]
-        res[adj[0][position[w]]] = INF  # the source arc of w, listed first
-        more, reached = _augment(head, res, adj, 0, 1)
-        out.append(cut(base_value + more, reached))
-    # the closed variants form one chain: each starts from the maximum flow
-    # of the one before, reopens that one's sink arcs, and cancels the flow
-    # through each newly closed center
-    res = zero[:]
-    total = 0
-    opened = []  # the sink arcs the previous variant closed
-    for F in closed:
-        for e in opened:
-            res[e] = zero[e] - res[e ^ 1]  # raising a capacity keeps the flow feasible
-        opened = []
-        for v in F:
-            if v not in supply:
-                continue
-            arcs = adj[center_id[v]]
-            e = arcs[0]  # the sink arc of v, its only own arc
-            total -= res[e ^ 1]
-            res[e ^ 1] = res[e] = 0
-            for r in arcs[1:]:  # the reverse of each client -> v arc holds its flow
-                f = res[r]
-                if f:
-                    res[r] = 0
-                    a = adj[0][head[r] - 2]  # the client's source arc
-                    res[a] += f
-                    res[a ^ 1] -= f
-            opened.append(e)
-        more, reached = _augment(head, res, adj, 0, 1)
-        total += more
-        out.append(cut(total, reached))
-    return out
+            for a in forced_arcs:
+                res = base[:]
+                res[a] = INF
+                more, reached = _augment(head, res, adj, 0, 1)
+                yield cut(base_value + more, reached)
+        # the closed variants form one chain: each starts from the maximum
+        # flow of the one before, reopens that one's sink arcs, and cancels
+        # the flow through each newly closed center
+        res = zero[:]
+        total = 0
+        opened = []  # the sink arcs the previous variant closed
+        for F in closed:
+            for e in opened:
+                res[e] = zero[e] - res[e ^ 1]  # raising a capacity keeps the flow feasible
+            opened = []
+            for v in F:
+                if v not in supply:
+                    continue
+                arcs = adj[center_id[v]]
+                e = arcs[0]  # the sink arc of v, its only own arc
+                total -= res[e ^ 1]
+                res[e ^ 1] = res[e] = 0
+                for r in arcs[1:]:  # the reverse of each client -> v arc holds its flow
+                    f = res[r]
+                    if f:
+                        res[r] = 0
+                        a = adj[0][head[r] - 2]  # the client's source arc
+                        res[a] += f
+                        res[a ^ 1] -= f
+                opened.append(e)
+            more, reached = _augment(head, res, adj, 0, 1)
+            total += more
+            yield cut(total, reached)
+
+    return variants()
 
 
 @dataclass

@@ -24,8 +24,10 @@ coordinates, and the dual simplex re-solves from the last basis.
 
 The two separators turn the exponential Hall-style constraint families into
 polynomially many min-cut computations, each family one `transport_cuts`
-call on integer residuals; generated rows live for one threshold's solve
-and are discarded afterwards.
+call on integer residuals.  A pass solves its cuts in order and stops at the
+first violated one, the cut the loop adds; only a clean point costs the
+whole family.  Generated rows live for one threshold's solve and are
+discarded afterwards.
 """
 
 from __future__ import annotations
@@ -296,8 +298,12 @@ def lp_uniform_static(graph: ThresholdGraph, k: int, capacities: Sequence[int]) 
 class Separation:
     """Outcome of one separation pass.
 
-    `value` is the minimum of (reachable capacity - demand) over the
-    quantified family; the candidate point is violated iff value < threshold.
+    The pass solves the cuts of the quantified family in order and stops at
+    the first violated one, whose witness and row it reports.  `value` is
+    the minimum of (reachable capacity - demand) over the cuts solved: over
+    the whole family when the candidate point is clean, and up to and
+    including the witness when it is violated, so the point is violated
+    iff value < threshold.
     """
 
     value: Fraction
@@ -321,8 +327,9 @@ def separate_general(
 ) -> Separation:
     """Min-cut separation for the Hall rows over (U, F): one cut per failure
     scenario F (alpha backups), each the network of supplies y * capacity
-    over G' with F closed, all solved by one `transport_cuts` call.  Returns
-    the global minimum value and the lowest-indexed violated witness."""
+    over G' with F closed, the closed variants of one `transport_cuts` call.
+    Stops at the lowest-indexed violated scenario and returns its witness;
+    `value` is the minimum over the scenarios solved (see `Separation`)."""
     n = graph.n
     scenarios = list(combinations(sorted(backup_set), alpha))
     if not scenarios:  # no scenario to separate over
@@ -334,20 +341,16 @@ def separate_general(
         closed=scenarios,
     )
     best = None
-    witness = None
     for F, (value, blocked) in zip(scenarios, cuts):
         val = value - n
         if best is None or val < best:
             best = val
-        if val < 0 and witness is None:
-            witness = (tuple(sorted(blocked)), F)
-    row = None
-    U = F = None
-    if witness is not None:
-        U, F = witness
-        reach = gprime.closed_out(U) - set(F)
-        row = Row.make({u: capacities[u] for u in reach}, ">=", len(U))
-    return Separation(best, ZERO, U, F, row)
+        if val < 0:
+            U = tuple(sorted(blocked))
+            reach = gprime.closed_out(U) - set(F)
+            row = Row.make({u: capacities[u] for u in reach}, ">=", len(U))
+            return Separation(best, ZERO, U, F, row)
+    return Separation(best, ZERO, None, None, None)
 
 
 def separate_uniform(
@@ -362,7 +365,9 @@ def separate_uniform(
     vertex (an infinite source arc pins it inside U); the minimum over all n
     cuts is the true minimum over nonempty U.  The n cuts are the forced
     variants of one `transport_cuts` call, each warm-started from the
-    maximum flow of the unforced network.
+    maximum flow of the unforced network.  Stops at the lowest forced
+    vertex whose cut is violated and returns its witness; `value` is the
+    minimum over the cuts solved (see `Separation`).
     """
     n = graph.n
     L = uniform_capacity_level(capacities)
@@ -370,24 +375,20 @@ def separate_uniform(
     allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
     supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
     best = None
-    witness = None
     for value, blocked in transport_cuts(
         dict.fromkeys(range(n), 1), allowed, supply, forced=range(n)
     ):
         val = value - n
         if best is None or val < best:
             best = val
-        if val < threshold and witness is None:
-            witness = tuple(sorted(blocked))
-    row = None
-    if witness is not None:
-        reach = set()
-        for v in witness:
-            reach.update(allowed[v])
-        row = Row.make(
-            {u: L for u in reach}, ">=", len(witness) + alpha * L
-        )
-    return Separation(best, threshold, witness, None, row)
+        if val < threshold:
+            U = tuple(sorted(blocked))
+            reach = set()
+            for v in U:
+                reach.update(allowed[v])
+            row = Row.make({u: L for u in reach}, ">=", len(U) + alpha * L)
+            return Separation(best, threshold, U, None, row)
+    return Separation(best, threshold, None, None, None)
 
 
 def solve_cutting_plane(

@@ -2,9 +2,10 @@
 straight off the bits, the brute-force threshold filter, deque-BFS hop
 matrices and the hop-matrix clustering, the uncapped general-capacity
 front end with component counts from `components()`, exhaustive reference
-implementations of the separation problems, the separators with one
-`transport` per cut, the verifier with one assignment per failure
-scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
+implementations of the separation problems, the separators' full
+`transport_cuts` passes and the separators with one `transport` per cut,
+the verifier with one assignment per failure scenario, the
+Fraction-tableau phase-1 and dual simplex, the from-scratch
 cutting-plane loop, the Edmonds-Karp max-flow, cut capacities, and the
 conservative-repair check."""
 
@@ -15,7 +16,7 @@ from itertools import combinations
 
 from ftkcenter.bottleneck import PerTauInfeasible, quick_infeasible, solve_threshold
 from ftkcenter.clustering import Clustering, backup_union, monarch_clustering, select_backups
-from ftkcenter.flow import INF, FlowResult, capacitated_assignment, transport
+from ftkcenter.flow import INF, FlowResult, capacitated_assignment, transport, transport_cuts
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
@@ -227,10 +228,75 @@ def brute_separate_uniform(y, graph, caps, alpha):
     return best
 
 
+def random_separation_point(rng):
+    """(graph, y, alpha) for a separator: a graph on 1..7 vertices that may
+    be disconnected, y with mixed denominators and zeros, alpha 0..2."""
+    n = rng.randint(1, 7)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = ThresholdGraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+    y = {
+        u: Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(0, 6), rng.randint(1, 7))
+        for u in range(n)
+    }
+    return g, y, rng.randint(0, 2)
+
+
+def full_pass_general(y, graph, gprime, backup_set, alpha, capacities):
+    """value - n of every closed variant of the `transport_cuts` call that
+    `lp.separate_general` makes, one per failure scenario, all solved: the
+    minimum is the global minimum over (U, F)."""
+    n = graph.n
+    cuts = transport_cuts(
+        dict.fromkeys(range(n), 1),
+        {v: gprime.closed_out(v) for v in range(n)},
+        {u: y[u] * capacities[u] for u in range(n)},
+        closed=list(combinations(sorted(backup_set), alpha)),
+    )
+    return [value - n for value, _ in cuts]
+
+
+def full_pass_uniform(y, graph, capacities):
+    """value - n of every forced variant of the `transport_cuts` call that
+    `lp.separate_uniform` makes, one per vertex, all solved: the minimum is
+    the global minimum over nonempty U."""
+    n = graph.n
+    L = uniform_capacity_level(capacities)
+    allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
+    supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
+    cuts = transport_cuts(dict.fromkeys(range(n), 1), allowed, supply, forced=range(n))
+    return [value - n for value, _ in cuts]
+
+
+def stopped_value(values, threshold):
+    """`Separation.value` of a pass over `values` that stops at the first
+    one below threshold: the minimum up to and including it, or over all
+    of them when none is below."""
+    best = None
+    for val in values:
+        if best is None or val < best:
+            best = val
+        if val < threshold:
+            break
+    return best
+
+
+def assert_same_pass(sep, ref):
+    """`sep`, a pass that stops at its witness, agrees with `ref`, a full
+    pass: the same verdict, threshold, witnesses and row, the global
+    minimum when clean, and at least the global minimum when violated."""
+    fields = ("violated", "threshold", "witness_U", "witness_F", "row")
+    assert [getattr(sep, f) for f in fields] == [getattr(ref, f) for f in fields]
+    if sep.violated:
+        assert ref.value <= sep.value < sep.threshold
+    else:
+        assert sep.value == ref.value
+
+
 def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
     """`lp.separate_general` with one `transport` per failure scenario F on
-    the network rebuilt without F: the reference for the single
-    `transport_cuts` call of the separator."""
+    the network rebuilt without F, every scenario solved, so `value` is the
+    global minimum: the reference for the single `transport_cuts` call of
+    the separator, which stops at its witness."""
     n = graph.n
     B = sorted(backup_set)
     demand = dict.fromkeys(range(n), 1)
@@ -259,8 +325,9 @@ def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
 
 def per_cut_separate_uniform(y, graph, capacities, alpha):
     """`lp.separate_uniform` with one `transport` from scratch per forced
-    vertex w, w's demand infinite: the reference for the warm-started
-    `transport_cuts` call of the separator."""
+    vertex w, w's demand infinite, every vertex solved, so `value` is the
+    global minimum: the reference for the warm-started `transport_cuts` call
+    of the separator, which stops at its witness."""
     n = graph.n
     L = uniform_capacity_level(capacities)
     threshold = Fraction(alpha * L)

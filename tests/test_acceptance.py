@@ -58,6 +58,8 @@ from ftkcenter.solvers import (
     solve_ft_uniform,
 )
 
+from helpers import full_pass_general, full_pass_uniform
+
 
 _CAPTURE = None
 
@@ -299,8 +301,11 @@ def _brute_uniform(y, graph, caps):
 
 
 def test_separation_equivalence():
-    """Min-cut separation values and verdicts match exhaustive enumeration
-    over all (U, F) on 100 random fractional points."""
+    """Min-cut separation matches exhaustive enumeration over all (U, F) on
+    100 random fractional points: the minimum of a full `transport_cuts`
+    pass equals the brute-force minimum, the separator's verdict matches
+    it, a clean point reports it as its value, and a violated point's row
+    cuts the point."""
     rng = random.Random(441)
     violations = []
     checked_general = 0
@@ -323,9 +328,12 @@ def test_separation_equivalence():
         y = {v: _rand_frac(rng) for v in range(n)}
         sep = separate_general(y, G, gprime, bset, alpha, caps)
         brute = _brute_general(y, G, gprime, bset, alpha, caps)
+        full = min(full_pass_general(y, G, gprime, bset, alpha, caps))
         checked_general += 1
-        if sep.value != brute:
-            violations.append(f"general n={n} a={alpha}: cut {sep.value} vs brute {brute}")
+        if full != brute:
+            violations.append(f"general n={n} a={alpha}: cut {full} vs brute {brute}")
+        if not sep.violated and sep.value != brute:
+            violations.append(f"general n={n} a={alpha}: clean value {sep.value} vs brute {brute}")
         if (sep.value < sep.threshold) != (brute < 0):
             violations.append(f"general n={n} a={alpha}: verdict mismatch")
         if sep.row is not None:
@@ -343,9 +351,12 @@ def test_separation_equivalence():
         y = {v: _rand_frac(rng) for v in range(n)}
         sep = separate_uniform(y, G, caps, alpha)
         brute = _brute_uniform(y, G, caps)
+        full = min(full_pass_uniform(y, G, caps))
         checked_uniform += 1
-        if sep.value != brute:
-            violations.append(f"uniform n={n} a={alpha}: cut {sep.value} vs brute {brute}")
+        if full != brute:
+            violations.append(f"uniform n={n} a={alpha}: cut {full} vs brute {brute}")
+        if not sep.violated and sep.value != brute:
+            violations.append(f"uniform n={n} a={alpha}: clean value {sep.value} vs brute {brute}")
         if (sep.value < sep.threshold) != (brute < alpha * L):
             violations.append(f"uniform n={n} a={alpha}: verdict mismatch")
         if sep.row is not None:

@@ -1,3 +1,4 @@
+import ast
 import random
 import sys
 from fractions import Fraction
@@ -6,7 +7,13 @@ from itertools import combinations
 import pytest
 
 from ftkcenter import flow
-from ftkcenter.clustering import backup_union, build_gprime, monarch_clustering, select_backups
+from ftkcenter.clustering import (
+    DirectedGraph,
+    backup_union,
+    build_gprime,
+    monarch_clustering,
+    select_backups,
+)
 from ftkcenter.flow import (
     INF,
     FlowNetwork,
@@ -17,10 +24,18 @@ from ftkcenter.flow import (
 )
 from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, Radius
 from ftkcenter.lp import separate_general, separate_uniform
-from ftkcenter.oracle import verify_ft
+from ftkcenter.oracle import random_point_instance, verify_ft
 from ftkcenter.rounding import condition_b_flow
 
-from helpers import cut_capacity, cycle_graph, edmonds_karp_max_flow, path_graph
+from helpers import (
+    cut_capacity,
+    cycle_graph,
+    edmonds_karp_max_flow,
+    full_pass_general,
+    full_pass_uniform,
+    path_graph,
+    random_separation_point,
+)
 
 
 def test_diamond_max_flow():
@@ -183,7 +198,7 @@ def test_transport_cuts_match_transport_per_variant():
             tuple(rng.sample(centers, rng.randint(0, len(centers))))
             for _ in range(rng.randint(0, 3))
         ]
-        cuts = transport_cuts(demand, allowed, supply, forced=forced, closed=closed)
+        cuts = list(transport_cuts(demand, allowed, supply, forced=forced, closed=closed))
         assert len(cuts) == len(forced) + len(closed)
         expected = []
         for w in forced:
@@ -241,7 +256,7 @@ def test_closed_chains_match_transport_per_variant():
                 tuple(rng.sample(centers, rng.randint(1, len(centers)))),
             ])
             closed.insert(i, extra)
-        cuts = transport_cuts(demand, allowed, supply, closed=closed)
+        cuts = list(transport_cuts(demand, allowed, supply, closed=closed))
         full = transport(demand, allowed, supply)[0]
         expected = []
         for F in closed:
@@ -259,14 +274,138 @@ def test_closed_chains_match_transport_per_variant():
 
 
 def test_transport_cuts_rejects_infinite_supply_and_unknown_clients():
+    """Bad input raises at the call, before any variant is asked for: no
+    call here consumes the iterator it would return."""
     with pytest.raises(ContractViolation):
         transport_cuts({0: 1}, {0: [10]}, {10: INF}, forced=[0])
     with pytest.raises(ContractViolation):
         transport_cuts({0: 1}, {0: [10]}, {10: INF})
     with pytest.raises(InstanceError):
         transport_cuts({0: 1}, {0: [10]}, {10: 1}, forced=[1])
-    with pytest.raises(InstanceError):
+    with pytest.raises(InstanceError, match="forced client 2"):
+        transport_cuts({0: 1, 1: 1}, {0: [10], 1: [10]}, {10: 1}, forced=[0, 2])
+    with pytest.raises(InstanceError, match="negative capacity"):
         transport_cuts({0: 1}, {0: [10]}, {10: -1}, closed=[()])
+    with pytest.raises(InstanceError, match="negative demand"):
+        transport_cuts({0: 1, 1: -1}, {0: [10], 1: [10]}, {10: 1}, forced=[0])
+    with pytest.raises(InstanceError, match="negative demand"):
+        transport({0: Fraction(-1, 2)}, {0: [10]}, {10: 1})
+
+
+def count_augments(monkeypatch):
+    """Rebind `flow._augment`, the Dinic loop every variant runs, to a
+    wrapper that counts its calls in the returned one-item list."""
+    calls = [0]
+    augment = flow._augment
+
+    def counted(*args):
+        calls[0] += 1
+        return augment(*args)
+
+    monkeypatch.setattr(flow, "_augment", counted)
+    return calls
+
+
+def test_transport_cuts_solves_each_variant_on_demand(monkeypatch):
+    """The call solves nothing; the first forced variant solves the base
+    flow and itself, and every later variant, forced or closed, one more."""
+    calls = count_augments(monkeypatch)
+    demand = dict.fromkeys(range(4), 1)
+    allowed = {0: [10], 1: [10, 11], 2: [11], 3: [11, 12]}
+    supply = {10: 1, 11: Fraction(3, 2), 12: 1}
+    closed = [(10,), (11,), (10, 12)]
+    cuts = transport_cuts(demand, allowed, supply, forced=range(4), closed=closed)
+    assert calls[0] == 0
+    seen = []
+    for i, cut in enumerate(cuts):
+        seen.append(cut)
+        assert calls[0] == i + 2
+    assert seen == list(transport_cuts(demand, allowed, supply, forced=range(4), closed=closed))
+    calls[0] = 0
+    cuts = transport_cuts(demand, allowed, supply, closed=closed)
+    next(cuts)
+    assert calls[0] == 1
+
+
+def test_separate_uniform_stops_at_its_witness(monkeypatch):
+    """A violated pass whose witness is forced vertex w runs the base flow
+    and the variants of vertices 0..w, 1 + (w + 1) augments; a clean pass
+    runs 1 + n."""
+    calls = count_augments(monkeypatch)
+    rng = random.Random(2016)
+    seen = {"clean": 0, "stopped before the last vertex": 0}
+    for _ in range(150):
+        g, y, alpha = random_separation_point(rng)
+        L = rng.randint(1, 3)
+        caps = [L if rng.random() < 0.75 else 0 for _ in range(g.n)]
+        values = full_pass_uniform(y, g, caps)
+        w = next((i for i, val in enumerate(values) if val < alpha * L), None)
+        calls[0] = 0
+        sep = separate_uniform(y, g, caps, alpha)
+        assert sep.violated == (w is not None)
+        if w is None:
+            assert calls[0] == 1 + g.n
+            seen["clean"] += 1
+        else:
+            assert calls[0] == 1 + (w + 1)
+            seen["stopped before the last vertex"] += w < g.n - 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_separate_general_stops_at_its_witness(monkeypatch):
+    """A violated pass whose witness is the i-th failure scenario runs the
+    chain up to it, i + 1 augments; a clean pass runs one per scenario."""
+    calls = count_augments(monkeypatch)
+    rng = random.Random(2017)
+    seen = {"clean": 0, "stopped before the last scenario": 0}
+    for _ in range(300):
+        g, y, alpha = random_separation_point(rng)
+        n = g.n
+        out = [set(rng.sample(range(n), rng.randint(0, n))) - {u} for u in range(n)]
+        gp = DirectedGraph(n, out)
+        backups = frozenset(rng.sample(range(n), rng.randint(0, min(n, 4))))
+        caps = [rng.randint(0, 3) for _ in range(n)]
+        scenarios = list(combinations(sorted(backups), alpha))
+        values = full_pass_general(y, g, gp, backups, alpha, caps)
+        i = next((i for i, val in enumerate(values) if val < 0), None)
+        calls[0] = 0
+        sep = separate_general(y, g, gp, backups, alpha, caps)
+        assert sep.violated == (i is not None)
+        if i is None:
+            assert calls[0] == len(scenarios)
+            seen["clean"] += bool(scenarios)
+        else:
+            assert sep.witness_F == scenarios[i]
+            assert calls[0] == i + 1
+            seen["stopped before the last scenario"] += i < len(scenarios) - 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_verify_ft_stops_at_the_scenario_it_reports(monkeypatch):
+    """A rejected solution runs the closed chain up to the failure set its
+    report names; an accepted one runs every scenario."""
+    calls = count_augments(monkeypatch)
+    rng = random.Random(2018)
+    seen = {"accepted": 0, "stopped before the last scenario": 0}
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, min(n, 5))
+        alpha = rng.randint(0, k - 1)
+        inst = random_point_instance(rng, n, k, alpha, caps_mode="general", span=6)
+        centers = rng.sample(range(n), k)
+        radius = Radius(rng.randint(1, 3), rng.choice((0, *inst.thresholds_sq())))
+        scenarios = list(combinations(sorted(centers), alpha))
+        calls[0] = 0
+        rep = verify_ft(inst, centers, radius)
+        if rep.ok:
+            assert calls[0] == len(scenarios)
+            seen["accepted"] += 1
+        else:
+            F = ast.literal_eval(rep.detail[len("failures "):rep.detail.index(":")])
+            i = scenarios.index(tuple(F))
+            assert calls[0] == i + 1
+            seen["stopped before the last scenario"] += i < len(scenarios) - 1
+    assert min(seen.values()) >= 20, seen
 
 
 # -- the engine against the Edmonds-Karp reference ----------------------------

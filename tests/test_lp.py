@@ -17,7 +17,7 @@ from ftkcenter.clustering import (
     monarch_clustering,
     select_backups,
 )
-from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
+from ftkcenter.instance import ContractViolation, InstanceError
 from ftkcenter.lp import (
     LinearProgram,
     Row,
@@ -33,15 +33,20 @@ from ftkcenter.lp import (
 from ftkcenter.oracle import random_connected_graph
 
 from helpers import (
+    assert_same_pass,
     brute_separate_general,
     brute_separate_uniform,
     cycle_graph,
     fraction_dual_simplex_point,
     fraction_feasible_point,
+    full_pass_general,
+    full_pass_uniform,
     path_graph,
     per_cut_separate_general,
     per_cut_separate_uniform,
+    random_separation_point,
     scratch_cutting_plane,
+    stopped_value,
 )
 
 
@@ -320,10 +325,14 @@ def test_separate_uniform_matches_brute():
         y = {u: Fraction(rng.randint(0, 4), 4) for u in range(n)}
         sep = separate_uniform(y, g, caps, alpha)
         best = brute_separate_uniform(y, g, caps, alpha)
-        assert sep.value == best
+        values = full_pass_uniform(y, g, caps)
+        assert min(values) == best
+        assert sep.value == stopped_value(values, alpha * L)
         assert sep.violated == (best < alpha * L)
         checked += 1
-        if sep.violated:
+        if not sep.violated:
+            assert sep.value == best
+        else:
             violated += 1
             lhs = sum(c * y[v] for v, c in sep.row.coeffs)
             assert lhs < sep.row.rhs
@@ -349,9 +358,13 @@ def test_separate_general_matches_brute():
         y = {u: Fraction(rng.randint(0, 4), 4) for u in range(n)}
         sep = separate_general(y, g, gp, bset, alpha, caps)
         best = brute_separate_general(y, g, gp, bset, alpha, caps)
-        assert sep.value == best
+        values = full_pass_general(y, g, gp, bset, alpha, caps)
+        assert min(values) == best
+        assert sep.value == stopped_value(values, 0)
         assert sep.violated == (best < 0)
-        if sep.violated:
+        if not sep.violated:
+            assert sep.value == best
+        else:
             violated += 1
             lhs = sum(c * y[v] for v, c in sep.row.coeffs)
             assert lhs < sep.row.rhs
@@ -368,38 +381,51 @@ def test_separate_general_no_scenarios_is_clean():
 
 
 def test_separators_match_one_transport_per_cut():
-    """One `transport_cuts` call per pass gives the records of one
-    `transport` per forced vertex or failure scenario: value, threshold,
-    witnesses and row, on graphs that may be disconnected, y with mixed
+    """One `transport_cuts` call per pass, stopped at its witness, gives the
+    verdict, threshold, witnesses and row of one `transport` per forced
+    vertex or failure scenario, all solved; its value is the global minimum
+    when clean and the minimum up to the witness of a full `transport_cuts`
+    pass when violated.  On graphs that may be disconnected, y with mixed
     denominators and zeros, {0,L} capacities with zeros, alpha 0..2 and
     backup sets too small for any scenario."""
     rng = random.Random(1994)
-    seen = {"uniform violated": 0, "general violated": 0, "no scenario": 0, "disconnected": 0}
+    seen = {
+        "uniform violated": 0,
+        "uniform stopped above the minimum": 0,
+        "general violated": 0,
+        "general stopped above the minimum": 0,
+        "no scenario": 0,
+        "disconnected": 0,
+    }
     for _ in range(150):
-        n = rng.randint(1, 7)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        g = ThresholdGraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        g, y, alpha = random_separation_point(rng)
+        n = g.n
         seen["disconnected"] += len(g.components()) > 1
-        y = {
-            u: Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(0, 6), rng.randint(1, 7))
-            for u in range(n)
-        }
-        alpha = rng.randint(0, 2)
 
         L = rng.randint(1, 3)
         caps = [L if rng.random() < 0.75 else 0 for _ in range(n)]
         sep = separate_uniform(y, g, caps, alpha)
-        assert sep == per_cut_separate_uniform(y, g, caps, alpha)
+        ref = per_cut_separate_uniform(y, g, caps, alpha)
+        assert_same_pass(sep, ref)
+        assert sep.value == stopped_value(full_pass_uniform(y, g, caps), sep.threshold)
         seen["uniform violated"] += sep.violated
+        seen["uniform stopped above the minimum"] += sep.value > ref.value
 
         out = [set(rng.sample(range(n), rng.randint(0, n))) - {u} for u in range(n)]
         gp = DirectedGraph(n, out)
         backups = frozenset(rng.sample(range(n), rng.randint(0, min(n, 3))))
         caps = [rng.randint(0, 3) for _ in range(n)]
         sep = separate_general(y, g, gp, backups, alpha, caps)
-        assert sep == per_cut_separate_general(y, g, gp, backups, alpha, caps)
+        ref = per_cut_separate_general(y, g, gp, backups, alpha, caps)
+        assert_same_pass(sep, ref)
+        if len(backups) < alpha:
+            seen["no scenario"] += 1
+            assert sep == ref
+        else:
+            values = full_pass_general(y, g, gp, backups, alpha, caps)
+            assert sep.value == stopped_value(values, 0)
         seen["general violated"] += sep.violated
-        seen["no scenario"] += len(backups) < alpha
+        seen["general stopped above the minimum"] += sep.value > ref.value
     assert min(seen.values()) >= 5, seen
 
 

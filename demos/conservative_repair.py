@@ -23,7 +23,7 @@ def main():
     inst = MetricInstance.from_points(
         POINTS, k=4, alpha=1, capacities=CAPS, variant="conservative", name="two-blocks"
     )
-    res = solve_conservative_general(inst, residual="lp")
+    res = solve_conservative_general(inst)
     print(f"instance: two blocks of four, k={inst.k}, alpha={inst.alpha}")
     print(f"tau*^2 = {res.tau2_star}, centers {res.centers}, "
           f"radius bound {res.radius().display()} (stretch {res.stretch})")

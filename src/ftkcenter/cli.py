@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .conservative import RESIDUALS, solve_conservative_general, solve_conservative_uniform
+from .conservative import solve_conservative_general, solve_conservative_uniform
 from .instance import (
     ContractViolation,
     InstanceError,
@@ -27,6 +27,7 @@ from .instance import (
     SizeLimitError,
     canonical_json,
     decimal_str,
+    exact_decimal,
     is_plain_int,
     load_instance,
     parse_exact_json,
@@ -35,14 +36,15 @@ from .instance import (
 from .oracle import exact_opt, gap_instance, random_point_instance, verify_conservative, verify_ft
 from .solvers import DEFAULT_ALPHA_BOUND, solve_ft_general, solve_ft_uniform
 
-# algorithm name -> solve(instance, parsed arguments)
-SOLVERS = {
-    "ft-general": lambda inst, args: solve_ft_general(inst, alpha_bound=args.alpha_bound),
-    "ft-0l": lambda inst, args: solve_ft_uniform(inst),
-    "cons-0l": lambda inst, args: solve_conservative_uniform(inst),
-    "cons-general": lambda inst, args: solve_conservative_general(inst, residual=args.residual),
+# algorithm name -> (the variant it solves, solve(instance, parsed arguments));
+# the lambdas look the solvers up at call time, so a rebound module global
+# sees every call
+ALGORITHMS = {
+    "ft-general": ("ft", lambda inst, args: solve_ft_general(inst, alpha_bound=args.alpha_bound)),
+    "ft-0l": ("ft", lambda inst, args: solve_ft_uniform(inst)),
+    "cons-0l": ("conservative", lambda inst, args: solve_conservative_uniform(inst)),
+    "cons-general": ("conservative", lambda inst, args: solve_conservative_general(inst)),
 }
-ALGORITHMS = tuple(SOLVERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,7 +109,8 @@ def _emit(text: str, path):
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.input)
-    res = SOLVERS[args.alg](inst, args)
+    _, solve = ALGORITHMS[args.alg]
+    res = solve(inst, args)
     report = build_report(inst, res, with_oracle=args.with_oracle)
     _emit(canonical_json(report), args.output)
     if not res.feasible:
@@ -125,7 +128,9 @@ def _cmd_verify(args) -> int:
     if not isinstance(centers, list) or not all(map(is_plain_int, centers)):
         raise InstanceError("'centers' must be a list of integer vertex indices")
     try:
-        value = Fraction(args.radius)
+        value = exact_decimal(args.radius)
+    except InstanceError:
+        raise
     except (ValueError, ZeroDivisionError):
         raise InstanceError(f"--radius must be a decimal number: {args.radius!r}") from None
     radius = Radius.exact(value)
@@ -162,6 +167,7 @@ def _cmd_bench(args) -> int:
     import random
 
     rng = random.Random(args.seed)
+    variant, solve = ALGORITHMS[args.alg]
     reports = []
     for i in range(args.count):
         inst = random_point_instance(
@@ -169,12 +175,12 @@ def _cmd_bench(args) -> int:
             args.n,
             args.k,
             args.alpha,
-            variant=args.variant,
+            variant=variant,
             caps_mode=args.caps,
             name=f"bench-{i}",
         )
         t0 = time.perf_counter()
-        res = SOLVERS[args.alg](inst, args)
+        res = solve(inst, args)
         elapsed = time.perf_counter() - t0
         report = build_report(inst, res, with_oracle=args.with_oracle)
         report["seconds"] = round(elapsed, 6)
@@ -192,13 +198,6 @@ def _add_common_solve_flags(p):
         default=DEFAULT_ALPHA_BOUND,
         help="refuse general-capacity fault-tolerant runs above this alpha "
         "(scenario enumeration grows exponentially)",
-    )
-    p.add_argument(
-        "--residual",
-        choices=tuple(RESIDUALS),
-        default="lp",
-        help="residual solver for cons-general: lp (stretch 9+6a) or exact "
-        "exhaustive (stretch 1+6a, tiny inputs only)",
     )
     p.add_argument("--with-oracle", action="store_true",
                    help="add the exhaustive optimum and the squared ratio when small enough")
@@ -232,7 +231,6 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--variant", choices=("ft", "conservative"), default="ft")
     p.add_argument("--caps", choices=("general", "uniform", "unit"), default="general")
     p.add_argument("--seed", type=int, default=0)
     _add_common_solve_flags(p)

@@ -5,17 +5,17 @@ a residual non-fault-tolerant instance on the remaining capacity.  A failure
 scenario is repaired by one seat-keeping transport (`rounding.repair`):
 every client of a live center keeps its seat, and the orphans go to live
 centers with capacity left, within seven hops for {0,L} capacities (six to
-an anchor, one more to its backups) and within beta + 6*alpha hops for
-general ones, where beta is the stretch of the residual solver.  The repair
-records are `ConservativeUniform` and `ConservativeGeneral`.
+an anchor, one more to its backups) and within BETA + 6*alpha hops for
+general ones, where BETA = 9 is the stretch of the failure-free LP residual
+solve (`solvers.ft_general_connected` with alpha = 0).  The repair records
+are `ConservativeUniform` and `ConservativeGeneral`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bottleneck import (
     PerTauInfeasible,
@@ -28,18 +28,17 @@ from .bottleneck import (
 from .clustering import greedy_independent, is_alpha_ell_independent
 from .instance import (
     ContractViolation,
-    InstanceError,
     MetricInstance,
-    SizeLimitError,
     ThresholdGraph,
     failure_set,
     uniform_capacity_level,
 )
-from .oracle import exact_distance1
 from .rounding import repair
 from .solvers import ft_general_connected, ft_uniform_connected
 
-EXACT_RESIDUAL_MAX_N = 10  # exact_distance1 enumerates C(n, k) center sets
+# stretch of the residual solve: the failure-free (alpha = 0) ft-general
+# pipeline's base assignment is within nine hops of its center
+BETA = 9
 
 
 def _pad_centers(centers, k: int, n: int) -> tuple:
@@ -175,15 +174,8 @@ def build_backup_set(graph: ThresholdGraph, caps, alpha: int):
     return frozenset(B), trace
 
 
-def conservative_general_connected(
-    graph: ThresholdGraph,
-    k: int,
-    caps,
-    alpha: int,
-    residual_solver: Callable,
-    beta: int,
-):
-    """Backup loop plus an arbitrary failure-free residual solver of stretch beta."""
+def conservative_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
+    """Backup loop plus a failure-free LP residual solve of stretch BETA."""
     capped = [min(c, graph.n) for c in caps]
     why = quick_infeasible(graph, k, capped, alpha)
     if why:
@@ -197,13 +189,13 @@ def conservative_general_connected(
             f"{len(B)} backups leave no budget for the residual solve (k={k})"
         )
     inner_caps = [0 if v in B else capped[v] for v in range(graph.n)]
-    inner = residual_solver(graph, budget, inner_caps)
+    inner = ft_general_connected(graph, budget, inner_caps, 0)
     if isinstance(inner, PerTauInfeasible):
         return PerTauInfeasible(f"residual solve: {inner.reason}")
     phi0 = dict(inner.assignment)
     centers = _pad_centers(set(inner.centers) | B, k, graph.n)
-    state = ConservativeGeneral(graph, capped, B, phi0, alpha, beta, centers)
-    return PerTauSolution(centers, phi0, beta + 6 * alpha, state)
+    state = ConservativeGeneral(graph, capped, B, phi0, alpha, centers)
+    return PerTauSolution(centers, phi0, BETA + 6 * alpha, state)
 
 
 @dataclass(frozen=True)
@@ -215,7 +207,6 @@ class ConservativeGeneral:
     B: frozenset  # the pre-opened backup set
     phi0: dict  # base assignment
     alpha: int
-    beta: int  # stretch of the residual solver
     centers: tuple
 
     def __call__(self, F) -> dict:
@@ -225,58 +216,20 @@ class ConservativeGeneral:
 def reassign_flow(state: ConservativeGeneral, F) -> dict:
     """Keep every client of a live center in its seat and move the orphans,
     by one transport on the capped capacities, to live centers within
-    beta + 6*alpha hops.
+    BETA + 6*alpha hops.
 
     The analysis's repair is one the transport may pick: each client sits
-    within beta hops of its base center, and the backup loop leaves the
+    within BETA hops of its base center, and the backup loop leaves the
     orphans room at live backups within 6*alpha hops of their failed
     centers, reached through chains of failed backups six hops per link.
     """
     F = failure_set(F, state.alpha, state.centers)
     keep = {u: c for u, c in state.phi0.items() if c not in F}
-    return repair(state.graph, state.caps, state.centers, F, state.beta + 6 * state.alpha, keep)
+    return repair(state.graph, state.caps, state.centers, F, BETA + 6 * state.alpha, keep)
 
 
-def exact_residual(graph: ThresholdGraph, budget: int, caps):
-    """Exhaustive failure-free residual solver, stretch 1 (tiny inputs only)."""
-    found = exact_distance1(graph, budget, caps)
-    if found is None:
-        return PerTauInfeasible("no exact distance-1 residual solution")
-    S, phi = found
-    return PerTauSolution(tuple(sorted(S)), phi, 1, FailureFree(phi))
-
-
-@dataclass(frozen=True)
-class FailureFree:
-    """Repair record of the exact residual solve: only the empty scenario."""
-
-    phi0: dict
-
-    def __call__(self, F) -> dict:
-        failure_set(F, 0, ())
-        return dict(self.phi0)
-
-
-# residual name -> (residual_solver(graph, budget, caps), its stretch beta)
-RESIDUALS = {
-    "lp": (lambda graph, budget, caps: ft_general_connected(graph, budget, caps, 0), 9),
-    "exact": (exact_residual, 1),
-}
-
-
-def solve_conservative_general(
-    inst: MetricInstance, residual: str = "lp"
-) -> SolveResult:
-    """General conservative solver; radius (beta + 6*alpha) * tau* with
-    beta = 9 for the LP residual solver, beta = 1 for the exact one."""
-    if residual not in RESIDUALS:
-        raise InstanceError(f"unknown residual solver {residual!r}")
-    if residual == "exact" and inst.n > EXACT_RESIDUAL_MAX_N:
-        raise SizeLimitError(
-            f"n={inst.n} exceeds max_n={EXACT_RESIDUAL_MAX_N} for the exact residual solver"
-        )
-    residual_solver, beta = RESIDUALS[residual]
-    connected = partial(conservative_general_connected, residual_solver=residual_solver, beta=beta)
-    res = solve_bottleneck(inst, "cons-general", "conservative", connected)
-    res.algorithm = f"cons-general[{residual}]"
-    return res
+def solve_conservative_general(inst: MetricInstance) -> SolveResult:
+    """General conservative solver, radius at most (BETA + 6*alpha) * tau*."""
+    return solve_bottleneck(
+        inst, "cons-general", "conservative", conservative_general_connected
+    )

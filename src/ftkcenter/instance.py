@@ -614,6 +614,26 @@ class MetricInstance:
         return cls.from_payload(parse_exact_json(text))
 
 
+# the interpreter's default limit on the digits of an int read from or
+# written to a string: `canonical_json` cannot print a number past it
+MAX_DECIMAL_EXPONENT = 4300
+
+
+def exact_decimal(text: str) -> Fraction:
+    """`text` as an exact Fraction, for JSON floats and `ftkc verify --radius`.
+
+    Fraction builds 10**e in full, which takes minutes for an exponent near
+    a billion, so an exponent beyond MAX_DECIMAL_EXPONENT in magnitude is
+    an InstanceError first.  Other bad text raises what Fraction raises.
+    """
+    _, e, exponent = text.upper().partition("E")
+    if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+        raise InstanceError(
+            f"decimal exponent beyond {MAX_DECIMAL_EXPONENT} in magnitude: {text[:40]!r}"
+        )
+    return Fraction(text)
+
+
 def parse_exact_json(text: str):
     """json.loads with floats parsed as exact Fractions (no binary rounding)."""
 
@@ -621,8 +641,10 @@ def parse_exact_json(text: str):
         raise InstanceError(f"non-finite number {name!r} not allowed")
 
     try:
-        return json.loads(text, parse_float=Fraction, parse_constant=bad_constant)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_float=exact_decimal, parse_constant=bad_constant)
+    except InstanceError:
+        raise
+    except ValueError as exc:  # malformed JSON, or an int past the interpreter's digit limit
         raise InstanceError(f"invalid JSON: {exc}") from exc
 
 

@@ -1,6 +1,7 @@
 """Ground-truth tools: solution verifiers, exhaustive optimum search on small
 instances, the transfer certificate with its exhaustive transfer-condition
-oracle, the unbounded integrality-gap family, and random instance generators.
+oracle, the unbounded integrality-gap family, and the random point instances
+that `ftkc bench` draws.
 
 The exhaustive searches are exponential by design; they exist to certify the
 approximation factors of the polynomial algorithms on small inputs, so they
@@ -275,7 +276,8 @@ def exact_opt(inst: MetricInstance):
 def exact_distance1(graph: ThresholdGraph, k: int, caps: Sequence[int]):
     """A size-k set serving every vertex from its closed neighborhood, or None.
 
-    Exhaustive; used as the stretch-1 residual solver and in tests.
+    Exhaustive; a test oracle, the residual of the 1 + 6*alpha cross-check
+    of the general conservative pipeline, and never run by a solver.
     """
     if k > graph.n:
         return None
@@ -431,47 +433,3 @@ def random_point_instance(
     else:
         raise InstanceError(f"unknown caps_mode {caps_mode!r}")
     return MetricInstance.from_points(pts, k, alpha, caps, variant=variant, name=name)
-
-
-def random_feasible_instance(
-    rng,
-    n: int,
-    k: int,
-    alpha: int,
-    variant: str = "ft",
-    caps_mode: str = "general",
-    span: int = 12,
-    max_tries: int = 200,
-):
-    """Draw random instances until the exhaustive oracle certifies one.
-
-    Returns (instance, optimum_sq, witness); the caller gets the optimum for
-    free instead of re-running the oracle.
-    """
-    for t in range(max_tries):
-        inst = random_point_instance(
-            rng, n, k, alpha, variant=variant, caps_mode=caps_mode, span=span,
-            name=f"random-{variant}-{t}",
-        )
-        opt2, wit = exact_opt(inst)
-        if opt2 is not None:
-            return inst, opt2, wit
-    raise RuntimeError("no feasible instance found; loosen the parameters")
-
-
-def random_connected_graph(rng, n: int, extra: int = 0) -> ThresholdGraph:
-    """Random spanning tree plus `extra` random non-tree edges."""
-    edges = set()
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in range(1, n):
-        a = order[i]
-        b = order[rng.randrange(i)]
-        edges.add((min(a, b), max(a, b)))
-    tries = 0
-    while len(edges) < n - 1 + extra and tries < 50 * (extra + 1):
-        a, b = rng.randrange(n), rng.randrange(n)
-        tries += 1
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return ThresholdGraph(n, edges)

@@ -1,4 +1,5 @@
-"""Shared test utilities: tiny graph builders, edge sets and masks read
+"""Shared test utilities: random feasible instances and random connected
+graphs, tiny graph builders, edge sets and masks read
 straight off the bits, the brute-force threshold filter, deque-BFS hop
 matrices and the hop-matrix clustering, the uncapped general-capacity
 front end with component counts from `components()`, exhaustive reference
@@ -6,15 +7,17 @@ implementations of the separation problems, the separators' full
 `transport_cuts` passes and the separators with one `transport` per cut,
 the verifier with one assignment per failure scenario, the
 Fraction-tableau phase-1 and dual simplex, the from-scratch
-cutting-plane loop, the Edmonds-Karp max-flow, cut capacities, and the
-conservative-repair check."""
+cutting-plane loop, the Edmonds-Karp max-flow, cut capacities, the
+conservative-repair check, and the exhaustive residual solve that the
+general conservative pipeline's 1 + 6*alpha cross-check runs in place of
+its LP residual."""
 
 import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from ftkcenter.bottleneck import PerTauInfeasible, quick_infeasible, solve_threshold
+from ftkcenter.bottleneck import PerTauInfeasible, PerTauSolution, quick_infeasible, solve_threshold
 from ftkcenter.clustering import Clustering, backup_union, monarch_clustering, select_backups
 from ftkcenter.flow import INF, FlowResult, capacitated_assignment, transport, transport_cuts
 from ftkcenter.instance import (
@@ -24,8 +27,58 @@ from ftkcenter.instance import (
     uniform_capacity_level,
 )
 from ftkcenter.lp import LinearProgram, Row, Separation, feasible_point, static_general_infeasible
-from ftkcenter.oracle import VerifyReport, _check_centers
+from ftkcenter.oracle import (
+    VerifyReport,
+    _check_centers,
+    exact_distance1,
+    exact_opt,
+    random_point_instance,
+)
 from ftkcenter.solvers import ft_general_connected
+
+
+def random_feasible_instance(
+    rng,
+    n: int,
+    k: int,
+    alpha: int,
+    variant: str = "ft",
+    caps_mode: str = "general",
+    span: int = 12,
+    max_tries: int = 200,
+):
+    """Draw random instances until the exhaustive oracle certifies one.
+
+    Returns (instance, optimum_sq, witness); the caller gets the optimum for
+    free instead of re-running the oracle.
+    """
+    for t in range(max_tries):
+        inst = random_point_instance(
+            rng, n, k, alpha, variant=variant, caps_mode=caps_mode, span=span,
+            name=f"random-{variant}-{t}",
+        )
+        opt2, wit = exact_opt(inst)
+        if opt2 is not None:
+            return inst, opt2, wit
+    raise RuntimeError("no feasible instance found; loosen the parameters")
+
+
+def random_connected_graph(rng, n: int, extra: int = 0) -> ThresholdGraph:
+    """Random spanning tree plus `extra` random non-tree edges."""
+    edges = set()
+    order = list(range(n))
+    rng.shuffle(order)
+    for i in range(1, n):
+        a = order[i]
+        b = order[rng.randrange(i)]
+        edges.add((min(a, b), max(a, b)))
+    tries = 0
+    while len(edges) < n - 1 + extra and tries < 50 * (extra + 1):
+        a, b = rng.randrange(n), rng.randrange(n)
+        tries += 1
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return ThresholdGraph(n, edges)
 
 
 def path_graph(n: int) -> ThresholdGraph:
@@ -646,3 +699,20 @@ def conservative_consistent(phi0, phi, F):
     for u, c in phi0.items():
         if c not in F:
             assert phi[u] == c, f"client {u} of live center {c} was moved"
+
+
+def exhaustive_residual(graph: ThresholdGraph, k: int, caps, alpha: int):
+    """The stretch-1 residual solve by exhaustive search: a size-k set that
+    serves every vertex from its closed neighborhood (`exact_distance1`).
+
+    It has the signature of `solvers.ft_general_connected`, which
+    `conservative_general_connected` calls with alpha = 0 for its residual;
+    patched in as `conservative.ft_general_connected`, it turns the general
+    conservative pipeline into the 1 + 6*alpha one."""
+    if alpha:
+        raise ContractViolation("the residual solve is failure-free")
+    found = exact_distance1(graph, k, caps)
+    if found is None:
+        return PerTauInfeasible("no exact distance-1 residual solution")
+    S, phi = found
+    return PerTauSolution(tuple(sorted(S)), phi, 1, None)

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+from ftkcenter import conservative
 from ftkcenter.bottleneck import PerTauSolution, _least_budget, _merge
 from ftkcenter.clustering import (
     build_gprime,
@@ -21,6 +22,7 @@ from ftkcenter.clustering import (
     select_backups,
 )
 from ftkcenter.conservative import (
+    BETA,
     build_backup_set,
     conservative_general_connected,
     reassign_flow,
@@ -43,10 +45,9 @@ from ftkcenter.oracle import (
     exact_opt_ft,
     conservative_feasible_at,
     gap_instance,
-    random_connected_graph,
-    random_feasible_instance,
     random_point_instance,
     relaxed_ilp_holds,
+    verify_conservative,
     verify_ft,
     verify_transfer,
 )
@@ -58,7 +59,13 @@ from ftkcenter.solvers import (
     solve_ft_uniform,
 )
 
-from helpers import full_pass_general, full_pass_uniform
+from helpers import (
+    exhaustive_residual,
+    full_pass_general,
+    full_pass_uniform,
+    random_connected_graph,
+    random_feasible_instance,
+)
 
 
 _CAPTURE = None
@@ -99,9 +106,13 @@ def _solve_with(label, inst):
         return solve_ft_uniform(inst)
     if label == "cons-0l":
         return solve_conservative_uniform(inst)
-    if label == "cons-general-lp":
-        return solve_conservative_general(inst, residual="lp")
-    return solve_conservative_general(inst, residual="exact")
+    if label == "cons-general":
+        return solve_conservative_general(inst)
+    # the general conservative pipeline with the exhaustive residual in place
+    # of its LP one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conservative, "ft_general_connected", exhaustive_residual)
+        return solve_conservative_general(inst)
 
 
 def _expected_stretch(label, alpha):
@@ -109,19 +120,21 @@ def _expected_stretch(label, alpha):
         "ft-general": 10,
         "ft-0l": 6,
         "cons-0l": 7,
-        "cons-general-lp": 9 + 6 * alpha,
-        "cons-general-exact": 1 + 6 * alpha,
+        "cons-general": 9 + 6 * alpha,
+        "cons-general-exact": 9 + 6 * alpha,  # the record's, sized for the LP residual
     }[label]
 
 
 def test_factor_bounds_vs_oracle():
     """Every pipeline stays within its stretch factor of the exact optimum
-    on 200 random feasible instances, certified by the independent verifier."""
+    on 200 random feasible instances, certified by the independent verifier;
+    with the exhaustive residual, the general conservative answer holds at
+    1 + 6*alpha."""
     plans = (
         ("ft-general", "ft", "general", 50, 101),
         ("ft-0l", "ft", "uniform", 50, 102),
         ("cons-0l", "conservative", "uniform", 50, 103),
-        ("cons-general-lp", "conservative", "general", 25, 104),
+        ("cons-general", "conservative", "general", 25, 104),
         ("cons-general-exact", "conservative", "general", 25, 105),
     )
     violations = []
@@ -152,7 +165,11 @@ def test_factor_bounds_vs_oracle():
                 violations.append(f"{tag}: stretch {res.stretch}")
             if res.tau2_star > opt2:
                 violations.append(f"{tag}: tau*^2 {res.tau2_star} > opt^2 {opt2}")
-            rep = res.verify()
+            if label == "cons-general-exact":
+                radius = Radius(1 + 6 * alpha, res.tau2_star)
+                rep = verify_conservative(inst, res.centers, res.assignment, radius)
+            else:
+                rep = res.verify()
             if not rep.ok:
                 violations.append(f"{tag}: verifier says {rep.detail}")
     _report(
@@ -376,16 +393,11 @@ def test_separation_equivalence():
 def test_conservative_flow_saturation():
     """On real general-conservative runs, the repair reroutes every orphaned
     client in every maximal scenario, and each rerouted client stays within
-    beta + 6*alpha hops."""
+    BETA + 6*alpha hops."""
     rng = random.Random(551)
     violations = []
     runs = 0
     scenarios = 0
-    beta = 9
-
-    def residual(G, budget, caps):
-        return ft_general_connected(G, budget, caps, 0)
-
     attempts = 0
     while runs < 15 and attempts < 200:
         attempts += 1
@@ -394,7 +406,7 @@ def test_conservative_flow_saturation():
         k = rng.randint(alpha + 2, min(n - 1, 5))
         G = random_connected_graph(rng, n, extra=rng.randint(0, n // 2))
         caps = [rng.randint(1, n) for _ in range(n)]
-        out = conservative_general_connected(G, k, caps, alpha, residual, beta)
+        out = conservative_general_connected(G, k, caps, alpha)
         if not isinstance(out, PerTauSolution):
             continue
         runs += 1
@@ -422,7 +434,7 @@ def test_conservative_flow_saturation():
                         violations.append(
                             f"run {runs} F={F}: non-orphan {u} moved (not conservative)"
                         )
-                    if hops[u][phi[u]] > beta + 6 * alpha:
+                    if hops[u][phi[u]] > BETA + 6 * alpha:
                         violations.append(
                             f"run {runs} F={F}: client {u} lands {hops[u][phi[u]]} hops away"
                         )

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, report structure, and the four subcommands."""
 
 import json
+import time
 
 import pytest
 
@@ -71,17 +72,6 @@ class TestSolve:
         assert rep["reason"] == "best 1 surviving capacities cover 1 < 4 clients"
         assert "centers" not in rep
 
-    def test_conservative_exact_residual(self, files, tmp_path):
-        out = str(tmp_path / "report.json")
-        rc = main(["solve", "--input", files["cons"], "--alg", "cons-general",
-                   "--residual", "exact", "--output", out])
-        assert rc == 0
-        rep = json.loads(open(out).read())
-        assert rep["stretch"] == 7
-        assert rep["tau_star_sq"] == "4"
-        assert rep["radius_bound_sq"] == "196"
-        assert rep["verified"] is True
-
     def test_stdout_default(self, files, capsys):
         rc = main(["solve", "--input", files["ft"], "--alg", "ft-0l"])
         assert rc == 0
@@ -96,6 +86,7 @@ class TestSolve:
         rc = main(["solve", "--input", files[key], "--alg", alg, "--output", out])
         assert rc == 0
         rep = json.loads(open(out).read())
+        assert rep["algorithm"] == alg
         assert rep["verified"] is True
         assert rep["tau_star_sq"] == "4"
 
@@ -109,16 +100,6 @@ class TestSolve:
         assert main(["solve", "--input", p, "--alg", "ft-general",
                      "--alpha-bound", "4", "--output", out]) == 0
         assert json.loads(open(out).read())["tau_star_sq"] == "0"
-
-    def test_exact_residual_size_cap(self, tmp_path, capsys):
-        inst = MetricInstance.from_points(
-            [(i, 0) for i in range(11)], 3, 1, [11] * 11,
-            variant="conservative", name="line11c")
-        p = str(tmp_path / "line11c.json")
-        save_instance(inst, p)
-        rc = main(["solve", "--input", p, "--alg", "cons-general", "--residual", "exact"])
-        assert rc == 1
-        assert "exceeds max_n=10" in capsys.readouterr().err
 
     def test_oracle_skipped_when_too_big(self, tmp_path):
         inst = MetricInstance.from_points(
@@ -215,6 +196,17 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("ftkc: ") and "radius must be" in err
 
+    def test_huge_radius_exponent_is_bad_input(self, files, tmp_path, capsys):
+        """Fraction would build 10**999999999 in full; the exponent is
+        refused first."""
+        sol = write_json(tmp_path, "sol.json", {"centers": [1, 2]})
+        t0 = time.perf_counter()
+        rc = main(["verify", "--input", files["ft"], "--solution", sol,
+                   "--radius", "1e999999999"])
+        assert time.perf_counter() - t0 < 1
+        assert rc == 1
+        assert "decimal exponent beyond 4300" in capsys.readouterr().err
+
 
 class TestGapAndBench:
     def test_gap_instance_file(self, tmp_path):
@@ -260,13 +252,20 @@ class TestGapAndBench:
         for tag in ("a", "b"):
             out = str(tmp_path / f"{tag}.jsonl")
             main(["bench", "--count", "2", "--n", "5", "--k", "2", "--alpha", "0",
-                  "--alg", "cons-0l", "--variant", "conservative", "--caps", "uniform",
+                  "--alg", "cons-0l", "--caps", "uniform",
                   "--seed", "3", "--output", out])
             body = open(out).read()
             outs.append("\n".join(
                 json.dumps({k: v for k, v in json.loads(l).items() if k != "seconds"})
                 for l in body.strip().split("\n")))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_bench_draws_the_variant_of_the_algorithm(self, alg, capsys):
+        caps = "uniform" if alg.endswith("0l") else "general"
+        assert main(["bench", "--count", "1", "--n", "5", "--k", "2", "--alpha", "0",
+                     "--alg", alg, "--caps", caps]) == 0
+        assert json.loads(capsys.readouterr().out)["variant"] == ALGORITHMS[alg][0]
 
 
 class TestErrorPaths:

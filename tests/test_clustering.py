@@ -15,9 +15,8 @@ from ftkcenter.clustering import (
     select_backups,
 )
 from ftkcenter.instance import InstanceError, ThresholdGraph
-from ftkcenter.oracle import random_connected_graph
 
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, random_connected_graph
 
 
 def test_monarch_path7():

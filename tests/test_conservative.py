@@ -1,17 +1,19 @@
 """Conservative solvers: the {0,L} anchor/backup algorithm, the general
-backup-loop algorithm with both residual solvers, and the seat-keeping
-transport that repairs their failure scenarios."""
+backup-loop algorithm with its LP residual and, as a cross-check, with the
+exhaustive residual, and the seat-keeping transport that repairs their
+failure scenarios."""
 
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+from ftkcenter import conservative
 from ftkcenter.bottleneck import PerTauInfeasible, PerTauSolution
 from ftkcenter.clustering import is_alpha_ell_independent
 from ftkcenter.conservative import (
+    BETA,
     ConservativeGeneral,
     ConservativeUniform,
     _pad_centers,
@@ -26,16 +28,15 @@ from ftkcenter.conservative import (
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
-    MetricInstance,
-    SizeLimitError,
+    Radius,
     ThresholdGraph,
     hop_metric_instance,
 )
-from ftkcenter.oracle import exact_opt_conservative, random_point_instance
+from ftkcenter.oracle import exact_opt_conservative, random_point_instance, verify_conservative
 from ftkcenter import rounding
 from ftkcenter.rounding import repair
 
-from helpers import cycle_graph, path_graph, power
+from helpers import cycle_graph, exhaustive_residual, path_graph, power
 
 
 def test_pad_centers():
@@ -119,46 +120,33 @@ def test_conservative_uniform_connected_details():
     assert "no budget" in out.reason
 
 
-def test_conservative_general_c6_both_residuals():
+def test_conservative_general_c6_both_residuals(monkeypatch):
+    """The LP residual and, patched in for it, the exhaustive one; the
+    record's stretch is BETA + 6*alpha either way, and the exhaustive
+    residual's answer holds at 1 + 6*alpha."""
     inst = hop_metric_instance(cycle_graph(6), 2, 1, [6] * 6, variant="conservative")
-    lp = solve_conservative_general(inst, residual="lp")
+    lp = solve_conservative_general(inst)
     assert lp.feasible and lp.tau2_star == 4
     assert lp.centers == (0, 1)
     assert lp.stretch == 15  # 9 + 6*alpha
+    assert lp.algorithm == "cons-general"
 
-    exact = solve_conservative_general(inst, residual="exact")
+    monkeypatch.setattr(conservative, "ft_general_connected", exhaustive_residual)
+    exact = solve_conservative_general(inst)
     assert exact.feasible and exact.tau2_star == 9
     assert exact.centers == (0, 1)
-    assert exact.stretch == 7  # 1 + 6*alpha
-
-    with pytest.raises(InstanceError):
-        solve_conservative_general(inst, residual="bogus")
+    assert exact.stretch == 15
+    assert verify_conservative(inst, exact.centers, exact.assignment, Radius(7, exact.tau2_star)).ok
 
 
-def test_exact_residual_size_cap():
-    inst = MetricInstance.from_points(
-        [(i, 0) for i in range(11)], 3, 1, [11] * 11, variant="conservative"
-    )
-    with pytest.raises(SizeLimitError, match="n=11 exceeds max_n=10"):
-        solve_conservative_general(inst, residual="exact")
-
-
-def test_conservative_general_connected_detail():
-    def exactish(graph, budget, caps):
-        from ftkcenter.oracle import exact_distance1
-
-        found = exact_distance1(graph, budget, caps)
-        if found is None:
-            return PerTauInfeasible("no residual")
-        S, phi = found
-        return PerTauSolution(tuple(sorted(S)), phi, 1, lambda F: dict(phi))
-
+def test_conservative_general_connected_detail(monkeypatch):
+    monkeypatch.setattr(conservative, "ft_general_connected", exhaustive_residual)
     g = path_graph(5)
-    out = conservative_general_connected(power(g, 4), 2, [5, 1, 1, 1, 5], 1, exactish, 1)
+    out = conservative_general_connected(power(g, 4), 2, [5, 1, 1, 1, 5], 1)
     assert isinstance(out, PerTauSolution)
     assert isinstance(out.scenario, ConservativeGeneral)
     assert out.scenario.B == frozenset({0})
-    assert out.scenario.beta == 1
+    assert out.stretch == BETA + 6
     assert 0 in out.centers
 
 
@@ -194,19 +182,24 @@ PATH13_PHI0 = {u: 0 if u < 4 else 6 if u < 9 else 12 for u in range(13)}
 def path13(cap0: int, alpha: int) -> ConservativeGeneral:
     caps = [cap0] + [0] * 5 + [5] + [0] * 5 + [4]
     B = frozenset(PATH13_CENTERS)
-    return ConservativeGeneral(path_graph(13), caps, B, PATH13_PHI0, alpha, 1, PATH13_CENTERS)
+    return ConservativeGeneral(path_graph(13), caps, B, PATH13_PHI0, alpha, PATH13_CENTERS)
 
 
 def test_reassign_flow_chains_through_failed_backups():
     """With two failed backups, the orphans of both cross them to the last
-    live one: 12 -> 0 is 12 hops, within beta + 6*alpha = 13."""
+    live one: 12 -> 0 is 12 hops, within BETA + 6*alpha = 21."""
     assert reassign_flow(path13(13, 2), {6, 12}) == dict.fromkeys(range(13), 0)
 
 
 def test_reassign_flow_saturation_tripwire():
-    """The orphans of 12 reach only backup 6 within seven hops, and 6 is full."""
-    with pytest.raises(ContractViolation, match="no assignment within 7 hops"):
-        reassign_flow(path13(8, 1), {12})
+    """Path 0..20 with centers 0, 10 and 20: the orphans 16..20 of 20 reach
+    only 10 within BETA + 6 = 15 hops, and 10 is full."""
+    centers = (0, 10, 20)
+    phi0 = {u: 0 if u < 4 else 10 if u < 16 else 20 for u in range(21)}
+    caps = [21] + [0] * 9 + [12] + [0] * 9 + [5]
+    state = ConservativeGeneral(path_graph(21), caps, frozenset(centers), phi0, 1, centers)
+    with pytest.raises(ContractViolation, match="no assignment within 15 hops"):
+        reassign_flow(state, {20})
 
 
 def test_reassign_flow_withholds_no_live_backup_capacity():
@@ -221,16 +214,15 @@ def test_reassign_flow_withholds_no_live_backup_capacity():
 
 
 def test_reassign_flow_hop_bound():
-    """beta + 6*alpha hops: on a 14-vertex path the only live center is 13
-    hops from the orphan at the far end, so a residual stretch one smaller
-    leaves no repair."""
-    caps = [14] + [0] * 12 + [14]
-    state = ConservativeGeneral(
-        path_graph(14), caps, frozenset({0}), dict.fromkeys(range(14), 13), 1, 7, (0, 13)
-    )
-    assert reassign_flow(state, {13}) == dict.fromkeys(range(14), 0)
-    with pytest.raises(ContractViolation, match="no assignment within 12 hops"):
-        reassign_flow(replace(state, beta=6), {13})
+    """BETA + 6*alpha hops: on a 16-vertex path the only live center is 15
+    hops from the orphan at the far end, so the same transport within 14
+    fails."""
+    g = path_graph(16)
+    caps = [16] + [0] * 14 + [16]
+    state = ConservativeGeneral(g, caps, frozenset({0}), dict.fromkeys(range(16), 15), 1, (0, 15))
+    assert reassign_flow(state, {15}) == dict.fromkeys(range(16), 0)
+    with pytest.raises(ContractViolation, match="no assignment within 14 hops"):
+        repair(g, caps, (0, 15), frozenset({15}), 14, {})
 
 
 def test_repair_without_orphans_keeps_every_seat(monkeypatch):
@@ -243,7 +235,7 @@ def test_repair_without_orphans_keeps_every_seat(monkeypatch):
     monkeypatch.setattr(rounding, "capacitated_assignment", no_transport)
     phi0 = {u: 0 if u < 4 else 6 for u in range(13)}
     state = ConservativeGeneral(
-        path_graph(13), [4] + [0] * 5 + [9] + [0] * 5 + [4], frozenset(PATH13_CENTERS), phi0, 1, 1, PATH13_CENTERS
+        path_graph(13), [4] + [0] * 5 + [9] + [0] * 5 + [4], frozenset(PATH13_CENTERS), phi0, 1, PATH13_CENTERS
     )
     assert reassign_flow(state, {12}) == phi0
     assert state.graph._hops is None
@@ -265,7 +257,7 @@ def test_conservative_repairs_keep_seats_and_fit_bounds(solve, caps_mode, record
     every size up to alpha is repaired: clients of live centers keep their
     seats, orphans land on live centers, loads fit the capacities (a
     connected cons-general record's, capped at n), distances fit the radius,
-    and on a connected record hops fit seven (cons-0l) or beta + 6*alpha."""
+    and on a connected record hops fit seven (cons-0l) or BETA + 6*alpha."""
     rng = random.Random(f"conservative-repairs-{caps_mode}")
     seen = Counter()
     attempts = 0
@@ -297,7 +289,7 @@ def test_conservative_repairs_keep_seats_and_fit_bounds(solve, caps_mode, record
                 assert all(inst.d2[u][c] <= r2 for u, c in phi.items())
                 if connected:
                     hops = record.graph.hops()
-                    bound = 7 if record_type is ConservativeUniform else record.beta + 6 * alpha
+                    bound = 7 if record_type is ConservativeUniform else BETA + 6 * alpha
                     assert all(hops[u][c] <= bound for u, c in phi.items())
     assert min(seen["connected"], seen["merged"]) >= 10, seen
 

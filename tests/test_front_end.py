@@ -10,20 +10,15 @@ one, and the general-capacity sweeps against the uncapped front end."""
 import math
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
-from ftkcenter import clustering, solvers
+from ftkcenter import clustering, conservative, solvers
 from ftkcenter.bottleneck import PerTauSolution, SweepSuccess, quick_infeasible, solve_threshold, sweep
 from ftkcenter.clustering import monarch_clustering
-from ftkcenter.conservative import (
-    RESIDUALS,
-    conservative_general_connected,
-    solve_conservative_general,
-)
+from ftkcenter.conservative import conservative_general_connected, solve_conservative_general
 from ftkcenter.instance import InstanceError, MetricInstance, ThresholdGraph, strip_zero_zero_edges
-from ftkcenter.oracle import random_connected_graph, random_point_instance
+from ftkcenter.oracle import random_point_instance
 from ftkcenter.solvers import ft_general_connected, solve_ft_general
 
 from helpers import (
@@ -32,6 +27,7 @@ from helpers import (
     edge_set,
     hop_matrix_clustering,
     pair_masks,
+    random_connected_graph,
     uncapped_ft_general_connected,
     uncounted_threshold,
 )
@@ -288,8 +284,15 @@ def logged_sweep(inst, per_tau):
 
 
 def cons_general(residual_connected):
-    residual = lambda graph, budget, caps: residual_connected(graph, budget, caps, 0)
-    return partial(conservative_general_connected, residual_solver=residual, beta=RESIDUALS["lp"][1])
+    """`conservative_general_connected` with `residual_connected` as its
+    residual solve."""
+
+    def connected(graph, k, caps, alpha):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conservative, "ft_general_connected", residual_connected)
+            return conservative_general_connected(graph, k, caps, alpha)
+
+    return connected
 
 
 HEAD_CAP = " heads exceed k // (alpha+1) = "
@@ -305,7 +308,7 @@ def test_sweeps_match_the_uncapped_front_end(variant):
     rng = random.Random(f"front-end/sweeps/{variant}")
     capped, uncapped = ft_general_connected, uncapped_ft_general_connected
     if variant == "conservative":
-        capped, uncapped = cons_general(capped), cons_general(uncapped)
+        capped, uncapped = conservative_general_connected, cons_general(uncapped)
     head_capped = 0
     for _ in range(40):
         n = rng.randint(5, 12)

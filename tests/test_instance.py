@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ftkcenter.instance import (
     ThresholdGraph,
     canonical_json,
     decimal_str,
+    exact_decimal,
     hop_metric_instance,
     parse_exact_json,
     strip_zero_zero_edges,
@@ -223,6 +225,23 @@ def test_parse_exact_json_keeps_decimals_exact():
         parse_exact_json('{"x": NaN}')
     with pytest.raises(InstanceError):
         parse_exact_json("{bad json")
+
+
+def test_huge_numbers_are_rejected_before_they_are_built():
+    """Fraction would build 10**e in full, minutes for an exponent near a
+    billion, and json.loads reads an int literal past the interpreter's
+    digit limit as a ValueError; both are bad input, found at once."""
+    assert exact_decimal("1.5e4300") == Fraction(15) * 10**4299
+    assert exact_decimal("1E-4300") == Fraction(1, 10**4300)
+    t0 = time.perf_counter()
+    for number in ("1e999999999", "1e-2000000", "2.5E+4301"):
+        with pytest.raises(InstanceError, match="decimal exponent beyond 4300"):
+            exact_decimal(number)
+        with pytest.raises(InstanceError, match="decimal exponent beyond 4300"):
+            parse_exact_json(f'{{"dist": [[0, {number}], [{number}, 0]]}}')
+    with pytest.raises(InstanceError, match="invalid JSON"):
+        parse_exact_json('{"n": 1' + "0" * 5000 + "}")
+    assert time.perf_counter() - t0 < 1
 
 
 def test_payload_validation():

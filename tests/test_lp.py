@@ -30,7 +30,6 @@ from ftkcenter.lp import (
     solve_cutting_plane,
     static_general_infeasible,
 )
-from ftkcenter.oracle import random_connected_graph
 
 from helpers import (
     assert_same_pass,
@@ -44,6 +43,7 @@ from helpers import (
     path_graph,
     per_cut_separate_general,
     per_cut_separate_uniform,
+    random_connected_graph,
     random_separation_point,
     scratch_cutting_plane,
     stopped_value,

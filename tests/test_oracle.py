@@ -18,15 +18,20 @@ from ftkcenter.oracle import (
     exact_opt_ft,
     ft_feasible_at,
     gap_instance,
-    random_connected_graph,
-    random_feasible_instance,
     random_point_instance,
     relaxed_ilp_holds,
     verify_conservative,
     verify_ft,
 )
 
-from helpers import cycle_graph, edge_set, path_graph, scratch_verify_ft
+from helpers import (
+    cycle_graph,
+    edge_set,
+    path_graph,
+    random_connected_graph,
+    random_feasible_instance,
+    scratch_verify_ft,
+)
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
 

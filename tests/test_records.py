@@ -42,8 +42,6 @@ PLANS = [
      verify_conservative_direct),
     ("cons-general", solve_conservative_general, "conservative", "general",
      verify_conservative_direct),
-    ("cons-general-exact", lambda inst: solve_conservative_general(inst, residual="exact"),
-     "conservative", "general", verify_conservative_direct),
 ]
 
 WRAPPED = [

@@ -13,7 +13,6 @@ from ftkcenter.clustering import monarch_clustering, select_backups
 from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
 from ftkcenter.oracle import (
     condition_b_exhaustive,
-    random_connected_graph,
     random_point_instance,
     verify_transfer,
 )
@@ -31,7 +30,7 @@ from ftkcenter.rounding import (
 )
 from ftkcenter.solvers import solve_ft_general
 
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, random_connected_graph
 
 H = Fraction(1, 2)
 

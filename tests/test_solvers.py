@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import pytest
 
+from ftkcenter import conservative
 from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
 from ftkcenter.instance import InstanceError, MetricInstance, Radius
 from ftkcenter.oracle import (
@@ -18,6 +19,8 @@ from ftkcenter.oracle import (
 )
 from ftkcenter.rounding import GeneralRounding, RoundResult, UniformRounding
 from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
+
+from helpers import exhaustive_residual
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
 
@@ -98,20 +101,27 @@ class TestConservativeLine4:
         assert res.assignment == {0: 1, 1: 1, 2: 1, 3: 1}
         assert verify_conservative(inst, res.centers, res.assignment, res.radius()).ok
 
-    def test_general_lp_vs_exact_residual(self):
+    def test_general_lp_vs_exact_residual(self, monkeypatch):
+        """The LP residual, then the exhaustive one patched in for it: the
+        record's stretch stays 9 + 6*alpha, and the exhaustive residual's
+        answer holds at 1 + 6*alpha."""
         inst = line4(variant="conservative")
-        lp = solve_conservative_general(inst, residual="lp")
-        exact = solve_conservative_general(inst, residual="exact")
+        lp = solve_conservative_general(inst)
+        monkeypatch.setattr(conservative, "ft_general_connected", exhaustive_residual)
+        exact = solve_conservative_general(inst)
         assert (lp.tau2_star, lp.centers, lp.stretch) == (4, (0, 1), 15)
-        assert (exact.tau2_star, exact.centers, exact.stretch) == (4, (0, 1), 7)
+        assert (exact.tau2_star, exact.centers, exact.stretch) == (4, (0, 1), 15)
         for res in (lp, exact):
             assert verify_conservative(inst, res.centers, res.assignment, res.radius()).ok
+        assert verify_conservative(inst, exact.centers, exact.assignment, Radius(7, 4)).ok
 
-    def test_matches_oracle_optimum(self):
+    def test_matches_oracle_optimum(self, monkeypatch):
         inst = line4(variant="conservative")
         opt2, _ = exact_opt_conservative(inst)
         assert opt2 == 4
-        assert solve_conservative_general(inst, residual="exact").tau2_star <= opt2
+        assert solve_conservative_general(inst).tau2_star <= opt2
+        monkeypatch.setattr(conservative, "ft_general_connected", exhaustive_residual)
+        assert solve_conservative_general(inst).tau2_star <= opt2
 
 
 class TestVariantEnforcement:

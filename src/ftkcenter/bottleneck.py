@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .instance import (
@@ -51,25 +52,34 @@ def quick_infeasible(graph: ThresholdGraph, k: int, caps: Sequence[int], alpha: 
 
     Every vertex needs more than alpha positive-capacity vertices in its
     closed neighborhood (an adversary removes alpha), and the k-alpha largest
-    capacities must cover all n clients.
+    capacities must cover all n clients.  Neither the positive-capacity mask
+    nor that sum depends on the threshold, so `_capacity_profile` computes
+    them once for each capacity list and k-alpha that a sweep passes.
     """
     n = graph.n
-    positive = 0
-    for u, c in enumerate(caps):
-        if c > 0:
-            positive |= 1 << u
+    positive, top = _capacity_profile(tuple(caps), max(k - alpha, 0))
     for v, mask in enumerate(graph.masks):
         good = ((mask | 1 << v) & positive).bit_count()
         if good <= alpha:
             return (
                 f"vertex {v} has {good} positive-capacity neighbors, needs alpha+1={alpha + 1}"
             )
-    top = sorted(caps, reverse=True)[: max(k - alpha, 0)]
-    if sum(top) < n:
+    if top < n:
         return (
-            f"best {k - alpha} surviving capacities cover {sum(top)} < {n} clients"
+            f"best {k - alpha} surviving capacities cover {top} < {n} clients"
         )
     return None
+
+
+@lru_cache(maxsize=64)
+def _capacity_profile(caps: tuple, survivors: int) -> tuple[int, int]:
+    """The bitmask of the positive-capacity vertices, and the sum of the
+    `survivors` largest capacities."""
+    positive = 0
+    for u, c in enumerate(caps):
+        if c > 0:
+            positive |= 1 << u
+    return positive, sum(sorted(caps, reverse=True)[:survivors])
 
 
 def solve_components(

@@ -2,12 +2,13 @@
 
 Both algorithms pre-open backup sets sized for the failure budget and solve
 a residual non-fault-tolerant instance on the remaining capacity.  A failure
-scenario is repaired by one seat-keeping transport (`rounding.repair`):
-every client of a live center keeps its seat, and the orphans go to live
-centers with capacity left, within seven hops for {0,L} capacities (six to
-an anchor, one more to its backups) and within BETA + 6*alpha hops for
-general ones, where BETA = 9 is the stretch of the failure-free LP residual
-solve (`solvers.ft_general_connected` with alpha = 0).  The repair records
+scenario is repaired by one seat-keeping capacitated assignment
+(`rounding.repair`, augmenting paths): every client of a live center keeps
+its seat, and the orphans go to live centers with capacity left, within
+seven hops for {0,L} capacities (six to an anchor, one more to its backups)
+and within BETA + 6*alpha hops for general ones, where BETA = 9 is the
+stretch of the failure-free LP residual solve
+(`solvers.ft_general_connected` with alpha = 0).  The repair records
 are `ConservativeUniform` and `ConservativeGeneral`.
 """
 
@@ -112,9 +113,9 @@ class ConservativeUniform:
 
 def reassign_uniform(state: ConservativeUniform, F) -> dict:
     """Keep every client of a live center in its seat and move the orphans,
-    by one transport, to live centers within seven hops.
+    by one capacitated assignment, to live centers within seven hops.
 
-    The analysis's repair is one the transport may pick: each orphan's
+    The analysis's repair is one the assignment may pick: each orphan's
     nearest anchor lies within six hops, and that anchor's backups, one hop
     further, have room for the orphans.
     """
@@ -215,10 +216,10 @@ class ConservativeGeneral:
 
 def reassign_flow(state: ConservativeGeneral, F) -> dict:
     """Keep every client of a live center in its seat and move the orphans,
-    by one transport on the capped capacities, to live centers within
-    BETA + 6*alpha hops.
+    by one capacitated assignment on the capped capacities, to live centers
+    within BETA + 6*alpha hops.
 
-    The analysis's repair is one the transport may pick: each client sits
+    The analysis's repair is one the assignment may pick: each client sits
     within BETA hops of its base center, and the backup loop leaves the
     orphans room at live backups within 6*alpha hops of their failed
     centers, reached through chains of failed backups six hops per link.

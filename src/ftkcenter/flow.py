@@ -8,16 +8,25 @@ values, so Fraction capacities are safe and stay exact.  Infinite capacity is
 math.inf, never a large surrogate number.  `max_flow` and `transport_cuts`
 run the same Dinic loop, `_augment`.
 
-`transport` is the one network behind the Hall-type checks of the package
-(transfer conditions, assignments, the conservative repair): client demand
-routed to allowed centers within their supply.  `transport_cuts` serves the
-LP separators, `verify_ft` and the relaxed ILP, which solve one transport
-network many times with one client forced in or one center set closed and
-stop at the first variant that falls short: it builds the integer arrays
-once per call, scales demands and supplies to ints, and yields the variants
-on demand, every forced one from one base flow and the closed ones as one
-chain, each from the maximum flow of the one before with only the load of
-the newly closed centers re-augmented.
+`transport` is the network behind the fractional Hall-type checks of the
+rounding (transfer conditions): client demand routed to allowed centers
+within their supply; it returns the flow value and the clients of the
+minimal min cut.  `transport_cuts` serves the LP separators, `verify_ft` and
+the relaxed ILP, which solve one transport network many times with one
+client forced in or one center set closed and stop at the first variant
+that falls short: it builds the integer arrays once per call, scales demands
+and supplies to ints, and yields the variants on demand, every forced one
+from one base flow and the closed ones as one chain, each from the maximum
+flow of the one before with only the load of the newly closed centers
+re-augmented.
+
+`capacitated_assignment` seats unit-demand clients at centers of integer
+capacity, the problem of every scenario repair and of `verify_conservative`.
+It is a b-matching solved by BFS augmenting paths on the clients' allowed
+lists and builds no flow network; when some client stays unseated, the
+clients that alternating paths reach from the unseated ones are the Hall
+witness, the same client set as the minimal min cut of the transport
+network.
 """
 
 from __future__ import annotations
@@ -232,27 +241,19 @@ def transport(demand: Mapping, allowed: Mapping, supply: Mapping):
     allowed[c] (unbounded) -> sink (capacity supply[v]), on integer node ids:
     source 0, sink 1, the clients in the order given, then the centers in
     the order they are first named, allowed lists before supply.  A center
-    without a supply entry is a dead end.  Returns (value, flow, blocked):
-    the flow value, the positive client -> center flow keyed
-    (client, center), and the clients on the source side of the minimal
-    min cut, which violate Hall's condition together when value falls
-    short of the total demand.
+    without a supply entry is a dead end.  Returns (value, blocked): the
+    flow value, and the clients on the source side of the minimal min cut,
+    which violate Hall's condition together when value falls short of the
+    total demand.
     """
     net = FlowNetwork(0, 1)
-    center_id = _transport_network(net.cap, demand, allowed, supply)
+    _transport_network(net.cap, demand, allowed, supply)
     res = max_flow(net)
     if res.value is INF:
         raise ContractViolation("transport value is infinite")
     clients = list(demand)
     first = len(clients) + 2
-    centers = list(center_id)
-    flow = {
-        (clients[u - 2], centers[v - first]): f
-        for (u, v), f in res.flow.items()
-        if 2 <= u < first
-    }
-    blocked = frozenset(clients[u - 2] for u in res.min_cut if 2 <= u < first)
-    return res.value, flow, blocked
+    return res.value, frozenset(clients[u - 2] for u in res.min_cut if 2 <= u < first)
 
 
 def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=(), closed=()):
@@ -358,31 +359,91 @@ def capacitated_assignment(
 ):
     """Assign each client a distinct slot at one of its allowed centers.
 
-    Returns (assignment, None) on success, (None, HallWitness) when some
-    client set overflows its joint allowed capacity.  Unit client demands and
-    integer capacities keep the flow integral.
+    A unit-demand b-matching by augmenting paths, in the order `clients`
+    lists them.  A client takes the first allowed center with room; when
+    every one is full, `_seat_by_path` searches for an augmenting path.  A
+    client without one stays unseated: by Berge's theorem it cannot gain one
+    later, so the final matching is maximum.
+
+    Returns (assignment, None) when every client is seated.  Otherwise
+    returns (None, HallWitness): the clients that alternating paths reach
+    from the unseated ones, through their allowed centers and the clients
+    seated there.  They fill every center they may use and still leave some
+    unseated, and they are exactly the clients on the source side of the
+    minimal min cut of the client -> center transport network.
     """
     center_set = set(centers)
+    room = {}
+    for v in centers:
+        if capacities[v] < 0:
+            raise InstanceError("negative capacity")
+        room[v] = capacities[v]
     for c in clients:
         if not center_set.issuperset(allowed[c]):
             v = next(v for v in allowed[c] if v not in center_set)
             raise InstanceError(f"allowed center {v!r} not in centers")
-    value, flow, witness = transport(
-        dict.fromkeys(clients, 1), allowed, {v: capacities[v] for v in centers}
-    )
-    if value == len(clients):
-        phi = {}
-        for (c, v), f in flow.items():
-            if f != 1:
-                raise ContractViolation("non-unit client flow")
-            phi[c] = v
-        if len(phi) != len(clients):
-            raise ContractViolation("assignment misses a client")
+    seated = {v: [] for v in room}
+    phi = {}
+    unseated = []
+    for c in clients:
+        for v in allowed[c]:
+            if room[v]:
+                room[v] -= 1
+                seated[v].append(c)
+                phi[c] = v
+                break
+        else:
+            if not _seat_by_path(c, allowed, room, seated, phi):
+                unseated.append(c)
+    if not unseated:
         return phi, None
+    # multi-source alternating BFS: unseated clients, their allowed centers,
+    # the clients seated there, and so on
+    witness = set(unseated)
     reach = set()
-    for c in witness:
-        reach.update(allowed[c])
+    queue = list(unseated)
+    for c in queue:
+        for v in allowed[c]:
+            if v not in reach:
+                reach.add(v)
+                for w in seated[v]:
+                    if w not in witness:
+                        witness.add(w)
+                        queue.append(w)
     cap = sum(capacities[v] for v in reach)
     if cap >= len(witness):
-        raise ContractViolation("min-cut witness does not violate Hall's condition")
-    return None, HallWitness(witness, cap, len(witness))
+        raise ContractViolation("alternating-path witness does not violate Hall's condition")
+    return None, HallWitness(frozenset(witness), cap, len(witness))
+
+
+def _seat_by_path(c, allowed, room, seated, phi) -> bool:
+    """Seat client c, whose allowed centers are all full, by a BFS
+    augmenting path: from full centers to the clients seated there, then to
+    those clients' allowed centers, until a center with room turns up.  Each
+    client on the path then moves one center along it, which frees a seat
+    for c.  Returns False, changing nothing, when no such path exists."""
+    parent = {}  # center -> (client moving into it, center that client leaves)
+    queue = []
+    for v in allowed[c]:
+        if v not in parent:
+            parent[v] = (c, None)
+            queue.append(v)
+    for v in queue:
+        if room[v]:
+            break
+        for w in seated[v]:
+            for x in allowed[w]:
+                if x not in parent:
+                    parent[x] = (w, v)
+                    queue.append(x)
+    else:
+        return False
+    room[v] -= 1
+    while True:
+        w, u = parent[v]
+        seated[v].append(w)
+        phi[w] = v
+        if u is None:
+            return True
+        seated[u].remove(w)
+        v = u

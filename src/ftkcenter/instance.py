@@ -78,25 +78,36 @@ def _to_fraction(x) -> Fraction:
     raise InstanceError(f"expected an exact number, got {type(x).__name__}")
 
 
+def _decimal_scaled(x: Fraction):
+    """(x * 10**shift, shift) for the least shift that makes it an int, or
+    None when x has no exact decimal form."""
+    den = x.denominator
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    # den must now be 5**fives, and 5**fives has bit length b with
+    # fives * log2(5) >= b - 1: start from that bound, not from 5**0
+    fives = int((den.bit_length() - 1) / math.log2(5))
+    power = 5**fives
+    while power < den:
+        power *= 5
+        fives += 1
+    if power != den:
+        return None
+    shift = max(twos, fives)
+    return x.numerator * 10**shift // x.denominator, shift
+
+
 def decimal_str(x: Fraction) -> str:
     """Exact decimal rendering of a rational with terminating expansion.
 
     Raises InstanceError for non-terminating rationals; values parsed from
     JSON numbers always terminate.
     """
-    den = x.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
+    found = _decimal_scaled(x)
+    if found is None:
         raise InstanceError(f"{x} has no exact decimal form")
-    shift = max(twos, fives)
-    scaled = x * 10**shift
-    digits = str(abs(scaled.numerator)).rjust(shift + 1, "0")
+    scaled, shift = found
+    digits = str(abs(scaled)).rjust(shift + 1, "0")
     sign = "-" if x < 0 else ""
     if shift == 0:
         return sign + digits
@@ -352,6 +363,38 @@ def _validate_parameters(name, n, k, alpha, variant, capacities):
             raise InstanceError("capacities must be non-negative integers")
 
 
+def _check_printable(ints, fracs, scale) -> None:
+    """InstanceError naming the first pair whose squared distance, the
+    Fraction fracs[ints[i][j]], has more than MAX_SQUARE_DIGITS digits
+    before its decimal point is placed.
+
+    `ftkc solve` prints such a square and the square of a radius bound, a
+    stretch times it, with `decimal_str`, which cannot print an int of more
+    than MAX_DECIMAL_EXPONENT digits; half that for the square leaves the
+    stretch ample room.  The form of m / scale has at most
+    digits(m) + bit_length(scale) digits, so the exact check runs only when
+    the largest square (the largest key of `fracs`) and the scale reach that
+    bound.  A value without an
+    exact decimal form is left to `decimal_str`, which rejects it when it is
+    printed.
+    """
+    top = max(fracs)
+    if top.bit_length() * 0.302 + 1 + scale.bit_length() <= MAX_SQUARE_DIGITS:
+        return  # 0.302 > log10(2)
+    limit = 10**MAX_SQUARE_DIGITS
+    long = set()
+    for x, value in fracs.items():
+        found = _decimal_scaled(value)
+        if found is not None and abs(found[0]) >= limit:
+            long.add(x)
+    if long:
+        i, j = next((i, j) for i, row in enumerate(ints) for j, x in enumerate(row) if x in long)
+        raise InstanceError(
+            f"squared distance between vertices {i} and {j} has more than "
+            f"{MAX_SQUARE_DIGITS} digits"
+        )
+
+
 def _triangle_sq_ok(a2: int, b2: int, c2: int) -> bool:
     # sqrt(a2) <= sqrt(b2) + sqrt(c2), decided without square roots
     diff = a2 - b2 - c2
@@ -480,6 +523,7 @@ class MetricInstance:
             ints = [[x * x for x in row] for row in ints]
             scale *= scale
         fracs = {x: Fraction(x, scale) for x in set().union(*ints)}
+        _check_printable(ints, fracs, scale)
         d2 = tuple(tuple(map(fracs.__getitem__, row)) for row in ints)
         inst = cls(name, n, k, alpha, variant, capacities, d2, **given)
         object.__setattr__(inst, "_ints", (ints, fracs))
@@ -617,6 +661,8 @@ class MetricInstance:
 # the interpreter's default limit on the digits of an int read from or
 # written to a string: `canonical_json` cannot print a number past it
 MAX_DECIMAL_EXPONENT = 4300
+# the most digits a squared distance may have (see `_check_printable`)
+MAX_SQUARE_DIGITS = MAX_DECIMAL_EXPONENT // 2
 
 
 def exact_decimal(text: str) -> Fraction:

@@ -8,11 +8,12 @@ spanning tree of cluster heads (distance 6 on the base graph), and a final
 distance-1 shift, for an integral distance-8 transfer; the uniform-capacity
 pipeline finds an integral distance-5 transfer directly.
 
-A scenario repair is one capacitated transport (`repair`) of every client
-to the live centers within the pipeline's hop bound: six for {0,L}
-capacities; nine for general capacities when only backups fail, ten
-otherwise.  The conservative pipelines make their repairs with the same
-transport, keeping the clients of live centers in their seats.
+A scenario repair (`repair`) seats every client at a live center within the
+pipeline's hop bound by one capacitated assignment, a unit-demand
+b-matching by augmenting paths (`flow.capacitated_assignment`): six hops
+for {0,L} capacities; nine for general capacities when only backups fail,
+ten otherwise.  The conservative pipelines make their repairs with the same
+assignment, keeping the clients of live centers in their seats.
 """
 
 from __future__ import annotations
@@ -247,10 +248,10 @@ def round_general(
 
 
 def repair(graph: ThresholdGraph, caps, centers, F: frozenset, bound: int, keep=None) -> dict:
-    """One transport of every client not in `keep` (client -> the center it
-    keeps) to the live centers within `bound` hops, on the capacity that the
-    kept clients leave free.  When `keep` covers every client, nothing moves
-    and the kept seats are the answer."""
+    """One capacitated assignment of every client not in `keep` (client ->
+    the center it keeps) to the live centers within `bound` hops, on the
+    capacity that the kept clients leave free.  When `keep` covers every
+    client, nothing moves and the kept seats are the answer."""
     keep = keep or {}
     clients = [u for u in range(graph.n) if u not in keep]
     if not clients:

@@ -7,10 +7,10 @@ implementations of the separation problems, the separators' full
 `transport_cuts` passes and the separators with one `transport` per cut,
 the verifier with one assignment per failure scenario, the
 Fraction-tableau phase-1 and dual simplex, the from-scratch
-cutting-plane loop, the Edmonds-Karp max-flow, cut capacities, the
-conservative-repair check, and the exhaustive residual solve that the
-general conservative pipeline's 1 + 6*alpha cross-check runs in place of
-its LP residual."""
+cutting-plane loop, the Edmonds-Karp max-flow, the max-flow capacitated
+assignment, cut capacities, the conservative-repair check, and the
+exhaustive residual solve that the general conservative pipeline's
+1 + 6*alpha cross-check runs in place of its LP residual."""
 
 import math
 from collections import deque
@@ -19,7 +19,16 @@ from itertools import combinations
 
 from ftkcenter.bottleneck import PerTauInfeasible, PerTauSolution, quick_infeasible, solve_threshold
 from ftkcenter.clustering import Clustering, backup_union, monarch_clustering, select_backups
-from ftkcenter.flow import INF, FlowResult, capacitated_assignment, transport, transport_cuts
+from ftkcenter.flow import (
+    INF,
+    FlowNetwork,
+    FlowResult,
+    HallWitness,
+    capacitated_assignment,
+    max_flow,
+    transport,
+    transport_cuts,
+)
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
@@ -359,7 +368,7 @@ def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
         Fset = frozenset(F)
         allowed = {v: [u for u in gprime.closed_out(v) if u not in Fset] for v in range(n)}
         supply = {u: y[u] * capacities[u] for u in range(n) if u not in Fset}
-        value, _, blocked = transport(demand, allowed, supply)
+        value, blocked = transport(demand, allowed, supply)
         val = value - n
         if best is None or val < best:
             best = val
@@ -390,7 +399,7 @@ def per_cut_separate_uniform(y, graph, capacities, alpha):
     witness = None
     for w in range(n):
         demand = {v: INF if v == w else 1 for v in range(n)}
-        value, _, blocked = transport(demand, allowed, supply)
+        value, blocked = transport(demand, allowed, supply)
         val = value - n
         if best is None or val < best:
             best = val
@@ -693,6 +702,46 @@ def edmonds_karp_max_flow(net):
                 reachable.add(v)
                 q.append(v)
     return FlowResult(value, {a: f for a, f in flow.items() if f > 0}, frozenset(reachable))
+
+
+def flow_capacitated_assignment(clients, centers, allowed, capacities):
+    """`flow.capacitated_assignment` by one max flow on the client -> center
+    transport network (source -> client 1, client -> allowed center
+    unbounded, center -> sink its capacity): the assignment read off the
+    flow, the Hall witness off the clients on the source side of the
+    minimal min cut.  The reference for the augmenting-path engine, which
+    must agree on feasibility and on the witness."""
+    center_set = set(centers)
+    for c in clients:
+        if not center_set.issuperset(allowed[c]):
+            v = next(v for v in allowed[c] if v not in center_set)
+            raise InstanceError(f"allowed center {v!r} not in centers")
+    net = FlowNetwork("s", "t")
+    for c in clients:
+        net.add_arc("s", ("client", c), 1)
+        for v in allowed[c]:
+            net.add_arc(("client", c), ("center", v), INF)
+    for v in centers:
+        net.add_arc(("center", v), "t", capacities[v])
+    res = max_flow(net)
+    if res.value == len(clients):
+        phi = {}
+        for (tail, head), f in res.flow.items():
+            if tail != "s" and head != "t":
+                if f != 1:
+                    raise ContractViolation("non-unit client flow")
+                phi[tail[1]] = head[1]
+        if len(phi) != len(clients):
+            raise ContractViolation("assignment misses a client")
+        return phi, None
+    witness = frozenset(u[1] for u in res.min_cut if u != "s" and u[0] == "client")
+    reach = set()
+    for c in witness:
+        reach.update(allowed[c])
+    cap = sum(capacities[v] for v in reach)
+    if cap >= len(witness):
+        raise ContractViolation("min-cut witness does not violate Hall's condition")
+    return None, HallWitness(witness, cap, len(witness))
 
 
 def conservative_consistent(phi0, phi, F):

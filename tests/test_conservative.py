@@ -1,6 +1,6 @@
 """Conservative solvers: the {0,L} anchor/backup algorithm, the general
 backup-loop algorithm with its LP residual and, as a cross-check, with the
-exhaustive residual, and the seat-keeping transport that repairs their
+exhaustive residual, and the seat-keeping assignment that repairs their
 failure scenarios."""
 
 import random
@@ -165,7 +165,7 @@ def test_reassign_uniform_direct_and_tripwire():
 
 def test_reassign_uniform_hop_bound():
     """Seven hops: on an 8-vertex path the only live center is seven hops
-    from the orphan at the far end, so the same transport within six fails."""
+    from the orphan at the far end, so the same assignment within six fails."""
     g = path_graph(8)
     caps = [8] + [0] * 6 + [8]
     state = ConservativeUniform(g, caps, dict.fromkeys(range(8), 7), 1, (0, 7))
@@ -215,7 +215,7 @@ def test_reassign_flow_withholds_no_live_backup_capacity():
 
 def test_reassign_flow_hop_bound():
     """BETA + 6*alpha hops: on a 16-vertex path the only live center is 15
-    hops from the orphan at the far end, so the same transport within 14
+    hops from the orphan at the far end, so the same assignment within 14
     fails."""
     g = path_graph(16)
     caps = [16] + [0] * 14 + [16]
@@ -227,10 +227,10 @@ def test_reassign_flow_hop_bound():
 
 def test_repair_without_orphans_keeps_every_seat(monkeypatch):
     """F is a center that serves no client: both conservative records return
-    the base assignment as it stands, and no transport is built."""
+    the base assignment as it stands, and no assignment is searched."""
 
     def no_transport(*args):
-        raise AssertionError("a transport was built with no client to move")
+        raise AssertionError("an assignment was searched with no client to move")
 
     monkeypatch.setattr(rounding, "capacitated_assignment", no_transport)
     phi0 = {u: 0 if u < 4 else 6 for u in range(13)}

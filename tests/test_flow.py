@@ -31,6 +31,7 @@ from helpers import (
     cut_capacity,
     cycle_graph,
     edmonds_karp_max_flow,
+    flow_capacitated_assignment,
     full_pass_general,
     full_pass_uniform,
     path_graph,
@@ -143,14 +144,50 @@ def test_capacitated_assignment_rejects_center_outside_centers():
         capacitated_assignment([0, 1], [10], {0: [10], 1: [11]}, {10: 2, 11: 2})
 
 
+def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
+    """Augmenting paths against one max flow on the transport network
+    (`helpers.flow_capacitated_assignment`), on seeded random bipartite
+    inputs with 0-9 clients, 1-6 centers, capacities 0-3 and random allowed
+    sets: the same feasibility, a valid assignment when feasible, and the
+    same Hall witness when not.  No flow network is built or solved."""
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("capacitated_assignment ran the flow engine")
+
+    for name in ("FlowNetwork", "max_flow", "transport"):
+        monkeypatch.setattr(flow, name, no_flow)
+    rng = random.Random(1608)
+    feasible = infeasible = partial = 0
+    for _ in range(3000):
+        clients = rng.sample(range(30), rng.randint(0, 9))
+        centers = rng.sample(range(30, 40), rng.randint(1, 6))
+        capacities = {v: rng.randint(0, 3) for v in centers}
+        allowed = {c: rng.sample(centers, rng.randint(0, len(centers))) for c in clients}
+        phi, witness = capacitated_assignment(clients, centers, allowed, capacities)
+        ref_phi, ref_witness = flow_capacitated_assignment(clients, centers, allowed, capacities)
+        assert (phi is None) == (ref_phi is None)
+        if phi is None:
+            assert witness == ref_witness
+            infeasible += 1
+            partial += len(witness.clients) < len(clients)
+            continue
+        assert witness is None and sorted(phi) == sorted(clients)
+        load = dict.fromkeys(centers, 0)
+        for c, v in phi.items():
+            assert v in allowed[c]
+            load[v] += 1
+        assert all(load[v] <= capacities[v] for v in centers)
+        feasible += 1
+    assert feasible > 500 and infeasible > 500 and partial > 200, (feasible, infeasible, partial)
+
+
 def test_transport_fractional_demand_with_dead_end_center():
     # center 12 has no supply entry: client 1 gets only the 1/3 of center 11
     demand = {0: Fraction(1, 2), 1: Fraction(2, 3)}
     allowed = {0: [10], 1: [11, 12]}
     supply = {10: 1, 11: Fraction(1, 3)}
-    value, flow, blocked = transport(demand, allowed, supply)
+    value, blocked = transport(demand, allowed, supply)
     assert value == Fraction(5, 6)
-    assert flow == {(0, 10): Fraction(1, 2), (1, 11): Fraction(1, 3)}
     assert blocked == frozenset({1})
 
 
@@ -160,7 +197,7 @@ def test_transport_infinite_demand_is_always_blocked():
     values = []
     for w in allowed:
         demand = {v: INF if v == w else 1 for v in allowed}
-        value, _, blocked = transport(demand, allowed, supply)
+        value, blocked = transport(demand, allowed, supply)
         assert w in blocked
         values.append(value)
     assert values == [7, 10, 7]
@@ -202,11 +239,11 @@ def test_transport_cuts_match_transport_per_variant():
         assert len(cuts) == len(forced) + len(closed)
         expected = []
         for w in forced:
-            value, _, blocked = transport({**demand, w: INF}, allowed, supply)
+            value, blocked = transport({**demand, w: INF}, allowed, supply)
             expected.append((value, blocked))
             assert w in blocked
         for F in closed:
-            value, _, blocked = transport(
+            value, blocked = transport(
                 demand,
                 {c: [v for v in allowed[c] if v not in F] for c in clients},
                 {v: s for v, s in supply.items() if v not in F},
@@ -260,7 +297,7 @@ def test_closed_chains_match_transport_per_variant():
         full = transport(demand, allowed, supply)[0]
         expected = []
         for F in closed:
-            value, _, blocked = transport(
+            value, blocked = transport(
                 demand,
                 {c: [v for v in allowed[c] if v not in F] for c in clients},
                 {v: s for v, s in supply.items() if v not in F},
@@ -504,8 +541,6 @@ def test_every_transport_runs_one_max_flow_through_the_module_global(monkeypatch
 
     p3 = path_graph(3)
     runs = {
-        "capacitated_assignment": lambda: capacitated_assignment(
-            [0, 1, 2], [10, 11], {0: [10, 11], 1: [10], 2: [11]}, {10: 1, 11: 2}),
         "condition_b_flow": lambda: condition_b_flow(
             {1: Fraction(1)}, {0: Fraction(1)}, p3, 1, frozenset(), [1, 1, 1]),
     }

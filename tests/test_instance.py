@@ -244,6 +244,31 @@ def test_huge_numbers_are_rejected_before_they_are_built():
     assert time.perf_counter() - t0 < 1
 
 
+def test_squares_too_long_to_print_are_rejected():
+    """A distance of 10**2200 parses, but its square has 4401 digits, past
+    what `decimal_str` can print; a square, and a stretch times it, must
+    stay printable, so the parser refuses more than 2150 digits in a
+    square and names the pair.  Tiny distances print as zeros and a point
+    pair counts like a dist entry."""
+
+    def payload(dist=None, points=None):
+        data = {"name": "big", "n": 2, "k": 1, "alpha": 0, "variant": "ft", "capacities": [2, 2]}
+        if points is None:
+            return {**data, "dist": [[0, dist], [dist, 0]]}
+        return {**data, "points": points}
+
+    for text in ("1e2200", "1e1075", "3.2e1075"):
+        with pytest.raises(InstanceError, match="between vertices 0 and 1 has more than 2150 digits"):
+            MetricInstance.from_payload(payload(exact_decimal(text)))
+    with pytest.raises(InstanceError, match="more than 2150 digits"):
+        MetricInstance.from_payload(payload(points=[[0, 0], [10**1075, 0]]))
+    for text in ("9.9e1074", "1e-4300", "123456789e-4300"):
+        inst = MetricInstance.from_payload(payload(exact_decimal(text)))
+        assert decimal_str(inst.d2[0][1]) and decimal_str(100 * inst.d2[0][1])
+    inst = MetricInstance.from_payload(payload(points=[[0, 0], [10**1074, 0]]))
+    assert len(decimal_str(100 * inst.d2[0][1])) == 2151
+
+
 def test_payload_validation():
     inst = MetricInstance.from_points(LINE3, 2, 1, [3, 3, 3], name="line3")
     payload = parse_exact_json(inst.to_json())

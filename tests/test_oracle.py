@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ftkcenter import oracle
 from ftkcenter.instance import (
     InstanceError,
     MetricInstance,
@@ -13,6 +14,7 @@ from ftkcenter.instance import (
     ThresholdGraph,
 )
 from ftkcenter.oracle import (
+    VerifyReport,
     exact_distance1,
     exact_opt_conservative,
     exact_opt_ft,
@@ -27,6 +29,7 @@ from ftkcenter.oracle import (
 from helpers import (
     cycle_graph,
     edge_set,
+    flow_capacitated_assignment,
     path_graph,
     random_connected_graph,
     random_feasible_instance,
@@ -108,6 +111,21 @@ def test_verify_conservative_rejects():
     assert "capacity" in rep.detail and not rep.ok
     rep = verify_conservative(tight, (1, 2), {0: 1, 1: 1, 2: 2, 3: 2}, r)
     assert not rep.ok and "spare" in rep.detail
+
+
+def test_verify_conservative_reports_the_max_flow_witness(monkeypatch):
+    """A failing scenario's report names the Hall witness of the min cut:
+    with failures [0, 5] the orphans are 0, 2 and 4, and 0 and 4 can only
+    use the one seat left at center 2, while 2 has its own room.  The
+    detail is the text the max-flow reference assignment gives."""
+    pts = [(1, 0), (1, 2), (3, 2), (1, 1), (0, 1), (2, 1)]
+    inst = MetricInstance.from_points(pts, 4, 2, [1, 1, 4, 4, 4, 4], variant="conservative")
+    centers = [0, 2, 4, 5]
+    phi0 = {0: 0, 1: 4, 2: 5, 3: 4, 4: 5, 5: 4}
+    rep = verify_conservative(inst, centers, phi0, Radius(1, 4))
+    assert rep == VerifyReport(False, "failures [0, 5]: orphans [0, 4] see spare capacity 1 < 2")
+    monkeypatch.setattr(oracle, "capacitated_assignment", flow_capacitated_assignment)
+    assert verify_conservative(inst, centers, phi0, Radius(1, 4)) == rep
 
 
 def test_exact_opt_line4():

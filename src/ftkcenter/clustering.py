@@ -132,41 +132,26 @@ def backup_union(backups: Mapping[int, tuple[int, ...]]) -> frozenset:
     return frozenset(out)
 
 
-class DirectedGraph:
-    """Immutable digraph with closed out-neighborhood queries."""
-
-    __slots__ = ("n", "out")
-
-    def __init__(self, n: int, out_sets):
-        self.n = n
-        self.out = tuple(frozenset(s) for s in out_sets)
-
-    def closed_out(self, U) -> frozenset:
-        verts = [U] if isinstance(U, int) else list(U)
-        res = set(verts)
-        for u in verts:
-            res |= self.out[u]
-        return frozenset(res)
-
-
 def build_gprime(
     graph: ThresholdGraph,
     clustering: Clustering,
     backups: Mapping[int, tuple[int, ...]],
-) -> DirectedGraph:
-    """Arc-augmented digraph: base edges both ways, plus arcs into each
-    cluster's backups from every vertex adjacent to the head's neighborhood."""
-    out = [set(mask_bits(mask)) for mask in graph.masks]
+) -> tuple[int, ...]:
+    """Out-neighborhood bitmasks of the arc-augmented digraph G': bit w of
+    the u-th mask is set iff u -> w is an arc.  Base edges go both ways,
+    plus arcs into each cluster's backups from every vertex adjacent to the
+    head's neighborhood."""
+    out = list(graph.masks)
     for h in clustering.heads:
-        B_h = backups.get(h, ())
+        B_h = sum(1 << w for w in backups.get(h, ()))
         if not B_h:
             continue
         zone = 0
         for t in graph.closed(h):
             zone |= graph.masks[t]
         for u in mask_bits(zone):
-            out[u].update(w for w in B_h if w != u)
-    return DirectedGraph(graph.n, out)
+            out[u] |= B_h & ~(1 << u)
+    return tuple(out)
 
 
 def greedy_independent(graph: ThresholdGraph, ell: int) -> tuple[int, ...]:

@@ -1,24 +1,27 @@
-"""Exact max-flow, the client -> center transport network, and capacitated
-assignment.
+"""Exact max-flow on integer residual arrays, the client -> center transport
+network, and capacitated assignment.
 
-Dinic's algorithm on integer-indexed arrays: each phase builds a level graph
-by BFS and saturates it with a blocking flow.  There are at most V phases of
-O(VE) work each, O(V^2 E) in all, a bound that does not depend on capacity
-values, so Fraction capacities are safe and stay exact.  Infinite capacity is
-math.inf, never a large surrogate number.  `max_flow` and `transport_cuts`
-run the same Dinic loop, `_augment`.
+Dinic's algorithm on integer-indexed arrays, `_augment`: each phase builds a
+level graph by BFS and saturates it with a blocking flow.  There are at most
+V phases of O(VE) work each, O(V^2 E) in all, a bound that does not depend
+on capacity values.  Infinite capacity is math.inf, never a large surrogate
+number.
 
-`transport` is the network behind the fractional Hall-type checks of the
-rounding (transfer conditions): client demand routed to allowed centers
-within their supply; it returns the flow value and the clients of the
-minimal min cut.  `transport_cuts` serves the LP separators, `verify_ft` and
-the relaxed ILP, which solve one transport network many times with one
-client forced in or one center set closed and stop at the first variant
-that falls short: it builds the integer arrays once per call, scales demands
-and supplies to ints, and yields the variants on demand, every forced one
-from one base flow and the closed ones as one chain, each from the maximum
-flow of the one before with only the load of the newly closed centers
-re-augmented.
+The package solves every flow network on one path, `transport_cuts`: client
+demand routed to allowed centers within their supply, the Hall-type
+condition behind the LP separators, `verify_ft`, the relaxed ILP and the
+rounding's transfer checks.  It builds the integer arrays once per call,
+scales demands and supplies to ints, and yields the flow value and the
+clients of the minimal min cut for each variant on demand: one client
+forced in or one center set closed, every forced one from one base flow and
+the closed ones as one chain, each from the maximum flow of the one before
+with only the load of the newly closed centers re-augmented.  A caller that
+needs the plain network asks for the single variant closed=[()].
+
+`FlowNetwork` and `max_flow`, a dict-of-dicts network and its value and
+minimal min cut on the same `_augment`, have no caller in the package; they
+are kept for the benchmark probe that wraps `flow.max_flow` and for the
+tests' reference implementations.
 
 `capacitated_assignment` seats unit-demand clients at centers of integer
 capacity, the problem of every scenario repair and of `verify_conservative`.
@@ -68,13 +71,6 @@ class FlowNetwork:
         self.cap.setdefault(head, {})
         old = row.get(head, 0)
         row[head] = INF if (old is INF or capacity is INF) else old + capacity
-
-
-@dataclass
-class FlowResult:
-    value: object  # int | Fraction | math.inf
-    flow: dict  # (tail, head) -> amount on original arcs; empty if value is infinite
-    min_cut: frozenset | None  # source side; None if value is infinite
 
 
 def _arrays(cap, index):
@@ -163,11 +159,11 @@ def _augment(head, res, adj, s, t):
                 pos[u] += 1
 
 
-def max_flow(net: FlowNetwork) -> FlowResult:
-    """Maximum flow value, a per-arc flow, and the minimal source-side min cut.
+def max_flow(net: FlowNetwork):
+    """Maximum flow value and the minimal source-side min cut, as a pair.
 
     If the source can reach the sink through infinite-capacity arcs alone the
-    value is math.inf and no flow/cut is reported.
+    value is math.inf and the cut None.
     """
     nodes = list(net.cap)
     index = {u: i for i, u in enumerate(nodes)}
@@ -184,32 +180,48 @@ def max_flow(net: FlowNetwork) -> FlowResult:
                     seen.add(head[e])
                     stack.append(head[e])
         if t in seen:
-            return FlowResult(INF, {}, None)
+            return INF, None
 
     value, reached = _augment(head, res, adj, s, t)
-
-    # flow on arc 2k is the residual of its reverse; opposite flows on
-    # antiparallel arcs cancel
-    flow: dict = {}
-    e = 1
-    for u, row in net.cap.items():
-        for v, c in row.items():
-            f = res[e]
-            e += 2
-            if f:
-                if f < 0 or f > c:
-                    raise ContractViolation("flow outside arc capacity")
-                g = flow.pop((v, u), 0)
-                if f > g:
-                    flow[(u, v)] = f - g
-                elif g > f:
-                    flow[(v, u)] = g - f
-    return FlowResult(value, flow, frozenset(nodes[i] for i in reached))
+    return value, frozenset(nodes[i] for i in reached)
 
 
-def _transport_network(cap, demand, allowed, supply):
-    """Fill `cap`, a dict-of-dicts holding only the source 0 and the sink 1,
-    with the transport network of `transport`; returns the center ids."""
+def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=(), closed=()):
+    """Route client demand to allowed centers within their supply, solved
+    once per variant: first for each client w of `forced`, with w's demand
+    made infinite, then for each center set of `closed`, with the supply of
+    those centers made 0.  A caller that needs the plain network passes
+    closed=[()].
+
+    The network is source -> client (capacity demand[c]) -> each center of
+    allowed[c] (unbounded) -> sink (capacity supply[v]), on integer node ids:
+    source 0, sink 1, the clients in the order given, then the centers in
+    the order they are first named, allowed lists before supply.  A center
+    without a supply entry is a dead end.
+
+    Returns an iterator of one (value, blocked) pair per variant, in that
+    order: the flow value, a Fraction, and the clients on the source side
+    of the minimal min cut, which violate Hall's condition together when
+    the value falls short of the total demand.  Each variant is solved only
+    when the iterator is asked for it, so a caller that stops at the first
+    variant it needs solves no later one.  The input is checked at the
+    call: every supply must be finite, every amount nonnegative and every
+    forced client one of `demand`.  The arrays are built once, with every
+    finite demand and supply scaled by the lcm of their denominators, so
+    every residual is an int.  A forced variant starts from the base
+    maximum flow, which stays feasible when a capacity rises.  The first
+    closed variant starts from the zero flow and each later one from the
+    maximum flow of the one before: the sink arcs closed there reopen, the
+    flow through each newly closed center is cancelled back to the source,
+    and only that displaced load is augmented again.  The value and the
+    minimal min cut do not depend on the maximum flow reached.
+    """
+    if any(s is INF for s in supply.values()):
+        raise ContractViolation("infinite supply in transport_cuts")
+    if any(d is not INF and d < 0 for d in demand.values()):
+        raise InstanceError("negative demand")
+    if any(s < 0 for s in supply.values()):
+        raise InstanceError("negative capacity")
     clients = list(demand)
     first = len(clients) + 2  # id of the first center
     center_id: dict = {}
@@ -218,78 +230,20 @@ def _transport_network(cap, demand, allowed, supply):
             center_id.setdefault(v, first + len(center_id))
     for v in supply:
         center_id.setdefault(v, first + len(center_id))
-    src = cap[0]
+    finite = [d for d in demand.values() if d is not INF] + list(supply.values())
+    scale = math.lcm(*(a.denominator for a in finite))
+
+    def scaled(a):
+        return a if a is INF else a.numerator * (scale // a.denominator)
+
+    cap: dict = {0: {i: scaled(demand[c]) for i, c in enumerate(clients, 2)}, 1: {}}
     for i, c in enumerate(clients, 2):
-        d = demand[c]
-        if d is not INF and d < 0:
-            raise InstanceError("negative demand")
-        src[i] = d
         cap[i] = dict.fromkeys([center_id[v] for v in allowed[c]], INF)
     for i in center_id.values():
         cap[i] = {}
     for v, s in supply.items():
-        if s is not INF and s < 0:
-            raise InstanceError("negative capacity")
-        cap[center_id[v]][1] = s
-    return center_id
-
-
-def transport(demand: Mapping, allowed: Mapping, supply: Mapping):
-    """Route client demand to allowed centers within their supply.
-
-    The network is source -> client (capacity demand[c]) -> each center of
-    allowed[c] (unbounded) -> sink (capacity supply[v]), on integer node ids:
-    source 0, sink 1, the clients in the order given, then the centers in
-    the order they are first named, allowed lists before supply.  A center
-    without a supply entry is a dead end.  Returns (value, blocked): the
-    flow value, and the clients on the source side of the minimal min cut,
-    which violate Hall's condition together when value falls short of the
-    total demand.
-    """
-    net = FlowNetwork(0, 1)
-    _transport_network(net.cap, demand, allowed, supply)
-    res = max_flow(net)
-    if res.value is INF:
-        raise ContractViolation("transport value is infinite")
-    clients = list(demand)
-    first = len(clients) + 2
-    return res.value, frozenset(clients[u - 2] for u in res.min_cut if 2 <= u < first)
-
-
-def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=(), closed=()):
-    """The network of `transport`, solved once per variant: first for each
-    client w of `forced`, with w's demand made infinite, then for each center
-    set of `closed`, with the supply of those centers made 0.
-
-    Returns an iterator of one (value, blocked) pair per variant, in that
-    order, with the value and blocked clients `transport` returns for that
-    variant; the value is a Fraction.  Each variant is solved only when the
-    iterator is asked for it, so a caller that stops at the first variant it
-    needs solves no later one.  The input is checked at the call: every
-    supply must be finite, every amount nonnegative and every forced client
-    one of `demand`.  The arrays are built once, with every finite demand
-    and supply scaled by the lcm of their denominators, so every residual is
-    an int.  A forced variant starts from the base maximum flow, which stays
-    feasible when a capacity rises.  The first closed variant starts from
-    the zero flow and each later one from the maximum flow of the one
-    before: the sink arcs closed there reopen, the flow through each newly
-    closed center is cancelled back to the source, and only that displaced
-    load is augmented again.  The value and the minimal min cut do not
-    depend on the maximum flow reached.
-    """
-    if any(s is INF for s in supply.values()):
-        raise ContractViolation("infinite supply in transport_cuts")
-    cap: dict = {0: {}, 1: {}}
-    center_id = _transport_network(cap, demand, allowed, supply)
-    finite = [c for row in cap.values() for c in row.values() if c is not INF]
-    scale = math.lcm(*(c.denominator for c in finite))
-    for row in cap.values():
-        for v, c in row.items():
-            if c is not INF:
-                row[v] = c.numerator * (scale // c.denominator)
+        cap[center_id[v]][1] = scaled(s)
     head, zero, adj, _ = _arrays(cap, range(len(cap)))
-    clients = list(demand)
-    first = len(clients) + 2
     position = {c: k for k, c in enumerate(clients)}
     forced_arcs = []  # the source arc of each forced client, listed first
     for w in forced:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -145,7 +146,10 @@ class Radius:
         return self.value_sq() <= other.value_sq()
 
     def display(self) -> str:
-        """Exact decimal string when the value is rational, float repr otherwise."""
+        """Exact decimal string when the value is rational, float repr
+        otherwise.  An irrational value outside the range of normal floats
+        gets 17 significant digits by integer square roots instead: the
+        float would overflow, or print 0.0 or a subnormal's few digits."""
         sq = self.value_sq()
         p, q = sq.numerator, sq.denominator
         rp, rq = math.isqrt(p), math.isqrt(q)
@@ -154,7 +158,36 @@ class Radius:
                 return decimal_str(Fraction(rp, rq))
             except InstanceError:
                 return f"{rp}/{rq}"
-        return repr(self.mult * math.sqrt(self.base2))
+        try:
+            value = self.mult * math.sqrt(self.base2)
+        except OverflowError:
+            value = math.inf
+        if value < math.inf and self.base2 >= sys.float_info.min:
+            return repr(value)
+        return _sqrt_scientific(p, q)
+
+
+def _sqrt_scientific(p: int, q: int) -> str:
+    """sqrt(p/q) > 0 in scientific notation, truncated to 17 significant
+    digits: m = floor(sqrt(p/q) * 10**(16 - e)) by one integer square root,
+    with the exponent e (first estimated from the bit lengths) moved until
+    m has exactly 17 digits."""
+    e = (p.bit_length() - q.bit_length()) * 3 // 20  # about log10(sqrt(p/q))
+    while True:
+        shift = 2 * (16 - e)
+        if shift >= 0:
+            m = math.isqrt(p * 10**shift // q)
+        else:
+            m = math.isqrt(p // (q * 10**-shift))
+        if m < 10**16:
+            e -= 1
+        elif m >= 10**17:
+            e += 1
+        else:
+            break
+    digits = str(m)
+    rest = digits[1:].rstrip("0")
+    return f"{digits[0]}.{rest}e{e:+d}" if rest else f"{digits[0]}e{e:+d}"
 
 
 def _expand(masks: Sequence[int], frontier: int) -> int:

@@ -38,12 +38,13 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
-from .clustering import Clustering, DirectedGraph
+from .clustering import Clustering
 from .flow import transport_cuts
 from .instance import (
     ContractViolation,
     InstanceError,
     ThresholdGraph,
+    mask_bits,
     uniform_capacity_level,
 )
 
@@ -320,7 +321,7 @@ class Separation:
 def separate_general(
     y: Mapping[int, Fraction],
     graph: ThresholdGraph,
-    gprime: DirectedGraph,
+    gprime: Sequence[int],
     backup_set,
     alpha: int,
     capacities: Sequence[int],
@@ -328,15 +329,18 @@ def separate_general(
     """Min-cut separation for the Hall rows over (U, F): one cut per failure
     scenario F (alpha backups), each the network of supplies y * capacity
     over G' with F closed, the closed variants of one `transport_cuts` call.
-    Stops at the lowest-indexed violated scenario and returns its witness;
-    `value` is the minimum over the scenarios solved (see `Separation`)."""
+    `gprime` holds G's out-neighborhood bitmasks (`clustering.build_gprime`);
+    a client may use its closed out-neighborhood.  Stops at the
+    lowest-indexed violated scenario and returns its witness; `value` is
+    the minimum over the scenarios solved (see `Separation`)."""
     n = graph.n
     scenarios = list(combinations(sorted(backup_set), alpha))
     if not scenarios:  # no scenario to separate over
         return Separation(ZERO, ZERO, None, None, None)
+    closed_out = [out | 1 << v for v, out in enumerate(gprime)]
     cuts = transport_cuts(
         dict.fromkeys(range(n), 1),
-        {v: gprime.closed_out(v) for v in range(n)},
+        {v: mask_bits(closed_out[v]) for v in range(n)},
         {u: y[u] * capacities[u] for u in range(n)},
         closed=scenarios,
     )
@@ -347,8 +351,11 @@ def separate_general(
             best = val
         if val < 0:
             U = tuple(sorted(blocked))
-            reach = gprime.closed_out(U) - set(F)
-            row = Row.make({u: capacities[u] for u in reach}, ">=", len(U))
+            reach = 0
+            for u in U:
+                reach |= closed_out[u]
+            reach &= ~sum(1 << f for f in F)
+            row = Row.make({u: capacities[u] for u in mask_bits(reach)}, ">=", len(U))
             return Separation(best, ZERO, U, F, row)
     return Separation(best, ZERO, None, None, None)
 

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .clustering import Clustering, backup_union
-from .flow import capacitated_assignment, transport
+from .flow import capacitated_assignment, transport_cuts
 from .instance import (
     ContractViolation,
     ThresholdGraph,
@@ -46,7 +46,9 @@ def _mass(y: Mapping[int, Fraction], verts) -> Fraction:
 def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     """Coverage condition of a distance-r transfer, by one transport flow:
     the capacity-weighted y-mass of every vertex set outside B fits into the
-    y2-mass within r hops of it (Hall with fractional demands)."""
+    y2-mass within r hops of it (Hall with fractional demands).  The flow is
+    the single variant of a `transport_cuts` call with nothing closed, and
+    only its value is read: the condition holds iff it routes all demand."""
     hops = graph.hops()
     B = frozenset(B)
     live = [v for v in range(graph.n) if v not in B]
@@ -56,7 +58,7 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
         return True
     allowed = {v: [w for w in live if hops[v][w] <= r] for v in demand}
     supply = {w: s for w in live if (s := Fraction(caps[w]) * Fraction(y2.get(w, 0))) > 0}
-    return transport(demand, allowed, supply)[0] == total
+    return next(transport_cuts(demand, allowed, supply, closed=[()]))[0] == total
 
 
 # -- tree transfer ---------------------------------------------------------
@@ -90,7 +92,7 @@ def tree_transfer(tree: ThresholdGraph, members, y, caps):
     def feasible(opened) -> bool:
         allowed = {w: [x for x in opened if within2[w] >> x & 1] for w in demand}
         supply = {x: Fraction(caps[x]) for x in opened}
-        return total == 0 or transport(demand, allowed, supply)[0] == total
+        return total == 0 or next(transport_cuts(demand, allowed, supply, closed=[()]))[0] == total
 
     def result(opened):
         y2 = dict(y)

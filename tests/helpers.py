@@ -2,15 +2,17 @@
 graphs, tiny graph builders, edge sets and masks read
 straight off the bits, the brute-force threshold filter, deque-BFS hop
 matrices and the hop-matrix clustering, the uncapped general-capacity
-front end with component counts from `components()`, exhaustive reference
-implementations of the separation problems, the separators' full
-`transport_cuts` passes and the separators with one `transport` per cut,
-the verifier with one assignment per failure scenario, the
-Fraction-tableau phase-1 and dual simplex, the from-scratch
-cutting-plane loop, the Edmonds-Karp max-flow, the max-flow capacitated
-assignment, cut capacities, the conservative-repair check, and the
-exhaustive residual solve that the general conservative pipeline's
-1 + 6*alpha cross-check runs in place of its LP residual."""
+front end with component counts from `components()`, closed
+out-neighborhoods read off G' masks, `transport` (one `flow.max_flow` on a
+`FlowNetwork` built arc by arc, the reference for each variant of
+`transport_cuts`), exhaustive reference implementations of the separation
+problems, the separators' full `transport_cuts` passes and the separators
+with one `transport` per cut, the verifier with one assignment per failure
+scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
+cutting-plane loop, the Edmonds-Karp max-flow and the capacitated
+assignment read off its flow, cut capacities, the conservative-repair
+check, and the exhaustive residual solve that the general conservative
+pipeline's 1 + 6*alpha cross-check runs in place of its LP residual."""
 
 import math
 from collections import deque
@@ -22,17 +24,16 @@ from ftkcenter.clustering import Clustering, backup_union, monarch_clustering, s
 from ftkcenter.flow import (
     INF,
     FlowNetwork,
-    FlowResult,
     HallWitness,
     capacitated_assignment,
     max_flow,
-    transport,
     transport_cuts,
 )
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
     ThresholdGraph,
+    mask_bits,
     uniform_capacity_level,
 )
 from ftkcenter.lp import LinearProgram, Row, Separation, feasible_point, static_general_infeasible
@@ -232,6 +233,35 @@ def uncounted_threshold(graph: ThresholdGraph, k: int, alpha: int, caps, connect
     return solve_threshold(fresh, k, alpha, caps, connected, False)
 
 
+def closed_out(gprime, U) -> frozenset:
+    """The closed out-neighborhood of the vertex set U in G', given as the
+    out-neighborhood bitmasks of `clustering.build_gprime`."""
+    mask = 0
+    for u in U:
+        mask |= gprime[u] | 1 << u
+    return frozenset(mask_bits(mask))
+
+
+def transport(demand, allowed, supply):
+    """One max flow on the client -> center transport network, built arc by
+    arc on a `FlowNetwork`: source -> client (demand), client -> each
+    allowed center (unbounded), center -> sink (supply); a center without a
+    supply entry is a dead end.  Returns (value, blocked), the clients on
+    the source side of the minimal min cut.  The reference for each variant
+    of `flow.transport_cuts`, which builds its network on integer arrays."""
+    net = FlowNetwork("s", "t")
+    for c, d in demand.items():
+        net.add_arc("s", ("client", c), d)
+        for v in allowed[c]:
+            net.add_arc(("client", c), ("center", v), INF)
+    for v, s in supply.items():
+        net.add_arc(("center", v), "t", s)
+    value, cut = max_flow(net)
+    if value is INF:
+        raise ContractViolation("transport value is infinite")
+    return value, frozenset(u[1] for u in cut if u[0] == "client")
+
+
 def cut_capacity(net, source_side):
     """Total capacity of a FlowNetwork crossing from source_side to its
     complement."""
@@ -264,7 +294,7 @@ def brute_separate_general(y, graph, gprime, backup_set, alpha, caps):
             for U in combinations(range(n), size):
                 have = sum(
                     (Fraction(caps[w]) * Fraction(y.get(w, 0))
-                     for w in gprime.closed_out(U) - fset),
+                     for w in closed_out(gprime, U) - fset),
                     Fraction(0),
                 )
                 best = min(best, have - size)
@@ -310,7 +340,7 @@ def full_pass_general(y, graph, gprime, backup_set, alpha, capacities):
     n = graph.n
     cuts = transport_cuts(
         dict.fromkeys(range(n), 1),
-        {v: gprime.closed_out(v) for v in range(n)},
+        {v: closed_out(gprime, [v]) for v in range(n)},
         {u: y[u] * capacities[u] for u in range(n)},
         closed=list(combinations(sorted(backup_set), alpha)),
     )
@@ -366,7 +396,7 @@ def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
     witness = None
     for F in combinations(B, alpha):
         Fset = frozenset(F)
-        allowed = {v: [u for u in gprime.closed_out(v) if u not in Fset] for v in range(n)}
+        allowed = {v: [u for u in closed_out(gprime, [v]) if u not in Fset] for v in range(n)}
         supply = {u: y[u] * capacities[u] for u in range(n) if u not in Fset}
         value, blocked = transport(demand, allowed, supply)
         val = value - n
@@ -380,7 +410,7 @@ def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
     U = F = None
     if witness is not None:
         U, F = witness
-        reach = gprime.closed_out(U) - set(F)
+        reach = closed_out(gprime, U) - set(F)
         row = Row.make({u: capacities[u] for u in reach}, ">=", len(U))
     return Separation(best, Fraction(0), U, F, row)
 
@@ -644,9 +674,10 @@ def _bfs_path(adj, residual, source, sink):
 
 def edmonds_karp_max_flow(net):
     """Edmonds-Karp over a dict-of-dicts residual network, one shortest
-    augmenting path at a time: the reference for `flow.max_flow`.  Same
-    FlowResult contract: infinite value without flow or cut when an
-    all-infinite path exists."""
+    augmenting path at a time: the reference for `flow.max_flow`.  Returns
+    (value, flow, min_cut): the flow per original arc, opposite flows
+    cancelled, and the minimal source side of a min cut; (inf, {}, None)
+    when an all-infinite path exists."""
     source, sink = net.source, net.sink
     # residual[u][v] > 0 means u->v is usable; seeded with original capacities
     residual = {u: dict(vs) for u, vs in net.cap.items()}
@@ -668,7 +699,7 @@ def edmonds_karp_max_flow(net):
                 seen.add(v)
                 q.append(v)
     if sink in seen:
-        return FlowResult(INF, {}, None)
+        return INF, {}, None
 
     flow = {}
     value = 0
@@ -701,16 +732,16 @@ def edmonds_karp_max_flow(net):
             if v not in reachable and residual[u].get(v, 0) > 0:
                 reachable.add(v)
                 q.append(v)
-    return FlowResult(value, {a: f for a, f in flow.items() if f > 0}, frozenset(reachable))
+    return value, {a: f for a, f in flow.items() if f > 0}, frozenset(reachable)
 
 
 def flow_capacitated_assignment(clients, centers, allowed, capacities):
-    """`flow.capacitated_assignment` by one max flow on the client -> center
-    transport network (source -> client 1, client -> allowed center
-    unbounded, center -> sink its capacity): the assignment read off the
-    flow, the Hall witness off the clients on the source side of the
-    minimal min cut.  The reference for the augmenting-path engine, which
-    must agree on feasibility and on the witness."""
+    """`flow.capacitated_assignment` by one Edmonds-Karp max flow on the
+    client -> center transport network (source -> client 1, client ->
+    allowed center unbounded, center -> sink its capacity): the assignment
+    read off the flow, the Hall witness off the clients on the source side
+    of the minimal min cut.  The reference for the augmenting-path engine,
+    which must agree on feasibility and on the witness."""
     center_set = set(centers)
     for c in clients:
         if not center_set.issuperset(allowed[c]):
@@ -723,10 +754,10 @@ def flow_capacitated_assignment(clients, centers, allowed, capacities):
             net.add_arc(("client", c), ("center", v), INF)
     for v in centers:
         net.add_arc(("center", v), "t", capacities[v])
-    res = max_flow(net)
-    if res.value == len(clients):
+    value, arc_flow, min_cut = edmonds_karp_max_flow(net)
+    if value == len(clients):
         phi = {}
-        for (tail, head), f in res.flow.items():
+        for (tail, head), f in arc_flow.items():
             if tail != "s" and head != "t":
                 if f != 1:
                     raise ContractViolation("non-unit client flow")
@@ -734,7 +765,7 @@ def flow_capacitated_assignment(clients, centers, allowed, capacities):
         if len(phi) != len(clients):
             raise ContractViolation("assignment misses a client")
         return phi, None
-    witness = frozenset(u[1] for u in res.min_cut if u != "s" and u[0] == "client")
+    witness = frozenset(u[1] for u in min_cut if u != "s" and u[0] == "client")
     reach = set()
     for c in witness:
         reach.update(allowed[c])

@@ -60,6 +60,7 @@ from ftkcenter.solvers import (
 )
 
 from helpers import (
+    closed_out,
     exhaustive_residual,
     full_pass_general,
     full_pass_uniform,
@@ -295,7 +296,7 @@ def _brute_general(y, graph, gprime, bset, alpha, caps):
         fset = set(F)
         for size in range(0, n + 1):
             for U in combinations(range(n), size):
-                reach = gprime.closed_out(U) - fset
+                reach = closed_out(gprime, U) - fset
                 val = sum(Fraction(caps[u]) * y[u] for u in reach) - len(U)
                 if best is None or val < best:
                     best = val

@@ -90,6 +90,18 @@ class TestSolve:
         assert rep["verified"] is True
         assert rep["tau_star_sq"] == "4"
 
+    def test_irrational_radius_beyond_float_range(self, tmp_path, capsys):
+        """tau* = sqrt(1e400 + 1) has no float; it prints from integer
+        square roots, so the solve exits 0 without a traceback."""
+        p = write_json(tmp_path, "big.json", {
+            "name": "big", "n": 2, "k": 1, "alpha": 0, "variant": "ft",
+            "capacities": [2, 2], "points": [[0, 0], [1e200, 1]]})
+        assert main(["solve", "--input", p, "--alg", "ft-general"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["tau_star"] == "1e+200" and rep["radius_bound"] == "1e+201"
+        assert rep["tau_star_sq"] == str(10**400 + 1)
+        assert rep["verified"] is True
+
     def test_alpha_bound_gate(self, tmp_path, capsys):
         inst = MetricInstance.from_points([(5, 5)] * 6, 5, 4, [6] * 6, name="same6")
         p = str(tmp_path / "same6.json")

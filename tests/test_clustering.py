@@ -6,7 +6,6 @@ import random
 import pytest
 
 from ftkcenter.clustering import (
-    DirectedGraph,
     backup_union,
     build_gprime,
     greedy_independent,
@@ -16,7 +15,7 @@ from ftkcenter.clustering import (
 )
 from ftkcenter.instance import InstanceError, ThresholdGraph
 
-from helpers import cycle_graph, path_graph, random_connected_graph
+from helpers import closed_out, cycle_graph, path_graph, random_connected_graph
 
 
 def test_monarch_path7():
@@ -75,23 +74,18 @@ def test_build_gprime_c6_arcs():
     cl = monarch_clustering(g)
     backups, _ = select_backups(cl, [1, 2, 2, 1, 1, 1], 1)
     gp = build_gprime(g, cl, backups)
+    assert len(gp) == 6
     # base edges survive in both directions
-    assert 1 in gp.out[0] and 0 in gp.out[1]
+    assert gp[0] >> 1 & 1 and gp[1] >> 0 & 1
     # zone of head 0 is {0,1,2,4,5}; all of it gets an arc to backup 1
-    assert gp.out[4] == frozenset({1, 2, 3, 5})
-    assert gp.out[5] == frozenset({0, 1, 2, 4})
+    assert gp[4] == 0b101110  # {1, 2, 3, 5}
+    assert gp[5] == 0b010111  # {0, 1, 2, 4}
     # no self-arcs ever
     for u in range(6):
-        assert u not in gp.out[u]
-    assert gp.closed_out(4) == frozenset({1, 2, 3, 4, 5})
-    assert gp.closed_out([0]) == frozenset({0, 1, 5})
-
-
-def test_directed_graph_closed_out_accepts_int_or_iterable():
-    dg = DirectedGraph(3, [{1}, {2}, set()])
-    assert dg.closed_out(0) == frozenset({0, 1})
-    assert dg.closed_out([0, 1]) == frozenset({0, 1, 2})
-    assert dg.closed_out([]) == frozenset()
+        assert not gp[u] >> u & 1
+    assert closed_out(gp, [4]) == frozenset({1, 2, 3, 4, 5})
+    assert closed_out(gp, [0]) == frozenset({0, 1, 5})
+    assert closed_out(gp, [0, 4]) == frozenset(range(6))
 
 
 def test_greedy_independent_path8():

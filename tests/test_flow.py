@@ -6,26 +6,25 @@ from itertools import combinations
 
 import pytest
 
-from ftkcenter import flow
+from ftkcenter import flow, rounding
 from ftkcenter.clustering import (
-    DirectedGraph,
     backup_union,
     build_gprime,
     monarch_clustering,
     select_backups,
 )
+from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
 from ftkcenter.flow import (
     INF,
     FlowNetwork,
     capacitated_assignment,
     max_flow,
-    transport,
     transport_cuts,
 )
 from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, Radius
 from ftkcenter.lp import separate_general, separate_uniform
 from ftkcenter.oracle import random_point_instance, verify_ft
-from ftkcenter.rounding import condition_b_flow
+from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
 
 from helpers import (
     cut_capacity,
@@ -36,6 +35,7 @@ from helpers import (
     full_pass_uniform,
     path_graph,
     random_separation_point,
+    transport,
 )
 
 
@@ -46,9 +46,7 @@ def test_diamond_max_flow():
     net.add_arc("a", "t", 1)
     net.add_arc("b", "t", 1)
     net.add_arc("a", "b", 1)
-    res = max_flow(net)
-    assert res.value == 2
-    assert res.flow[("s", "a")] == 1 and res.flow[("s", "b")] == 1
+    assert max_flow(net) == (2, frozenset({"s"}))
 
 
 def test_bottleneck_min_cut_is_minimal_source_side():
@@ -56,17 +54,17 @@ def test_bottleneck_min_cut_is_minimal_source_side():
     net.add_arc("s", "a", 5)
     net.add_arc("a", "b", 1)
     net.add_arc("b", "t", 5)
-    res = max_flow(net)
-    assert res.value == 1
-    assert res.min_cut == frozenset({"s", "a"})
-    assert cut_capacity(net, res.min_cut) == 1
+    value, cut = max_flow(net)
+    assert value == 1
+    assert cut == frozenset({"s", "a"})
+    assert cut_capacity(net, cut) == 1
 
 
 def test_infinite_path_gives_infinite_value():
     net = FlowNetwork("s", "t")
     net.add_arc("s", "a", INF)
     net.add_arc("a", "t", INF)
-    assert max_flow(net).value is INF
+    assert max_flow(net) == (INF, None)
 
 
 def test_rational_capacities_stay_exact():
@@ -75,7 +73,7 @@ def test_rational_capacities_stay_exact():
     net.add_arc("s", "b", Fraction(2, 3))
     net.add_arc("a", "t", 1)
     net.add_arc("b", "t", 1)
-    assert max_flow(net).value == 1
+    assert max_flow(net)[0] == 1
 
 
 def test_parallel_arcs_merge_and_antiparallel_work():
@@ -83,12 +81,13 @@ def test_parallel_arcs_merge_and_antiparallel_work():
     net.add_arc("s", "a", 1)
     net.add_arc("s", "a", 2)  # merges to 3
     net.add_arc("a", "b", 2)
-    net.add_arc("b", "a", 5)  # antiparallel, must not corrupt accounting
+    net.add_arc("b", "a", 5)  # antiparallel, must not corrupt the residuals
     net.add_arc("b", "t", 2)
-    res = max_flow(net)
-    assert res.value == 2
-    for (u, v), f in res.flow.items():
-        assert 0 <= f <= net.cap[u][v]
+    assert net.cap["s"]["a"] == 3
+    value, cut = max_flow(net)
+    assert value == 2
+    assert cut == frozenset({"s", "a"})
+    assert cut_capacity(net, cut) == 2
 
 
 def test_add_arc_validations():
@@ -106,9 +105,8 @@ def test_add_arc_validations():
 def test_zero_flow_network():
     net = FlowNetwork("s", "t")
     net.add_arc("s", "a", 3)
-    res = max_flow(net)  # no path to t at all
-    assert res.value == 0
-    assert res.min_cut == frozenset({"s", "a"})
+    # no path to t at all
+    assert max_flow(net) == (0, frozenset({"s", "a"}))
 
 
 def test_capacitated_assignment_feasible():
@@ -154,7 +152,7 @@ def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("capacitated_assignment ran the flow engine")
 
-    for name in ("FlowNetwork", "max_flow", "transport"):
+    for name in ("FlowNetwork", "max_flow", "transport_cuts"):
         monkeypatch.setattr(flow, name, no_flow)
     rng = random.Random(1608)
     feasible = infeasible = partial = 0
@@ -186,26 +184,20 @@ def test_transport_fractional_demand_with_dead_end_center():
     demand = {0: Fraction(1, 2), 1: Fraction(2, 3)}
     allowed = {0: [10], 1: [11, 12]}
     supply = {10: 1, 11: Fraction(1, 3)}
-    value, blocked = transport(demand, allowed, supply)
+    [(value, blocked)] = transport_cuts(demand, allowed, supply, closed=[()])
     assert value == Fraction(5, 6)
     assert blocked == frozenset({1})
 
 
 def test_transport_infinite_demand_is_always_blocked():
+    """A forced client's demand is infinite, so it is on the source side
+    of every min cut."""
     allowed = {0: [10], 1: [10, 11], 2: [11]}
     supply = {10: 5, 11: 5}
-    values = []
-    for w in allowed:
-        demand = {v: INF if v == w else 1 for v in allowed}
-        value, blocked = transport(demand, allowed, supply)
-        assert w in blocked
-        values.append(value)
-    assert values == [7, 10, 7]
-
-
-def test_transport_unbounded_supply_is_a_contract_violation():
-    with pytest.raises(ContractViolation):
-        transport({0: INF}, {0: [10]}, {10: INF})
+    demand = dict.fromkeys(allowed, 1)
+    cuts = list(transport_cuts(demand, allowed, supply, forced=list(allowed)))
+    assert [w in blocked for w, (_, blocked) in zip(allowed, cuts)] == [True] * 3
+    assert [value for value, _ in cuts] == [7, 10, 7]
 
 
 def test_transport_cuts_match_transport_per_variant():
@@ -326,7 +318,7 @@ def test_transport_cuts_rejects_infinite_supply_and_unknown_clients():
     with pytest.raises(InstanceError, match="negative demand"):
         transport_cuts({0: 1, 1: -1}, {0: [10], 1: [10]}, {10: 1}, forced=[0])
     with pytest.raises(InstanceError, match="negative demand"):
-        transport({0: Fraction(-1, 2)}, {0: [10]}, {10: 1})
+        transport_cuts({0: Fraction(-1, 2)}, {0: [10]}, {10: 1}, closed=[()])
 
 
 def count_augments(monkeypatch):
@@ -398,8 +390,10 @@ def test_separate_general_stops_at_its_witness(monkeypatch):
     for _ in range(300):
         g, y, alpha = random_separation_point(rng)
         n = g.n
-        out = [set(rng.sample(range(n), rng.randint(0, n))) - {u} for u in range(n)]
-        gp = DirectedGraph(n, out)
+        gp = tuple(
+            sum(1 << w for w in rng.sample(range(n), rng.randint(0, n)) if w != u)
+            for u in range(n)
+        )
         backups = frozenset(rng.sample(range(n), rng.randint(0, min(n, 4))))
         caps = [rng.randint(0, 3) for _ in range(n)]
         scenarios = list(combinations(sorted(backups), alpha))
@@ -476,28 +470,32 @@ def random_network(rng):
 
 
 def test_max_flow_agrees_with_edmonds_karp():
+    """The same value and minimal min cut as the reference, whose per-arc
+    flow (the one the reference assignment reads its seats from) is a
+    feasible flow of that value with opposite flows cancelled."""
     rng = random.Random(2024)
     kinds = {"infinite": 0, "zero": 0, "positive": 0, "antiparallel flow": 0}
     for _ in range(300):
         net = random_network(rng)
-        res, ref = max_flow(net), edmonds_karp_max_flow(net)
-        assert res.value == ref.value
-        assert res.min_cut == ref.min_cut
-        if res.value is INF:
+        value, cut = max_flow(net)
+        ref_value, ref_flow, ref_cut = edmonds_karp_max_flow(net)
+        assert value == ref_value
+        assert cut == ref_cut
+        if value is INF:
             kinds["infinite"] += 1
-            assert res.flow == {}
+            assert cut is None and ref_flow == {}
             continue
-        kinds["zero" if res.value == 0 else "positive"] += 1
+        kinds["zero" if value == 0 else "positive"] += 1
         net_out = dict.fromkeys(net.cap, 0)
-        for (u, v), f in res.flow.items():
+        for (u, v), f in ref_flow.items():
             assert 0 < f <= net.cap[u][v]
-            assert (v, u) not in res.flow  # opposite flows cancel
+            assert (v, u) not in ref_flow  # opposite flows cancel
             kinds["antiparallel flow"] += u in net.cap[v]
             net_out[u] += f
             net_out[v] -= f
-        assert net_out.pop("s") == res.value == -net_out.pop("t")
+        assert net_out.pop("s") == value == -net_out.pop("t")
         assert set(net_out.values()) <= {0}
-        assert cut_capacity(net, res.min_cut) == res.value
+        assert cut_capacity(net, cut) == value
     assert min(kinds.values()) > 0, kinds
 
 
@@ -508,10 +506,7 @@ def test_max_flow_on_a_long_path_needs_no_recursion():
     chain = ["s", *range(n - 2), "t"]
     for i, (u, v) in enumerate(zip(chain, chain[1:])):
         net.add_arc(u, v, 2 if i == n // 2 else 5)
-    res = max_flow(net)
-    assert res.value == 2
-    assert len(res.flow) == n - 1
-    assert res.min_cut == frozenset(chain[: n // 2 + 1])
+    assert max_flow(net) == (2, frozenset(chain[: n // 2 + 1]))
 
 
 # -- probe contract -----------------------------------------------------------
@@ -532,23 +527,66 @@ def count_calls(monkeypatch, calls, fn):
                     monkeypatch.setattr(module, key, wrapper)
 
 
-def test_every_transport_runs_one_max_flow_through_the_module_global(monkeypatch):
-    """Each transport call reaches `flow.max_flow` through the module global,
-    once, as the per-layer benchmark probe that wraps it expects."""
-    calls = {"transport": 0, "max_flow": 0}
-    count_calls(monkeypatch, calls, flow.max_flow)
-    count_calls(monkeypatch, calls, flow.transport)
+def _feasible_code():
+    """The code of `feasible`, the transfer check nested in
+    `rounding.tree_transfer`, which no module global reaches."""
+    return next(c for c in rounding.tree_transfer.__code__.co_consts
+                if getattr(c, "co_name", None) == "feasible")
 
-    p3 = path_graph(3)
-    runs = {
-        "condition_b_flow": lambda: condition_b_flow(
-            {1: Fraction(1)}, {0: Fraction(1)}, p3, 1, frozenset(), [1, 1, 1]),
-    }
-    for label, run in runs.items():
-        calls.update(transport=0, max_flow=0)
-        run()
-        assert calls["transport"] > 0, label
-        assert calls["max_flow"] == calls["transport"], (label, calls)
+
+@pytest.mark.parametrize("solve, variant, caps_mode", [
+    (solve_ft_general, "ft", "general"),
+    (solve_ft_uniform, "ft", "uniform"),
+    (solve_conservative_uniform, "conservative", "uniform"),
+    (solve_conservative_general, "conservative", "general"),
+], ids=["ft-general", "ft-0l", "cons-0l", "cons-general"])
+def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
+    """Solves of seeded random instances, each followed by `verify()` and
+    every size-alpha scenario, call `flow.max_flow` nowhere, and each
+    transfer check, a `condition_b_flow` call or a `feasible` test of
+    `tree_transfer`, is one `transport_cuts` call for the single variant
+    with nothing closed.  Calls are counted by code object, so a call that
+    bypasses a module global is counted too."""
+    checks = {rounding.condition_b_flow.__code__: "condition_b_flow",
+              _feasible_code(): "tree_transfer"}
+    counts = dict.fromkeys(["max_flow", *checks.values()], 0)
+    flows = dict.fromkeys(checks.values(), 0)  # transport_cuts calls per check kind
+    shapes = []  # (forced, closed) of each of those calls
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code is flow.max_flow.__code__:
+            counts["max_flow"] += 1
+        elif code in checks:
+            counts[checks[code]] += 1
+        elif code is flow.transport_cuts.__code__ and frame.f_back.f_code in checks:
+            flows[checks[frame.f_back.f_code]] += 1
+            shapes.append((frame.f_locals["forced"], frame.f_locals["closed"]))
+
+    rng = random.Random(f"single flow path/{variant}/{caps_mode}")
+    solved = 0
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for i in range(4):
+            inst = random_point_instance(rng, 7, 3, 1, variant=variant,
+                                         caps_mode=caps_mode, name=f"{variant}-{i}")
+            res = solve(inst)
+            if not res.feasible:
+                continue
+            solved += 1
+            assert res.verify().ok
+            for F in combinations(res.centers, inst.alpha):
+                res.scenario(F)
+    finally:
+        sys.setprofile(previous)
+    assert solved >= 2
+    assert counts["max_flow"] == 0, counts
+    assert flows == {label: counts[label] for label in flows}, (counts, flows)
+    assert all(shape == ((), [()]) for shape in shapes)
+    assert counts["condition_b_flow"] + counts["tree_transfer"] > 0, counts
 
 
 def test_every_separation_pass_runs_one_transport_cuts_through_the_module_global(monkeypatch):

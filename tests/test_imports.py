@@ -53,7 +53,8 @@ def test_unused_import_is_detected():
 
 def flow_engine_names(source: str) -> list[str]:
     """Names of the flow engine that a module imports, reads or reaches as an
-    attribute; everything else goes through `flow.transport`."""
+    attribute; everything else goes through `flow.transport_cuts` or
+    `flow.capacitated_assignment`."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):

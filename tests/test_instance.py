@@ -41,6 +41,23 @@ def test_radius_exact_comparisons():
     assert Radius(3, Fraction(4)).display() == "6"
     # irrational radii fall back to a float rendering, comparisons stay exact
     assert Radius(1, Fraction(2)).display() == repr(math.sqrt(2.0))
+
+
+def test_radius_display_beyond_float_range():
+    """An irrational radius that a float cannot hold prints 17 significant
+    digits, truncated, from integer square roots: sqrt(2) is
+    1.41421356237309504..., 3 * sqrt(2) is 4.24264068711928514... and
+    sqrt(3) is 1.73205080756887729..."""
+    # above the range: the float conversion would overflow
+    assert Radius(1, Fraction(10**400 + 1)).display() == "1e+200"
+    assert Radius(3, Fraction(2 * 10**400)).display() == "4.2426406871192851e+200"
+    assert Radius(10**200, Fraction(2)).display() == "1.414213562373095e+200"
+    # below it: the float would be 0.0, or a subnormal with few digits
+    assert Radius(1, Fraction(2, 10**400)).display() == "1.414213562373095e-200"
+    assert Radius(1, Fraction(3, 10**310)).display() == "1.7320508075688772e-155"
+    # in range, the float repr stays, at both ends
+    assert Radius(1, Fraction(2, 10**300)).display() == repr(math.sqrt(2e-300))
+    assert Radius(1, Fraction(2 * 10**300)).display() == repr(math.sqrt(2e300))
     assert Radius(1, Fraction(1)) <= Radius(1, Fraction(2))
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from ftkcenter import lp as lp_module
 from ftkcenter.clustering import (
-    DirectedGraph,
     backup_union,
     build_gprime,
     monarch_clustering,
@@ -411,8 +410,10 @@ def test_separators_match_one_transport_per_cut():
         seen["uniform violated"] += sep.violated
         seen["uniform stopped above the minimum"] += sep.value > ref.value
 
-        out = [set(rng.sample(range(n), rng.randint(0, n))) - {u} for u in range(n)]
-        gp = DirectedGraph(n, out)
+        gp = tuple(
+            sum(1 << w for w in rng.sample(range(n), rng.randint(0, n)) if w != u)
+            for u in range(n)
+        )
         backups = frozenset(rng.sample(range(n), rng.randint(0, min(n, 3))))
         caps = [rng.randint(0, 3) for _ in range(n)]
         sep = separate_general(y, g, gp, backups, alpha, caps)

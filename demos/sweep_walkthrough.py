@@ -20,10 +20,7 @@ def probe(inst):
     """Re-run the per-threshold solver manually to narrate the sweep."""
     for tau2 in inst.thresholds_sq():
         G = inst.threshold_graph(tau2)
-        out = solve_components(
-            G, inst.k, inst.alpha, inst.capacities,
-            lambda sub, budget, caps: ft_general_connected(sub, budget, caps, inst.alpha),
-        )
+        out = solve_components(G, inst.k, inst.alpha, inst.capacities, ft_general_connected)
         if isinstance(out, PerTauSolution):
             print(f"  tau^2 = {tau2}: workable, centers {out.centers}")
             return

@@ -3,10 +3,11 @@
 The sweep walks the sorted distinct distances from below and returns the
 first threshold whose unweighted solver succeeds; success is not monotone in
 the threshold, so no bisection here.  On a disconnected threshold graph each
-component gets its own minimal budget (a component can never borrow service
-across components), the leftovers go to the components in order, and the
-per-component solutions merge into one.  All four solvers run through
-`solve_bottleneck`; they differ only in the connected-graph solver.
+component gets its own least budget (a component can never borrow service
+across components), the per-component solutions merge into one, and
+`pad_centers` fills the merged center set up to k with centers that serve
+nobody.  All four solvers run through `solve_bottleneck`; they differ only
+in the connected-graph solver.
 
 A solution's `scenario` is its pipeline's repair record, called with a
 failure set; a merged solution's is `MergedComponents`.
@@ -36,7 +37,7 @@ from .oracle import verify_conservative, verify_ft
 class PerTauSolution:
     """A distance-1 style solution of one threshold graph."""
 
-    centers: tuple  # sorted vertex ids, exactly the budget many
+    centers: tuple  # sorted vertex ids, exactly the budget many, padded ones included
     assignment: dict  # initial client -> center map
     stretch: int  # hop bound honored by assignments (7, 6, 10, or beta+6*alpha)
     scenario: Callable  # repair record: failure set -> full assignment avoiding it
@@ -87,16 +88,20 @@ def solve_components(
     k: int,
     alpha: int,
     caps: Sequence[int],
-    solver: Callable,
+    connected: Callable,
 ):
-    """Run a connected-graph solver per component with minimal budgets.
+    """Run `connected(sub, budget, caps, alpha)` per component at its least
+    budget, and pad the merged center set to k.
 
-    `solver(subgraph, budget, caps)` must return PerTauSolution or
-    PerTauInfeasible.  Each component must tolerate alpha failures on its
-    own, so budgets below alpha+1 are never tried, and more than
-    k // (alpha+1) components are rejected without calling the solver; any
-    surplus goes to the components in order, where success is guaranteed
-    by budget monotonicity.
+    `connected` must return PerTauSolution or PerTauInfeasible.  Each
+    component must tolerate alpha failures on its own, so budgets below
+    alpha+1 are never tried, and more than k // (alpha+1) components are
+    rejected without calling the solver.  Of the k centers, alpha+1 per
+    component are committed up front; the `spare` rest is what a component
+    may add to alpha+1, so each is searched upwards to alpha+1+spare (and
+    its vertex count), and its least budget takes its share off `spare`.
+    Whatever is left over pads the merged set with centers that serve
+    nobody: failing one is weaker than failing a center that serves clients.
 
     The component count comes from `graph.component_count()`, which a
     threshold graph reads off the instance's ranking: a connected graph
@@ -105,66 +110,49 @@ def solve_components(
     """
     count = graph.component_count()
     if count == 1:
-        return solver(graph, k, list(caps))
+        return connected(graph, k, list(caps), alpha)
     if count > k // (alpha + 1):
         return PerTauInfeasible(
             f"{count} components need alpha+1={alpha + 1} centers each, more than k = {k}"
         )
 
-    picked = []
-    total = 0
+    spare = k - (alpha + 1) * count
+    parts = []
     for comp in graph.components():
         sub, orig = graph.induced(comp)
         sub_caps = [caps[v] for v in orig]
-        hi = min(k, sub.n)
-        found = _least_budget(sub, sub_caps, solver, alpha + 1, hi)
-        if found is None:
+        cap = min(alpha + 1 + spare, sub.n)
+        for budget in range(alpha + 1, cap + 1):
+            out = connected(sub, budget, sub_caps, alpha)
+            if isinstance(out, PerTauSolution):
+                break
+        else:
             return PerTauInfeasible(
-                f"component containing vertex {comp[0]}: no distance-1 solution with budget <= {hi}"
+                f"component containing vertex {comp[0]}: no distance-1 solution with budget <= {cap}"
             )
-        picked.append([sub, sub_caps, orig, *found])
-        total += found[0]
-    if total > k:
-        return PerTauInfeasible(
-            f"component budgets sum to {total} > k = {k}"
-        )
-    surplus = k - total
-    for entry in picked:
-        if surplus == 0:
-            break
-        sub, sub_caps, _, budget, _ = entry
-        extra = min(surplus, sub.n - budget)  # a component holds at most n centers
-        if extra == 0:
-            continue
-        out = solver(sub, budget + extra, sub_caps)
-        if not isinstance(out, PerTauSolution):
-            raise ContractViolation(
-                "solver succeeded at a budget but failed at a larger one"
-            )
-        entry[3:] = budget + extra, out
-        surplus -= extra
-    if surplus:
-        raise ContractViolation("surplus centers exceed the total vertex count")
-    return _merge(picked, alpha)
+        spare -= budget - (alpha + 1)
+        parts.append((orig, out))
+    return _merge(parts, k, graph.n, alpha)
 
 
-def _least_budget(sub: ThresholdGraph, sub_caps, solver: Callable, lo: int, hi: int):
-    """(budget, solution) for the least budget in lo..hi at which `solver`
-    succeeds on the component `sub`, or None.  `solve_components` calls it
-    once per component to search the minimal budget."""
-    for budget in range(lo, hi + 1):
-        out = solver(sub, budget, sub_caps)
-        if isinstance(out, PerTauSolution):
-            return budget, out
-    return None
+def pad_centers(centers, k: int, n: int) -> tuple:
+    """Extend a center set to exactly k with lowest-index unused vertices."""
+    have = set(centers)
+    if len(have) > k:
+        raise ContractViolation("more centers than the budget")
+    free = [v for v in range(n) if v not in have]
+    if len(have) + len(free) < k:
+        raise ContractViolation("cannot pad centers to k")
+    return tuple(sorted(have.union(free[: k - len(have)])))
 
 
 @dataclass(frozen=True)
 class MergedComponents:
-    """Repair record of a threshold graph solved per component: a failure set
-    is split by component and repaired by each component's own record."""
+    """Repair record of a threshold graph solved per component: each
+    component's record repairs the failed centers it owns, and a failed
+    padding center moves nobody."""
 
-    centers: frozenset  # every component's centers, global ids
+    centers: frozenset  # every component's centers and the padding, global ids
     parts: tuple  # (orig, PerTauSolution) per component; orig[local id] = global id
     alpha: int
 
@@ -172,23 +160,19 @@ class MergedComponents:
         F = failure_set(F, self.alpha, self.centers)
         out = {}
         for orig, sol in self.parts:
-            phi = sol.scenario([local for local, glob in enumerate(orig) if glob in F])
+            phi = sol.scenario([c for c in sol.centers if orig[c] in F])
             out.update((orig[u], orig[c]) for u, c in phi.items())
         return out
 
 
-def _merge(picked, alpha: int):
-    centers = []
-    assignment = {}
-    stretch = 0
-    parts = []
-    for _, _, orig, _, sol in picked:
-        centers.extend(orig[c] for c in sol.centers)
-        assignment.update((orig[u], orig[c]) for u, c in sol.assignment.items())
-        stretch = max(stretch, sol.stretch)
-        parts.append((orig, sol))
+def _merge(parts, k: int, n: int, alpha: int):
+    """One solution of all n vertices from the (orig, solution) parts, its
+    centers padded to k."""
+    centers = pad_centers((orig[c] for orig, sol in parts for c in sol.centers), k, n)
+    assignment = {orig[u]: orig[c] for orig, sol in parts for u, c in sol.assignment.items()}
+    stretch = max(sol.stretch for _, sol in parts)
     record = MergedComponents(frozenset(centers), tuple(parts), alpha)
-    return PerTauSolution(tuple(sorted(centers)), assignment, stretch, record)
+    return PerTauSolution(centers, assignment, stretch, record)
 
 
 @dataclass
@@ -236,9 +220,7 @@ def solve_threshold(
     component, after stripping 0-0 edges for {0,L} pipelines."""
     if uniform:
         graph = strip_zero_zero_edges(graph, caps)
-    return solve_components(
-        graph, k, alpha, caps, lambda sub, budget, sub_caps: connected(sub, budget, sub_caps, alpha)
-    )
+    return solve_components(graph, k, alpha, caps, connected)
 
 
 @dataclass

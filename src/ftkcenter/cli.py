@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, SizeLimitError, FileNotFoundError, ValueError) as exc:
+    except (InstanceError, SizeLimitError, OSError, ValueError) as exc:
         print(f"ftkc: {exc}", file=sys.stderr)
         return 1
     except ContractViolation as exc:

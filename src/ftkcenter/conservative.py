@@ -22,6 +22,7 @@ from .bottleneck import (
     PerTauInfeasible,
     PerTauSolution,
     SolveResult,
+    pad_centers,
     quick_infeasible,
     solve_bottleneck,
     solve_threshold,
@@ -40,23 +41,6 @@ from .solvers import ft_general_connected, ft_uniform_connected
 # stretch of the residual solve: the failure-free (alpha = 0) ft-general
 # pipeline's base assignment is within nine hops of its center
 BETA = 9
-
-
-def _pad_centers(centers, k: int, n: int) -> tuple:
-    """Extend a center set to exactly k with lowest-index unused vertices."""
-    out = sorted(set(centers))
-    if len(out) > k:
-        raise ContractViolation("more centers than the budget")
-    have = set(out)
-    for v in range(n):
-        if len(out) >= k:
-            break
-        if v not in have:
-            out.append(v)
-            have.add(v)
-    if len(out) != k:
-        raise ContractViolation("cannot pad centers to k")
-    return tuple(sorted(out))
 
 
 # -- {0,L} conservative algorithm -------------------------------------------
@@ -92,7 +76,7 @@ def conservative_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: i
     if isinstance(inner, PerTauInfeasible):
         return PerTauInfeasible(f"residual uniform solve: {inner.reason}")
     phi0 = dict(inner.assignment)
-    centers = _pad_centers(set(inner.centers) | bset, k, graph.n)
+    centers = pad_centers(set(inner.centers) | bset, k, graph.n)
     state = ConservativeUniform(graph, caps, phi0, alpha, centers)
     return PerTauSolution(centers, phi0, 7, state)
 
@@ -194,7 +178,7 @@ def conservative_general_connected(graph: ThresholdGraph, k: int, caps, alpha: i
     if isinstance(inner, PerTauInfeasible):
         return PerTauInfeasible(f"residual solve: {inner.reason}")
     phi0 = dict(inner.assignment)
-    centers = _pad_centers(set(inner.centers) | B, k, graph.n)
+    centers = pad_centers(set(inner.centers) | B, k, graph.n)
     state = ConservativeGeneral(graph, capped, B, phi0, alpha, centers)
     return PerTauSolution(centers, phi0, BETA + 6 * alpha, state)
 

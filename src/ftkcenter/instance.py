@@ -285,14 +285,6 @@ class ThresholdGraph:
             out.append(seen)
         return out
 
-    def neighborhood(self, U: Iterable[int], ell: int = 1) -> frozenset:
-        """Closed ell-hop neighborhood of a vertex set (always contains U)."""
-        verts = [U] if isinstance(U, int) else U
-        reach = 0
-        for u in verts:
-            reach |= self.balls(u, ell)[-1]
-        return frozenset(mask_bits(reach))
-
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
         if self._components is None:
@@ -725,6 +717,8 @@ def parse_exact_json(text: str):
         raise
     except ValueError as exc:  # malformed JSON, or an int past the interpreter's digit limit
         raise InstanceError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InstanceError("invalid JSON: nested too deeply") from None
 
 
 def _render_json(obj, indent: int) -> str:

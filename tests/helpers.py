@@ -309,7 +309,7 @@ def brute_separate_uniform(y, graph, caps, alpha):
     best = None
     for size in range(1, n + 1):
         for U in combinations(range(n), size):
-            cov = graph.neighborhood(U, 1)
+            cov = set().union(*(graph.closed(u) for u in U))
             have = sum(
                 (Fraction(L) * Fraction(y.get(w, 0))
                  for w in cov if caps[w] > 0),

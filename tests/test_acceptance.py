@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from ftkcenter import conservative
-from ftkcenter.bottleneck import PerTauSolution, _least_budget, _merge
+from ftkcenter.bottleneck import PerTauSolution, solve_components
 from ftkcenter.clustering import (
     build_gprime,
     greedy_independent,
@@ -61,6 +61,7 @@ from ftkcenter.solvers import (
 
 from helpers import (
     closed_out,
+    edge_set,
     exhaustive_residual,
     full_pass_general,
     full_pass_uniform,
@@ -473,7 +474,7 @@ def test_structural_invariants():
             seen |= members
             if not set(G.closed(h)) <= members:
                 violations.append(f"{tag}: head {h} does not own its neighborhood")
-            if not members <= G.neighborhood([h], 2):
+            if any(hops[h][v] > 2 for v in members):
                 violations.append(f"{tag}: cluster of {h} leaves the 2-ball")
         if seen != set(range(n)):
             violations.append(f"{tag}: clusters miss vertices")
@@ -632,26 +633,37 @@ def test_bottleneck_soundness():
         G = random_connected_graph(rng, n, extra=rng.randint(0, n // 2))
         caps = [rng.randint(1, n) for _ in range(n)]
 
-        def solver(sub, budget, c):
-            return ft_general_connected(sub, budget, c, alpha)
-
-        direct = solver(G, k, caps)
-        sub, orig = G.induced(list(range(n)))  # the one component, as solve_components cuts it
-        found = _least_budget(sub, caps, solver, alpha + 1, k)  # the per-component budget search
+        direct = ft_general_connected(G, k, caps, alpha)
+        # G beside a clique of alpha+1 vertices that needs every one of them:
+        # with k + alpha + 1 centers, solve_components searches G from
+        # alpha+1 up to k, the budget of the direct solve
+        clique = [(n + a, n + b) for a, b in combinations(range(alpha + 1), 2)]
+        H = ThresholdGraph(n + alpha + 1, [*edge_set(G), *clique])
+        split = solve_components(
+            H, k + alpha + 1, alpha, caps + [alpha + 1] * (alpha + 1), ft_general_connected
+        )
         agreements += 1
-        if isinstance(direct, PerTauSolution) != (found is not None):
+        if isinstance(direct, PerTauSolution) != isinstance(split, PerTauSolution):
             violations.append(f"agreement #{i}: verdicts differ (n={n}, k={k}, a={alpha})")
-        if found is None:
             continue
-        handed = solver(sub, k, caps)  # the surplus hand-out up to k
-        if not isinstance(handed, PerTauSolution):
-            violations.append(f"agreement #{i}: solver failed at k after budget {found[0]}")
+        if not isinstance(split, PerTauSolution):
             continue
-        via = _merge([[sub, caps, orig, k, handed]], alpha)
-        if isinstance(direct, PerTauSolution) and (
-            direct.centers != via.centers or direct.assignment != via.assignment
+        (orig, part), (_, rest) = split.scenario.parts
+        least = len(part.centers)
+        again = ft_general_connected(G, least, caps, alpha)  # G alone at its least budget
+        if orig != tuple(range(n)) or rest.centers != tuple(range(alpha + 1)):
+            violations.append(f"agreement #{i}: components cut wrong (n={n}, k={k})")
+        elif (
+            not isinstance(again, PerTauSolution)
+            or again.centers != part.centers
+            or again.assignment != part.assignment
         ):
             violations.append(f"agreement #{i}: solutions differ (n={n}, k={k})")
+        elif any(
+            isinstance(ft_general_connected(G, b, caps, alpha), PerTauSolution)
+            for b in range(alpha + 1, least)
+        ):
+            violations.append(f"agreement #{i}: budget {least} is not the least (n={n}, k={k})")
     _report(
         "bottleneck soundness",
         violations,

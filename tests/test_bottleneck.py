@@ -2,6 +2,7 @@
 solvers so every branch of the allocation logic is observable."""
 
 import math
+import random
 
 import pytest
 
@@ -11,13 +12,28 @@ from ftkcenter.bottleneck import (
     PerTauSolution,
     SweepInfeasible,
     SweepSuccess,
-    _least_budget,
+    pad_centers,
     quick_infeasible,
     solve_components,
+    solve_threshold,
     sweep,
 )
-from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, ThresholdGraph
-from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
+from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
+from ftkcenter.instance import (
+    ContractViolation,
+    InstanceError,
+    MetricInstance,
+    Radius,
+    ThresholdGraph,
+    strip_zero_zero_edges,
+)
+from ftkcenter.oracle import verify_ft
+from ftkcenter.solvers import (
+    ft_general_connected,
+    ft_uniform_connected,
+    solve_ft_general,
+    solve_ft_uniform,
+)
 
 from helpers import edge_set, path_graph
 
@@ -26,7 +42,7 @@ def make_fake_solver(need, record=None):
     """Succeed iff budget >= need(sub); centers are the first `budget`
     local vertices, everyone assigned to local center 0."""
 
-    def solver(sub, budget, caps):
+    def solver(sub, budget, caps, alpha):
         if record is not None:
             record.append((sub.n, budget))
         if budget < need(sub):
@@ -100,6 +116,8 @@ def test_components_minimal_budgets():
 
 
 def test_components_surplus_spreads_left_to_right():
+    """Budget left over after the least budgets pads the merged set with the
+    lowest-index vertices that are not centers yet."""
     g = two_plus_four()
     solver = make_fake_solver(lambda sub: math.ceil(sub.n / 2))
     out = solve_components(g, 5, 0, [1] * 6, solver)
@@ -109,8 +127,8 @@ def test_components_surplus_spreads_left_to_right():
 
 
 def test_components_surplus_larger_than_first_component():
-    """Three tiny components, k well above the sum of minimal budgets: the
-    surplus has to spill across components instead of crowding into one."""
+    """Three tiny components, k well above the sum of least budgets: the
+    padding spills across components instead of crowding into one."""
     g = ThresholdGraph(6, [(0, 1), (2, 3), (4, 5)])
     solver = make_fake_solver(lambda sub: 1)
     out = solve_components(g, 5, 0, [1] * 6, solver)
@@ -122,7 +140,8 @@ def test_components_budget_sum_exceeds_k():
     solver = make_fake_solver(lambda sub: math.ceil(sub.n / 2))
     out = solve_components(g, 2, 0, [1] * 6, solver)
     assert isinstance(out, PerTauInfeasible)
-    assert out.reason == "component budgets sum to 3 > k = 2"
+    # spare = 0 caps the second component at alpha+1 = 1 center, below its 2
+    assert out.reason == "component containing vertex 2: no distance-1 solution with budget <= 1"
 
 
 def test_components_unsolvable_component():
@@ -133,16 +152,26 @@ def test_components_unsolvable_component():
     assert "component containing vertex 0" in out.reason
 
 
-def test_components_budget_monotonicity_guard():
-    g = ThresholdGraph(4, [(0, 1), (2, 3)])
+def test_components_search_stops_at_the_spare_cap():
+    """Each component is tried once per budget, from alpha+1 up to
+    alpha+1+spare, where spare is what k leaves after alpha+1 centers per
+    component and the earlier components' least budgets."""
+    g = ThresholdGraph(9, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)])  # sizes 2, 3, 4
+    record = []
+    out = solve_components(g, 5, 0, [1] * 9, make_fake_solver(lambda sub: math.ceil(sub.n / 2), record))
+    # spare 2: the first takes 1 (spare stays 2), the second 2 (spare 1), the last 2 (spare 0)
+    assert record == [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)]
+    assert out.centers == (0, 2, 3, 5, 6)
 
-    def picky(sub, budget, caps):
-        if budget != 1:
-            return PerTauInfeasible("only exact budget 1 works")
-        return PerTauSolution((0,), {u: 0 for u in range(sub.n)}, 1, lambda F: {})
+    record.clear()  # each component needs all its vertices; k = 4 leaves spare 1
+    out = solve_components(g, 4, 0, [1] * 9, make_fake_solver(lambda sub: sub.n, record))
+    assert record == [(2, 1), (2, 2), (3, 1)]  # the second is capped at 1 + 0 after the first took 2
+    assert out.reason == "component containing vertex 2: no distance-1 solution with budget <= 1"
 
-    with pytest.raises(ContractViolation):
-        solve_components(g, 3, 0, [1] * 4, picky)
+    record.clear()  # alpha = 1: budgets start at 2, and k = 7 leaves spare 1 over 2 * 3
+    out = solve_components(g, 7, 1, [1] * 9, make_fake_solver(lambda sub: sub.n, record))
+    assert record == [(2, 2), (3, 2), (3, 3), (4, 2)]
+    assert out.reason == "component containing vertex 5: no distance-1 solution with budget <= 2"
 
 
 def test_components_connected_shortcut_and_budget_search():
@@ -153,16 +182,26 @@ def test_components_connected_shortcut_and_budget_search():
     assert record == [(2, 2)]  # one call, full k
     assert out.centers == (0, 1)
 
-    record.clear()  # the per-component search on the connected graph
-    budget, out = _least_budget(g, [1, 1], solver, 1, 2)
-    assert record == [(2, 1)]  # search starts at alpha+1
-    assert (budget, out.centers) == (1, (0,))
-    assert _least_budget(g, [1, 1], make_fake_solver(lambda sub: 3), 1, 2) is None
-
-    record.clear()  # two copies of g: the search, then the hand-out up to each copy's n
-    out = solve_components(ThresholdGraph(4, [(0, 1), (2, 3)]), 4, 0, [1] * 4, solver)
-    assert record == [(2, 1), (2, 1), (2, 2), (2, 2)]
+    two = ThresholdGraph(4, [(0, 1), (2, 3)])
+    record.clear()  # two copies of g: each searched from alpha+1, the rest padded
+    out = solve_components(two, 4, 0, [1] * 4, solver)
+    assert record == [(2, 1), (2, 1)]
+    assert [sol.centers for _, sol in out.scenario.parts] == [(0,), (0,)]
     assert out.centers == (0, 1, 2, 3)
+
+    record.clear()  # no budget up to the first copy's cap, min(1 + 2, 2), solves it
+    out = solve_components(two, 4, 0, [1] * 4, make_fake_solver(lambda sub: 3, record))
+    assert record == [(2, 1), (2, 2)]
+    assert out.reason == "component containing vertex 0: no distance-1 solution with budget <= 2"
+
+
+def test_pad_centers():
+    assert pad_centers({2}, 3, 4) == (0, 1, 2)
+    assert pad_centers({3, 1}, 2, 4) == (1, 3)
+    with pytest.raises(ContractViolation):
+        pad_centers({0, 1, 2}, 2, 4)
+    with pytest.raises(ContractViolation):
+        pad_centers({0}, 3, 2)
 
 
 def test_merged_scenario_remaps_and_validates():
@@ -203,7 +242,7 @@ def test_components_count_exit_skips_the_solver():
     """More than k // (alpha+1) components: every component needs alpha+1
     centers, so the graph is rejected before any solver call."""
 
-    def never(sub, budget, caps):
+    def never(sub, budget, caps, alpha):
         raise AssertionError("solver called on a graph with too many components")
 
     g = ThresholdGraph(6, [(0, 1), (2, 3), (4, 5)])  # 3 components
@@ -227,3 +266,96 @@ def test_all_zero_capacity_final_reason():
     assert not res.feasible
     assert [t for t, _ in res.outcome.reasons] == list(inst.thresholds_sq())
     assert res.outcome.final_reason == "4 components need alpha+1=2 centers each, more than k = 2"
+
+
+TWO_CLUSTERS = [(0, 0), (1, 0), (2, 0), (100, 0), (101, 0), (102, 0)]
+
+
+@pytest.mark.parametrize(
+    "solve, variant",
+    [
+        (solve_ft_general, "ft"),
+        (solve_ft_uniform, "ft"),
+        (solve_conservative_uniform, "conservative"),
+        (solve_conservative_general, "conservative"),
+    ],
+    ids=["ft-general", "ft-0l", "cons-0l", "cons-general"],
+)
+def test_failing_a_padding_center_moves_nobody(solve, variant):
+    """Two clusters of three with k = 5, alpha = 1: each cluster's least
+    budget is 2, so one center pads the merged set.  Failing it hands each
+    component no failure at all, and the base assignment comes back."""
+    inst = MetricInstance.from_points(TWO_CLUSTERS, 5, 1, [3] * 6, variant=variant)
+    res = solve(inst)
+    record = res.outcome.solution.scenario
+    assert isinstance(record, MergedComponents)
+    owned = {orig[c] for orig, sol in record.parts for c in sol.centers}
+    padding = set(res.centers) - owned
+    assert len(res.centers) == 5 and len(padding) == 1
+    assert res.scenario(padding) == res.assignment
+    assert res.verify().ok
+
+
+@pytest.mark.parametrize(
+    "connected, uniform",
+    [(ft_general_connected, False), (ft_uniform_connected, True)],
+    ids=["ft-general", "ft-0l"],
+)
+def test_capped_search_matches_an_uncapped_ascending_search(connected, uniform):
+    """On random split threshold graphs the capped search gives the verdict
+    and the least budgets of a search from alpha+1 up to min(k, n_i) per
+    component, and each merged answer passes verification at its stretch."""
+    rng = random.Random(f"split/{connected.__name__}")
+    split = solved = padded = 0
+    for _ in range(12):
+        alpha = rng.randint(0, 1)
+        clusters = rng.randint(2, 3)
+        points = []
+        for i in range(clusters):
+            points += [(100 * i + rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(2, 3))]
+        n = len(points)
+        k = rng.randint(clusters * (alpha + 1), n)
+        caps = [rng.choice((0, 3, 3)) for _ in range(n)] if uniform else [rng.randint(1, 3) for _ in range(n)]
+        inst = MetricInstance.from_points(points, k, alpha, caps)
+        for tau2 in inst.thresholds_sq():
+            G = inst.threshold_graph(tau2)
+            comps = (strip_zero_zero_edges(G, caps) if uniform else G).components()
+            if not 2 <= len(comps) <= k // (alpha + 1):
+                continue
+            split += 1
+            least = []  # the uncapped ascending search
+            for comp in comps:
+                sub, orig = G.induced(comp)
+                sub = strip_zero_zero_edges(sub, [caps[v] for v in orig]) if uniform else sub
+                budgets = range(alpha + 1, min(k, sub.n) + 1)
+                least.append(next(
+                    (b for b in budgets
+                     if isinstance(connected(sub, b, [caps[v] for v in orig], alpha), PerTauSolution)),
+                    None,
+                ))
+            calls = []
+
+            def recording(sub, budget, sub_caps, a):
+                out = connected(sub, budget, sub_caps, a)
+                calls.append((budget, isinstance(out, PerTauSolution)))
+                return out
+
+            out = solve_threshold(G, k, alpha, caps, recording, uniform)
+            ok = None not in least and sum(least) <= k
+            assert isinstance(out, PerTauSolution) == ok, (points, k, alpha, caps, tau2)
+            runs = []  # one ascending run of budgets per component searched
+            for budget, won in calls:
+                if budget == alpha + 1:
+                    runs.append([])
+                runs[-1].append((budget, won))
+            for run in runs:
+                assert [b for b, _ in run] == list(range(alpha + 1, alpha + 1 + len(run)))
+                assert not any(won for _, won in run[:-1])
+            if not ok:
+                continue
+            solved += 1
+            assert [run[-1][0] for run in runs] == least
+            assert len(out.centers) == k
+            padded += sum(least) < k
+            assert verify_ft(inst, out.centers, Radius(out.stretch, tau2)).ok
+    assert split > 20 and solved > 10 and padded > 10, (split, solved, padded)

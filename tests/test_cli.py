@@ -286,6 +286,36 @@ class TestErrorPaths:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ftkc:")
 
+    @pytest.mark.parametrize("kind", ["input", "solution"])
+    def test_deep_nesting_is_bad_input(self, files, tmp_path, capsys, kind):
+        """The JSON decoder recurses once per bracket; past the interpreter's
+        limit that is a malformed file, not a traceback."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        if kind == "input":
+            argv = ["solve", "--input", str(deep), "--alg", "ft-general"]
+        else:
+            argv = ["verify", "--input", files["ft"], "--solution", str(deep), "--radius", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "ftkc: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--input", "{dir}", "--alg", "ft-general"],
+            ["verify", "--input", "{ft}", "--solution", "{dir}", "--radius", "2"],
+            ["solve", "--input", "{ft}", "--alg", "ft-general", "--output", "{dir}"],
+        ],
+        ids=["input", "solution", "output"],
+    )
+    def test_unreadable_path_is_bad_input(self, files, capsys, argv):
+        """Any OSError opening a file (here a directory) exits 1 with the
+        system's message."""
+        rc = main([a.format(**files) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ftkc: ") and "Is a directory" in err
+
     def test_usage_error_exits_1(self, files):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--input", files["ft"], "--alg", "not-an-alg"])

@@ -16,7 +16,6 @@ from ftkcenter.conservative import (
     BETA,
     ConservativeGeneral,
     ConservativeUniform,
-    _pad_centers,
     build_backup_set,
     conservative_general_connected,
     conservative_uniform_connected,
@@ -37,15 +36,6 @@ from ftkcenter import rounding
 from ftkcenter.rounding import repair
 
 from helpers import cycle_graph, exhaustive_residual, path_graph, power
-
-
-def test_pad_centers():
-    assert _pad_centers({2}, 3, 4) == (0, 1, 2)
-    assert _pad_centers({3, 1}, 2, 4) == (1, 3)
-    with pytest.raises(ContractViolation):
-        _pad_centers({0, 1, 2}, 2, 4)
-    with pytest.raises(ContractViolation):
-        _pad_centers({0}, 3, 2)
 
 
 def test_build_backup_set_single_heavy_end():

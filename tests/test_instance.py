@@ -14,6 +14,7 @@ from ftkcenter.instance import (
     decimal_str,
     exact_decimal,
     hop_metric_instance,
+    mask_bits,
     parse_exact_json,
     strip_zero_zero_edges,
     uniform_capacity_level,
@@ -330,9 +331,9 @@ def test_power_of_cycle():
 
 def test_neighborhood_closed():
     g = path_graph(5)
-    assert g.neighborhood([0], 2) == {0, 1, 2}
-    assert g.neighborhood([0, 4], 1) == {0, 1, 3, 4}
-    assert g.neighborhood([2], 0) == {2}
+    assert mask_bits(g.balls(0, 2)[-1]) == [0, 1, 2]
+    assert mask_bits(g.balls(0, 1)[-1] | g.balls(4, 1)[-1]) == [0, 1, 3, 4]
+    assert mask_bits(g.balls(2, 0)[-1]) == [2]
 
 
 def test_strip_zero_zero_edges():

@@ -166,6 +166,8 @@ def _cmd_gap(args) -> int:
 def _cmd_bench(args) -> int:
     import random
 
+    if args.count < 0:
+        raise InstanceError(f"--count must be nonnegative, got {args.count}")
     rng = random.Random(args.seed)
     variant, solve = ALGORITHMS[args.alg]
     reports = []

@@ -7,16 +7,20 @@ V phases of O(VE) work each, O(V^2 E) in all, a bound that does not depend
 on capacity values.  Infinite capacity is math.inf, never a large surrogate
 number.
 
-The package solves every flow network on one path, `transport_cuts`: client
-demand routed to allowed centers within their supply, the Hall-type
+The package solves every flow network on one path, `TransportNetwork`:
+client demand routed to allowed centers within their supply, the Hall-type
 condition behind the LP separators, `verify_ft`, the relaxed ILP and the
-rounding's transfer checks.  It builds the integer arrays once per call,
-scales demands and supplies to ints, and yields the flow value and the
+rounding's transfer checks.  The network builds its integer arrays once;
+each `cuts` call scales one demand and supply map to ints, writes them into
+a copy of the zero-flow residuals, and yields the flow value and the
 clients of the minimal min cut for each variant on demand: one client
 forced in or one center set closed, every forced one from one base flow and
 the closed ones as one chain, each from the maximum flow of the one before
-with only the load of the newly closed centers re-augmented.  A caller that
-needs the plain network asks for the single variant closed=[()].
+with only the load of the newly closed centers re-augmented.  The LP
+separators build one network per threshold and call `cuts` once per
+cutting-plane round, with the supplies of that round's point;
+`transport_cuts` builds a network for a single call.  A caller that needs
+the plain network asks for the single variant closed=[()].
 
 `FlowNetwork` and `max_flow`, a dict-of-dicts network and its value and
 minimal min cut on the same `_augment`, have no caller in the package; they
@@ -186,114 +190,147 @@ def max_flow(net: FlowNetwork):
     return value, frozenset(nodes[i] for i in reached)
 
 
-def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=(), closed=()):
-    """Route client demand to allowed centers within their supply, solved
-    once per variant: first for each client w of `forced`, with w's demand
-    made infinite, then for each center set of `closed`, with the supply of
-    those centers made 0.  A caller that needs the plain network passes
-    closed=[()].
+class TransportNetwork:
+    """The client -> center transport network on integer arrays, built once
+    and solved for any number of demand and supply maps by `cuts`.
 
     The network is source -> client (capacity demand[c]) -> each center of
-    allowed[c] (unbounded) -> sink (capacity supply[v]), on integer node ids:
-    source 0, sink 1, the clients in the order given, then the centers in
-    the order they are first named, allowed lists before supply.  A center
-    without a supply entry is a dead end.
-
-    Returns an iterator of one (value, blocked) pair per variant, in that
-    order: the flow value, a Fraction, and the clients on the source side
-    of the minimal min cut, which violate Hall's condition together when
-    the value falls short of the total demand.  Each variant is solved only
-    when the iterator is asked for it, so a caller that stops at the first
-    variant it needs solves no later one.  The input is checked at the
-    call: every supply must be finite, every amount nonnegative and every
-    forced client one of `demand`.  The arrays are built once, with every
-    finite demand and supply scaled by the lcm of their denominators, so
-    every residual is an int.  A forced variant starts from the base
-    maximum flow, which stays feasible when a capacity rises.  The first
-    closed variant starts from the zero flow and each later one from the
-    maximum flow of the one before: the sink arcs closed there reopen, the
-    flow through each newly closed center is cancelled back to the source,
-    and only that displaced load is augmented again.  The value and the
-    minimal min cut do not depend on the maximum flow reached.
+    allowed[c] (unbounded) -> sink (capacity supply[v]) for each center of
+    `centers`, on integer node ids: source 0, sink 1, the clients in the
+    order given, then the centers in the order they are first named,
+    allowed lists before `centers`.  A center named only in an allowed list
+    is a dead end.  The arrays are built here: `head`, `adj`, the source
+    arc of each client, the sink arc of each center, and `template`, the
+    residuals of the zero flow with every client -> center arc unbounded
+    and every source and sink arc at 0.  `cuts` writes the capacities into
+    a copy of `template`, which is never changed.
     """
-    if any(s is INF for s in supply.values()):
-        raise ContractViolation("infinite supply in transport_cuts")
-    if any(d is not INF and d < 0 for d in demand.values()):
-        raise InstanceError("negative demand")
-    if any(s < 0 for s in supply.values()):
-        raise InstanceError("negative capacity")
-    clients = list(demand)
-    first = len(clients) + 2  # id of the first center
-    center_id: dict = {}
-    for c in clients:
-        for v in allowed[c]:
+
+    def __init__(self, clients: Iterable, allowed: Mapping, centers: Iterable):
+        self.clients = list(clients)
+        self.allowed = allowed
+        self.centers = list(centers)
+        first = len(self.clients) + 2  # id of the first center
+        center_id: dict = {}
+        for c in self.clients:
+            for v in allowed[c]:
+                center_id.setdefault(v, first + len(center_id))
+        for v in self.centers:
             center_id.setdefault(v, first + len(center_id))
-    for v in supply:
-        center_id.setdefault(v, first + len(center_id))
-    finite = [d for d in demand.values() if d is not INF] + list(supply.values())
-    scale = math.lcm(*(a.denominator for a in finite))
+        cap: dict = {0: dict.fromkeys(range(2, first), 0), 1: {}}
+        for i, c in enumerate(self.clients, 2):
+            cap[i] = dict.fromkeys([center_id[v] for v in allowed[c]], INF)
+        for i in center_id.values():
+            cap[i] = {}
+        for v in self.centers:
+            cap[center_id[v]][1] = 0
+        self.head, self.template, self.adj, _ = _arrays(cap, range(len(cap)))
+        self.source_arc = dict(zip(self.clients, self.adj[0]))
+        # the sink arc of a center is its only own arc, listed first
+        self.sink_arc = {v: self.adj[center_id[v]][0] for v in self.centers}
 
-    def scaled(a):
-        return a if a is INF else a.numerator * (scale // a.denominator)
+    def cuts(self, demand: Mapping, supply: Mapping, forced=(), closed=()):
+        """Route client demand to allowed centers within their supply,
+        solved once per variant: first for each client w of `forced`, with
+        w's demand made infinite, then for each center set of `closed`, with
+        the supply of those centers made 0.  A caller that needs the plain
+        network passes closed=[()].  A client without a demand entry has
+        demand 0, and a center without a supply entry has supply 0.
 
-    cap: dict = {0: {i: scaled(demand[c]) for i, c in enumerate(clients, 2)}, 1: {}}
-    for i, c in enumerate(clients, 2):
-        cap[i] = dict.fromkeys([center_id[v] for v in allowed[c]], INF)
-    for i in center_id.values():
-        cap[i] = {}
-    for v, s in supply.items():
-        cap[center_id[v]][1] = scaled(s)
-    head, zero, adj, _ = _arrays(cap, range(len(cap)))
-    position = {c: k for k, c in enumerate(clients)}
-    forced_arcs = []  # the source arc of each forced client, listed first
-    for w in forced:
-        if w not in position:
-            raise InstanceError(f"forced client {w!r} has no demand")
-        forced_arcs.append(adj[0][position[w]])
+        Returns an iterator of one (value, blocked) pair per variant, in
+        that order: the flow value, a Fraction, and the clients on the
+        source side of the minimal min cut, which violate Hall's condition
+        together when the value falls short of the total demand.  Each
+        variant is solved only when the iterator is asked for it, so a
+        caller that stops at the first variant it needs solves no later
+        one.  The input is checked at the call: every supply must be
+        finite, every amount nonnegative, every forced client one of the
+        network's clients, and every name in `demand` and `supply` one the
+        network was built with.  Every finite demand and supply is scaled
+        by the lcm of their denominators, so every residual is an int.  A
+        forced variant starts from the base maximum flow, which stays
+        feasible when a capacity rises.  The first closed variant starts
+        from the zero flow and each later one from the maximum flow of the
+        one before: the sink arcs closed there reopen, the flow through
+        each newly closed center is cancelled back to the source, and only
+        that displaced load is augmented again.  The value and the minimal
+        min cut do not depend on the maximum flow reached.
+        """
+        if any(s is INF for s in supply.values()):
+            raise ContractViolation("infinite supply in a transport network")
+        if any(d is not INF and d < 0 for d in demand.values()):
+            raise InstanceError("negative demand")
+        if any(s < 0 for s in supply.values()):
+            raise InstanceError("negative capacity")
+        clients, head, adj = self.clients, self.head, self.adj
+        source_arc, sink_arc = self.source_arc, self.sink_arc
+        for names, arcs, kind in ((demand, source_arc, "client"), (supply, sink_arc, "center")):
+            for u in names:
+                if u not in arcs:
+                    raise ContractViolation(f"{kind} {u!r} is not in the transport network")
+        forced_arcs = []  # the source arc of each forced client
+        for w in forced:
+            if w not in source_arc:
+                raise InstanceError(f"forced client {w!r} is not a client of the network")
+            forced_arcs.append(source_arc[w])
+        finite = [d for d in demand.values() if d is not INF] + list(supply.values())
+        scale = math.lcm(*(a.denominator for a in finite))
+        zero = self.template[:]
+        for c, d in demand.items():
+            zero[source_arc[c]] = d if d is INF else d.numerator * (scale // d.denominator)
+        for v, s in supply.items():
+            zero[sink_arc[v]] = s.numerator * (scale // s.denominator)
+        first = len(clients) + 2
 
-    def cut(total, reached):
-        blocked = frozenset(clients[u - 2] for u in reached if 2 <= u < first)
-        return Fraction(total, scale), blocked
+        def cut(total, reached):
+            blocked = frozenset(clients[u - 2] for u in reached if 2 <= u < first)
+            return Fraction(total, scale), blocked
 
-    def variants():
-        if forced_arcs:
-            base = zero[:]
-            base_value, _ = _augment(head, base, adj, 0, 1)
-            for a in forced_arcs:
-                res = base[:]
-                res[a] = INF
+        def variants():
+            if forced_arcs:
+                base = zero[:]
+                base_value, _ = _augment(head, base, adj, 0, 1)
+                for a in forced_arcs:
+                    res = base[:]
+                    res[a] = INF
+                    more, reached = _augment(head, res, adj, 0, 1)
+                    yield cut(base_value + more, reached)
+            # the closed variants form one chain: each starts from the maximum
+            # flow of the one before, reopens that one's sink arcs, and cancels
+            # the flow through each newly closed center
+            res = zero[:]
+            total = 0
+            opened = []  # the sink arcs the previous variant closed
+            for F in closed:
+                for e in opened:
+                    res[e] = zero[e] - res[e ^ 1]  # raising a capacity keeps the flow feasible
+                opened = []
+                for v in F:
+                    e = sink_arc.get(v)
+                    if e is None:
+                        continue
+                    total -= res[e ^ 1]
+                    res[e ^ 1] = res[e] = 0
+                    for r in adj[head[e ^ 1]][1:]:  # the reverse of each client -> v arc holds its flow
+                        f = res[r]
+                        if f:
+                            res[r] = 0
+                            a = adj[0][head[r] - 2]  # the client's source arc
+                            res[a] += f
+                            res[a ^ 1] -= f
+                    opened.append(e)
                 more, reached = _augment(head, res, adj, 0, 1)
-                yield cut(base_value + more, reached)
-        # the closed variants form one chain: each starts from the maximum
-        # flow of the one before, reopens that one's sink arcs, and cancels
-        # the flow through each newly closed center
-        res = zero[:]
-        total = 0
-        opened = []  # the sink arcs the previous variant closed
-        for F in closed:
-            for e in opened:
-                res[e] = zero[e] - res[e ^ 1]  # raising a capacity keeps the flow feasible
-            opened = []
-            for v in F:
-                if v not in supply:
-                    continue
-                arcs = adj[center_id[v]]
-                e = arcs[0]  # the sink arc of v, its only own arc
-                total -= res[e ^ 1]
-                res[e ^ 1] = res[e] = 0
-                for r in arcs[1:]:  # the reverse of each client -> v arc holds its flow
-                    f = res[r]
-                    if f:
-                        res[r] = 0
-                        a = adj[0][head[r] - 2]  # the client's source arc
-                        res[a] += f
-                        res[a ^ 1] -= f
-                opened.append(e)
-            more, reached = _augment(head, res, adj, 0, 1)
-            total += more
-            yield cut(total, reached)
+                total += more
+                yield cut(total, reached)
 
-    return variants()
+        return variants()
+
+
+def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=(), closed=()):
+    """`TransportNetwork.cuts` on a network built for this one call: the
+    clients of `demand`, their `allowed` lists and the centers of
+    `supply`."""
+    return TransportNetwork(demand, allowed, supply).cuts(demand, supply, forced, closed)
 
 
 @dataclass

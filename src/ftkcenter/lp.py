@@ -23,8 +23,11 @@ tableau between rounds: each cut enters the same way, reduced to basis
 coordinates, and the dual simplex re-solves from the last basis.
 
 The two separators turn the exponential Hall-style constraint families into
-polynomially many min-cut computations, each family one `transport_cuts`
-call on integer residuals.  A pass solves its cuts in order and stops at the
+polynomially many min-cut computations.  Their client -> center network
+does not depend on the point, so a solver builds it once per threshold
+(`general_network`, `uniform_network`) and each pass is one
+`TransportNetwork.cuts` call on it with that round's supplies y * capacity,
+on integer residuals.  A pass solves its cuts in order and stops at the
 first violated one, the cut the loop adds; only a clean point costs the
 whole family.  Generated rows live for one threshold's solve and are
 discarded afterwards.
@@ -39,7 +42,7 @@ from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 from .clustering import Clustering
-from .flow import transport_cuts
+from .flow import TransportNetwork
 from .instance import (
     ContractViolation,
     InstanceError,
@@ -318,30 +321,44 @@ class Separation:
         return self.value < self.threshold
 
 
+def general_network(gprime: Sequence[int]) -> TransportNetwork:
+    """The network of `separate_general`: every vertex is a client and a
+    center, and a client may use its closed out-neighborhood in G', whose
+    out-neighborhood bitmasks `gprime` holds (`clustering.build_gprime`)."""
+    n = len(gprime)
+    allowed = {v: mask_bits(out | 1 << v) for v, out in enumerate(gprime)}
+    return TransportNetwork(range(n), allowed, range(n))
+
+
+def uniform_network(graph: ThresholdGraph, capacities: Sequence[int]) -> TransportNetwork:
+    """The network of `separate_uniform`: every vertex is a client, the
+    positive-capacity vertices are the centers, and a client may use the
+    centers of its closed neighborhood."""
+    n = graph.n
+    allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
+    return TransportNetwork(range(n), allowed, [u for u in range(n) if capacities[u] > 0])
+
+
 def separate_general(
     y: Mapping[int, Fraction],
-    graph: ThresholdGraph,
-    gprime: Sequence[int],
+    network: TransportNetwork,
     backup_set,
     alpha: int,
     capacities: Sequence[int],
 ) -> Separation:
     """Min-cut separation for the Hall rows over (U, F): one cut per failure
     scenario F (alpha backups), each the network of supplies y * capacity
-    over G' with F closed, the closed variants of one `transport_cuts` call.
-    `gprime` holds G's out-neighborhood bitmasks (`clustering.build_gprime`);
-    a client may use its closed out-neighborhood.  Stops at the
-    lowest-indexed violated scenario and returns its witness; `value` is
-    the minimum over the scenarios solved (see `Separation`)."""
-    n = graph.n
+    over G' with F closed, the closed variants of one `network.cuts` call
+    on the `general_network` of G'.  Stops at the lowest-indexed violated
+    scenario and returns its witness; `value` is the minimum over the
+    scenarios solved (see `Separation`)."""
     scenarios = list(combinations(sorted(backup_set), alpha))
     if not scenarios:  # no scenario to separate over
         return Separation(ZERO, ZERO, None, None, None)
-    closed_out = [out | 1 << v for v, out in enumerate(gprime)]
-    cuts = transport_cuts(
-        dict.fromkeys(range(n), 1),
-        {v: mask_bits(closed_out[v]) for v in range(n)},
-        {u: y[u] * capacities[u] for u in range(n)},
+    n = len(network.clients)
+    cuts = network.cuts(
+        dict.fromkeys(network.clients, 1),
+        {u: y[u] * capacities[u] for u in network.centers},
         closed=scenarios,
     )
     best = None
@@ -351,39 +368,39 @@ def separate_general(
             best = val
         if val < 0:
             U = tuple(sorted(blocked))
-            reach = 0
+            reach = set()
             for u in U:
-                reach |= closed_out[u]
-            reach &= ~sum(1 << f for f in F)
-            row = Row.make({u: capacities[u] for u in mask_bits(reach)}, ">=", len(U))
+                reach.update(network.allowed[u])
+            reach.difference_update(F)
+            row = Row.make({u: capacities[u] for u in reach}, ">=", len(U))
             return Separation(best, ZERO, U, F, row)
     return Separation(best, ZERO, None, None, None)
 
 
 def separate_uniform(
     y: Mapping[int, Fraction],
-    graph: ThresholdGraph,
+    network: TransportNetwork,
     capacities: Sequence[int],
     alpha: int,
 ) -> Separation:
-    """Min-cut separation for the uniform-capacity Hall rows over nonempty U.
+    """Min-cut separation for the uniform-capacity Hall rows over nonempty U,
+    on the `uniform_network` of the threshold graph.
 
     A single cut cannot rule out the empty set, so one cut is run per forced
     vertex (an infinite source arc pins it inside U); the minimum over all n
     cuts is the true minimum over nonempty U.  The n cuts are the forced
-    variants of one `transport_cuts` call, each warm-started from the
+    variants of one `network.cuts` call, each warm-started from the
     maximum flow of the unforced network.  Stops at the lowest forced
     vertex whose cut is violated and returns its witness; `value` is the
     minimum over the cuts solved (see `Separation`).
     """
-    n = graph.n
+    n = len(network.clients)
     L = uniform_capacity_level(capacities)
     threshold = Fraction(alpha * L)
-    allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
-    supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
+    supply = {u: y[u] * L for u in network.centers}
     best = None
-    for value, blocked in transport_cuts(
-        dict.fromkeys(range(n), 1), allowed, supply, forced=range(n)
+    for value, blocked in network.cuts(
+        dict.fromkeys(network.clients, 1), supply, forced=network.clients
     ):
         val = value - n
         if best is None or val < best:
@@ -392,7 +409,7 @@ def separate_uniform(
             U = tuple(sorted(blocked))
             reach = set()
             for v in U:
-                reach.update(allowed[v])
+                reach.update(network.allowed[v])
             row = Row.make({u: L for u in reach}, ">=", len(U) + alpha * L)
             return Separation(best, threshold, U, None, row)
     return Separation(best, threshold, None, None, None)

@@ -22,12 +22,14 @@ from .bottleneck import (
 from .clustering import backup_union, build_gprime, monarch_clustering, select_backups
 from .instance import InstanceError, MetricInstance, ThresholdGraph
 from .lp import (
+    general_network,
     lp_general_static,
     lp_uniform_static,
     separate_general,
     separate_uniform,
     solve_cutting_plane,
     static_general_infeasible,
+    uniform_network,
 )
 from .rounding import (
     GeneralRounding,
@@ -74,8 +76,9 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
         return PerTauInfeasible(why)
     gp = build_gprime(graph, cl, backups)
     lp = lp_general_static(graph, k, caps, cl, bset)
+    network = general_network(gp)  # one network for every round at this threshold
     y, _ = solve_cutting_plane(
-        lp, partial(separate_general, graph=graph, gprime=gp, backup_set=bset, alpha=alpha, capacities=caps)
+        lp, partial(separate_general, network=network, backup_set=bset, alpha=alpha, capacities=caps)
     )
     if y is None:
         return PerTauInfeasible(
@@ -92,8 +95,9 @@ def ft_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     if why:
         return PerTauInfeasible(why)
     lp = lp_uniform_static(graph, k, caps)
+    network = uniform_network(graph, caps)  # one network for every round at this threshold
     y, _ = solve_cutting_plane(
-        lp, partial(separate_uniform, graph=graph, capacities=caps, alpha=alpha)
+        lp, partial(separate_uniform, network=network, capacities=caps, alpha=alpha)
     )
     if y is None:
         return PerTauInfeasible(

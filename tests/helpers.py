@@ -6,7 +6,7 @@ front end with component counts from `components()`, closed
 out-neighborhoods read off G' masks, `transport` (one `flow.max_flow` on a
 `FlowNetwork` built arc by arc, the reference for each variant of
 `transport_cuts`), exhaustive reference implementations of the separation
-problems, the separators' full `transport_cuts` passes and the separators
+problems, the separators' full `TransportNetwork.cuts` passes and the separators
 with one `transport` per cut, the verifier with one assignment per failure
 scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
 cutting-plane loop, the Edmonds-Karp max-flow and the capacitated
@@ -27,7 +27,6 @@ from ftkcenter.flow import (
     HallWitness,
     capacitated_assignment,
     max_flow,
-    transport_cuts,
 )
 from ftkcenter.instance import (
     ContractViolation,
@@ -333,30 +332,26 @@ def random_separation_point(rng):
     return g, y, rng.randint(0, 2)
 
 
-def full_pass_general(y, graph, gprime, backup_set, alpha, capacities):
-    """value - n of every closed variant of the `transport_cuts` call that
+def full_pass_general(y, network, backup_set, alpha, capacities):
+    """value - n of every closed variant of the `network.cuts` call that
     `lp.separate_general` makes, one per failure scenario, all solved: the
     minimum is the global minimum over (U, F)."""
-    n = graph.n
-    cuts = transport_cuts(
-        dict.fromkeys(range(n), 1),
-        {v: closed_out(gprime, [v]) for v in range(n)},
-        {u: y[u] * capacities[u] for u in range(n)},
+    cuts = network.cuts(
+        dict.fromkeys(network.clients, 1),
+        {u: y[u] * capacities[u] for u in network.centers},
         closed=list(combinations(sorted(backup_set), alpha)),
     )
-    return [value - n for value, _ in cuts]
+    return [value - len(network.clients) for value, _ in cuts]
 
 
-def full_pass_uniform(y, graph, capacities):
-    """value - n of every forced variant of the `transport_cuts` call that
+def full_pass_uniform(y, network, capacities):
+    """value - n of every forced variant of the `network.cuts` call that
     `lp.separate_uniform` makes, one per vertex, all solved: the minimum is
     the global minimum over nonempty U."""
-    n = graph.n
     L = uniform_capacity_level(capacities)
-    allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
-    supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
-    cuts = transport_cuts(dict.fromkeys(range(n), 1), allowed, supply, forced=range(n))
-    return [value - n for value, _ in cuts]
+    supply = {u: y[u] * L for u in network.centers}
+    cuts = network.cuts(dict.fromkeys(network.clients, 1), supply, forced=network.clients)
+    return [value - len(network.clients) for value, _ in cuts]
 
 
 def stopped_value(values, threshold):
@@ -387,7 +382,7 @@ def assert_same_pass(sep, ref):
 def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
     """`lp.separate_general` with one `transport` per failure scenario F on
     the network rebuilt without F, every scenario solved, so `value` is the
-    global minimum: the reference for the single `transport_cuts` call of
+    global minimum: the reference for the single `network.cuts` call of
     the separator, which stops at its witness."""
     n = graph.n
     B = sorted(backup_set)
@@ -418,7 +413,7 @@ def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
 def per_cut_separate_uniform(y, graph, capacities, alpha):
     """`lp.separate_uniform` with one `transport` from scratch per forced
     vertex w, w's demand infinite, every vertex solved, so `value` is the
-    global minimum: the reference for the warm-started `transport_cuts` call
+    global minimum: the reference for the warm-started `network.cuts` call
     of the separator, which stops at its witness."""
     n = graph.n
     L = uniform_capacity_level(capacities)

@@ -37,7 +37,7 @@ from ftkcenter.instance import (
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
-from ftkcenter.lp import separate_general, separate_uniform
+from ftkcenter.lp import general_network, separate_general, separate_uniform, uniform_network
 from ftkcenter.oracle import (
     condition_b_exhaustive,
     exact_distance1,
@@ -321,10 +321,10 @@ def _brute_uniform(y, graph, caps):
 
 def test_separation_equivalence():
     """Min-cut separation matches exhaustive enumeration over all (U, F) on
-    100 random fractional points: the minimum of a full `transport_cuts`
-    pass equals the brute-force minimum, the separator's verdict matches
-    it, a clean point reports it as its value, and a violated point's row
-    cuts the point."""
+    100 random fractional points: the minimum of a full `cuts` pass on the
+    separator's network equals the brute-force minimum, the separator's
+    verdict matches it, a clean point reports it as its value, and a
+    violated point's row cuts the point."""
     rng = random.Random(441)
     violations = []
     checked_general = 0
@@ -345,9 +345,10 @@ def test_separation_equivalence():
         if len(bset) < alpha:
             continue
         y = {v: _rand_frac(rng) for v in range(n)}
-        sep = separate_general(y, G, gprime, bset, alpha, caps)
+        network = general_network(gprime)
+        sep = separate_general(y, network, bset, alpha, caps)
         brute = _brute_general(y, G, gprime, bset, alpha, caps)
-        full = min(full_pass_general(y, G, gprime, bset, alpha, caps))
+        full = min(full_pass_general(y, network, bset, alpha, caps))
         checked_general += 1
         if full != brute:
             violations.append(f"general n={n} a={alpha}: cut {full} vs brute {brute}")
@@ -368,9 +369,10 @@ def test_separation_equivalence():
         if all(c == 0 for c in caps):
             caps[0] = L
         y = {v: _rand_frac(rng) for v in range(n)}
-        sep = separate_uniform(y, G, caps, alpha)
+        network = uniform_network(G, caps)
+        sep = separate_uniform(y, network, caps, alpha)
         brute = _brute_uniform(y, G, caps)
-        full = min(full_pass_uniform(y, G, caps))
+        full = min(full_pass_uniform(y, network, caps))
         checked_uniform += 1
         if full != brute:
             violations.append(f"uniform n={n} a={alpha}: cut {full} vs brute {brute}")

@@ -281,6 +281,14 @@ class TestGapAndBench:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--count", "-1", "ftkc: --count must be nonnegative, got -1\n"),
+        ("--n", "-3", "ftkc: need at least one vertex\n"),
+    ])
+    def test_bench_negative_size_is_bad_input(self, capsys, flag, value, message):
+        assert main(["bench", "--alg", "ft-general", flag, value]) == 1
+        assert capsys.readouterr() == ("", message)
+
     def test_missing_input(self, capsys):
         rc = main(["solve", "--input", "definitely-not-here.json", "--alg", "ft-0l"])
         assert rc == 1

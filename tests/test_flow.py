@@ -1,39 +1,33 @@
 import ast
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from ftkcenter import flow, rounding
-from ftkcenter.clustering import (
-    backup_union,
-    build_gprime,
-    monarch_clustering,
-    select_backups,
-)
+from ftkcenter import flow, lp, rounding, solvers
 from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
 from ftkcenter.flow import (
     INF,
     FlowNetwork,
+    TransportNetwork,
     capacitated_assignment,
     max_flow,
     transport_cuts,
 )
-from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, Radius
-from ftkcenter.lp import separate_general, separate_uniform
+from ftkcenter.instance import ContractViolation, InstanceError, Radius
+from ftkcenter.lp import general_network, separate_general, separate_uniform, uniform_network
 from ftkcenter.oracle import random_point_instance, verify_ft
 from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
 
 from helpers import (
     cut_capacity,
-    cycle_graph,
     edmonds_karp_max_flow,
     flow_capacitated_assignment,
     full_pass_general,
     full_pass_uniform,
-    path_graph,
     random_separation_point,
     transport,
 )
@@ -152,7 +146,7 @@ def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("capacitated_assignment ran the flow engine")
 
-    for name in ("FlowNetwork", "max_flow", "transport_cuts"):
+    for name in ("FlowNetwork", "max_flow", "TransportNetwork", "transport_cuts"):
         monkeypatch.setattr(flow, name, no_flow)
     rng = random.Random(1608)
     feasible = infeasible = partial = 0
@@ -321,6 +315,60 @@ def test_transport_cuts_rejects_infinite_supply_and_unknown_clients():
         transport_cuts({0: Fraction(-1, 2)}, {0: [10]}, {10: 1}, closed=[()])
 
 
+def test_a_reused_network_matches_a_fresh_build():
+    """One `TransportNetwork` solved for a sequence of supply maps gives,
+    for every forced and closed variant, what a fresh `transport_cuts` call
+    gives.  The sequence changes denominators, zeroes supplies, leaves out
+    some centers' supply entries, and repeats an earlier map, which must
+    give the same cuts again: `cuts` never changes the network's residual
+    template."""
+    rng = random.Random(2025)
+    calls = short = dropped = 0
+    for _ in range(60):
+        clients = rng.sample(range(20), rng.randint(1, 6))
+        centers = list(range(20, 20 + rng.randint(1, 5)))
+        allowed = {c: rng.sample(centers, rng.randint(0, len(centers))) for c in clients}
+        network = TransportNetwork(clients, allowed, centers)
+        template = network.template[:]
+        demand = {c: rng.randint(0, 2) for c in clients}
+        forced = rng.sample(clients, rng.randint(0, len(clients)))
+        closed = [tuple(rng.sample(centers, rng.randint(0, min(2, len(centers))))) for _ in range(3)]
+        maps = []
+        for _ in range(4):
+            den = rng.randint(1, 7)
+            maps.append({
+                v: Fraction(rng.randint(0, 9), den) if rng.random() < 0.7 else 0
+                for v in centers if rng.random() < 0.85
+            })
+        maps.append(maps[0])
+        for supply in maps:
+            cuts = list(network.cuts(demand, supply, forced, closed))
+            # the fresh network has a sink arc only for the centers supplied
+            assert cuts == list(transport_cuts(demand, allowed, supply, forced, closed))
+            assert network.template == template
+            calls += 1
+            short += any(value < sum(demand.values()) for value, _ in cuts)
+            dropped += len(supply) < len(centers)
+    assert calls == 300 and short > 50 and dropped > 50, (short, dropped)
+
+
+def test_transport_network_rejects_names_it_was_not_built_with():
+    """A demand or supply entry for a client or center the network was not
+    built with is a caller bug, a `ContractViolation`, raised at the call;
+    a center named only in an allowed list is a dead end, not a center."""
+    network = TransportNetwork([0, 1], {0: [10], 1: [10, 11]}, [10])
+    with pytest.raises(ContractViolation, match="client 2"):
+        network.cuts({0: 1, 2: 1}, {10: 1})
+    with pytest.raises(ContractViolation, match="center 11"):
+        network.cuts({0: 1, 1: 1}, {10: 1, 11: 1})
+    with pytest.raises(ContractViolation, match="center 12"):
+        network.cuts({0: 1, 1: 1}, {12: 1})
+    with pytest.raises(InstanceError, match="forced client 2"):
+        network.cuts({0: 1, 1: 1}, {10: 1}, forced=[2])
+    [(value, blocked)] = network.cuts({0: 1, 1: 1}, {10: 1}, closed=[()])
+    assert (value, blocked) == (1, frozenset({0, 1}))
+
+
 def count_augments(monkeypatch):
     """Rebind `flow._augment`, the Dinic loop every variant runs, to a
     wrapper that counts its calls in the returned one-item list."""
@@ -367,10 +415,11 @@ def test_separate_uniform_stops_at_its_witness(monkeypatch):
         g, y, alpha = random_separation_point(rng)
         L = rng.randint(1, 3)
         caps = [L if rng.random() < 0.75 else 0 for _ in range(g.n)]
-        values = full_pass_uniform(y, g, caps)
+        network = uniform_network(g, caps)
+        values = full_pass_uniform(y, network, caps)
         w = next((i for i, val in enumerate(values) if val < alpha * L), None)
         calls[0] = 0
-        sep = separate_uniform(y, g, caps, alpha)
+        sep = separate_uniform(y, network, caps, alpha)
         assert sep.violated == (w is not None)
         if w is None:
             assert calls[0] == 1 + g.n
@@ -397,10 +446,11 @@ def test_separate_general_stops_at_its_witness(monkeypatch):
         backups = frozenset(rng.sample(range(n), rng.randint(0, min(n, 4))))
         caps = [rng.randint(0, 3) for _ in range(n)]
         scenarios = list(combinations(sorted(backups), alpha))
-        values = full_pass_general(y, g, gp, backups, alpha, caps)
+        network = general_network(gp)
+        values = full_pass_general(y, network, backups, alpha, caps)
         i = next((i for i, val in enumerate(values) if val < 0), None)
         calls[0] = 0
-        sep = separate_general(y, g, gp, backups, alpha, caps)
+        sep = separate_general(y, network, backups, alpha, caps)
         assert sep.violated == (i is not None)
         if i is None:
             assert calls[0] == len(scenarios)
@@ -589,31 +639,78 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
     assert counts["condition_b_flow"] + counts["tree_transfer"] > 0, counts
 
 
-def test_every_separation_pass_runs_one_transport_cuts_through_the_module_global(monkeypatch):
-    """Each separator call, and each `verify_ft` call, is one
-    `flow.transport_cuts` call, reached through the module global, and runs
-    no `max_flow`: its cuts share one set of integer residual arrays, so the
-    benchmark charges their time to the caller itself."""
-    calls = {"transport_cuts": 0, "max_flow": 0}
-    count_calls(monkeypatch, calls, flow.max_flow)
-    count_calls(monkeypatch, calls, flow.transport_cuts)
+@pytest.mark.parametrize("solve, variant, caps_mode", [
+    (solve_ft_general, "ft", "general"),
+    (solve_ft_uniform, "ft", "uniform"),
+    (solve_conservative_uniform, "conservative", "uniform"),
+    (solve_conservative_general, "conservative", "general"),
+], ids=["ft-general", "ft-0l", "cons-0l", "cons-general"])
+def test_one_network_per_threshold_and_one_cuts_call_per_pass(monkeypatch, solve, variant, caps_mode):
+    """Solves of seeded random instances, each followed by `verify()`:
+    every `solve_cutting_plane` call comes right after one `TransportNetwork`
+    build by the connected solver, every separation pass is one `cuts` call
+    on that network and builds no arrays, and every `verify_ft` call is one
+    `transport_cuts` call.  Calls are counted by code object, so a call that
+    bypasses a module global is counted too; the separators are also
+    counted through their module globals, as the benchmark probes them."""
+    connected = {solvers.ft_general_connected.__code__, solvers.ft_uniform_connected.__code__}
+    separators = {lp.separate_general.__code__, lp.separate_uniform.__code__}
+    globals_seen = {"separate_general": 0, "separate_uniform": 0}
+    count_calls(monkeypatch, globals_seen, lp.separate_general)
+    count_calls(monkeypatch, globals_seen, lp.separate_uniform)
+    build, cuts = TransportNetwork.__init__.__code__, TransportNetwork.cuts.__code__
+    events = []  # b: a build in a connected solver, s: its solve, p: a pass
+    counts = dict.fromkeys(["pass", "cuts in a pass", "arrays in a pass",
+                            "verify_ft", "transport_cuts in verify_ft"], 0)
+    depth = [0]  # separator frames on the stack
 
-    g6 = cycle_graph(6)
-    caps6 = [2, 1, 3, 1, 2, 1]
-    cl = monarch_clustering(g6)
-    backups, reason = select_backups(cl, caps6, 1)
-    assert reason is None
-    half = {u: Fraction(1, 2) for u in range(6)}
-    p3 = path_graph(3)
-    line = MetricInstance.from_points([(0, 0), (1, 0), (2, 0), (3, 0)], 2, 1, [4, 4, 4, 4])
-    runs = {
-        "separate_general": lambda: separate_general(
-            half, g6, build_gprime(g6, cl, backups), backup_union(backups), 1, caps6),
-        "separate_uniform": lambda: separate_uniform(
-            {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}, p3, [1, 1, 1], 0),
-        "verify_ft": lambda: verify_ft(line, [1, 2], Radius.exact(Fraction(2))),
-    }
-    for label, run in runs.items():
-        calls.update(transport_cuts=0, max_flow=0)
-        run()
-        assert calls == {"transport_cuts": 1, "max_flow": 0}, (label, calls)
+    def caller(frame, levels):
+        for _ in range(levels):
+            frame = frame.f_back
+        return frame.f_code
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if code in separators:
+            if event == "call":
+                depth[0] += 1
+                counts["pass"] += 1
+                events.append("p")
+            elif event == "return":
+                depth[0] -= 1
+            return
+        if event != "call":
+            return
+        if code is build and caller(frame, 2) in connected:  # via general_network or uniform_network
+            events.append("b")
+        elif code is lp.solve_cutting_plane.__code__ and caller(frame, 1) in connected:
+            events.append("s")
+        elif code is cuts and depth[0]:
+            counts["cuts in a pass"] += caller(frame, 1) in separators
+        elif code is flow._arrays.__code__ and depth[0]:
+            counts["arrays in a pass"] += 1
+        elif code is verify_ft.__code__:
+            counts["verify_ft"] += 1
+        elif code is flow.transport_cuts.__code__ and caller(frame, 1) is verify_ft.__code__:
+            counts["transport_cuts in verify_ft"] += 1
+
+    rng = random.Random(f"one network per threshold/{variant}/{caps_mode}")
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for i in range(12):
+            inst = random_point_instance(rng, 7, 3, 1, variant=variant,
+                                         caps_mode=caps_mode, name=f"{variant}-{i}")
+            res = solve(inst)
+            if res.feasible:
+                assert res.verify().ok
+    finally:
+        sys.setprofile(previous)
+    trace = "".join(events)
+    assert re.fullmatch("(bsp*)+", trace), trace
+    assert "spp" in trace, trace  # some threshold reuses its network
+    assert counts["cuts in a pass"] == counts["pass"], counts
+    assert counts["arrays in a pass"] == 0, counts
+    assert sum(globals_seen.values()) == counts["pass"], (globals_seen, counts)
+    assert counts["transport_cuts in verify_ft"] == counts["verify_ft"], counts
+    assert (counts["verify_ft"] > 0) == (variant == "ft"), counts

@@ -22,12 +22,14 @@ from ftkcenter.lp import (
     Row,
     Separation,
     feasible_point,
+    general_network,
     lp_general_static,
     lp_uniform_static,
     separate_general,
     separate_uniform,
     solve_cutting_plane,
     static_general_infeasible,
+    uniform_network,
 )
 
 from helpers import (
@@ -302,7 +304,7 @@ def test_uniform_static_rows():
 def test_separate_uniform_frozen_path3():
     g = path_graph(3)
     y = {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}
-    sep = separate_uniform(y, g, [1, 1, 1], 0)
+    sep = separate_uniform(y, uniform_network(g, [1, 1, 1]), [1, 1, 1], 0)
     assert sep.value == Fraction(-2)
     assert sep.threshold == 0
     assert sep.violated
@@ -322,9 +324,10 @@ def test_separate_uniform_matches_brute():
             caps[0] = L
         alpha = rng.randint(0, 1)
         y = {u: Fraction(rng.randint(0, 4), 4) for u in range(n)}
-        sep = separate_uniform(y, g, caps, alpha)
+        network = uniform_network(g, caps)
+        sep = separate_uniform(y, network, caps, alpha)
         best = brute_separate_uniform(y, g, caps, alpha)
-        values = full_pass_uniform(y, g, caps)
+        values = full_pass_uniform(y, network, caps)
         assert min(values) == best
         assert sep.value == stopped_value(values, alpha * L)
         assert sep.violated == (best < alpha * L)
@@ -355,9 +358,10 @@ def test_separate_general_matches_brute():
             continue
         gp = build_gprime(g, cl, backups)
         y = {u: Fraction(rng.randint(0, 4), 4) for u in range(n)}
-        sep = separate_general(y, g, gp, bset, alpha, caps)
+        network = general_network(gp)
+        sep = separate_general(y, network, bset, alpha, caps)
         best = brute_separate_general(y, g, gp, bset, alpha, caps)
-        values = full_pass_general(y, g, gp, bset, alpha, caps)
+        values = full_pass_general(y, network, bset, alpha, caps)
         assert min(values) == best
         assert sep.value == stopped_value(values, 0)
         assert sep.violated == (best < 0)
@@ -375,16 +379,17 @@ def test_separate_general_matches_brute():
 def test_separate_general_no_scenarios_is_clean():
     g = path_graph(2)
     cl = monarch_clustering(g)
-    sep = separate_general({0: Fraction(1), 1: Fraction(0)}, g, build_gprime(g, cl, {}), frozenset(), 1, [1, 1])
+    network = general_network(build_gprime(g, cl, {}))
+    sep = separate_general({0: Fraction(1), 1: Fraction(0)}, network, frozenset(), 1, [1, 1])
     assert not sep.violated and sep.row is None
 
 
 def test_separators_match_one_transport_per_cut():
-    """One `transport_cuts` call per pass, stopped at its witness, gives the
-    verdict, threshold, witnesses and row of one `transport` per forced
-    vertex or failure scenario, all solved; its value is the global minimum
-    when clean and the minimum up to the witness of a full `transport_cuts`
-    pass when violated.  On graphs that may be disconnected, y with mixed
+    """One `cuts` call per pass on the separator's network, stopped at its
+    witness, gives the verdict, threshold, witnesses and row of one
+    `transport` per forced vertex or failure scenario, all solved; its
+    value is the global minimum when clean and the minimum up to the
+    witness of a full `cuts` pass when violated.  On graphs that may be disconnected, y with mixed
     denominators and zeros, {0,L} capacities with zeros, alpha 0..2 and
     backup sets too small for any scenario."""
     rng = random.Random(1994)
@@ -403,10 +408,11 @@ def test_separators_match_one_transport_per_cut():
 
         L = rng.randint(1, 3)
         caps = [L if rng.random() < 0.75 else 0 for _ in range(n)]
-        sep = separate_uniform(y, g, caps, alpha)
+        network = uniform_network(g, caps)
+        sep = separate_uniform(y, network, caps, alpha)
         ref = per_cut_separate_uniform(y, g, caps, alpha)
         assert_same_pass(sep, ref)
-        assert sep.value == stopped_value(full_pass_uniform(y, g, caps), sep.threshold)
+        assert sep.value == stopped_value(full_pass_uniform(y, network, caps), sep.threshold)
         seen["uniform violated"] += sep.violated
         seen["uniform stopped above the minimum"] += sep.value > ref.value
 
@@ -416,14 +422,15 @@ def test_separators_match_one_transport_per_cut():
         )
         backups = frozenset(rng.sample(range(n), rng.randint(0, min(n, 3))))
         caps = [rng.randint(0, 3) for _ in range(n)]
-        sep = separate_general(y, g, gp, backups, alpha, caps)
+        network = general_network(gp)
+        sep = separate_general(y, network, backups, alpha, caps)
         ref = per_cut_separate_general(y, g, gp, backups, alpha, caps)
         assert_same_pass(sep, ref)
         if len(backups) < alpha:
             seen["no scenario"] += 1
             assert sep == ref
         else:
-            values = full_pass_general(y, g, gp, backups, alpha, caps)
+            values = full_pass_general(y, network, backups, alpha, caps)
             assert sep.value == stopped_value(values, 0)
         seen["general violated"] += sep.violated
         seen["general stopped above the minimum"] += sep.value > ref.value
@@ -437,20 +444,22 @@ def test_cutting_plane_uniform_path5():
     surviving units for 5 clients."""
     g = path_graph(5)
     caps = [2] * 5
+    network = uniform_network(g, caps)
 
     def separator(y):
-        return separate_uniform(y, g, caps, 1)
+        return separate_uniform(y, network, caps, 1)
 
     y, cuts = solve_cutting_plane(lp_uniform_static(g, 4, caps), separator)
     assert y is not None
     assert len(cuts) >= 1
     assert all(c.violated for c in cuts)
-    assert not separate_uniform(y, g, caps, 1).violated
+    assert not separator(y).violated
     assert sum(y.values()) == 4
 
     unit = [1] * 5
+    unit_network = uniform_network(g, unit)
     y2, cuts2 = solve_cutting_plane(
-        lp_uniform_static(g, 4, unit), lambda y: separate_uniform(y, g, unit, 1)
+        lp_uniform_static(g, 4, unit), lambda y: separate_uniform(y, unit_network, unit, 1)
     )
     assert y2 is None
     assert len(cuts2) >= 1
@@ -462,7 +471,7 @@ def test_cutting_plane_round_cap():
     with pytest.raises(ContractViolation):
         solve_cutting_plane(
             lp_uniform_static(g, 4, caps),
-            lambda y: separate_uniform(y, g, caps, 1),
+            lambda y: separate_uniform(y, uniform_network(g, caps), caps, 1),
             max_rounds=0,
         )
 
@@ -618,9 +627,10 @@ def test_cutting_plane_matches_from_scratch_loop_uniform():
             caps[0] = L
         alpha = rng.randint(0, 2)
         lp = lp_uniform_static(g, rng.randint(1, n), caps)
+        network = uniform_network(g, caps)
 
         def separator(y):
-            return separate_uniform(y, g, caps, alpha)
+            return separate_uniform(y, network, caps, alpha)
 
         y, cuts = solve_cutting_plane(lp, separator)
         ref, _ = scratch_cutting_plane(lp, separator)
@@ -649,9 +659,10 @@ def test_cutting_plane_matches_from_scratch_loop_general():
         bset = backup_union(backups)
         gp = build_gprime(g, cl, backups)
         lp = lp_general_static(g, rng.randint(1, n), caps, cl, bset)
+        network = general_network(gp)
 
         def separator(y):
-            return separate_general(y, g, gp, bset, alpha, caps)
+            return separate_general(y, network, bset, alpha, caps)
 
         y, cuts = solve_cutting_plane(lp, separator)
         ref, _ = scratch_cutting_plane(lp, separator)

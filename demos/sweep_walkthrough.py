@@ -1,6 +1,7 @@
 """Walk through one bottleneck sweep, threshold by threshold.
 
-Builds a small point instance, probes each squared threshold with the
+Builds a small point instance, prints the thresholds that the sweep's
+certificates skip, probes each later threshold index with the
 per-threshold solver to show why the early ones fail, then solves the
 instance with the general fault-tolerant pipeline and compares the result
 against the exhaustive optimum.
@@ -8,7 +9,7 @@ against the exhaustive optimum.
 Run:  python3 demos/sweep_walkthrough.py
 """
 
-from ftkcenter.bottleneck import PerTauSolution, solve_components
+from ftkcenter.bottleneck import PerTauSolution, certified_start, solve_components
 from ftkcenter.instance import MetricInstance
 from ftkcenter.oracle import exact_opt_ft, verify_ft
 from ftkcenter.solvers import ft_general_connected, solve_ft_general
@@ -17,14 +18,19 @@ POINTS = [(0, 0), (1, 0), (2, 0), (5, 0), (6, 0), (7, 1)]
 
 
 def probe(inst):
-    """Re-run the per-threshold solver manually to narrate the sweep."""
-    for tau2 in inst.thresholds_sq():
-        G = inst.threshold_graph(tau2)
+    """Re-run the sweep by hand to narrate it: the certified skip records
+    first, then the per-threshold solver at each index from the start."""
+    start, records = certified_start(inst)
+    for tau2, reason in records:
+        print(f"  tau^2 <= {tau2}: skipped by certificate, {reason}")
+    thresholds = inst.thresholds_sq()
+    for i in range(start, len(thresholds)):
+        G = inst.threshold_graph_at(i)
         out = solve_components(G, inst.k, inst.alpha, inst.capacities, ft_general_connected)
         if isinstance(out, PerTauSolution):
-            print(f"  tau^2 = {tau2}: workable, centers {out.centers}")
+            print(f"  tau^2 = {thresholds[i]} (index {i}): workable, centers {out.centers}")
             return
-        print(f"  tau^2 = {tau2}: {out.reason}")
+        print(f"  tau^2 = {thresholds[i]} (index {i}): {out.reason}")
 
 
 def main():
@@ -33,12 +39,12 @@ def main():
     )
     print(f"instance: {inst.n} points, k={inst.k}, alpha={inst.alpha}")
     print(f"squared thresholds to sweep: {[str(t) for t in inst.thresholds_sq()]}")
-    print("\nsweep, threshold by threshold:")
+    print("\nsweep, certified skips and then threshold by threshold:")
     probe(inst)
 
     res = solve_ft_general(inst)
     print(f"\nsolver result: tau*^2 = {res.tau2_star} "
-          f"after trying {res.outcome.thresholds_tried} thresholds")
+          f"after visiting {res.outcome.thresholds_tried} thresholds")
     print(f"centers: {res.centers}")
     print(f"initial assignment: {res.assignment}")
     print(f"radius bound: {res.radius().display()}  (stretch {res.stretch} times tau*)")

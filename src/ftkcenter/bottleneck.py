@@ -1,13 +1,18 @@
 """Threshold sweep and per-component budget allocation.
 
-The sweep walks the sorted distinct distances from below and returns the
-first threshold whose unweighted solver succeeds; success is not monotone in
-the threshold, so no bisection here.  On a disconnected threshold graph each
-component gets its own least budget (a component can never borrow service
-across components), the per-component solutions merge into one, and
-`pad_centers` fills the merged center set up to k with centers that serve
-nobody.  All four solvers run through `solve_bottleneck`; they differ only
-in the connected-graph solver.
+The sweep walks the indices of the sorted distinct distances from below and
+returns the first threshold whose unweighted solver succeeds; success is not
+monotone in the threshold, so no bisection here.  A pipeline's sweep starts
+at `certified_start`: three exact certificates (a capacity sum, the
+component counts, and the reach to alpha+1 positive-capacity vertices),
+computed once per solve, reject a prefix of the thresholds without a graph
+or a solver call, and each adds one record to the reasons.
+
+On a disconnected threshold graph each component gets its own least budget
+(a component can never borrow service across components), the
+per-component solutions merge into one, and `pad_centers` fills the merged
+center set up to k with centers that serve nobody.  All four solvers run
+through `solve_bottleneck`; they differ only in the connected-graph solver.
 
 A solution's `scenario` is its pipeline's repair record, called with a
 failure set; a merged solution's is `MergedComponents`.
@@ -27,6 +32,7 @@ from .instance import (
     Radius,
     ThresholdGraph,
     failure_set,
+    mask_bits,
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
@@ -66,10 +72,16 @@ def quick_infeasible(graph: ThresholdGraph, k: int, caps: Sequence[int], alpha: 
                 f"vertex {v} has {good} positive-capacity neighbors, needs alpha+1={alpha + 1}"
             )
     if top < n:
-        return (
-            f"best {k - alpha} surviving capacities cover {top} < {n} clients"
-        )
+        return _short_capacity(k, alpha, top, n)
     return None
+
+
+def _short_capacity(k: int, alpha: int, top: int, n: int) -> str:
+    return f"best {k - alpha} surviving capacities cover {top} < {n} clients"
+
+
+def _too_many_components(count: int, k: int, alpha: int) -> str:
+    return f"{count} components need alpha+1={alpha + 1} centers each, more than k = {k}"
 
 
 @lru_cache(maxsize=64)
@@ -112,9 +124,7 @@ def solve_components(
     if count == 1:
         return connected(graph, k, list(caps), alpha)
     if count > k // (alpha + 1):
-        return PerTauInfeasible(
-            f"{count} components need alpha+1={alpha + 1} centers each, more than k = {k}"
-        )
+        return PerTauInfeasible(_too_many_components(count, k, alpha))
 
     spare = k - (alpha + 1) * count
     parts = []
@@ -189,28 +199,79 @@ class SweepSuccess:
 class SweepInfeasible:
     """Every threshold failed; the instance is infeasible outright."""
 
-    reasons: list  # (tau2, reason) per threshold, in sweep order
+    reasons: list  # (tau2, reason) per certified skip, then per threshold visited, in tau order
 
     @property
     def final_reason(self) -> str:
         return self.reasons[-1][1]
 
 
-def sweep(inst: MetricInstance, per_tau_solver: Callable):
+def sweep(inst: MetricInstance, per_tau_solver: Callable, certified=(0, ())):
     """First threshold (in increasing order) whose solver succeeds.
 
     The winning threshold is a lower bound on the optimal radius: the solver
     only succeeds when a distance-1-style solution of the threshold graph
-    exists, and it certifies infeasibility otherwise.
+    exists, and it certifies infeasibility otherwise.  The walk runs over
+    threshold indices from `certified`'s start, `certified_start(inst)` for
+    the pipelines and index 0 by default, and the certificate records open
+    the reasons.  `thresholds_tried` counts solver calls.
     """
-    reasons = []
-    for tau2 in inst.thresholds_sq():
-        G = inst.threshold_graph(tau2)
-        out = per_tau_solver(G)
+    start, skipped = certified
+    reasons = list(skipped)
+    thresholds = inst.thresholds_sq()
+    for i in range(start, len(thresholds)):
+        out = per_tau_solver(inst.threshold_graph_at(i))
         if isinstance(out, PerTauSolution):
-            return SweepSuccess(tau2, out, len(reasons) + 1)
-        reasons.append((tau2, out.reason))
+            return SweepSuccess(thresholds[i], out, i - start + 1)
+        reasons.append((thresholds[i], out.reason))
     return SweepInfeasible(reasons)
+
+
+def certified_start(inst: MetricInstance) -> tuple[int, list]:
+    """The first threshold index that no certificate rejects, and one
+    (tau2, reason) record per certificate that moves the start there: tau2
+    is the last threshold the certificate skips, the reason the wording of
+    the check it stands for.
+
+    Each certificate rejects a threshold only where every pipeline's
+    `solve_threshold` rejects it too, so the sweep's answer is unchanged:
+    - Capacity.  When the k-alpha largest capacities sum to less than n,
+      every threshold fails.  A connected graph fails the capacity check of
+      `quick_infeasible`, which all four connected solvers run first (the
+      general conservative one on capacities capped at n, which sum to no
+      more).  On a split graph each component runs it at its budget b_i;
+      the budgets sum to at most k, so the components' top b_i - alpha
+      sets together have at most k - alpha members, cannot cover all n
+      clients, and the components cannot all pass it.
+    - Components.  `counts[i]` does not increase with i, and
+      `solve_components` rejects more than k // (alpha+1) components.
+      Stripping 0-0 edges, in the {0,L} pipelines, only adds components.
+    - Positive neighbors.  `quick_infeasible` rejects a graph in which a
+      vertex has at most alpha positive-capacity vertices in its closed
+      neighborhood, and a component's closed neighborhoods are those of
+      the whole graph.  Stripping keeps every edge to a positive vertex.
+      So tau2 must reach the largest, over v, of the (alpha+1)-th smallest
+      squared distance from v to a positive vertex (`reach_index`).
+    Success is not monotone in tau, so nothing past the start is skipped.
+    """
+    thresholds = inst.thresholds_sq()
+    n, k, alpha, caps = inst.n, inst.k, inst.alpha, inst.capacities
+    positive, top = _capacity_profile(tuple(caps), k - alpha)
+    if top < n:
+        return len(thresholds), [(thresholds[-1], _short_capacity(k, alpha, top, n))]
+    counts = inst.component_counts()
+    start = next(i for i, count in enumerate(counts) if count <= k // (alpha + 1))
+    records = []
+    if start:
+        records.append((thresholds[start - 1], _too_many_components(counts[start - 1], k, alpha)))
+    reach = inst.reach_index(mask_bits(positive), alpha + 1)
+    if reach > start:
+        start = reach
+        why = quick_infeasible(inst.threshold_graph_at(start - 1), k, caps, alpha)
+        if why is None:
+            raise ContractViolation("the quick check passes a threshold below the positive reach")
+        records.append((thresholds[start - 1], why))
+    return start, records
 
 
 def solve_threshold(
@@ -275,13 +336,16 @@ def solve_bottleneck(
     distance-1 solver of each threshold-graph component.
 
     `uniform` marks a {0,L} pipeline: the capacities must have that form, and
-    0-0 edges are stripped at every threshold.
+    0-0 edges are stripped at every threshold.  The sweep starts at
+    `certified_start(inst)`.
     """
     if inst.variant != variant:
         raise InstanceError(f"{name} solves the {variant!r} variant, instance is {inst.variant!r}")
     if uniform:
         uniform_capacity_level(inst.capacities)
     outcome = sweep(
-        inst, lambda G: solve_threshold(G, inst.k, inst.alpha, inst.capacities, connected, uniform)
+        inst,
+        lambda G: solve_threshold(G, inst.k, inst.alpha, inst.capacities, connected, uniform),
+        certified_start(inst),
     )
     return SolveResult(name, inst, outcome)

@@ -13,10 +13,15 @@ root.
 The sweep compares each distance once per instance: the first threshold
 graph ranks the vertex pairs by squared distance, and every threshold graph
 is the prefix of that ranking up to its threshold, grown from the last
-prefix built.  The same ranking is walked once by a union-find, so each
-threshold graph knows its component count without a search.  A graph is
-its int adjacency bitmasks alone: closed neighborhoods, hop rows, balls and
-components are read off them by bitset frontier expansion.
+prefix built.  A threshold graph is addressed by its index in the ranking
+(`threshold_graph_at`), which is what the sweep walks; `threshold_graph`
+finds the index of a given tau2 by one bisection and wraps it.  The same
+ranking is walked once by a union-find, so each threshold graph knows its
+component count without a search, and the counts and the ranked int
+squares give the sweep its certified start without building a graph
+(`component_counts`, `reach_index`).  A graph is its int adjacency
+bitmasks alone: closed neighborhoods, hop rows, balls and components are
+read off them by bitset frontier expansion.
 """
 
 from __future__ import annotations
@@ -303,7 +308,7 @@ class ThresholdGraph:
 
     def component_count(self) -> int:
         """The number of connected components: read off the instance's
-        ranking for a graph from `MetricInstance.threshold_graph`, else
+        ranking for a graph from `MetricInstance.threshold_graph_at`, else
         counted by `components()`."""
         if self._count is None:
             self._count = len(self.components())
@@ -562,16 +567,17 @@ class MetricInstance:
     # -- thresholds ------------------------------------------------------
 
     def _ranking(self):
-        """(thresholds, pairs, prefix, counts), computed on first use and kept.
+        """(thresholds, pairs, prefix, counts, rank), computed on first use
+        and kept.
 
-        The distinct int squares are sorted and ranked, and `thresholds`
-        holds the interned `Fraction` of each: the sorted distinct squared
-        distances, 0 among them.  `pairs` holds every pair u < v as the id
-        u*n + v, ranked by squared distance, ties by id.  `prefix[i]` counts
-        the pairs within `thresholds[i]`, and `counts[i]` the connected
-        components of the graph they form.  The counts come from one
-        union-find pass over the ranked pairs that stops once everything
-        is connected.
+        The distinct int squares are sorted and ranked: `rank` maps each to
+        its index, and `thresholds` holds the interned `Fraction` of each,
+        the sorted distinct squared distances, 0 among them.  `pairs` holds
+        every pair u < v as the id u*n + v, ranked by squared distance, ties
+        by id.  `prefix[i]` counts the pairs within `thresholds[i]`, and
+        `counts[i]` the connected components of the graph they form.  The
+        counts come from one union-find pass over the ranked pairs that
+        stops once everything is connected.
         """
         ranking = self.__dict__.get("_ranked")
         if ranking is None:
@@ -587,7 +593,7 @@ class MetricInstance:
             thresholds = tuple(map(fracs.__getitem__, keys))
             pairs = array("H" if n <= 256 else "L", chain.from_iterable(buckets))
             prefix = array("L", accumulate(map(len, buckets)))
-            ranking = (thresholds, pairs, prefix, _component_counts(n, buckets))
+            ranking = (thresholds, pairs, prefix, _component_counts(n, buckets), rank)
             object.__setattr__(self, "_ranked", ranking)
         return ranking
 
@@ -595,16 +601,36 @@ class MetricInstance:
         """Sorted distinct squared distances, always including 0."""
         return self._ranking()[0]
 
-    def threshold_graph(self, tau2: Fraction) -> ThresholdGraph:
-        """Unweighted graph with an edge iff the squared distance is <= tau2:
-        the ranked pairs up to the last threshold not above tau2.
+    def component_counts(self) -> array:
+        """Entry i: the number of connected components of
+        `threshold_graph_at(i)`; it does not increase with i."""
+        return self._ranking()[3]
+
+    def reach_index(self, targets: Sequence[int], m: int) -> int:
+        """The first threshold index whose graph gives every vertex at least
+        m >= 1 of `targets` in its closed neighborhood, or the number of
+        thresholds when there are fewer than m targets.
+
+        A vertex has m targets within the m-th smallest of its int squares
+        to them, itself at 0 if it is one.  The largest of those over the
+        vertices is looked up in the ranking's int keys, so no `Fraction` is
+        compared.
+        """
+        rank = self._ranking()[4]
+        if len(targets) < m:
+            return len(rank)
+        ints, _ = self.__dict__["_ints"]
+        return rank[max(sorted(row[w] for w in targets)[m - 1] for row in ints)]
+
+    def threshold_graph_at(self, i: int) -> ThresholdGraph:
+        """The threshold graph of `thresholds_sq()[i]`: the ranked pairs up
+        to `prefix[i]`, with `counts[i]` components.
 
         The masks of the last prefix built are kept, so a sweep adds each
         ranked pair once; a shorter prefix is grown again from no edges.
         """
-        thresholds, pairs, prefix, counts = self._ranking()
-        i = bisect_right(thresholds, tau2)
-        end = prefix[i - 1] if i else 0
+        thresholds, pairs, prefix, counts, _ = self._ranking()
+        end = prefix[i]
         n = self.n
         start, masks = self.__dict__.get("_grown", (0, None))
         if masks is None or end < start:
@@ -614,8 +640,20 @@ class MetricInstance:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         object.__setattr__(self, "_grown", (end, masks))
-        graph = ThresholdGraph.from_masks(masks, _to_fraction(tau2))
-        graph._count = counts[i - 1] if i else n
+        graph = ThresholdGraph.from_masks(masks, thresholds[i])
+        graph._count = counts[i]
+        return graph
+
+    def threshold_graph(self, tau2: Fraction) -> ThresholdGraph:
+        """Unweighted graph with an edge iff the squared distance is <= tau2:
+        `threshold_graph_at` the last threshold not above tau2, found by one
+        bisection, and carrying tau2 as given.  Below 0 it has no edges."""
+        tau2 = _to_fraction(tau2)
+        i = bisect_right(self.thresholds_sq(), tau2) - 1
+        if i < 0:
+            return ThresholdGraph(self.n, (), tau2)
+        graph = self.threshold_graph_at(i)
+        graph.tau2 = tau2
         return graph
 
     # -- serialization ---------------------------------------------------
@@ -770,19 +808,3 @@ def load_instance(path) -> MetricInstance:
 def save_instance(inst: MetricInstance, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(inst.to_json())
-
-
-def hop_metric_instance(
-    graph: ThresholdGraph,
-    k: int,
-    alpha: int,
-    capacities: Sequence[int],
-    variant: str = "ft",
-    name: str = "hop-instance",
-) -> MetricInstance:
-    """Instance whose metric is the hop distance of a connected graph."""
-    if not graph.is_connected():
-        raise InstanceError("hop metric needs a connected graph")
-    hops = graph.hops()
-    dist = [[int(hops[i][j]) for j in range(graph.n)] for i in range(graph.n)]
-    return MetricInstance.from_matrix(dist, k, alpha, capacities, variant, name)

@@ -1,5 +1,6 @@
 """Shared test utilities: random feasible instances and random connected
-graphs, tiny graph builders, edge sets and masks read
+graphs, tiny graph builders, instances on a graph's hop metric, edge sets
+and masks read
 straight off the bits, the brute-force threshold filter, deque-BFS hop
 matrices and the hop-matrix clustering, the uncapped general-capacity
 front end with component counts from `components()`, closed
@@ -31,6 +32,7 @@ from ftkcenter.flow import (
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
+    MetricInstance,
     ThresholdGraph,
     mask_bits,
     uniform_capacity_level,
@@ -96,6 +98,22 @@ def path_graph(n: int) -> ThresholdGraph:
 
 def cycle_graph(n: int) -> ThresholdGraph:
     return ThresholdGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def hop_metric_instance(
+    graph: ThresholdGraph,
+    k: int,
+    alpha: int,
+    capacities,
+    variant: str = "ft",
+    name: str = "hop-instance",
+) -> MetricInstance:
+    """Instance whose metric is the hop distance of a connected graph."""
+    if not graph.is_connected():
+        raise InstanceError("hop metric needs a connected graph")
+    hops = graph.hops()
+    dist = [[int(hops[i][j]) for j in range(graph.n)] for i in range(graph.n)]
+    return MetricInstance.from_matrix(dist, k, alpha, capacities, variant, name)
 
 
 def power(graph: ThresholdGraph, ell: int) -> ThresholdGraph:

@@ -33,7 +33,6 @@ from ftkcenter.instance import (
     ContractViolation,
     Radius,
     ThresholdGraph,
-    hop_metric_instance,
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
@@ -65,6 +64,7 @@ from helpers import (
     exhaustive_residual,
     full_pass_general,
     full_pass_uniform,
+    hop_metric_instance,
     random_connected_graph,
     random_feasible_instance,
 )

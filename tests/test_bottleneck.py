@@ -12,13 +12,20 @@ from ftkcenter.bottleneck import (
     PerTauSolution,
     SweepInfeasible,
     SweepSuccess,
+    certified_start,
     pad_centers,
     quick_infeasible,
     solve_components,
     solve_threshold,
     sweep,
 )
-from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
+from ftkcenter import instance
+from ftkcenter.conservative import (
+    conservative_general_connected,
+    conservative_uniform_connected,
+    solve_conservative_general,
+    solve_conservative_uniform,
+)
 from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
@@ -35,7 +42,7 @@ from ftkcenter.solvers import (
     solve_ft_uniform,
 )
 
-from helpers import edge_set, path_graph
+from helpers import brute_threshold_pairs, edge_set, pair_masks, path_graph
 
 
 def make_fake_solver(need, record=None):
@@ -259,13 +266,14 @@ def test_components_count_exit_skips_the_solver():
 
 
 def test_all_zero_capacity_final_reason():
-    """With every capacity zero, 0-0 stripping leaves even the last
-    threshold graph edgeless, so the component count rejects it."""
+    """With every capacity zero the k-alpha largest capacities cover no
+    client, so the capacity certificate rejects the whole sweep in one
+    record at the largest threshold, and no graph is built."""
     inst = MetricInstance.from_points([(0, 0), (1, 0), (3, 0), (7, 0)], 2, 1, [0] * 4)
     res = solve_ft_uniform(inst)
     assert not res.feasible
-    assert [t for t, _ in res.outcome.reasons] == list(inst.thresholds_sq())
-    assert res.outcome.final_reason == "4 components need alpha+1=2 centers each, more than k = 2"
+    assert res.outcome.reasons == [(49, "best 1 surviving capacities cover 0 < 4 clients")]
+    assert inst.thresholds_sq()[-1] == 49 and "_grown" not in vars(inst)
 
 
 TWO_CLUSTERS = [(0, 0), (1, 0), (2, 0), (100, 0), (101, 0), (102, 0)]
@@ -359,3 +367,117 @@ def test_capped_search_matches_an_uncapped_ascending_search(connected, uniform):
             padded += sum(least) < k
             assert verify_ft(inst, out.centers, Radius(out.stretch, tau2)).ok
     assert split > 20 and solved > 10 and padded > 10, (split, solved, padded)
+
+
+PIPELINES = [
+    (solve_ft_general, ft_general_connected, False, "ft"),
+    (solve_ft_uniform, ft_uniform_connected, True, "ft"),
+    (solve_conservative_uniform, conservative_uniform_connected, True, "conservative"),
+    (solve_conservative_general, conservative_general_connected, False, "conservative"),
+]
+PIPELINE_IDS = ["ft-general", "ft-0l", "cons-0l", "cons-general"]
+
+
+def certificate_instance(rng, shape: str, uniform: bool, variant: str) -> MetricInstance:
+    """A small random instance of one shape: "few" has 1 to alpha
+    positive-capacity vertices, "short" has k-alpha largest capacities
+    below n, "split" is two clusters far apart, and "plain" is random
+    points with the usual capacities."""
+    n = rng.randint(4, 8)
+    alpha = rng.randint(1, 2) if shape == "few" else rng.randint(0, 1)
+    k = rng.randint(alpha + 1, n if shape != "short" else max(alpha + 1, n // 2))
+    level = rng.randint(1, n)
+    if shape == "split":
+        points = [(100 * (i % 2) + rng.randrange(4), rng.randrange(4)) for i in range(n)]
+    else:
+        span = rng.choice((6, 50))
+        points = [(rng.randrange(span), rng.randrange(span)) for _ in range(n)]
+    if shape == "few":  # one positive vertex covers everyone, so the capacity sum passes
+        caps = [0] * n
+        for v in rng.sample(range(n), rng.randint(1, alpha)):
+            caps[v] = n
+    elif shape == "short":
+        level = (n - 1) // (k - alpha)
+        caps = [level if uniform else rng.randint(0, level) for _ in range(n)]
+    else:
+        caps = [level if rng.random() < 0.85 else 0 for _ in range(n)] if uniform else [
+            rng.randint(0, n) for _ in range(n)
+        ]
+    return MetricInstance.from_points(points, k, alpha, caps, variant=variant)
+
+
+@pytest.mark.parametrize("solve, connected, uniform, variant", PIPELINES, ids=PIPELINE_IDS)
+def test_certified_start_matches_the_unskipped_sweep(solve, connected, uniform, variant):
+    """The certified solve gives the tau*, centers, verdict and last rejected
+    threshold of a sweep from index 0 with the same per-threshold solver;
+    every skipped index is one that solver rejects; the records are one per
+    certificate that moved the start, in tau order, ending at the last
+    skipped threshold, and the visits follow them."""
+    rng = random.Random(f"certified/{variant}/{uniform}")
+    seen = {"capacity": 0, "components": 0, "vertex": 0, "everything": 0, "split": 0, "feasible": 0}
+    for t in range(32):
+        inst = certificate_instance(rng, ("few", "short", "split", "plain")[t % 4], uniform, variant)
+        k, alpha, caps = inst.k, inst.alpha, inst.capacities
+        thresholds = inst.thresholds_sq()
+
+        def per_tau(G):
+            return solve_threshold(G, k, alpha, caps, connected, uniform)
+
+        ref = sweep(inst, per_tau)
+        res = solve(inst)
+        start, records = certified_start(inst)
+        for i in range(start):
+            assert isinstance(per_tau(inst.threshold_graph_at(i)), PerTauInfeasible), (inst, i)
+        taus = [tau2 for tau2, _ in records]
+        assert taus == sorted(set(taus)) and (not records or taus[-1] == thresholds[start - 1])
+        seen["everything"] += start == len(thresholds) and records[-1][1].startswith("vertex ")
+        for _, reason in records:
+            kind = reason.split()[0]
+            seen[{"best": "capacity", "vertex": "vertex"}.get(kind, "components")] += 1
+        assert res.feasible == isinstance(ref, SweepSuccess), inst
+        if res.feasible:
+            seen["feasible"] += 1
+            seen["split"] += isinstance(res.outcome.solution.scenario, MergedComponents)
+            assert res.tau2_star == ref.tau2_star
+            assert res.centers == ref.solution.centers
+            assert res.outcome.thresholds_tried == ref.thresholds_tried - start
+        else:
+            assert res.outcome.reasons[-1][0] == ref.reasons[-1][0] == thresholds[-1]
+            assert res.outcome.reasons == records + ref.reasons[start:]
+    assert all(seen.values()), seen
+
+
+def test_threshold_graph_at_matches_threshold_graph_in_any_order():
+    """Index and value queries share one growing prefix: in a random order
+    that goes backwards as well as forwards, each index's graph equals the
+    brute-force filter at its threshold and the graph of its threshold
+    value, masks, tau2 and component count."""
+    rng = random.Random("certified/graph-at")
+    for n in (1, 5, 11):
+        points = [(rng.randrange(6), rng.randrange(6)) for _ in range(n)]
+        inst = MetricInstance.from_points(points, 1, 0, [1] * n)
+        thresholds = inst.thresholds_sq()
+        order = list(range(len(thresholds))) * 2
+        rng.shuffle(order)
+        for i in order + [len(thresholds) - 1, 0]:
+            G = inst.threshold_graph_at(i)
+            assert G.masks == pair_masks(n, brute_threshold_pairs(inst, thresholds[i]))
+            H = inst.threshold_graph(thresholds[i])
+            assert G.masks == H.masks and G.tau2 == H.tau2 == thresholds[i]
+            assert G.component_count() == H.component_count() == len(H.components())
+
+
+@pytest.mark.parametrize("solve, connected, uniform, variant", PIPELINES, ids=PIPELINE_IDS)
+def test_a_solve_does_no_bisect(monkeypatch, solve, connected, uniform, variant):
+    """The sweep walks threshold indices, so no solve bisects the Fraction
+    thresholds, on a feasible or an infeasible instance."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bisect during a solve")
+
+    monkeypatch.setattr(instance, "bisect_right", refuse)
+    caps = [3, 3, 0, 3, 3, 3] if uniform else [3, 1, 2, 3, 2, 3]
+    for k in (5, 1):
+        inst = MetricInstance.from_points(TWO_CLUSTERS, k, k // 4, caps, variant=variant)
+        res = solve(inst)
+        assert res.feasible == (k == 5)

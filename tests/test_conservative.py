@@ -29,13 +29,12 @@ from ftkcenter.instance import (
     InstanceError,
     Radius,
     ThresholdGraph,
-    hop_metric_instance,
 )
 from ftkcenter.oracle import exact_opt_conservative, random_point_instance, verify_conservative
 from ftkcenter import rounding
 from ftkcenter.rounding import repair
 
-from helpers import cycle_graph, exhaustive_residual, path_graph, power
+from helpers import cycle_graph, exhaustive_residual, hop_metric_instance, path_graph, power
 
 
 def test_build_backup_set_single_heavy_end():

@@ -345,7 +345,8 @@ def test_rejected_thresholds_skip_backups_and_component_lists(monkeypatch):
     """k = 3, alpha = 1: at most one head fits, so backup selection sees
     only one-head clusterings, and with at most one component allowed
     the components of a threshold graph are never listed.  A connected
-    threshold graph never lists its components, whatever k."""
+    threshold graph never lists its components, whatever k: with k = 5 and
+    two clusters far apart, only the two-component thresholds list them."""
     heads_seen, capped, listed = [], [], []
     select_backups, cluster = clustering.select_backups, clustering.monarch_clustering
     components = ThresholdGraph.components
@@ -372,5 +373,7 @@ def test_rejected_thresholds_skip_backups_and_component_lists(monkeypatch):
     assert sum(capped) > 0 and len(heads_seen) == capped.count(False)
     assert listed == []
     # k = 5: two components fit, and only then are they listed
-    assert solve_ft_general(random_point_instance(rng, 16, 5, 1, span=1000)).feasible
+    points = [(rng.randrange(30) + 1000 * (i >= 8), rng.randrange(30)) for i in range(16)]
+    caps = [rng.randint(1, 16) for _ in range(16)]
+    assert solve_ft_general(MetricInstance.from_points(points, 5, 1, caps)).feasible
     assert listed and set(listed) == {2}

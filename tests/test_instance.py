@@ -13,13 +13,19 @@ from ftkcenter.instance import (
     canonical_json,
     decimal_str,
     exact_decimal,
-    hop_metric_instance,
     mask_bits,
     parse_exact_json,
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
-from helpers import cycle_graph, edge_set, path_graph, per_pair_triangle_failure, power
+from helpers import (
+    cycle_graph,
+    edge_set,
+    hop_metric_instance,
+    path_graph,
+    per_pair_triangle_failure,
+    power,
+)
 
 LINE3 = [(0, 0), (1, 0), (2, 0)]
 

@@ -1,26 +1,28 @@
 """Walk through one bottleneck sweep, threshold by threshold.
 
-Builds a small point instance, prints the thresholds that the sweep's
-certificates skip, probes each later threshold index with the
-per-threshold solver to show why the early ones fail, then solves the
-instance with the general fault-tolerant pipeline and compares the result
-against the exhaustive optimum.
+Builds a small point instance, prints the thresholds that the general
+fault-tolerant pipeline's certificates skip, probes each later threshold
+index with the per-threshold solver to show why the early ones fail, then
+solves the instance with that pipeline and compares the result against the
+exhaustive optimum.  The script raises if the sweep it narrates visits a
+different number of thresholds than the solver did.
 
 Run:  python3 demos/sweep_walkthrough.py
 """
 
-from ftkcenter.bottleneck import PerTauSolution, certified_start, solve_components
+from ftkcenter.bottleneck import PerTauSolution, solve_components
 from ftkcenter.instance import MetricInstance
 from ftkcenter.oracle import exact_opt_ft, verify_ft
-from ftkcenter.solvers import ft_general_connected, solve_ft_general
+from ftkcenter.solvers import ft_general_connected, ft_general_start, solve_ft_general
 
 POINTS = [(0, 0), (1, 0), (2, 0), (5, 0), (6, 0), (7, 1)]
 
 
 def probe(inst):
     """Re-run the sweep by hand to narrate it: the certified skip records
-    first, then the per-threshold solver at each index from the start."""
-    start, records = certified_start(inst)
+    first, then the per-threshold solver at each index from the start.
+    Returns the number of thresholds visited."""
+    start, records = ft_general_start(inst)
     for tau2, reason in records:
         print(f"  tau^2 <= {tau2}: skipped by certificate, {reason}")
     thresholds = inst.thresholds_sq()
@@ -29,8 +31,9 @@ def probe(inst):
         out = solve_components(G, inst.k, inst.alpha, inst.capacities, ft_general_connected)
         if isinstance(out, PerTauSolution):
             print(f"  tau^2 = {thresholds[i]} (index {i}): workable, centers {out.centers}")
-            return
+            return i - start + 1
         print(f"  tau^2 = {thresholds[i]} (index {i}): {out.reason}")
+    return len(thresholds) - start
 
 
 def main():
@@ -40,9 +43,13 @@ def main():
     print(f"instance: {inst.n} points, k={inst.k}, alpha={inst.alpha}")
     print(f"squared thresholds to sweep: {[str(t) for t in inst.thresholds_sq()]}")
     print("\nsweep, certified skips and then threshold by threshold:")
-    probe(inst)
+    visits = probe(inst)
 
     res = solve_ft_general(inst)
+    if visits != res.outcome.thresholds_tried:
+        raise RuntimeError(
+            f"narrated {visits} visits, the solver made {res.outcome.thresholds_tried}"
+        )
     print(f"\nsolver result: tau*^2 = {res.tau2_star} "
           f"after visiting {res.outcome.thresholds_tried} thresholds")
     print(f"centers: {res.centers}")

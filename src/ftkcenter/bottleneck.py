@@ -6,7 +6,9 @@ monotone in the threshold, so no bisection here.  A pipeline's sweep starts
 at `certified_start`: three exact certificates (a capacity sum, the
 component counts, and the reach to alpha+1 positive-capacity vertices),
 computed once per solve, reject a prefix of the thresholds without a graph
-or a solver call, and each adds one record to the reasons.
+or a solver call, and each adds one record to the reasons.  A pipeline
+whose own solver rejects a longer prefix passes `solve_bottleneck` a start
+of its own (`solvers.ft_general_start`).
 
 On a disconnected threshold graph each component gets its own least budget
 (a component can never borrow service across components), the
@@ -212,9 +214,9 @@ def sweep(inst: MetricInstance, per_tau_solver: Callable, certified=(0, ())):
     The winning threshold is a lower bound on the optimal radius: the solver
     only succeeds when a distance-1-style solution of the threshold graph
     exists, and it certifies infeasibility otherwise.  The walk runs over
-    threshold indices from `certified`'s start, `certified_start(inst)` for
-    the pipelines and index 0 by default, and the certificate records open
-    the reasons.  `thresholds_tried` counts solver calls.
+    threshold indices from `certified`'s start, the pipeline's certified
+    start (`solve_bottleneck`) and index 0 by default, and the certificate
+    records open the reasons.  `thresholds_tried` counts solver calls.
     """
     start, skipped = certified
     reasons = list(skipped)
@@ -330,14 +332,20 @@ class SolveResult:
 
 
 def solve_bottleneck(
-    inst: MetricInstance, name: str, variant: str, connected: Callable, uniform: bool = False
+    inst: MetricInstance,
+    name: str,
+    variant: str,
+    connected: Callable,
+    uniform: bool = False,
+    certify: Callable = certified_start,
 ) -> SolveResult:
     """Sweep `inst` with `connected(graph, budget, caps, alpha)` as the
     distance-1 solver of each threshold-graph component.
 
     `uniform` marks a {0,L} pipeline: the capacities must have that form, and
     0-0 edges are stripped at every threshold.  The sweep starts at
-    `certified_start(inst)`.
+    `certify(inst)`, a (start, records) pair: `certified_start` unless the
+    pipeline's own solver rejects more.
     """
     if inst.variant != variant:
         raise InstanceError(f"{name} solves the {variant!r} variant, instance is {inst.variant!r}")
@@ -346,6 +354,6 @@ def solve_bottleneck(
     outcome = sweep(
         inst,
         lambda G: solve_threshold(G, inst.k, inst.alpha, inst.capacities, connected, uniform),
-        certified_start(inst),
+        certify(inst),
     )
     return SolveResult(name, inst, outcome)

@@ -19,9 +19,9 @@ finds the index of a given tau2 by one bisection and wraps it.  The same
 ranking is walked once by a union-find, so each threshold graph knows its
 component count without a search, and the counts and the ranked int
 squares give the sweep its certified start without building a graph
-(`component_counts`, `reach_index`).  A graph is its int adjacency
-bitmasks alone: closed neighborhoods, hop rows, balls and components are
-read off them by bitset frontier expansion.
+(`component_counts`, `reach_index`, `two_hop_index`).  A graph is its int
+adjacency bitmasks alone: closed neighborhoods, hop rows, balls and
+components are read off them by bitset frontier expansion.
 """
 
 from __future__ import annotations
@@ -621,6 +621,20 @@ class MetricInstance:
             return len(rank)
         ints, _ = self.__dict__["_ints"]
         return rank[max(sorted(row[w] for w in targets)[m - 1] for row in ints)]
+
+    def two_hop_index(self, s: int) -> int:
+        """The first threshold index whose graph puts every vertex within
+        two hops of s.
+
+        v is within two hops of s at tau2 iff some m has both d2(s, m) and
+        d2(m, v) at most tau2; m = s and m = v stand for the direct pair.
+        The largest over v of the least such bound is looked up in the
+        ranking's int keys, so no `Fraction` is compared.
+        """
+        rank = self._ranking()[4]
+        ints, _ = self.__dict__["_ints"]
+        row = ints[s]
+        return rank[max(min(map(max, row, col)) for col in ints)]
 
     def threshold_graph_at(self, i: int) -> ThresholdGraph:
         """The threshold graph of `thresholds_sq()[i]`: the ranked pairs up

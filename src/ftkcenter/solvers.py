@@ -16,6 +16,7 @@ from .bottleneck import (
     PerTauInfeasible,
     PerTauSolution,
     SolveResult,
+    certified_start,
     quick_infeasible,
     solve_bottleneck,
 )
@@ -60,13 +61,9 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     why = quick_infeasible(graph, k, caps, alpha)
     if why:
         return PerTauInfeasible(why)
-    cap = k // (alpha + 1)
-    cl = monarch_clustering(graph, cap)
+    cl = monarch_clustering(graph, k // (alpha + 1))
     if cl is None:
-        return PerTauInfeasible(
-            f"{cap + 1} heads exceed k // (alpha+1) = {k} // {alpha + 1} = {cap}: their "
-            "closed neighborhoods are disjoint and need alpha+1 centers each"
-        )
+        return PerTauInfeasible(_too_many_heads(k, alpha))
     backups, why = select_backups(cl, caps, alpha)
     if backups is None:
         return PerTauInfeasible(why)
@@ -87,6 +84,43 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     rr = round_general(y, graph, cl, backups, caps)
     state = GeneralRounding(graph, list(caps), backups, rr, alpha)
     return PerTauSolution(tuple(rr.R), state(frozenset()), 10, state)
+
+
+def _too_many_heads(k: int, alpha: int) -> str:
+    cap = k // (alpha + 1)
+    return (
+        f"{cap + 1} heads exceed k // (alpha+1) = {k} // {alpha + 1} = {cap}: their "
+        "closed neighborhoods are disjoint and need alpha+1 centers each"
+    )
+
+
+def ft_general_start(inst: MetricInstance) -> tuple[int, list]:
+    """`certified_start`, moved on to `inst.two_hop_index(0)` when
+    k // (alpha+1) = 1, with one record at the last threshold it skips.
+
+    With one head allowed, every threshold below that index is rejected by
+    the ft-general pipeline: some vertex there is three or more hops from
+    vertex 0, or cannot reach it.  A split graph has more than
+    k // (alpha+1) = 1 component, which `solve_components` rejects.  A
+    connected graph goes to `ft_general_connected` at budget k, where
+    `monarch_clustering(graph, 1)` starts at head 0, finds a vertex exactly
+    three hops from it and returns None, unless `quick_infeasible` has
+    rejected the graph first.  From `certified_start` on, every graph is
+    connected (it has at most k // (alpha+1) = 1 component) and passes
+    `quick_infeasible`, whose checks the capacity and reach certificates
+    cover, so the head cap is the reason of every threshold skipped here.
+
+    The other pipelines never run the capped walk and keep
+    `certified_start`: the ft-0l LP, for one, can pass a threshold with two
+    disjoint closed neighborhoods when k = 2*alpha + 1 and L >= 2.
+    """
+    start, records = certified_start(inst)
+    if inst.k // (inst.alpha + 1) == 1:
+        walk = inst.two_hop_index(0)
+        if walk > start:
+            records.append((inst.thresholds_sq()[walk - 1], _too_many_heads(inst.k, inst.alpha)))
+            start = walk
+    return start, records
 
 
 def ft_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
@@ -117,7 +151,9 @@ def solve_ft_general(
             f"alpha={inst.alpha} exceeds the scenario-enumeration bound {alpha_bound}; "
             "use the uniform-capacity path or a conservative algorithm, or raise the bound"
         )
-    return solve_bottleneck(inst, "ft-general", "ft", ft_general_connected)
+    return solve_bottleneck(
+        inst, "ft-general", "ft", ft_general_connected, certify=ft_general_start
+    )
 
 
 def solve_ft_uniform(inst: MetricInstance) -> SolveResult:

@@ -3,6 +3,7 @@ solvers so every branch of the allocation logic is observable."""
 
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -37,6 +38,7 @@ from ftkcenter.instance import (
 from ftkcenter.oracle import verify_ft
 from ftkcenter.solvers import (
     ft_general_connected,
+    ft_general_start,
     ft_uniform_connected,
     solve_ft_general,
     solve_ft_uniform,
@@ -376,19 +378,26 @@ PIPELINES = [
     (solve_conservative_general, conservative_general_connected, False, "conservative"),
 ]
 PIPELINE_IDS = ["ft-general", "ft-0l", "cons-0l", "cons-general"]
+STARTS = {"ft-general": ft_general_start}  # every other pipeline starts at certified_start
+RECORD_KINDS = {"best": "capacity", "vertex": "vertex", "components": "components", "heads": "head walk"}
 
 
 def certificate_instance(rng, shape: str, uniform: bool, variant: str) -> MetricInstance:
     """A small random instance of one shape: "few" has 1 to alpha
     positive-capacity vertices, "short" has k-alpha largest capacities
-    below n, "split" is two clusters far apart, and "plain" is random
-    points with the usual capacities."""
+    below n, "split" is two clusters far apart, "walk" is a chain from
+    vertex 0 with k // (alpha+1) = 1, and "plain" is random points with the
+    usual capacities."""
     n = rng.randint(4, 8)
     alpha = rng.randint(1, 2) if shape == "few" else rng.randint(0, 1)
-    k = rng.randint(alpha + 1, n if shape != "short" else max(alpha + 1, n // 2))
+    top = {"short": max(alpha + 1, n // 2), "walk": 2 * alpha + 1}.get(shape, n)
+    k = rng.randint(alpha + 1, top)
     level = rng.randint(1, n)
     if shape == "split":
         points = [(100 * (i % 2) + rng.randrange(4), rng.randrange(4)) for i in range(n)]
+    elif shape == "walk":  # steps of 1 to 3: vertex 0 reaches the far end in two hops late
+        xs = accumulate(rng.randint(1, 3) for _ in range(n - 1))
+        points = [(0, 0)] + [(x, rng.randrange(2)) for x in xs]
     else:
         span = rng.choice((6, 50))
         points = [(rng.randrange(span), rng.randrange(span)) for _ in range(n)]
@@ -412,11 +421,16 @@ def test_certified_start_matches_the_unskipped_sweep(solve, connected, uniform, 
     threshold of a sweep from index 0 with the same per-threshold solver;
     every skipped index is one that solver rejects; the records are one per
     certificate that moved the start, in tau order, ending at the last
-    skipped threshold, and the visits follow them."""
+    skipped threshold, and the visits follow them.  Each pipeline is checked
+    against its own start: ft-general's also skips the thresholds at which
+    vertex 0 does not reach everyone in two hops when k // (alpha+1) = 1,
+    and no other pipeline's does."""
     rng = random.Random(f"certified/{variant}/{uniform}")
-    seen = {"capacity": 0, "components": 0, "vertex": 0, "everything": 0, "split": 0, "feasible": 0}
-    for t in range(32):
-        inst = certificate_instance(rng, ("few", "short", "split", "plain")[t % 4], uniform, variant)
+    kinds = ("capacity", "components", "vertex", "head walk", "everything", "split", "feasible")
+    seen = dict.fromkeys(kinds, 0)
+    shapes = ("few", "short", "split", "walk", "plain")
+    for t in range(40):
+        inst = certificate_instance(rng, shapes[t % 5], uniform, variant)
         k, alpha, caps = inst.k, inst.alpha, inst.capacities
         thresholds = inst.thresholds_sq()
 
@@ -425,15 +439,14 @@ def test_certified_start_matches_the_unskipped_sweep(solve, connected, uniform, 
 
         ref = sweep(inst, per_tau)
         res = solve(inst)
-        start, records = certified_start(inst)
+        start, records = STARTS.get(res.algorithm, certified_start)(inst)
         for i in range(start):
             assert isinstance(per_tau(inst.threshold_graph_at(i)), PerTauInfeasible), (inst, i)
         taus = [tau2 for tau2, _ in records]
         assert taus == sorted(set(taus)) and (not records or taus[-1] == thresholds[start - 1])
         seen["everything"] += start == len(thresholds) and records[-1][1].startswith("vertex ")
         for _, reason in records:
-            kind = reason.split()[0]
-            seen[{"best": "capacity", "vertex": "vertex"}.get(kind, "components")] += 1
+            seen[next(RECORD_KINDS[w] for w in reason.split() if w in RECORD_KINDS)] += 1
         assert res.feasible == isinstance(ref, SweepSuccess), inst
         if res.feasible:
             seen["feasible"] += 1
@@ -444,6 +457,8 @@ def test_certified_start_matches_the_unskipped_sweep(solve, connected, uniform, 
         else:
             assert res.outcome.reasons[-1][0] == ref.reasons[-1][0] == thresholds[-1]
             assert res.outcome.reasons == records + ref.reasons[start:]
+    walks = seen.pop("head walk")
+    assert walks > 0 if solve is solve_ft_general else walks == 0, walks
     assert all(seen.values()), seen
 
 

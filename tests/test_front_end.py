@@ -344,9 +344,12 @@ def test_sweeps_match_the_uncapped_front_end(variant):
 def test_rejected_thresholds_skip_backups_and_component_lists(monkeypatch):
     """k = 3, alpha = 1: at most one head fits, so backup selection sees
     only one-head clusterings, and with at most one component allowed
-    the components of a threshold graph are never listed.  A connected
-    threshold graph never lists its components, whatever k: with k = 5 and
-    two clusters far apart, only the two-component thresholds list them."""
+    the components of a threshold graph are never listed.  The ft-general
+    start skips every threshold at which vertex 0 is three hops from some
+    vertex, so no capped walk returns None there.  A connected threshold
+    graph never lists its components, whatever k: with k = 5 and two
+    clusters far apart, only the two-component thresholds list them, and
+    k // (alpha+1) = 2 leaves the cap thresholds to reject."""
     heads_seen, capped, listed = [], [], []
     select_backups, cluster = clustering.select_backups, clustering.monarch_clustering
     components = ThresholdGraph.components
@@ -370,10 +373,12 @@ def test_rejected_thresholds_skip_backups_and_component_lists(monkeypatch):
     rng = random.Random("front-end/count")
     assert solve_ft_general(random_point_instance(rng, 16, 3, 1, span=1000)).feasible
     assert heads_seen and set(heads_seen) == {1}
-    assert sum(capped) > 0 and len(heads_seen) == capped.count(False)
+    assert capped and not any(capped) and len(heads_seen) == len(capped)
     assert listed == []
-    # k = 5: two components fit, and only then are they listed
+    # k = 5: two components fit, and only then are they listed; the cap fires
+    capped.clear()
     points = [(rng.randrange(30) + 1000 * (i >= 8), rng.randrange(30)) for i in range(16)]
     caps = [rng.randint(1, 16) for _ in range(16)]
     assert solve_ft_general(MetricInstance.from_points(points, 5, 1, caps)).feasible
     assert listed and set(listed) == {2}
+    assert sum(capped) > 0

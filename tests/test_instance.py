@@ -362,3 +362,19 @@ def test_hop_metric_instance():
     assert inst.thresholds_sq() == (Fraction(0), Fraction(1), Fraction(4), Fraction(9))
     with pytest.raises(InstanceError):
         hop_metric_instance(ThresholdGraph(3, []), 1, 0, [1, 1, 1])
+
+
+def test_two_hop_index_matches_the_first_graph_with_a_full_two_ball():
+    """On random points with coincident ones (span 6) and on one point, the
+    index is the first threshold whose graph has every vertex within two
+    hops of s, for every s."""
+    rng = random.Random("instance/two-hop")
+    for t in range(120):
+        n = 1 if t % 10 == 0 else rng.randint(2, 9)
+        points = [(rng.randrange(6), rng.randrange(6)) for _ in range(n)]
+        inst = MetricInstance.from_points(points, 1, 0, [1] * n)
+        graphs = [inst.threshold_graph_at(i) for i in range(len(inst.thresholds_sq()))]
+        full = (1 << n) - 1
+        for s in range(n):
+            want = next(i for i, G in enumerate(graphs) if G.balls(s, 2)[2] == full)
+            assert inst.two_hop_index(s) == want, (points, s)

@@ -12,8 +12,9 @@ Run:  python3 demos/sweep_walkthrough.py
 
 from ftkcenter.bottleneck import PerTauSolution, solve_components
 from ftkcenter.instance import MetricInstance
-from ftkcenter.oracle import exact_opt_ft, verify_ft
+from ftkcenter.oracle import exact_opt_ft
 from ftkcenter.solvers import ft_general_connected, ft_general_start, solve_ft_general
+from ftkcenter.verify import verify_ft
 
 POINTS = [(0, 0), (1, 0), (2, 0), (5, 0), (6, 0), (7, 1)]
 

@@ -16,14 +16,9 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .oracle import (
-    exact_opt_conservative,
-    exact_opt_ft,
-    gap_instance,
-    verify_conservative,
-    verify_ft,
-)
+from .oracle import exact_opt_conservative, exact_opt_ft, gap_instance
 from .solvers import SolveResult, solve_ft_general, solve_ft_uniform
+from .verify import verify_conservative, verify_ft
 
 __all__ = [
     "ContractViolation",

@@ -38,7 +38,7 @@ from .instance import (
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
-from .oracle import verify_conservative, verify_ft
+from .verify import verify_conservative, verify_ft
 
 
 @dataclass

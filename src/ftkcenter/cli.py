@@ -33,8 +33,9 @@ from .instance import (
     parse_exact_json,
     save_instance,
 )
-from .oracle import exact_opt, gap_instance, random_point_instance, verify_conservative, verify_ft
+from .oracle import exact_opt, gap_instance, random_point_instance
 from .solvers import DEFAULT_ALPHA_BOUND, solve_ft_general, solve_ft_uniform
+from .verify import verify_conservative, verify_ft
 
 # algorithm name -> (the variant it solves, solve(instance, parsed arguments));
 # the lambdas look the solvers up at call time, so a rebound module global

@@ -27,7 +27,7 @@ from .bottleneck import (
     solve_bottleneck,
     solve_threshold,
 )
-from .clustering import greedy_independent, is_alpha_ell_independent
+from .clustering import backup_union, greedy_independent, is_alpha_ell_independent
 from .instance import (
     ContractViolation,
     MetricInstance,
@@ -63,9 +63,7 @@ def conservative_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: i
                 f"fewer than alpha={alpha}"
             )
         backups[a] = tuple(pool[:alpha])
-    bset = set()
-    for vs in backups.values():
-        bset.update(vs)
+    bset = backup_union(backups)
     budget = k - len(bset)
     if budget < 1:
         return PerTauInfeasible(

@@ -27,10 +27,10 @@ polynomially many min-cut computations.  Their client -> center network
 does not depend on the point, so a solver builds it once per threshold
 (`general_network`, `uniform_network`) and each pass is one
 `TransportNetwork.cuts` call on it with that round's supplies y * capacity,
-on integer residuals.  A pass solves its cuts in order and stops at the
-first violated one, the cut the loop adds; only a clean point costs the
-whole family.  Generated rows live for one threshold's solve and are
-discarded afterwards.
+on integer residuals.  A pass solves its cuts in order and returns the
+row of the first violated one, the cut the loop adds, or None; only a
+clean point costs the whole family.  Generated rows live for one
+threshold's solve and are discarded afterwards.
 """
 
 from __future__ import annotations
@@ -298,29 +298,6 @@ def lp_uniform_static(graph: ThresholdGraph, k: int, capacities: Sequence[int]) 
 # -- separation ----------------------------------------------------------
 
 
-@dataclass
-class Separation:
-    """Outcome of one separation pass.
-
-    The pass solves the cuts of the quantified family in order and stops at
-    the first violated one, whose witness and row it reports.  `value` is
-    the minimum of (reachable capacity - demand) over the cuts solved: over
-    the whole family when the candidate point is clean, and up to and
-    including the witness when it is violated, so the point is violated
-    iff value < threshold.
-    """
-
-    value: Fraction
-    threshold: Fraction
-    witness_U: tuple[int, ...] | None
-    witness_F: tuple[int, ...] | None
-    row: Row | None
-
-    @property
-    def violated(self) -> bool:
-        return self.value < self.threshold
-
-
 def general_network(gprime: Sequence[int]) -> TransportNetwork:
     """The network of `separate_general`: every vertex is a client and a
     center, and a client may use its closed out-neighborhood in G', whose
@@ -345,36 +322,29 @@ def separate_general(
     backup_set,
     alpha: int,
     capacities: Sequence[int],
-) -> Separation:
+) -> Row | None:
     """Min-cut separation for the Hall rows over (U, F): one cut per failure
     scenario F (alpha backups), each the network of supplies y * capacity
     over G' with F closed, the closed variants of one `network.cuts` call
-    on the `general_network` of G'.  Stops at the lowest-indexed violated
-    scenario and returns its witness; `value` is the minimum over the
-    scenarios solved (see `Separation`)."""
+    on the `general_network` of G'.  Returns the row of the lowest-indexed
+    violated scenario, whose cut is below n, or None if y is clean."""
     scenarios = list(combinations(sorted(backup_set), alpha))
     if not scenarios:  # no scenario to separate over
-        return Separation(ZERO, ZERO, None, None, None)
+        return None
     n = len(network.clients)
     cuts = network.cuts(
         dict.fromkeys(network.clients, 1),
         {u: y[u] * capacities[u] for u in network.centers},
         closed=scenarios,
     )
-    best = None
     for F, (value, blocked) in zip(scenarios, cuts):
-        val = value - n
-        if best is None or val < best:
-            best = val
-        if val < 0:
-            U = tuple(sorted(blocked))
+        if value < n:
             reach = set()
-            for u in U:
+            for u in blocked:
                 reach.update(network.allowed[u])
             reach.difference_update(F)
-            row = Row.make({u: capacities[u] for u in reach}, ">=", len(U))
-            return Separation(best, ZERO, U, F, row)
-    return Separation(best, ZERO, None, None, None)
+            return Row.make({u: capacities[u] for u in reach}, ">=", len(blocked))
+    return None
 
 
 def separate_uniform(
@@ -382,7 +352,7 @@ def separate_uniform(
     network: TransportNetwork,
     capacities: Sequence[int],
     alpha: int,
-) -> Separation:
+) -> Row | None:
     """Min-cut separation for the uniform-capacity Hall rows over nonempty U,
     on the `uniform_network` of the threshold graph.
 
@@ -390,55 +360,48 @@ def separate_uniform(
     vertex (an infinite source arc pins it inside U); the minimum over all n
     cuts is the true minimum over nonempty U.  The n cuts are the forced
     variants of one `network.cuts` call, each warm-started from the
-    maximum flow of the unforced network.  Stops at the lowest forced
-    vertex whose cut is violated and returns its witness; `value` is the
-    minimum over the cuts solved (see `Separation`).
+    maximum flow of the unforced network.  Returns the row of the lowest
+    forced vertex whose cut is below n + alpha * L, or None if y is clean.
     """
     n = len(network.clients)
     L = uniform_capacity_level(capacities)
-    threshold = Fraction(alpha * L)
     supply = {u: y[u] * L for u in network.centers}
-    best = None
     for value, blocked in network.cuts(
         dict.fromkeys(network.clients, 1), supply, forced=network.clients
     ):
-        val = value - n
-        if best is None or val < best:
-            best = val
-        if val < threshold:
-            U = tuple(sorted(blocked))
+        if value < n + alpha * L:
             reach = set()
-            for v in U:
+            for v in blocked:
                 reach.update(network.allowed[v])
-            row = Row.make({u: L for u in reach}, ">=", len(U) + alpha * L)
-            return Separation(best, threshold, U, None, row)
-    return Separation(best, threshold, None, None, None)
+            return Row.make({u: L for u in reach}, ">=", len(blocked) + alpha * L)
+    return None
+
+
+MAX_ROUNDS = 10_000
 
 
 def solve_cutting_plane(
-    lp: LinearProgram,
-    separator: Callable[[Mapping[int, Fraction]], Separation],
-    max_rounds: int = 10_000,
+    lp: LinearProgram, separator: Callable[[Mapping[int, Fraction]], Row | None]
 ):
     """Iterate solve/separate until a separation-clean point or infeasibility.
 
-    Returns (y, cuts) where y is None on infeasibility; the returned y has
-    passed a full final separation pass.  The static rows are solved once;
-    each cut is added to the kept tableau and re-solved by dual simplex.
-    Cuts are not reused across calls.
+    Returns (y, rows) where y is None on infeasibility and rows are the cuts
+    added, in order; the returned y has passed a full final separation pass.
+    The static rows are solved once; each cut is added to the kept tableau
+    and re-solved by dual simplex.  Cuts are not reused across calls.  A
+    loop that has not ended after MAX_ROUNDS separator calls breaks the
+    contract.
     """
     tab = _solve(lp)
-    cuts = []
-    for _ in range(max_rounds):
+    rows = []
+    for _ in range(MAX_ROUNDS):
         if tab is None:
-            return None, cuts
+            return None, rows
         y = tab.point()
-        sep = separator(y)
-        if sep is None or not sep.violated:
-            return y, cuts
-        if sep.row is None:
-            raise ContractViolation("violated separation without a row")
-        cuts.append(sep)
-        if not tab.cut(sep.row):
+        row = separator(y)
+        if row is None:
+            return y, rows
+        rows.append(row)
+        if not tab.cut(row):
             tab = None
     raise ContractViolation("cutting plane did not converge")

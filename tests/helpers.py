@@ -37,15 +37,10 @@ from ftkcenter.instance import (
     mask_bits,
     uniform_capacity_level,
 )
-from ftkcenter.lp import LinearProgram, Row, Separation, feasible_point, static_general_infeasible
-from ftkcenter.oracle import (
-    VerifyReport,
-    _check_centers,
-    exact_distance1,
-    exact_opt,
-    random_point_instance,
-)
+from ftkcenter.lp import LinearProgram, Row, feasible_point, static_general_infeasible
+from ftkcenter.oracle import exact_distance1, exact_opt, random_point_instance
 from ftkcenter.solvers import ft_general_connected
+from ftkcenter.verify import VerifyReport, _check_centers
 
 
 def random_feasible_instance(
@@ -372,93 +367,56 @@ def full_pass_uniform(y, network, capacities):
     return [value - len(network.clients) for value, _ in cuts]
 
 
-def stopped_value(values, threshold):
-    """`Separation.value` of a pass over `values` that stops at the first
-    one below threshold: the minimum up to and including it, or over all
-    of them when none is below."""
-    best = None
-    for val in values:
-        if best is None or val < best:
-            best = val
-        if val < threshold:
-            break
-    return best
-
-
-def assert_same_pass(sep, ref):
-    """`sep`, a pass that stops at its witness, agrees with `ref`, a full
-    pass: the same verdict, threshold, witnesses and row, the global
-    minimum when clean, and at least the global minimum when violated."""
-    fields = ("violated", "threshold", "witness_U", "witness_F", "row")
-    assert [getattr(sep, f) for f in fields] == [getattr(ref, f) for f in fields]
-    if sep.violated:
-        assert ref.value <= sep.value < sep.threshold
-    else:
-        assert sep.value == ref.value
+def assert_first_violated_row(row, y, minimum, threshold, ref):
+    """`row`, a separator's answer at y, is None exactly when the brute
+    `minimum` is at least `threshold`, cuts y when it is not None, and is
+    the row of `ref`, the per-cut reference."""
+    assert (row is None) == (minimum >= threshold)
+    if row is not None:
+        assert sum(c * y[v] for v, c in row.coeffs) < row.rhs
+    assert row == ref
 
 
 def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
     """`lp.separate_general` with one `transport` per failure scenario F on
-    the network rebuilt without F, every scenario solved, so `value` is the
-    global minimum: the reference for the single `network.cuts` call of
-    the separator, which stops at its witness."""
+    the network rebuilt without F: the row of the first scenario whose cut
+    is below n, or None.  The reference for the single `network.cuts` call
+    of the separator."""
     n = graph.n
-    B = sorted(backup_set)
     demand = dict.fromkeys(range(n), 1)
-    best = None
-    witness = None
-    for F in combinations(B, alpha):
+    for F in combinations(sorted(backup_set), alpha):
         Fset = frozenset(F)
         allowed = {v: [u for u in closed_out(gprime, [v]) if u not in Fset] for v in range(n)}
         supply = {u: y[u] * capacities[u] for u in range(n) if u not in Fset}
         value, blocked = transport(demand, allowed, supply)
-        val = value - n
-        if best is None or val < best:
-            best = val
-        if val < 0 and witness is None:
-            witness = (tuple(sorted(blocked)), F)
-    if best is None:
-        return Separation(Fraction(0), Fraction(0), None, None, None)
-    row = None
-    U = F = None
-    if witness is not None:
-        U, F = witness
-        reach = closed_out(gprime, U) - set(F)
-        row = Row.make({u: capacities[u] for u in reach}, ">=", len(U))
-    return Separation(best, Fraction(0), U, F, row)
+        if value < n:
+            reach = closed_out(gprime, blocked) - Fset
+            return Row.make({u: capacities[u] for u in reach}, ">=", len(blocked))
+    return None
 
 
 def per_cut_separate_uniform(y, graph, capacities, alpha):
     """`lp.separate_uniform` with one `transport` from scratch per forced
-    vertex w, w's demand infinite, every vertex solved, so `value` is the
-    global minimum: the reference for the warm-started `network.cuts` call
-    of the separator, which stops at its witness."""
+    vertex w, w's demand infinite: the row of the first w whose cut is
+    below n + alpha * L, or None.  The reference for the warm-started
+    `network.cuts` call of the separator."""
     n = graph.n
     L = uniform_capacity_level(capacities)
-    threshold = Fraction(alpha * L)
     allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
     supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
-    best = None
-    witness = None
     for w in range(n):
         demand = {v: INF if v == w else 1 for v in range(n)}
         value, blocked = transport(demand, allowed, supply)
-        val = value - n
-        if best is None or val < best:
-            best = val
-        if val < threshold and witness is None:
-            witness = tuple(sorted(blocked))
-    row = None
-    if witness is not None:
-        reach = set()
-        for v in witness:
-            reach.update(allowed[v])
-        row = Row.make({u: L for u in reach}, ">=", len(witness) + alpha * L)
-    return Separation(best, threshold, witness, None, row)
+        if value < n + alpha * L:
+            reach = set()
+            for v in blocked:
+                reach.update(allowed[v])
+            return Row.make({u: L for u in reach}, ">=", len(blocked) + alpha * L)
+    return None
 
 
 def scratch_verify_ft(inst, centers, radius):
-    """`oracle.verify_ft` with one `capacitated_assignment` per failure
+    """`verify.verify_ft` with one `capacitated_assignment` per failure
     scenario, each on the network rebuilt without the failed centers: the
     reference for the single `transport_cuts` call of the verifier."""
     bad = _check_centers(inst, centers)
@@ -640,28 +598,26 @@ def fraction_dual_simplex_point(lp):
     return x
 
 
-def scratch_cutting_plane(lp, separator, max_rounds=10_000):
+def scratch_cutting_plane(lp, separator):
     """The cutting-plane loop with a from-scratch `feasible_point` on all
     rows so far in every round: the reference for `lp.solve_cutting_plane`,
     which keeps its tableau and re-solves only from the last basis after
-    each cut.  Returns (y, cuts) with y None on infeasibility."""
+    each cut.  Returns (y, rows) with y None on infeasibility."""
     rows = list(lp.rows)
     seen = set(rows)
     cuts = []
-    for _ in range(max_rounds):
+    for _ in range(10_000):
         y = feasible_point(LinearProgram(lp.num_vars, rows))
         if y is None:
             return None, cuts
-        sep = separator(y)
-        if sep is None or not sep.violated:
+        row = separator(y)
+        if row is None:
             return y, cuts
-        if sep.row is None:
-            raise ContractViolation("violated separation without a row")
-        if sep.row in seen:
+        if row in seen:
             raise ContractViolation("separator returned an already-satisfied row")
-        seen.add(sep.row)
-        rows.append(sep.row)
-        cuts.append(sep)
+        seen.add(row)
+        rows.append(row)
+        cuts.append(row)
     raise ContractViolation("cutting plane did not converge")
 
 

@@ -65,6 +65,8 @@ from helpers import (
     full_pass_general,
     full_pass_uniform,
     hop_metric_instance,
+    per_cut_separate_general,
+    per_cut_separate_uniform,
     random_connected_graph,
     random_feasible_instance,
 )
@@ -322,9 +324,10 @@ def _brute_uniform(y, graph, caps):
 def test_separation_equivalence():
     """Min-cut separation matches exhaustive enumeration over all (U, F) on
     100 random fractional points: the minimum of a full `cuts` pass on the
-    separator's network equals the brute-force minimum, the separator's
-    verdict matches it, a clean point reports it as its value, and a
-    violated point's row cuts the point."""
+    separator's network equals the brute-force minimum, the separator
+    returns no row exactly when that minimum clears the threshold, a
+    returned row cuts the point, and it is the row of one `transport` per
+    cut on a rebuilt network."""
     rng = random.Random(441)
     violations = []
     checked_general = 0
@@ -346,20 +349,20 @@ def test_separation_equivalence():
             continue
         y = {v: _rand_frac(rng) for v in range(n)}
         network = general_network(gprime)
-        sep = separate_general(y, network, bset, alpha, caps)
+        row = separate_general(y, network, bset, alpha, caps)
         brute = _brute_general(y, G, gprime, bset, alpha, caps)
         full = min(full_pass_general(y, network, bset, alpha, caps))
         checked_general += 1
         if full != brute:
             violations.append(f"general n={n} a={alpha}: cut {full} vs brute {brute}")
-        if not sep.violated and sep.value != brute:
-            violations.append(f"general n={n} a={alpha}: clean value {sep.value} vs brute {brute}")
-        if (sep.value < sep.threshold) != (brute < 0):
+        if (row is None) != (brute >= 0):
             violations.append(f"general n={n} a={alpha}: verdict mismatch")
-        if sep.row is not None:
-            lhs = sum(Fraction(c) * y[u] for u, c in sep.row.coeffs)
-            if lhs >= sep.row.rhs:
+        if row is not None:
+            lhs = sum(Fraction(c) * y[u] for u, c in row.coeffs)
+            if lhs >= row.rhs:
                 violations.append(f"general n={n}: returned row does not cut the point")
+        if row != per_cut_separate_general(y, G, gprime, bset, alpha, caps):
+            violations.append(f"general n={n} a={alpha}: row differs from the per-cut reference")
     while checked_uniform < 50:
         n = rng.randint(3, 7)
         alpha = rng.randint(1, 2)
@@ -370,20 +373,20 @@ def test_separation_equivalence():
             caps[0] = L
         y = {v: _rand_frac(rng) for v in range(n)}
         network = uniform_network(G, caps)
-        sep = separate_uniform(y, network, caps, alpha)
+        row = separate_uniform(y, network, caps, alpha)
         brute = _brute_uniform(y, G, caps)
         full = min(full_pass_uniform(y, network, caps))
         checked_uniform += 1
         if full != brute:
             violations.append(f"uniform n={n} a={alpha}: cut {full} vs brute {brute}")
-        if not sep.violated and sep.value != brute:
-            violations.append(f"uniform n={n} a={alpha}: clean value {sep.value} vs brute {brute}")
-        if (sep.value < sep.threshold) != (brute < alpha * L):
+        if (row is None) != (brute >= alpha * L):
             violations.append(f"uniform n={n} a={alpha}: verdict mismatch")
-        if sep.row is not None:
-            lhs = sum(Fraction(c) * y[u] for u, c in sep.row.coeffs)
-            if lhs >= sep.row.rhs:
+        if row is not None:
+            lhs = sum(Fraction(c) * y[u] for u, c in row.coeffs)
+            if lhs >= row.rhs:
                 violations.append(f"uniform n={n}: returned row does not cut the point")
+        if row != per_cut_separate_uniform(y, G, caps, alpha):
+            violations.append(f"uniform n={n} a={alpha}: row differs from the per-cut reference")
     _report(
         "separation equivalence",
         violations,

@@ -8,7 +8,7 @@ import pytest
 from ftkcenter.bottleneck import SolveResult
 from ftkcenter.cli import ALGORITHMS, main
 from ftkcenter.instance import ContractViolation, MetricInstance, save_instance
-from ftkcenter.oracle import VerifyReport
+from ftkcenter.verify import VerifyReport
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
 

@@ -23,11 +23,16 @@ from ftkcenter.oracle import random_point_instance, verify_ft
 from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
 
 from helpers import (
+    assert_first_violated_row,
+    brute_separate_general,
+    brute_separate_uniform,
     cut_capacity,
     edmonds_karp_max_flow,
     flow_capacitated_assignment,
     full_pass_general,
     full_pass_uniform,
+    per_cut_separate_general,
+    per_cut_separate_uniform,
     random_separation_point,
     transport,
 )
@@ -406,8 +411,8 @@ def test_transport_cuts_solves_each_variant_on_demand(monkeypatch):
 
 def test_separate_uniform_stops_at_its_witness(monkeypatch):
     """A violated pass whose witness is forced vertex w runs the base flow
-    and the variants of vertices 0..w, 1 + (w + 1) augments; a clean pass
-    runs 1 + n."""
+    and the variants of vertices 0..w, 1 + (w + 1) augments, and returns
+    the row of the per-cut reference; a clean pass runs 1 + n."""
     calls = count_augments(monkeypatch)
     rng = random.Random(2016)
     seen = {"clean": 0, "stopped before the last vertex": 0}
@@ -418,9 +423,11 @@ def test_separate_uniform_stops_at_its_witness(monkeypatch):
         network = uniform_network(g, caps)
         values = full_pass_uniform(y, network, caps)
         w = next((i for i, val in enumerate(values) if val < alpha * L), None)
+        ref = per_cut_separate_uniform(y, g, caps, alpha)
         calls[0] = 0
-        sep = separate_uniform(y, network, caps, alpha)
-        assert sep.violated == (w is not None)
+        row = separate_uniform(y, network, caps, alpha)
+        assert_first_violated_row(row, y, brute_separate_uniform(y, g, caps, alpha), alpha * L, ref)
+        assert (row is None) == (w is None)
         if w is None:
             assert calls[0] == 1 + g.n
             seen["clean"] += 1
@@ -432,7 +439,8 @@ def test_separate_uniform_stops_at_its_witness(monkeypatch):
 
 def test_separate_general_stops_at_its_witness(monkeypatch):
     """A violated pass whose witness is the i-th failure scenario runs the
-    chain up to it, i + 1 augments; a clean pass runs one per scenario."""
+    chain up to it, i + 1 augments, and returns the row of the per-cut
+    reference; a clean pass runs one per scenario."""
     calls = count_augments(monkeypatch)
     rng = random.Random(2017)
     seen = {"clean": 0, "stopped before the last scenario": 0}
@@ -449,14 +457,16 @@ def test_separate_general_stops_at_its_witness(monkeypatch):
         network = general_network(gp)
         values = full_pass_general(y, network, backups, alpha, caps)
         i = next((i for i, val in enumerate(values) if val < 0), None)
+        ref = per_cut_separate_general(y, g, gp, backups, alpha, caps)
         calls[0] = 0
-        sep = separate_general(y, network, backups, alpha, caps)
-        assert sep.violated == (i is not None)
+        row = separate_general(y, network, backups, alpha, caps)
+        brute = brute_separate_general(y, g, gp, backups, alpha, caps)
+        assert_first_violated_row(row, y, brute, 0, ref)
+        assert (row is None) == (i is None)
         if i is None:
             assert calls[0] == len(scenarios)
             seen["clean"] += bool(scenarios)
         else:
-            assert sep.witness_F == scenarios[i]
             assert calls[0] == i + 1
             seen["stopped before the last scenario"] += i < len(scenarios) - 1
     assert min(seen.values()) >= 20, seen

@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used by its module, and only
-`flow.py` builds or runs a flow network."""
+"""Every module-level import of the package is used by its module, only
+`flow.py` builds or runs a flow network, and the exhaustive oracles stay out
+of the solver layers."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,45 @@ def test_flow_engine_only_in_flow_module(path):
 def test_flow_engine_name_is_detected():
     source = "from .flow import FlowNetwork as Net\nimport ftkcenter.flow as fl\nfl.max_flow(Net(0, 1))\n"
     assert flow_engine_names(source) == ["FlowNetwork", "max_flow"]
+
+
+ORACLE_IMPORTERS = {"__init__.py", "cli.py", "oracle.py"}
+
+
+def imports_oracle(source: str) -> bool:
+    """Whether the module imports `oracle` or a name from it, relatively or
+    by its package path, anywhere in the module."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "oracle":
+                return True
+            if any(a.name == "oracle" for a in node.names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "oracle" for a in node.names):
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name not in ORACLE_IMPORTERS),
+    ids=lambda p: p.name,
+)
+def test_oracle_is_imported_only_by_the_front_ends(path):
+    assert not imports_oracle(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .oracle import gap_instance\n",
+        "from . import oracle\n",
+        "def f():\n    from ftkcenter.oracle import exact_opt\n",
+        "import ftkcenter.oracle as o\n",
+    ],
+)
+def test_oracle_import_is_detected(source):
+    assert imports_oracle(source)
+    assert not imports_oracle("from .verify import verify_ft\nfrom . import flow\n")

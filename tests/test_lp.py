@@ -20,7 +20,6 @@ from ftkcenter.instance import ContractViolation, InstanceError
 from ftkcenter.lp import (
     LinearProgram,
     Row,
-    Separation,
     feasible_point,
     general_network,
     lp_general_static,
@@ -33,7 +32,7 @@ from ftkcenter.lp import (
 )
 
 from helpers import (
-    assert_same_pass,
+    assert_first_violated_row,
     brute_separate_general,
     brute_separate_uniform,
     cycle_graph,
@@ -47,7 +46,6 @@ from helpers import (
     random_connected_graph,
     random_separation_point,
     scratch_cutting_plane,
-    stopped_value,
 )
 
 
@@ -304,12 +302,8 @@ def test_uniform_static_rows():
 def test_separate_uniform_frozen_path3():
     g = path_graph(3)
     y = {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}
-    sep = separate_uniform(y, uniform_network(g, [1, 1, 1]), [1, 1, 1], 0)
-    assert sep.value == Fraction(-2)
-    assert sep.threshold == 0
-    assert sep.violated
-    assert sep.witness_U == (0, 1, 2)
-    assert sep.row == Row.make({0: 1, 1: 1, 2: 1}, ">=", 3)
+    row = separate_uniform(y, uniform_network(g, [1, 1, 1]), [1, 1, 1], 0)
+    assert row == Row.make({0: 1, 1: 1, 2: 1}, ">=", 3)
 
 
 def test_separate_uniform_matches_brute():
@@ -325,19 +319,13 @@ def test_separate_uniform_matches_brute():
         alpha = rng.randint(0, 1)
         y = {u: Fraction(rng.randint(0, 4), 4) for u in range(n)}
         network = uniform_network(g, caps)
-        sep = separate_uniform(y, network, caps, alpha)
+        row = separate_uniform(y, network, caps, alpha)
         best = brute_separate_uniform(y, g, caps, alpha)
-        values = full_pass_uniform(y, network, caps)
-        assert min(values) == best
-        assert sep.value == stopped_value(values, alpha * L)
-        assert sep.violated == (best < alpha * L)
+        assert min(full_pass_uniform(y, network, caps)) == best
+        ref = per_cut_separate_uniform(y, g, caps, alpha)
+        assert_first_violated_row(row, y, best, alpha * L, ref)
         checked += 1
-        if not sep.violated:
-            assert sep.value == best
-        else:
-            violated += 1
-            lhs = sum(c * y[v] for v, c in sep.row.coeffs)
-            assert lhs < sep.row.rhs
+        violated += row is not None
     assert checked == 40 and violated >= 5
 
 
@@ -359,19 +347,12 @@ def test_separate_general_matches_brute():
         gp = build_gprime(g, cl, backups)
         y = {u: Fraction(rng.randint(0, 4), 4) for u in range(n)}
         network = general_network(gp)
-        sep = separate_general(y, network, bset, alpha, caps)
+        row = separate_general(y, network, bset, alpha, caps)
         best = brute_separate_general(y, g, gp, bset, alpha, caps)
-        values = full_pass_general(y, network, bset, alpha, caps)
-        assert min(values) == best
-        assert sep.value == stopped_value(values, 0)
-        assert sep.violated == (best < 0)
-        if not sep.violated:
-            assert sep.value == best
-        else:
-            violated += 1
-            lhs = sum(c * y[v] for v, c in sep.row.coeffs)
-            assert lhs < sep.row.rhs
-            assert set(sep.witness_F) <= bset
+        assert min(full_pass_general(y, network, bset, alpha, caps)) == best
+        ref = per_cut_separate_general(y, g, gp, bset, alpha, caps)
+        assert_first_violated_row(row, y, best, 0, ref)
+        violated += row is not None
         checked += 1
     assert violated >= 5
 
@@ -380,18 +361,17 @@ def test_separate_general_no_scenarios_is_clean():
     g = path_graph(2)
     cl = monarch_clustering(g)
     network = general_network(build_gprime(g, cl, {}))
-    sep = separate_general({0: Fraction(1), 1: Fraction(0)}, network, frozenset(), 1, [1, 1])
-    assert not sep.violated and sep.row is None
+    assert separate_general({0: Fraction(1), 1: Fraction(0)}, network, frozenset(), 1, [1, 1]) is None
 
 
 def test_separators_match_one_transport_per_cut():
     """One `cuts` call per pass on the separator's network, stopped at its
-    witness, gives the verdict, threshold, witnesses and row of one
-    `transport` per forced vertex or failure scenario, all solved; its
-    value is the global minimum when clean and the minimum up to the
-    witness of a full `cuts` pass when violated.  On graphs that may be disconnected, y with mixed
-    denominators and zeros, {0,L} capacities with zeros, alpha 0..2 and
-    backup sets too small for any scenario."""
+    first violated cut, returns the row of one `transport` per forced
+    vertex or failure scenario on a rebuilt network, and None exactly when
+    the brute-force minimum clears the threshold.  On graphs that may be
+    disconnected, y with mixed denominators and zeros, {0,L} capacities
+    with zeros, alpha 0..2 and backup sets too small for any scenario; a
+    pass also stops at a violated cut above the minimum of a full pass."""
     rng = random.Random(1994)
     seen = {
         "uniform violated": 0,
@@ -409,12 +389,13 @@ def test_separators_match_one_transport_per_cut():
         L = rng.randint(1, 3)
         caps = [L if rng.random() < 0.75 else 0 for _ in range(n)]
         network = uniform_network(g, caps)
-        sep = separate_uniform(y, network, caps, alpha)
+        row = separate_uniform(y, network, caps, alpha)
         ref = per_cut_separate_uniform(y, g, caps, alpha)
-        assert_same_pass(sep, ref)
-        assert sep.value == stopped_value(full_pass_uniform(y, network, caps), sep.threshold)
-        seen["uniform violated"] += sep.violated
-        seen["uniform stopped above the minimum"] += sep.value > ref.value
+        assert_first_violated_row(row, y, brute_separate_uniform(y, g, caps, alpha), alpha * L, ref)
+        values = full_pass_uniform(y, network, caps)
+        first = next((val for val in values if val < alpha * L), None)
+        seen["uniform violated"] += row is not None
+        seen["uniform stopped above the minimum"] += first is not None and first > min(values)
 
         gp = tuple(
             sum(1 << w for w in rng.sample(range(n), rng.randint(0, n)) if w != u)
@@ -423,17 +404,17 @@ def test_separators_match_one_transport_per_cut():
         backups = frozenset(rng.sample(range(n), rng.randint(0, min(n, 3))))
         caps = [rng.randint(0, 3) for _ in range(n)]
         network = general_network(gp)
-        sep = separate_general(y, network, backups, alpha, caps)
+        row = separate_general(y, network, backups, alpha, caps)
         ref = per_cut_separate_general(y, g, gp, backups, alpha, caps)
-        assert_same_pass(sep, ref)
+        brute = brute_separate_general(y, g, gp, backups, alpha, caps)
+        assert_first_violated_row(row, y, brute, 0, ref)
         if len(backups) < alpha:
             seen["no scenario"] += 1
-            assert sep == ref
-        else:
-            values = full_pass_general(y, network, backups, alpha, caps)
-            assert sep.value == stopped_value(values, 0)
-        seen["general violated"] += sep.violated
-        seen["general stopped above the minimum"] += sep.value > ref.value
+            continue
+        values = full_pass_general(y, network, backups, alpha, caps)
+        first = next((val for val in values if val < 0), None)
+        seen["general violated"] += row is not None
+        seen["general stopped above the minimum"] += first is not None and first > min(values)
     assert min(seen.values()) >= 5, seen
 
 
@@ -452,8 +433,7 @@ def test_cutting_plane_uniform_path5():
     y, cuts = solve_cutting_plane(lp_uniform_static(g, 4, caps), separator)
     assert y is not None
     assert len(cuts) >= 1
-    assert all(c.violated for c in cuts)
-    assert not separator(y).violated
+    assert separator(y) is None
     assert sum(y.values()) == 4
 
     unit = [1] * 5
@@ -465,14 +445,14 @@ def test_cutting_plane_uniform_path5():
     assert len(cuts2) >= 1
 
 
-def test_cutting_plane_round_cap():
+def test_cutting_plane_round_cap(monkeypatch):
     g = path_graph(5)
     caps = [2] * 5
+    monkeypatch.setattr(lp_module, "MAX_ROUNDS", 0)
     with pytest.raises(ContractViolation):
         solve_cutting_plane(
             lp_uniform_static(g, 4, caps),
             lambda y: separate_uniform(y, uniform_network(g, caps), caps, 1),
-            max_rounds=0,
         )
 
 
@@ -540,7 +520,7 @@ def test_warm_cuts_match_from_scratch_verdicts():
             row = violated_cut(rng, y, nvars)
             seen[row.rel if row.coeffs else "empty"] += 1
             rows.append(row)
-            return Separation(Fraction(-1), Fraction(0), None, None, row)
+            return row
 
         y, cuts = solve_cutting_plane(lp, separator)
         assert len(cuts) == len(rows) - len(lp.rows)
@@ -555,9 +535,7 @@ def solve_with_pivot_cap(monkeypatch, lp, cuts):
     order, under `cap_pivots`.  Returns (y, cuts)."""
     cap_pivots(monkeypatch)
     rows = iter(cuts)
-    return solve_cutting_plane(
-        lp, lambda y: Separation(Fraction(-1), Fraction(0), None, None, next(rows))
-    )
+    return solve_cutting_plane(lp, lambda y: next(rows))
 
 
 def test_dual_simplex_leaves_on_the_lowest_basic_column(monkeypatch):
@@ -603,13 +581,9 @@ def test_cutting_plane_rejects_a_satisfied_cut():
         Row.make({}, "<=", 0),
     ):
         with pytest.raises(ContractViolation, match="satisfies"):
-            solve_cutting_plane(
-                lp, lambda y: Separation(Fraction(-1), Fraction(0), None, None, row), max_rounds=2
-            )
+            solve_cutting_plane(lp, lambda y: row)
     with pytest.raises(InstanceError):
-        solve_cutting_plane(
-            lp, lambda y: Separation(Fraction(-1), Fraction(0), None, None, Row.make({2: 1}, ">=", 1))
-        )
+        solve_cutting_plane(lp, lambda y: Row.make({2: 1}, ">=", 1))
 
 
 def test_cutting_plane_matches_from_scratch_loop_uniform():
@@ -636,7 +610,7 @@ def test_cutting_plane_matches_from_scratch_loop_uniform():
         ref, _ = scratch_cutting_plane(lp, separator)
         assert (y is None) == (ref is None)
         if y is not None:
-            assert satisfies(lp.rows, y) and not separator(y).violated
+            assert satisfies(lp.rows, y) and separator(y) is None
         seen[(y is None, bool(cuts))] += 1
     assert len(seen) == 4, seen
 
@@ -668,6 +642,6 @@ def test_cutting_plane_matches_from_scratch_loop_general():
         ref, _ = scratch_cutting_plane(lp, separator)
         assert (y is None) == (ref is None)
         if y is not None:
-            assert satisfies(lp.rows, y) and not separator(y).violated
+            assert satisfies(lp.rows, y) and separator(y) is None
         seen[(y is None, bool(cuts))] += 1
     assert len(seen) == 4, seen

@@ -1,11 +1,11 @@
-"""Oracle layer: scenario verifiers, exhaustive optima, the relaxation
+"""Oracle and verify layers: scenario verifiers, exhaustive optima, the relaxation
 check, the gap family, and the random-instance generators."""
 
 import random
 
 import pytest
 
-from ftkcenter import oracle
+from ftkcenter import verify
 from ftkcenter.instance import (
     InstanceError,
     MetricInstance,
@@ -14,7 +14,6 @@ from ftkcenter.instance import (
     ThresholdGraph,
 )
 from ftkcenter.oracle import (
-    VerifyReport,
     exact_distance1,
     exact_opt_conservative,
     exact_opt_ft,
@@ -22,9 +21,8 @@ from ftkcenter.oracle import (
     gap_instance,
     random_point_instance,
     relaxed_ilp_holds,
-    verify_conservative,
-    verify_ft,
 )
+from ftkcenter.verify import VerifyReport, verify_conservative, verify_ft
 
 from helpers import (
     cycle_graph,
@@ -124,7 +122,7 @@ def test_verify_conservative_reports_the_max_flow_witness(monkeypatch):
     phi0 = {0: 0, 1: 4, 2: 5, 3: 4, 4: 5, 5: 4}
     rep = verify_conservative(inst, centers, phi0, Radius(1, 4))
     assert rep == VerifyReport(False, "failures [0, 5]: orphans [0, 4] see spare capacity 1 < 2")
-    monkeypatch.setattr(oracle, "capacitated_assignment", flow_capacitated_assignment)
+    monkeypatch.setattr(verify, "capacitated_assignment", flow_capacitated_assignment)
     assert verify_conservative(inst, centers, phi0, Radius(1, 4)) == rep
 
 

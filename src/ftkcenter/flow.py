@@ -10,22 +10,29 @@ number.
 The package solves every flow network on one path, `TransportNetwork`:
 client demand routed to allowed centers within their supply, the Hall-type
 condition behind the LP separators, `verify_ft`, the relaxed ILP and the
-rounding's transfer checks.  The network builds its integer arrays once;
-each `cuts` call scales one demand and supply map to ints, writes them into
-a copy of the zero-flow residuals, and yields the flow value and the
-clients of the minimal min cut for each variant on demand: one client
-forced in or one center set closed, every forced one from one base flow and
-the closed ones as one chain, each from the maximum flow of the one before
-with only the load of the newly closed centers re-augmented.  The LP
-separators build one network per threshold and call `cuts` once per
-cutting-plane round, with the supplies of that round's point;
-`transport_cuts` builds a network for a single call.  A caller that needs
-the plain network asks for the single variant closed=[()].
+rounding's transfer checks.  The network builds its integer arrays once,
+straight from the allowed lists; each `cuts` call scales one demand and
+supply map to ints, writes them into a copy of the zero-flow residuals, and
+yields the flow value and the clients of the minimal min cut for each
+variant on demand: one client forced in or one center set closed, every
+forced one from one base flow and the closed ones as one chain, each from
+the maximum flow of the one before with only the load of the newly closed
+centers re-augmented.  Before Dinic runs on a variant, a seating pass,
+`_seat`, routes what it can along the one-step paths source -> client ->
+allowed center -> sink, the clients in order, without a level graph; Dinic
+then finishes the flow, and often its first BFS already finds no path to
+the sink.  The seated flow is a feasible flow, Dinic takes any feasible
+flow to a maximum one, and the value and the minimal min cut are the same
+for every maximum flow, so the pass changes no result.  The LP separators
+build one network per threshold and call `cuts` once per cutting-plane
+round, with the supplies of that round's point; `transport_cuts` builds a
+network for a single call.  A caller that needs the plain network asks for
+the single variant closed=[()].
 
 `FlowNetwork` and `max_flow`, a dict-of-dicts network and its value and
-minimal min cut on the same `_augment`, have no caller in the package; they
-are kept for the benchmark probe that wraps `flow.max_flow` and for the
-tests' reference implementations.
+minimal min cut on the same `_augment` through the arrays of `_arrays`,
+have no caller in the package; they are kept for the benchmark probe that
+wraps `flow.max_flow` and for the tests' reference implementations.
 
 `capacitated_assignment` seats unit-demand clients at centers of integer
 capacity, the problem of every scenario repair and of `verify_conservative`.
@@ -199,8 +206,10 @@ class TransportNetwork:
     `centers`, on integer node ids: source 0, sink 1, the clients in the
     order given, then the centers in the order they are first named,
     allowed lists before `centers`.  A center named only in an allowed list
-    is a dead end.  The arrays are built here: `head`, `adj`, the source
-    arc of each client, the sink arc of each center, and `template`, the
+    is a dead end.  The arrays are built here, straight from the allowed
+    lists in the arc layout of `_arrays`: `head`, `adj`, the source arc of
+    each client, the sink arc of each center, `direct`, each client's
+    one-step paths to the sink for the seating pass, and `template`, the
     residuals of the zero flow with every client -> center arc unbounded
     and every source and sink arc at 0.  `cuts` writes the capacities into
     a copy of `template`, which is never changed.
@@ -217,17 +226,44 @@ class TransportNetwork:
                 center_id.setdefault(v, first + len(center_id))
         for v in self.centers:
             center_id.setdefault(v, first + len(center_id))
-        cap: dict = {0: dict.fromkeys(range(2, first), 0), 1: {}}
-        for i, c in enumerate(self.clients, 2):
-            cap[i] = dict.fromkeys([center_id[v] for v in allowed[c]], INF)
-        for i in center_id.values():
-            cap[i] = {}
-        for v in self.centers:
-            cap[center_id[v]][1] = 0
-        self.head, self.template, self.adj, _ = _arrays(cap, range(len(cap)))
-        self.source_arc = dict(zip(self.clients, self.adj[0]))
-        # the sink arc of a center is its only own arc, listed first
-        self.sink_arc = {v: self.adj[center_id[v]][0] for v in self.centers}
+        # the layout of `_arrays`: arc 2k+1 reverses arc 2k; the source arcs
+        # come first, then each client's arcs to its allowed centers (a
+        # center named twice gets one arc), then the sink arcs in center id
+        # order; a node lists its own arcs, then the reverse arcs into it
+        n_clients = first - 2
+        targets = [dict.fromkeys([center_id[v] for v in allowed[c]]) for c in self.clients]
+        n_arcs = sum(map(len, targets))
+        supplied = sorted({center_id[v] for v in self.centers})
+        start = 2 * (n_clients + n_arcs)
+        # center id -> its sink arc
+        sink = dict(zip(supplied, range(start, start + 2 * len(supplied), 2)))
+        head = [u for i in range(2, first) for u in (i, 0)]
+        adj = [list(range(0, 2 * n_clients, 2)), [e + 1 for e in sink.values()]]
+        into = [[] for _ in center_id]  # each center's sink arc, then the reverse arcs into it
+        for j, e in sink.items():
+            into[j - first].append(e)
+        # per client: (reverse of its arc to a center, that center's sink
+        # arc) for each allowed center with a sink arc, the one-step paths
+        # of the seating pass
+        self.direct = []
+        for i, ids in enumerate(targets, 2):
+            out, paths = [], []
+            for j in ids:
+                e = len(head)
+                out.append(e)
+                into[j - first].append(e + 1)
+                head += (j, i)
+                if j in sink:
+                    paths.append((e + 1, sink[j]))
+            out.append(2 * i - 3)  # the reverse of the source arc 2(i - 2)
+            adj.append(out)
+            self.direct.append(paths)
+        for j in sink:
+            head += (1, j)
+        self.head, self.adj = head, adj + into
+        self.template = [0] * (2 * n_clients) + [INF, 0] * n_arcs + [0] * (2 * len(sink))
+        self.source_arc = dict(zip(self.clients, adj[0]))
+        self.sink_arc = {v: sink[center_id[v]] for v in self.centers}
 
     def cuts(self, demand: Mapping, supply: Mapping, forced=(), closed=()):
         """Route client demand to allowed centers within their supply,
@@ -253,8 +289,12 @@ class TransportNetwork:
         from the zero flow and each later one from the maximum flow of the
         one before: the sink arcs closed there reopen, the flow through
         each newly closed center is cancelled back to the source, and only
-        that displaced load is augmented again.  The value and the minimal
-        min cut do not depend on the maximum flow reached.
+        that displaced load is augmented again.  Each variant first runs
+        the seating pass, `_seat`, which routes leftover demand straight to
+        allowed centers with supply left, and then one Dinic call, which
+        takes that feasible flow to a maximum one.  The value and the
+        minimal min cut do not depend on the maximum flow reached, so the
+        seated flow changes neither.
         """
         if any(s is INF for s in supply.values()):
             raise ContractViolation("infinite supply in a transport network")
@@ -262,7 +302,7 @@ class TransportNetwork:
             raise InstanceError("negative demand")
         if any(s < 0 for s in supply.values()):
             raise InstanceError("negative capacity")
-        clients, head, adj = self.clients, self.head, self.adj
+        clients, head, adj, direct = self.clients, self.head, self.adj, self.direct
         source_arc, sink_arc = self.source_arc, self.sink_arc
         for names, arcs, kind in ((demand, source_arc, "client"), (supply, sink_arc, "center")):
             for u in names:
@@ -289,12 +329,13 @@ class TransportNetwork:
         def variants():
             if forced_arcs:
                 base = zero[:]
-                base_value, _ = _augment(head, base, adj, 0, 1)
+                base_value = _seat(base, adj[0], direct) + _augment(head, base, adj, 0, 1)[0]
                 for a in forced_arcs:
                     res = base[:]
                     res[a] = INF
-                    more, reached = _augment(head, res, adj, 0, 1)
-                    yield cut(base_value + more, reached)
+                    more = _seat(res, adj[0], direct)
+                    rest, reached = _augment(head, res, adj, 0, 1)
+                    yield cut(base_value + more + rest, reached)
             # the closed variants form one chain: each starts from the maximum
             # flow of the one before, reopens that one's sink arcs, and cancels
             # the flow through each newly closed center
@@ -319,11 +360,47 @@ class TransportNetwork:
                             res[a] += f
                             res[a ^ 1] -= f
                     opened.append(e)
+                total += _seat(res, adj[0], direct)
                 more, reached = _augment(head, res, adj, 0, 1)
                 total += more
                 yield cut(total, reached)
 
         return variants()
+
+
+def _seat(res, source_arcs, direct):
+    """The seating pass: walk the clients in order and route each one's
+    residual demand along its one-step paths, straight to each allowed
+    center with residual supply, updating `res` in place.  Returns the value
+    added.  `direct[k]` lists (reverse of the client -> center arc, sink
+    arc) for the client of source arc `source_arcs[k]`.
+
+    An infinite demand (a forced client) stays infinite and fills each of
+    its centers.  A client -> center arc is unbounded and stays so; only
+    its reverse records the flow.
+    """
+    value = 0
+    for a, paths in zip(source_arcs, direct):
+        left = res[a]
+        if not left:
+            continue
+        sent = 0
+        for r, s in paths:
+            room = res[s]
+            if room:
+                push = room if room < left else left
+                res[s] = room - push
+                res[s ^ 1] += push
+                res[r] += push
+                sent += push
+                left -= push
+                if not left:
+                    break
+        if sent:
+            res[a] = left
+            res[a ^ 1] += sent
+            value += sent
+    return value
 
 
 def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=(), closed=()):

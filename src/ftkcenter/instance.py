@@ -536,7 +536,7 @@ class MetricInstance:
 
         The entry checks run on `ints`.  The int matrix of squares is kept
         with the `Fraction` of each distinct square, and `d2` holds those
-        interned `Fraction`s.
+        interned `Fraction`s; the scale of the squares is kept beside them.
         """
         capacities = tuple(capacities)
         n = len(ints)
@@ -557,6 +557,7 @@ class MetricInstance:
         d2 = tuple(tuple(map(fracs.__getitem__, row)) for row in ints)
         inst = cls(name, n, k, alpha, variant, capacities, d2, **given)
         object.__setattr__(inst, "_ints", (ints, fracs))
+        object.__setattr__(inst, "_scale", scale)
         if lengths:
             bad = _triangle_failure(ints)
             if bad:
@@ -621,6 +622,19 @@ class MetricInstance:
             return len(rank)
         ints, _ = self.__dict__["_ints"]
         return rank[max(sorted(row[w] for w in targets)[m - 1] for row in ints)]
+
+    def radius_bound(self, radius: Radius) -> tuple[list[list[int]], int]:
+        """The int matrix of squares and its bound for `radius`: (ints,
+        bound), where d(u, v) is within the radius iff ints[u][v] <= bound.
+
+        The square of d(u, v) is ints[u][v] / scale and the radius's square
+        is p / q, so d(u, v) is within the radius iff ints[u][v] <= p * scale
+        / q, which for an int is iff ints[u][v] <= floor(p * scale / q); no
+        `Fraction` is compared.
+        """
+        ints, _ = self.__dict__["_ints"]
+        sq = radius.value_sq()
+        return ints, sq.numerator * self.__dict__["_scale"] // sq.denominator
 
     def two_hop_index(self, s: int) -> int:
         """The first threshold index whose graph puts every vertex within

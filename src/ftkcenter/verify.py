@@ -33,9 +33,10 @@ def _check_centers(inst: MetricInstance, centers) -> Optional[VerifyReport]:
 
 
 def _covering(inst: MetricInstance, S, radius: Radius) -> list[list]:
-    """For every vertex, the centers of S (in order) within the radius."""
-    reach = radius.value_sq()
-    return [[c for c in S if row[c] <= reach] for row in inst.d2]
+    """For every vertex, the centers of S (in order) within the radius,
+    found on the instance's int squares."""
+    ints, bound = inst.radius_bound(radius)
+    return [[c for c in S if row[c] <= bound] for row in ints]
 
 
 def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
@@ -91,11 +92,11 @@ def verify_conservative(
     if set(phi0) != set(range(inst.n)):
         return VerifyReport(False, "base assignment must cover every vertex")
     load = {c: 0 for c in S}
-    reach = radius.value_sq()
+    ints, bound = inst.radius_bound(radius)
     for u, c in phi0.items():
         if c not in load:
             return VerifyReport(False, f"vertex {u} assigned to non-center {c}")
-        if inst.d2[u][c] > reach:
+        if ints[u][c] > bound:
             return VerifyReport(False, f"vertex {u} is outside the radius of its center {c}")
         load[c] += 1
     for c, l in load.items():

@@ -40,7 +40,6 @@ from ftkcenter.lp import general_network, separate_general, separate_uniform, un
 from ftkcenter.oracle import (
     condition_b_exhaustive,
     exact_distance1,
-    exact_opt_conservative,
     exact_opt_ft,
     conservative_feasible_at,
     gap_instance,
@@ -53,7 +52,6 @@ from ftkcenter.oracle import (
 from ftkcenter.rounding import GeneralRounding, UniformRounding, condition_b_flow
 from ftkcenter.solvers import (
     ft_general_connected,
-    ft_uniform_connected,
     solve_ft_general,
     solve_ft_uniform,
 )

@@ -28,7 +28,6 @@ from ftkcenter.instance import (
     ContractViolation,
     InstanceError,
     Radius,
-    ThresholdGraph,
 )
 from ftkcenter.oracle import exact_opt_conservative, random_point_instance, verify_conservative
 from ftkcenter import rounding

@@ -499,6 +499,111 @@ def test_verify_ft_stops_at_the_scenario_it_reports(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
+def watch_augments(monkeypatch):
+    """Rebind `flow._augment` to a wrapper that records, for each call, the
+    residuals of the source arcs it is entered with, the value it adds and
+    the nodes its last BFS reached."""
+    entries = []
+    augment = flow._augment
+
+    def watched(head, res, adj, s, t):
+        sources = [res[a] for a in adj[s]]
+        value, reached = augment(head, res, adj, s, t)
+        entries.append((sources, value, reached))
+        return value, reached
+
+    monkeypatch.setattr(flow, "_augment", watched)
+    return entries
+
+
+def test_seating_routes_one_step_demand_before_dinic(monkeypatch):
+    """Two client groups, each sharing two centers that hold the group's
+    whole demand: the seating pass routes every variant's demand before
+    Dinic runs, so every variant enters `_augment` with each finite source
+    arc saturated and adds nothing, in one BFS.  The base and every closed
+    variant have all demand routed, so that BFS reaches only the source; a
+    forced client's demand stays infinite, and its BFS stops at the full
+    centers it fills and the clients seated there."""
+    entries = watch_augments(monkeypatch)
+    allowed = {0: [10, 11], 1: [10, 11], 2: [12, 13], 3: [13, 12]}
+    supply = dict.fromkeys([10, 11, 12, 13], 2)
+    demand = dict.fromkeys(allowed, 1)
+    forced = [0, 3]
+    closed = [(), (10,), (11,), (10, 12), (13,), (11, 12)]
+    cuts = list(transport_cuts(demand, allowed, supply, forced=forced, closed=closed))
+    assert len(entries) == 1 + len(forced) + len(closed)
+    base, *rest = entries
+    for sources, value, _ in entries:
+        assert value == 0
+        assert all(r == 0 for r in sources if r != INF)
+    assert base[0] == [0] * 4 and base[2] == [0]
+    for w, (sources, _, reached) in zip(forced, rest):
+        assert [r == INF for r in sources] == [c == w for c in allowed]
+        assert {u - 2 for u in reached if 2 <= u < 6} == ({0, 1} if w == 0 else {2, 3})
+    for sources, _, reached in rest[len(forced):]:
+        assert sources == [0] * 4 and reached == [0]
+    assert [value for value, _ in cuts] == [6, 6] + [4] * len(closed)
+    assert [blocked for _, blocked in cuts] == [
+        frozenset({0, 1}), frozenset({2, 3}), *[frozenset()] * len(closed)
+    ]
+
+
+def test_dinic_finishes_what_seating_leaves(monkeypatch):
+    """Client 0 is seated first at center 10, client 1's only center: the
+    base flow needs the longer path source -> 1 -> 10 -> 0 -> 11 -> sink,
+    which Dinic finds after the seating pass.  Every variant, forced and
+    closed, equals the `transport` reference."""
+    entries = watch_augments(monkeypatch)
+    allowed = {0: [10, 11], 1: [10], 2: [11, 12]}
+    supply = {10: 1, 11: 1, 12: Fraction(1, 2)}
+    demand = {0: 1, 1: 1, 2: Fraction(1, 2)}
+    forced = list(allowed)
+    closed = [(), (12,), (11,), (10, 12)]
+    cuts = list(transport_cuts(demand, allowed, supply, forced=forced, closed=closed))
+    assert len(entries) == 1 + len(forced) + len(closed)
+    # Dinic moves client 0 on to seat client 1: 2 in the scaled units of 1/2
+    assert entries[0][1] == 2
+    expected = [transport({**demand, w: INF}, allowed, supply) for w in forced]
+    for F in closed:
+        expected.append(transport(
+            demand,
+            {c: [v for v in allowed[c] if v not in F] for c in allowed},
+            {v: s for v, s in supply.items() if v not in F},
+        ))
+    assert cuts == expected
+    assert cuts[len(forced)] == (Fraction(5, 2), frozenset())
+
+
+def test_transport_network_arrays_match_the_dict_build():
+    """`TransportNetwork` builds its arrays straight from the allowed lists
+    in the layout that `_arrays` gives the dict-of-dicts network: source
+    arcs, each client's arcs to its allowed centers (a center named twice
+    merged), then the sink arcs in center id order.  Random networks have
+    repeated names in allowed lists and in `centers`, dead-end centers,
+    centers no client may use and clients with no center."""
+    rng = random.Random(1608)
+    for _ in range(300):
+        clients = rng.sample(range(20), rng.randint(0, 7))
+        pool = list(range(20, 20 + rng.randint(1, 6)))
+        allowed = {c: rng.choices(pool, k=rng.randint(0, len(pool) + 1)) for c in clients}
+        centers = rng.choices(pool, k=rng.randint(0, len(pool)))
+        network = TransportNetwork(clients, allowed, centers)
+        first = len(clients) + 2
+        center_id = {}
+        for v in [v for c in clients for v in allowed[c]] + centers:
+            center_id.setdefault(v, first + len(center_id))
+        cap = {0: dict.fromkeys(range(2, first), 0), 1: {}}
+        for i, c in enumerate(clients, 2):
+            cap[i] = dict.fromkeys([center_id[v] for v in allowed[c]], INF)
+        for i in center_id.values():
+            cap[i] = {}
+        for v in centers:
+            cap[center_id[v]][1] = 0
+        head, res, adj, _ = flow._arrays(cap, range(len(cap)))
+        assert (network.head, network.template, network.adj) == (head, res, adj)
+        assert network.sink_arc == {v: adj[center_id[v]][0] for v in centers}
+
+
 # -- the engine against the Edmonds-Karp reference ----------------------------
 
 

@@ -1,14 +1,16 @@
-"""Every module-level import of the package is used by its module, only
-`flow.py` builds or runs a flow network, and the exhaustive oracles stay out
-of the solver layers."""
+"""Every module-level import of the package, the tests and the demos is used
+by its module, only `flow.py` builds or runs a flow network, and the
+exhaustive oracles stay out of the solver layers."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ftkcenter"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ftkcenter"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 FLOW_ENGINE = {"FlowNetwork", "max_flow"}
 
 
@@ -42,7 +44,11 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=lambda p: p.name if p.parent == PACKAGE else p.relative_to(ROOT).as_posix(),
+)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,7 +1,9 @@
 """Oracle and verify layers: scenario verifiers, exhaustive optima, the relaxation
 check, the gap family, and the random-instance generators."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +126,79 @@ def test_verify_conservative_reports_the_max_flow_witness(monkeypatch):
     assert rep == VerifyReport(False, "failures [0, 5]: orphans [0, 4] see spare capacity 1 < 2")
     monkeypatch.setattr(verify, "capacitated_assignment", flow_capacitated_assignment)
     assert verify_conservative(inst, centers, phi0, Radius(1, 4)) == rep
+
+
+def random_bound_instances(rng):
+    """Random point instances over mixed denominators, and random rational
+    metrics (every distance in [1, 2]) given as a dist matrix, whose int
+    squares are over the square of the matrix's scale."""
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        pts = [
+            tuple(Fraction(rng.randrange(-30, 30), rng.choice((1, 2, 3, 4, 6, 10))) for _ in "xy")
+            for _ in range(n)
+        ]
+        yield MetricInstance.from_points(pts, 1, 0, [1] * n), None
+        dist = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                den = rng.choice((1, 2, 3, 7, 10))
+                dist[i][j] = dist[j][i] = Fraction(rng.randint(den, 2 * den), den)
+        yield MetricInstance.from_matrix(dist, 1, 0, [1] * n), dist
+
+
+def test_covering_by_int_bound_matches_the_fraction_comparison():
+    """`_covering` compares the int squares to the radius's int bound; it
+    gives the cover lists of the per-pair `Fraction` comparison for
+    Radius(m, t), m in 1..3, at every threshold t (0 among them), and for
+    exact radii just below, at and just above each distance: the matrix
+    entries themselves, and around the irrational distances of points the
+    two 10**-6 steps that enclose them."""
+    rng = random.Random("verify/int-bound")
+    radii_seen = 0
+    for inst, dist in random_bound_instances(rng):
+        n = inst.n
+        radii = [Radius(m, t) for m in (1, 2, 3) for t in (Fraction(0), *inst.thresholds_sq())]
+        eps = Fraction(1, 10**9)
+        if dist is not None:
+            lengths = [d for i, row in enumerate(dist) for d in row[i + 1:]]
+            radii += [Radius.exact(d + e) for d in lengths for e in (-eps, 0, eps)]
+        else:
+            N = 10**6
+            for x in inst.thresholds_sq()[1:]:
+                lo = Fraction(math.isqrt(x.numerator * N * N // x.denominator), N)
+                radii += [Radius.exact(lo), Radius.exact(lo + Fraction(1, N))]
+        S = rng.sample(range(n), n)
+        for radius in radii:
+            reach = radius.value_sq()
+            want = [[c for c in S if inst.d2[u][c] <= reach] for u in range(n)]
+            assert verify._covering(inst, S, radius) == want
+            radii_seen += 1
+    assert radii_seen > 2000, radii_seen
+
+
+def test_verify_conservative_rejects_one_unit_outside_the_radius():
+    """The base assignment's longest pair, as an int square X over the
+    instance's scale, is inside a radius whose square is X / scale and
+    outside one whose square is (X - 1) / scale, the next int below: on a
+    point instance and on a dist matrix, whose scale is squared."""
+    dist = [[abs(i - j) * Fraction(3, 2) for j in range(4)] for i in range(4)]
+    points = [(Fraction(x, 3), 0) for x in (0, 1, 2, 5)]
+    for inst in (
+        MetricInstance.from_points(points, 2, 1, [4] * 4, variant="conservative"),
+        MetricInstance.from_matrix(dist, 2, 1, [4] * 4, variant="conservative"),
+    ):
+        phi0 = {0: 1, 1: 1, 2: 2, 3: 2}
+        ints, _ = inst.radius_bound(Radius(1, Fraction(0)))
+        u = max(phi0, key=lambda u: inst.d2[u][phi0[u]])
+        X = ints[u][phi0[u]]
+        scale = X / inst.d2[u][phi0[u]]
+        assert scale.denominator == 1 and scale > 1
+        assert inst.radius_bound(Radius(1, X / scale))[1] == X
+        rep = verify_conservative(inst, (1, 2), phi0, Radius(1, X / scale))
+        assert "outside the radius" not in rep.detail
+        rep = verify_conservative(inst, (1, 2), phi0, Radius(1, (X - 1) / scale))
+        assert rep == VerifyReport(False, f"vertex {u} is outside the radius of its center {phi0[u]}")
 
 
 def test_exact_opt_line4():

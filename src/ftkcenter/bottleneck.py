@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .instance import (
@@ -34,7 +33,6 @@ from .instance import (
     Radius,
     ThresholdGraph,
     failure_set,
-    mask_bits,
     strip_zero_zero_edges,
     uniform_capacity_level,
 )
@@ -61,18 +59,17 @@ def quick_infeasible(graph: ThresholdGraph, k: int, caps: Sequence[int], alpha: 
 
     Every vertex needs more than alpha positive-capacity vertices in its
     closed neighborhood (an adversary removes alpha), and the k-alpha largest
-    capacities must cover all n clients.  Neither the positive-capacity mask
-    nor that sum depends on the threshold, so `_capacity_profile` computes
-    them once for each capacity list and k-alpha that a sweep passes.
+    capacities must cover all n clients.
     """
     n = graph.n
-    positive, top = _capacity_profile(tuple(caps), max(k - alpha, 0))
+    positive = sum(1 << u for u, c in enumerate(caps) if c > 0)
     for v, mask in enumerate(graph.masks):
         good = ((mask | 1 << v) & positive).bit_count()
         if good <= alpha:
             return (
                 f"vertex {v} has {good} positive-capacity neighbors, needs alpha+1={alpha + 1}"
             )
+    top = sum(sorted(caps, reverse=True)[: max(k - alpha, 0)])
     if top < n:
         return _short_capacity(k, alpha, top, n)
     return None
@@ -84,17 +81,6 @@ def _short_capacity(k: int, alpha: int, top: int, n: int) -> str:
 
 def _too_many_components(count: int, k: int, alpha: int) -> str:
     return f"{count} components need alpha+1={alpha + 1} centers each, more than k = {k}"
-
-
-@lru_cache(maxsize=64)
-def _capacity_profile(caps: tuple, survivors: int) -> tuple[int, int]:
-    """The bitmask of the positive-capacity vertices, and the sum of the
-    `survivors` largest capacities."""
-    positive = 0
-    for u, c in enumerate(caps):
-        if c > 0:
-            positive |= 1 << u
-    return positive, sum(sorted(caps, reverse=True)[:survivors])
 
 
 def solve_components(
@@ -258,7 +244,7 @@ def certified_start(inst: MetricInstance) -> tuple[int, list]:
     """
     thresholds = inst.thresholds_sq()
     n, k, alpha, caps = inst.n, inst.k, inst.alpha, inst.capacities
-    positive, top = _capacity_profile(tuple(caps), k - alpha)
+    top = sum(sorted(caps, reverse=True)[: k - alpha])
     if top < n:
         return len(thresholds), [(thresholds[-1], _short_capacity(k, alpha, top, n))]
     counts = inst.component_counts()
@@ -266,7 +252,7 @@ def certified_start(inst: MetricInstance) -> tuple[int, list]:
     records = []
     if start:
         records.append((thresholds[start - 1], _too_many_components(counts[start - 1], k, alpha)))
-    reach = inst.reach_index(mask_bits(positive), alpha + 1)
+    reach = inst.reach_index([u for u, c in enumerate(caps) if c > 0], alpha + 1)
     if reach > start:
         start = reach
         why = quick_infeasible(inst.threshold_graph_at(start - 1), k, caps, alpha)

@@ -20,7 +20,6 @@ from .instance import ContractViolation, InstanceError, ThresholdGraph, mask_bit
 
 @dataclass(frozen=True)
 class Clustering:
-    graph: ThresholdGraph
     heads: tuple[int, ...]  # creation order; heads[0] == 0
     cluster_of: tuple[int, ...]  # vertex -> its head
     clusters: Mapping[int, tuple[int, ...]]  # head -> sorted members
@@ -97,7 +96,6 @@ def monarch_clustering(graph: ThresholdGraph, max_heads: int | None = None) -> C
         (min(c, p), max(c, p)) for c, p in parents.items()
     )
     return Clustering(
-        graph,
         tuple(heads),
         tuple(cluster_of),
         {h: tuple(sorted(vs)) for h, vs in clusters.items()},

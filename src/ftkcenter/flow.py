@@ -11,13 +11,16 @@ The package solves every flow network on one path, `TransportNetwork`:
 client demand routed to allowed centers within their supply, the Hall-type
 condition behind the LP separators, `verify_ft`, the relaxed ILP and the
 rounding's transfer checks.  The network builds its integer arrays once,
-straight from the allowed lists; each `cuts` call scales one demand and
-supply map to ints, writes them into a copy of the zero-flow residuals, and
-yields the flow value and the clients of the minimal min cut for each
-variant on demand: one client forced in or one center set closed, every
-forced one from one base flow and the closed ones as one chain, each from
-the maximum flow of the one before with only the load of the newly closed
-centers re-augmented.  Before Dinic runs on a variant, a seating pass,
+straight from the allowed lists; `cuts` reads two facts of their layout:
+the source's arcs are the source arcs in client order, and a supplied
+center lists its sink arc first, then only the reverses of the client arcs
+into it.  Each `cuts` call scales one demand and supply map to ints,
+writes them into a copy of the zero-flow residuals, and yields the flow
+value and the clients of the minimal min cut for each variant on demand:
+one client forced in or one center set closed, every forced one from one
+base flow and the closed ones as one chain, each from the maximum flow of
+the one before with only the load of the newly closed centers
+re-augmented.  Before Dinic runs on a variant, a seating pass,
 `_seat`, routes what it can along the one-step paths source -> client ->
 allowed center -> sink, the clients in order, without a level graph; Dinic
 then finishes the flow, and often its first BFS already finds no path to
@@ -30,9 +33,9 @@ network for a single call.  A caller that needs the plain network asks for
 the single variant closed=[()].
 
 `FlowNetwork` and `max_flow`, a dict-of-dicts network and its value and
-minimal min cut on the same `_augment` through the arrays of `_arrays`,
-have no caller in the package; they are kept for the benchmark probe that
-wraps `flow.max_flow` and for the tests' reference implementations.
+minimal min cut on the same `_augment`, have no caller in the package; they
+are kept for the benchmark probe that wraps `flow.max_flow` and for the
+tests' reference implementations.
 
 `capacitated_assignment` seats unit-demand clients at centers of integer
 capacity, the problem of every scenario repair and of `verify_conservative`.
@@ -206,13 +209,18 @@ class TransportNetwork:
     `centers`, on integer node ids: source 0, sink 1, the clients in the
     order given, then the centers in the order they are first named,
     allowed lists before `centers`.  A center named only in an allowed list
-    is a dead end.  The arrays are built here, straight from the allowed
-    lists in the arc layout of `_arrays`: `head`, `adj`, the source arc of
-    each client, the sink arc of each center, `direct`, each client's
-    one-step paths to the sink for the seating pass, and `template`, the
-    residuals of the zero flow with every client -> center arc unbounded
-    and every source and sink arc at 0.  `cuts` writes the capacities into
-    a copy of `template`, which is never changed.
+    is a dead end.  The arrays are built here in one pass: the sink arcs,
+    the source arcs in client order, then each client's arcs, one per
+    distinct allowed center, each arc listed at both of its ends as it is
+    made.  So `adj[0]` is the source arcs in client order, and a supplied
+    center's first arc is its sink arc, followed only by the reverses of
+    the client arcs into it: the two facts `cuts` reads.  Besides `head`
+    and `adj` the network keeps the source arc of each client, the sink arc
+    of each center, `direct`, each client's one-step paths to the sink for
+    the seating pass, and `template`, the residuals of the zero flow with
+    every client -> center arc unbounded and every source and sink arc at
+    0.  `cuts` writes the capacities into a copy of `template`, which is
+    never changed.
     """
 
     def __init__(self, clients: Iterable, allowed: Mapping, centers: Iterable):
@@ -226,42 +234,38 @@ class TransportNetwork:
                 center_id.setdefault(v, first + len(center_id))
         for v in self.centers:
             center_id.setdefault(v, first + len(center_id))
-        # the layout of `_arrays`: arc 2k+1 reverses arc 2k; the source arcs
-        # come first, then each client's arcs to its allowed centers (a
-        # center named twice gets one arc), then the sink arcs in center id
-        # order; a node lists its own arcs, then the reverse arcs into it
-        n_clients = first - 2
-        targets = [dict.fromkeys([center_id[v] for v in allowed[c]]) for c in self.clients]
-        n_arcs = sum(map(len, targets))
-        supplied = sorted({center_id[v] for v in self.centers})
-        start = 2 * (n_clients + n_arcs)
-        # center id -> its sink arc
-        sink = dict(zip(supplied, range(start, start + 2 * len(supplied), 2)))
-        head = [u for i in range(2, first) for u in (i, 0)]
-        adj = [list(range(0, 2 * n_clients, 2)), [e + 1 for e in sink.values()]]
-        into = [[] for _ in center_id]  # each center's sink arc, then the reverse arcs into it
-        for j, e in sink.items():
-            into[j - first].append(e)
+        head = []  # arc 2k+1 reverses arc 2k
+        adj = [[] for _ in range(first + len(center_id))]
+        sink = {}  # center id -> its sink arc
+        for v in self.centers:
+            j = center_id[v]
+            if j not in sink:
+                sink[j] = e = len(head)
+                adj[j].append(e)
+                adj[1].append(e + 1)
+                head += (1, j)
+        for i in range(2, first):
+            e = len(head)
+            adj[0].append(e)
+            adj[i].append(e + 1)
+            head += (i, 0)
+        fixed = len(head)
         # per client: (reverse of its arc to a center, that center's sink
         # arc) for each allowed center with a sink arc, the one-step paths
         # of the seating pass
         self.direct = []
-        for i, ids in enumerate(targets, 2):
-            out, paths = [], []
-            for j in ids:
+        for i, c in enumerate(self.clients, 2):
+            paths = []
+            for j in dict.fromkeys([center_id[v] for v in allowed[c]]):
                 e = len(head)
-                out.append(e)
-                into[j - first].append(e + 1)
+                adj[i].append(e)
+                adj[j].append(e + 1)
                 head += (j, i)
                 if j in sink:
                     paths.append((e + 1, sink[j]))
-            out.append(2 * i - 3)  # the reverse of the source arc 2(i - 2)
-            adj.append(out)
             self.direct.append(paths)
-        for j in sink:
-            head += (1, j)
-        self.head, self.adj = head, adj + into
-        self.template = [0] * (2 * n_clients) + [INF, 0] * n_arcs + [0] * (2 * len(sink))
+        self.head, self.adj = head, adj
+        self.template = [0] * fixed + [INF, 0] * ((len(head) - fixed) // 2)
         self.source_arc = dict(zip(self.clients, adj[0]))
         self.sink_arc = {v: sink[center_id[v]] for v in self.centers}
 

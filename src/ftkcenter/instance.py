@@ -761,9 +761,13 @@ def exact_decimal(text: str) -> Fraction:
 
     Fraction builds 10**e in full, which takes minutes for an exponent near
     a billion, so an exponent beyond MAX_DECIMAL_EXPONENT in magnitude is
-    an InstanceError first.  Other bad text raises what Fraction raises.
+    an InstanceError first, as is a number of more digits than that, which
+    the interpreter refuses to read.  Other bad text raises what Fraction
+    raises.
     """
-    _, e, exponent = text.upper().partition("E")
+    mantissa, e, exponent = text.upper().partition("E")
+    if sum(map(str.isdigit, mantissa)) > MAX_DECIMAL_EXPONENT:
+        raise InstanceError(f"number of more than {MAX_DECIMAL_EXPONENT} digits: {text[:40]!r}")
     if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
         raise InstanceError(
             f"decimal exponent beyond {MAX_DECIMAL_EXPONENT} in magnitude: {text[:40]!r}"
@@ -772,16 +776,21 @@ def exact_decimal(text: str) -> Fraction:
 
 
 def parse_exact_json(text: str):
-    """json.loads with floats parsed as exact Fractions (no binary rounding)."""
+    """json.loads with floats parsed as exact Fractions (no binary rounding),
+    and a number of more than MAX_DECIMAL_EXPONENT digits an InstanceError."""
+
+    def exact_int(text):  # a long one goes through exact_decimal's digit check
+        return int(text) if len(text) <= MAX_DECIMAL_EXPONENT else int(exact_decimal(text))
 
     def bad_constant(name):
         raise InstanceError(f"non-finite number {name!r} not allowed")
 
     try:
-        return json.loads(text, parse_float=exact_decimal, parse_constant=bad_constant)
+        return json.loads(text, parse_float=exact_decimal, parse_int=exact_int,
+                          parse_constant=bad_constant)
     except InstanceError:
         raise
-    except ValueError as exc:  # malformed JSON, or an int past the interpreter's digit limit
+    except ValueError as exc:  # malformed JSON
         raise InstanceError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise InstanceError("invalid JSON: nested too deeply") from None

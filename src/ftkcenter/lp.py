@@ -222,11 +222,7 @@ def _eliminate(row, pivots, p, pj):
 
 
 def lp_general_static(
-    graph: ThresholdGraph,
-    k: int,
-    capacities: Sequence[int],
-    clustering: Clustering,
-    backup_set,
+    graph: ThresholdGraph, k: int, clustering: Clustering, backup_set
 ) -> LinearProgram:
     """Static rows of the clustered LP: total mass k, backups pinned open,
     one fractional center in each head's neighborhood outside the backups,

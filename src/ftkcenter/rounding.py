@@ -48,7 +48,9 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     the capacity-weighted y-mass of every vertex set outside B fits into the
     y2-mass within r hops of it (Hall with fractional demands).  The flow is
     the single variant of a `transport_cuts` call with nothing closed, and
-    only its value is read: the condition holds iff it routes all demand."""
+    only its value is read: the condition holds iff it routes all demand.
+    A vertex may send only to the supplied vertices within r hops: one
+    without supply would be a dead end and carry no flow."""
     hops = graph.hops()
     B = frozenset(B)
     live = [v for v in range(graph.n) if v not in B]
@@ -56,8 +58,8 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     total = sum(demand.values(), ZERO)
     if total == 0:
         return True
-    allowed = {v: [w for w in live if hops[v][w] <= r] for v in demand}
     supply = {w: s for w in live if (s := Fraction(caps[w]) * Fraction(y2.get(w, 0))) > 0}
+    allowed = {v: [w for w in supply if hops[v][w] <= r] for v in demand}
     return next(transport_cuts(demand, allowed, supply, closed=[()]))[0] == total
 
 
@@ -71,7 +73,11 @@ def tree_transfer(tree: ThresholdGraph, members, y, caps):
     node carries y=1.  Candidates keeping all internal nodes open are tried
     first (lexicographically), arbitrary subsets second, so the result favors
     the shape the analysis promises while never failing when any transfer
-    exists.
+    exists.  A candidate opens its members and closes the other members;
+    the first that passes `condition_b_flow` at r = 2, with B the tree
+    vertices outside `members`, is the answer.  With that B the check routes
+    the capacity-weighted y-mass of the members to the opened members
+    within two hops on the tree, within their capacities.
     """
     members = sorted(set(members))
     member_mask = sum(1 << w for w in members)
@@ -85,33 +91,25 @@ def tree_transfer(tree: ThresholdGraph, members, y, caps):
         if Fraction(y.get(w, 0)) != 1:
             raise ContractViolation("internal tree node with fractional mass")
     free = [w for w in members if deg[w] <= 1]
-    demand = {w: d for w in members if (d := Fraction(caps[w]) * Fraction(y.get(w, 0))) != 0}
-    total = sum(demand.values(), ZERO)
-    within2 = {w: tree.balls(w, 2)[2] for w in demand}
+    outside = frozenset(range(tree.n)).difference(members)
 
-    def feasible(opened) -> bool:
-        allowed = {w: [x for x in opened if within2[w] >> x & 1] for w in demand}
-        supply = {x: Fraction(caps[x]) for x in opened}
-        return total == 0 or next(transport_cuts(demand, allowed, supply, closed=[()]))[0] == total
-
-    def result(opened):
+    def transfer(opened):
         y2 = dict(y)
         opened = set(opened)
         for w in members:
             y2[w] = ONE if w in opened else ZERO
-        return y2
+        return y2 if condition_b_flow(y, y2, tree, 2, outside, caps) else None
 
     want = kappa - len(internal)
     if 0 <= want <= len(free):
         for extra in combinations(free, want):
-            opened = sorted(internal) + list(extra)
-            if feasible(opened):
-                return result(opened)
+            if (y2 := transfer(internal + list(extra))) is not None:
+                return y2
     for opened in combinations(members, kappa):
         if set(internal) <= set(opened):
             continue  # already tried above
-        if feasible(opened):
-            return result(opened)
+        if (y2 := transfer(opened)) is not None:
+            return y2
     raise ContractViolation("no distance-2 transfer exists on the tree")
 
 

@@ -72,7 +72,7 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     if why:
         return PerTauInfeasible(why)
     gp = build_gprime(graph, cl, backups)
-    lp = lp_general_static(graph, k, caps, cl, bset)
+    lp = lp_general_static(graph, k, cl, bset)
     network = general_network(gp)  # one network for every round at this threshold
     y, _ = solve_cutting_plane(
         lp, partial(separate_general, network=network, backup_set=bset, alpha=alpha, capacities=caps)

@@ -216,7 +216,7 @@ def hop_matrix_clustering(graph: ThresholdGraph) -> Clustering:
             cluster_of[v] = next(h for h in heads if hops[v][h] <= 2)
     clusters = {h: tuple(v for v in range(n) if cluster_of[v] == h) for h in heads}
     tree_edges = frozenset((min(c, p), max(c, p)) for c, p in parents.items())
-    return Clustering(graph, tuple(heads), tuple(cluster_of), clusters, tree_edges)
+    return Clustering(tuple(heads), tuple(cluster_of), clusters, tree_edges)
 
 
 def uncapped_ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ class TestSolve:
         rc = main(["solve", "--input", files["ft"], "--alg", "ft-general",
                    "--with-oracle", "--output", out])
         assert rc == 0
-        rep = json.loads(open(out).read())
+        rep = json.loads(Path(out).read_text())
         assert rep["algorithm"] == "ft-general"
         assert rep["instance"] == "line4"
         assert (rep["n"], rep["k"], rep["alpha"], rep["variant"]) == (4, 2, 1, "ft")
@@ -65,7 +66,7 @@ class TestSolve:
         rc = main(["solve", "--input", files["tight"], "--alg", "ft-general",
                    "--output", out])
         assert rc == 2
-        rep = json.loads(open(out).read())
+        rep = json.loads(Path(out).read_text())
         assert rep["feasible"] is False
         assert rep["infeasible_at"] == "3"
         assert rep["infeasible_at_sq"] == "9"
@@ -85,7 +86,7 @@ class TestSolve:
         out = str(tmp_path / f"{alg}.json")
         rc = main(["solve", "--input", files[key], "--alg", alg, "--output", out])
         assert rc == 0
-        rep = json.loads(open(out).read())
+        rep = json.loads(Path(out).read_text())
         assert rep["algorithm"] == alg
         assert rep["verified"] is True
         assert rep["tau_star_sq"] == "4"
@@ -111,7 +112,7 @@ class TestSolve:
         out = str(tmp_path / "r.json")
         assert main(["solve", "--input", p, "--alg", "ft-general",
                      "--alpha-bound", "4", "--output", out]) == 0
-        assert json.loads(open(out).read())["tau_star_sq"] == "0"
+        assert json.loads(Path(out).read_text())["tau_star_sq"] == "0"
 
     def test_oracle_skipped_when_too_big(self, tmp_path):
         inst = MetricInstance.from_points(
@@ -122,7 +123,7 @@ class TestSolve:
         rc = main(["solve", "--input", p, "--alg", "ft-0l",
                    "--with-oracle", "--output", out])
         assert rc == 0
-        rep = json.loads(open(out).read())
+        rep = json.loads(Path(out).read_text())
         assert rep["oracle_skipped"] == "n=11 exceeds max_n=10"
         assert "oracle_opt" not in rep
 
@@ -134,7 +135,7 @@ class TestVerify:
         rc = main(["verify", "--input", files["ft"], "--solution", sol,
                    "--radius", "2", "--output", out])
         assert rc == 0
-        assert json.loads(open(out).read()) == {"ok": True, "detail": "all scenarios served"}
+        assert json.loads(Path(out).read_text()) == {"ok": True, "detail": "all scenarios served"}
 
     def test_ft_reject_small_radius(self, files, tmp_path):
         sol = write_json(tmp_path, "sol.json", {"centers": [1, 2]})
@@ -142,7 +143,7 @@ class TestVerify:
         rc = main(["verify", "--input", files["ft"], "--solution", sol,
                    "--radius", "1.5", "--output", out])
         assert rc == 2
-        rep = json.loads(open(out).read())
+        rep = json.loads(Path(out).read_text())
         assert rep["ok"] is False
         assert "see capacity" in rep["detail"]
 
@@ -155,7 +156,7 @@ class TestVerify:
         rc = main(["verify", "--input", files["cons"], "--solution", sol,
                    "--radius", "2", "--output", out])
         assert rc == 0
-        rep = json.loads(open(out).read())
+        rep = json.loads(Path(out).read_text())
         assert rep == {"ok": True, "detail": "base assignment and all repairs served"}
 
     def test_conservative_needs_assignment(self, files, tmp_path, capsys):
@@ -224,7 +225,7 @@ class TestGapAndBench:
     def test_gap_instance_file(self, tmp_path):
         out = str(tmp_path / "gap.json")
         assert main(["gap", "--s", "2", "--output", out]) == 0
-        inst = json.loads(open(out).read())
+        inst = json.loads(Path(out).read_text())
         assert inst["name"] == "gap-4"
         assert (inst["n"], inst["k"], inst["alpha"], inst["variant"]) == (4, 2, 1, "ft")
 
@@ -237,7 +238,7 @@ class TestGapAndBench:
         rc = main(["bench", "--count", "3", "--n", "6", "--k", "2", "--alpha", "1",
                    "--alg", "ft-general", "--seed", "7", "--output", out])
         assert rc == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert len(lines) == 3
         for i, line in enumerate(lines):
             rep = json.loads(line)
@@ -266,7 +267,7 @@ class TestGapAndBench:
             main(["bench", "--count", "2", "--n", "5", "--k", "2", "--alpha", "0",
                   "--alg", "cons-0l", "--caps", "uniform",
                   "--seed", "3", "--output", out])
-            body = open(out).read()
+            body = Path(out).read_text()
             outs.append("\n".join(
                 json.dumps({k: v for k, v in json.loads(l).items() if k != "seconds"})
                 for l in body.strip().split("\n")))
@@ -306,6 +307,26 @@ class TestErrorPaths:
             argv = ["verify", "--input", files["ft"], "--solution", str(deep), "--radius", "2"]
         assert main(argv) == 1
         assert capsys.readouterr().err == "ftkc: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("number", ["3" * 4301 + ".5", "3" * 4301, "radius"],
+                             ids=["float", "int", "radius"])
+    def test_long_number_is_bad_input(self, files, tmp_path, capsys, number):
+        """The interpreter refuses to read a number of more than 4300
+        digits, in instance JSON or as --radius; that is bad input, and the
+        message names the limit and echoes 40 characters."""
+        if number == "radius":
+            sol = write_json(tmp_path, "sol.json", {"centers": [1, 2]})
+            argv = ["verify", "--input", files["ft"], "--solution", sol, "--radius", "9" * 5001]
+        else:
+            text = ('{"name": "long", "n": 2, "k": 1, "alpha": 0, "variant": "ft", '
+                    f'"capacities": [2, 2], "points": [[0, 0], [{number}, 1]]}}')
+            path = tmp_path / "long.json"
+            path.write_text(text)
+            argv = ["solve", "--input", str(path), "--alg", "ft-general"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ftkc: number of more than 4300 digits: '")
+        assert len(err) < 200 and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

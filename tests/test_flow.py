@@ -574,13 +574,15 @@ def test_dinic_finishes_what_seating_leaves(monkeypatch):
     assert cuts[len(forced)] == (Fraction(5, 2), frozenset())
 
 
-def test_transport_network_arrays_match_the_dict_build():
-    """`TransportNetwork` builds its arrays straight from the allowed lists
-    in the layout that `_arrays` gives the dict-of-dicts network: source
-    arcs, each client's arcs to its allowed centers (a center named twice
-    merged), then the sink arcs in center id order.  Random networks have
-    repeated names in allowed lists and in `centers`, dead-end centers,
-    centers no client may use and clients with no center."""
+def test_transport_network_layout_is_what_cuts_reads():
+    """`TransportNetwork` lists each arc at both of its ends, and `cuts`
+    reads two facts of its layout: `adj[0]` is the source arcs in client
+    order, and a supplied center's first arc is its sink arc, followed only
+    by the reverses of the client arcs into it.  `template` is INF exactly
+    on the client -> center arcs, one per distinct allowed center.  Random
+    networks have repeated names in allowed lists and in `centers`,
+    dead-end centers, centers no client may use and clients with no
+    center."""
     rng = random.Random(1608)
     for _ in range(300):
         clients = rng.sample(range(20), rng.randint(0, 7))
@@ -588,20 +590,28 @@ def test_transport_network_arrays_match_the_dict_build():
         allowed = {c: rng.choices(pool, k=rng.randint(0, len(pool) + 1)) for c in clients}
         centers = rng.choices(pool, k=rng.randint(0, len(pool)))
         network = TransportNetwork(clients, allowed, centers)
+        head, adj, template = network.head, network.adj, network.template
         first = len(clients) + 2
         center_id = {}
         for v in [v for c in clients for v in allowed[c]] + centers:
             center_id.setdefault(v, first + len(center_id))
-        cap = {0: dict.fromkeys(range(2, first), 0), 1: {}}
+        assert len(adj) == first + len(center_id) and len(template) == len(head)
+        # arc e runs from head[e ^ 1] to head[e], and each node lists exactly
+        # the arcs out of it, every arc once
+        assert sorted(e for arcs in adj for e in arcs) == list(range(len(head)))
+        assert all(head[e ^ 1] == u for u, arcs in enumerate(adj) for e in arcs)
+        assert adj[0] == [network.source_arc[c] for c in clients]
+        assert [head[e] for e in adj[0]] == list(range(2, first))
+        client_arcs = {e for e in range(0, len(head), 2) if 2 <= head[e ^ 1] < first <= head[e]}
+        assert [e for e, c in enumerate(template) if c is INF] == sorted(client_arcs)
+        assert not any(template[e] for e in range(len(head)) if e not in client_arcs)
         for i, c in enumerate(clients, 2):
-            cap[i] = dict.fromkeys([center_id[v] for v in allowed[c]], INF)
-        for i in center_id.values():
-            cap[i] = {}
+            heads = [head[e] for e in client_arcs if head[e ^ 1] == i]
+            assert sorted(heads) == sorted({center_id[v] for v in allowed[c]})
         for v in centers:
-            cap[center_id[v]][1] = 0
-        head, res, adj, _ = flow._arrays(cap, range(len(cap)))
-        assert (network.head, network.template, network.adj) == (head, res, adj)
-        assert network.sink_arc == {v: adj[center_id[v]][0] for v in centers}
+            j = center_id[v]
+            assert adj[j][0] == network.sink_arc[v] and head[adj[j][0]] == 1
+            assert sorted(e ^ 1 for e in adj[j][1:]) == sorted(e for e in client_arcs if head[e] == j)
 
 
 # -- the engine against the Edmonds-Karp reference ----------------------------
@@ -692,13 +702,6 @@ def count_calls(monkeypatch, calls, fn):
                     monkeypatch.setattr(module, key, wrapper)
 
 
-def _feasible_code():
-    """The code of `feasible`, the transfer check nested in
-    `rounding.tree_transfer`, which no module global reaches."""
-    return next(c for c in rounding.tree_transfer.__code__.co_consts
-                if getattr(c, "co_name", None) == "feasible")
-
-
 @pytest.mark.parametrize("solve, variant, caps_mode", [
     (solve_ft_general, "ft", "general"),
     (solve_ft_uniform, "ft", "uniform"),
@@ -708,27 +711,34 @@ def _feasible_code():
 def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
     """Solves of seeded random instances, each followed by `verify()` and
     every size-alpha scenario, call `flow.max_flow` nowhere, and each
-    transfer check, a `condition_b_flow` call or a `feasible` test of
-    `tree_transfer`, is one `transport_cuts` call for the single variant
-    with nothing closed.  Calls are counted by code object, so a call that
-    bypasses a module global is counted too."""
-    checks = {rounding.condition_b_flow.__code__: "condition_b_flow",
-              _feasible_code(): "tree_transfer"}
-    counts = dict.fromkeys(["max_flow", *checks.values()], 0)
-    flows = dict.fromkeys(checks.values(), 0)  # transport_cuts calls per check kind
-    shapes = []  # (forced, closed) of each of those calls
+    transfer check is a `condition_b_flow` call, one `transport_cuts` call
+    for the single variant with nothing closed.  The checks of
+    `tree_transfer` are `condition_b_flow` calls too: it makes no flow of
+    its own.  Calls are counted by code object, so a call that bypasses a
+    module global is counted too."""
+    check = rounding.condition_b_flow.__code__
+    tree = rounding.tree_transfer.__code__
+    tree_codes = {tree, *(c for c in tree.co_consts if isinstance(c, type(tree)))}
+    counts = {"max_flow": 0, "condition_b_flow": 0, "from tree_transfer": 0}
+    flows = {"condition_b_flow": 0, "tree_transfer": 0}  # transport_cuts calls by caller
+    shapes = []  # (forced, closed) of the transport_cuts calls of the checks
 
     def profile(frame, event, arg):
         if event != "call":
             return
         code = frame.f_code
+        caller = frame.f_back.f_code
         if code is flow.max_flow.__code__:
             counts["max_flow"] += 1
-        elif code in checks:
-            counts[checks[code]] += 1
-        elif code is flow.transport_cuts.__code__ and frame.f_back.f_code in checks:
-            flows[checks[frame.f_back.f_code]] += 1
-            shapes.append((frame.f_locals["forced"], frame.f_locals["closed"]))
+        elif code is check:
+            counts["condition_b_flow"] += 1
+            counts["from tree_transfer"] += caller in tree_codes
+        elif code is flow.transport_cuts.__code__:
+            if caller is check:
+                flows["condition_b_flow"] += 1
+                shapes.append((frame.f_locals["forced"], frame.f_locals["closed"]))
+            elif caller in tree_codes:
+                flows["tree_transfer"] += 1
 
     rng = random.Random(f"single flow path/{variant}/{caps_mode}")
     solved = 0
@@ -749,9 +759,11 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
         sys.setprofile(previous)
     assert solved >= 2
     assert counts["max_flow"] == 0, counts
-    assert flows == {label: counts[label] for label in flows}, (counts, flows)
+    assert flows == {"condition_b_flow": counts["condition_b_flow"], "tree_transfer": 0}, (counts, flows)
     assert all(shape == ((), [()]) for shape in shapes)
-    assert counts["condition_b_flow"] + counts["tree_transfer"] > 0, counts
+    assert counts["condition_b_flow"] > 0, counts
+    if solve is solve_ft_general:
+        assert counts["from tree_transfer"] > 0, counts
 
 
 @pytest.mark.parametrize("solve, variant, caps_mode", [

@@ -253,8 +253,9 @@ def test_parse_exact_json_keeps_decimals_exact():
 
 def test_huge_numbers_are_rejected_before_they_are_built():
     """Fraction would build 10**e in full, minutes for an exponent near a
-    billion, and json.loads reads an int literal past the interpreter's
-    digit limit as a ValueError; both are bad input, found at once."""
+    billion, and the interpreter refuses to read a number of more than 4300
+    digits; both are bad input, found at once, and the message names the
+    limit."""
     assert exact_decimal("1.5e4300") == Fraction(15) * 10**4299
     assert exact_decimal("1E-4300") == Fraction(1, 10**4300)
     t0 = time.perf_counter()
@@ -263,8 +264,17 @@ def test_huge_numbers_are_rejected_before_they_are_built():
             exact_decimal(number)
         with pytest.raises(InstanceError, match="decimal exponent beyond 4300"):
             parse_exact_json(f'{{"dist": [[0, {number}], [{number}, 0]]}}')
-    with pytest.raises(InstanceError, match="invalid JSON"):
-        parse_exact_json('{"n": 1' + "0" * 5000 + "}")
+    digits = "7" * 4300
+    rest = digits[1:]
+    assert parse_exact_json(f"[{digits}, -{digits}, {rest}.5, -0.{rest}]") == [
+        int(digits), -int(digits), Fraction(int(rest + "5"), 10), -Fraction(int(rest), 10**4299)]
+    assert exact_decimal(f"-{digits}") == -int(digits)
+    for number in ("1" + "0" * 5000, f"-{digits}7", f"{digits}.5", f"-0.{digits}7",
+                   f"{digits[:2150]}.{digits[:2151]}e-3"):
+        with pytest.raises(InstanceError, match="number of more than 4300 digits: '"):
+            parse_exact_json(f'{{"n": {number}}}')
+        with pytest.raises(InstanceError, match="number of more than 4300 digits: '"):
+            exact_decimal(number)
     assert time.perf_counter() - t0 < 1
 
 

@@ -218,19 +218,19 @@ def test_general_static_c6_pinned_backups_overrun_k():
     cl = monarch_clustering(g)
     caps = [1] * 6
     backups, _ = select_backups(cl, caps, 1)
-    lp = lp_general_static(g, 2, caps, cl, backup_union(backups))
+    lp = lp_general_static(g, 2, cl, backup_union(backups))
     assert feasible_point(lp) is None
 
-    lp0 = lp_general_static(g, 2, caps, cl, frozenset())
+    lp0 = lp_general_static(g, 2, cl, frozenset())
     x = feasible_point(lp0)
     assert x is not None and satisfies(lp0.rows, x)
 
 
-def count_agrees_with_lp(graph, k, caps, clustering, backup_set):
+def count_agrees_with_lp(graph, k, clustering, backup_set):
     """The count's reason, asserted to exist exactly when the static LP is
     infeasible."""
     why = static_general_infeasible(graph, k, clustering, backup_set)
-    lp = lp_general_static(graph, k, caps, clustering, backup_set)
+    lp = lp_general_static(graph, k, clustering, backup_set)
     assert (why is not None) == (feasible_point(lp) is None)
     return why
 
@@ -248,7 +248,7 @@ def test_static_count_matches_lp_on_random_connected_graphs():
         backups, _ = select_backups(cl, caps, alpha)
         if backups is None:
             continue
-        why = count_agrees_with_lp(g, k, caps, cl, backup_union(backups))
+        why = count_agrees_with_lp(g, k, cl, backup_union(backups))
         verdicts.add(why is None)
     assert verdicts == {True, False}
 
@@ -262,7 +262,7 @@ def test_static_count_hand_built_cases():
     backups, _ = select_backups(cl, caps, 2)
     bset = backup_union(backups)
     assert bset == {0, 1}
-    assert count_agrees_with_lp(g, 3, caps, cl, bset) == (
+    assert count_agrees_with_lp(g, 3, cl, bset) == (
         "the closed neighborhood of head 0 holds only pinned backups"
     )
 
@@ -273,15 +273,15 @@ def test_static_count_hand_built_cases():
     backups, _ = select_backups(cl, caps, 1)
     bset = backup_union(backups)
     assert len(cl.heads) == 2 and len(bset) == 2
-    assert count_agrees_with_lp(g, 4, caps, cl, bset) is None
-    assert count_agrees_with_lp(g, 3, caps, cl, bset) == (
+    assert count_agrees_with_lp(g, 4, cl, bset) is None
+    assert count_agrees_with_lp(g, 3, cl, bset) == (
         "2 pinned backups and one center near each of 2 heads exceed the budget 3"
     )
 
     # more budget than vertices
     g = path_graph(3)
     cl = monarch_clustering(g)
-    assert count_agrees_with_lp(g, 4, [1, 1, 1], cl, frozenset()) == (
+    assert count_agrees_with_lp(g, 4, cl, frozenset()) == (
         "budget k = 4 exceeds the 3 vertices"
     )
 
@@ -632,7 +632,7 @@ def test_cutting_plane_matches_from_scratch_loop_general():
             continue
         bset = backup_union(backups)
         gp = build_gprime(g, cl, backups)
-        lp = lp_general_static(g, rng.randint(1, n), caps, cl, bset)
+        lp = lp_general_static(g, rng.randint(1, n), cl, bset)
         network = general_network(gp)
 
         def separator(y):

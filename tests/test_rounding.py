@@ -120,6 +120,68 @@ def test_tree_transfer_precondition_checks():
         )
 
 
+def random_transfer_tree(rng):
+    """A tree for `tree_transfer`: a core of members at y = 1, fractional
+    member leaves in pairs of mass a and 1 - a, so the member mass is
+    integral, and non-members with mass.  A leaf hangs on a core member or
+    on a non-member next to one; one more non-member hangs on a member or
+    is isolated.  Returns (tree, members, y, caps)."""
+    core = rng.randint(1, 3)
+    pairs = rng.randint(0, 2)
+    members = core + 2 * pairs
+    n = members + 1
+    edges = [(v, rng.randrange(v)) for v in range(1, core)]
+    y = {v: Fraction(1) for v in range(core)}
+    for p in range(pairs):
+        a = Fraction(rng.randint(1, 3), 4)
+        for leaf, mass in ((core + 2 * p, a), (core + 2 * p + 1, 1 - a)):
+            if rng.random() < 0.5:
+                edges += [(leaf, n), (n, rng.randrange(core))]
+                n += 1
+            else:
+                edges.append((leaf, rng.randrange(core)))
+            y[leaf] = mass
+    for v in range(members, n):
+        if not any(v in edge for edge in edges) and rng.random() < 0.8:
+            edges.append((v, rng.randrange(members)))
+        y[v] = Fraction(rng.randint(0, 4), 4)
+    caps = [rng.randint(0, 4) for _ in range(n)]
+    return ThresholdGraph(n, edges), list(range(members)), y, caps
+
+
+def test_tree_transfer_checks_agree_with_the_exhaustive_reference():
+    """On every candidate of seeded random trees, `condition_b_flow` with B
+    the non-members, the check `tree_transfer` runs, gives the verdict of
+    `condition_b_exhaustive` with the same B, and the answer of
+    `tree_transfer` passes it.  The non-members carry mass and most sit
+    next to a member, so a check that let them send or receive would
+    differ."""
+    rng = random.Random("tree transfer check")
+    seen = Counter()
+    for _ in range(60):
+        tree, members, y, caps = random_transfer_tree(rng)
+        outside = frozenset(range(tree.n)) - set(members)
+        kappa = int(sum(y[w] for w in members))
+        passing = []
+        for opened in combinations(members, kappa):
+            y2 = {**y, **{w: Fraction(w in opened) for w in members}}
+            verdict = condition_b_exhaustive(y, y2, tree, 2, outside, caps)
+            assert condition_b_flow(y, y2, tree, 2, outside, caps) == verdict
+            seen[verdict] += 1
+            if verdict:
+                passing.append(y2)
+        if not passing:
+            with pytest.raises(ContractViolation):
+                tree_transfer(tree, members, y, caps)
+            seen["no transfer"] += 1
+            continue
+        y2 = tree_transfer(tree, members, y, caps)
+        assert y2 in passing
+        assert condition_b_exhaustive(y, y2, tree, 2, outside, caps)
+        seen["transfer"] += 1
+    assert min(seen[key] for key in (True, False, "transfer", "no transfer")) > 0, seen
+
+
 def test_build_augmented_c6():
     g = cycle_graph(6)
     cl = monarch_clustering(g)

@@ -189,10 +189,6 @@ class SweepInfeasible:
 
     reasons: list  # (tau2, reason) per certified skip, then per threshold visited, in tau order
 
-    @property
-    def final_reason(self) -> str:
-        return self.reasons[-1][1]
-
 
 def sweep(inst: MetricInstance, per_tau_solver: Callable, certified=(0, ())):
     """First threshold (in increasing order) whose solver succeeds.

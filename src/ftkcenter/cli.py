@@ -133,7 +133,7 @@ def _cmd_verify(args) -> int:
     except InstanceError:
         raise
     except (ValueError, ZeroDivisionError):
-        raise InstanceError(f"--radius must be a decimal number: {args.radius!r}") from None
+        raise InstanceError(f"--radius must be a decimal number: {args.radius[:40]!r}") from None
     radius = Radius.exact(value)
     if inst.variant == "conservative":
         phi_raw = sol.get("initial_assignment")

@@ -104,23 +104,24 @@ def monarch_clustering(graph: ThresholdGraph, max_heads: int | None = None) -> C
 
 
 def select_backups(clustering: Clustering, capacities: Sequence[int], alpha: int):
-    """Pick alpha largest-capacity members of each cluster (ties: lowest index).
+    """Pick alpha largest-capacity members of each cluster (ties: lowest
+    index), as a dict head -> ascending-index tuple.
 
-    Returns (backups, None) mapping head -> ascending-index tuple, or
-    (None, reason) when some cluster has fewer than alpha members, which
-    certifies that no distance-1 solution exists at this threshold.
+    A cluster holds its head's closed neighborhood, to which
+    `quick_infeasible` gives more than alpha vertices before any caller
+    clusters, so every cluster has more than alpha members.  A cluster of
+    fewer than alpha members is a ContractViolation.
     """
     backups = {}
     for h in clustering.heads:
         members = clustering.clusters[h]
         if len(members) < alpha:
-            return None, (
-                f"cluster of head {h} has {len(members)} vertices; "
-                f"any solution needs at least alpha={alpha} centers that close to it"
+            raise ContractViolation(
+                f"cluster of head {h} has {len(members)} < alpha={alpha} members"
             )
         ranked = sorted(members, key=lambda v: (-capacities[v], v))
         backups[h] = tuple(sorted(ranked[:alpha]))
-    return backups, None
+    return backups
 
 
 def backup_union(backups: Mapping[int, tuple[int, ...]]) -> frozenset:

@@ -48,21 +48,19 @@ BETA = 9
 
 def conservative_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     """Anchors pairwise seven hops apart, alpha backups near each anchor,
-    then a failure-free uniform solve on what remains."""
+    then a failure-free uniform solve on what remains.
+
+    An anchor's backups are the alpha lowest positive-capacity vertices of
+    its closed neighborhood, where `quick_infeasible` leaves more than
+    alpha."""
     uniform_capacity_level(caps)
     why = quick_infeasible(graph, k, caps, alpha)
     if why:
         return PerTauInfeasible(why)
-    anchors = greedy_independent(graph, 7)
-    backups = {}
-    for a in anchors:
-        pool = [v for v in graph.closed(a) if caps[v] > 0]
-        if len(pool) < alpha:
-            return PerTauInfeasible(
-                f"anchor {a}: {len(pool)} positive-capacity vertices within one hop, "
-                f"fewer than alpha={alpha}"
-            )
-        backups[a] = tuple(pool[:alpha])
+    backups = {
+        a: tuple(v for v in graph.closed(a) if caps[v] > 0)[:alpha]
+        for a in greedy_independent(graph, 7)
+    }
     bset = backup_union(backups)
     budget = k - len(bset)
     if budget < 1:

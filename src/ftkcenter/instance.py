@@ -322,9 +322,6 @@ class ThresholdGraph:
         masks = [sum(1 << pos[w] for w in mask_bits(self.masks[v] & keep)) for v in orig]
         return ThresholdGraph.from_masks(masks, self.tau2), orig
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or self.component_count() == 1
-
     def __repr__(self):
         m = sum(mask.bit_count() for mask in self.masks) // 2
         return f"ThresholdGraph(n={self.n}, m={m}, tau2={self.tau2})"

@@ -20,7 +20,9 @@ over the basic coefficient.
 
 `feasible_point` solves a system once.  `solve_cutting_plane` keeps the
 tableau between rounds: each cut enters the same way, reduced to basis
-coordinates, and the dual simplex re-solves from the last basis.
+coordinates, and the dual simplex re-solves from the last basis.  The
+static rows of the clustered LP are feasible whenever a solver builds them
+(`lp_general_static` says why), so the cuts alone decide its verdict.
 
 The two separators turn the exponential Hall-style constraint families into
 polynomially many min-cut computations.  Their client -> center network
@@ -228,10 +230,18 @@ def lp_general_static(
     one fractional center in each head's neighborhood outside the backups,
     and y <= 1.
 
-    The heads of a monarch clustering are at least three hops apart, so
-    their closed neighborhoods are disjoint and the system is a count:
-    `static_general_infeasible` decides it without a simplex, and this LP
-    is its reference in the tests."""
+    These rows are feasible whenever `solvers.ft_general_connected` builds
+    them, so the LP's verdict is decided by the cuts alone.  The closed
+    neighborhoods N[h] of the heads are disjoint, since heads are at least
+    three hops apart, so opening B, one vertex of each N[h] outside B and
+    any further k - |B| - #heads vertices is an integral point, given that:
+    (a) `quick_infeasible` gives every N[h] more than alpha vertices, and
+    N[h] lies inside cluster(h), so the only backups it can hold are the
+    alpha of h and some vertex of N[h] is not a backup; (b) the head cap
+    gives #heads <= k // (alpha+1), so |B| + #heads = (alpha+1) * #heads
+    <= k; (c) every caller's budget k is at most graph.n: an instance has
+    k <= n, `solve_components` caps a component's budget at its vertex
+    count, and cons-general passes less than its own budget."""
     n = graph.n
     lp = LinearProgram(n)
     lp.add({u: 1 for u in range(n)}, "==", k)
@@ -243,37 +253,6 @@ def lp_general_static(
     for u in range(n):
         lp.add({u: 1}, "<=", 1)
     return lp
-
-
-def static_general_infeasible(
-    graph: ThresholdGraph, k: int, clustering: Clustering, backup_set
-) -> str | None:
-    """Why the rows of `lp_general_static` are infeasible, or None if they
-    are feasible.
-
-    The sets closed(h) minus B are pairwise disjoint (heads are at least
-    three hops apart) and disjoint from the backups B, so every feasible y
-    has mass at least |B| + #heads, and mass k needs k <= n.  Conversely,
-    if every such set is nonempty and |B| + #heads <= k <= n, then opening
-    B, one vertex of each set and any further k - |B| - #heads vertices is
-    an integral feasible point.
-    """
-    pinned = 0
-    for b in backup_set:
-        pinned |= 1 << b
-    masks = graph.masks
-    for h in clustering.heads:
-        if not (masks[h] | 1 << h) & ~pinned:
-            return f"the closed neighborhood of head {h} holds only pinned backups"
-    pins, heads = len(backup_set), len(clustering.heads)
-    if pins + heads > k:
-        return (
-            f"{pins} pinned backups and one center near each of {heads} heads "
-            f"exceed the budget {k}"
-        )
-    if k > graph.n:
-        return f"budget k = {k} exceeds the {graph.n} vertices"
-    return None
 
 
 def lp_uniform_static(graph: ThresholdGraph, k: int, capacities: Sequence[int]) -> LinearProgram:
@@ -323,10 +302,9 @@ def separate_general(
     scenario F (alpha backups), each the network of supplies y * capacity
     over G' with F closed, the closed variants of one `network.cuts` call
     on the `general_network` of G'.  Returns the row of the lowest-indexed
-    violated scenario, whose cut is below n, or None if y is clean."""
+    violated scenario, whose cut is below n, or None if y is clean, as it
+    is when there is no scenario."""
     scenarios = list(combinations(sorted(backup_set), alpha))
-    if not scenarios:  # no scenario to separate over
-        return None
     n = len(network.clients)
     cuts = network.cuts(
         dict.fromkeys(network.clients, 1),

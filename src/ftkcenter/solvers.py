@@ -29,7 +29,6 @@ from .lp import (
     separate_general,
     separate_uniform,
     solve_cutting_plane,
-    static_general_infeasible,
     uniform_network,
 )
 from .rounding import (
@@ -48,15 +47,12 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     The clustering stops once it has more than k // (alpha+1) heads.  The
     heads' closed neighborhoods are disjoint, and a distance-1 solution
     needs alpha+1 centers in each, so such a threshold is infeasible.
-    Backup selection or the static count would reject it after a full
-    clustering anyway (|B| = alpha * #heads whenever the backups exist), so
-    the cap changes only the reason.
 
-    The static rows of the clustered LP are decided by a count before G' is
-    built or the simplex runs: the heads' closed neighborhoods are disjoint,
-    so `static_general_infeasible` rejects exactly the thresholds whose
-    static system is infeasible.  Cuts only add rows, so each threshold it
-    rejects the cutting-plane LP would reject as well.
+    Past the quick check and the head cap, nothing else rejects before the
+    LP: every cluster holds its head's closed neighborhood, which the quick
+    check gives more than alpha vertices, so `select_backups` always finds
+    alpha backups, and the static rows of the clustered LP are then
+    feasible (`lp_general_static`), so the cuts alone decide the rest.
     """
     why = quick_infeasible(graph, k, caps, alpha)
     if why:
@@ -64,13 +60,8 @@ def ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     cl = monarch_clustering(graph, k // (alpha + 1))
     if cl is None:
         return PerTauInfeasible(_too_many_heads(k, alpha))
-    backups, why = select_backups(cl, caps, alpha)
-    if backups is None:
-        return PerTauInfeasible(why)
+    backups = select_backups(cl, caps, alpha)
     bset = backup_union(backups)
-    why = static_general_infeasible(graph, k, cl, bset)
-    if why:
-        return PerTauInfeasible(why)
     gp = build_gprime(graph, cl, backups)
     lp = lp_general_static(graph, k, cl, bset)
     network = general_network(gp)  # one network for every round at this threshold

@@ -37,7 +37,7 @@ from ftkcenter.instance import (
     mask_bits,
     uniform_capacity_level,
 )
-from ftkcenter.lp import LinearProgram, Row, feasible_point, static_general_infeasible
+from ftkcenter.lp import LinearProgram, Row, feasible_point, lp_general_static
 from ftkcenter.oracle import exact_distance1, exact_opt, random_point_instance
 from ftkcenter.solvers import ft_general_connected
 from ftkcenter.verify import VerifyReport, _check_centers
@@ -104,7 +104,7 @@ def hop_metric_instance(
     name: str = "hop-instance",
 ) -> MetricInstance:
     """Instance whose metric is the hop distance of a connected graph."""
-    if not graph.is_connected():
+    if graph.component_count() != 1:
         raise InstanceError("hop metric needs a connected graph")
     hops = graph.hops()
     dist = [[int(hops[i][j]) for j in range(graph.n)] for i in range(graph.n)]
@@ -219,22 +219,22 @@ def hop_matrix_clustering(graph: ThresholdGraph) -> Clustering:
     return Clustering(tuple(heads), tuple(cluster_of), clusters, tree_edges)
 
 
+STATIC_ROWS_INFEASIBLE = "the static rows of the full clustering's LP are infeasible"
+
+
 def uncapped_ft_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):
     """The front end of `solvers.ft_general_connected` without its head cap:
-    the full clustering, then backup selection and the static count.  A
-    threshold that passes all three goes on to `ft_general_connected`
-    itself, whose later stages it shares; the reference for the capped
-    front end."""
+    the full clustering, then its static rows decided by the simplex.  A
+    threshold whose static rows are feasible goes on to
+    `ft_general_connected` itself, whose later stages it shares; the
+    reference for the capped front end."""
     why = quick_infeasible(graph, k, caps, alpha)
     if why:
         return PerTauInfeasible(why)
     cl = monarch_clustering(graph)
-    backups, why = select_backups(cl, caps, alpha)
-    if backups is None:
-        return PerTauInfeasible(why)
-    why = static_general_infeasible(graph, k, cl, backup_union(backups))
-    if why:
-        return PerTauInfeasible(why)
+    bset = backup_union(select_backups(cl, caps, alpha))
+    if feasible_point(lp_general_static(graph, k, cl, bset)) is None:
+        return PerTauInfeasible(STATIC_ROWS_INFEASIBLE)
     return ft_general_connected(graph, k, caps, alpha)
 
 

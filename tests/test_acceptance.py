@@ -336,9 +336,9 @@ def test_separation_equivalence():
         G = random_connected_graph(rng, n, extra=rng.randint(0, 3))
         caps = [rng.randint(0, n) for _ in range(n)]
         clustering = monarch_clustering(G)
-        backups, reason = select_backups(clustering, caps, alpha)
-        if backups is None:
+        if min(map(len, clustering.clusters.values())) < alpha:
             continue
+        backups = select_backups(clustering, caps, alpha)
         gprime = build_gprime(G, clustering, backups)
         bset = set()
         for vs in backups.values():

@@ -111,7 +111,7 @@ def test_sweep_collects_reasons_in_order():
         "fails with 2 edges",
         "fails with 3 edges",
     ]
-    assert out.final_reason == "fails with 3 edges"
+    assert out.reasons[-1][1] == "fails with 3 edges"
     assert [t for t, _ in out.reasons] == [0, 1, 4]
 
 

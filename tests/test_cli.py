@@ -201,13 +201,15 @@ class TestVerify:
         assert rc == 1
         assert "'initial_assignment' must map" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("radius", ["1/0", "two", "-1"])
+    @pytest.mark.parametrize("radius", ["1/0", "two", "-1", pytest.param("x" * 5001, id="long")])
     def test_radius_must_be_a_number(self, files, tmp_path, capsys, radius):
+        """The message echoes at most 40 characters of the text."""
         sol = write_json(tmp_path, "sol.json", {"centers": [1, 2]})
         rc = main(["verify", "--input", files["ft"], "--solution", sol, "--radius", radius])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("ftkc: ") and "radius must be" in err
+        assert err.count("\n") == 1 and len(err) < 120
 
     def test_huge_radius_exponent_is_bad_input(self, files, tmp_path, capsys):
         """Fraction would build 10**999999999 in full; the exponent is

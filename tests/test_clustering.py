@@ -13,7 +13,7 @@ from ftkcenter.clustering import (
     monarch_clustering,
     select_backups,
 )
-from ftkcenter.instance import InstanceError, ThresholdGraph
+from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
 
 from helpers import closed_out, cycle_graph, path_graph, random_connected_graph
 
@@ -53,26 +53,26 @@ def test_monarch_rejects_disconnected_and_empty():
 
 def test_select_backups_capacity_rank_and_ties():
     cl = monarch_clustering(cycle_graph(6))
-    backups, reason = select_backups(cl, [1, 2, 2, 1, 1, 1], 1)
-    assert reason is None
+    backups = select_backups(cl, [1, 2, 2, 1, 1, 1], 1)
     assert backups == {0: (1,), 3: (2,)}
     # all-equal capacities fall back to lowest index
-    backups, _ = select_backups(cl, [1] * 6, 2)
+    backups = select_backups(cl, [1] * 6, 2)
     assert backups == {0: (0, 1), 3: (2, 3)}
     assert backup_union(backups) == frozenset({0, 1, 2, 3})
 
 
-def test_select_backups_certificate_when_cluster_too_small():
+def test_select_backups_too_small_cluster_breaks_the_contract():
+    """The quick check gives every cluster more than alpha members before
+    any caller selects backups; a cluster of fewer than alpha is a bug."""
     cl = monarch_clustering(cycle_graph(6))
-    backups, reason = select_backups(cl, [1] * 6, 4)
-    assert backups is None
-    assert "head 0" in reason
+    with pytest.raises(ContractViolation, match="cluster of head 0 has 3 < alpha=4 members"):
+        select_backups(cl, [1] * 6, 4)
 
 
 def test_build_gprime_c6_arcs():
     g = cycle_graph(6)
     cl = monarch_clustering(g)
-    backups, _ = select_backups(cl, [1, 2, 2, 1, 1, 1], 1)
+    backups = select_backups(cl, [1, 2, 2, 1, 1, 1], 1)
     gp = build_gprime(g, cl, backups)
     assert len(gp) == 6
     # base edges survive in both directions

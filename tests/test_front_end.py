@@ -28,6 +28,7 @@ from ftkcenter.oracle import random_point_instance
 from ftkcenter.solvers import ft_general_connected, solve_ft_general
 
 from helpers import (
+    STATIC_ROWS_INFEASIBLE,
     bfs_hops,
     brute_threshold_pairs,
     edge_set,
@@ -97,7 +98,7 @@ def test_random_graphs_hops_balls_components(n):
             want = bfs_hops(g)
             assert g.hops() == want
             assert g.components() == reference_components(g)
-            assert g.is_connected() == (len(reference_components(g)) <= 1)
+            assert g.component_count() == len(reference_components(g))
             for s in range(n):
                 for r, ball in enumerate(g.balls(s, 4)):
                     assert ball == sum(1 << v for v in range(n) if want[s][v] <= r)
@@ -167,7 +168,7 @@ def test_grid_threshold_graphs_match_brute_filter(shape):
         assert_same_graph(G, inst.n, tau2, brute_threshold_pairs(inst, tau2))
         assert G.hops() == bfs_hops(G)
         assert G.components() == reference_components(G)
-        if G.is_connected():
+        if G.component_count() == 1:
             assert_same_clustering(G)
 
 
@@ -240,7 +241,7 @@ def test_threshold_graph_component_counts_in_any_query_order(seed):
         for order in (taus, taus[::-1], shuffled):
             assert_counts_match(inst, order)
     g = ThresholdGraph(5, [(0, 1), (3, 4)])  # built from edges: counted by components()
-    assert g.component_count() == 3 and not g.is_connected()
+    assert g.component_count() == 3
 
 
 def test_capped_clustering_stops_iff_the_heads_exceed_the_cap():
@@ -305,15 +306,14 @@ def cons_general(residual_connected):
 
 
 HEAD_CAP = " heads exceed k // (alpha+1) = "
-FULL_CLUSTERING_REJECTIONS = ("cluster of head", "pinned backups")  # select_backups, the static count
 
 
 @pytest.mark.parametrize("variant", ["ft", "conservative"])
 def test_sweeps_match_the_uncapped_front_end(variant):
     """Every threshold gets the verdict of the uncapped front end with BFS
     component counts, and the sweeps pick the same tau*, centers and
-    assignment; a reason changes only where the head cap rejects what
-    backup selection or the static count rejected."""
+    assignment; a reason changes only where the head cap rejects what the
+    full clustering's static rows rejected."""
     rng = random.Random(f"front-end/sweeps/{variant}")
     capped, uncapped = ft_general_connected, uncapped_ft_general_connected
     if variant == "conservative":
@@ -330,7 +330,7 @@ def test_sweeps_match_the_uncapped_front_end(variant):
         assert [(t, r is None) for t, r in got_log] == [(t, r is None) for t, r in want_log]
         for (_, r), (_, w) in zip(got_log, want_log):
             if r != w:
-                assert HEAD_CAP in r and any(x in w for x in FULL_CLUSTERING_REJECTIONS)
+                assert HEAD_CAP in r and STATIC_ROWS_INFEASIBLE in w
                 head_capped += 1
         if isinstance(want, SweepSuccess):
             public = (solve_ft_general if variant == "ft" else solve_conservative_general)(inst)

@@ -10,9 +10,11 @@ from fractions import Fraction
 import pytest
 
 from ftkcenter import lp as lp_module
+from ftkcenter.bottleneck import quick_infeasible
 from ftkcenter.clustering import (
     backup_union,
     build_gprime,
+    greedy_independent,
     monarch_clustering,
     select_backups,
 )
@@ -27,7 +29,6 @@ from ftkcenter.lp import (
     separate_general,
     separate_uniform,
     solve_cutting_plane,
-    static_general_infeasible,
     uniform_network,
 )
 
@@ -217,7 +218,7 @@ def test_general_static_c6_pinned_backups_overrun_k():
     g = cycle_graph(6)
     cl = monarch_clustering(g)
     caps = [1] * 6
-    backups, _ = select_backups(cl, caps, 1)
+    backups = select_backups(cl, caps, 1)
     lp = lp_general_static(g, 2, cl, backup_union(backups))
     assert feasible_point(lp) is None
 
@@ -226,64 +227,37 @@ def test_general_static_c6_pinned_backups_overrun_k():
     assert x is not None and satisfies(lp0.rows, x)
 
 
-def count_agrees_with_lp(graph, k, clustering, backup_set):
-    """The count's reason, asserted to exist exactly when the static LP is
-    infeasible."""
-    why = static_general_infeasible(graph, k, clustering, backup_set)
-    lp = lp_general_static(graph, k, clustering, backup_set)
-    assert (why is not None) == (feasible_point(lp) is None)
-    return why
-
-
-def test_static_count_matches_lp_on_random_connected_graphs():
-    rng = random.Random("static-count")
-    verdicts = set()
+def test_static_rows_are_feasible_past_the_quick_check_and_the_head_cap():
+    """On graphs and capacities that pass `quick_infeasible`: (a) every
+    cluster of the capped clustering has more than alpha members, (b) the
+    static rows over its backups are feasible, and (d) every cons-0l
+    anchor has more than alpha positive-capacity vertices within one hop.
+    Without the cap the static rows can be infeasible, so (b) rests on
+    it."""
+    rng = random.Random("static-rows")
+    checked = Counter()
     for _ in range(400):
         n = rng.randint(1, 12)
-        g = random_connected_graph(rng, n, rng.choice((0, 1, n // 2, n)))
-        caps = [rng.randint(0, n) for _ in range(n)]
-        alpha = rng.randint(0, 3)
+        g = random_connected_graph(rng, n, rng.choice((0, n // 2, n, 2 * n)))
+        caps = [0 if rng.random() < 0.1 else rng.randint(1, n) for _ in range(n)]
+        alpha = rng.randint(0, 2)
         k = rng.randint(1, n)
-        cl = monarch_clustering(g)
-        backups, _ = select_backups(cl, caps, alpha)
-        if backups is None:
+        if quick_infeasible(g, k, caps, alpha):
             continue
-        why = count_agrees_with_lp(g, k, cl, backup_union(backups))
-        verdicts.add(why is None)
-    assert verdicts == {True, False}
-
-
-def test_static_count_hand_built_cases():
-    # path 0-1-2 is one cluster around head 0; alpha=2 pins 0 and 1, which is
-    # all of closed(0), although |B| + #heads = 3 = k = n
-    g = path_graph(3)
-    cl = monarch_clustering(g)
-    caps = [5, 5, 1]
-    backups, _ = select_backups(cl, caps, 2)
-    bset = backup_union(backups)
-    assert bset == {0, 1}
-    assert count_agrees_with_lp(g, 3, cl, bset) == (
-        "the closed neighborhood of head 0 holds only pinned backups"
-    )
-
-    # C6 with alpha=1: two heads and two backups fit k = 4 exactly, not k = 3
-    g = cycle_graph(6)
-    cl = monarch_clustering(g)
-    caps = [1] * 6
-    backups, _ = select_backups(cl, caps, 1)
-    bset = backup_union(backups)
-    assert len(cl.heads) == 2 and len(bset) == 2
-    assert count_agrees_with_lp(g, 4, cl, bset) is None
-    assert count_agrees_with_lp(g, 3, cl, bset) == (
-        "2 pinned backups and one center near each of 2 heads exceed the budget 3"
-    )
-
-    # more budget than vertices
-    g = path_graph(3)
-    cl = monarch_clustering(g)
-    assert count_agrees_with_lp(g, 4, cl, frozenset()) == (
-        "budget k = 4 exceeds the 3 vertices"
-    )
+        for a in greedy_independent(g, 7):
+            assert sum(caps[v] > 0 for v in g.closed(a)) > alpha
+        full = monarch_clustering(g)
+        static = lp_general_static(g, k, full, backup_union(select_backups(full, caps, alpha)))
+        checked["uncapped infeasible"] += feasible_point(static) is None
+        cl = monarch_clustering(g, k // (alpha + 1))
+        if cl is None:
+            continue
+        assert all(len(members) > alpha for members in cl.clusters.values())
+        bset = backup_union(select_backups(cl, caps, alpha))
+        assert feasible_point(lp_general_static(g, k, cl, bset)) is not None
+        checked["one head"] += len(cl.heads) == 1
+        checked["several heads, alpha > 0"] += len(cl.heads) > 1 and alpha > 0
+    assert min(checked.values()) >= 10, checked
 
 
 def test_uniform_static_rows():
@@ -338,9 +312,9 @@ def test_separate_general_matches_brute():
         caps = [rng.randint(0, 3) for _ in range(n)]
         alpha = rng.randint(0, 2)
         cl = monarch_clustering(g)
-        backups, reason = select_backups(cl, caps, alpha)
-        if reason is not None:
+        if min(map(len, cl.clusters.values())) < alpha:
             continue
+        backups = select_backups(cl, caps, alpha)
         bset = backup_union(backups)
         if len(bset) < alpha:
             continue
@@ -627,9 +601,9 @@ def test_cutting_plane_matches_from_scratch_loop_general():
         caps = [rng.randint(0, 4) for _ in range(n)]
         alpha = rng.randint(0, 2)
         cl = monarch_clustering(g)
-        backups, _ = select_backups(cl, caps, alpha)
-        if backups is None:
+        if min(map(len, cl.clusters.values())) < alpha:
             continue
+        backups = select_backups(cl, caps, alpha)
         bset = backup_union(backups)
         gp = build_gprime(g, cl, backups)
         lp = lp_general_static(g, rng.randint(1, n), cl, bset)

@@ -9,8 +9,9 @@ from itertools import combinations
 
 import pytest
 
+from ftkcenter import rounding, solvers
 from ftkcenter.clustering import monarch_clustering, select_backups
-from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
+from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, ThresholdGraph
 from ftkcenter.oracle import (
     condition_b_exhaustive,
     random_point_instance,
@@ -28,7 +29,7 @@ from ftkcenter.rounding import (
     round_uniform,
     tree_transfer,
 )
-from ftkcenter.solvers import solve_ft_general
+from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
 
 from helpers import cycle_graph, path_graph, random_connected_graph
 
@@ -216,7 +217,7 @@ def test_round_general_c6_pinned_backups():
     g = cycle_graph(6)
     cl = monarch_clustering(g)
     caps = [1, 2, 2, 1, 1, 1]
-    backups, _ = select_backups(cl, caps, 1)
+    backups = select_backups(cl, caps, 1)
     assert backups == {0: (1,), 3: (2,)}
     y = {0: H, 1: Fraction(1), 2: Fraction(1), 3: H, 4: H, 5: H}
     rr = round_general(y, g, cl, backups, caps)
@@ -232,7 +233,7 @@ def test_round_general_drain_needs_the_lp_row():
     g = cycle_graph(6)
     cl = monarch_clustering(g)
     caps = [1, 2, 2, 1, 1, 1]
-    backups, _ = select_backups(cl, caps, 1)
+    backups = select_backups(cl, caps, 1)
     y = {1: Fraction(1), 2: Fraction(1), 4: Fraction(1)}
     with pytest.raises(ContractViolation):
         round_general(y, g, cl, backups, caps)
@@ -248,6 +249,31 @@ def test_round_uniform_reports_impossible_transfer():
     g = path_graph(2)
     with pytest.raises(ContractViolation):
         round_uniform({0: Fraction(1), 1: Fraction(1)}, g, 1, [1, 1])
+
+
+@pytest.mark.parametrize("seed, checks", [(0, 51), (1, 161), (2, 143)])
+def test_round_uniform_goes_past_its_first_candidate(monkeypatch, seed, checks):
+    """On the line family (points 10*i plus a jitter of 0..2, n = 20,
+    k = 7, alpha = 1, capacity 4) the lexicographic search tries many
+    candidates per rounding.  The counts are the baseline that a
+    construction driven by y must lower."""
+    flows, roundings = [], []
+
+    def counted_check(*args):
+        flows.append(args)
+        return condition_b_flow(*args)
+
+    def counted_rounding(*args):
+        roundings.append(args)
+        return round_uniform(*args)
+
+    monkeypatch.setattr(rounding, "condition_b_flow", counted_check)
+    monkeypatch.setattr(solvers, "round_uniform", counted_rounding)
+    rng = random.Random(seed)
+    points = [(10 * i + rng.randrange(3), 0) for i in range(20)]
+    res = solve_ft_uniform(MetricInstance.from_points(points, 7, 1, [4] * 20))
+    assert res.tau2_star == 400 and res.verify().ok
+    assert len(flows) == checks and len(flows) > len(roundings)
 
 
 def test_assign_scenario_uniform():

@@ -181,7 +181,7 @@ class TestInfeasibleResult:
 
     def test_reason_explains(self):
         res = solve_ft_general(line4(caps=(1, 1, 1, 1)))
-        assert res.outcome.final_reason == "best 1 surviving capacities cover 1 < 4 clients"
+        assert res.outcome.reasons[-1][1] == "best 1 surviving capacities cover 1 < 4 clients"
 
     def test_radius_and_scenario_raise(self):
         res = solve_ft_general(line4(caps=(1, 1, 1, 1)))

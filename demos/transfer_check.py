@@ -12,8 +12,8 @@ Run:  python3 demos/transfer_check.py
 from fractions import Fraction
 
 from ftkcenter.instance import MetricInstance
-from ftkcenter.oracle import condition_b_exhaustive, verify_transfer
-from ftkcenter.rounding import GeneralRounding, condition_b_flow
+from ftkcenter.oracle import condition_b_exhaustive
+from ftkcenter.rounding import GeneralRounding, condition_b_flow, verify_transfer
 from ftkcenter.solvers import solve_ft_general
 
 POINTS = [(0, 0), (1, 0), (1, 1), (2, 1), (6, 0), (6, 1), (7, 0)]

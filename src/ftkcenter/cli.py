@@ -171,6 +171,7 @@ def _cmd_bench(args) -> int:
         raise InstanceError(f"--count must be nonnegative, got {args.count}")
     rng = random.Random(args.seed)
     variant, solve = ALGORITHMS[args.alg]
+    caps = args.caps or ("uniform" if args.alg.endswith("-0l") else "general")
     reports = []
     for i in range(args.count):
         inst = random_point_instance(
@@ -179,7 +180,7 @@ def _cmd_bench(args) -> int:
             args.k,
             args.alpha,
             variant=variant,
-            caps_mode=args.caps,
+            caps_mode=caps,
             name=f"bench-{i}",
         )
         t0 = time.perf_counter()
@@ -234,7 +235,9 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--caps", choices=("general", "uniform", "unit"), default="general")
+    p.add_argument("--caps", choices=("general", "uniform", "unit"), default=None,
+                   help="capacity form of the drawn instances; by default {0,L} "
+                   "(uniform) for ft-0l and cons-0l, general otherwise")
     p.add_argument("--seed", type=int, default=0)
     _add_common_solve_flags(p)
     p.set_defaults(func=_cmd_bench)

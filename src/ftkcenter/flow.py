@@ -11,22 +11,23 @@ The package solves every flow network on one path, `TransportNetwork`:
 client demand routed to allowed centers within their supply, the Hall-type
 condition behind the LP separators, `verify_ft`, the relaxed ILP and the
 rounding's transfer checks.  The network builds its integer arrays once,
-straight from the allowed lists; `cuts` reads two facts of their layout:
-the source's arcs are the source arcs in client order, and a supplied
-center lists its sink arc first, then only the reverses of the client arcs
-into it.  Each `cuts` call scales one demand and supply map to ints,
-writes them into a copy of the zero-flow residuals, and yields the flow
-value and the clients of the minimal min cut for each variant on demand:
-one client forced in or one center set closed, every forced one from one
-base flow and the closed ones as one chain, each from the maximum flow of
-the one before with only the load of the newly closed centers
-re-augmented.  Before Dinic runs on a variant, a seating pass,
-`_seat`, routes what it can along the one-step paths source -> client ->
-allowed center -> sink, the clients in order, without a level graph; Dinic
-then finishes the flow, and often its first BFS already finds no path to
-the sink.  The seated flow is a feasible flow, Dinic takes any feasible
-flow to a maximum one, and the value and the minimal min cut are the same
-for every maximum flow, so the pass changes no result.  The LP separators
+straight from the allowed lists, whose centers must all be centers of the
+network; `cuts` reads two facts of their layout: the source's arcs are the
+source arcs in client order, and a center lists its sink arc first, then
+only the reverses of the client arcs into it.  Each `cuts` call scales one
+finite demand and supply map to ints, writes them into a copy of the
+zero-flow residuals, and yields the flow value and the clients of the
+minimal min cut for each variant on demand: each client forced in, in
+client order, from one base flow, or one center set closed, the closed
+ones as one chain, each from the maximum flow of the one before with only
+the load of the newly closed centers re-augmented.  Before Dinic runs on a
+variant, a seating pass, `_seat`, routes what it can along the one-step
+paths source -> client -> allowed center -> sink, the clients in order,
+without a level graph; Dinic then finishes the flow, and often its first
+BFS already finds no path to the sink.  The seated flow is a feasible
+flow, Dinic takes any feasible flow to a maximum one, and the value and
+the minimal min cut are the same for every maximum flow, so the pass
+changes no result.  The LP separators
 build one network per threshold and call `cuts` once per cutting-plane
 round, with the supplies of that round's point; `transport_cuts` builds a
 network for a single call.  A caller that needs the plain network asks for
@@ -205,22 +206,22 @@ class TransportNetwork:
     and solved for any number of demand and supply maps by `cuts`.
 
     The network is source -> client (capacity demand[c]) -> each center of
-    allowed[c] (unbounded) -> sink (capacity supply[v]) for each center of
-    `centers`, on integer node ids: source 0, sink 1, the clients in the
-    order given, then the centers in the order they are first named,
-    allowed lists before `centers`.  A center named only in an allowed list
-    is a dead end.  The arrays are built here in one pass: the sink arcs,
-    the source arcs in client order, then each client's arcs, one per
-    distinct allowed center, each arc listed at both of its ends as it is
-    made.  So `adj[0]` is the source arcs in client order, and a supplied
-    center's first arc is its sink arc, followed only by the reverses of
-    the client arcs into it: the two facts `cuts` reads.  Besides `head`
-    and `adj` the network keeps the source arc of each client, the sink arc
-    of each center, `direct`, each client's one-step paths to the sink for
-    the seating pass, and `template`, the residuals of the zero flow with
-    every client -> center arc unbounded and every source and sink arc at
-    0.  `cuts` writes the capacities into a copy of `template`, which is
-    never changed.
+    allowed[c] (unbounded) -> sink (capacity supply[v]), on integer node
+    ids: source 0, sink 1, the clients in the order given, then the
+    distinct centers of `centers` in order.  Every allowed center must be
+    one of `centers`, else the network is a `ContractViolation`.  The
+    arrays are built here in one pass: the sink arcs in center order, the
+    source arcs in client order, then each client's arcs, one per distinct
+    allowed center, each arc listed at both of its ends as it is made.  So
+    `adj[0]` is the source arcs in client order, and a center's first arc
+    is its sink arc, followed only by the reverses of the client arcs into
+    it: the two facts `cuts` reads.  Besides `head` and `adj` the network
+    keeps the source arc of each client, the sink arc of each center,
+    `direct`, each client's one-step paths to the sink for the seating
+    pass, and `template`, the residuals of the zero flow with every
+    client -> center arc unbounded and every source and sink arc at 0.
+    `cuts` writes the capacities into a copy of `template`, which is never
+    changed.
     """
 
     def __init__(self, clients: Iterable, allowed: Mapping, centers: Iterable):
@@ -228,22 +229,13 @@ class TransportNetwork:
         self.allowed = allowed
         self.centers = list(centers)
         first = len(self.clients) + 2  # id of the first center
-        center_id: dict = {}
-        for c in self.clients:
-            for v in allowed[c]:
-                center_id.setdefault(v, first + len(center_id))
-        for v in self.centers:
-            center_id.setdefault(v, first + len(center_id))
-        head = []  # arc 2k+1 reverses arc 2k
+        center_id = {v: j for j, v in enumerate(dict.fromkeys(self.centers), first)}
+        head = []  # arc 2k+1 reverses arc 2k; the sink arc of center j is 2 * (j - first)
         adj = [[] for _ in range(first + len(center_id))]
-        sink = {}  # center id -> its sink arc
-        for v in self.centers:
-            j = center_id[v]
-            if j not in sink:
-                sink[j] = e = len(head)
-                adj[j].append(e)
-                adj[1].append(e + 1)
-                head += (1, j)
+        for j in center_id.values():
+            adj[j].append(len(head))
+            adj[1].append(len(head) + 1)
+            head += (1, j)
         for i in range(2, first):
             e = len(head)
             adj[0].append(e)
@@ -251,31 +243,35 @@ class TransportNetwork:
             head += (i, 0)
         fixed = len(head)
         # per client: (reverse of its arc to a center, that center's sink
-        # arc) for each allowed center with a sink arc, the one-step paths
-        # of the seating pass
+        # arc) for each allowed center, the one-step paths of the seating pass
         self.direct = []
         for i, c in enumerate(self.clients, 2):
             paths = []
-            for j in dict.fromkeys([center_id[v] for v in allowed[c]]):
+            for v in dict.fromkeys(allowed[c]):
+                j = center_id.get(v)
+                if j is None:
+                    raise ContractViolation(
+                        f"allowed center {v!r} of client {c!r} is not in the transport network"
+                    )
                 e = len(head)
                 adj[i].append(e)
                 adj[j].append(e + 1)
                 head += (j, i)
-                if j in sink:
-                    paths.append((e + 1, sink[j]))
+                paths.append((e + 1, 2 * (j - first)))
             self.direct.append(paths)
         self.head, self.adj = head, adj
         self.template = [0] * fixed + [INF, 0] * ((len(head) - fixed) // 2)
         self.source_arc = dict(zip(self.clients, adj[0]))
-        self.sink_arc = {v: sink[center_id[v]] for v in self.centers}
+        self.sink_arc = {v: 2 * (j - first) for v, j in center_id.items()}
 
-    def cuts(self, demand: Mapping, supply: Mapping, forced=(), closed=()):
+    def cuts(self, demand: Mapping, supply: Mapping, forced=False, closed=()):
         """Route client demand to allowed centers within their supply,
-        solved once per variant: first for each client w of `forced`, with
-        w's demand made infinite, then for each center set of `closed`, with
-        the supply of those centers made 0.  A caller that needs the plain
-        network passes closed=[()].  A client without a demand entry has
-        demand 0, and a center without a supply entry has supply 0.
+        solved once per variant: first, if `forced`, for each client w in
+        client order, with w's demand made infinite, then for each center
+        set of `closed`, with the supply of those centers made 0.  A caller
+        that needs the plain network passes closed=[()].  A client without a
+        demand entry has demand 0, and a center without a supply entry has
+        supply 0.
 
         Returns an iterator of one (value, blocked) pair per variant, in
         that order: the flow value, a Fraction, and the clients on the
@@ -283,26 +279,26 @@ class TransportNetwork:
         together when the value falls short of the total demand.  Each
         variant is solved only when the iterator is asked for it, so a
         caller that stops at the first variant it needs solves no later
-        one.  The input is checked at the call: every supply must be
-        finite, every amount nonnegative, every forced client one of the
-        network's clients, and every name in `demand` and `supply` one the
-        network was built with.  Every finite demand and supply is scaled
-        by the lcm of their denominators, so every residual is an int.  A
-        forced variant starts from the base maximum flow, which stays
-        feasible when a capacity rises.  The first closed variant starts
-        from the zero flow and each later one from the maximum flow of the
-        one before: the sink arcs closed there reopen, the flow through
-        each newly closed center is cancelled back to the source, and only
-        that displaced load is augmented again.  Each variant first runs
-        the seating pass, `_seat`, which routes leftover demand straight to
-        allowed centers with supply left, and then one Dinic call, which
-        takes that feasible flow to a maximum one.  The value and the
-        minimal min cut do not depend on the maximum flow reached, so the
-        seated flow changes neither.
+        one.  The input is checked at the call: every demand and supply
+        must be finite and nonnegative, and every name in `demand` and
+        `supply` one the network was built with.  Every demand and supply
+        is scaled by the lcm of their denominators, so every residual is an
+        int.  A forced variant sets its client's source arc to INF on a copy
+        of the base maximum flow, which stays feasible when a capacity
+        rises.  The first closed variant starts from the zero flow and each
+        later one from the maximum flow of the one before: the sink arcs
+        closed there reopen, the flow through each newly closed center is
+        cancelled back to the source, and only that displaced load is
+        augmented again.  Each variant first runs the seating pass, `_seat`,
+        which routes leftover demand straight to allowed centers with supply
+        left, and then one Dinic call, which takes that feasible flow to a
+        maximum one.  The value and the minimal min cut do not depend on the
+        maximum flow reached, so the seated flow changes neither.
         """
-        if any(s is INF for s in supply.values()):
-            raise ContractViolation("infinite supply in a transport network")
-        if any(d is not INF and d < 0 for d in demand.values()):
+        for amounts, kind in ((demand, "demand"), (supply, "supply")):
+            if INF in amounts.values():
+                raise ContractViolation(f"infinite {kind} in a transport network")
+        if any(d < 0 for d in demand.values()):
             raise InstanceError("negative demand")
         if any(s < 0 for s in supply.values()):
             raise InstanceError("negative capacity")
@@ -312,16 +308,10 @@ class TransportNetwork:
             for u in names:
                 if u not in arcs:
                     raise ContractViolation(f"{kind} {u!r} is not in the transport network")
-        forced_arcs = []  # the source arc of each forced client
-        for w in forced:
-            if w not in source_arc:
-                raise InstanceError(f"forced client {w!r} is not a client of the network")
-            forced_arcs.append(source_arc[w])
-        finite = [d for d in demand.values() if d is not INF] + list(supply.values())
-        scale = math.lcm(*(a.denominator for a in finite))
+        scale = math.lcm(*(a.denominator for a in (*demand.values(), *supply.values())))
         zero = self.template[:]
         for c, d in demand.items():
-            zero[source_arc[c]] = d if d is INF else d.numerator * (scale // d.denominator)
+            zero[source_arc[c]] = d.numerator * (scale // d.denominator)
         for v, s in supply.items():
             zero[sink_arc[v]] = s.numerator * (scale // s.denominator)
         first = len(clients) + 2
@@ -331,10 +321,10 @@ class TransportNetwork:
             return Fraction(total, scale), blocked
 
         def variants():
-            if forced_arcs:
+            if forced:
                 base = zero[:]
                 base_value = _seat(base, adj[0], direct) + _augment(head, base, adj, 0, 1)[0]
-                for a in forced_arcs:
+                for a in adj[0]:
                     res = base[:]
                     res[a] = INF
                     more = _seat(res, adj[0], direct)
@@ -407,7 +397,7 @@ def _seat(res, source_arcs, direct):
     return value
 
 
-def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=(), closed=()):
+def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=False, closed=()):
     """`TransportNetwork.cuts` on a network built for this one call: the
     clients of `demand`, their `allowed` lists and the centers of
     `supply`."""

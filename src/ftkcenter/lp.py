@@ -10,10 +10,11 @@ a negative entry in it enters.  The dual ratio test always ties, so this is
 Bland's rule applied to the dual; a negative-rhs row with no negative entry
 proves infeasibility.
 
-Each tableau row is a list of Python ints, a positive integer multiple of
-the rational row it stands for (scaled by the lcm of its denominators when
-it enters, then fraction-free: a pivot replaces a row by
-p * row - f * pivot_row and divides out the gcd of its entries).  Signs do
+A row has int coefficients and an int rhs, as every Hall row has: integer
+capacities against an integer count.  Each tableau row is a list of
+Python ints, a positive integer multiple of the row it stands for, and
+stays one under fraction-free pivots: a pivot replaces a row by
+p * row - f * pivot_row and divides out the gcd of its entries.  Signs do
 not change under positive row scaling, so the pivots are the ones the same
 dual simplex makes over Fractions; points are returned as Fractions, rhs
 over the basic coefficient.
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Mapping, Sequence
 
 from .clustering import Clustering
@@ -49,6 +50,7 @@ from .instance import (
     ContractViolation,
     InstanceError,
     ThresholdGraph,
+    is_plain_int,
     mask_bits,
     uniform_capacity_level,
 )
@@ -61,18 +63,19 @@ _LE_SIGNS = {"<=": (1,), ">=": (-1,), "==": (1, -1)}  # a row as sign * row <= .
 
 @dataclass(frozen=True)
 class Row:
-    coeffs: tuple  # sorted ((var, coef), ...) pairs, coefs nonzero
+    coeffs: tuple  # sorted ((var, coef), ...) pairs, coefs nonzero ints
     rel: str
-    rhs: Fraction
+    rhs: int
 
     @classmethod
-    def make(cls, coeffs: Mapping[int, object], rel: str, rhs) -> "Row":
+    def make(cls, coeffs: Mapping[int, int], rel: str, rhs: int) -> "Row":
+        """The row; every coefficient and the rhs must be a plain int, not a
+        Fraction, a float or a bool."""
         if rel not in _RELS:
             raise InstanceError(f"bad relation {rel!r}")
-        items = tuple(
-            sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0)
-        )
-        return cls(items, rel, Fraction(rhs))
+        if not (is_plain_int(rhs) and all(map(is_plain_int, coeffs.values()))):
+            raise InstanceError("LP row coefficients and rhs must be ints")
+        return cls(tuple(sorted((v, c) for v, c in coeffs.items() if c != 0)), rel, rhs)
 
 
 @dataclass
@@ -91,19 +94,6 @@ def feasible_point(lp: LinearProgram):
     the vertex the dual simplex reaches from the slack basis at y = 0."""
     tab = _solve(lp)
     return None if tab is None else tab.point()
-
-
-def _int_row(row: Row, nvars: int, sign: int):
-    """(int coefficients, int rhs, scale > 0) of sign * row times the lcm
-    `scale` of its denominators."""
-    num, den = row.rhs.numerator, row.rhs.denominator
-    scale = lcm(den, *(c.denominator for _, c in row.coeffs))
-    coeffs = []
-    for v, c in row.coeffs:
-        if not 0 <= v < nvars:
-            raise InstanceError(f"variable {v} out of range")
-        coeffs.append((v, sign * c.numerator * (scale // c.denominator)))
-    return coeffs, sign * num * (scale // den), scale
 
 
 def _solve(lp: LinearProgram) -> "_Tableau | None":
@@ -134,14 +124,17 @@ class _Tableau:
         return x
 
     def append(self, rows) -> bool:
-        """Append `rows` as `<=` rows (an `==` row as its two halves), each
-        with a new basic slack, reduced against every basic column where it
-        has a nonzero entry; the multipliers are positive, so the slack's
-        entry stays positive.  True if the current point violates one of
-        them, that is, some new rhs is negative."""
-        halves = [
-            _int_row(row, self.nvars, s) for row in rows for s in _LE_SIGNS[row.rel]
-        ]
+        """Append `rows` as `<=` rows (an `==` row as its two halves, the
+        row and its negation), each with a new basic slack of entry 1,
+        reduced against every basic column where it has a nonzero entry;
+        the multipliers are positive, so the slack's entry stays positive.
+        True if the current point violates one of them, that is, some new
+        rhs is negative."""
+        for row in rows:
+            for v, _ in row.coeffs:
+                if not 0 <= v < self.nvars:
+                    raise InstanceError(f"variable {v} out of range")
+        halves = [(row, s) for row in rows for s in _LE_SIGNS[row.rel]]
         tableau, basis = self.rows, self.basis
         old = list(zip(tableau, basis))
         for r in tableau:
@@ -149,13 +142,13 @@ class _Tableau:
         first = self.cols  # the new slack columns are first, first + 1, ...
         self.cols += len(halves)
         violated = False
-        for i, (coeffs, rhs, scale) in enumerate(halves):
+        for i, (row, sign) in enumerate(halves):
             col = first + i
             new = [0] * (self.cols + 1)
-            for v, c in coeffs:
-                new[v] += c
-            new[col] = scale
-            new[-1] = rhs
+            for v, c in row.coeffs:
+                new[v] = sign * c
+            new[col] = 1
+            new[-1] = sign * row.rhs
             for r, b in old:
                 if new[b] != 0:
                     _eliminate(new, [(j, c) for j, c in enumerate(r) if c != 0], r[b], b)
@@ -340,9 +333,7 @@ def separate_uniform(
     n = len(network.clients)
     L = uniform_capacity_level(capacities)
     supply = {u: y[u] * L for u in network.centers}
-    for value, blocked in network.cuts(
-        dict.fromkeys(network.clients, 1), supply, forced=network.clients
-    ):
+    for value, blocked in network.cuts(dict.fromkeys(network.clients, 1), supply, forced=True):
         if value < n + alpha * L:
             reach = set()
             for v in blocked:

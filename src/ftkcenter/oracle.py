@@ -1,5 +1,5 @@
 """Ground-truth tools: exhaustive optimum search on small instances, the
-transfer certificate with its exhaustive transfer-condition oracle, the
+exhaustive transfer-condition oracle, the relaxed-ILP check and the
 unbounded integrality-gap family, and the random point instances that
 `ftkc bench` draws.  The exhaustive searches check candidate solutions with
 the verifiers of `verify`.
@@ -24,7 +24,6 @@ from .instance import (
     SizeLimitError,
     ThresholdGraph,
 )
-from .rounding import condition_b_flow
 from .verify import verify_conservative, verify_ft
 
 
@@ -185,7 +184,7 @@ def exact_distance1(graph: ThresholdGraph, k: int, caps: Sequence[int]):
     return None
 
 
-# -- transfer certificates, LP relaxation check and the gap family ----------
+# -- exhaustive transfer condition, LP relaxation check and the gap family --
 
 
 def condition_b_exhaustive(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
@@ -230,20 +229,6 @@ def condition_b_exhaustive(y, y2, graph: ThresholdGraph, r: int, B, caps) -> boo
         if have < need:
             return False
     return True
-
-
-def verify_transfer(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
-    """Certify that y2 is a distance-r transfer of y on graph avoiding B:
-    (a) total mass preserved, (b) r-hop coverage dominates for every subset,
-    (c) y2 agrees with y on B."""
-    B = frozenset(B)
-    mass = sum((Fraction(y.get(v, 0)) for v in range(graph.n)), Fraction(0))
-    if mass != sum((Fraction(y2.get(v, 0)) for v in range(graph.n)), Fraction(0)):
-        return False
-    for v in B:
-        if Fraction(y.get(v, 0)) != Fraction(y2.get(v, 0)):
-            return False
-    return condition_b_flow(y, y2, graph, r, B, caps)
 
 
 def relaxed_ilp_holds(

@@ -49,8 +49,8 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     y2-mass within r hops of it (Hall with fractional demands).  The flow is
     the single variant of a `transport_cuts` call with nothing closed, and
     only its value is read: the condition holds iff it routes all demand.
-    A vertex may send only to the supplied vertices within r hops: one
-    without supply would be a dead end and carry no flow."""
+    The centers of the network are the vertices with positive supply, and
+    a vertex may send to those within r hops."""
     hops = graph.hops()
     B = frozenset(B)
     live = [v for v in range(graph.n) if v not in B]
@@ -61,6 +61,18 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     supply = {w: s for w in live if (s := Fraction(caps[w]) * Fraction(y2.get(w, 0))) > 0}
     allowed = {v: [w for w in supply if hops[v][w] <= r] for v in demand}
     return next(transport_cuts(demand, allowed, supply, closed=[()]))[0] == total
+
+
+def verify_transfer(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
+    """Certify that y2 is a distance-r transfer of y on graph avoiding B:
+    (a) total mass preserved, (b) r-hop coverage dominates for every subset,
+    by `condition_b_flow`, (c) y2 agrees with y on B."""
+    B = frozenset(B)
+    if _mass(y, range(graph.n)) != _mass(y2, range(graph.n)):
+        return False
+    if any(Fraction(y.get(v, 0)) != Fraction(y2.get(v, 0)) for v in B):
+        return False
+    return condition_b_flow(y, y2, graph, r, B, caps)
 
 
 # -- tree transfer ---------------------------------------------------------

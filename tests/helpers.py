@@ -363,7 +363,7 @@ def full_pass_uniform(y, network, capacities):
     the global minimum over nonempty U."""
     L = uniform_capacity_level(capacities)
     supply = {u: y[u] * L for u in network.centers}
-    cuts = network.cuts(dict.fromkeys(network.clients, 1), supply, forced=network.clients)
+    cuts = network.cuts(dict.fromkeys(network.clients, 1), supply, forced=True)
     return [value - len(network.clients) for value, _ in cuts]
 
 

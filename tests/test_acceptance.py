@@ -47,9 +47,8 @@ from ftkcenter.oracle import (
     relaxed_ilp_holds,
     verify_conservative,
     verify_ft,
-    verify_transfer,
 )
-from ftkcenter.rounding import GeneralRounding, UniformRounding, condition_b_flow
+from ftkcenter.rounding import GeneralRounding, UniformRounding, condition_b_flow, verify_transfer
 from ftkcenter.solvers import (
     ft_general_connected,
     solve_ft_general,

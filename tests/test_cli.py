@@ -275,11 +275,21 @@ class TestGapAndBench:
                 for l in body.strip().split("\n")))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("alg", ["ft-0l", "cons-0l"])
+    def test_bench_draws_zero_l_capacities_for_the_zero_l_algorithms(self, alg, capsys):
+        """Without --caps, the {0,L} algorithms get {0,L} instances, which
+        they accept; an explicit --caps general still wins and stops them
+        at the first instance."""
+        assert main(["bench", "--count", "1", "--alg", alg]) == 0
+        assert json.loads(capsys.readouterr().out)["algorithm"] == alg
+        assert main(["bench", "--count", "1", "--alg", alg, "--caps", "general"]) == 1
+        assert "{0,L}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_bench_draws_the_variant_of_the_algorithm(self, alg, capsys):
-        caps = "uniform" if alg.endswith("0l") else "general"
+        """The variant and, without --caps, the capacity form follow --alg."""
         assert main(["bench", "--count", "1", "--n", "5", "--k", "2", "--alpha", "0",
-                     "--alg", alg, "--caps", caps]) == 0
+                     "--alg", alg]) == 0
         assert json.loads(capsys.readouterr().out)["variant"] == ALGORITHMS[alg][0]
 
 

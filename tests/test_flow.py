@@ -179,11 +179,15 @@ def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
 
 
 def test_transport_fractional_demand_with_dead_end_center():
-    # center 12 has no supply entry: client 1 gets only the 1/3 of center 11
+    """Center 12 has no supply entry, so it is not a center of the network
+    and may not be allowed; with supply 0 client 1 gets only the 1/3 of
+    center 11."""
     demand = {0: Fraction(1, 2), 1: Fraction(2, 3)}
     allowed = {0: [10], 1: [11, 12]}
     supply = {10: 1, 11: Fraction(1, 3)}
-    [(value, blocked)] = transport_cuts(demand, allowed, supply, closed=[()])
+    with pytest.raises(ContractViolation, match="allowed center 12 of client 1"):
+        transport_cuts(demand, allowed, supply, closed=[()])
+    [(value, blocked)] = transport_cuts(demand, allowed, {**supply, 12: 0}, closed=[()])
     assert value == Fraction(5, 6)
     assert blocked == frozenset({1})
 
@@ -194,7 +198,7 @@ def test_transport_infinite_demand_is_always_blocked():
     allowed = {0: [10], 1: [10, 11], 2: [11]}
     supply = {10: 5, 11: 5}
     demand = dict.fromkeys(allowed, 1)
-    cuts = list(transport_cuts(demand, allowed, supply, forced=list(allowed)))
+    cuts = list(transport_cuts(demand, allowed, supply, forced=True))
     assert [w in blocked for w, (_, blocked) in zip(allowed, cuts)] == [True] * 3
     assert [value for value, _ in cuts] == [7, 10, 7]
 
@@ -202,8 +206,8 @@ def test_transport_infinite_demand_is_always_blocked():
 def test_transport_cuts_match_transport_per_variant():
     """Each forced variant is `transport` with that client's demand infinite
     and each closed variant `transport` without the closed centers, on
-    random transport networks with Fraction, zero and infinite demands,
-    Fraction and zero supplies, and dead-end centers."""
+    random transport networks with Fraction and zero demands and supplies,
+    and centers no client may use."""
     rng = random.Random(1970)
     forced_total = closed_total = short = 0
     for _ in range(200):
@@ -218,18 +222,19 @@ def test_transport_cuts_match_transport_per_variant():
                 return Fraction(rng.randint(0, 9), rng.randint(1, 6))
             return rng.randint(0, 4)
 
-        demand = {c: INF if rng.random() < 0.1 else amount() for c in clients}
-        allowed = {c: rng.sample(centers, rng.randint(0, len(centers))) for c in clients}
+        demand = {c: amount() for c in clients}
         supply = {v: amount() for v in centers if rng.random() < 0.85}
-        forced = rng.sample(clients, rng.randint(0, len(clients)))
+        allowed = {c: rng.sample(list(supply), rng.randint(0, len(supply))) for c in clients}
+        forced = rng.random() < 0.5
         closed = [
             tuple(rng.sample(centers, rng.randint(0, len(centers))))
             for _ in range(rng.randint(0, 3))
         ]
         cuts = list(transport_cuts(demand, allowed, supply, forced=forced, closed=closed))
-        assert len(cuts) == len(forced) + len(closed)
+        nforced = len(clients) if forced else 0
+        assert len(cuts) == nforced + len(closed)
         expected = []
-        for w in forced:
+        for w in clients[:nforced]:
             value, blocked = transport({**demand, w: INF}, allowed, supply)
             expected.append((value, blocked))
             assert w in blocked
@@ -242,10 +247,9 @@ def test_transport_cuts_match_transport_per_variant():
             expected.append((value, blocked))
         assert cuts == expected
         assert all(isinstance(value, Fraction) for value, _ in cuts)
-        forced_total += len(forced)
+        forced_total += nforced
         closed_total += len(closed)
-        short += sum(1 for value, _ in cuts[len(forced):] if value < sum(
-            d for d in demand.values() if d is not INF))
+        short += sum(1 for value, _ in cuts[nforced:] if value < sum(demand.values()))
     assert forced_total > 100 and closed_total > 100 and short > 20
 
 
@@ -255,7 +259,8 @@ def test_closed_chains_match_transport_per_variant():
     variant must still be `transport` without its closed centers.  Chains
     hold all C(m, a) center sets in shuffled order, the same set twice in a
     row, overlapping and empty sets, and names without a supply entry or
-    without any arc; demands and supplies are ints, Fractions and zeros."""
+    without any arc; demands and supplies are ints, Fractions and zeros,
+    and a client may use only supplied centers."""
     rng = random.Random(1982)
     variants = short = moved = 0
     for _ in range(150):
@@ -271,8 +276,8 @@ def test_closed_chains_match_transport_per_variant():
             return rng.randint(1, 3)
 
         demand = {c: amount() for c in clients}
-        allowed = {c: rng.sample(centers, rng.randint(1, len(centers))) for c in clients}
         supply = {v: amount() for v in centers if rng.random() < 0.9}
+        allowed = {c: rng.sample(list(supply), rng.randint(0, len(supply))) for c in clients}
         closed = list(combinations(centers, rng.randint(0, min(3, len(centers)))))
         rng.shuffle(closed)
         for _ in range(rng.randint(2, 6)):
@@ -301,21 +306,23 @@ def test_closed_chains_match_transport_per_variant():
     assert variants > 1000 and short > 500 and moved > 400, (variants, short, moved)
 
 
-def test_transport_cuts_rejects_infinite_supply_and_unknown_clients():
+def test_transport_cuts_rejects_infinite_and_negative_amounts():
     """Bad input raises at the call, before any variant is asked for: no
-    call here consumes the iterator it would return."""
-    with pytest.raises(ContractViolation):
-        transport_cuts({0: 1}, {0: [10]}, {10: INF}, forced=[0])
-    with pytest.raises(ContractViolation):
+    call here consumes the iterator it would return.  Only a forced variant
+    makes a demand infinite; an infinite amount in the maps is a caller
+    bug."""
+    with pytest.raises(ContractViolation, match="infinite supply"):
+        transport_cuts({0: 1}, {0: [10]}, {10: INF}, forced=True)
+    with pytest.raises(ContractViolation, match="infinite supply"):
         transport_cuts({0: 1}, {0: [10]}, {10: INF})
-    with pytest.raises(InstanceError):
-        transport_cuts({0: 1}, {0: [10]}, {10: 1}, forced=[1])
-    with pytest.raises(InstanceError, match="forced client 2"):
-        transport_cuts({0: 1, 1: 1}, {0: [10], 1: [10]}, {10: 1}, forced=[0, 2])
+    with pytest.raises(ContractViolation, match="infinite demand"):
+        transport_cuts({0: INF}, {0: [10]}, {10: 1}, closed=[()])
+    with pytest.raises(ContractViolation, match="infinite demand"):
+        transport_cuts({0: 1, 1: INF}, {0: [10], 1: [10]}, {10: 1}, forced=True)
     with pytest.raises(InstanceError, match="negative capacity"):
         transport_cuts({0: 1}, {0: [10]}, {10: -1}, closed=[()])
     with pytest.raises(InstanceError, match="negative demand"):
-        transport_cuts({0: 1, 1: -1}, {0: [10], 1: [10]}, {10: 1}, forced=[0])
+        transport_cuts({0: 1, 1: -1}, {0: [10], 1: [10]}, {10: 1}, forced=True)
     with pytest.raises(InstanceError, match="negative demand"):
         transport_cuts({0: Fraction(-1, 2)}, {0: [10]}, {10: 1}, closed=[()])
 
@@ -323,10 +330,10 @@ def test_transport_cuts_rejects_infinite_supply_and_unknown_clients():
 def test_a_reused_network_matches_a_fresh_build():
     """One `TransportNetwork` solved for a sequence of supply maps gives,
     for every forced and closed variant, what a fresh `transport_cuts` call
-    gives.  The sequence changes denominators, zeroes supplies, leaves out
-    some centers' supply entries, and repeats an earlier map, which must
-    give the same cuts again: `cuts` never changes the network's residual
-    template."""
+    gives with every center supplied.  The sequence changes denominators,
+    zeroes supplies, leaves out some centers' supply entries, which then
+    have supply 0, and repeats an earlier map, which must give the same
+    cuts again: `cuts` never changes the network's residual template."""
     rng = random.Random(2025)
     calls = short = dropped = 0
     for _ in range(60):
@@ -336,7 +343,7 @@ def test_a_reused_network_matches_a_fresh_build():
         network = TransportNetwork(clients, allowed, centers)
         template = network.template[:]
         demand = {c: rng.randint(0, 2) for c in clients}
-        forced = rng.sample(clients, rng.randint(0, len(clients)))
+        forced = rng.random() < 0.5
         closed = [tuple(rng.sample(centers, rng.randint(0, min(2, len(centers))))) for _ in range(3)]
         maps = []
         for _ in range(4):
@@ -348,8 +355,8 @@ def test_a_reused_network_matches_a_fresh_build():
         maps.append(maps[0])
         for supply in maps:
             cuts = list(network.cuts(demand, supply, forced, closed))
-            # the fresh network has a sink arc only for the centers supplied
-            assert cuts == list(transport_cuts(demand, allowed, supply, forced, closed))
+            full = {**dict.fromkeys(centers, 0), **supply}
+            assert cuts == list(transport_cuts(demand, allowed, full, forced, closed))
             assert network.template == template
             calls += 1
             short += any(value < sum(demand.values()) for value, _ in cuts)
@@ -358,18 +365,21 @@ def test_a_reused_network_matches_a_fresh_build():
 
 
 def test_transport_network_rejects_names_it_was_not_built_with():
-    """A demand or supply entry for a client or center the network was not
-    built with is a caller bug, a `ContractViolation`, raised at the call;
-    a center named only in an allowed list is a dead end, not a center."""
-    network = TransportNetwork([0, 1], {0: [10], 1: [10, 11]}, [10])
+    """An allowed center that is not one of `centers`, and a demand or
+    supply entry for a client or center the network was not built with,
+    are caller bugs, a `ContractViolation`: the first raised by the build,
+    the others at the call, as is an infinite demand."""
+    with pytest.raises(ContractViolation, match="allowed center 11 of client 1"):
+        TransportNetwork([0, 1], {0: [10], 1: [10, 11]}, [10])
+    network = TransportNetwork([0, 1], {0: [10], 1: [10]}, [10])
     with pytest.raises(ContractViolation, match="client 2"):
         network.cuts({0: 1, 2: 1}, {10: 1})
     with pytest.raises(ContractViolation, match="center 11"):
         network.cuts({0: 1, 1: 1}, {10: 1, 11: 1})
     with pytest.raises(ContractViolation, match="center 12"):
         network.cuts({0: 1, 1: 1}, {12: 1})
-    with pytest.raises(InstanceError, match="forced client 2"):
-        network.cuts({0: 1, 1: 1}, {10: 1}, forced=[2])
+    with pytest.raises(ContractViolation, match="infinite demand"):
+        network.cuts({0: 1, 1: INF}, {10: 1}, forced=True)
     [(value, blocked)] = network.cuts({0: 1, 1: 1}, {10: 1}, closed=[()])
     assert (value, blocked) == (1, frozenset({0, 1}))
 
@@ -396,13 +406,13 @@ def test_transport_cuts_solves_each_variant_on_demand(monkeypatch):
     allowed = {0: [10], 1: [10, 11], 2: [11], 3: [11, 12]}
     supply = {10: 1, 11: Fraction(3, 2), 12: 1}
     closed = [(10,), (11,), (10, 12)]
-    cuts = transport_cuts(demand, allowed, supply, forced=range(4), closed=closed)
+    cuts = transport_cuts(demand, allowed, supply, forced=True, closed=closed)
     assert calls[0] == 0
     seen = []
     for i, cut in enumerate(cuts):
         seen.append(cut)
         assert calls[0] == i + 2
-    assert seen == list(transport_cuts(demand, allowed, supply, forced=range(4), closed=closed))
+    assert seen == list(transport_cuts(demand, allowed, supply, forced=True, closed=closed))
     calls[0] = 0
     cuts = transport_cuts(demand, allowed, supply, closed=closed)
     next(cuts)
@@ -528,23 +538,23 @@ def test_seating_routes_one_step_demand_before_dinic(monkeypatch):
     allowed = {0: [10, 11], 1: [10, 11], 2: [12, 13], 3: [13, 12]}
     supply = dict.fromkeys([10, 11, 12, 13], 2)
     demand = dict.fromkeys(allowed, 1)
-    forced = [0, 3]
     closed = [(), (10,), (11,), (10, 12), (13,), (11, 12)]
-    cuts = list(transport_cuts(demand, allowed, supply, forced=forced, closed=closed))
-    assert len(entries) == 1 + len(forced) + len(closed)
+    cuts = list(transport_cuts(demand, allowed, supply, forced=True, closed=closed))
+    assert len(entries) == 1 + len(allowed) + len(closed)
     base, *rest = entries
     for sources, value, _ in entries:
         assert value == 0
         assert all(r == 0 for r in sources if r != INF)
     assert base[0] == [0] * 4 and base[2] == [0]
-    for w, (sources, _, reached) in zip(forced, rest):
+    groups = [{0, 1}, {0, 1}, {2, 3}, {2, 3}]  # the clients that share w's centers
+    for w, (sources, _, reached) in zip(allowed, rest):
         assert [r == INF for r in sources] == [c == w for c in allowed]
-        assert {u - 2 for u in reached if 2 <= u < 6} == ({0, 1} if w == 0 else {2, 3})
-    for sources, _, reached in rest[len(forced):]:
+        assert {u - 2 for u in reached if 2 <= u < 6} == groups[w]
+    for sources, _, reached in rest[len(allowed):]:
         assert sources == [0] * 4 and reached == [0]
-    assert [value for value, _ in cuts] == [6, 6] + [4] * len(closed)
+    assert [value for value, _ in cuts] == [6] * len(allowed) + [4] * len(closed)
     assert [blocked for _, blocked in cuts] == [
-        frozenset({0, 1}), frozenset({2, 3}), *[frozenset()] * len(closed)
+        *map(frozenset, groups), *[frozenset()] * len(closed)
     ]
 
 
@@ -557,13 +567,12 @@ def test_dinic_finishes_what_seating_leaves(monkeypatch):
     allowed = {0: [10, 11], 1: [10], 2: [11, 12]}
     supply = {10: 1, 11: 1, 12: Fraction(1, 2)}
     demand = {0: 1, 1: 1, 2: Fraction(1, 2)}
-    forced = list(allowed)
     closed = [(), (12,), (11,), (10, 12)]
-    cuts = list(transport_cuts(demand, allowed, supply, forced=forced, closed=closed))
-    assert len(entries) == 1 + len(forced) + len(closed)
+    cuts = list(transport_cuts(demand, allowed, supply, forced=True, closed=closed))
+    assert len(entries) == 1 + len(allowed) + len(closed)
     # Dinic moves client 0 on to seat client 1: 2 in the scaled units of 1/2
     assert entries[0][1] == 2
-    expected = [transport({**demand, w: INF}, allowed, supply) for w in forced]
+    expected = [transport({**demand, w: INF}, allowed, supply) for w in allowed]
     for F in closed:
         expected.append(transport(
             demand,
@@ -571,7 +580,7 @@ def test_dinic_finishes_what_seating_leaves(monkeypatch):
             {v: s for v, s in supply.items() if v not in F},
         ))
     assert cuts == expected
-    assert cuts[len(forced)] == (Fraction(5, 2), frozenset())
+    assert cuts[len(allowed)] == (Fraction(5, 2), frozenset())
 
 
 def test_transport_network_layout_is_what_cuts_reads():
@@ -580,20 +589,22 @@ def test_transport_network_layout_is_what_cuts_reads():
     order, and a supplied center's first arc is its sink arc, followed only
     by the reverses of the client arcs into it.  `template` is INF exactly
     on the client -> center arcs, one per distinct allowed center.  Random
-    networks have repeated names in allowed lists and in `centers`,
-    dead-end centers, centers no client may use and clients with no
-    center."""
+    networks have repeated names in allowed lists and in `centers`, centers
+    no client may use and clients with no center."""
     rng = random.Random(1608)
     for _ in range(300):
         clients = rng.sample(range(20), rng.randint(0, 7))
         pool = list(range(20, 20 + rng.randint(1, 6)))
-        allowed = {c: rng.choices(pool, k=rng.randint(0, len(pool) + 1)) for c in clients}
         centers = rng.choices(pool, k=rng.randint(0, len(pool)))
+        allowed = {
+            c: rng.choices(centers, k=rng.randint(0, len(pool) + 1)) if centers else []
+            for c in clients
+        }
         network = TransportNetwork(clients, allowed, centers)
         head, adj, template = network.head, network.adj, network.template
         first = len(clients) + 2
         center_id = {}
-        for v in [v for c in clients for v in allowed[c]] + centers:
+        for v in centers:
             center_id.setdefault(v, first + len(center_id))
         assert len(adj) == first + len(center_id) and len(template) == len(head)
         # arc e runs from head[e ^ 1] to head[e], and each node lists exactly
@@ -760,7 +771,7 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
     assert solved >= 2
     assert counts["max_flow"] == 0, counts
     assert flows == {"condition_b_flow": counts["condition_b_flow"], "tree_transfer": 0}, (counts, flows)
-    assert all(shape == ((), [()]) for shape in shapes)
+    assert all(shape == (False, [()]) for shape in shapes)
     assert counts["condition_b_flow"] > 0, counts
     if solve is solve_ft_general:
         assert counts["from tree_transfer"] > 0, counts

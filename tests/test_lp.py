@@ -6,6 +6,7 @@ cutting-plane loop against the from-scratch one."""
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -62,12 +63,30 @@ def satisfies(rows, x):
     return True
 
 
+def int_row(coeffs, rel, rhs) -> Row:
+    """The row coeffs . y rel rhs, whose entries may be Fractions, times the
+    lcm of its denominators: a row of ints with the same half-space."""
+    scale = lcm(Fraction(rhs).denominator, *(Fraction(c).denominator for c in coeffs.values()))
+    return Row.make({v: int(c * scale) for v, c in coeffs.items()}, rel, int(rhs * scale))
+
+
 def test_row_make_normalizes():
-    row = Row.make({2: 1, 0: Fraction(1, 2), 1: 0}, ">=", 3)
-    assert row.coeffs == ((0, Fraction(1, 2)), (2, Fraction(1)))
-    assert row.rhs == Fraction(3)
+    row = Row.make({2: 1, 0: -2, 1: 0}, ">=", 3)
+    assert row.coeffs == ((0, -2), (2, 1))
+    assert row.rhs == 3
     with pytest.raises(InstanceError):
         Row.make({0: 1}, "=", 1)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.1, 1.0, True, False])
+def test_row_make_takes_only_ints(bad):
+    """A Fraction, a float or a bool is refused as a coefficient and as a
+    right-hand side, even where it equals an int: no float ever decides
+    feasibility, and every row a solver builds is integral."""
+    with pytest.raises(InstanceError, match="ints"):
+        Row.make({0: bad, 1: 1}, ">=", 1)
+    with pytest.raises(InstanceError, match="ints"):
+        Row.make({0: 1}, "<=", bad)
 
 
 def test_feasible_point_exact_third():
@@ -164,8 +183,8 @@ def assert_same_point_as_fraction_tableau(lp, pivots):
 
 
 def test_feasible_point_matches_fraction_tableau(monkeypatch):
-    """Rows that need lcm scaling, negative right-hand sides and all three
-    relations."""
+    """Rows drawn with Fraction entries and scaled to ints by `int_row`,
+    negative right-hand sides and all three relations."""
     pivots = cap_pivots(monkeypatch)
     rng = random.Random(2016)
 
@@ -179,7 +198,7 @@ def test_feasible_point_matches_fraction_tableau(monkeypatch):
         lp = LinearProgram(nvars)
         for _ in range(rng.randint(1, 6)):
             coeffs = {v: frac() for v in range(nvars) if rng.random() < 0.7}
-            lp.add(coeffs, rng.choice(["<=", ">=", "=="]), frac())
+            lp.rows.append(int_row(coeffs, rng.choice(["<=", ">=", "=="]), frac()))
         x = assert_same_point_as_fraction_tableau(lp, pivots)
         verdicts.add(x is None)
         if x is not None:
@@ -190,9 +209,9 @@ def test_feasible_point_matches_fraction_tableau(monkeypatch):
 
 def test_feasible_point_matches_fraction_tableau_on_covering_systems(monkeypatch):
     """Degenerate systems shaped like the static LPs plus Hall cuts (total
-    mass, 0/1 coverage rows, y <= 1, cuts with a fractional rhs), where
-    degenerate pivots are common and the lowest-index rules pick the
-    vertex."""
+    mass, 0/1 coverage rows, y <= 1, cuts drawn with a fractional rhs and
+    scaled to ints), where degenerate pivots are common and the
+    lowest-index rules pick the vertex."""
     pivots = cap_pivots(monkeypatch)
     rng = random.Random(2016)
     verdicts = set()
@@ -205,7 +224,9 @@ def test_feasible_point_matches_fraction_tableau_on_covering_systems(monkeypatch
         for _ in range(rng.randint(0, 2)):
             U = rng.sample(range(n), rng.randint(1, n))
             level = rng.randint(1, 3)
-            lp.add({u: level for u in U}, ">=", Fraction(rng.randint(1, 2 * n), rng.randint(1, 2)))
+            lp.rows.append(
+                int_row({u: level for u in U}, ">=", Fraction(rng.randint(1, 2 * n), rng.randint(1, 2)))
+            )
         for u in range(n):
             lp.add({u: 1}, "<=", 1)
         verdicts.add(assert_same_point_as_fraction_tableau(lp, pivots) is None)
@@ -438,8 +459,9 @@ def test_cutting_plane_clean_separator_returns_first_point():
 
 
 def violated_cut(rng, y, nvars):
-    """A random row that y violates: any relation, a fractional rhs, and
-    sometimes no coefficients at all (then a contradiction like 0 >= 1)."""
+    """A random row that y violates: any relation, drawn with Fraction
+    entries and scaled to ints by `int_row`, and sometimes no coefficients
+    at all (then a contradiction like 0 >= 1)."""
     coeffs = {}
     if rng.random() < 0.9:
         coeffs = {
@@ -451,10 +473,10 @@ def violated_cut(rng, y, nvars):
     gap = Fraction(rng.randint(1, 6), rng.randint(1, 3))
     rel = rng.choice(["<=", ">=", "=="])
     if rel == "<=":
-        return Row.make(coeffs, rel, lhs - gap)
+        return int_row(coeffs, rel, lhs - gap)
     if rel == ">=":
-        return Row.make(coeffs, rel, lhs + gap)
-    return Row.make(coeffs, rel, lhs + rng.choice((-gap, gap)))
+        return int_row(coeffs, rel, lhs + gap)
+    return int_row(coeffs, rel, lhs + rng.choice((-gap, gap)))
 
 
 def test_warm_cuts_match_from_scratch_verdicts():
@@ -474,12 +496,11 @@ def test_warm_cuts_match_from_scratch_verdicts():
         lp = LinearProgram(nvars)
         for _ in range(rng.randint(0, 6)):
             coeffs = {v: frac() for v in range(nvars) if rng.random() < 0.7}
-            lp.add(coeffs, rng.choice(["<=", ">=", "=="]), frac())
+            lp.rows.append(int_row(coeffs, rng.choice(["<=", ">=", "=="]), frac()))
         if rng.random() < 0.3:
             coeffs = {v: frac() for v in range(nvars) if rng.random() < 0.7}
             rhs = rng.choice((0, frac()))
-            lp.add(coeffs, "==", rhs)
-            lp.add(coeffs, "==", rhs)
+            lp.rows += [int_row(coeffs, "==", rhs)] * 2
             seen["repeated =="] += 1
         rows = list(lp.rows)
         length = rng.randint(1, 8)
@@ -550,8 +571,8 @@ def test_cutting_plane_rejects_a_satisfied_cut():
     y = feasible_point(lp)
     for row in (
         Row.make({0: 1, 1: 1}, ">=", 1),
-        Row.make({0: 1}, "<=", y[0]),
-        Row.make({1: 2}, "==", 2 * y[1]),
+        int_row({0: 1}, "<=", y[0]),
+        int_row({1: 2}, "==", 2 * y[1]),
         Row.make({}, "<=", 0),
     ):
         with pytest.raises(ContractViolation, match="satisfies"):

@@ -12,11 +12,7 @@ import pytest
 from ftkcenter import rounding, solvers
 from ftkcenter.clustering import monarch_clustering, select_backups
 from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, ThresholdGraph
-from ftkcenter.oracle import (
-    condition_b_exhaustive,
-    random_point_instance,
-    verify_transfer,
-)
+from ftkcenter.oracle import condition_b_exhaustive, random_point_instance
 from ftkcenter.rounding import (
     GeneralRounding,
     RoundResult,
@@ -28,6 +24,7 @@ from ftkcenter.rounding import (
     round_general,
     round_uniform,
     tree_transfer,
+    verify_transfer,
 )
 from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
 

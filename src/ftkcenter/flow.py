@@ -10,15 +10,16 @@ number.
 The package solves every flow network on one path, `TransportNetwork`:
 client demand routed to allowed centers within their supply, the Hall-type
 condition behind the LP separators, `verify_ft`, the relaxed ILP and the
-rounding's transfer checks.  The network builds its integer arrays once,
-straight from the allowed lists, whose centers must all be centers of the
-network; `cuts` reads two facts of their layout: the source's arcs are the
-source arcs in client order, and a center lists its sink arc first, then
-only the reverses of the client arcs into it.  Each `cuts` call scales one
-finite demand and supply map to ints, writes them into a copy of the
-zero-flow residuals, and yields the flow value and the clients of the
-minimal min cut for each variant on demand: each client forced in, in
-client order, from one base flow, or one center set closed, the closed
+rounding's transfer checks.  The network is positional: client i may use
+the center ids `allowed[i]`, and `cuts` takes demand in client order and
+supply in center order.  It builds its integer arrays once, and `cuts`
+reads two facts of their layout: the source's arcs are the source arcs in
+client order, and a center lists its sink arc first, then only the
+reverses of the client arcs into it.  Each `cuts` call scales its demands
+and supplies to ints, writes them into a copy of the zero-flow residuals,
+and yields, for each variant on demand, the flow value and the client
+positions and center ids of the minimal min cut: each client forced in,
+in client order, from one base flow, or one center set closed, the closed
 ones as one chain, each from the maximum flow of the one before with only
 the load of the newly closed centers re-augmented.  Before Dinic runs on a
 variant, a seating pass, `_seat`, routes what it can along the one-step
@@ -27,11 +28,11 @@ without a level graph; Dinic then finishes the flow, and often its first
 BFS already finds no path to the sink.  The seated flow is a feasible
 flow, Dinic takes any feasible flow to a maximum one, and the value and
 the minimal min cut are the same for every maximum flow, so the pass
-changes no result.  The LP separators
-build one network per threshold and call `cuts` once per cutting-plane
-round, with the supplies of that round's point; `transport_cuts` builds a
-network for a single call.  A caller that needs the plain network asks for
-the single variant closed=[()].
+changes no result.  The LP separators build one network per threshold and
+call `cuts` once per cutting-plane round, with the supplies of that
+round's point; the other callers build a network for a single call.  A
+caller that needs the plain network asks for the single variant
+closed=[()].
 
 `FlowNetwork` and `max_flow`, a dict-of-dicts network and its value and
 minimal min cut on the same `_augment`, have no caller in the package; they
@@ -203,36 +204,36 @@ def max_flow(net: FlowNetwork):
 
 class TransportNetwork:
     """The client -> center transport network on integer arrays, built once
-    and solved for any number of demand and supply maps by `cuts`.
+    and solved for any number of demand and supply sequences by `cuts`.
 
-    The network is source -> client (capacity demand[c]) -> each center of
-    allowed[c] (unbounded) -> sink (capacity supply[v]), on integer node
-    ids: source 0, sink 1, the clients in the order given, then the
-    distinct centers of `centers` in order.  Every allowed center must be
-    one of `centers`, else the network is a `ContractViolation`.  The
-    arrays are built here in one pass: the sink arcs in center order, the
-    source arcs in client order, then each client's arcs, one per distinct
-    allowed center, each arc listed at both of its ends as it is made.  So
-    `adj[0]` is the source arcs in client order, and a center's first arc
-    is its sink arc, followed only by the reverses of the client arcs into
-    it: the two facts `cuts` reads.  Besides `head` and `adj` the network
-    keeps the source arc of each client, the sink arc of each center,
-    `direct`, each client's one-step paths to the sink for the seating
+    Client i may use the centers `allowed[i]`, center vertex ids that must
+    all be in `centers`, else the network is a `ContractViolation`, as is a
+    repeated center.  The network is source -> client i (capacity
+    demand[i]) -> each center of allowed[i] (unbounded) -> sink (capacity
+    supply[j] for centers[j]), on integer node ids: source 0, sink 1, the
+    clients, then the centers.  The arrays are built here in one pass: the
+    sink arcs in center order, so the sink arc of centers[j] is arc 2j, the
+    source arcs in client order, then each client's arcs, one per allowed
+    entry, each arc listed at both of its ends as it is made.  So `adj[0]`
+    is the source arcs in client order, and a center's first arc is its
+    sink arc, followed only by the reverses of the client arcs into it: the
+    two facts `cuts` reads.  Besides `centers`, `head` and `adj` the network
+    keeps `direct`, each client's one-step paths to the sink for the seating
     pass, and `template`, the residuals of the zero flow with every
     client -> center arc unbounded and every source and sink arc at 0.
     `cuts` writes the capacities into a copy of `template`, which is never
     changed.
     """
 
-    def __init__(self, clients: Iterable, allowed: Mapping, centers: Iterable):
-        self.clients = list(clients)
-        self.allowed = allowed
-        self.centers = list(centers)
-        first = len(self.clients) + 2  # id of the first center
-        center_id = {v: j for j, v in enumerate(dict.fromkeys(self.centers), first)}
+    def __init__(self, allowed: Sequence[Sequence], centers: Sequence):
+        self.centers = centers = list(centers)
+        first = len(allowed) + 2  # id of the first center
+        node = {v: j for j, v in enumerate(centers, first)}
+        if len(node) < len(centers):
+            raise ContractViolation("repeated center in a transport network")
         head = []  # arc 2k+1 reverses arc 2k; the sink arc of center j is 2 * (j - first)
-        adj = [[] for _ in range(first + len(center_id))]
-        for j in center_id.values():
+        adj = [[] for _ in range(first + len(centers))]
+        for j in range(first, first + len(centers)):
             adj[j].append(len(head))
             adj[1].append(len(head) + 1)
             head += (1, j)
@@ -245,13 +246,13 @@ class TransportNetwork:
         # per client: (reverse of its arc to a center, that center's sink
         # arc) for each allowed center, the one-step paths of the seating pass
         self.direct = []
-        for i, c in enumerate(self.clients, 2):
+        for i, near in enumerate(allowed, 2):
             paths = []
-            for v in dict.fromkeys(allowed[c]):
-                j = center_id.get(v)
+            for v in near:
+                j = node.get(v)
                 if j is None:
                     raise ContractViolation(
-                        f"allowed center {v!r} of client {c!r} is not in the transport network"
+                        f"allowed center {v!r} of client {i - 2} is not in the transport network"
                     )
                 e = len(head)
                 adj[i].append(e)
@@ -261,64 +262,75 @@ class TransportNetwork:
             self.direct.append(paths)
         self.head, self.adj = head, adj
         self.template = [0] * fixed + [INF, 0] * ((len(head) - fixed) // 2)
-        self.source_arc = dict(zip(self.clients, adj[0]))
-        self.sink_arc = {v: 2 * (j - first) for v, j in center_id.items()}
 
-    def cuts(self, demand: Mapping, supply: Mapping, forced=False, closed=()):
+    def cuts(self, demand: Sequence, supply: Sequence, forced=False, closed=()):
         """Route client demand to allowed centers within their supply,
         solved once per variant: first, if `forced`, for each client w in
-        client order, with w's demand made infinite, then for each center
-        set of `closed`, with the supply of those centers made 0.  A caller
-        that needs the plain network passes closed=[()].  A client without a
-        demand entry has demand 0, and a center without a supply entry has
-        supply 0.
+        client order, with w's demand made infinite, then for each set of
+        center ids in `closed`, with the supply of those centers made 0.  A
+        caller that needs the plain network passes closed=[()].  `demand`
+        lists one amount per client, in client order, and `supply` one per
+        center, in `centers` order.
 
-        Returns an iterator of one (value, blocked) pair per variant, in
-        that order: the flow value, a Fraction, and the clients on the
-        source side of the minimal min cut, which violate Hall's condition
-        together when the value falls short of the total demand.  Each
-        variant is solved only when the iterator is asked for it, so a
-        caller that stops at the first variant it needs solves no later
-        one.  The input is checked at the call: every demand and supply
-        must be finite and nonnegative, and every name in `demand` and
-        `supply` one the network was built with.  Every demand and supply
-        is scaled by the lcm of their denominators, so every residual is an
-        int.  A forced variant sets its client's source arc to INF on a copy
-        of the base maximum flow, which stays feasible when a capacity
-        rises.  The first closed variant starts from the zero flow and each
-        later one from the maximum flow of the one before: the sink arcs
-        closed there reopen, the flow through each newly closed center is
-        cancelled back to the source, and only that displaced load is
-        augmented again.  Each variant first runs the seating pass, `_seat`,
-        which routes leftover demand straight to allowed centers with supply
-        left, and then one Dinic call, which takes that feasible flow to a
-        maximum one.  The value and the minimal min cut do not depend on the
-        maximum flow reached, so the seated flow changes neither.
+        Returns an iterator of one (value, clients, centers) triple per
+        variant, in that order: the flow value, a Fraction, and the client
+        positions and the center ids on the source side of the minimal min
+        cut.  The clients violate Hall's condition together when the value
+        falls short of the total demand; every client -> center arc is
+        unbounded, so the centers are exactly the union of their allowed
+        lists, closed centers included.  Each variant is solved only when
+        the iterator is asked for it, so a caller that stops at the first
+        variant it needs solves no later one.  The input is checked at the
+        call: every demand and supply must be finite and nonnegative, each
+        sequence as long as the clients or centers, and every closed id one
+        of `centers`.  Every demand and supply is scaled by the lcm of their
+        denominators, so every residual is an int.  A forced variant sets
+        its client's source arc to INF on a copy of the base maximum flow,
+        which stays feasible when a capacity rises.  The first closed
+        variant starts from the zero flow and each later one from the
+        maximum flow of the one before: the sink arcs closed there reopen,
+        the flow through each newly closed center is cancelled back to the
+        source, and only that displaced load is augmented again.  Each
+        variant first runs the seating pass, `_seat`, which routes leftover
+        demand straight to allowed centers with supply left, and then one
+        Dinic call, which takes that feasible flow to a maximum one.  The
+        value and the minimal min cut do not depend on the maximum flow
+        reached, so the seated flow changes neither.
         """
+        centers, head, adj, direct = self.centers, self.head, self.adj, self.direct
+        if len(demand) != len(direct) or len(supply) != len(centers):
+            raise ContractViolation(
+                f"{len(demand)} demands and {len(supply)} supplies for a transport "
+                f"network of {len(direct)} clients and {len(centers)} centers"
+            )
         for amounts, kind in ((demand, "demand"), (supply, "supply")):
-            if INF in amounts.values():
+            if INF in amounts:
                 raise ContractViolation(f"infinite {kind} in a transport network")
-        if any(d < 0 for d in demand.values()):
+        if any(d < 0 for d in demand):
             raise InstanceError("negative demand")
-        if any(s < 0 for s in supply.values()):
+        if any(s < 0 for s in supply):
             raise InstanceError("negative capacity")
-        clients, head, adj, direct = self.clients, self.head, self.adj, self.direct
-        source_arc, sink_arc = self.source_arc, self.sink_arc
-        for names, arcs, kind in ((demand, source_arc, "client"), (supply, sink_arc, "center")):
-            for u in names:
-                if u not in arcs:
-                    raise ContractViolation(f"{kind} {u!r} is not in the transport network")
-        scale = math.lcm(*(a.denominator for a in (*demand.values(), *supply.values())))
+        sink_arc = {v: 2 * j for j, v in enumerate(centers)}
+        try:
+            closed = [[sink_arc[v] for v in F] for F in closed]
+        except KeyError as err:
+            raise ContractViolation(
+                f"closed center {err.args[0]!r} is not in the transport network"
+            ) from None
+        scale = math.lcm(*(a.denominator for a in (*demand, *supply)))
         zero = self.template[:]
-        for c, d in demand.items():
-            zero[source_arc[c]] = d.numerator * (scale // d.denominator)
-        for v, s in supply.items():
-            zero[sink_arc[v]] = s.numerator * (scale // s.denominator)
-        first = len(clients) + 2
+        for a, d in zip(adj[0], demand):
+            zero[a] = d.numerator * (scale // d.denominator)
+        for j, s in enumerate(supply):
+            zero[2 * j] = s.numerator * (scale // s.denominator)
+        first = len(direct) + 2
 
         def cut(total, reached):
-            blocked = frozenset(clients[u - 2] for u in reached if 2 <= u < first)
-            return Fraction(total, scale), blocked
+            return (
+                Fraction(total, scale),
+                frozenset(u - 2 for u in reached if 2 <= u < first),
+                frozenset(centers[u - first] for u in reached if u >= first),
+            )
 
         def variants():
             if forced:
@@ -336,14 +348,10 @@ class TransportNetwork:
             res = zero[:]
             total = 0
             opened = []  # the sink arcs the previous variant closed
-            for F in closed:
+            for arcs in closed:
                 for e in opened:
                     res[e] = zero[e] - res[e ^ 1]  # raising a capacity keeps the flow feasible
-                opened = []
-                for v in F:
-                    e = sink_arc.get(v)
-                    if e is None:
-                        continue
+                for e in arcs:
                     total -= res[e ^ 1]
                     res[e ^ 1] = res[e] = 0
                     for r in adj[head[e ^ 1]][1:]:  # the reverse of each client -> v arc holds its flow
@@ -353,7 +361,7 @@ class TransportNetwork:
                             a = adj[0][head[r] - 2]  # the client's source arc
                             res[a] += f
                             res[a ^ 1] -= f
-                    opened.append(e)
+                opened = arcs
                 total += _seat(res, adj[0], direct)
                 more, reached = _augment(head, res, adj, 0, 1)
                 total += more
@@ -395,13 +403,6 @@ def _seat(res, source_arcs, direct):
             res[a ^ 1] += sent
             value += sent
     return value
-
-
-def transport_cuts(demand: Mapping, allowed: Mapping, supply: Mapping, forced=False, closed=()):
-    """`TransportNetwork.cuts` on a network built for this one call: the
-    clients of `demand`, their `allowed` lists and the centers of
-    `supply`."""
-    return TransportNetwork(demand, allowed, supply).cuts(demand, supply, forced, closed)
 
 
 @dataclass

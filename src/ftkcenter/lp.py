@@ -32,8 +32,10 @@ does not depend on the point, so a solver builds it once per threshold
 `TransportNetwork.cuts` call on it with that round's supplies y * capacity,
 on integer residuals.  A pass solves its cuts in order and returns the
 row of the first violated one, the cut the loop adds, or None; only a
-clean point costs the whole family.  Generated rows live for one
-threshold's solve and are discarded afterwards.
+clean point costs the whole family.  The row reads its clients and centers
+off the minimal min cut: the centers are those the cut reports, less the
+scenario's failures.  Generated rows live for one threshold's solve and
+are discarded afterwards.
 """
 
 from __future__ import annotations
@@ -270,18 +272,17 @@ def general_network(gprime: Sequence[int]) -> TransportNetwork:
     """The network of `separate_general`: every vertex is a client and a
     center, and a client may use its closed out-neighborhood in G', whose
     out-neighborhood bitmasks `gprime` holds (`clustering.build_gprime`)."""
-    n = len(gprime)
-    allowed = {v: mask_bits(out | 1 << v) for v, out in enumerate(gprime)}
-    return TransportNetwork(range(n), allowed, range(n))
+    return TransportNetwork(
+        [mask_bits(out | 1 << v) for v, out in enumerate(gprime)], range(len(gprime))
+    )
 
 
 def uniform_network(graph: ThresholdGraph, capacities: Sequence[int]) -> TransportNetwork:
     """The network of `separate_uniform`: every vertex is a client, the
     positive-capacity vertices are the centers, and a client may use the
     centers of its closed neighborhood."""
-    n = graph.n
-    allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
-    return TransportNetwork(range(n), allowed, [u for u in range(n) if capacities[u] > 0])
+    allowed = [[u for u in graph.closed(v) if capacities[u] > 0] for v in range(graph.n)]
+    return TransportNetwork(allowed, [u for u in range(graph.n) if capacities[u] > 0])
 
 
 def separate_general(
@@ -298,19 +299,13 @@ def separate_general(
     violated scenario, whose cut is below n, or None if y is clean, as it
     is when there is no scenario."""
     scenarios = list(combinations(sorted(backup_set), alpha))
-    n = len(network.clients)
+    n = len(capacities)
     cuts = network.cuts(
-        dict.fromkeys(network.clients, 1),
-        {u: y[u] * capacities[u] for u in network.centers},
-        closed=scenarios,
+        [1] * n, [y[u] * capacities[u] for u in network.centers], closed=scenarios
     )
-    for F, (value, blocked) in zip(scenarios, cuts):
+    for F, (value, blocked, reach) in zip(scenarios, cuts):
         if value < n:
-            reach = set()
-            for u in blocked:
-                reach.update(network.allowed[u])
-            reach.difference_update(F)
-            return Row.make({u: capacities[u] for u in reach}, ">=", len(blocked))
+            return Row.make({u: capacities[u] for u in reach.difference(F)}, ">=", len(blocked))
     return None
 
 
@@ -330,15 +325,12 @@ def separate_uniform(
     maximum flow of the unforced network.  Returns the row of the lowest
     forced vertex whose cut is below n + alpha * L, or None if y is clean.
     """
-    n = len(network.clients)
+    n = len(capacities)
     L = uniform_capacity_level(capacities)
-    supply = {u: y[u] * L for u in network.centers}
-    for value, blocked in network.cuts(dict.fromkeys(network.clients, 1), supply, forced=True):
+    supply = [y[u] * L for u in network.centers]
+    for value, blocked, reach in network.cuts([1] * n, supply, forced=True):
         if value < n + alpha * L:
-            reach = set()
-            for v in blocked:
-                reach.update(network.allowed[v])
-            return Row.make({u: L for u in reach}, ">=", len(blocked) + alpha * L)
+            return Row.make(dict.fromkeys(reach, L), ">=", len(blocked) + alpha * L)
     return None
 
 

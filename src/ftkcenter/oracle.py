@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .flow import capacitated_assignment, transport_cuts
+from .flow import TransportNetwork, capacitated_assignment
 from .instance import (
     InstanceError,
     MetricInstance,
@@ -239,7 +239,7 @@ def relaxed_ilp_holds(
     Checks mass k, bounds, and for each F (any alpha vertices, not only
     centers) a max-flow certifying that closed neighborhoods minus F hold
     enough capacity-weighted mass for all clients at once; the scenarios are
-    the closed variants of one `transport_cuts` call.
+    the closed variants of one `TransportNetwork.cuts` call.
     """
     n = graph.n
     yv = {v: Fraction(y.get(v, 0)) for v in range(n)}
@@ -248,13 +248,10 @@ def relaxed_ilp_holds(
     if any(val < 0 or val > 1 for val in yv.values()):
         return False
     # closing F's sink arcs makes F a dead end, as if F were removed
-    cuts = transport_cuts(
-        dict.fromkeys(range(n), 1),
-        {u: graph.closed(u) for u in range(n)},
-        {w: yv[w] * caps[w] for w in range(n)},
-        closed=combinations(range(n), alpha),
+    cuts = TransportNetwork([graph.closed(u) for u in range(n)], range(n)).cuts(
+        [1] * n, [yv[w] * caps[w] for w in range(n)], closed=combinations(range(n), alpha)
     )
-    return all(value >= n for value, _ in cuts)
+    return all(value >= n for value, _, _ in cuts)
 
 
 def gap_instance(s: int) -> MetricInstance:

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .clustering import Clustering, backup_union
-from .flow import capacitated_assignment, transport_cuts
+from .flow import TransportNetwork, capacitated_assignment
 from .instance import (
     ContractViolation,
     ThresholdGraph,
@@ -47,10 +47,11 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     """Coverage condition of a distance-r transfer, by one transport flow:
     the capacity-weighted y-mass of every vertex set outside B fits into the
     y2-mass within r hops of it (Hall with fractional demands).  The flow is
-    the single variant of a `transport_cuts` call with nothing closed, and
-    only its value is read: the condition holds iff it routes all demand.
-    The centers of the network are the vertices with positive supply, and
-    a vertex may send to those within r hops."""
+    the single variant of a `TransportNetwork.cuts` call with nothing
+    closed, and only its value is read: the condition holds iff it routes
+    all demand.  The clients are the live vertices with demand, the centers
+    those with positive supply, and a client may send to the centers within
+    r hops."""
     hops = graph.hops()
     B = frozenset(B)
     live = [v for v in range(graph.n) if v not in B]
@@ -59,8 +60,8 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     if total == 0:
         return True
     supply = {w: s for w in live if (s := Fraction(caps[w]) * Fraction(y2.get(w, 0))) > 0}
-    allowed = {v: [w for w in supply if hops[v][w] <= r] for v in demand}
-    return next(transport_cuts(demand, allowed, supply, closed=[()]))[0] == total
+    network = TransportNetwork([[w for w in supply if hops[v][w] <= r] for v in demand], supply)
+    return next(network.cuts(list(demand.values()), list(supply.values()), closed=[()]))[0] == total
 
 
 def verify_transfer(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .flow import capacitated_assignment, transport_cuts
+from .flow import TransportNetwork, capacitated_assignment
 from .instance import ContractViolation, MetricInstance, Radius, is_plain_int
 
 
@@ -45,25 +45,22 @@ def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
 
     Only scenarios of size exactly alpha are tried: an assignment that avoids
     a failure set also serves every subset of it.  The scenarios are the
-    closed variants of one `transport_cuts` call, each re-augmenting only the
-    load its failures displace; the first one short of n is reported with
-    the clients of its minimal min cut and the capacity they reach.
+    closed variants of one `TransportNetwork.cuts` call, each re-augmenting
+    only the load its failures displace; the first one short of n is
+    reported with the clients of its minimal min cut and the capacity of
+    the live centers on its source side.
     """
     bad = _check_centers(inst, centers)
     if bad is not None:
         return bad
     n = inst.n
     S = sorted(centers)
-    caps = {c: inst.capacities[c] for c in S}
-    near = _covering(inst, S, radius)
+    network = TransportNetwork(_covering(inst, S, radius), S)
     scenarios = list(combinations(S, inst.alpha))
-    cuts = transport_cuts(
-        dict.fromkeys(range(n), 1), dict(enumerate(near)), caps, closed=scenarios
-    )
-    for F, (value, blocked) in zip(scenarios, cuts):
+    cuts = network.cuts([1] * n, [inst.capacities[c] for c in S], closed=scenarios)
+    for F, (value, blocked, reach) in zip(scenarios, cuts):
         if value < n:
-            reach = {c for u in blocked for c in near[u] if c not in F}
-            capacity = sum(caps[c] for c in reach)
+            capacity = sum(inst.capacities[c] for c in reach.difference(F))
             if capacity >= len(blocked):
                 raise ContractViolation("min-cut witness does not violate Hall's condition")
             return VerifyReport(

@@ -6,7 +6,7 @@ matrices and the hop-matrix clustering, the uncapped general-capacity
 front end with component counts from `components()`, closed
 out-neighborhoods read off G' masks, `transport` (one `flow.max_flow` on a
 `FlowNetwork` built arc by arc, the reference for each variant of
-`transport_cuts`), exhaustive reference implementations of the separation
+`TransportNetwork.cuts`), exhaustive reference implementations of the separation
 problems, the separators' full `TransportNetwork.cuts` passes and the separators
 with one `transport` per cut, the verifier with one assignment per failure
 scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
@@ -258,9 +258,10 @@ def transport(demand, allowed, supply):
     """One max flow on the client -> center transport network, built arc by
     arc on a `FlowNetwork`: source -> client (demand), client -> each
     allowed center (unbounded), center -> sink (supply); a center without a
-    supply entry is a dead end.  Returns (value, blocked), the clients on
-    the source side of the minimal min cut.  The reference for each variant
-    of `flow.transport_cuts`, which builds its network on integer arrays."""
+    supply entry is a dead end.  Returns (value, blocked, reach), the
+    clients and the centers on the source side of the minimal min cut.  The
+    reference for each variant of `flow.TransportNetwork.cuts`, which
+    builds its network on integer arrays."""
     net = FlowNetwork("s", "t")
     for c, d in demand.items():
         net.add_arc("s", ("client", c), d)
@@ -271,7 +272,11 @@ def transport(demand, allowed, supply):
     value, cut = max_flow(net)
     if value is INF:
         raise ContractViolation("transport value is infinite")
-    return value, frozenset(u[1] for u in cut if u[0] == "client")
+    return (
+        value,
+        frozenset(u[1] for u in cut if u[0] == "client"),
+        frozenset(u[1] for u in cut if u[0] == "center"),
+    )
 
 
 def cut_capacity(net, source_side):
@@ -349,12 +354,13 @@ def full_pass_general(y, network, backup_set, alpha, capacities):
     """value - n of every closed variant of the `network.cuts` call that
     `lp.separate_general` makes, one per failure scenario, all solved: the
     minimum is the global minimum over (U, F)."""
+    n = len(capacities)
     cuts = network.cuts(
-        dict.fromkeys(network.clients, 1),
-        {u: y[u] * capacities[u] for u in network.centers},
+        [1] * n,
+        [y[u] * capacities[u] for u in network.centers],
         closed=list(combinations(sorted(backup_set), alpha)),
     )
-    return [value - len(network.clients) for value, _ in cuts]
+    return [value - n for value, _, _ in cuts]
 
 
 def full_pass_uniform(y, network, capacities):
@@ -362,9 +368,10 @@ def full_pass_uniform(y, network, capacities):
     `lp.separate_uniform` makes, one per vertex, all solved: the minimum is
     the global minimum over nonempty U."""
     L = uniform_capacity_level(capacities)
-    supply = {u: y[u] * L for u in network.centers}
-    cuts = network.cuts(dict.fromkeys(network.clients, 1), supply, forced=True)
-    return [value - len(network.clients) for value, _ in cuts]
+    n = len(capacities)
+    supply = [y[u] * L for u in network.centers]
+    cuts = network.cuts([1] * n, supply, forced=True)
+    return [value - n for value, _, _ in cuts]
 
 
 def assert_first_violated_row(row, y, minimum, threshold, ref):
@@ -388,7 +395,7 @@ def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
         Fset = frozenset(F)
         allowed = {v: [u for u in closed_out(gprime, [v]) if u not in Fset] for v in range(n)}
         supply = {u: y[u] * capacities[u] for u in range(n) if u not in Fset}
-        value, blocked = transport(demand, allowed, supply)
+        value, blocked, _ = transport(demand, allowed, supply)
         if value < n:
             reach = closed_out(gprime, blocked) - Fset
             return Row.make({u: capacities[u] for u in reach}, ">=", len(blocked))
@@ -406,7 +413,7 @@ def per_cut_separate_uniform(y, graph, capacities, alpha):
     supply = {u: y[u] * L for u in range(n) if capacities[u] > 0}
     for w in range(n):
         demand = {v: INF if v == w else 1 for v in range(n)}
-        value, blocked = transport(demand, allowed, supply)
+        value, blocked, _ = transport(demand, allowed, supply)
         if value < n + alpha * L:
             reach = set()
             for v in blocked:
@@ -418,7 +425,7 @@ def per_cut_separate_uniform(y, graph, capacities, alpha):
 def scratch_verify_ft(inst, centers, radius):
     """`verify.verify_ft` with one `capacitated_assignment` per failure
     scenario, each on the network rebuilt without the failed centers: the
-    reference for the single `transport_cuts` call of the verifier."""
+    reference for the single `TransportNetwork.cuts` call of the verifier."""
     bad = _check_centers(inst, centers)
     if bad is not None:
         return bad

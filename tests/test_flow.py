@@ -15,7 +15,6 @@ from ftkcenter.flow import (
     TransportNetwork,
     capacitated_assignment,
     max_flow,
-    transport_cuts,
 )
 from ftkcenter.instance import ContractViolation, InstanceError, Radius
 from ftkcenter.lp import general_network, separate_general, separate_uniform, uniform_network
@@ -151,7 +150,7 @@ def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("capacitated_assignment ran the flow engine")
 
-    for name in ("FlowNetwork", "max_flow", "TransportNetwork", "transport_cuts"):
+    for name in ("FlowNetwork", "max_flow", "TransportNetwork"):
         monkeypatch.setattr(flow, name, no_flow)
     rng = random.Random(1608)
     feasible = infeasible = partial = 0
@@ -179,40 +178,44 @@ def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
 
 
 def test_transport_fractional_demand_with_dead_end_center():
-    """Center 12 has no supply entry, so it is not a center of the network
-    and may not be allowed; with supply 0 client 1 gets only the 1/3 of
-    center 11."""
-    demand = {0: Fraction(1, 2), 1: Fraction(2, 3)}
-    allowed = {0: [10], 1: [11, 12]}
-    supply = {10: 1, 11: Fraction(1, 3)}
-    with pytest.raises(ContractViolation, match="allowed center 12 of client 1"):
-        transport_cuts(demand, allowed, supply, closed=[()])
-    [(value, blocked)] = transport_cuts(demand, allowed, {**supply, 12: 0}, closed=[()])
-    assert value == Fraction(5, 6)
-    assert blocked == frozenset({1})
+    """Center 12 has supply 0, a dead end: client 1 gets only the 1/3 of
+    center 11, and the centers of the cut are client 1's allowed list, 12
+    included."""
+    network = TransportNetwork([[10], [11, 12]], [10, 11, 12])
+    [cut] = network.cuts([Fraction(1, 2), Fraction(2, 3)], [1, Fraction(1, 3), 0], closed=[()])
+    assert cut == (Fraction(5, 6), frozenset({1}), frozenset({11, 12}))
 
 
 def test_transport_infinite_demand_is_always_blocked():
     """A forced client's demand is infinite, so it is on the source side
     of every min cut."""
-    allowed = {0: [10], 1: [10, 11], 2: [11]}
-    supply = {10: 5, 11: 5}
-    demand = dict.fromkeys(allowed, 1)
-    cuts = list(transport_cuts(demand, allowed, supply, forced=True))
-    assert [w in blocked for w, (_, blocked) in zip(allowed, cuts)] == [True] * 3
-    assert [value for value, _ in cuts] == [7, 10, 7]
+    network = TransportNetwork([[10], [10, 11], [11]], [10, 11])
+    cuts = list(network.cuts([1] * 3, [5, 5], forced=True))
+    assert [w in blocked for w, (_, blocked, _) in enumerate(cuts)] == [True] * 3
+    assert [value for value, _, _ in cuts] == [7, 10, 7]
 
 
-def test_transport_cuts_match_transport_per_variant():
+def reference_cuts(demand, allowed, supply, forced, closed):
+    """`transport` for each variant of a `cuts` call on clients 0..m-1:
+    each forced client's demand made infinite, then each closed set's
+    centers left without supply, dead ends that keep their client arcs."""
+    demand, allowed = dict(enumerate(demand)), dict(enumerate(allowed))
+    expected = [transport({**demand, w: INF}, allowed, supply) for w in demand if forced]
+    for F in closed:
+        expected.append(transport(demand, allowed, {v: s for v, s in supply.items() if v not in F}))
+    return expected
+
+
+def test_network_cuts_match_transport_per_variant():
     """Each forced variant is `transport` with that client's demand infinite
-    and each closed variant `transport` without the closed centers, on
-    random transport networks with Fraction and zero demands and supplies,
-    and centers no client may use."""
+    and each closed variant `transport` without the closed centers' supply,
+    value, clients and centers of the cut, on random transport networks
+    with Fraction and zero demands and supplies, and centers no client may
+    use."""
     rng = random.Random(1970)
     forced_total = closed_total = short = 0
     for _ in range(200):
-        clients = rng.sample(range(20), rng.randint(0, 6))
-        centers = list(range(20, 20 + rng.randint(0, 5)))
+        m = rng.randint(0, 6)
 
         def amount():
             roll = rng.random()
@@ -222,50 +225,42 @@ def test_transport_cuts_match_transport_per_variant():
                 return Fraction(rng.randint(0, 9), rng.randint(1, 6))
             return rng.randint(0, 4)
 
-        demand = {c: amount() for c in clients}
-        supply = {v: amount() for v in centers if rng.random() < 0.85}
-        allowed = {c: rng.sample(list(supply), rng.randint(0, len(supply))) for c in clients}
+        demand = [amount() for _ in range(m)]
+        supply = {v: amount() for v in range(20, 20 + rng.randint(0, 5)) if rng.random() < 0.85}
+        centers = list(supply)
+        allowed = [rng.sample(centers, rng.randint(0, len(centers))) for _ in range(m)]
         forced = rng.random() < 0.5
         closed = [
             tuple(rng.sample(centers, rng.randint(0, len(centers))))
             for _ in range(rng.randint(0, 3))
         ]
-        cuts = list(transport_cuts(demand, allowed, supply, forced=forced, closed=closed))
-        nforced = len(clients) if forced else 0
+        network = TransportNetwork(allowed, centers)
+        cuts = list(network.cuts(demand, list(supply.values()), forced=forced, closed=closed))
+        nforced = m if forced else 0
         assert len(cuts) == nforced + len(closed)
-        expected = []
-        for w in clients[:nforced]:
-            value, blocked = transport({**demand, w: INF}, allowed, supply)
-            expected.append((value, blocked))
-            assert w in blocked
-        for F in closed:
-            value, blocked = transport(
-                demand,
-                {c: [v for v in allowed[c] if v not in F] for c in clients},
-                {v: s for v, s in supply.items() if v not in F},
-            )
-            expected.append((value, blocked))
-        assert cuts == expected
-        assert all(isinstance(value, Fraction) for value, _ in cuts)
+        assert cuts == reference_cuts(demand, allowed, supply, forced, closed)
+        assert all(w in cuts[w][1] for w in range(nforced))
+        assert all(isinstance(value, Fraction) for value, _, _ in cuts)
         forced_total += nforced
         closed_total += len(closed)
-        short += sum(1 for value, _ in cuts[nforced:] if value < sum(demand.values()))
+        short += sum(1 for value, _, _ in cuts[nforced:] if value < sum(demand))
     assert forced_total > 100 and closed_total > 100 and short > 20
 
 
 def test_closed_chains_match_transport_per_variant():
     """Each closed variant starts from the maximum flow of the one before,
     so a long chain reopens, cancels and re-augments many times; every
-    variant must still be `transport` without its closed centers.  Chains
-    hold all C(m, a) center sets in shuffled order, the same set twice in a
-    row, overlapping and empty sets, and names without a supply entry or
-    without any arc; demands and supplies are ints, Fractions and zeros,
-    and a client may use only supplied centers."""
+    variant must still be `transport` without its closed centers' supply,
+    value, clients and centers of the cut.  Chains hold all C(m, a) center
+    sets in shuffled order, the same set twice in a row, overlapping and
+    empty sets, and a center without any arc; demands and supplies are
+    ints, Fractions and zeros."""
     rng = random.Random(1982)
     variants = short = moved = 0
     for _ in range(150):
-        clients = list(range(rng.randint(1, 7)))
+        m = rng.randint(1, 7)
         centers = list(range(20, 20 + rng.randint(1, 6)))
+        idle = centers[-1] + 1  # a center no client may use
 
         def amount():
             roll = rng.random()
@@ -275,9 +270,9 @@ def test_closed_chains_match_transport_per_variant():
                 return Fraction(rng.randint(1, 9), rng.randint(1, 4))
             return rng.randint(1, 3)
 
-        demand = {c: amount() for c in clients}
-        supply = {v: amount() for v in centers if rng.random() < 0.9}
-        allowed = {c: rng.sample(list(supply), rng.randint(0, len(supply))) for c in clients}
+        demand = [amount() for _ in range(m)]
+        supply = {v: amount() for v in (*centers, idle)}
+        allowed = [rng.sample(centers, rng.randint(0, len(centers))) for _ in range(m)]
         closed = list(combinations(centers, rng.randint(0, min(3, len(centers)))))
         rng.shuffle(closed)
         for _ in range(rng.randint(2, 6)):
@@ -285,103 +280,75 @@ def test_closed_chains_match_transport_per_variant():
             extra = rng.choice([
                 closed[i - 1] if i else (),  # the same set twice in a row
                 (),
-                (99, *rng.sample(centers, 1)),  # a name no arc touches
+                (idle, *rng.sample(centers, 1)),
                 tuple(rng.sample(centers, rng.randint(1, len(centers)))),
             ])
             closed.insert(i, extra)
-        cuts = list(transport_cuts(demand, allowed, supply, closed=closed))
-        full = transport(demand, allowed, supply)[0]
-        expected = []
-        for F in closed:
-            value, blocked = transport(
-                demand,
-                {c: [v for v in allowed[c] if v not in F] for c in clients},
-                {v: s for v, s in supply.items() if v not in F},
-            )
-            expected.append((value, blocked))
-            short += value < sum(demand.values())
-            moved += value < full
+        network = TransportNetwork(allowed, list(supply))
+        cuts = list(network.cuts(demand, list(supply.values()), closed=closed))
+        expected = reference_cuts(demand, allowed, supply, False, closed)
         assert cuts == expected
+        full = transport(dict(enumerate(demand)), dict(enumerate(allowed)), supply)[0]
+        short += sum(value < sum(demand) for value, _, _ in expected)
+        moved += sum(value < full for value, _, _ in expected)
         variants += len(closed)
     assert variants > 1000 and short > 500 and moved > 400, (variants, short, moved)
 
 
-def test_transport_cuts_rejects_infinite_and_negative_amounts():
+def test_network_cuts_rejects_infinite_and_negative_amounts():
     """Bad input raises at the call, before any variant is asked for: no
     call here consumes the iterator it would return.  Only a forced variant
-    makes a demand infinite; an infinite amount in the maps is a caller
+    makes a demand infinite; an infinite amount in the input is a caller
     bug."""
+    one, two = TransportNetwork([[10]], [10]), TransportNetwork([[10], [10]], [10])
     with pytest.raises(ContractViolation, match="infinite supply"):
-        transport_cuts({0: 1}, {0: [10]}, {10: INF}, forced=True)
+        one.cuts([1], [INF], forced=True)
     with pytest.raises(ContractViolation, match="infinite supply"):
-        transport_cuts({0: 1}, {0: [10]}, {10: INF})
+        one.cuts([1], [INF])
     with pytest.raises(ContractViolation, match="infinite demand"):
-        transport_cuts({0: INF}, {0: [10]}, {10: 1}, closed=[()])
+        one.cuts([INF], [1], closed=[()])
     with pytest.raises(ContractViolation, match="infinite demand"):
-        transport_cuts({0: 1, 1: INF}, {0: [10], 1: [10]}, {10: 1}, forced=True)
+        two.cuts([1, INF], [1], forced=True)
     with pytest.raises(InstanceError, match="negative capacity"):
-        transport_cuts({0: 1}, {0: [10]}, {10: -1}, closed=[()])
+        one.cuts([1], [-1], closed=[()])
     with pytest.raises(InstanceError, match="negative demand"):
-        transport_cuts({0: 1, 1: -1}, {0: [10], 1: [10]}, {10: 1}, forced=True)
+        two.cuts([1, -1], [1], forced=True)
     with pytest.raises(InstanceError, match="negative demand"):
-        transport_cuts({0: Fraction(-1, 2)}, {0: [10]}, {10: 1}, closed=[()])
+        one.cuts([Fraction(-1, 2)], [1], closed=[()])
 
 
 def test_a_reused_network_matches_a_fresh_build():
-    """One `TransportNetwork` solved for a sequence of supply maps gives,
-    for every forced and closed variant, what a fresh `transport_cuts` call
-    gives with every center supplied.  The sequence changes denominators,
-    zeroes supplies, leaves out some centers' supply entries, which then
-    have supply 0, and repeats an earlier map, which must give the same
-    cuts again: `cuts` never changes the network's residual template."""
+    """One `TransportNetwork` solved for a sequence of supplies gives, for
+    every forced and closed variant, what a fresh network gives.  The
+    sequence changes denominators, zeroes supplies and repeats an earlier
+    one, which must give the same cuts again: `cuts` never changes the
+    network's residual template."""
     rng = random.Random(2025)
-    calls = short = dropped = 0
+    calls = short = zeroed = 0
     for _ in range(60):
-        clients = rng.sample(range(20), rng.randint(1, 6))
+        m = rng.randint(1, 6)
         centers = list(range(20, 20 + rng.randint(1, 5)))
-        allowed = {c: rng.sample(centers, rng.randint(0, len(centers))) for c in clients}
-        network = TransportNetwork(clients, allowed, centers)
+        allowed = [rng.sample(centers, rng.randint(0, len(centers))) for _ in range(m)]
+        network = TransportNetwork(allowed, centers)
         template = network.template[:]
-        demand = {c: rng.randint(0, 2) for c in clients}
+        demand = [rng.randint(0, 2) for _ in range(m)]
         forced = rng.random() < 0.5
         closed = [tuple(rng.sample(centers, rng.randint(0, min(2, len(centers))))) for _ in range(3)]
-        maps = []
+        supplies = []
         for _ in range(4):
             den = rng.randint(1, 7)
-            maps.append({
-                v: Fraction(rng.randint(0, 9), den) if rng.random() < 0.7 else 0
-                for v in centers if rng.random() < 0.85
-            })
-        maps.append(maps[0])
-        for supply in maps:
+            supplies.append([
+                Fraction(rng.randint(0, 9), den) if rng.random() < 0.6 else 0 for _ in centers
+            ])
+        supplies.append(supplies[0])
+        for supply in supplies:
             cuts = list(network.cuts(demand, supply, forced, closed))
-            full = {**dict.fromkeys(centers, 0), **supply}
-            assert cuts == list(transport_cuts(demand, allowed, full, forced, closed))
+            assert cuts == list(TransportNetwork(allowed, centers).cuts(demand, supply, forced, closed))
             assert network.template == template
             calls += 1
-            short += any(value < sum(demand.values()) for value, _ in cuts)
-            dropped += len(supply) < len(centers)
-    assert calls == 300 and short > 50 and dropped > 50, (short, dropped)
-
-
-def test_transport_network_rejects_names_it_was_not_built_with():
-    """An allowed center that is not one of `centers`, and a demand or
-    supply entry for a client or center the network was not built with,
-    are caller bugs, a `ContractViolation`: the first raised by the build,
-    the others at the call, as is an infinite demand."""
-    with pytest.raises(ContractViolation, match="allowed center 11 of client 1"):
-        TransportNetwork([0, 1], {0: [10], 1: [10, 11]}, [10])
-    network = TransportNetwork([0, 1], {0: [10], 1: [10]}, [10])
-    with pytest.raises(ContractViolation, match="client 2"):
-        network.cuts({0: 1, 2: 1}, {10: 1})
-    with pytest.raises(ContractViolation, match="center 11"):
-        network.cuts({0: 1, 1: 1}, {10: 1, 11: 1})
-    with pytest.raises(ContractViolation, match="center 12"):
-        network.cuts({0: 1, 1: 1}, {12: 1})
-    with pytest.raises(ContractViolation, match="infinite demand"):
-        network.cuts({0: 1, 1: INF}, {10: 1}, forced=True)
-    [(value, blocked)] = network.cuts({0: 1, 1: 1}, {10: 1}, closed=[()])
-    assert (value, blocked) == (1, frozenset({0, 1}))
+            short += any(value < sum(demand) for value, _, _ in cuts)
+            zeroed += 0 in supply
+    assert calls == 300 and short > 50 and zeroed > 50, (short, zeroed)
 
 
 def count_augments(monkeypatch):
@@ -398,23 +365,54 @@ def count_augments(monkeypatch):
     return calls
 
 
-def test_transport_cuts_solves_each_variant_on_demand(monkeypatch):
+def test_transport_network_rejects_names_it_was_not_built_with(monkeypatch):
+    """An allowed center that is not one of `centers`, and a repeated
+    center, are caller bugs, a `ContractViolation` raised by the build.  So
+    are, at the call and before any variant is solved, a demand or supply
+    sequence whose length is not the number of clients or centers, which
+    `zip` would otherwise truncate, a closed id that is not one of
+    `centers`, and an infinite demand."""
+    with pytest.raises(ContractViolation, match="allowed center 11 of client 1"):
+        TransportNetwork([[10], [10, 11]], [10])
+    with pytest.raises(ContractViolation, match="repeated center"):
+        TransportNetwork([[10]], [10, 10])
+    network = TransportNetwork([[10], [10]], [10])
+    calls = count_augments(monkeypatch)
+    with pytest.raises(ContractViolation, match="3 demands and 1 supplies"):
+        network.cuts([1, 1, 1], [1])
+    with pytest.raises(ContractViolation, match="1 demands and 1 supplies"):
+        network.cuts([1], [1], closed=[()])
+    with pytest.raises(ContractViolation, match="2 demands and 2 supplies"):
+        network.cuts([1, 1], [1, 1], forced=True)
+    with pytest.raises(ContractViolation, match="2 demands and 0 supplies"):
+        network.cuts([1, 1], [], closed=[()])
+    with pytest.raises(ContractViolation, match="closed center 12"):
+        network.cuts([1, 1], [1], closed=[(10,), (12,)])
+    with pytest.raises(ContractViolation, match="closed center 12"):
+        network.cuts([1, 1], [1], forced=True, closed=[(10, 12)])
+    with pytest.raises(ContractViolation, match="infinite demand"):
+        network.cuts([1, INF], [1], forced=True)
+    assert calls[0] == 0
+    [cut] = network.cuts([1, 1], [1], closed=[()])
+    assert cut == (1, frozenset({0, 1}), frozenset({10}))
+
+
+def test_network_cuts_solves_each_variant_on_demand(monkeypatch):
     """The call solves nothing; the first forced variant solves the base
     flow and itself, and every later variant, forced or closed, one more."""
     calls = count_augments(monkeypatch)
-    demand = dict.fromkeys(range(4), 1)
-    allowed = {0: [10], 1: [10, 11], 2: [11], 3: [11, 12]}
-    supply = {10: 1, 11: Fraction(3, 2), 12: 1}
+    network = TransportNetwork([[10], [10, 11], [11], [11, 12]], [10, 11, 12])
+    demand, supply = [1] * 4, [1, Fraction(3, 2), 1]
     closed = [(10,), (11,), (10, 12)]
-    cuts = transport_cuts(demand, allowed, supply, forced=True, closed=closed)
+    cuts = network.cuts(demand, supply, forced=True, closed=closed)
     assert calls[0] == 0
     seen = []
     for i, cut in enumerate(cuts):
         seen.append(cut)
         assert calls[0] == i + 2
-    assert seen == list(transport_cuts(demand, allowed, supply, forced=True, closed=closed))
+    assert seen == list(network.cuts(demand, supply, forced=True, closed=closed))
     calls[0] = 0
-    cuts = transport_cuts(demand, allowed, supply, closed=closed)
+    cuts = network.cuts(demand, supply, closed=closed)
     next(cuts)
     assert calls[0] == 1
 
@@ -535,11 +533,10 @@ def test_seating_routes_one_step_demand_before_dinic(monkeypatch):
     forced client's demand stays infinite, and its BFS stops at the full
     centers it fills and the clients seated there."""
     entries = watch_augments(monkeypatch)
-    allowed = {0: [10, 11], 1: [10, 11], 2: [12, 13], 3: [13, 12]}
-    supply = dict.fromkeys([10, 11, 12, 13], 2)
-    demand = dict.fromkeys(allowed, 1)
+    allowed = [[10, 11], [10, 11], [12, 13], [13, 12]]
+    network = TransportNetwork(allowed, [10, 11, 12, 13])
     closed = [(), (10,), (11,), (10, 12), (13,), (11, 12)]
-    cuts = list(transport_cuts(demand, allowed, supply, forced=True, closed=closed))
+    cuts = list(network.cuts([1] * 4, [2] * 4, forced=True, closed=closed))
     assert len(entries) == 1 + len(allowed) + len(closed)
     base, *rest = entries
     for sources, value, _ in entries:
@@ -547,14 +544,15 @@ def test_seating_routes_one_step_demand_before_dinic(monkeypatch):
         assert all(r == 0 for r in sources if r != INF)
     assert base[0] == [0] * 4 and base[2] == [0]
     groups = [{0, 1}, {0, 1}, {2, 3}, {2, 3}]  # the clients that share w's centers
-    for w, (sources, _, reached) in zip(allowed, rest):
-        assert [r == INF for r in sources] == [c == w for c in allowed]
+    for w, (sources, _, reached) in enumerate(rest[:len(allowed)]):
+        assert [r == INF for r in sources] == [c == w for c in range(4)]
         assert {u - 2 for u in reached if 2 <= u < 6} == groups[w]
     for sources, _, reached in rest[len(allowed):]:
         assert sources == [0] * 4 and reached == [0]
-    assert [value for value, _ in cuts] == [6] * len(allowed) + [4] * len(closed)
-    assert [blocked for _, blocked in cuts] == [
-        *map(frozenset, groups), *[frozenset()] * len(closed)
+    assert [value for value, _, _ in cuts] == [6] * len(allowed) + [4] * len(closed)
+    assert [(blocked, reach) for _, blocked, reach in cuts] == [
+        *((frozenset(g), frozenset(allowed[w])) for w, g in enumerate(groups)),
+        *[(frozenset(), frozenset())] * len(closed),
     ]
 
 
@@ -564,65 +562,55 @@ def test_dinic_finishes_what_seating_leaves(monkeypatch):
     which Dinic finds after the seating pass.  Every variant, forced and
     closed, equals the `transport` reference."""
     entries = watch_augments(monkeypatch)
-    allowed = {0: [10, 11], 1: [10], 2: [11, 12]}
+    allowed = [[10, 11], [10], [11, 12]]
     supply = {10: 1, 11: 1, 12: Fraction(1, 2)}
-    demand = {0: 1, 1: 1, 2: Fraction(1, 2)}
+    demand = [1, 1, Fraction(1, 2)]
     closed = [(), (12,), (11,), (10, 12)]
-    cuts = list(transport_cuts(demand, allowed, supply, forced=True, closed=closed))
+    network = TransportNetwork(allowed, list(supply))
+    cuts = list(network.cuts(demand, list(supply.values()), forced=True, closed=closed))
     assert len(entries) == 1 + len(allowed) + len(closed)
     # Dinic moves client 0 on to seat client 1: 2 in the scaled units of 1/2
     assert entries[0][1] == 2
-    expected = [transport({**demand, w: INF}, allowed, supply) for w in allowed]
-    for F in closed:
-        expected.append(transport(
-            demand,
-            {c: [v for v in allowed[c] if v not in F] for c in allowed},
-            {v: s for v, s in supply.items() if v not in F},
-        ))
-    assert cuts == expected
-    assert cuts[len(allowed)] == (Fraction(5, 2), frozenset())
+    assert cuts == reference_cuts(demand, allowed, supply, True, closed)
+    assert cuts[len(allowed)] == (Fraction(5, 2), frozenset(), frozenset())
 
 
 def test_transport_network_layout_is_what_cuts_reads():
     """`TransportNetwork` lists each arc at both of its ends, and `cuts`
     reads two facts of its layout: `adj[0]` is the source arcs in client
-    order, and a supplied center's first arc is its sink arc, followed only
-    by the reverses of the client arcs into it.  `template` is INF exactly
-    on the client -> center arcs, one per distinct allowed center.  Random
-    networks have repeated names in allowed lists and in `centers`, centers
-    no client may use and clients with no center."""
+    order, and a center's first arc is its sink arc, arc 2j for centers[j],
+    followed only by the reverses of the client arcs into it.  `template`
+    is INF exactly on the client -> center arcs, one per allowed entry.
+    Random networks have repeated entries in allowed lists, centers no
+    client may use and clients with no center."""
     rng = random.Random(1608)
     for _ in range(300):
-        clients = rng.sample(range(20), rng.randint(0, 7))
-        pool = list(range(20, 20 + rng.randint(1, 6)))
-        centers = rng.choices(pool, k=rng.randint(0, len(pool)))
-        allowed = {
-            c: rng.choices(centers, k=rng.randint(0, len(pool) + 1)) if centers else []
-            for c in clients
-        }
-        network = TransportNetwork(clients, allowed, centers)
+        m = rng.randint(0, 7)
+        centers = rng.sample(range(20, 26), rng.randint(0, 6))
+        allowed = [
+            rng.choices(centers, k=rng.randint(0, len(centers) + 1)) if centers else []
+            for _ in range(m)
+        ]
+        network = TransportNetwork(allowed, centers)
         head, adj, template = network.head, network.adj, network.template
-        first = len(clients) + 2
-        center_id = {}
-        for v in centers:
-            center_id.setdefault(v, first + len(center_id))
-        assert len(adj) == first + len(center_id) and len(template) == len(head)
+        first = m + 2
+        center_id = {v: j for j, v in enumerate(centers, first)}
+        assert len(adj) == first + len(centers) and len(template) == len(head)
         # arc e runs from head[e ^ 1] to head[e], and each node lists exactly
         # the arcs out of it, every arc once
         assert sorted(e for arcs in adj for e in arcs) == list(range(len(head)))
         assert all(head[e ^ 1] == u for u, arcs in enumerate(adj) for e in arcs)
-        assert adj[0] == [network.source_arc[c] for c in clients]
         assert [head[e] for e in adj[0]] == list(range(2, first))
         client_arcs = {e for e in range(0, len(head), 2) if 2 <= head[e ^ 1] < first <= head[e]}
         assert [e for e, c in enumerate(template) if c is INF] == sorted(client_arcs)
         assert not any(template[e] for e in range(len(head)) if e not in client_arcs)
-        for i, c in enumerate(clients, 2):
+        for i, near in enumerate(allowed, 2):
             heads = [head[e] for e in client_arcs if head[e ^ 1] == i]
-            assert sorted(heads) == sorted({center_id[v] for v in allowed[c]})
-        for v in centers:
-            j = center_id[v]
-            assert adj[j][0] == network.sink_arc[v] and head[adj[j][0]] == 1
-            assert sorted(e ^ 1 for e in adj[j][1:]) == sorted(e for e in client_arcs if head[e] == j)
+            assert sorted(heads) == sorted(center_id[v] for v in near)
+        for j, v in enumerate(centers):
+            k = center_id[v]
+            assert adj[k][0] == 2 * j and head[2 * j] == 1
+            assert sorted(e ^ 1 for e in adj[k][1:]) == sorted(e for e in client_arcs if head[e] == k)
 
 
 # -- the engine against the Edmonds-Karp reference ----------------------------
@@ -722,17 +710,18 @@ def count_calls(monkeypatch, calls, fn):
 def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
     """Solves of seeded random instances, each followed by `verify()` and
     every size-alpha scenario, call `flow.max_flow` nowhere, and each
-    transfer check is a `condition_b_flow` call, one `transport_cuts` call
-    for the single variant with nothing closed.  The checks of
-    `tree_transfer` are `condition_b_flow` calls too: it makes no flow of
-    its own.  Calls are counted by code object, so a call that bypasses a
+    transfer check is a `condition_b_flow` call, one `TransportNetwork`
+    build and one `cuts` call for the single variant with nothing closed.
+    The checks of `tree_transfer` are `condition_b_flow` calls too: it makes
+    no flow of its own.  Calls are counted by code object, so a call that bypasses a
     module global is counted too."""
     check = rounding.condition_b_flow.__code__
     tree = rounding.tree_transfer.__code__
     tree_codes = {tree, *(c for c in tree.co_consts if isinstance(c, type(tree)))}
     counts = {"max_flow": 0, "condition_b_flow": 0, "from tree_transfer": 0}
-    flows = {"condition_b_flow": 0, "tree_transfer": 0}  # transport_cuts calls by caller
-    shapes = []  # (forced, closed) of the transport_cuts calls of the checks
+    build, cuts = flow.TransportNetwork.__init__.__code__, flow.TransportNetwork.cuts.__code__
+    flows = {"build": 0, "cuts": 0, "tree_transfer": 0}  # network calls by caller
+    shapes = []  # (forced, closed) of the cuts calls of the checks
 
     def profile(frame, event, arg):
         if event != "call":
@@ -744,10 +733,11 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
         elif code is check:
             counts["condition_b_flow"] += 1
             counts["from tree_transfer"] += caller in tree_codes
-        elif code is flow.transport_cuts.__code__:
+        elif code is build or code is cuts:
             if caller is check:
-                flows["condition_b_flow"] += 1
-                shapes.append((frame.f_locals["forced"], frame.f_locals["closed"]))
+                flows["build" if code is build else "cuts"] += 1
+                if code is cuts:
+                    shapes.append((frame.f_locals["forced"], frame.f_locals["closed"]))
             elif caller in tree_codes:
                 flows["tree_transfer"] += 1
 
@@ -770,7 +760,8 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
         sys.setprofile(previous)
     assert solved >= 2
     assert counts["max_flow"] == 0, counts
-    assert flows == {"condition_b_flow": counts["condition_b_flow"], "tree_transfer": 0}, (counts, flows)
+    checks = counts["condition_b_flow"]
+    assert flows == {"build": checks, "cuts": checks, "tree_transfer": 0}, (counts, flows)
     assert all(shape == (False, [()]) for shape in shapes)
     assert counts["condition_b_flow"] > 0, counts
     if solve is solve_ft_general:
@@ -788,7 +779,7 @@ def test_one_network_per_threshold_and_one_cuts_call_per_pass(monkeypatch, solve
     every `solve_cutting_plane` call comes right after one `TransportNetwork`
     build by the connected solver, every separation pass is one `cuts` call
     on that network and builds no arrays, and every `verify_ft` call is one
-    `transport_cuts` call.  Calls are counted by code object, so a call that
+    `TransportNetwork` build and one `cuts` call.  Calls are counted by code object, so a call that
     bypasses a module global is counted too; the separators are also
     counted through their module globals, as the benchmark probes them."""
     connected = {solvers.ft_general_connected.__code__, solvers.ft_uniform_connected.__code__}
@@ -799,7 +790,7 @@ def test_one_network_per_threshold_and_one_cuts_call_per_pass(monkeypatch, solve
     build, cuts = TransportNetwork.__init__.__code__, TransportNetwork.cuts.__code__
     events = []  # b: a build in a connected solver, s: its solve, p: a pass
     counts = dict.fromkeys(["pass", "cuts in a pass", "arrays in a pass",
-                            "verify_ft", "transport_cuts in verify_ft"], 0)
+                            "verify_ft", "builds in verify_ft", "cuts in verify_ft"], 0)
     depth = [0]  # separator frames on the stack
 
     def caller(frame, levels):
@@ -829,8 +820,8 @@ def test_one_network_per_threshold_and_one_cuts_call_per_pass(monkeypatch, solve
             counts["arrays in a pass"] += 1
         elif code is verify_ft.__code__:
             counts["verify_ft"] += 1
-        elif code is flow.transport_cuts.__code__ and caller(frame, 1) is verify_ft.__code__:
-            counts["transport_cuts in verify_ft"] += 1
+        elif code in (build, cuts) and caller(frame, 1) is verify_ft.__code__:
+            counts["builds in verify_ft" if code is build else "cuts in verify_ft"] += 1
 
     rng = random.Random(f"one network per threshold/{variant}/{caps_mode}")
     previous = sys.getprofile()
@@ -850,5 +841,5 @@ def test_one_network_per_threshold_and_one_cuts_call_per_pass(monkeypatch, solve
     assert counts["cuts in a pass"] == counts["pass"], counts
     assert counts["arrays in a pass"] == 0, counts
     assert sum(globals_seen.values()) == counts["pass"], (globals_seen, counts)
-    assert counts["transport_cuts in verify_ft"] == counts["verify_ft"], counts
+    assert counts["builds in verify_ft"] == counts["cuts in verify_ft"] == counts["verify_ft"], counts
     assert (counts["verify_ft"] > 0) == (variant == "ft"), counts

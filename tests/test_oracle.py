@@ -61,9 +61,9 @@ def test_verify_ft_alpha_zero_checks_plain_assignment():
 
 
 def test_verify_ft_matches_the_per_scenario_loop():
-    """The one warm-started `transport_cuts` chain of `verify_ft` reports
-    what one assignment per failure scenario reports, detail string and
-    all, on random instances, centers and radii, alpha = 0 included."""
+    """The one warm-started `TransportNetwork.cuts` chain of `verify_ft`
+    reports what one assignment per failure scenario reports, detail string
+    and all, on random instances, centers and radii, alpha = 0 included."""
     rng = random.Random(2016)
     verdicts = {True: 0, False: 0, "alpha 0": 0}
     for _ in range(300):

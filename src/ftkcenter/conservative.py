@@ -9,12 +9,14 @@ seven hops for {0,L} capacities (six to an anchor, one more to its backups)
 and within BETA + 6*alpha hops for general ones, where BETA = 9 is the
 stretch of the failure-free LP residual solve
 (`solvers.ft_general_connected` with alpha = 0).  The repair records
-are `ConservativeUniform` and `ConservativeGeneral`.
+are `ConservativeUniform` and `ConservativeGeneral`; each builds its
+clients' within-bound center lists once, from one ball per center, and a
+scenario closes the failed centers by giving them no room.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -35,7 +37,7 @@ from .instance import (
     failure_set,
     uniform_capacity_level,
 )
-from .rounding import repair
+from .rounding import Within, repair
 from .solvers import ft_general_connected, ft_uniform_connected
 
 # stretch of the residual solve: the failure-free (alpha = 0) ft-general
@@ -86,6 +88,10 @@ class ConservativeUniform:
     phi0: dict  # base assignment
     alpha: int
     centers: tuple
+    within: Within = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "within", Within.build(self.graph, self.centers, (7,)))
 
     def __call__(self, F) -> dict:
         return reassign_uniform(self, F)
@@ -99,10 +105,10 @@ def reassign_uniform(state: ConservativeUniform, F) -> dict:
     nearest anchor lies within six hops, and that anchor's backups, one hop
     further, have room for the orphans.
     """
-    F = failure_set(F, state.alpha, state.centers)
+    F = failure_set(F, state.alpha, state.within.centers)
     uniform_capacity_level(state.caps)
     keep = {u: c for u, c in state.phi0.items() if c not in F}
-    return repair(state.graph, state.caps, state.centers, F, 7, keep)
+    return repair(state.within.lists[7], state.caps, state.centers, F, 7, keep)
 
 
 def solve_conservative_uniform(inst: MetricInstance) -> SolveResult:
@@ -189,6 +195,11 @@ class ConservativeGeneral:
     phi0: dict  # base assignment
     alpha: int
     centers: tuple
+    within: Within = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bound = BETA + 6 * self.alpha
+        object.__setattr__(self, "within", Within.build(self.graph, self.centers, (bound,)))
 
     def __call__(self, F) -> dict:
         return reassign_flow(self, F)
@@ -204,9 +215,10 @@ def reassign_flow(state: ConservativeGeneral, F) -> dict:
     orphans room at live backups within 6*alpha hops of their failed
     centers, reached through chains of failed backups six hops per link.
     """
-    F = failure_set(F, state.alpha, state.centers)
+    F = failure_set(F, state.alpha, state.within.centers)
     keep = {u: c for u, c in state.phi0.items() if c not in F}
-    return repair(state.graph, state.caps, state.centers, F, BETA + 6 * state.alpha, keep)
+    bound = BETA + 6 * state.alpha
+    return repair(state.within.lists[bound], state.caps, state.centers, F, bound, keep)
 
 
 def solve_conservative_general(inst: MetricInstance) -> SolveResult:

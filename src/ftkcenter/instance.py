@@ -71,7 +71,7 @@ def failure_set(F, alpha: int, centers) -> frozenset:
     F = vertex_set(F)
     if len(F) > alpha:
         raise InstanceError("too many failures")
-    if not F <= set(centers):
+    if not F.issubset(centers):
         raise InstanceError("failures must be centers")
     return F
 

@@ -12,16 +12,19 @@ A scenario repair (`repair`) seats every client at a live center within the
 pipeline's hop bound by one capacitated assignment, a unit-demand
 b-matching by augmenting paths (`flow.capacitated_assignment`): six hops
 for {0,L} capacities; nine for general capacities when only backups fail,
-ten otherwise.  The conservative pipelines make their repairs with the same
-assignment, keeping the clients of live centers in their seats.
+ten otherwise.  A repair record builds each client's within-bound centers
+once (`centers_within`, one ball per center), and a scenario closes its
+failed centers by giving them no room.  The conservative pipelines make
+their repairs with the same assignment, keeping the clients of live
+centers in their seats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .clustering import Clustering, backup_union
 from .flow import TransportNetwork, capacitated_assignment
@@ -29,6 +32,7 @@ from .instance import (
     ContractViolation,
     ThresholdGraph,
     failure_set,
+    mask_bits,
     uniform_capacity_level,
 )
 
@@ -260,22 +264,49 @@ def round_general(
 # -- scenario assignments ---------------------------------------------------
 
 
-def repair(graph: ThresholdGraph, caps, centers, F: frozenset, bound: int, keep=None) -> dict:
+def centers_within(graph: ThresholdGraph, centers, bounds) -> dict[int, list[list[int]]]:
+    """Per bound in `bounds`, each vertex's centers within that many hops,
+    ascending: one `graph.balls` call per center, of the largest bound,
+    gives every bound's lists."""
+    out = {bound: [[] for _ in range(graph.n)] for bound in bounds}
+    for c in sorted(centers):
+        balls = graph.balls(c, max(bounds))
+        for bound, lists in out.items():
+            for u in mask_bits(balls[bound]):
+                lists[u].append(c)
+    return out
+
+
+class Within(NamedTuple):
+    """What a repair record builds once, from its graph: its centers, the
+    centers it may fail within its tighter bound (the general pipeline's
+    backups, else empty), and per hop bound each client's centers within
+    that bound."""
+
+    centers: frozenset
+    backups: frozenset
+    lists: dict  # hop bound -> per-client ascending center lists
+
+    @classmethod
+    def build(cls, graph: ThresholdGraph, centers, bounds, backups=()) -> "Within":
+        return cls(frozenset(centers), frozenset(backups), centers_within(graph, centers, bounds))
+
+
+def repair(lists, caps, centers, F: frozenset, bound: int, keep=None) -> dict:
     """One capacitated assignment of every client not in `keep` (client ->
-    the center it keeps) to the live centers within `bound` hops, on the
-    capacity that the kept clients leave free.  When `keep` covers every
-    client, nothing moves and the kept seats are the answer."""
+    the center it keeps) to its centers within `bound` hops, `lists[u]`,
+    on the capacity that the kept clients leave free.  Every center takes
+    part: a failed one, and one the kept clients fill, with no room.  When
+    `keep` covers every client, nothing moves and the kept seats are the
+    answer."""
     keep = keep or {}
-    clients = [u for u in range(graph.n) if u not in keep]
+    clients = [u for u in range(len(lists)) if u not in keep]
     if not clients:
         return dict(keep)
-    hops = graph.hops()
-    free = {c: caps[c] for c in centers if c not in F}
+    room = {c: 0 if c in F else caps[c] for c in centers}
     for c in keep.values():
-        free[c] -= 1
-    targets = sorted(c for c, f in free.items() if f > 0)
-    allowed = {u: [c for c in targets if hops[u][c] <= bound] for u in clients}
-    phi, _ = capacitated_assignment(clients, targets, allowed, {c: free[c] for c in targets})
+        room[c] -= 1
+    phi, _ = capacitated_assignment(clients, centers, lists, room)
     if phi is None:
         raise ContractViolation(
             f"scenario {sorted(F)}: no assignment within {bound} hops despite the stretch guarantee"
@@ -294,12 +325,17 @@ class GeneralRounding:
     backups: Mapping[int, tuple]
     rr: RoundResult
     alpha: int
+    within: Within = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        within = Within.build(self.graph, self.rr.R, (9, 10), backup_union(self.backups))
+        object.__setattr__(self, "within", within)
 
     def __call__(self, F) -> dict:
         return assign_scenario_general(self, F)
 
     def backup_set(self) -> frozenset:
-        return frozenset(backup_union(self.backups))
+        return self.within.backups
 
 
 def assign_scenario_general(state: GeneralRounding, F) -> dict:
@@ -311,9 +347,10 @@ def assign_scenario_general(state: GeneralRounding, F) -> dict:
     same-cluster backup of no smaller capacity), so any capacitated
     assignment within them is a valid repair.
     """
-    F = failure_set(F, state.alpha, state.rr.R)
-    bound = 9 if F <= state.backup_set() else 10
-    return repair(state.graph, state.caps, state.rr.R, F, bound)
+    within = state.within
+    F = failure_set(F, state.alpha, within.centers)
+    bound = 9 if F <= within.backups else 10
+    return repair(within.lists[bound], state.caps, state.rr.R, F, bound)
 
 
 # -- uniform-capacity pipeline ----------------------------------------------
@@ -349,6 +386,10 @@ class UniformRounding:
     R: tuple
     y: Mapping[int, Fraction]
     alpha: int
+    within: Within = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "within", Within.build(self.graph, self.R, (6,)))
 
     def __call__(self, F) -> dict:
         return assign_scenario_uniform(self, F)
@@ -356,5 +397,5 @@ class UniformRounding:
 
 def assign_scenario_uniform(state: UniformRounding, F) -> dict:
     """Assignment within six hops avoiding up to alpha failed centers."""
-    F = failure_set(F, state.alpha, state.R)
-    return repair(state.graph, state.caps, state.R, F, 6)
+    F = failure_set(F, state.alpha, state.within.centers)
+    return repair(state.within.lists[6], state.caps, state.R, F, 6)

@@ -12,16 +12,24 @@ with one `transport` per cut, the verifier with one assignment per failure
 scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
 cutting-plane loop, the Edmonds-Karp max-flow and the capacitated
 assignment read off its flow, cut capacities, the conservative-repair
-check, and the exhaustive residual solve that the general conservative
-pipeline's 1 + 6*alpha cross-check runs in place of its LP residual."""
+check, the exhaustive residual solve that the general conservative
+pipeline's 1 + 6*alpha cross-check runs in place of its LP residual, and
+the scenario repair on allowed lists rebuilt from the hop matrix."""
 
 import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from ftkcenter.bottleneck import PerTauInfeasible, PerTauSolution, quick_infeasible, solve_threshold
+from ftkcenter.bottleneck import (
+    MergedComponents,
+    PerTauInfeasible,
+    PerTauSolution,
+    quick_infeasible,
+    solve_threshold,
+)
 from ftkcenter.clustering import Clustering, backup_union, monarch_clustering, select_backups
+from ftkcenter.conservative import BETA, ConservativeUniform
 from ftkcenter.flow import (
     INF,
     FlowNetwork,
@@ -39,6 +47,7 @@ from ftkcenter.instance import (
 )
 from ftkcenter.lp import LinearProgram, Row, feasible_point, lp_general_static
 from ftkcenter.oracle import exact_distance1, exact_opt, random_point_instance
+from ftkcenter.rounding import GeneralRounding, UniformRounding
 from ftkcenter.solvers import ft_general_connected
 from ftkcenter.verify import VerifyReport, _check_centers
 
@@ -772,3 +781,47 @@ def exhaustive_residual(graph: ThresholdGraph, k: int, caps, alpha: int):
         return PerTauInfeasible("no exact distance-1 residual solution")
     S, phi = found
     return PerTauSolution(tuple(sorted(S)), phi, 1, None)
+
+
+def hop_matrix_repair(graph: ThresholdGraph, caps, centers, F: frozenset, bound: int, keep=None) -> dict:
+    """`rounding.repair` with each client's allowed list rebuilt from
+    `graph.hops()` on every call, over the live centers with room left
+    after the kept seats: the reference for the lists a record keeps."""
+    keep = keep or {}
+    clients = [u for u in range(graph.n) if u not in keep]
+    if not clients:
+        return dict(keep)
+    hops = graph.hops()
+    free = {c: caps[c] for c in centers if c not in F}
+    for c in keep.values():
+        free[c] -= 1
+    targets = sorted(c for c, f in free.items() if f > 0)
+    allowed = {u: [c for c in targets if hops[u][c] <= bound] for u in clients}
+    phi, _ = capacitated_assignment(clients, targets, allowed, {c: free[c] for c in targets})
+    if phi is None:
+        raise ContractViolation(
+            f"scenario {sorted(F)}: no assignment within {bound} hops despite the stretch guarantee"
+        )
+    phi.update(keep)
+    return phi
+
+
+def hop_matrix_scenario(record, F) -> dict:
+    """`record(F)` by `hop_matrix_repair`, at the record's pipeline bound
+    and with its seat keeping; a merged record repairs, in each part, the
+    failed centers that part owns."""
+    F = frozenset(F)
+    if isinstance(record, MergedComponents):
+        out = {}
+        for orig, sol in record.parts:
+            local = frozenset(c for c in sol.centers if orig[c] in F)
+            out.update((orig[u], orig[c]) for u, c in hop_matrix_scenario(sol.scenario, local).items())
+        return out
+    if isinstance(record, GeneralRounding):
+        bound = 9 if F <= frozenset(backup_union(record.backups)) else 10
+        return hop_matrix_repair(record.graph, record.caps, record.rr.R, F, bound)
+    if isinstance(record, UniformRounding):
+        return hop_matrix_repair(record.graph, record.caps, record.R, F, 6)
+    keep = {u: c for u, c in record.phi0.items() if c not in F}
+    bound = 7 if isinstance(record, ConservativeUniform) else BETA + 6 * record.alpha
+    return hop_matrix_repair(record.graph, record.caps, record.centers, F, bound, keep)

@@ -31,7 +31,7 @@ from ftkcenter.instance import (
 )
 from ftkcenter.oracle import exact_opt_conservative, random_point_instance, verify_conservative
 from ftkcenter import rounding
-from ftkcenter.rounding import repair
+from ftkcenter.rounding import centers_within, repair
 
 from helpers import cycle_graph, exhaustive_residual, hop_metric_instance, path_graph, power
 
@@ -159,7 +159,7 @@ def test_reassign_uniform_hop_bound():
     state = ConservativeUniform(g, caps, dict.fromkeys(range(8), 7), 1, (0, 7))
     assert reassign_uniform(state, {7}) == dict.fromkeys(range(8), 0)
     with pytest.raises(ContractViolation, match="no assignment within 6 hops"):
-        repair(g, caps, (0, 7), frozenset({7}), 6, {})
+        repair(centers_within(g, (0, 7), (6,))[6], caps, (0, 7), frozenset({7}), 6, {})
 
 
 # path 0..12 with centers 0, 6 and 12; the base assignment fills 6 and 12
@@ -210,7 +210,7 @@ def test_reassign_flow_hop_bound():
     state = ConservativeGeneral(g, caps, frozenset({0}), dict.fromkeys(range(16), 15), 1, (0, 15))
     assert reassign_flow(state, {15}) == dict.fromkeys(range(16), 0)
     with pytest.raises(ContractViolation, match="no assignment within 14 hops"):
-        repair(g, caps, (0, 15), frozenset({15}), 14, {})
+        repair(centers_within(g, (0, 15), (14,))[14], caps, (0, 15), frozenset({15}), 14, {})
 
 
 def test_repair_without_orphans_keeps_every_seat(monkeypatch):

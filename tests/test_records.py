@@ -3,21 +3,28 @@
 A solution's scenario is its pipeline's repair record.  The records and the
 sweep reach the repair functions and the connected solvers through their
 module globals at call time, so a wrapper bound on the defining module (as
-the per-layer benchmark probes bind theirs) sees every call.
+the per-layer benchmark probes bind theirs) sees every call.  A record
+builds each client's within-bound centers once, and its scenarios seat
+exactly as the hop-matrix reference does without touching the graph.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from ftkcenter import conservative, rounding, solvers
-from ftkcenter.bottleneck import SweepSuccess
+from ftkcenter.bottleneck import MergedComponents, SweepSuccess
 from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
-from ftkcenter.instance import InstanceError, MetricInstance
+from ftkcenter.instance import InstanceError, MetricInstance, ThresholdGraph
 from ftkcenter.oracle import random_point_instance, verify_conservative, verify_ft
+from ftkcenter.rounding import GeneralRounding, centers_within
 from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
+
+from helpers import bfs_hops, hop_matrix_scenario
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
 
@@ -128,3 +135,92 @@ def test_verify_raises_on_an_infeasible_result(solve, variant):
         res.radius()
     with pytest.raises(InstanceError, match="infeasible"):
         res.verify()
+
+
+def feasible_records(plan, wanted: int):
+    """(alpha, record, centers) of seeded random solves of one pipeline,
+    until `wanted` connected and `wanted` merged records turn up."""
+    label, solve, variant, caps_mode, _ = plan
+    rng = random.Random(f"records-{label}")
+    seen = Counter()
+    out = []
+    for attempt in range(600):
+        if min(seen["connected"], seen["merged"]) >= wanted:
+            break
+        n = rng.randint(5, 10)
+        k = rng.randint(2, min(5, n - 1))
+        alpha = rng.randint(variant == "conservative", min(2, k - 1))
+        inst = random_point_instance(rng, n, k, alpha, variant=variant, caps_mode=caps_mode,
+                                     span=rng.choice((12, 60)), name=f"{label}-{attempt}")
+        res = solve(inst)
+        if res.feasible:
+            record = res.outcome.solution.scenario
+            seen["merged" if isinstance(record, MergedComponents) else "connected"] += 1
+            out.append((alpha, record, res.centers))
+    assert min(seen["connected"], seen["merged"]) >= wanted, seen
+    return out
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=[p[0] for p in PLANS])
+def test_records_repair_as_the_hop_matrix_reference(plan):
+    """On connected and merged records, every failure set of every size up
+    to alpha: the record's kept lists, with its failed centers closed by
+    zero room, give the assignment that lists rebuilt from the hop matrix
+    over the live centers give, client for client."""
+    for alpha, record, centers in feasible_records(plan, 6):
+        for size in range(alpha + 1):
+            for F in combinations(centers, size):
+                assert record(F) == hop_matrix_scenario(record, F), (record, F)
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=[p[0] for p in PLANS])
+def test_repairs_build_no_hops_or_balls(plan, monkeypatch):
+    """Once a record is built, its scenarios neither build a hop matrix nor
+    walk a ball, and a connected ft-general solve leaves its graph's hop
+    matrix unbuilt."""
+    records = feasible_records(plan, 3)
+    for _, record, _ in records:
+        if isinstance(record, GeneralRounding):
+            assert record.graph._hops is None
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(ThresholdGraph, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in ("hops", "balls"):
+        monkeypatch.setattr(ThresholdGraph, name, counted(name))
+    repaired = 0
+    for alpha, record, centers in records:
+        for size in range(alpha + 1):
+            for F in combinations(centers, size):
+                record(F)
+                repaired += 1
+    assert repaired and not calls, calls
+
+
+def test_centers_within_matches_bfs_hops():
+    """On random graphs, connected or not, and every bound from 0 past the
+    diameter: per bound, each vertex's list holds the centers within that
+    many hops, ascending."""
+    rng = random.Random("centers-within")
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graph = ThresholdGraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        hops = bfs_hops(graph)
+        centers = rng.sample(range(n), rng.randint(1, n))
+        bounds = tuple(range(n + 1))
+        got = centers_within(graph, centers, bounds)
+        assert list(got) == list(bounds)
+        for bound, lists in got.items():
+            assert lists == [
+                [c for c in sorted(centers) if hops[u][c] <= bound] for u in range(n)
+            ], (trial, bound)
+        # one bound on its own reads the same lists
+        assert centers_within(graph, centers, (n,)) == {n: got[n]}

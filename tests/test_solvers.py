@@ -56,7 +56,7 @@ class TestFtGeneralLine4:
         state = res.outcome.solution.scenario
         assert isinstance(state, GeneralRounding)
         assert isinstance(state.rr, RoundResult) and state.rr.R == res.centers
-        assert [f.name for f in fields(state)] == ["graph", "caps", "backups", "rr", "alpha"]
+        assert [f.name for f in fields(state)] == ["graph", "caps", "backups", "rr", "alpha", "within"]
         assert state.backup_set() <= set(res.centers)
         assert state.alpha == 1
 

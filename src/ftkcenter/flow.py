@@ -12,27 +12,36 @@ client demand routed to allowed centers within their supply, the Hall-type
 condition behind the LP separators, `verify_ft`, the relaxed ILP and the
 rounding's transfer checks.  The network is positional: client i may use
 the center ids `allowed[i]`, and `cuts` takes demand in client order and
-supply in center order.  It builds its integer arrays once, and `cuts`
-reads two facts of their layout: the source's arcs are the source arcs in
-client order, and a center lists its sink arc first, then only the
-reverses of the client arcs into it.  Each `cuts` call scales its demands
-and supplies to ints, writes them into a copy of the zero-flow residuals,
-and yields, for each variant on demand, the flow value and the client
-positions and center ids of the minimal min cut: each client forced in,
-in client order, from one base flow, or one center set closed, the closed
-ones as one chain, each from the maximum flow of the one before with only
-the load of the newly closed centers re-augmented.  Before Dinic runs on a
-variant, a seating pass, `_seat`, routes what it can along the one-step
-paths source -> client -> allowed center -> sink, the clients in order,
-without a level graph; Dinic then finishes the flow, and often its first
-BFS already finds no path to the sink.  The seated flow is a feasible
-flow, Dinic takes any feasible flow to a maximum one, and the value and
-the minimal min cut are the same for every maximum flow, so the pass
-changes no result.  The LP separators build one network per threshold and
-call `cuts` once per cutting-plane round, with the supplies of that
-round's point; the other callers build a network for a single call.  A
-caller that needs the plain network asks for the single variant
-closed=[()].
+supply in center order.  Clients whose allowed lists are equal are twins,
+and each class of twins is one flow node whose demand is the sum of its
+members': at a verification radius most clients see the same centers.
+The positive-demand members of a class are on one side of every min cut,
+since a member moved to its class-mates' side saves its demand and adds
+nothing, its unbounded arcs going to the same centers; a zero-demand
+client carries no flow and is on the minimal source side only when
+forced.  So the class network has the value and, expanded to members, the
+minimal min cut of the per-client one.  The network builds its integer
+arrays once, and `cuts` reads two facts of their layout: the source's
+arcs are the source arcs in class order, and a center lists its sink arc
+first, then only the reverses of the class arcs into it.  Each `cuts`
+call scales its demands and supplies to ints, writes each class's sum
+into a copy of the zero-flow residuals, and yields, for each variant on
+demand, the flow value and the client positions and center ids of the
+minimal min cut: each client forced in, in client order, from one base
+flow, solved once per class and reused by the class's later members, or
+one center set closed, the closed ones as one chain, each from the
+maximum flow of the one before with only the load of the newly closed
+centers re-augmented.  Before Dinic runs on a variant, a seating pass,
+`_seat`, routes what it can along the one-step paths source -> class ->
+allowed center -> sink, the classes in order, without a level graph;
+Dinic then finishes the flow, and often its first BFS already finds no
+path to the sink.  The seated flow is a feasible flow, Dinic takes any
+feasible flow to a maximum one, and the value and the minimal min cut are
+the same for every maximum flow, so the pass changes no result.  The LP
+separators build one network per threshold and call `cuts` once per
+cutting-plane round, with the supplies of that round's point; the other
+callers build a network for a single call.  A caller that needs the plain
+network asks for the single variant closed=[()].
 
 `FlowNetwork` and `max_flow`, a dict-of-dicts network and its value and
 minimal min cut on the same `_augment`, have no caller in the package; they
@@ -208,26 +217,37 @@ class TransportNetwork:
 
     Client i may use the centers `allowed[i]`, center vertex ids that must
     all be in `centers`, else the network is a `ContractViolation`, as is a
-    repeated center.  The network is source -> client i (capacity
-    demand[i]) -> each center of allowed[i] (unbounded) -> sink (capacity
-    supply[j] for centers[j]), on integer node ids: source 0, sink 1, the
-    clients, then the centers.  The arrays are built here in one pass: the
-    sink arcs in center order, so the sink arc of centers[j] is arc 2j, the
-    source arcs in client order, then each client's arcs, one per allowed
-    entry, each arc listed at both of its ends as it is made.  So `adj[0]`
-    is the source arcs in client order, and a center's first arc is its
-    sink arc, followed only by the reverses of the client arcs into it: the
-    two facts `cuts` reads.  Besides `centers`, `head` and `adj` the network
-    keeps `direct`, each client's one-step paths to the sink for the seating
-    pass, and `template`, the residuals of the zero flow with every
-    client -> center arc unbounded and every source and sink arc at 0.
-    `cuts` writes the capacities into a copy of `template`, which is never
-    changed.
+    repeated center.  The clients whose allowed lists are equal as tuples
+    are twins, and each class of twins, in order of first appearance, is one
+    node: `twin[i]` is the class of client i.  The network is source ->
+    class c (capacity the demand of its members) -> each center of its
+    allowed list (unbounded) -> sink (capacity supply[j] for centers[j]), on
+    integer node ids: source 0, sink 1, the classes, then the centers.  The
+    arrays are built here in one pass: the sink arcs in center order, so the
+    sink arc of centers[j] is arc 2j, the source arcs in class order, then
+    each class's arcs, one per allowed entry, each arc listed at both of its
+    ends as it is made.  So `adj[0]` is the source arcs in class order, and
+    a center's first arc is its sink arc, followed only by the reverses of
+    the class arcs into it: the two facts `cuts` reads.  Besides `centers`,
+    `twin`, `head` and `adj` the network keeps `direct`, each class's
+    one-step paths to the sink for the seating pass, and `template`, the
+    residuals of the zero flow with every class -> center arc unbounded and
+    every source and sink arc at 0.  `cuts` writes the capacities into a
+    copy of `template`, which is never changed.
+
+    One node per class is exact: the clients of a class with positive
+    demand are on one side of every min cut of the per-client network.  A
+    member left outside while a class-mate is inside may move in: that
+    saves its demand and adds nothing, since its unbounded arcs go to the
+    class-mate's centers.  A client without demand carries no flow, so it
+    is on the minimal source side only when it is forced.
     """
 
     def __init__(self, allowed: Sequence[Sequence], centers: Sequence):
         self.centers = centers = list(centers)
-        first = len(allowed) + 2  # id of the first center
+        classes = {}  # allowed tuple -> class, in order of first appearance
+        self.twin = [classes.setdefault(tuple(near), len(classes)) for near in allowed]
+        first = len(classes) + 2  # id of the first center
         node = {v: j for j, v in enumerate(centers, first)}
         if len(node) < len(centers):
             raise ContractViolation("repeated center in a transport network")
@@ -243,16 +263,17 @@ class TransportNetwork:
             adj[i].append(e + 1)
             head += (i, 0)
         fixed = len(head)
-        # per client: (reverse of its arc to a center, that center's sink
+        # per class: (reverse of its arc to a center, that center's sink
         # arc) for each allowed center, the one-step paths of the seating pass
         self.direct = []
-        for i, near in enumerate(allowed, 2):
+        for i, near in enumerate(classes, 2):
             paths = []
             for v in near:
                 j = node.get(v)
                 if j is None:
                     raise ContractViolation(
-                        f"allowed center {v!r} of client {i - 2} is not in the transport network"
+                        f"allowed center {v!r} of client {self.twin.index(i - 2)} "
+                        "is not in the transport network"
                     )
                 e = len(head)
                 adj[i].append(e)
@@ -284,24 +305,32 @@ class TransportNetwork:
         call: every demand and supply must be finite and nonnegative, each
         sequence as long as the clients or centers, and every closed id one
         of `centers`.  Every demand and supply is scaled by the lcm of their
-        denominators, so every residual is an int.  A forced variant sets
-        its client's source arc to INF on a copy of the base maximum flow,
-        which stays feasible when a capacity rises.  The first closed
-        variant starts from the zero flow and each later one from the
-        maximum flow of the one before: the sink arcs closed there reopen,
-        the flow through each newly closed center is cancelled back to the
-        source, and only that displaced load is augmented again.  Each
-        variant first runs the seating pass, `_seat`, which routes leftover
-        demand straight to allowed centers with supply left, and then one
-        Dinic call, which takes that feasible flow to a maximum one.  The
-        value and the minimal min cut do not depend on the maximum flow
-        reached, so the seated flow changes neither.
+        denominators, so every residual is an int.
+
+        The flows run on the class nodes: a class's demand is the sum of
+        its members' scaled demands, and a class on the source side of a
+        cut stands for its members of positive demand.  Forcing client w
+        forces its class, whose members of positive demand are on w's side
+        of every min cut anyway, and adds w itself to the clients; so a
+        class is solved once, on the first member asked for, and its later
+        members reuse that flow.  A forced variant sets its class's source
+        arc to INF on a copy of the base maximum flow, which stays feasible
+        when a capacity rises.  The first closed variant starts from the
+        zero flow and each later one from the maximum flow of the one
+        before: the sink arcs closed there reopen, the flow through each
+        newly closed center is cancelled back to the source, and only that
+        displaced load is augmented again.  Each variant first runs the
+        seating pass, `_seat`, which routes leftover demand straight to
+        allowed centers with supply left, and then one Dinic call, which
+        takes that feasible flow to a maximum one.  The value and the
+        minimal min cut do not depend on the maximum flow reached, so the
+        seated flow changes neither.
         """
-        centers, head, adj, direct = self.centers, self.head, self.adj, self.direct
-        if len(demand) != len(direct) or len(supply) != len(centers):
+        centers, head, adj, direct, twin = self.centers, self.head, self.adj, self.direct, self.twin
+        if len(demand) != len(twin) or len(supply) != len(centers):
             raise ContractViolation(
                 f"{len(demand)} demands and {len(supply)} supplies for a transport "
-                f"network of {len(direct)} clients and {len(centers)} centers"
+                f"network of {len(twin)} clients and {len(centers)} centers"
             )
         for amounts, kind in ((demand, "demand"), (supply, "supply")):
             if INF in amounts:
@@ -319,29 +348,37 @@ class TransportNetwork:
             ) from None
         scale = math.lcm(*(a.denominator for a in (*demand, *supply)))
         zero = self.template[:]
-        for a, d in zip(adj[0], demand):
-            zero[a] = d.numerator * (scale // d.denominator)
+        source = adj[0]
+        members = [[] for _ in source]  # the clients of positive demand of each class
+        for i, (c, d) in enumerate(zip(twin, demand)):
+            if d:
+                zero[source[c]] += d.numerator * (scale // d.denominator)
+                members[c].append(i)
         for j, s in enumerate(supply):
             zero[2 * j] = s.numerator * (scale // s.denominator)
-        first = len(direct) + 2
+        first = len(source) + 2
 
         def cut(total, reached):
             return (
                 Fraction(total, scale),
-                frozenset(u - 2 for u in reached if 2 <= u < first),
+                frozenset(i for u in reached if 2 <= u < first for i in members[u - 2]),
                 frozenset(centers[u - first] for u in reached if u >= first),
             )
 
         def variants():
             if forced:
                 base = zero[:]
-                base_value = _seat(base, adj[0], direct) + _augment(head, base, adj, 0, 1)[0]
-                for a in adj[0]:
-                    res = base[:]
-                    res[a] = INF
-                    more = _seat(res, adj[0], direct)
-                    rest, reached = _augment(head, res, adj, 0, 1)
-                    yield cut(base_value + more + rest, reached)
+                base_value = _seat(base, source, direct) + _augment(head, base, adj, 0, 1)[0]
+                solved = {}  # class -> its forced variant
+                for w, c in enumerate(twin):
+                    if c not in solved:
+                        res = base[:]
+                        res[source[c]] = INF
+                        more = _seat(res, source, direct)
+                        rest, reached = _augment(head, res, adj, 0, 1)
+                        solved[c] = cut(base_value + more + rest, reached)
+                    value, clients, near = solved[c]
+                    yield value, clients | {w}, near
             # the closed variants form one chain: each starts from the maximum
             # flow of the one before, reopens that one's sink arcs, and cancels
             # the flow through each newly closed center
@@ -354,15 +391,15 @@ class TransportNetwork:
                 for e in arcs:
                     total -= res[e ^ 1]
                     res[e ^ 1] = res[e] = 0
-                    for r in adj[head[e ^ 1]][1:]:  # the reverse of each client -> v arc holds its flow
+                    for r in adj[head[e ^ 1]][1:]:  # the reverse arc holds the class -> v flow
                         f = res[r]
                         if f:
                             res[r] = 0
-                            a = adj[0][head[r] - 2]  # the client's source arc
+                            a = source[head[r] - 2]  # the class's source arc
                             res[a] += f
                             res[a ^ 1] -= f
                 opened = arcs
-                total += _seat(res, adj[0], direct)
+                total += _seat(res, source, direct)
                 more, reached = _augment(head, res, adj, 0, 1)
                 total += more
                 yield cut(total, reached)
@@ -371,14 +408,14 @@ class TransportNetwork:
 
 
 def _seat(res, source_arcs, direct):
-    """The seating pass: walk the clients in order and route each one's
+    """The seating pass: walk the class nodes in order and route each one's
     residual demand along its one-step paths, straight to each allowed
     center with residual supply, updating `res` in place.  Returns the value
-    added.  `direct[k]` lists (reverse of the client -> center arc, sink
-    arc) for the client of source arc `source_arcs[k]`.
+    added.  `direct[k]` lists (reverse of the class -> center arc, sink
+    arc) for the class of source arc `source_arcs[k]`.
 
-    An infinite demand (a forced client) stays infinite and fills each of
-    its centers.  A client -> center arc is unbounded and stays so; only
+    An infinite demand (a forced class) stays infinite and fills each of
+    its centers.  A class -> center arc is unbounded and stays so; only
     its reverse records the flow.
     """
     value = 0

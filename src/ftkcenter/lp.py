@@ -322,7 +322,10 @@ def separate_uniform(
     vertex (an infinite source arc pins it inside U); the minimum over all n
     cuts is the true minimum over nonempty U.  The n cuts are the forced
     variants of one `network.cuts` call, each warm-started from the
-    maximum flow of the unforced network.  Returns the row of the lowest
+    maximum flow of the unforced network.  Vertices whose closed
+    neighborhoods hold the same positive-capacity vertices are one twin
+    class of the network and share one cut, so a clean pass runs one Dinic
+    call per class after the base flow.  Returns the row of the lowest
     forced vertex whose cut is below n + alpha * L, or None if y is clean.
     """
     n = len(capacities)

@@ -417,18 +417,75 @@ def test_network_cuts_solves_each_variant_on_demand(monkeypatch):
     assert calls[0] == 1
 
 
+def test_twin_classes_match_the_per_client_reference(monkeypatch):
+    """Clients with equal allowed lists share one class node.  On random
+    networks whose lists are drawn from a few shared lists, so most clients
+    have a twin, every forced and closed variant is the per-client
+    `transport` reference, value, clients and centers of the cut, with
+    zero, int and Fraction demands and supplies; a forced client of zero
+    demand is in its own cut, its zero-demand twins are not.  A forced
+    pass runs the base flow and one augment per class, then one per closed
+    set."""
+    calls = count_augments(monkeypatch)
+    rng = random.Random(1721)
+    twins = short = zero_twins = 0
+    for _ in range(200):
+        centers = list(range(20, 20 + rng.randint(1, 5)))
+        shared = [
+            rng.sample(centers, rng.randint(0, len(centers))) for _ in range(rng.randint(1, 3))
+        ]
+        m = rng.randint(1, 8)
+        allowed = [list(rng.choice(shared)) for _ in range(m)]
+
+        def amount():
+            roll = rng.random()
+            if roll < 0.25:
+                return 0
+            if roll < 0.6:
+                return Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            return rng.randint(1, 3)
+
+        demand = [amount() for _ in range(m)]
+        supply = {v: amount() for v in centers}
+        closed = [
+            tuple(rng.sample(centers, rng.randint(0, min(2, len(centers)))))
+            for _ in range(rng.randint(1, 4))
+        ]
+        network = TransportNetwork(allowed, centers)
+        classes = len({tuple(near) for near in allowed})
+        calls[0] = 0
+        cuts = list(network.cuts(demand, list(supply.values()), forced=True, closed=closed))
+        assert calls[0] == 1 + classes + len(closed)
+        assert cuts == reference_cuts(demand, allowed, supply, True, closed)
+        calls[0] = 0
+        assert list(network.cuts(demand, list(supply.values()), forced=True)) == cuts[:m]
+        assert calls[0] == 1 + classes
+        twins += m - classes
+        short += sum(value < sum(demand) for value, _, _ in cuts[m:])
+        zero_twins += sum(
+            1
+            for w in range(m)
+            if demand[w] == 0
+            and any(demand[x] == 0 and allowed[x] == allowed[w] for x in range(m) if x != w)
+        )
+    assert twins > 300 and short > 100 and zero_twins > 50, (twins, short, zero_twins)
+
+
 def test_separate_uniform_stops_at_its_witness(monkeypatch):
     """A violated pass whose witness is forced vertex w runs the base flow
-    and the variants of vertices 0..w, 1 + (w + 1) augments, and returns
-    the row of the per-cut reference; a clean pass runs 1 + n."""
+    and one variant per twin class of vertices 0..w, vertices whose closed
+    neighborhoods hold the same positive-capacity vertices, and returns the
+    row of the per-cut reference; a clean pass runs 1 + the number of
+    classes."""
     calls = count_augments(monkeypatch)
     rng = random.Random(2016)
-    seen = {"clean": 0, "stopped before the last vertex": 0}
+    seen = {"clean": 0, "stopped before the last vertex": 0, "with twins": 0}
     for _ in range(150):
         g, y, alpha = random_separation_point(rng)
         L = rng.randint(1, 3)
         caps = [L if rng.random() < 0.75 else 0 for _ in range(g.n)]
         network = uniform_network(g, caps)
+        lists = [tuple(u for u in g.closed(v) if caps[u] > 0) for v in range(g.n)]
         values = full_pass_uniform(y, network, caps)
         w = next((i for i, val in enumerate(values) if val < alpha * L), None)
         ref = per_cut_separate_uniform(y, g, caps, alpha)
@@ -437,11 +494,12 @@ def test_separate_uniform_stops_at_its_witness(monkeypatch):
         assert_first_violated_row(row, y, brute_separate_uniform(y, g, caps, alpha), alpha * L, ref)
         assert (row is None) == (w is None)
         if w is None:
-            assert calls[0] == 1 + g.n
+            assert calls[0] == 1 + len(set(lists))
             seen["clean"] += 1
         else:
-            assert calls[0] == 1 + (w + 1)
+            assert calls[0] == 1 + len(set(lists[:w + 1]))
             seen["stopped before the last vertex"] += w < g.n - 1
+        seen["with twins"] += len(set(lists)) < g.n
     assert min(seen.values()) >= 20, seen
 
 
@@ -528,27 +586,31 @@ def test_seating_routes_one_step_demand_before_dinic(monkeypatch):
     """Two client groups, each sharing two centers that hold the group's
     whole demand: the seating pass routes every variant's demand before
     Dinic runs, so every variant enters `_augment` with each finite source
-    arc saturated and adds nothing, in one BFS.  The base and every closed
-    variant have all demand routed, so that BFS reaches only the source; a
-    forced client's demand stays infinite, and its BFS stops at the full
-    centers it fills and the clients seated there."""
+    arc saturated and adds nothing, in one BFS.  Clients 0 and 1 share an
+    allowed list, so they are one class node with demand 2, and the forced
+    variants are one per class.  The base and every closed variant have all
+    demand routed, so that BFS reaches only the source; a forced class's
+    demand stays infinite, and its BFS stops at the full centers it fills
+    and the classes seated there."""
     entries = watch_augments(monkeypatch)
     allowed = [[10, 11], [10, 11], [12, 13], [13, 12]]
     network = TransportNetwork(allowed, [10, 11, 12, 13])
+    assert network.twin == [0, 0, 1, 2]
     closed = [(), (10,), (11,), (10, 12), (13,), (11, 12)]
     cuts = list(network.cuts([1] * 4, [2] * 4, forced=True, closed=closed))
-    assert len(entries) == 1 + len(allowed) + len(closed)
+    assert len(entries) == 1 + 3 + len(closed)
     base, *rest = entries
     for sources, value, _ in entries:
         assert value == 0
         assert all(r == 0 for r in sources if r != INF)
-    assert base[0] == [0] * 4 and base[2] == [0]
+    assert base[0] == [0] * 3 and base[2] == [0]
+    reached_classes = [{0}, {1, 2}, {1, 2}]  # the classes that share class c's centers
+    for c, (sources, _, reached) in enumerate(rest[:3]):
+        assert [r == INF for r in sources] == [d == c for d in range(3)]
+        assert {u - 2 for u in reached if 2 <= u < 5} == reached_classes[c]
+    for sources, _, reached in rest[3:]:
+        assert sources == [0] * 3 and reached == [0]
     groups = [{0, 1}, {0, 1}, {2, 3}, {2, 3}]  # the clients that share w's centers
-    for w, (sources, _, reached) in enumerate(rest[:len(allowed)]):
-        assert [r == INF for r in sources] == [c == w for c in range(4)]
-        assert {u - 2 for u in reached if 2 <= u < 6} == groups[w]
-    for sources, _, reached in rest[len(allowed):]:
-        assert sources == [0] * 4 and reached == [0]
     assert [value for value, _, _ in cuts] == [6] * len(allowed) + [4] * len(closed)
     assert [(blocked, reach) for _, blocked, reach in cuts] == [
         *((frozenset(g), frozenset(allowed[w])) for w, g in enumerate(groups)),
@@ -576,24 +638,36 @@ def test_dinic_finishes_what_seating_leaves(monkeypatch):
 
 
 def test_transport_network_layout_is_what_cuts_reads():
-    """`TransportNetwork` lists each arc at both of its ends, and `cuts`
-    reads two facts of its layout: `adj[0]` is the source arcs in client
-    order, and a center's first arc is its sink arc, arc 2j for centers[j],
-    followed only by the reverses of the client arcs into it.  `template`
-    is INF exactly on the client -> center arcs, one per allowed entry.
-    Random networks have repeated entries in allowed lists, centers no
-    client may use and clients with no center."""
+    """`TransportNetwork` has one node per twin class, the clients whose
+    allowed lists are equal as tuples, in order of first appearance, and
+    lists each arc at both of its ends; `cuts` reads two facts of its
+    layout: `adj[0]` is the source arcs in class order, and a center's
+    first arc is its sink arc, arc 2j for centers[j], followed only by the
+    reverses of the class arcs into it.  `template` is INF exactly on the
+    class -> center arcs, one per entry of the class's allowed list.
+    Random networks have repeated entries in allowed lists, clients that
+    copy an earlier client's list, lists with the same centers in another
+    order, centers no client may use and clients with no center."""
     rng = random.Random(1608)
+    twins = 0
     for _ in range(300):
         m = rng.randint(0, 7)
         centers = rng.sample(range(20, 26), rng.randint(0, 6))
-        allowed = [
-            rng.choices(centers, k=rng.randint(0, len(centers) + 1)) if centers else []
-            for _ in range(m)
-        ]
+        allowed = []
+        for _ in range(m):
+            if allowed and rng.random() < 0.3:
+                near = rng.choice(allowed)
+                allowed.append(rng.sample(near, len(near)) if rng.random() < 0.3 else list(near))
+            else:
+                allowed.append(
+                    rng.choices(centers, k=rng.randint(0, len(centers) + 1)) if centers else []
+                )
         network = TransportNetwork(allowed, centers)
         head, adj, template = network.head, network.adj, network.template
-        first = m + 2
+        lists = list(dict.fromkeys(map(tuple, allowed)))
+        assert network.twin == [lists.index(tuple(near)) for near in allowed]
+        twins += len(lists) < m
+        first = len(lists) + 2
         center_id = {v: j for j, v in enumerate(centers, first)}
         assert len(adj) == first + len(centers) and len(template) == len(head)
         # arc e runs from head[e ^ 1] to head[e], and each node lists exactly
@@ -601,16 +675,17 @@ def test_transport_network_layout_is_what_cuts_reads():
         assert sorted(e for arcs in adj for e in arcs) == list(range(len(head)))
         assert all(head[e ^ 1] == u for u, arcs in enumerate(adj) for e in arcs)
         assert [head[e] for e in adj[0]] == list(range(2, first))
-        client_arcs = {e for e in range(0, len(head), 2) if 2 <= head[e ^ 1] < first <= head[e]}
-        assert [e for e, c in enumerate(template) if c is INF] == sorted(client_arcs)
-        assert not any(template[e] for e in range(len(head)) if e not in client_arcs)
-        for i, near in enumerate(allowed, 2):
-            heads = [head[e] for e in client_arcs if head[e ^ 1] == i]
+        class_arcs = {e for e in range(0, len(head), 2) if 2 <= head[e ^ 1] < first <= head[e]}
+        assert [e for e, c in enumerate(template) if c is INF] == sorted(class_arcs)
+        assert not any(template[e] for e in range(len(head)) if e not in class_arcs)
+        for i, near in enumerate(lists, 2):
+            heads = [head[e] for e in class_arcs if head[e ^ 1] == i]
             assert sorted(heads) == sorted(center_id[v] for v in near)
         for j, v in enumerate(centers):
             k = center_id[v]
             assert adj[k][0] == 2 * j and head[2 * j] == 1
-            assert sorted(e ^ 1 for e in adj[k][1:]) == sorted(e for e in client_arcs if head[e] == k)
+            assert sorted(e ^ 1 for e in adj[k][1:]) == sorted(e for e in class_arcs if head[e] == k)
+    assert twins > 100, twins
 
 
 # -- the engine against the Edmonds-Karp reference ----------------------------

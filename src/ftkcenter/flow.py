@@ -10,38 +10,42 @@ number.
 The package solves every flow network on one path, `TransportNetwork`:
 client demand routed to allowed centers within their supply, the Hall-type
 condition behind the LP separators, `verify_ft`, the relaxed ILP and the
-rounding's transfer checks.  The network is positional: client i may use
-the center ids `allowed[i]`, and `cuts` takes demand in client order and
-supply in center order.  Clients whose allowed lists are equal are twins,
-and each class of twins is one flow node whose demand is the sum of its
-members': at a verification radius most clients see the same centers.
-The positive-demand members of a class are on one side of every min cut,
-since a member moved to its class-mates' side saves its demand and adds
-nothing, its unbounded arcs going to the same centers; a zero-demand
-client carries no flow and is on the minimal source side only when
-forced.  So the class network has the value and, expanded to members, the
-minimal min cut of the per-client one.  The network builds its integer
-arrays once, and `cuts` reads two facts of their layout: the source's
-arcs are the source arcs in class order, and a center lists its sink arc
-first, then only the reverses of the class arcs into it.  Each `cuts`
-call scales its demands and supplies to ints, writes each class's sum
-into a copy of the zero-flow residuals, and yields, for each variant on
-demand, the flow value and the client positions and center ids of the
-minimal min cut: each client forced in, in client order, from one base
-flow, solved once per class and reused by the class's later members, or
-one center set closed, the closed ones as one chain, each from the
-maximum flow of the one before with only the load of the newly closed
-centers re-augmented.  Before Dinic runs on a variant, a seating pass,
-`_seat`, routes what it can along the one-step paths source -> class ->
-allowed center -> sink, the classes in order, without a level graph;
-Dinic then finishes the flow, and often its first BFS already finds no
-path to the sink.  The seated flow is a feasible flow, Dinic takes any
-feasible flow to a maximum one, and the value and the minimal min cut are
-the same for every maximum flow, so the pass changes no result.  The LP
-separators build one network per threshold and call `cuts` once per
-cutting-plane round, with the supplies of that round's point; the other
-callers build a network for a single call.  A caller that needs the plain
-network asks for the single variant closed=[()].
+rounding's transfer checks.  Every one of them asks one question of it,
+which is the first variant whose flow value falls below a bound, and
+`short` answers only that: the variant's index and the client positions
+and center ids of its minimal min cut, or None.  The network is
+positional: client i may use the center ids `allowed[i]`, and `short` takes
+demand in client order and supply in center order.  Clients whose allowed
+lists are equal are twins, and each class of twins is one flow node whose
+demand is the sum of its members': at a verification radius most clients
+see the same centers.  The positive-demand members of a class are on one
+side of every min cut, since a member moved to its class-mates' side saves
+its demand and adds nothing, its unbounded arcs going to the same centers;
+a zero-demand client carries no flow and is on the minimal source side
+only when forced.  So the class network has the value and, expanded to
+members, the minimal min cut of the per-client one, and forcing any
+member of a class gives the class's one forced value: a class that is not
+short at its first member is short at none, and is solved once.  The
+network builds its integer arrays once, and `short` reads two facts of
+their layout: the source's arcs are the source arcs in class order, and a
+center lists its sink arc first, then only the reverses of the class arcs
+into it.  Each `short` call scales its demands, supplies and bound to ints,
+writes each class's sum into a copy of the zero-flow residuals, and solves
+the variants in order until one falls short: each client forced in, one
+class at a time from one base flow, or one center set closed, the closed
+ones as one chain, each from the maximum flow of the one before with only
+the load of the newly closed centers re-augmented.  Before Dinic runs on a
+variant, a seating pass, `_seat`, routes what it can along the one-step
+paths source -> class -> allowed center -> sink, the classes in order,
+without a level graph; Dinic then finishes the flow, and often its first
+BFS already finds no path to the sink.  The seated flow is a feasible
+flow, Dinic takes any feasible flow to a maximum one, and the value and
+the minimal min cut are the same for every maximum flow, so the pass
+changes no result.  The LP separators build one network per threshold and
+call `short` once per cutting-plane round, with the supplies of that
+round's point; the other callers build a network for a single call.  A
+caller that needs the plain network asks for the single variant
+closed=[()].
 
 `FlowNetwork` and `max_flow`, a dict-of-dicts network and its value and
 minimal min cut on the same `_augment`, have no caller in the package; they
@@ -61,7 +65,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .instance import ContractViolation, InstanceError
@@ -213,7 +216,8 @@ def max_flow(net: FlowNetwork):
 
 class TransportNetwork:
     """The client -> center transport network on integer arrays, built once
-    and solved for any number of demand and supply sequences by `cuts`.
+    and asked, for any number of demand and supply sequences, by `short`
+    which variant falls below a bound first.
 
     Client i may use the centers `allowed[i]`, center vertex ids that must
     all be in `centers`, else the network is a `ContractViolation`, as is a
@@ -228,11 +232,11 @@ class TransportNetwork:
     each class's arcs, one per allowed entry, each arc listed at both of its
     ends as it is made.  So `adj[0]` is the source arcs in class order, and
     a center's first arc is its sink arc, followed only by the reverses of
-    the class arcs into it: the two facts `cuts` reads.  Besides `centers`,
+    the class arcs into it: the two facts `short` reads.  Besides `centers`,
     `twin`, `head` and `adj` the network keeps `direct`, each class's
     one-step paths to the sink for the seating pass, and `template`, the
     residuals of the zero flow with every class -> center arc unbounded and
-    every source and sink arc at 0.  `cuts` writes the capacities into a
+    every source and sink arc at 0.  `short` writes the capacities into a
     copy of `template`, which is never changed.
 
     One node per class is exact: the clients of a class with positive
@@ -284,47 +288,52 @@ class TransportNetwork:
         self.head, self.adj = head, adj
         self.template = [0] * fixed + [INF, 0] * ((len(head) - fixed) // 2)
 
-    def cuts(self, demand: Sequence, supply: Sequence, forced=False, closed=()):
-        """Route client demand to allowed centers within their supply,
-        solved once per variant: first, if `forced`, for each client w in
-        client order, with w's demand made infinite, then for each set of
-        center ids in `closed`, with the supply of those centers made 0.  A
-        caller that needs the plain network passes closed=[()].  `demand`
-        lists one amount per client, in client order, and `supply` one per
-        center, in `centers` order.
+    def short(self, demand: Sequence, supply: Sequence, bound, forced=False, closed=()):
+        """The first variant whose flow value is below `bound`, as (index,
+        clients, centers), or None when no variant falls short.  A value
+        equal to `bound` is not short.  The variants are, if `forced`, one
+        per client w in client order, with w's demand made infinite, index
+        w; otherwise one per set of center ids in `closed`, with the supply
+        of those centers made 0, index its position in `closed`.  One call
+        asks for one kind, so `forced` with a nonempty `closed` is a
+        `ContractViolation`.  A caller that needs the plain network passes
+        closed=[()].  `demand` lists one amount per client, in client
+        order, `supply` one per center, in `centers` order, and `bound` is
+        an int or a Fraction.
 
-        Returns an iterator of one (value, clients, centers) triple per
-        variant, in that order: the flow value, a Fraction, and the client
-        positions and the center ids on the source side of the minimal min
-        cut.  The clients violate Hall's condition together when the value
-        falls short of the total demand; every client -> center arc is
+        `clients` and `centers` are the client positions and the center ids
+        on the source side of the short variant's minimal min cut, built
+        for that variant alone.  At a bound of the total demand the clients
+        violate Hall's condition together; every client -> center arc is
         unbounded, so the centers are exactly the union of their allowed
-        lists, closed centers included.  Each variant is solved only when
-        the iterator is asked for it, so a caller that stops at the first
-        variant it needs solves no later one.  The input is checked at the
-        call: every demand and supply must be finite and nonnegative, each
-        sequence as long as the clients or centers, and every closed id one
-        of `centers`.  Every demand and supply is scaled by the lcm of their
-        denominators, so every residual is an int.
+        lists, closed centers included.  A variant is solved only once every
+        earlier one is found not short.  The input is checked before any
+        is solved: every demand and supply must be finite and nonnegative,
+        each sequence as long as the clients or centers, and every closed
+        id one of `centers`.  The demands, the supplies and the bound are
+        scaled by the lcm of their denominators, so every residual and
+        every comparison is an int.
 
         The flows run on the class nodes: a class's demand is the sum of
         its members' scaled demands, and a class on the source side of a
         cut stands for its members of positive demand.  Forcing client w
-        forces its class, whose members of positive demand are on w's side
-        of every min cut anyway, and adds w itself to the clients; so a
-        class is solved once, on the first member asked for, and its later
-        members reuse that flow.  A forced variant sets its class's source
-        arc to INF on a copy of the base maximum flow, which stays feasible
-        when a capacity rises.  The first closed variant starts from the
-        zero flow and each later one from the maximum flow of the one
-        before: the sink arcs closed there reopen, the flow through each
-        newly closed center is cancelled back to the source, and only that
-        displaced load is augmented again.  Each variant first runs the
-        seating pass, `_seat`, which routes leftover demand straight to
-        allowed centers with supply left, and then one Dinic call, which
-        takes that feasible flow to a maximum one.  The value and the
-        minimal min cut do not depend on the maximum flow reached, so the
-        seated flow changes neither.
+        forces w's class, whose members of positive demand are on w's side
+        of every min cut anyway, so every member of a class has one forced
+        value.  A class is therefore solved once, at its first member in
+        client order: if that member is not short, no later member is, and
+        the class is never revisited; if it is, the first member is the one
+        returned, with itself added to the clients.  A forced variant sets
+        its class's source arc to INF on a copy of the base maximum flow,
+        which stays feasible when a capacity rises.  The first closed
+        variant starts from the zero flow and each later one from the
+        maximum flow of the one before: the sink arcs closed there reopen,
+        the flow through each newly closed center is cancelled back to the
+        source, and only that displaced load is augmented again.  Each
+        variant first runs the seating pass, `_seat`, which routes leftover
+        demand straight to allowed centers with supply left, and then one
+        Dinic call, which takes that feasible flow to a maximum one.  The
+        value and the minimal min cut do not depend on the maximum flow
+        reached, so the seated flow changes neither.
         """
         centers, head, adj, direct, twin = self.centers, self.head, self.adj, self.direct, self.twin
         if len(demand) != len(twin) or len(supply) != len(centers):
@@ -346,50 +355,43 @@ class TransportNetwork:
             raise ContractViolation(
                 f"closed center {err.args[0]!r} is not in the transport network"
             ) from None
-        scale = math.lcm(*(a.denominator for a in (*demand, *supply)))
+        if forced and closed:
+            raise ContractViolation("forced and closed variants in one transport network call")
+        scale = math.lcm(*(a.denominator for a in (*demand, *supply, bound)))
+        bound = bound.numerator * (scale // bound.denominator)
         zero = self.template[:]
         source = adj[0]
-        members = [[] for _ in source]  # the clients of positive demand of each class
-        for i, (c, d) in enumerate(zip(twin, demand)):
+        for c, d in zip(twin, demand):
             if d:
                 zero[source[c]] += d.numerator * (scale // d.denominator)
-                members[c].append(i)
         for j, s in enumerate(supply):
             zero[2 * j] = s.numerator * (scale // s.denominator)
-        first = len(source) + 2
-
-        def cut(total, reached):
-            return (
-                Fraction(total, scale),
-                frozenset(i for u in reached if 2 <= u < first for i in members[u - 2]),
-                frozenset(centers[u - first] for u in reached if u >= first),
-            )
-
-        def variants():
-            if forced:
-                base = zero[:]
-                base_value = _seat(base, source, direct) + _augment(head, base, adj, 0, 1)[0]
-                solved = {}  # class -> its forced variant
-                for w, c in enumerate(twin):
-                    if c not in solved:
-                        res = base[:]
-                        res[source[c]] = INF
-                        more = _seat(res, source, direct)
-                        rest, reached = _augment(head, res, adj, 0, 1)
-                        solved[c] = cut(base_value + more + rest, reached)
-                    value, clients, near = solved[c]
-                    yield value, clients | {w}, near
+        if forced:
+            base = zero[:]
+            value = _seat(base, source, direct) + _augment(head, base, adj, 0, 1)[0]
+            index = -1
+            for c in range(len(source)):
+                index = twin.index(c, index + 1)  # c's first member, after c - 1's
+                res = base[:]
+                res[source[c]] = INF
+                more = _seat(res, source, direct)
+                rest, reached = _augment(head, res, adj, 0, 1)
+                if value + more + rest < bound:
+                    break
+            else:
+                return None
+        else:
             # the closed variants form one chain: each starts from the maximum
             # flow of the one before, reopens that one's sink arcs, and cancels
             # the flow through each newly closed center
             res = zero[:]
-            total = 0
+            value = 0
             opened = []  # the sink arcs the previous variant closed
-            for arcs in closed:
+            for index, arcs in enumerate(closed):
                 for e in opened:
                     res[e] = zero[e] - res[e ^ 1]  # raising a capacity keeps the flow feasible
                 for e in arcs:
-                    total -= res[e ^ 1]
+                    value -= res[e ^ 1]
                     res[e ^ 1] = res[e] = 0
                     for r in adj[head[e ^ 1]][1:]:  # the reverse arc holds the class -> v flow
                         f = res[r]
@@ -399,12 +401,18 @@ class TransportNetwork:
                             res[a] += f
                             res[a ^ 1] -= f
                 opened = arcs
-                total += _seat(res, source, direct)
+                value += _seat(res, source, direct)
                 more, reached = _augment(head, res, adj, 0, 1)
-                total += more
-                yield cut(total, reached)
-
-        return variants()
+                value += more
+                if value < bound:
+                    break
+            else:
+                return None
+        first = len(source) + 2
+        inside = {u - 2 for u in reached if 2 <= u < first}
+        clients = {i for i, (c, d) in enumerate(zip(twin, demand)) if d and c in inside}
+        near = frozenset(centers[u - first] for u in reached if u >= first)
+        return index, frozenset(clients | {index} if forced else clients), near
 
 
 def _seat(res, source_arcs, direct):

@@ -29,13 +29,13 @@ The two separators turn the exponential Hall-style constraint families into
 polynomially many min-cut computations.  Their client -> center network
 does not depend on the point, so a solver builds it once per threshold
 (`general_network`, `uniform_network`) and each pass is one
-`TransportNetwork.cuts` call on it with that round's supplies y * capacity,
-on integer residuals.  A pass solves its cuts in order and returns the
-row of the first violated one, the cut the loop adds, or None; only a
-clean point costs the whole family.  The row reads its clients and centers
-off the minimal min cut: the centers are those the cut reports, less the
-scenario's failures.  Generated rows live for one threshold's solve and
-are discarded afterwards.
+`TransportNetwork.short` call on it with that round's supplies
+y * capacity, on integer residuals.  The call solves the family's cuts in
+order and stops at the first one below the row's threshold, the violated
+cut the loop adds; only a clean point costs the whole family.  The row
+reads its clients and centers off that cut's minimal min cut: the centers
+are those the cut reports, less the scenario's failures.  Generated rows
+live for one threshold's solve and are discarded afterwards.
 """
 
 from __future__ import annotations
@@ -294,19 +294,18 @@ def separate_general(
 ) -> Row | None:
     """Min-cut separation for the Hall rows over (U, F): one cut per failure
     scenario F (alpha backups), each the network of supplies y * capacity
-    over G' with F closed, the closed variants of one `network.cuts` call
-    on the `general_network` of G'.  Returns the row of the lowest-indexed
-    violated scenario, whose cut is below n, or None if y is clean, as it
-    is when there is no scenario."""
+    over G' with F closed, the closed variants of one `network.short` call
+    at bound n on the `general_network` of G'.  Returns the row of the
+    first short scenario, the lowest-indexed violated one, or None if y is
+    clean, as it is when there is no scenario."""
     scenarios = list(combinations(sorted(backup_set), alpha))
     n = len(capacities)
-    cuts = network.cuts(
-        [1] * n, [y[u] * capacities[u] for u in network.centers], closed=scenarios
-    )
-    for F, (value, blocked, reach) in zip(scenarios, cuts):
-        if value < n:
-            return Row.make({u: capacities[u] for u in reach.difference(F)}, ">=", len(blocked))
-    return None
+    supply = [y[u] * capacities[u] for u in network.centers]
+    hit = network.short([1] * n, supply, n, closed=scenarios)
+    if hit is None:
+        return None
+    index, blocked, reach = hit
+    return Row.make({u: capacities[u] for u in reach.difference(scenarios[index])}, ">=", len(blocked))
 
 
 def separate_uniform(
@@ -321,20 +320,22 @@ def separate_uniform(
     A single cut cannot rule out the empty set, so one cut is run per forced
     vertex (an infinite source arc pins it inside U); the minimum over all n
     cuts is the true minimum over nonempty U.  The n cuts are the forced
-    variants of one `network.cuts` call, each warm-started from the
-    maximum flow of the unforced network.  Vertices whose closed
-    neighborhoods hold the same positive-capacity vertices are one twin
-    class of the network and share one cut, so a clean pass runs one Dinic
-    call per class after the base flow.  Returns the row of the lowest
-    forced vertex whose cut is below n + alpha * L, or None if y is clean.
+    variants of one `network.short` call at bound n + alpha * L, each
+    warm-started from the maximum flow of the unforced network.  Vertices
+    whose closed neighborhoods hold the same positive-capacity vertices are
+    one twin class of the network and share one cut, so a clean pass runs
+    one Dinic call per class after the base flow.  Returns the row of the
+    first short vertex, the lowest forced vertex whose cut is below
+    n + alpha * L, or None if y is clean.
     """
     n = len(capacities)
     L = uniform_capacity_level(capacities)
     supply = [y[u] * L for u in network.centers]
-    for value, blocked, reach in network.cuts([1] * n, supply, forced=True):
-        if value < n + alpha * L:
-            return Row.make(dict.fromkeys(reach, L), ">=", len(blocked) + alpha * L)
-    return None
+    hit = network.short([1] * n, supply, n + alpha * L, forced=True)
+    if hit is None:
+        return None
+    _, blocked, reach = hit
+    return Row.make(dict.fromkeys(reach, L), ">=", len(blocked) + alpha * L)
 
 
 MAX_ROUNDS = 10_000

@@ -239,7 +239,8 @@ def relaxed_ilp_holds(
     Checks mass k, bounds, and for each F (any alpha vertices, not only
     centers) a max-flow certifying that closed neighborhoods minus F hold
     enough capacity-weighted mass for all clients at once; the scenarios are
-    the closed variants of one `TransportNetwork.cuts` call.
+    the closed variants of one `TransportNetwork.short` call at bound n, and
+    y survives iff none is short.
     """
     n = graph.n
     yv = {v: Fraction(y.get(v, 0)) for v in range(n)}
@@ -248,10 +249,9 @@ def relaxed_ilp_holds(
     if any(val < 0 or val > 1 for val in yv.values()):
         return False
     # closing F's sink arcs makes F a dead end, as if F were removed
-    cuts = TransportNetwork([graph.closed(u) for u in range(n)], range(n)).cuts(
-        [1] * n, [yv[w] * caps[w] for w in range(n)], closed=combinations(range(n), alpha)
-    )
-    return all(value >= n for value, _, _ in cuts)
+    network = TransportNetwork([graph.closed(u) for u in range(n)], range(n))
+    supply = [yv[w] * caps[w] for w in range(n)]
+    return network.short([1] * n, supply, n, closed=combinations(range(n), alpha)) is None
 
 
 def gap_instance(s: int) -> MetricInstance:

@@ -51,21 +51,19 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     """Coverage condition of a distance-r transfer, by one transport flow:
     the capacity-weighted y-mass of every vertex set outside B fits into the
     y2-mass within r hops of it (Hall with fractional demands).  The flow is
-    the single variant of a `TransportNetwork.cuts` call with nothing
-    closed, and only its value is read: the condition holds iff it routes
-    all demand.  The clients are the live vertices with demand, the centers
-    those with positive supply, and a client may send to the centers within
-    r hops."""
+    the single variant, nothing closed, of a `TransportNetwork.short` call
+    at bound the total demand: the condition holds iff it routes all
+    demand, that is iff the variant is not short.  The clients are the
+    live vertices with demand, the centers those with positive supply, and
+    a client may send to the centers within r hops."""
     hops = graph.hops()
     B = frozenset(B)
     live = [v for v in range(graph.n) if v not in B]
     demand = {v: d for v in live if (d := Fraction(caps[v]) * Fraction(y.get(v, 0))) != 0}
     total = sum(demand.values(), ZERO)
-    if total == 0:
-        return True
     supply = {w: s for w in live if (s := Fraction(caps[w]) * Fraction(y2.get(w, 0))) > 0}
     network = TransportNetwork([[w for w in supply if hops[v][w] <= r] for v in demand], supply)
-    return next(network.cuts(list(demand.values()), list(supply.values()), closed=[()]))[0] == total
+    return network.short(list(demand.values()), list(supply.values()), total, closed=[()]) is None
 
 
 def verify_transfer(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:

@@ -45,10 +45,10 @@ def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
 
     Only scenarios of size exactly alpha are tried: an assignment that avoids
     a failure set also serves every subset of it.  The scenarios are the
-    closed variants of one `TransportNetwork.cuts` call, each re-augmenting
-    only the load its failures displace; the first one short of n is
-    reported with the clients of its minimal min cut and the capacity of
-    the live centers on its source side.
+    closed variants of one `TransportNetwork.short` call at bound n, each
+    re-augmenting only the load its failures displace; the first one short
+    of n is reported with the clients of its minimal min cut and the
+    capacity of the live centers on its source side.
     """
     bad = _check_centers(inst, centers)
     if bad is not None:
@@ -57,18 +57,19 @@ def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
     S = sorted(centers)
     network = TransportNetwork(_covering(inst, S, radius), S)
     scenarios = list(combinations(S, inst.alpha))
-    cuts = network.cuts([1] * n, [inst.capacities[c] for c in S], closed=scenarios)
-    for F, (value, blocked, reach) in zip(scenarios, cuts):
-        if value < n:
-            capacity = sum(inst.capacities[c] for c in reach.difference(F))
-            if capacity >= len(blocked):
-                raise ContractViolation("min-cut witness does not violate Hall's condition")
-            return VerifyReport(
-                False,
-                f"failures {sorted(F)}: clients {sorted(blocked)} see "
-                f"capacity {capacity} < {len(blocked)}",
-            )
-    return VerifyReport(True, "all scenarios served")
+    hit = network.short([1] * n, [inst.capacities[c] for c in S], n, closed=scenarios)
+    if hit is None:
+        return VerifyReport(True, "all scenarios served")
+    index, blocked, reach = hit
+    F = scenarios[index]
+    capacity = sum(inst.capacities[c] for c in reach.difference(F))
+    if capacity >= len(blocked):
+        raise ContractViolation("min-cut witness does not violate Hall's condition")
+    return VerifyReport(
+        False,
+        f"failures {sorted(F)}: clients {sorted(blocked)} see "
+        f"capacity {capacity} < {len(blocked)}",
+    )
 
 
 def verify_conservative(

@@ -5,11 +5,12 @@ straight off the bits, the brute-force threshold filter, deque-BFS hop
 matrices and the hop-matrix clustering, the uncapped general-capacity
 front end with component counts from `components()`, closed
 out-neighborhoods read off G' masks, `transport` (one `flow.max_flow` on a
-`FlowNetwork` built arc by arc, the reference for each variant of
-`TransportNetwork.cuts`), exhaustive reference implementations of the separation
-problems, the separators' full `TransportNetwork.cuts` passes and the separators
-with one `transport` per cut, the verifier with one assignment per failure
-scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
+`FlowNetwork` built arc by arc) and `reference_short`, the first variant
+below a bound among one `transport` per variant, the reference for
+`TransportNetwork.short`, exhaustive reference implementations of the
+separation problems, the separators' `TransportNetwork.short` calls at any
+bound and the separators with one `transport` per cut, the verifier with
+one assignment per failure scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
 cutting-plane loop, the Edmonds-Karp max-flow and the capacitated
 assignment read off its flow, cut capacities, the conservative-repair
 check, the exhaustive residual solve that the general conservative
@@ -269,7 +270,7 @@ def transport(demand, allowed, supply):
     allowed center (unbounded), center -> sink (supply); a center without a
     supply entry is a dead end.  Returns (value, blocked, reach), the
     clients and the centers on the source side of the minimal min cut.  The
-    reference for each variant of `flow.TransportNetwork.cuts`, which
+    reference for each variant of `flow.TransportNetwork.short`, which
     builds its network on integer arrays."""
     net = FlowNetwork("s", "t")
     for c, d in demand.items():
@@ -286,6 +287,30 @@ def transport(demand, allowed, supply):
         frozenset(u[1] for u in cut if u[0] == "client"),
         frozenset(u[1] for u in cut if u[0] == "center"),
     )
+
+
+def transport_variants(demand, allowed, supply, forced, closed):
+    """`transport` for each variant of a `TransportNetwork.short` call on
+    clients 0..m-1, in order: if `forced`, each client's demand made
+    infinite, else each closed set's centers left without supply, dead ends
+    that keep their client arcs.  `supply` maps each center to its amount."""
+    demand, allowed = dict(enumerate(demand)), dict(enumerate(allowed))
+    if forced:
+        return [transport({**demand, w: INF}, allowed, supply) for w in demand]
+    return [
+        transport(demand, allowed, {v: s for v, s in supply.items() if v not in F}) for F in closed
+    ]
+
+
+def reference_short(demand, allowed, supply, bound, forced, closed):
+    """What `TransportNetwork.short` returns, from one `transport` per
+    variant on a network built for it alone: (index, clients, centers) of
+    the first variant whose value is below `bound`, or None."""
+    variants = transport_variants(demand, allowed, supply, forced, closed)
+    for index, (value, clients, centers) in enumerate(variants):
+        if value < bound:
+            return index, clients, centers
+    return None
 
 
 def cut_capacity(net, source_side):
@@ -359,28 +384,24 @@ def random_separation_point(rng):
     return g, y, rng.randint(0, 2)
 
 
-def full_pass_general(y, network, backup_set, alpha, capacities):
-    """value - n of every closed variant of the `network.cuts` call that
-    `lp.separate_general` makes, one per failure scenario, all solved: the
-    minimum is the global minimum over (U, F)."""
+def general_short(y, network, backup_set, alpha, capacities, bound):
+    """The `network.short` call that `lp.separate_general` makes at y, one
+    closed variant per failure scenario, at any `bound`: at n + m, it finds
+    no short variant iff m is at most the minimum over (U, F)."""
     n = len(capacities)
-    cuts = network.cuts(
-        [1] * n,
-        [y[u] * capacities[u] for u in network.centers],
-        closed=list(combinations(sorted(backup_set), alpha)),
+    supply = [y[u] * capacities[u] for u in network.centers]
+    return network.short(
+        [1] * n, supply, bound, closed=list(combinations(sorted(backup_set), alpha))
     )
-    return [value - n for value, _, _ in cuts]
 
 
-def full_pass_uniform(y, network, capacities):
-    """value - n of every forced variant of the `network.cuts` call that
-    `lp.separate_uniform` makes, one per vertex, all solved: the minimum is
-    the global minimum over nonempty U."""
+def uniform_short(y, network, capacities, bound):
+    """The `network.short` call that `lp.separate_uniform` makes at y, one
+    forced variant per vertex, at any `bound`: at n + m, it finds no short
+    variant iff m is at most the minimum over nonempty U."""
     L = uniform_capacity_level(capacities)
-    n = len(capacities)
     supply = [y[u] * L for u in network.centers]
-    cuts = network.cuts([1] * n, supply, forced=True)
-    return [value - n for value, _, _ in cuts]
+    return network.short([1] * len(capacities), supply, bound, forced=True)
 
 
 def assert_first_violated_row(row, y, minimum, threshold, ref):
@@ -396,7 +417,7 @@ def assert_first_violated_row(row, y, minimum, threshold, ref):
 def per_cut_separate_general(y, graph, gprime, backup_set, alpha, capacities):
     """`lp.separate_general` with one `transport` per failure scenario F on
     the network rebuilt without F: the row of the first scenario whose cut
-    is below n, or None.  The reference for the single `network.cuts` call
+    is below n, or None.  The reference for the single `network.short` call
     of the separator."""
     n = graph.n
     demand = dict.fromkeys(range(n), 1)
@@ -415,7 +436,7 @@ def per_cut_separate_uniform(y, graph, capacities, alpha):
     """`lp.separate_uniform` with one `transport` from scratch per forced
     vertex w, w's demand infinite: the row of the first w whose cut is
     below n + alpha * L, or None.  The reference for the warm-started
-    `network.cuts` call of the separator."""
+    `network.short` call of the separator."""
     n = graph.n
     L = uniform_capacity_level(capacities)
     allowed = {v: [u for u in graph.closed(v) if capacities[u] > 0] for v in range(n)}
@@ -434,7 +455,7 @@ def per_cut_separate_uniform(y, graph, capacities, alpha):
 def scratch_verify_ft(inst, centers, radius):
     """`verify.verify_ft` with one `capacitated_assignment` per failure
     scenario, each on the network rebuilt without the failed centers: the
-    reference for the single `TransportNetwork.cuts` call of the verifier."""
+    reference for the single `TransportNetwork.short` call of the verifier."""
     bad = _check_centers(inst, centers)
     if bad is not None:
         return bad

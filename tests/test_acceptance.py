@@ -59,13 +59,13 @@ from helpers import (
     closed_out,
     edge_set,
     exhaustive_residual,
-    full_pass_general,
-    full_pass_uniform,
+    general_short,
     hop_metric_instance,
     per_cut_separate_general,
     per_cut_separate_uniform,
     random_connected_graph,
     random_feasible_instance,
+    uniform_short,
 )
 
 
@@ -91,6 +91,9 @@ def _report(name: str, violations: list, summary: str):
     else:
         print(line)
     assert not violations, "\n".join(str(v) for v in violations[:10])
+
+
+EPS = Fraction(1, 10**6)  # below the gap between any two cut values drawn here
 
 
 def _rand_frac(rng, denom=4):
@@ -320,8 +323,10 @@ def _brute_uniform(y, graph, caps):
 
 def test_separation_equivalence():
     """Min-cut separation matches exhaustive enumeration over all (U, F) on
-    100 random fractional points: the minimum of a full `cuts` pass on the
-    separator's network equals the brute-force minimum, the separator
+    100 random fractional points: the separator's `short` call on its
+    network finds no short variant at n plus the brute-force minimum and
+    finds one just above it, so the minimum over its variants is the
+    brute-force one, the separator
     returns no row exactly when that minimum clears the threshold, a
     returned row cuts the point, and it is the row of one `transport` per
     cut on a rebuilt network."""
@@ -348,10 +353,11 @@ def test_separation_equivalence():
         network = general_network(gprime)
         row = separate_general(y, network, bset, alpha, caps)
         brute = _brute_general(y, G, gprime, bset, alpha, caps)
-        full = min(full_pass_general(y, network, bset, alpha, caps))
         checked_general += 1
-        if full != brute:
-            violations.append(f"general n={n} a={alpha}: cut {full} vs brute {brute}")
+        if general_short(y, network, bset, alpha, caps, n + brute) is not None or (
+            general_short(y, network, bset, alpha, caps, n + brute + EPS) is None
+        ):
+            violations.append(f"general n={n} a={alpha}: cut minimum is not brute {brute}")
         if (row is None) != (brute >= 0):
             violations.append(f"general n={n} a={alpha}: verdict mismatch")
         if row is not None:
@@ -372,10 +378,11 @@ def test_separation_equivalence():
         network = uniform_network(G, caps)
         row = separate_uniform(y, network, caps, alpha)
         brute = _brute_uniform(y, G, caps)
-        full = min(full_pass_uniform(y, network, caps))
         checked_uniform += 1
-        if full != brute:
-            violations.append(f"uniform n={n} a={alpha}: cut {full} vs brute {brute}")
+        if uniform_short(y, network, caps, n + brute) is not None or (
+            uniform_short(y, network, caps, n + brute + EPS) is None
+        ):
+            violations.append(f"uniform n={n} a={alpha}: cut minimum is not brute {brute}")
         if (row is None) != (brute >= alpha * L):
             violations.append(f"uniform n={n} a={alpha}: verdict mismatch")
         if row is not None:

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 import re
 import sys
@@ -25,15 +26,16 @@ from helpers import (
     assert_first_violated_row,
     brute_separate_general,
     brute_separate_uniform,
+    closed_out,
     cut_capacity,
     edmonds_karp_max_flow,
     flow_capacitated_assignment,
-    full_pass_general,
-    full_pass_uniform,
     per_cut_separate_general,
     per_cut_separate_uniform,
     random_separation_point,
+    reference_short,
     transport,
+    transport_variants,
 )
 
 
@@ -177,41 +179,106 @@ def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
     assert feasible > 500 and infeasible > 500 and partial > 200, (feasible, infeasible, partial)
 
 
-def test_transport_fractional_demand_with_dead_end_center():
+def test_transport_fractional_demand_with_dead_end_center(monkeypatch):
     """Center 12 has supply 0, a dead end: client 1 gets only the 1/3 of
-    center 11, and the centers of the cut are client 1's allowed list, 12
-    included."""
+    center 11, so the plain network routes 5/6, and the centers of the cut
+    are client 1's allowed list, 12 included.  A bound of 5/6 is not short
+    of it; 5/6 + 10**-6 and 6/7, whose denominator divides no amount, are,
+    and return that cut.  Each call solves its one variant once."""
+    calls = count_augments(monkeypatch)
     network = TransportNetwork([[10], [11, 12]], [10, 11, 12])
-    [cut] = network.cuts([Fraction(1, 2), Fraction(2, 3)], [1, Fraction(1, 3), 0], closed=[()])
-    assert cut == (Fraction(5, 6), frozenset({1}), frozenset({11, 12}))
+    demand, supply = [Fraction(1, 2), Fraction(2, 3)], [1, Fraction(1, 3), 0]
+    assert network.short(demand, supply, Fraction(5, 6), closed=[()]) is None
+    for bound in (Fraction(5, 6) + EPS, Fraction(6, 7)):
+        assert network.short(demand, supply, bound, closed=[()]) == (
+            0, frozenset({1}), frozenset({11, 12})
+        )
+    assert calls[0] == 3
 
 
-def test_transport_infinite_demand_is_always_blocked():
+def test_transport_infinite_demand_is_always_blocked(monkeypatch):
     """A forced client's demand is infinite, so it is on the source side
-    of every min cut."""
-    network = TransportNetwork([[10], [10, 11], [11]], [10, 11])
-    cuts = list(network.cuts([1] * 3, [5, 5], forced=True))
-    assert [w in blocked for w, (_, blocked, _) in enumerate(cuts)] == [True] * 3
-    assert [value for value, _, _ in cuts] == [7, 10, 7]
+    of every min cut.  The forced values of clients with allowed lists
+    [10], [10, 11] and [11], each center of supply 5, are 7, 10 and 7.  In
+    every rotation of the three clients the first one is short of a bound
+    just above its value and is in its own cut; at a bound equal to its
+    value it is not short, and the first short client is the next one
+    whose value is below it, after one augment per class up to it."""
+    calls = count_augments(monkeypatch)
+    lists, values = [[10], [10, 11], [11]], [7, 10, 7]
+    for turn in range(3):
+        allowed = lists[turn:] + lists[:turn]
+        value = values[turn]
+        network = TransportNetwork(allowed, [10, 11])
+        calls[0] = 0
+        w, blocked, _ = network.short([1] * 3, [5, 5], value + EPS, forced=True)
+        assert w == 0 and 0 in blocked and calls[0] == 2
+        later = [i for i in (1, 2) if values[(turn + i) % 3] < value]
+        calls[0] = 0
+        hit = network.short([1] * 3, [5, 5], value, forced=True)
+        assert (hit and hit[0]) == (later[0] if later else None)
+        assert calls[0] == 1 + (later[0] + 1 if later else 3)
+        if hit:
+            assert hit[0] in hit[1]
 
 
-def reference_cuts(demand, allowed, supply, forced, closed):
-    """`transport` for each variant of a `cuts` call on clients 0..m-1:
-    each forced client's demand made infinite, then each closed set's
-    centers left without supply, dead ends that keep their client arcs."""
-    demand, allowed = dict(enumerate(demand)), dict(enumerate(allowed))
-    expected = [transport({**demand, w: INF}, allowed, supply) for w in demand if forced]
-    for F in closed:
-        expected.append(transport(demand, allowed, {v: s for v, s in supply.items() if v not in F}))
-    return expected
+EPS = Fraction(1, 10**6)
 
 
-def test_network_cuts_match_transport_per_variant():
-    """Each forced variant is `transport` with that client's demand infinite
-    and each closed variant `transport` without the closed centers' supply,
-    value, clients and centers of the cut, on random transport networks
+def bounds_for(values):
+    """Bounds around variant values: each value, which a variant of that
+    value does not fall below, the value plus 10**-6, and the next multiple
+    of 1/97 above it, a denominator that divides no amount drawn here and
+    so enters the scale."""
+    bounds = {0, Fraction(1, 97)}
+    for value in values:
+        bounds |= {value, value + EPS, Fraction(math.floor(value * 97) + 1, 97)}
+    return sorted(bounds)
+
+
+def variant_values(demand, allowed, supply, forced, closed):
+    """The `transport` value of each variant, in order."""
+    return [value for value, _, _ in transport_variants(demand, allowed, supply, forced, closed)]
+
+
+def augments_of(hit, allowed, forced, closed):
+    """The `_augment` calls of a `short` call that returns `hit`: forced,
+    the base flow and one per class up to the returned client's, the
+    classes in order of first appearance; closed, one per variant up to
+    the returned one; None, every variant."""
+    if forced:
+        lists = list(dict.fromkeys(map(tuple, allowed)))
+        return 1 + (lists.index(tuple(allowed[hit[0]])) + 1 if hit else len(lists))
+    return hit[0] + 1 if hit else len(closed)
+
+
+def assert_short_matches(network, calls, demand, allowed, supply, forced, closed):
+    """At every bound of `bounds_for`, `network.short` returns what
+    `reference_short` returns, a forced client is in its own cut, and the
+    call runs the `_augment` calls of `augments_of`.  `supply` maps the
+    network's centers, in order, to their amounts.  Returns the variant
+    values."""
+    values = variant_values(demand, allowed, supply, forced, closed)
+    for bound in bounds_for(values):
+        expected = reference_short(demand, allowed, supply, bound, forced, closed)
+        calls[0] = 0  # `transport` runs `_augment` too
+        hit = network.short(demand, list(supply.values()), bound, forced, closed)
+        assert hit == expected
+        assert calls[0] == augments_of(hit, allowed, forced, closed), (hit, bound)
+        if forced and hit is not None:
+            assert hit[0] in hit[1]
+    return values
+
+
+def test_network_cuts_match_transport_per_variant(monkeypatch):
+    """The first forced variant below a bound is the first client whose
+    `transport` with its demand made infinite is below it, and the first
+    closed variant the first center set whose `transport` without those
+    centers' supply is: index, clients and centers of the cut, at bounds
+    at and just above every variant's value, on random transport networks
     with Fraction and zero demands and supplies, and centers no client may
     use."""
+    calls = count_augments(monkeypatch)
     rng = random.Random(1970)
     forced_total = closed_total = short = 0
     for _ in range(200):
@@ -230,31 +297,28 @@ def test_network_cuts_match_transport_per_variant():
         centers = list(supply)
         allowed = [rng.sample(centers, rng.randint(0, len(centers))) for _ in range(m)]
         forced = rng.random() < 0.5
-        closed = [
+        closed = () if forced else [
             tuple(rng.sample(centers, rng.randint(0, len(centers))))
             for _ in range(rng.randint(0, 3))
         ]
         network = TransportNetwork(allowed, centers)
-        cuts = list(network.cuts(demand, list(supply.values()), forced=forced, closed=closed))
-        nforced = m if forced else 0
-        assert len(cuts) == nforced + len(closed)
-        assert cuts == reference_cuts(demand, allowed, supply, forced, closed)
-        assert all(w in cuts[w][1] for w in range(nforced))
-        assert all(isinstance(value, Fraction) for value, _, _ in cuts)
-        forced_total += nforced
+        values = assert_short_matches(network, calls, demand, allowed, supply, forced, closed)
+        forced_total += m if forced else 0
         closed_total += len(closed)
-        short += sum(1 for value, _, _ in cuts[nforced:] if value < sum(demand))
-    assert forced_total > 100 and closed_total > 100 and short > 20
+        short += sum(value < sum(demand) for value in values) if closed else 0
+    assert forced_total > 100 and closed_total > 100 and short > 20, (forced_total, closed_total, short)
 
 
-def test_closed_chains_match_transport_per_variant():
+def test_closed_chains_match_transport_per_variant(monkeypatch):
     """Each closed variant starts from the maximum flow of the one before,
-    so a long chain reopens, cancels and re-augments many times; every
-    variant must still be `transport` without its closed centers' supply,
-    value, clients and centers of the cut.  Chains hold all C(m, a) center
-    sets in shuffled order, the same set twice in a row, overlapping and
-    empty sets, and a center without any arc; demands and supplies are
-    ints, Fractions and zeros."""
+    so a long chain reopens, cancels and re-augments many times; the first
+    variant below a bound must still be the first whose `transport`
+    without its closed centers' supply is, index, clients and centers of
+    the cut, and the chain runs one augment per variant up to it.  Chains
+    hold all C(m, a) center sets in shuffled order, the same set twice in a
+    row, overlapping and empty sets, and a center without any arc; demands
+    and supplies are ints, Fractions and zeros."""
+    calls = count_augments(monkeypatch)
     rng = random.Random(1982)
     variants = short = moved = 0
     for _ in range(150):
@@ -285,46 +349,44 @@ def test_closed_chains_match_transport_per_variant():
             ])
             closed.insert(i, extra)
         network = TransportNetwork(allowed, list(supply))
-        cuts = list(network.cuts(demand, list(supply.values()), closed=closed))
-        expected = reference_cuts(demand, allowed, supply, False, closed)
-        assert cuts == expected
+        values = assert_short_matches(network, calls, demand, allowed, supply, False, closed)
         full = transport(dict(enumerate(demand)), dict(enumerate(allowed)), supply)[0]
-        short += sum(value < sum(demand) for value, _, _ in expected)
-        moved += sum(value < full for value, _, _ in expected)
+        short += sum(value < sum(demand) for value in values)
+        moved += sum(value < full for value in values)
         variants += len(closed)
     assert variants > 1000 and short > 500 and moved > 400, (variants, short, moved)
 
 
 def test_network_cuts_rejects_infinite_and_negative_amounts():
-    """Bad input raises at the call, before any variant is asked for: no
-    call here consumes the iterator it would return.  Only a forced variant
-    makes a demand infinite; an infinite amount in the input is a caller
-    bug."""
+    """Bad input raises at the call, before any variant is solved.  Only a
+    forced variant makes a demand infinite; an infinite amount in the input
+    is a caller bug."""
     one, two = TransportNetwork([[10]], [10]), TransportNetwork([[10], [10]], [10])
     with pytest.raises(ContractViolation, match="infinite supply"):
-        one.cuts([1], [INF], forced=True)
+        one.short([1], [INF], 1, forced=True)
     with pytest.raises(ContractViolation, match="infinite supply"):
-        one.cuts([1], [INF])
+        one.short([1], [INF], 1)
     with pytest.raises(ContractViolation, match="infinite demand"):
-        one.cuts([INF], [1], closed=[()])
+        one.short([INF], [1], 1, closed=[()])
     with pytest.raises(ContractViolation, match="infinite demand"):
-        two.cuts([1, INF], [1], forced=True)
+        two.short([1, INF], [1], 2, forced=True)
     with pytest.raises(InstanceError, match="negative capacity"):
-        one.cuts([1], [-1], closed=[()])
+        one.short([1], [-1], 1, closed=[()])
     with pytest.raises(InstanceError, match="negative demand"):
-        two.cuts([1, -1], [1], forced=True)
+        two.short([1, -1], [1], 0, forced=True)
     with pytest.raises(InstanceError, match="negative demand"):
-        one.cuts([Fraction(-1, 2)], [1], closed=[()])
+        one.short([Fraction(-1, 2)], [1], 0, closed=[()])
 
 
-def test_a_reused_network_matches_a_fresh_build():
-    """One `TransportNetwork` solved for a sequence of supplies gives, for
-    every forced and closed variant, what a fresh network gives.  The
-    sequence changes denominators, zeroes supplies and repeats an earlier
-    one, which must give the same cuts again: `cuts` never changes the
-    network's residual template."""
+def test_a_reused_network_matches_a_fresh_build(monkeypatch):
+    """One `TransportNetwork` solved for a sequence of supplies returns,
+    at every bound, forced or closed, what a fresh network and
+    `reference_short` return.  The sequence changes denominators, zeroes
+    supplies and repeats an earlier one, which must give the same answers
+    again: `short` never changes the network's residual template."""
+    calls = count_augments(monkeypatch)
     rng = random.Random(2025)
-    calls = short = zeroed = 0
+    calls_made = short = zeroed = 0
     for _ in range(60):
         m = rng.randint(1, 6)
         centers = list(range(20, 20 + rng.randint(1, 5)))
@@ -333,7 +395,9 @@ def test_a_reused_network_matches_a_fresh_build():
         template = network.template[:]
         demand = [rng.randint(0, 2) for _ in range(m)]
         forced = rng.random() < 0.5
-        closed = [tuple(rng.sample(centers, rng.randint(0, min(2, len(centers))))) for _ in range(3)]
+        closed = () if forced else [
+            tuple(rng.sample(centers, rng.randint(0, min(2, len(centers))))) for _ in range(3)
+        ]
         supplies = []
         for _ in range(4):
             den = rng.randint(1, 7)
@@ -342,13 +406,16 @@ def test_a_reused_network_matches_a_fresh_build():
             ])
         supplies.append(supplies[0])
         for supply in supplies:
-            cuts = list(network.cuts(demand, supply, forced, closed))
-            assert cuts == list(TransportNetwork(allowed, centers).cuts(demand, supply, forced, closed))
+            supplied = dict(zip(centers, supply))
+            values = assert_short_matches(network, calls, demand, allowed, supplied, forced, closed)
+            for bound in bounds_for(values):
+                fresh = TransportNetwork(allowed, centers).short(demand, supply, bound, forced, closed)
+                assert network.short(demand, supply, bound, forced, closed) == fresh
             assert network.template == template
-            calls += 1
-            short += any(value < sum(demand) for value, _, _ in cuts)
+            calls_made += 1
+            short += any(value < sum(demand) for value in values)
             zeroed += 0 in supply
-    assert calls == 300 and short > 50 and zeroed > 50, (short, zeroed)
+    assert calls_made == 300 and short > 50 and zeroed > 50, (short, zeroed)
 
 
 def count_augments(monkeypatch):
@@ -371,7 +438,8 @@ def test_transport_network_rejects_names_it_was_not_built_with(monkeypatch):
     are, at the call and before any variant is solved, a demand or supply
     sequence whose length is not the number of clients or centers, which
     `zip` would otherwise truncate, a closed id that is not one of
-    `centers`, and an infinite demand."""
+    `centers`, an infinite demand, and a call that asks for forced and
+    closed variants at once."""
     with pytest.raises(ContractViolation, match="allowed center 11 of client 1"):
         TransportNetwork([[10], [10, 11]], [10])
     with pytest.raises(ContractViolation, match="repeated center"):
@@ -379,53 +447,64 @@ def test_transport_network_rejects_names_it_was_not_built_with(monkeypatch):
     network = TransportNetwork([[10], [10]], [10])
     calls = count_augments(monkeypatch)
     with pytest.raises(ContractViolation, match="3 demands and 1 supplies"):
-        network.cuts([1, 1, 1], [1])
+        network.short([1, 1, 1], [1], 3)
     with pytest.raises(ContractViolation, match="1 demands and 1 supplies"):
-        network.cuts([1], [1], closed=[()])
+        network.short([1], [1], 1, closed=[()])
     with pytest.raises(ContractViolation, match="2 demands and 2 supplies"):
-        network.cuts([1, 1], [1, 1], forced=True)
+        network.short([1, 1], [1, 1], 2, forced=True)
     with pytest.raises(ContractViolation, match="2 demands and 0 supplies"):
-        network.cuts([1, 1], [], closed=[()])
+        network.short([1, 1], [], 2, closed=[()])
     with pytest.raises(ContractViolation, match="closed center 12"):
-        network.cuts([1, 1], [1], closed=[(10,), (12,)])
+        network.short([1, 1], [1], 2, closed=[(10,), (12,)])
     with pytest.raises(ContractViolation, match="closed center 12"):
-        network.cuts([1, 1], [1], forced=True, closed=[(10, 12)])
+        network.short([1, 1], [1], 2, forced=True, closed=[(10, 12)])
     with pytest.raises(ContractViolation, match="infinite demand"):
-        network.cuts([1, INF], [1], forced=True)
+        network.short([1, INF], [1], 2, forced=True)
+    for closed in ([()], [(10,)], [(), (10,)]):
+        with pytest.raises(ContractViolation, match="forced and closed variants"):
+            network.short([1, 1], [1], 2, forced=True, closed=closed)
     assert calls[0] == 0
-    [cut] = network.cuts([1, 1], [1], closed=[()])
-    assert cut == (1, frozenset({0, 1}), frozenset({10}))
+    assert network.short([1, 1], [1], 2, closed=[()]) == (0, frozenset({0, 1}), frozenset({10}))
+    assert network.short([1, 1], [1], 1, closed=[()]) is None
 
 
 def test_network_cuts_solves_each_variant_on_demand(monkeypatch):
-    """The call solves nothing; the first forced variant solves the base
-    flow and itself, and every later variant, forced or closed, one more."""
+    """A call solves the variants in order and none after the first short
+    one: a forced call runs the base flow and one augment per class up to
+    the returned client's, a closed call one augment per variant up to the
+    returned one, and a call with no short variant runs every variant.
+    The forced values are 7, 6, 4 and 4, and the closed ones 3, 2 and 1, so
+    each variant is the first short one at some bound, except client 3, the
+    twin of client 2, whose class is solved at client 2."""
     calls = count_augments(monkeypatch)
-    network = TransportNetwork([[10], [10, 11], [11], [11, 12]], [10, 11, 12])
-    demand, supply = [1] * 4, [1, Fraction(3, 2), 1]
-    closed = [(10,), (11,), (10, 12)]
-    cuts = network.cuts(demand, supply, forced=True, closed=closed)
-    assert calls[0] == 0
-    seen = []
-    for i, cut in enumerate(cuts):
-        seen.append(cut)
-        assert calls[0] == i + 2
-    assert seen == list(network.cuts(demand, supply, forced=True, closed=closed))
-    calls[0] = 0
-    cuts = network.cuts(demand, supply, closed=closed)
-    next(cuts)
-    assert calls[0] == 1
+    allowed = [[10], [11], [12], [12]]
+    supply = {10: 4, 11: 3, 12: 2}
+    network = TransportNetwork(allowed, list(supply))
+    demand = [1] * 4
+    closed = [(10,), (12,), (10, 12)]
+    seen = set()
+    for forced, variants in ((True, ()), (False, closed)):
+        for bound in bounds_for(variant_values(demand, allowed, supply, forced, variants)):
+            expected = reference_short(demand, allowed, supply, bound, forced, variants)
+            calls[0] = 0  # `transport` runs `_augment` too
+            hit = network.short(demand, list(supply.values()), bound, forced, variants)
+            assert hit == expected
+            assert calls[0] == augments_of(hit, allowed, forced, variants)
+            seen.add((forced, hit and hit[0]))
+    assert seen == {(True, None), (True, 0), (True, 1), (True, 2),
+                    (False, None), (False, 0), (False, 1), (False, 2)}, seen
 
 
 def test_twin_classes_match_the_per_client_reference(monkeypatch):
     """Clients with equal allowed lists share one class node.  On random
     networks whose lists are drawn from a few shared lists, so most clients
-    have a twin, every forced and closed variant is the per-client
-    `transport` reference, value, clients and centers of the cut, with
-    zero, int and Fraction demands and supplies; a forced client of zero
-    demand is in its own cut, its zero-demand twins are not.  A forced
-    pass runs the base flow and one augment per class, then one per closed
-    set."""
+    have a twin, the first forced and the first closed variant below every
+    bound are the per-client `reference_short`, index, clients and centers
+    of the cut, with zero, int and Fraction demands and supplies; a forced
+    client of zero demand is in its own cut, its zero-demand twins are not.
+    A forced call runs the base flow and one augment per class up to the
+    returned client's class, never a later member of a class already
+    solved; a closed call one per set up to the returned one."""
     calls = count_augments(monkeypatch)
     rng = random.Random(1721)
     twins = short = zero_twins = 0
@@ -453,15 +532,10 @@ def test_twin_classes_match_the_per_client_reference(monkeypatch):
         ]
         network = TransportNetwork(allowed, centers)
         classes = len({tuple(near) for near in allowed})
-        calls[0] = 0
-        cuts = list(network.cuts(demand, list(supply.values()), forced=True, closed=closed))
-        assert calls[0] == 1 + classes + len(closed)
-        assert cuts == reference_cuts(demand, allowed, supply, True, closed)
-        calls[0] = 0
-        assert list(network.cuts(demand, list(supply.values()), forced=True)) == cuts[:m]
-        assert calls[0] == 1 + classes
+        assert_short_matches(network, calls, demand, allowed, supply, True, ())
+        values = assert_short_matches(network, calls, demand, allowed, supply, False, closed)
+        short += sum(value < sum(demand) for value in values)
         twins += m - classes
-        short += sum(value < sum(demand) for value, _, _ in cuts[m:])
         zero_twins += sum(
             1
             for w in range(m)
@@ -486,8 +560,9 @@ def test_separate_uniform_stops_at_its_witness(monkeypatch):
         caps = [L if rng.random() < 0.75 else 0 for _ in range(g.n)]
         network = uniform_network(g, caps)
         lists = [tuple(u for u in g.closed(v) if caps[u] > 0) for v in range(g.n)]
-        values = full_pass_uniform(y, network, caps)
-        w = next((i for i, val in enumerate(values) if val < alpha * L), None)
+        supply = {u: y[u] * L for u in network.centers}
+        hit = reference_short([1] * g.n, lists, supply, g.n + alpha * L, True, ())
+        w = hit and hit[0]
         ref = per_cut_separate_uniform(y, g, caps, alpha)
         calls[0] = 0
         row = separate_uniform(y, network, caps, alpha)
@@ -521,8 +596,10 @@ def test_separate_general_stops_at_its_witness(monkeypatch):
         caps = [rng.randint(0, 3) for _ in range(n)]
         scenarios = list(combinations(sorted(backups), alpha))
         network = general_network(gp)
-        values = full_pass_general(y, network, backups, alpha, caps)
-        i = next((i for i, val in enumerate(values) if val < 0), None)
+        allowed = [sorted(closed_out(gp, [v])) for v in range(n)]
+        supply = {u: y[u] * caps[u] for u in range(n)}
+        hit = reference_short([1] * n, allowed, supply, n, False, scenarios)
+        i = hit and hit[0]
         ref = per_cut_separate_general(y, g, gp, backups, alpha, caps)
         calls[0] = 0
         row = separate_general(y, network, backups, alpha, caps)
@@ -591,13 +668,16 @@ def test_seating_routes_one_step_demand_before_dinic(monkeypatch):
     variants are one per class.  The base and every closed variant have all
     demand routed, so that BFS reaches only the source; a forced class's
     demand stays infinite, and its BFS stops at the full centers it fills
-    and the classes seated there."""
+    and the classes seated there.  Every forced value is 6 and every
+    closed one 4, so at those bounds no variant is short and each call runs
+    them all; just above them the first variant is returned."""
     entries = watch_augments(monkeypatch)
     allowed = [[10, 11], [10, 11], [12, 13], [13, 12]]
     network = TransportNetwork(allowed, [10, 11, 12, 13])
     assert network.twin == [0, 0, 1, 2]
     closed = [(), (10,), (11,), (10, 12), (13,), (11, 12)]
-    cuts = list(network.cuts([1] * 4, [2] * 4, forced=True, closed=closed))
+    assert network.short([1] * 4, [2] * 4, 6, forced=True) is None
+    assert network.short([1] * 4, [2] * 4, 4, closed=closed) is None
     assert len(entries) == 1 + 3 + len(closed)
     base, *rest = entries
     for sources, value, _ in entries:
@@ -610,37 +690,43 @@ def test_seating_routes_one_step_demand_before_dinic(monkeypatch):
         assert {u - 2 for u in reached if 2 <= u < 5} == reached_classes[c]
     for sources, _, reached in rest[3:]:
         assert sources == [0] * 3 and reached == [0]
-    groups = [{0, 1}, {0, 1}, {2, 3}, {2, 3}]  # the clients that share w's centers
-    assert [value for value, _, _ in cuts] == [6] * len(allowed) + [4] * len(closed)
-    assert [(blocked, reach) for _, blocked, reach in cuts] == [
-        *((frozenset(g), frozenset(allowed[w])) for w, g in enumerate(groups)),
-        *[(frozenset(), frozenset())] * len(closed),
-    ]
+    assert network.short([1] * 4, [2] * 4, 6 + EPS, forced=True) == (
+        0, frozenset({0, 1}), frozenset({10, 11})
+    )
+    assert network.short([1] * 4, [2] * 4, 4 + EPS, closed=closed) == (0, frozenset(), frozenset())
 
 
 def test_dinic_finishes_what_seating_leaves(monkeypatch):
     """Client 0 is seated first at center 10, client 1's only center: the
     base flow needs the longer path source -> 1 -> 10 -> 0 -> 11 -> sink,
-    which Dinic finds after the seating pass.  Every variant, forced and
-    closed, equals the `transport` reference."""
+    which Dinic finds after the seating pass.  At every bound, forced and
+    closed, `short` returns what `reference_short` returns."""
     entries = watch_augments(monkeypatch)
     allowed = [[10, 11], [10], [11, 12]]
     supply = {10: 1, 11: 1, 12: Fraction(1, 2)}
     demand = [1, 1, Fraction(1, 2)]
     closed = [(), (12,), (11,), (10, 12)]
     network = TransportNetwork(allowed, list(supply))
-    cuts = list(network.cuts(demand, list(supply.values()), forced=True, closed=closed))
+    assert network.short(demand, list(supply.values()), 0, forced=True) is None
+    assert network.short(demand, list(supply.values()), 0, closed=closed) is None
     assert len(entries) == 1 + len(allowed) + len(closed)
     # Dinic moves client 0 on to seat client 1: 2 in the scaled units of 1/2
     assert entries[0][1] == 2
-    assert cuts == reference_cuts(demand, allowed, supply, True, closed)
-    assert cuts[len(allowed)] == (Fraction(5, 2), frozenset(), frozenset())
+    for forced, variants in ((True, ()), (False, closed)):
+        for bound in bounds_for(variant_values(demand, allowed, supply, forced, variants)):
+            hit = network.short(demand, list(supply.values()), bound, forced, variants)
+            assert hit == reference_short(demand, allowed, supply, bound, forced, variants)
+    # the plain network routes 5/2, all demand, and its minimal min cut is empty
+    assert network.short(demand, list(supply.values()), Fraction(5, 2), closed=[()]) is None
+    assert network.short(demand, list(supply.values()), Fraction(5, 2) + EPS, closed=[()]) == (
+        0, frozenset(), frozenset()
+    )
 
 
 def test_transport_network_layout_is_what_cuts_reads():
     """`TransportNetwork` has one node per twin class, the clients whose
     allowed lists are equal as tuples, in order of first appearance, and
-    lists each arc at both of its ends; `cuts` reads two facts of its
+    lists each arc at both of its ends; `short` reads two facts of its
     layout: `adj[0]` is the source arcs in class order, and a center's
     first arc is its sink arc, arc 2j for centers[j], followed only by the
     reverses of the class arcs into it.  `template` is INF exactly on the
@@ -786,7 +872,7 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
     """Solves of seeded random instances, each followed by `verify()` and
     every size-alpha scenario, call `flow.max_flow` nowhere, and each
     transfer check is a `condition_b_flow` call, one `TransportNetwork`
-    build and one `cuts` call for the single variant with nothing closed.
+    build and one `short` call for the single variant with nothing closed.
     The checks of `tree_transfer` are `condition_b_flow` calls too: it makes
     no flow of its own.  Calls are counted by code object, so a call that bypasses a
     module global is counted too."""
@@ -794,9 +880,9 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
     tree = rounding.tree_transfer.__code__
     tree_codes = {tree, *(c for c in tree.co_consts if isinstance(c, type(tree)))}
     counts = {"max_flow": 0, "condition_b_flow": 0, "from tree_transfer": 0}
-    build, cuts = flow.TransportNetwork.__init__.__code__, flow.TransportNetwork.cuts.__code__
-    flows = {"build": 0, "cuts": 0, "tree_transfer": 0}  # network calls by caller
-    shapes = []  # (forced, closed) of the cuts calls of the checks
+    build, short = flow.TransportNetwork.__init__.__code__, flow.TransportNetwork.short.__code__
+    flows = {"build": 0, "short": 0, "tree_transfer": 0}  # network calls by caller
+    shapes = []  # (forced, closed) of the short calls of the checks
 
     def profile(frame, event, arg):
         if event != "call":
@@ -808,10 +894,10 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
         elif code is check:
             counts["condition_b_flow"] += 1
             counts["from tree_transfer"] += caller in tree_codes
-        elif code is build or code is cuts:
+        elif code is build or code is short:
             if caller is check:
-                flows["build" if code is build else "cuts"] += 1
-                if code is cuts:
+                flows["build" if code is build else "short"] += 1
+                if code is short:
                     shapes.append((frame.f_locals["forced"], frame.f_locals["closed"]))
             elif caller in tree_codes:
                 flows["tree_transfer"] += 1
@@ -836,8 +922,8 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
     assert solved >= 2
     assert counts["max_flow"] == 0, counts
     checks = counts["condition_b_flow"]
-    assert flows == {"build": checks, "cuts": checks, "tree_transfer": 0}, (counts, flows)
-    assert all(shape == (False, [()]) for shape in shapes)
+    assert flows == {"build": checks, "short": checks, "tree_transfer": 0}, (counts, flows)
+    assert shapes and all(forced is False and closed == [()] for forced, closed in shapes), shapes
     assert counts["condition_b_flow"] > 0, counts
     if solve is solve_ft_general:
         assert counts["from tree_transfer"] > 0, counts
@@ -849,12 +935,12 @@ def test_the_package_runs_no_max_flow(solve, variant, caps_mode):
     (solve_conservative_uniform, "conservative", "uniform"),
     (solve_conservative_general, "conservative", "general"),
 ], ids=["ft-general", "ft-0l", "cons-0l", "cons-general"])
-def test_one_network_per_threshold_and_one_cuts_call_per_pass(monkeypatch, solve, variant, caps_mode):
+def test_one_network_per_threshold_and_one_short_call_per_pass(monkeypatch, solve, variant, caps_mode):
     """Solves of seeded random instances, each followed by `verify()`:
     every `solve_cutting_plane` call comes right after one `TransportNetwork`
-    build by the connected solver, every separation pass is one `cuts` call
+    build by the connected solver, every separation pass is one `short` call
     on that network and builds no arrays, and every `verify_ft` call is one
-    `TransportNetwork` build and one `cuts` call.  Calls are counted by code object, so a call that
+    `TransportNetwork` build and one `short` call.  Calls are counted by code object, so a call that
     bypasses a module global is counted too; the separators are also
     counted through their module globals, as the benchmark probes them."""
     connected = {solvers.ft_general_connected.__code__, solvers.ft_uniform_connected.__code__}
@@ -862,10 +948,10 @@ def test_one_network_per_threshold_and_one_cuts_call_per_pass(monkeypatch, solve
     globals_seen = {"separate_general": 0, "separate_uniform": 0}
     count_calls(monkeypatch, globals_seen, lp.separate_general)
     count_calls(monkeypatch, globals_seen, lp.separate_uniform)
-    build, cuts = TransportNetwork.__init__.__code__, TransportNetwork.cuts.__code__
+    build, short = TransportNetwork.__init__.__code__, TransportNetwork.short.__code__
     events = []  # b: a build in a connected solver, s: its solve, p: a pass
-    counts = dict.fromkeys(["pass", "cuts in a pass", "arrays in a pass",
-                            "verify_ft", "builds in verify_ft", "cuts in verify_ft"], 0)
+    counts = dict.fromkeys(["pass", "short in a pass", "arrays in a pass",
+                            "verify_ft", "builds in verify_ft", "short in verify_ft"], 0)
     depth = [0]  # separator frames on the stack
 
     def caller(frame, levels):
@@ -889,14 +975,14 @@ def test_one_network_per_threshold_and_one_cuts_call_per_pass(monkeypatch, solve
             events.append("b")
         elif code is lp.solve_cutting_plane.__code__ and caller(frame, 1) in connected:
             events.append("s")
-        elif code is cuts and depth[0]:
-            counts["cuts in a pass"] += caller(frame, 1) in separators
+        elif code is short and depth[0]:
+            counts["short in a pass"] += caller(frame, 1) in separators
         elif code is flow._arrays.__code__ and depth[0]:
             counts["arrays in a pass"] += 1
         elif code is verify_ft.__code__:
             counts["verify_ft"] += 1
-        elif code in (build, cuts) and caller(frame, 1) is verify_ft.__code__:
-            counts["builds in verify_ft" if code is build else "cuts in verify_ft"] += 1
+        elif code in (build, short) and caller(frame, 1) is verify_ft.__code__:
+            counts["builds in verify_ft" if code is build else "short in verify_ft"] += 1
 
     rng = random.Random(f"one network per threshold/{variant}/{caps_mode}")
     previous = sys.getprofile()
@@ -913,8 +999,8 @@ def test_one_network_per_threshold_and_one_cuts_call_per_pass(monkeypatch, solve
     trace = "".join(events)
     assert re.fullmatch("(bsp*)+", trace), trace
     assert "spp" in trace, trace  # some threshold reuses its network
-    assert counts["cuts in a pass"] == counts["pass"], counts
+    assert counts["short in a pass"] == counts["pass"], counts
     assert counts["arrays in a pass"] == 0, counts
     assert sum(globals_seen.values()) == counts["pass"], (globals_seen, counts)
-    assert counts["builds in verify_ft"] == counts["cuts in verify_ft"] == counts["verify_ft"], counts
+    assert counts["builds in verify_ft"] == counts["short in verify_ft"] == counts["verify_ft"], counts
     assert (counts["verify_ft"] > 0) == (variant == "ft"), counts

@@ -40,15 +40,17 @@ from helpers import (
     cycle_graph,
     fraction_dual_simplex_point,
     fraction_feasible_point,
-    full_pass_general,
-    full_pass_uniform,
+    general_short,
     path_graph,
     per_cut_separate_general,
     per_cut_separate_uniform,
     random_connected_graph,
     random_separation_point,
     scratch_cutting_plane,
+    uniform_short,
 )
+
+EPS = Fraction(1, 10**6)  # below the gap between any two cut values drawn here
 
 
 def satisfies(rows, x):
@@ -316,7 +318,9 @@ def test_separate_uniform_matches_brute():
         network = uniform_network(g, caps)
         row = separate_uniform(y, network, caps, alpha)
         best = brute_separate_uniform(y, g, caps, alpha)
-        assert min(full_pass_uniform(y, network, caps)) == best
+        # the minimum over the pass's variants of value - n is best
+        assert uniform_short(y, network, caps, n + best) is None
+        assert uniform_short(y, network, caps, n + best + EPS) is not None
         ref = per_cut_separate_uniform(y, g, caps, alpha)
         assert_first_violated_row(row, y, best, alpha * L, ref)
         checked += 1
@@ -344,7 +348,9 @@ def test_separate_general_matches_brute():
         network = general_network(gp)
         row = separate_general(y, network, bset, alpha, caps)
         best = brute_separate_general(y, g, gp, bset, alpha, caps)
-        assert min(full_pass_general(y, network, bset, alpha, caps)) == best
+        # the minimum over the pass's variants of value - n is best
+        assert general_short(y, network, bset, alpha, caps, n + best) is None
+        assert general_short(y, network, bset, alpha, caps, n + best + EPS) is not None
         ref = per_cut_separate_general(y, g, gp, bset, alpha, caps)
         assert_first_violated_row(row, y, best, 0, ref)
         violated += row is not None
@@ -360,13 +366,15 @@ def test_separate_general_no_scenarios_is_clean():
 
 
 def test_separators_match_one_transport_per_cut():
-    """One `cuts` call per pass on the separator's network, stopped at its
+    """One `short` call per pass on the separator's network, stopped at its
     first violated cut, returns the row of one `transport` per forced
     vertex or failure scenario on a rebuilt network, and None exactly when
     the brute-force minimum clears the threshold.  On graphs that may be
     disconnected, y with mixed denominators and zeros, {0,L} capacities
     with zeros, alpha 0..2 and backup sets too small for any scenario; a
-    pass also stops at a violated cut above the minimum of a full pass."""
+    pass also stops at a violated cut above the minimum over its variants:
+    the first variant at the minimum, short of n + minimum + 10**-6, comes
+    after the first violated one."""
     rng = random.Random(1994)
     seen = {
         "uniform violated": 0,
@@ -386,11 +394,13 @@ def test_separators_match_one_transport_per_cut():
         network = uniform_network(g, caps)
         row = separate_uniform(y, network, caps, alpha)
         ref = per_cut_separate_uniform(y, g, caps, alpha)
-        assert_first_violated_row(row, y, brute_separate_uniform(y, g, caps, alpha), alpha * L, ref)
-        values = full_pass_uniform(y, network, caps)
-        first = next((val for val in values if val < alpha * L), None)
+        best = brute_separate_uniform(y, g, caps, alpha)
+        assert_first_violated_row(row, y, best, alpha * L, ref)
         seen["uniform violated"] += row is not None
-        seen["uniform stopped above the minimum"] += first is not None and first > min(values)
+        if row is not None:
+            first = uniform_short(y, network, caps, n + alpha * L)[0]
+            at_minimum = uniform_short(y, network, caps, n + best + EPS)[0]
+            seen["uniform stopped above the minimum"] += at_minimum > first
 
         gp = tuple(
             sum(1 << w for w in rng.sample(range(n), rng.randint(0, n)) if w != u)
@@ -406,10 +416,11 @@ def test_separators_match_one_transport_per_cut():
         if len(backups) < alpha:
             seen["no scenario"] += 1
             continue
-        values = full_pass_general(y, network, backups, alpha, caps)
-        first = next((val for val in values if val < 0), None)
         seen["general violated"] += row is not None
-        seen["general stopped above the minimum"] += first is not None and first > min(values)
+        if row is not None:
+            first = general_short(y, network, backups, alpha, caps, n)[0]
+            at_minimum = general_short(y, network, backups, alpha, caps, n + brute + EPS)[0]
+            seen["general stopped above the minimum"] += at_minimum > first
     assert min(seen.values()) >= 5, seen
 
 

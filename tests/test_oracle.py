@@ -61,7 +61,7 @@ def test_verify_ft_alpha_zero_checks_plain_assignment():
 
 
 def test_verify_ft_matches_the_per_scenario_loop():
-    """The one warm-started `TransportNetwork.cuts` chain of `verify_ft`
+    """The one warm-started `TransportNetwork.short` chain of `verify_ft`
     reports what one assignment per failure scenario reports, detail string
     and all, on random instances, centers and radii, alpha = 0 included."""
     rng = random.Random(2016)

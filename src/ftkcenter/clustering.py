@@ -8,6 +8,11 @@ decide connectivity: when the head walk ends, the heads' 2-balls cover
 every vertex iff the graph is connected.  A caller that can use at most
 some number of heads passes it as a cap, and the walk stops as soon as it
 has more.  Backups are the alpha largest-capacity members of each cluster.
+
+The far-apart sets of the conservative pipelines read ball masks too: the
+greedy scan skips every vertex in a chosen vertex's (ell-1)-ball, and the
+(alpha, ell)-independence check reads the components of a power graph
+built from ell-balls.  No function here builds the all-pairs hop matrix.
 """
 
 from __future__ import annotations
@@ -154,37 +159,30 @@ def build_gprime(
 
 
 def greedy_independent(graph: ThresholdGraph, ell: int) -> tuple[int, ...]:
-    """Maximal set with pairwise hop distance >= ell, scanned by lowest index.
+    """Maximal set with pairwise hop distance >= ell, scanned by lowest index:
+    a vertex is chosen iff no chosen vertex's (ell-1)-ball holds it.
 
     Maximality gives coverage: every vertex is within ell-1 hops of a member.
     """
-    hops = graph.hops()
     chosen: list[int] = []
+    near = 0  # union of the chosen vertices' (ell-1)-balls
     for v in range(graph.n):
-        if all(hops[v][a] >= ell for a in chosen):
+        if not near >> v & 1:
             chosen.append(v)
+            near |= graph.balls(v, ell - 1)[-1]
     return tuple(chosen)
 
 
 def is_alpha_ell_independent(
     graph: ThresholdGraph, S, alpha: int, ell: int
 ) -> bool:
-    """True iff every component of the ell-th power restricted to S has <= alpha vertices."""
-    verts = sorted(set(S))
-    hops = graph.hops()
-    seen = set()
-    for s in verts:
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in verts:
-                if w not in comp and hops[u][w] <= ell:
-                    comp.add(w)
-                    stack.append(w)
-        if len(comp) > alpha:
-            return False
-        seen |= comp
-    return True
+    """True iff every component of the ell-th power restricted to S has <=
+    alpha vertices.  The power is a graph on all n vertices whose edges join
+    members of S within ell hops, read off their ell-balls; the vertices
+    outside S are isolated there, so only the components in S count."""
+    inside = sum(1 << v for v in set(S))
+    masks = [0] * graph.n
+    for v in mask_bits(inside):
+        masks[v] = graph.balls(v, ell)[ell] & inside & ~(1 << v)
+    power = ThresholdGraph.from_masks(masks, None)
+    return all(len(comp) <= alpha for comp in power.components() if inside >> comp[0] & 1)

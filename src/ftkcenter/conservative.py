@@ -35,6 +35,7 @@ from .instance import (
     MetricInstance,
     ThresholdGraph,
     failure_set,
+    mask_bits,
     uniform_capacity_level,
 )
 from .rounding import Within, repair
@@ -125,40 +126,43 @@ def build_backup_set(graph: ThresholdGraph, caps, alpha: int):
     """Grow a backup set until no small vertex set outweighs the backups in
     its 6-hop neighborhood.
 
-    Returns (B, trace); the trace records each chosen set and the running
-    backup capacity, which strictly increases, bounding the loop.
+    Each candidate U of at most alpha vertices gets its cover, the union of
+    its members' 6-ball masks, and its capacity once per call; a round
+    scans the candidates in sorted order and takes the first of largest
+    positive deficit, cap(U) minus the capacity of the backups in its
+    cover.  B is a vertex mask.  Returns (B, trace); the trace records each
+    chosen set and the running backup capacity, which strictly increases,
+    bounding the loop.
     """
     n = graph.n
-    hops = graph.hops()
-    n6 = [frozenset(w for w in range(n) if hops[v][w] <= 6) for v in range(n)]
-    candidates = []
-    for size in range(1, alpha + 1):
-        candidates.extend(combinations(range(n), size))
-    candidates.sort()
-    B: set = set()
+    n6 = [graph.balls(v, 6)[6] for v in range(n)]
+    candidates = []  # (U, cap(U), cover of U)
+    for U in sorted(U for size in range(1, alpha + 1) for U in combinations(range(n), size)):
+        cover = 0
+        for v in U:
+            cover |= n6[v]
+        candidates.append((U, sum(caps[v] for v in U), cover))
+    B = 0
     trace = []
     cap_b = 0
     while True:
         best = None
-        for U in candidates:
-            cover = set()
-            for v in U:
-                cover |= n6[v]
-            deficit = sum(caps[v] for v in U) - sum(caps[b] for b in B & cover)
+        for U, cap_u, cover in candidates:
+            deficit = cap_u - sum(caps[b] for b in mask_bits(B & cover))
             if deficit > 0 and (best is None or deficit > best[0]):
                 best = (deficit, U, cover)
         if best is None:
             break
         _, U, cover = best
-        B = (B - cover) | set(U)
-        new_cap = sum(caps[b] for b in B)
+        B = B & ~cover | sum(1 << v for v in U)
+        new_cap = sum(caps[b] for b in mask_bits(B))
         if new_cap <= cap_b:
             raise ContractViolation("backup capacity did not increase")
         cap_b = new_cap
         trace.append((U, new_cap))
         if len(trace) > n * n + 1:
             raise ContractViolation("backup loop exceeded its iteration bound")
-    return frozenset(B), trace
+    return frozenset(mask_bits(B)), trace
 
 
 def conservative_general_connected(graph: ThresholdGraph, k: int, caps, alpha: int):

@@ -221,11 +221,13 @@ class ThresholdGraph:
     Built by thresholding a metric (edge iff distance <= tau, u != v) but also
     used for derived graphs (strips, induced subgraphs, trees over augmented
     vertex sets).  Adjacency is held only as int bitmasks: bit w of
-    `masks[u]` is set iff uw is an edge.  Closed neighborhoods, hop rows,
-    balls and components are read off the masks by bitset frontier
-    expansion.  All-pairs hop distances and the components are computed
-    lazily and cached; unreachable pairs are math.inf.  A threshold graph
-    also carries its component count from the instance's ranking.
+    `masks[u]` is set iff uw is an edge.  Closed neighborhoods, balls and
+    components are read off the masks by bitset frontier expansion, and
+    every package caller reads hop reach from `balls`.  The components are
+    computed lazily and cached.  `hops()`, the all-pairs hop matrix, has no
+    package caller: it is the tests' reference and the benchmark probe's
+    target.  A threshold graph also carries its component count from the
+    instance's ranking.
     """
 
     __slots__ = ("n", "tau2", "masks", "_hops", "_components", "_count")
@@ -260,7 +262,10 @@ class ThresholdGraph:
         return mask_bits(self.masks[v] | 1 << v)
 
     def hops(self):
-        """All-pairs hop distance matrix (list of lists; math.inf if unreachable)."""
+        """All-pairs hop distance matrix (list of lists; math.inf if
+        unreachable), cached.  No package caller: the tests' reference for
+        the ball masks, and the target of the benchmark's `instance.hops`
+        probe."""
         if self._hops is None:
             n, masks = self.n, self.masks
             mat = []

@@ -193,16 +193,8 @@ def condition_b_exhaustive(y, y2, graph: ThresholdGraph, r: int, B, caps) -> boo
     n = graph.n
     if n > 22:
         raise InstanceError(f"exhaustive subset check infeasible for n={n}")
-    hops = graph.hops()
     B = frozenset(B)
-    nbr = []
-    for v in range(n):
-        m = 0
-        row = hops[v]
-        for w in range(n):
-            if row[w] <= r:
-                m |= 1 << w
-        nbr.append(m)
+    nbr = [graph.balls(v, r)[r] for v in range(n)]
     zero = Fraction(0)
     demand = [Fraction(caps[v]) * Fraction(y.get(v, 0)) for v in range(n)]
     supply = [Fraction(caps[v]) * Fraction(y2.get(v, 0)) for v in range(n)]

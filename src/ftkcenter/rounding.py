@@ -55,14 +55,17 @@ def condition_b_flow(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     at bound the total demand: the condition holds iff it routes all
     demand, that is iff the variant is not short.  The clients are the
     live vertices with demand, the centers those with positive supply, and
-    a client may send to the centers within r hops."""
-    hops = graph.hops()
+    a client may send to the centers within r hops, listed by
+    `centers_within` from one r-ball per center: only the centers are
+    expanded, at most k on a {0,L} candidate, and on a rounding tree only
+    the opened members."""
     B = frozenset(B)
     live = [v for v in range(graph.n) if v not in B]
     demand = {v: d for v in live if (d := Fraction(caps[v]) * Fraction(y.get(v, 0))) != 0}
     total = sum(demand.values(), ZERO)
     supply = {w: s for w in live if (s := Fraction(caps[w]) * Fraction(y2.get(w, 0))) > 0}
-    network = TransportNetwork([[w for w in supply if hops[v][w] <= r] for v in demand], supply)
+    lists = centers_within(graph, supply, (r,))[r]
+    network = TransportNetwork([lists[v] for v in demand], supply)
     return network.short(list(demand.values()), list(supply.values()), total, closed=[()]) is None
 
 

@@ -1,9 +1,10 @@
-"""Shared test utilities: random feasible instances and random connected
-graphs, tiny graph builders, instances on a graph's hop metric, edge sets
-and masks read
-straight off the bits, the brute-force threshold filter, deque-BFS hop
-matrices and the hop-matrix clustering, the uncapped general-capacity
-front end with component counts from `components()`, closed
+"""Shared test utilities: the two-cluster points, random feasible
+instances, random graphs connected or not, tiny graph builders, instances
+on a graph's hop metric, edge sets and masks read straight off the bits,
+the brute-force threshold filter, deque-BFS hop matrices, and the
+hop-matrix clustering, greedy far-apart set, power-graph independence
+check and backup loop, the references for their ball-mask versions in the
+package, the uncapped general-capacity front end with component counts from `components()`, closed
 out-neighborhoods read off G' masks, `transport` (one `flow.max_flow` on a
 `FlowNetwork` built arc by arc) and `reference_short`, the first variant
 below a bound among one `transport` per variant, the reference for
@@ -53,6 +54,11 @@ from ftkcenter.solvers import ft_general_connected
 from ftkcenter.verify import VerifyReport, _check_centers
 
 
+# two clusters of three points, far apart: CI's two-cluster instance, whose
+# winning threshold graph is split
+TWO_CLUSTERS = [(0, 0), (1, 0), (2, 0), (100, 0), (101, 0), (102, 0)]
+
+
 def random_feasible_instance(
     rng,
     n: int,
@@ -95,6 +101,24 @@ def random_connected_graph(rng, n: int, extra: int = 0) -> ThresholdGraph:
         if a != b:
             edges.add((min(a, b), max(a, b)))
     return ThresholdGraph(n, edges)
+
+
+def random_graph(rng, n: int) -> ThresholdGraph:
+    """One of three shapes, equally likely: a random connected graph
+    (`random_connected_graph`); a path through the vertices in random
+    order, less one random pair and plus another, for long hop distances;
+    or a sample of at most 2n vertex pairs, often disconnected."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        return random_connected_graph(rng, n, rng.randint(0, n))
+    if shape == 1:
+        order = rng.sample(range(n), n)
+        edges = {frozenset(pair) for pair in zip(order, order[1:])}
+        edges.discard(frozenset(rng.sample(order, min(n, 2))))
+        edges.add(frozenset(rng.sample(order, min(n, 2))))
+        return ThresholdGraph(n, [tuple(e) for e in edges if len(e) == 2])
+    pairs = list(combinations(range(n), 2))
+    return ThresholdGraph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n))))
 
 
 def path_graph(n: int) -> ThresholdGraph:
@@ -227,6 +251,80 @@ def hop_matrix_clustering(graph: ThresholdGraph) -> Clustering:
     clusters = {h: tuple(v for v in range(n) if cluster_of[v] == h) for h in heads}
     tree_edges = frozenset((min(c, p), max(c, p)) for c, p in parents.items())
     return Clustering(tuple(heads), tuple(cluster_of), clusters, tree_edges)
+
+
+def hop_matrix_greedy_independent(graph: ThresholdGraph, ell: int) -> tuple[int, ...]:
+    """`clustering.greedy_independent` read off `graph.hops()`: a vertex is
+    chosen iff it is at least ell hops from every vertex chosen before it.
+    The reference for the ball-mask scan."""
+    hops = graph.hops()
+    chosen = []
+    for v in range(graph.n):
+        if all(hops[v][a] >= ell for a in chosen):
+            chosen.append(v)
+    return tuple(chosen)
+
+
+def hop_matrix_is_alpha_ell_independent(graph: ThresholdGraph, S, alpha: int, ell: int) -> bool:
+    """`clustering.is_alpha_ell_independent` by a set-based DFS over the
+    pairs of S within ell hops in `graph.hops()`: the reference for the
+    components of the ball-mask power graph."""
+    verts = sorted(set(S))
+    hops = graph.hops()
+    seen = set()
+    for s in verts:
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in verts:
+                if w not in comp and hops[u][w] <= ell:
+                    comp.add(w)
+                    stack.append(w)
+        if len(comp) > alpha:
+            return False
+        seen |= comp
+    return True
+
+
+def hop_matrix_backup_set(graph: ThresholdGraph, caps, alpha: int):
+    """`conservative.build_backup_set` with the 6-hop neighborhoods read off
+    `graph.hops()` as frozensets and every candidate's cover and capacity
+    rebuilt in every round: the reference for the masks computed once per
+    call.  Returns the same (B, trace)."""
+    n = graph.n
+    hops = graph.hops()
+    n6 = [frozenset(w for w in range(n) if hops[v][w] <= 6) for v in range(n)]
+    candidates = []
+    for size in range(1, alpha + 1):
+        candidates.extend(combinations(range(n), size))
+    candidates.sort()
+    B: set = set()
+    trace = []
+    cap_b = 0
+    while True:
+        best = None
+        for U in candidates:
+            cover = set()
+            for v in U:
+                cover |= n6[v]
+            deficit = sum(caps[v] for v in U) - sum(caps[b] for b in B & cover)
+            if deficit > 0 and (best is None or deficit > best[0]):
+                best = (deficit, U, cover)
+        if best is None:
+            break
+        _, U, cover = best
+        B = (B - cover) | set(U)
+        new_cap = sum(caps[b] for b in B)
+        if new_cap <= cap_b:
+            raise ContractViolation("backup capacity did not increase")
+        cap_b = new_cap
+        trace.append((U, new_cap))
+        if len(trace) > n * n + 1:
+            raise ContractViolation("backup loop exceeded its iteration bound")
+    return frozenset(B), trace
 
 
 STATIC_ROWS_INFEASIBLE = "the static rows of the full clustering's LP are infeasible"

@@ -44,7 +44,7 @@ from ftkcenter.solvers import (
     solve_ft_uniform,
 )
 
-from helpers import brute_threshold_pairs, edge_set, pair_masks, path_graph
+from helpers import TWO_CLUSTERS, brute_threshold_pairs, edge_set, pair_masks, path_graph
 
 
 def make_fake_solver(need, record=None):
@@ -276,9 +276,6 @@ def test_all_zero_capacity_final_reason():
     assert not res.feasible
     assert res.outcome.reasons == [(49, "best 1 surviving capacities cover 0 < 4 clients")]
     assert inst.thresholds_sq()[-1] == 49 and "_grown" not in vars(inst)
-
-
-TWO_CLUSTERS = [(0, 0), (1, 0), (2, 0), (100, 0), (101, 0), (102, 0)]
 
 
 @pytest.mark.parametrize(

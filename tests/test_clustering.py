@@ -2,6 +2,7 @@
 and the greedy far-apart sets."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,15 @@ from ftkcenter.clustering import (
 )
 from ftkcenter.instance import ContractViolation, InstanceError, ThresholdGraph
 
-from helpers import closed_out, cycle_graph, path_graph, random_connected_graph
+from helpers import (
+    closed_out,
+    cycle_graph,
+    hop_matrix_greedy_independent,
+    hop_matrix_is_alpha_ell_independent,
+    path_graph,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def test_monarch_path7():
@@ -103,6 +112,28 @@ def test_is_alpha_ell_independent():
     # chain 0-3-6 collapses into one component of the 3rd power
     assert not is_alpha_ell_independent(g, {0, 3, 6}, 2, 3)
     assert is_alpha_ell_independent(g, set(), 0, 5)
+
+
+def test_far_apart_sets_match_the_hop_matrix_references():
+    """On seeded random graphs, connected or not, with n 1-14, ell 0-9 and
+    alpha 0-3: the ball-mask greedy scan gives the hop-matrix reference's
+    tuple, and the power-graph check gives its bool on the greedy set and
+    on a random set."""
+    rng = random.Random("far apart")
+    seen = Counter()
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n)
+        ell = rng.randint(0, 9)
+        alpha = rng.randint(0, 3)
+        picked = greedy_independent(g, ell)
+        assert picked == hop_matrix_greedy_independent(g, ell), (trial, ell)
+        for S in (picked, rng.sample(range(n), rng.randint(0, n))):
+            got = is_alpha_ell_independent(g, S, alpha, ell)
+            assert got == hop_matrix_is_alpha_ell_independent(g, S, alpha, ell), (trial, S)
+            seen[got] += 1
+        seen["connected" if g.component_count() == 1 else "split"] += 1
+    assert min(seen.values()) > 30, seen
 
 
 def test_monarch_properties_random():

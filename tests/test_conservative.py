@@ -33,7 +33,15 @@ from ftkcenter.oracle import exact_opt_conservative, random_point_instance, veri
 from ftkcenter import rounding
 from ftkcenter.rounding import centers_within, repair
 
-from helpers import cycle_graph, exhaustive_residual, hop_metric_instance, path_graph, power
+from helpers import (
+    cycle_graph,
+    exhaustive_residual,
+    hop_matrix_backup_set,
+    hop_metric_instance,
+    path_graph,
+    power,
+    random_graph,
+)
 
 
 def test_build_backup_set_single_heavy_end():
@@ -58,6 +66,34 @@ def test_build_backup_set_pair_pick_and_alpha_zero():
     assert trace == [((0, 1), 2)]
     B, trace = build_backup_set(g, [1] * 5, 0)
     assert B == frozenset() and trace == []
+
+
+def test_build_backup_set_drops_a_covered_backup():
+    """On the 9-path with alpha = 2, the pair {7, 8} outweighs backup 3, the
+    only backup in its 6-hop cover, and replaces it; backup 0 lies outside
+    that cover and stays."""
+    B, trace = build_backup_set(path_graph(9), [2, 1, 0, 2, 1, 1, 1, 2, 2], 2)
+    assert B == frozenset({0, 7, 8})
+    assert trace == [((0, 3), 4), ((7, 8), 6)]
+
+
+def test_build_backup_set_matches_the_hop_matrix_reference():
+    """On seeded random graphs, connected or not, with n 1-14, alpha 0-3 and
+    capacities with zeros, capped at n as the general conservative pipeline
+    caps them: the backup loop on 6-ball masks, each candidate's cover and
+    capacity built once per call, returns the (B, trace) of the hop-matrix
+    loop that rebuilds them every round."""
+    rng = random.Random("backup reference")
+    rounds = Counter()
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n)
+        alpha = rng.randint(0, 3)
+        caps = [min(rng.choice((0, rng.randint(1, 2 * n))), n) for _ in range(n)]
+        got = build_backup_set(g, caps, alpha)
+        assert got == hop_matrix_backup_set(g, caps, alpha), (trial, alpha, caps)
+        rounds[min(len(got[1]), 3)] += 1
+    assert min(rounds[size] for size in range(4)) > 5, rounds
 
 
 def test_conservative_uniform_path4_frozen():

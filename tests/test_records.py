@@ -20,11 +20,18 @@ from ftkcenter import conservative, rounding, solvers
 from ftkcenter.bottleneck import MergedComponents, SweepSuccess
 from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
 from ftkcenter.instance import InstanceError, MetricInstance, ThresholdGraph
-from ftkcenter.oracle import random_point_instance, verify_conservative, verify_ft
-from ftkcenter.rounding import GeneralRounding, centers_within
+from ftkcenter.oracle import (
+    condition_b_exhaustive,
+    exact_distance1,
+    random_point_instance,
+    relaxed_ilp_holds,
+    verify_conservative,
+    verify_ft,
+)
+from ftkcenter.rounding import GeneralRounding, centers_within, verify_transfer
 from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
 
-from helpers import bfs_hops, hop_matrix_scenario
+from helpers import TWO_CLUSTERS, bfs_hops, hop_matrix_scenario
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
 
@@ -202,6 +209,48 @@ def test_repairs_build_no_hops_or_balls(plan, monkeypatch):
                 record(F)
                 repaired += 1
     assert repaired and not calls, calls
+
+
+def test_no_package_path_builds_the_hop_matrix(monkeypatch):
+    """With `ThresholdGraph.hops` raising, all four solvers solve seeded
+    instances and the two-cluster split instance, every answer verifies
+    and repairs every failure set up to alpha, each ft-general rounding
+    certifies its distance-8 transfer, and the exhaustive oracles run: the
+    all-pairs hop matrix is the tests' reference alone."""
+
+    def refuse(self):
+        raise AssertionError("a package path built the hop matrix")
+
+    monkeypatch.setattr(ThresholdGraph, "hops", refuse)
+    rng = random.Random("no hop matrix")
+    seen = Counter()
+    for label, solve, variant, caps_mode, _ in PLANS:
+        instances = [MetricInstance.from_points(TWO_CLUSTERS, 5, 1, [3] * 6, variant=variant)]
+        for i in range(12):
+            alpha = rng.randint(1, 2)
+            instances.append(random_point_instance(
+                rng, rng.randint(5, 9), alpha + rng.randint(1, 2), alpha, variant=variant,
+                caps_mode=caps_mode, name=f"{label}-{i}"))
+        for inst in instances:
+            res = solve(inst)
+            if not res.feasible:
+                continue
+            seen[label] += 1
+            assert res.verify().ok, inst.name
+            for size in range(inst.alpha + 1):
+                for F in combinations(res.centers, size):
+                    res.scenario(F)
+            graph = inst.threshold_graph(res.tau2_star)
+            y = {c: Fraction(1) for c in res.centers}
+            relaxed_ilp_holds(graph, y, inst.capacities, inst.k, inst.alpha)
+            exact_distance1(graph, inst.k, inst.capacities)
+            record = res.outcome.solution.scenario
+            if isinstance(record, GeneralRounding):
+                rr = record.rr
+                args = (rr.y0, rr.y3, rr.aug.ext, 8, record.backup_set(), rr.aug.caps_ext)
+                assert verify_transfer(*args) and condition_b_exhaustive(*args), inst.name
+                seen["roundings"] += 1
+    assert min(seen.values()) >= 3, seen
 
 
 def test_centers_within_matches_bfs_hops():

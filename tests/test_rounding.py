@@ -53,6 +53,10 @@ def test_condition_b_exhaustive_size_guard():
 
 
 def test_condition_b_flow_matches_exhaustive_random():
+    """The flow and the exhaustive subset check give one verdict on random
+    connected graphs, and on a tree over some of the vertices with the rest
+    isolated, the shape of a rounding tree over n + heads vertices, at
+    every r from 0 to n + 1, past the diameter."""
     rng = random.Random(91)
     agree_true = agree_false = 0
     for _ in range(120):
@@ -71,6 +75,23 @@ def test_condition_b_flow_matches_exhaustive_random():
         else:
             agree_false += 1
     assert agree_true and agree_false
+
+    rng = random.Random("forest transfer check")
+    seen = Counter()
+    for _ in range(80):
+        n = rng.randint(1, 10)
+        on_tree = rng.sample(range(n), rng.randint(1, n))
+        g = ThresholdGraph(n, [(v, rng.choice(on_tree[:i])) for i, v in enumerate(on_tree) if i])
+        caps = [rng.randint(0, 3) for _ in range(n)]
+        B = frozenset(v for v in range(n) if rng.random() < 0.2)
+        y = {v: Fraction(rng.randint(0, 3), 3) for v in range(n)}
+        y2 = {v: Fraction(rng.randint(0, 3), 3) for v in range(n)}
+        for r in range(n + 2):
+            verdict = condition_b_exhaustive(y, y2, g, r, B, caps)
+            assert condition_b_flow(y, y2, g, r, B, caps) == verdict, (n, r)
+            seen[verdict] += 1
+        seen["isolated"] += g.component_count() > 1
+    assert min(seen.values()) > 20, seen
 
 
 def test_verify_transfer_gatekeeping():

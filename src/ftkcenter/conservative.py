@@ -82,7 +82,8 @@ def conservative_uniform_connected(graph: ThresholdGraph, k: int, caps, alpha: i
 
 @dataclass(frozen=True)
 class ConservativeUniform:
-    """Repair record of the {0,L} conservative pipeline."""
+    """Repair record of the {0,L} conservative pipeline; its capacities
+    must be of {0,L} form, checked once at construction."""
 
     graph: ThresholdGraph
     caps: Sequence[int]
@@ -92,6 +93,7 @@ class ConservativeUniform:
     within: Within = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        uniform_capacity_level(self.caps)
         object.__setattr__(self, "within", Within.build(self.graph, self.centers, (7,)))
 
     def __call__(self, F) -> dict:
@@ -107,9 +109,8 @@ def reassign_uniform(state: ConservativeUniform, F) -> dict:
     further, have room for the orphans.
     """
     F = failure_set(F, state.alpha, state.within.centers)
-    uniform_capacity_level(state.caps)
     keep = {u: c for u, c in state.phi0.items() if c not in F}
-    return repair(state.within.lists[7], state.caps, state.centers, F, 7, keep)
+    return repair(state.within.lists[7], state.caps, F, 7, keep)
 
 
 def solve_conservative_uniform(inst: MetricInstance) -> SolveResult:
@@ -222,7 +223,7 @@ def reassign_flow(state: ConservativeGeneral, F) -> dict:
     F = failure_set(F, state.alpha, state.within.centers)
     keep = {u: c for u, c in state.phi0.items() if c not in F}
     bound = BETA + 6 * state.alpha
-    return repair(state.within.lists[bound], state.caps, state.centers, F, bound, keep)
+    return repair(state.within.lists[bound], state.caps, F, bound, keep)
 
 
 def solve_conservative_general(inst: MetricInstance) -> SolveResult:

@@ -53,19 +53,23 @@ are kept for the benchmark probe that wraps `flow.max_flow` and for the
 tests' reference implementations.
 
 `capacitated_assignment` seats unit-demand clients at centers of integer
-capacity, the problem of every scenario repair and of `verify_conservative`.
-It is a b-matching solved by BFS augmenting paths on the clients' allowed
-lists and builds no flow network; when some client stays unseated, the
-clients that alternating paths reach from the unseated ones are the Hall
-witness, the same client set as the minimal min cut of the transport
-network.
+room, the problem of every scenario repair and of `verify_conservative`.
+It is positional: client c may use the center ids `allowed[c]`, and center
+v has `room[v]` seats, one list indexed by vertex id.  Every caller closes
+a failed center by giving it zero room, so no caller filters the allowed
+lists or lists the live centers.  It is a b-matching solved by BFS
+augmenting paths on the allowed lists and builds no flow network; when
+some client stays unseated, the clients that alternating paths reach from
+the unseated ones are the Hall witness, the same client set as the minimal
+min cut of the transport network.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 from .instance import ContractViolation, InstanceError
 
@@ -460,48 +464,43 @@ class HallWitness:
 
 
 def capacitated_assignment(
-    clients: Sequence[Hashable],
-    centers: Sequence[Hashable],
-    allowed: Mapping[Hashable, Iterable[Hashable]],
-    capacities: Mapping[Hashable, int],
+    clients: Sequence[int], allowed: Sequence[Sequence[int]], room: Sequence[int]
 ):
-    """Assign each client a distinct slot at one of its allowed centers.
+    """Assign each client a distinct seat at one of its allowed centers.
 
-    A unit-demand b-matching by augmenting paths, in the order `clients`
-    lists them.  A client takes the first allowed center with room; when
-    every one is full, `_seat_by_path` searches for an augmenting path.  A
-    client without one stays unseated: by Berge's theorem it cannot gain one
-    later, so the final matching is maximum.
+    Client c may use the center ids `allowed[c]`, and center v has
+    `room[v]` seats: `room` is one list indexed by vertex id, which is
+    copied, never changed.  A caller closes a center, a failed one or one
+    its kept clients fill, by giving it zero room.  A unit-demand
+    b-matching by augmenting paths, in the order `clients` lists them.  A
+    client takes the first allowed center with room; when every one is
+    full, `_seat_by_path` searches for an augmenting path.  A client
+    without one stays unseated: by Berge's theorem it cannot gain one later,
+    so the final matching is maximum.
 
     Returns (assignment, None) when every client is seated.  Otherwise
     returns (None, HallWitness): the clients that alternating paths reach
     from the unseated ones, through their allowed centers and the clients
-    seated there.  They fill every center they may use and still leave some
+    seated there, with the summed `room` of those centers, a closed one
+    adding zero.  They fill every center they may use and still leave some
     unseated, and they are exactly the clients on the source side of the
     minimal min cut of the client -> center transport network.
     """
-    center_set = set(centers)
-    room = {}
-    for v in centers:
-        if capacities[v] < 0:
-            raise InstanceError("negative capacity")
-        room[v] = capacities[v]
-    for c in clients:
-        if not center_set.issuperset(allowed[c]):
-            v = next(v for v in allowed[c] if v not in center_set)
-            raise InstanceError(f"allowed center {v!r} not in centers")
-    seated = {v: [] for v in room}
+    if min(room, default=0) < 0:
+        raise InstanceError("negative capacity")
+    free = list(room)
+    seated = defaultdict(list)  # center -> the clients seated there
     phi = {}
     unseated = []
     for c in clients:
         for v in allowed[c]:
-            if room[v]:
-                room[v] -= 1
+            if free[v]:
+                free[v] -= 1
                 seated[v].append(c)
                 phi[c] = v
                 break
         else:
-            if not _seat_by_path(c, allowed, room, seated, phi):
+            if not _seat_by_path(c, allowed, free, seated, phi):
                 unseated.append(c)
     if not unseated:
         return phi, None
@@ -518,13 +517,13 @@ def capacitated_assignment(
                     if w not in witness:
                         witness.add(w)
                         queue.append(w)
-    cap = sum(capacities[v] for v in reach)
+    cap = sum(room[v] for v in reach)
     if cap >= len(witness):
         raise ContractViolation("alternating-path witness does not violate Hall's condition")
     return None, HallWitness(frozenset(witness), cap, len(witness))
 
 
-def _seat_by_path(c, allowed, room, seated, phi) -> bool:
+def _seat_by_path(c, allowed, free, seated, phi) -> bool:
     """Seat client c, whose allowed centers are all full, by a BFS
     augmenting path: from full centers to the clients seated there, then to
     those clients' allowed centers, until a center with room turns up.  Each
@@ -537,7 +536,7 @@ def _seat_by_path(c, allowed, room, seated, phi) -> bool:
             parent[v] = (c, None)
             queue.append(v)
     for v in queue:
-        if room[v]:
+        if free[v]:
             break
         for w in seated[v]:
             for x in allowed[w]:
@@ -546,7 +545,7 @@ def _seat_by_path(c, allowed, room, seated, phi) -> bool:
                     queue.append(x)
     else:
         return False
-    room[v] -= 1
+    free[v] -= 1
     while True:
         w, u = parent[v]
         seated[v].append(w)

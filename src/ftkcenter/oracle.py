@@ -175,10 +175,8 @@ def exact_distance1(graph: ThresholdGraph, k: int, caps: Sequence[int]):
     balls = [graph.closed(u) for u in range(graph.n)]
     for S in combinations(range(graph.n), k):
         sset = set(S)
-        allowed = {u: [c for c in balls[u] if c in sset] for u in range(graph.n)}
-        phi, _ = capacitated_assignment(
-            list(range(graph.n)), list(S), allowed, {c: caps[c] for c in S}
-        )
+        allowed = [[c for c in balls[u] if c in sset] for u in range(graph.n)]
+        phi, _ = capacitated_assignment(range(graph.n), allowed, caps)
         if phi is not None:
             return S, phi
     return None

@@ -13,8 +13,9 @@ pipeline's hop bound by one capacitated assignment, a unit-demand
 b-matching by augmenting paths (`flow.capacitated_assignment`): six hops
 for {0,L} capacities; nine for general capacities when only backups fail,
 ten otherwise.  A repair record builds each client's within-bound centers
-once (`centers_within`, one ball per center), and a scenario closes its
-failed centers by giving them no room.  The conservative pipelines make
+once (`centers_within`, one ball per center), and a scenario passes them
+as they are, with one room list indexed by vertex id: the capacities,
+its failed centers closed by zero room.  The conservative pipelines make
 their repairs with the same assignment, keeping the clients of live
 centers in their seats.
 """
@@ -293,21 +294,22 @@ class Within(NamedTuple):
         return cls(frozenset(centers), frozenset(backups), centers_within(graph, centers, bounds))
 
 
-def repair(lists, caps, centers, F: frozenset, bound: int, keep=None) -> dict:
+def repair(lists, caps, F: frozenset, bound: int, keep=None) -> dict:
     """One capacitated assignment of every client not in `keep` (client ->
     the center it keeps) to its centers within `bound` hops, `lists[u]`,
-    on the capacity that the kept clients leave free.  Every center takes
-    part: a failed one, and one the kept clients fill, with no room.  When
-    `keep` covers every client, nothing moves and the kept seats are the
-    answer."""
+    on the room that the kept clients leave: the capacities, a failed
+    center closed by zero room and each kept seat taken off.  When `keep`
+    covers every client, nothing moves and the kept seats are the answer."""
     keep = keep or {}
     clients = [u for u in range(len(lists)) if u not in keep]
     if not clients:
         return dict(keep)
-    room = {c: 0 if c in F else caps[c] for c in centers}
+    room = list(caps)
+    for c in F:
+        room[c] = 0
     for c in keep.values():
         room[c] -= 1
-    phi, _ = capacitated_assignment(clients, centers, lists, room)
+    phi, _ = capacitated_assignment(clients, lists, room)
     if phi is None:
         raise ContractViolation(
             f"scenario {sorted(F)}: no assignment within {bound} hops despite the stretch guarantee"
@@ -351,7 +353,7 @@ def assign_scenario_general(state: GeneralRounding, F) -> dict:
     within = state.within
     F = failure_set(F, state.alpha, within.centers)
     bound = 9 if F <= within.backups else 10
-    return repair(within.lists[bound], state.caps, state.rr.R, F, bound)
+    return repair(within.lists[bound], state.caps, F, bound)
 
 
 # -- uniform-capacity pipeline ----------------------------------------------
@@ -399,4 +401,4 @@ class UniformRounding:
 def assign_scenario_uniform(state: UniformRounding, F) -> dict:
     """Assignment within six hops avoiding up to alpha failed centers."""
     F = failure_set(F, state.alpha, state.within.centers)
-    return repair(state.within.lists[6], state.caps, state.R, F, 6)
+    return repair(state.within.lists[6], state.caps, F, 6)

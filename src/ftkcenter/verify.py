@@ -77,9 +77,13 @@ def verify_conservative(
 ) -> VerifyReport:
     """Check the base assignment plus every scenario's local repair.
 
-    A scenario passes when the orphaned clients (and only those) can be
-    rerouted to surviving centers whose spare capacity, after the untouched
-    clients keep their seats, suffices.
+    A scenario passes when the orphans, the clients of its failed centers
+    and only those, fit into the spare room of the live centers that the
+    untouched clients leave.  Each center's clients, in `phi0` order, and
+    one spare list indexed by vertex id are built once; a failure set F
+    takes its orphans from its centers' client lists, closes its centers by
+    zero room on a copy of the spare list, and runs one capacitated
+    assignment on the cover lists as they are.
     """
     bad = _check_centers(inst, centers)
     if bad is not None:
@@ -89,26 +93,30 @@ def verify_conservative(
         return VerifyReport(False, "base assignment must map vertex indices to center indices")
     if set(phi0) != set(range(inst.n)):
         return VerifyReport(False, "base assignment must cover every vertex")
-    load = {c: 0 for c in S}
+    served = {c: [] for c in S}
     ints, bound = inst.radius_bound(radius)
     for u, c in phi0.items():
-        if c not in load:
+        if c not in served:
             return VerifyReport(False, f"vertex {u} assigned to non-center {c}")
         if ints[u][c] > bound:
             return VerifyReport(False, f"vertex {u} is outside the radius of its center {c}")
-        load[c] += 1
-    for c, l in load.items():
-        if l > inst.capacities[c]:
-            return VerifyReport(False, f"center {c} carries {l} > capacity {inst.capacities[c]}")
+        served[c].append(u)
+    spare = list(inst.capacities)
+    for c, clients in served.items():
+        spare[c] -= len(clients)
+        if spare[c] < 0:
+            return VerifyReport(
+                False, f"center {c} carries {len(clients)} > capacity {inst.capacities[c]}"
+            )
     near = _covering(inst, S, radius)
     for F in combinations(S, inst.alpha):
-        moved = sorted(u for u in range(inst.n) if phi0[u] in F)
+        moved = sorted(u for c in F for u in served[c])
         if not moved:
             continue
-        live = [c for c in S if c not in F]
-        spare = {c: inst.capacities[c] - load[c] for c in live}
-        allowed = {u: [c for c in near[u] if c not in F] for u in moved}
-        phi, witness = capacitated_assignment(moved, live, allowed, spare)
+        room = spare[:]
+        for c in F:
+            room[c] = 0
+        phi, witness = capacitated_assignment(moved, near, room)
         if phi is None:
             return VerifyReport(
                 False,

@@ -10,8 +10,8 @@ out-neighborhoods read off G' masks, `transport` (one `flow.max_flow` on a
 below a bound among one `transport` per variant, the reference for
 `TransportNetwork.short`, exhaustive reference implementations of the
 separation problems, the separators' `TransportNetwork.short` calls at any
-bound and the separators with one `transport` per cut, the verifier with
-one assignment per failure scenario, the Fraction-tableau phase-1 and dual simplex, the from-scratch
+bound and the separators with one `transport` per cut, the verifiers with
+one assignment per failure scenario on filtered allowed lists, the Fraction-tableau phase-1 and dual simplex, the from-scratch
 cutting-plane loop, the Edmonds-Karp max-flow and the capacitated
 assignment read off its flow, cut capacities, the conservative-repair
 check, the exhaustive residual solve that the general conservative
@@ -44,6 +44,7 @@ from ftkcenter.instance import (
     InstanceError,
     MetricInstance,
     ThresholdGraph,
+    is_plain_int,
     mask_bits,
     uniform_capacity_level,
 )
@@ -558,13 +559,11 @@ def scratch_verify_ft(inst, centers, radius):
     if bad is not None:
         return bad
     S = sorted(centers)
-    caps = {c: inst.capacities[c] for c in S}
     reach = radius.value_sq()
     near = [[c for c in S if row[c] <= reach] for row in inst.d2]
     for F in combinations(S, inst.alpha):
-        live = [c for c in S if c not in F]
-        allowed = {u: [c for c in cs if c not in F] for u, cs in enumerate(near)}
-        phi, witness = capacitated_assignment(list(range(inst.n)), live, allowed, caps)
+        allowed = [[c for c in cs if c not in F] for cs in near]
+        phi, witness = capacitated_assignment(range(inst.n), allowed, inst.capacities)
         if phi is None:
             return VerifyReport(
                 False,
@@ -572,6 +571,51 @@ def scratch_verify_ft(inst, centers, radius):
                 f"capacity {witness.capacity} < {witness.demand}",
             )
     return VerifyReport(True, "all scenarios served")
+
+
+def filtering_verify_conservative(inst, centers, phi0, radius):
+    """`verify.verify_conservative` as a loop that rebuilds, per failure set
+    F, the live centers, their spare capacity and the allowed lists
+    filtered to them, and scans every client for the orphans: the
+    reference for the verifier's per-center client lists and zero-room
+    closing.  Its cover lists come from the `Fraction` squared distances."""
+    bad = _check_centers(inst, centers)
+    if bad is not None:
+        return bad
+    S = sorted(centers)
+    if not all(is_plain_int(u) and is_plain_int(c) for u, c in phi0.items()):
+        return VerifyReport(False, "base assignment must map vertex indices to center indices")
+    if set(phi0) != set(range(inst.n)):
+        return VerifyReport(False, "base assignment must cover every vertex")
+    load = {c: 0 for c in S}
+    reach = radius.value_sq()
+    for u, c in phi0.items():
+        if c not in load:
+            return VerifyReport(False, f"vertex {u} assigned to non-center {c}")
+        if inst.d2[u][c] > reach:
+            return VerifyReport(False, f"vertex {u} is outside the radius of its center {c}")
+        load[c] += 1
+    for c, l in load.items():
+        if l > inst.capacities[c]:
+            return VerifyReport(False, f"center {c} carries {l} > capacity {inst.capacities[c]}")
+    near = [[c for c in S if row[c] <= reach] for row in inst.d2]
+    for F in combinations(S, inst.alpha):
+        moved = sorted(u for u in range(inst.n) if phi0[u] in F)
+        if not moved:
+            continue
+        live = [c for c in S if c not in F]
+        spare = [0] * inst.n
+        for c in live:
+            spare[c] = inst.capacities[c] - load[c]
+        allowed = {u: [c for c in near[u] if c not in F] for u in moved}
+        phi, witness = capacitated_assignment(moved, allowed, spare)
+        if phi is None:
+            return VerifyReport(
+                False,
+                f"failures {sorted(F)}: orphans {sorted(witness.clients)} see spare "
+                f"capacity {witness.capacity} < {witness.demand}",
+            )
+    return VerifyReport(True, "base assignment and all repairs served")
 
 
 def fraction_feasible_point(lp):
@@ -839,25 +883,24 @@ def edmonds_karp_max_flow(net):
     return value, {a: f for a, f in flow.items() if f > 0}, frozenset(reachable)
 
 
-def flow_capacitated_assignment(clients, centers, allowed, capacities):
+def flow_capacitated_assignment(clients, allowed, room):
     """`flow.capacitated_assignment` by one Edmonds-Karp max flow on the
     client -> center transport network (source -> client 1, client ->
-    allowed center unbounded, center -> sink its capacity): the assignment
+    allowed center unbounded, center -> sink its room): the assignment
     read off the flow, the Hall witness off the clients on the source side
     of the minimal min cut.  The reference for the augmenting-path engine,
     which must agree on feasibility and on the witness."""
-    center_set = set(centers)
-    for c in clients:
-        if not center_set.issuperset(allowed[c]):
-            v = next(v for v in allowed[c] if v not in center_set)
-            raise InstanceError(f"allowed center {v!r} not in centers")
+    if min(room, default=0) < 0:
+        raise InstanceError("negative capacity")
     net = FlowNetwork("s", "t")
+    centers = {}
     for c in clients:
         net.add_arc("s", ("client", c), 1)
         for v in allowed[c]:
             net.add_arc(("client", c), ("center", v), INF)
+            centers[v] = None
     for v in centers:
-        net.add_arc(("center", v), "t", capacities[v])
+        net.add_arc(("center", v), "t", room[v])
     value, arc_flow, min_cut = edmonds_karp_max_flow(net)
     if value == len(clients):
         phi = {}
@@ -873,7 +916,7 @@ def flow_capacitated_assignment(clients, centers, allowed, capacities):
     reach = set()
     for c in witness:
         reach.update(allowed[c])
-    cap = sum(capacities[v] for v in reach)
+    cap = sum(room[v] for v in reach)
     if cap >= len(witness):
         raise ContractViolation("min-cut witness does not violate Hall's condition")
     return None, HallWitness(witness, cap, len(witness))
@@ -916,7 +959,10 @@ def hop_matrix_repair(graph: ThresholdGraph, caps, centers, F: frozenset, bound:
         free[c] -= 1
     targets = sorted(c for c, f in free.items() if f > 0)
     allowed = {u: [c for c in targets if hops[u][c] <= bound] for u in clients}
-    phi, _ = capacitated_assignment(clients, targets, allowed, {c: free[c] for c in targets})
+    room = [0] * graph.n
+    for c in targets:
+        room[c] = free[c]
+    phi, _ = capacitated_assignment(clients, allowed, room)
     if phi is None:
         raise ContractViolation(
             f"scenario {sorted(F)}: no assignment within {bound} hops despite the stretch guarantee"

@@ -187,6 +187,20 @@ def test_reassign_uniform_direct_and_tripwire():
         reassign_uniform(full, {1})
 
 
+def test_conservative_uniform_record_checks_its_capacities_once(monkeypatch):
+    """A {0,L} record checks its capacities at construction: two positive
+    levels raise InstanceError there, and a repair checks nothing again."""
+    with pytest.raises(InstanceError, match="not of \\{0,L\\} form"):
+        ConservativeUniform(path_graph(4), [4, 2, 4, 4], {u: 1 for u in range(4)}, 1, (0, 1))
+    state = ConservativeUniform(path_graph(4), [4] * 4, {u: 1 for u in range(4)}, 1, (0, 1))
+
+    def no_check(caps):
+        raise AssertionError("a repair checked the capacity levels")
+
+    monkeypatch.setattr(conservative, "uniform_capacity_level", no_check)
+    assert reassign_uniform(state, {1}) == {u: 0 for u in range(4)}
+
+
 def test_reassign_uniform_hop_bound():
     """Seven hops: on an 8-vertex path the only live center is seven hops
     from the orphan at the far end, so the same assignment within six fails."""
@@ -195,7 +209,7 @@ def test_reassign_uniform_hop_bound():
     state = ConservativeUniform(g, caps, dict.fromkeys(range(8), 7), 1, (0, 7))
     assert reassign_uniform(state, {7}) == dict.fromkeys(range(8), 0)
     with pytest.raises(ContractViolation, match="no assignment within 6 hops"):
-        repair(centers_within(g, (0, 7), (6,))[6], caps, (0, 7), frozenset({7}), 6, {})
+        repair(centers_within(g, (0, 7), (6,))[6], caps, frozenset({7}), 6, {})
 
 
 # path 0..12 with centers 0, 6 and 12; the base assignment fills 6 and 12
@@ -246,7 +260,7 @@ def test_reassign_flow_hop_bound():
     state = ConservativeGeneral(g, caps, frozenset({0}), dict.fromkeys(range(16), 15), 1, (0, 15))
     assert reassign_flow(state, {15}) == dict.fromkeys(range(16), 0)
     with pytest.raises(ContractViolation, match="no assignment within 14 hops"):
-        repair(centers_within(g, (0, 15), (14,))[14], caps, (0, 15), frozenset({15}), 14, {})
+        repair(centers_within(g, (0, 15), (14,))[14], caps, frozenset({15}), 14, {})
 
 
 def test_repair_without_orphans_keeps_every_seat(monkeypatch):

@@ -110,8 +110,9 @@ def test_zero_flow_network():
 
 
 def test_capacitated_assignment_feasible():
-    allowed = {0: [10, 11], 1: [10], 2: [11]}
-    phi, witness = capacitated_assignment([0, 1, 2], [10, 11], allowed, {10: 1, 11: 2})
+    allowed = [[10, 11], [10], [11]]
+    room = [0] * 10 + [1, 2]
+    phi, witness = capacitated_assignment([0, 1, 2], allowed, room)
     assert witness is None
     assert phi[1] == 10 and phi[2] == 11
     assert sorted(phi) == [0, 1, 2]
@@ -120,34 +121,47 @@ def test_capacitated_assignment_feasible():
         assert c in allowed[u]
         load[c] = load.get(c, 0) + 1
     assert load[10] <= 1 and load[11] <= 2
+    assert room == [0] * 10 + [1, 2]
 
 
 def test_capacitated_assignment_hall_witness():
-    # three clients all needing the same unit-capacity center
-    allowed = {0: [9], 1: [9], 2: [9]}
-    phi, witness = capacitated_assignment([0, 1, 2], [9], allowed, {9: 1})
+    # three clients all needing the same unit-room center
+    phi, witness = capacitated_assignment([0, 1, 2], [[9], [9], [9]], [0] * 9 + [1])
     assert phi is None
     assert set(witness.clients) == {0, 1, 2}
     assert witness.capacity == 1 and witness.demand == 3
     assert witness.capacity < witness.demand
 
 
+def test_capacitated_assignment_closed_center_adds_zero_room():
+    """Center 1 is closed by zero room: client 0 skips it and client 1,
+    which may use only it, is the witness, with capacity 0 from it."""
+    phi, witness = capacitated_assignment([0, 1], [[1, 2], [1]], [5, 0, 1])
+    assert phi is None
+    assert witness.clients == frozenset({1}) and witness.capacity == 0 and witness.demand == 1
+    phi, witness = capacitated_assignment([0], [[1, 2]], [5, 0, 1])
+    assert phi == {0: 2} and witness is None
+
+
 def test_capacitated_assignment_empty_clients():
-    phi, witness = capacitated_assignment([], [5], {}, {5: 1})
+    phi, witness = capacitated_assignment([], [], [0] * 5 + [1])
     assert phi == {} and witness is None
 
 
-def test_capacitated_assignment_rejects_center_outside_centers():
-    with pytest.raises(InstanceError):
-        capacitated_assignment([0, 1], [10], {0: [10], 1: [11]}, {10: 2, 11: 2})
+def test_capacitated_assignment_rejects_negative_room():
+    with pytest.raises(InstanceError, match="negative capacity"):
+        capacitated_assignment([0], [[1]], [0, 1, -1])
 
 
 def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
     """Augmenting paths against one max flow on the transport network
     (`helpers.flow_capacitated_assignment`), on seeded random bipartite
-    inputs with 0-9 clients, 1-6 centers, capacities 0-3 and random allowed
-    sets: the same feasibility, a valid assignment when feasible, and the
-    same Hall witness when not.  No flow network is built or solved."""
+    inputs with 0-9 clients, 1-6 centers among ids 30-39, room 0-3 and
+    random allowed lists: the same feasibility, a valid assignment when
+    feasible, and the same Hall witness when not.  The room list covers
+    ids 0-39 and more, so ids with zero room and ids in no allowed list,
+    clients' ids among them, take part; the call leaves it unchanged.  No
+    flow network is built or solved."""
 
     def no_flow(*args, **kwargs):
         raise AssertionError("capacitated_assignment ran the flow engine")
@@ -155,15 +169,20 @@ def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
     for name in ("FlowNetwork", "max_flow", "TransportNetwork"):
         monkeypatch.setattr(flow, name, no_flow)
     rng = random.Random(1608)
-    feasible = infeasible = partial = 0
+    feasible = infeasible = partial = closed = 0
     for _ in range(3000):
         clients = rng.sample(range(30), rng.randint(0, 9))
         centers = rng.sample(range(30, 40), rng.randint(1, 6))
-        capacities = {v: rng.randint(0, 3) for v in centers}
-        allowed = {c: rng.sample(centers, rng.randint(0, len(centers))) for c in clients}
-        phi, witness = capacitated_assignment(clients, centers, allowed, capacities)
-        ref_phi, ref_witness = flow_capacitated_assignment(clients, centers, allowed, capacities)
+        room = [rng.randint(0, 3) for _ in range(40 + rng.randint(0, 3))]
+        allowed = [[] for _ in range(30)]
+        for c in clients:
+            allowed[c] = rng.sample(centers, rng.randint(0, len(centers)))
+        before = room[:]
+        phi, witness = capacitated_assignment(clients, allowed, room)
+        assert room == before
+        ref_phi, ref_witness = flow_capacitated_assignment(clients, allowed, room)
         assert (phi is None) == (ref_phi is None)
+        closed += any(not room[v] for c in clients for v in allowed[c])
         if phi is None:
             assert witness == ref_witness
             infeasible += 1
@@ -174,9 +193,10 @@ def test_capacitated_assignment_matches_the_max_flow_reference(monkeypatch):
         for c, v in phi.items():
             assert v in allowed[c]
             load[v] += 1
-        assert all(load[v] <= capacities[v] for v in centers)
+        assert all(load[v] <= room[v] for v in centers)
         feasible += 1
     assert feasible > 500 and infeasible > 500 and partial > 200, (feasible, infeasible, partial)
+    assert closed > 1000, closed
 
 
 def test_transport_fractional_demand_with_dead_end_center(monkeypatch):

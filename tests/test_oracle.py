@@ -3,11 +3,13 @@ check, the gap family, and the random-instance generators."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ftkcenter import verify
+from ftkcenter.conservative import solve_conservative_general, solve_conservative_uniform
 from ftkcenter.instance import (
     InstanceError,
     MetricInstance,
@@ -29,6 +31,7 @@ from ftkcenter.verify import VerifyReport, verify_conservative, verify_ft
 from helpers import (
     cycle_graph,
     edge_set,
+    filtering_verify_conservative,
     flow_capacitated_assignment,
     path_graph,
     random_connected_graph,
@@ -126,6 +129,76 @@ def test_verify_conservative_reports_the_max_flow_witness(monkeypatch):
     assert rep == VerifyReport(False, "failures [0, 5]: orphans [0, 4] see spare capacity 1 < 2")
     monkeypatch.setattr(verify, "capacitated_assignment", flow_capacitated_assignment)
     assert verify_conservative(inst, centers, phi0, Radius(1, 4)) == rep
+
+
+def shuffled_base_assignment(rng, inst, centers, radius):
+    """A base assignment whose keys come in shuffled order: each vertex
+    mostly takes a random center within the radius that has room left,
+    else any center, so every report of the verifier turns up."""
+    reach = radius.value_sq()
+    left = {c: inst.capacities[c] for c in centers}
+    phi0 = {}
+    for u in rng.sample(range(inst.n), inst.n):
+        near = [c for c in centers if inst.d2[u][c] <= reach and left[c] > 0]
+        c = rng.choice(near) if near and rng.random() < 0.97 else rng.choice(centers)
+        left[c] -= 1
+        phi0[u] = c
+    return phi0
+
+
+def report_kind(rep: VerifyReport) -> str:
+    if rep.ok:
+        return "ok"
+    return "scenario" if rep.detail.startswith("failures") else "base"
+
+
+def test_verify_conservative_matches_the_filtering_loop():
+    """The verifier, which takes each failure set's orphans from per-center
+    client lists and closes the failed centers by zero room, gives the
+    report of the loop that filters the live centers, their spare capacity
+    and the allowed lists per failure set and scans every client
+    (`helpers.filtering_verify_conservative`).  Random conservative
+    instances with n 3-10, alpha 0-3 and all three capacity modes are
+    checked at radii m * tau, m = 1..3, for three thresholds each, with
+    random centers and base assignments of shuffled key order; then the
+    cons-0l and cons-general answers of random instances, at their radius
+    and at stretches below it."""
+    rng = random.Random("verify/conservative-filtering")
+    kinds = Counter()
+    for trial in range(240):
+        n = rng.randint(3, 10)
+        alpha = rng.randint(0, min(3, n - 1))
+        k = rng.randint(alpha + 1, n)
+        mode = ("general", "uniform", "unit")[trial % 3]
+        inst = random_point_instance(rng, n, k, alpha, "conservative", mode)
+        thresholds = inst.thresholds_sq()
+        for tau2 in rng.sample(thresholds, min(3, len(thresholds))):
+            for m in (1, 2, 3):
+                radius = Radius(m, tau2)
+                centers = rng.sample(range(n), k)
+                phi0 = shuffled_base_assignment(rng, inst, centers, radius)
+                rep = verify_conservative(inst, centers, phi0, radius)
+                assert rep == filtering_verify_conservative(inst, centers, phi0, radius)
+                kinds[report_kind(rep)] += 1
+    solved = Counter()
+    for solve, mode in ((solve_conservative_uniform, "uniform"), (solve_conservative_general, "general")):
+        for _ in range(12):
+            n = rng.randint(4, 8)
+            alpha = rng.randint(1, 2)
+            inst = random_point_instance(rng, n, rng.randint(alpha + 1, n), alpha, "conservative", mode)
+            res = solve(inst)
+            if not res.feasible:
+                continue
+            solved[mode] += 1
+            phi0 = dict(rng.sample(sorted(res.assignment.items()), n))
+            stretch = res.radius().mult
+            for mult in range(stretch, max(stretch - 4, 0), -1):
+                radius = Radius(mult, res.tau2_star)
+                rep = verify_conservative(inst, res.centers, phi0, radius)
+                assert rep == filtering_verify_conservative(inst, res.centers, phi0, radius)
+                kinds[report_kind(rep)] += 1
+    assert solved["uniform"] >= 6 and solved["general"] >= 6, solved
+    assert kinds["ok"] > 500 and kinds["scenario"] > 400 and kinds["base"] > 500, kinds
 
 
 def random_bound_instances(rng):

@@ -44,8 +44,25 @@ def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
     assignment within the radius.
 
     Only scenarios of size exactly alpha are tried: an assignment that avoids
-    a failure set also serves every subset of it.  The scenarios are the
-    closed variants of one `TransportNetwork.short` call at bound n, each
+    a failure set also serves every subset of it.  S survives every alpha
+    failures iff cap(N(U)) - top(N(U)) >= |U| for every nonempty client set
+    U, where N(U) is the centers of S within the radius of some client of U
+    and top(X) the sum of the alpha largest capacities in X.
+
+    One forced pass accepts first, in polynomial time.  For any t >= 0 and
+    any X, sum over x in X of min(c_x, t) - alpha*t <= cap(X) - top(X): each
+    of the alpha largest terms gives min(c, t) - t <= 0, each other term
+    min(c, t) <= c, and when |X| < alpha the left side is at most
+    (|X| - alpha)*t <= 0 (the LP form of the sum of the alpha largest
+    values, Ogryczak and Tamir, IPL 2003).  The forced variants of the
+    network with supplies min(c, t) and bound n + alpha*t are short exactly
+    when some nonempty U has sum min(c_x, t) - alpha*t < |U| over N(U), so
+    a pass with none short proves every scenario served.  t is the alpha-th
+    largest capacity in S, the largest when alpha = 0; then equality holds
+    when every positive capacity in S is equal, and the pass is exact.
+
+    A short pass falls back to the closed variants of one
+    `TransportNetwork.short` call at bound n on the same network, each
     re-augmenting only the load its failures displace; the first one short
     of n is reported with the clients of its minimal min cut and the
     capacity of the live centers on its source side.
@@ -56,8 +73,13 @@ def verify_ft(inst: MetricInstance, centers, radius: Radius) -> VerifyReport:
     n = inst.n
     S = sorted(centers)
     network = TransportNetwork(_covering(inst, S, radius), S)
+    caps = [inst.capacities[c] for c in S]
+    t = sorted(caps, reverse=True)[max(inst.alpha, 1) - 1]
+    capped = [min(c, t) for c in caps]
+    if network.short([1] * n, capped, n + inst.alpha * t, forced=True) is None:
+        return VerifyReport(True, "all scenarios served")
     scenarios = list(combinations(S, inst.alpha))
-    hit = network.short([1] * n, [inst.capacities[c] for c in S], n, closed=scenarios)
+    hit = network.short([1] * n, caps, n, closed=scenarios)
     if hit is None:
         return VerifyReport(True, "all scenarios served")
     index, blocked, reach = hit

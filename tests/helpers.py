@@ -11,7 +11,8 @@ below a bound among one `transport` per variant, the reference for
 `TransportNetwork.short`, exhaustive reference implementations of the
 separation problems, the separators' `TransportNetwork.short` calls at any
 bound and the separators with one `transport` per cut, the verifiers with
-one assignment per failure scenario on filtered allowed lists, the Fraction-tableau phase-1 and dual simplex, the from-scratch
+one assignment per failure scenario on filtered allowed lists, a spy on
+`TransportNetwork.short` calls, the Fraction-tableau phase-1 and dual simplex, the from-scratch
 cutting-plane loop, the Edmonds-Karp max-flow and the capacitated
 assignment read off its flow, cut capacities, the conservative-repair
 check, the exhaustive residual solve that the general conservative
@@ -36,6 +37,7 @@ from ftkcenter.flow import (
     INF,
     FlowNetwork,
     HallWitness,
+    TransportNetwork,
     capacitated_assignment,
     max_flow,
 )
@@ -571,6 +573,22 @@ def scratch_verify_ft(inst, centers, radius):
                 f"capacity {witness.capacity} < {witness.demand}",
             )
     return VerifyReport(True, "all scenarios served")
+
+
+def watch_shorts(monkeypatch):
+    """Rebind `TransportNetwork.short` to a wrapper that appends, for each
+    call, (forced, hit, network) to the returned list: whether the call
+    asked for forced variants, what it returned, and the network asked."""
+    shorts = []
+    short = TransportNetwork.short
+
+    def watched(self, *args, **kwargs):
+        hit = short(self, *args, **kwargs)
+        shorts.append((kwargs.get("forced", False), hit, self))
+        return hit
+
+    monkeypatch.setattr(TransportNetwork, "short", watched)
+    return shorts
 
 
 def filtering_verify_conservative(inst, centers, phi0, radius):

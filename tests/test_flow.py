@@ -17,10 +17,11 @@ from ftkcenter.flow import (
     capacitated_assignment,
     max_flow,
 )
-from ftkcenter.instance import ContractViolation, InstanceError, Radius
+from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, Radius
 from ftkcenter.lp import general_network, separate_general, separate_uniform, uniform_network
 from ftkcenter.oracle import random_point_instance, verify_ft
 from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
+from ftkcenter.verify import VerifyReport
 
 from helpers import (
     assert_first_violated_row,
@@ -36,6 +37,7 @@ from helpers import (
     reference_short,
     transport,
     transport_variants,
+    watch_shorts,
 )
 
 
@@ -636,9 +638,13 @@ def test_separate_general_stops_at_its_witness(monkeypatch):
 
 
 def test_verify_ft_stops_at_the_scenario_it_reports(monkeypatch):
-    """A rejected solution runs the closed chain up to the failure set its
-    report names; an accepted one runs every scenario."""
+    """`verify_ft` runs its capacity-capped forced pass first: one base
+    flow, then one `_augment` call per twin class up to the first short
+    one.  An accepted solution makes the pass's calls only, every class
+    solved; a rejected one adds the closed chain up to the failure set its
+    report names, i + 1 calls for the i-th scenario."""
     calls = count_augments(monkeypatch)
+    shorts = watch_shorts(monkeypatch)
     rng = random.Random(2018)
     seen = {"accepted": 0, "stopped before the last scenario": 0}
     for _ in range(200):
@@ -650,16 +656,36 @@ def test_verify_ft_stops_at_the_scenario_it_reports(monkeypatch):
         radius = Radius(rng.randint(1, 3), rng.choice((0, *inst.thresholds_sq())))
         scenarios = list(combinations(sorted(centers), alpha))
         calls[0] = 0
+        shorts.clear()
         rep = verify_ft(inst, centers, radius)
+        (forced, hit, network), *chain = shorts
+        assert forced
         if rep.ok:
-            assert calls[0] == len(scenarios)
+            assert hit is None and not chain
+            assert calls[0] == 2 + max(network.twin)  # the base flow and every class
             seen["accepted"] += 1
         else:
+            assert [c[0] for c in chain] == [False]
             F = ast.literal_eval(rep.detail[len("failures "):rep.detail.index(":")])
             i = scenarios.index(tuple(F))
-            assert calls[0] == i + 1
+            # the base flow and the classes up to the short one, then the chain
+            assert calls[0] == 2 + network.twin[hit[0]] + i + 1
             seen["stopped before the last scenario"] += i < len(scenarios) - 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_verify_ft_accepts_alpha_8_in_one_forced_pass(monkeypatch):
+    """n = 30 points on a 6 x 6 grid, k = 20 centers of capacity 3 and the
+    rest 0, alpha = 8: `ft-0l` solves it, and `verify_ft` accepts its
+    answer in the capped forced pass, one base flow and one twin class,
+    where the closed chain alone ran all C(20, 8) = 125,970 scenarios."""
+    rng = random.Random(0)
+    points = [[rng.randrange(6), rng.randrange(6)] for _ in range(30)]
+    inst = MetricInstance.from_points(points, 20, 8, [3] * 20 + [0] * 10)
+    res = solve_ft_uniform(inst)
+    calls = count_augments(monkeypatch)
+    assert verify_ft(inst, res.centers, res.radius()) == VerifyReport(True, "all scenarios served")
+    assert calls[0] <= 2, calls
 
 
 def watch_augments(monkeypatch):
@@ -959,8 +985,9 @@ def test_one_network_per_threshold_and_one_short_call_per_pass(monkeypatch, solv
     """Solves of seeded random instances, each followed by `verify()`:
     every `solve_cutting_plane` call comes right after one `TransportNetwork`
     build by the connected solver, every separation pass is one `short` call
-    on that network and builds no arrays, and every `verify_ft` call is one
-    `TransportNetwork` build and one `short` call.  Calls are counted by code object, so a call that
+    on that network and builds no arrays, and every `verify_ft` call, an
+    accept at the solve's radius, is one `TransportNetwork` build and one
+    `short` call, its forced pass.  Calls are counted by code object, so a call that
     bypasses a module global is counted too; the separators are also
     counted through their module globals, as the benchmark probes them."""
     connected = {solvers.ft_general_connected.__code__, solvers.ft_uniform_connected.__code__}

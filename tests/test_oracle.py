@@ -37,6 +37,7 @@ from helpers import (
     random_connected_graph,
     random_feasible_instance,
     scratch_verify_ft,
+    watch_shorts,
 )
 
 LINE4 = [(0, 0), (1, 0), (2, 0), (3, 0)]
@@ -83,6 +84,44 @@ def test_verify_ft_matches_the_per_scenario_loop():
         verdicts[got.ok] += 1
         verdicts["alpha 0"] += alpha == 0
     assert verdicts[True] > 40 and verdicts[False] > 150 and verdicts["alpha 0"] > 60, verdicts
+
+
+def test_verify_ft_capped_pass_is_sound_and_exact_on_equal_capacities(monkeypatch):
+    """The capacity-capped forced pass that `verify_ft` runs first, read off
+    its `short` call, against the enumeration of every failure set: on
+    random instances, centers and radii m * tau for m = 1, 2, 4 and 9,
+    with alpha from 0 to 3, it never accepts a set that some scenario
+    fails.  On capacities whose positive values are all equal ({0,L},
+    equal and unit) it accepts exactly the sets that survive every
+    scenario.  `verify_ft` reports what the enumeration reports, and every
+    kind of capacities meets both verdicts of the pass."""
+    shorts = watch_shorts(monkeypatch)
+    rng = random.Random("capped pass")
+    seen = Counter()
+    for _ in range(1500):
+        mode = rng.choice(["general", "uniform", "equal", "unit"])
+        alpha = rng.randint(0, 3)
+        k = rng.randint(alpha + 1, alpha + 4)
+        n = rng.randint(k, 9)
+        if mode == "equal":
+            points = [(rng.randrange(6), rng.randrange(6)) for _ in range(n)]
+            inst = MetricInstance.from_points(points, k, alpha, [rng.randint(1, n)] * n)
+        else:
+            inst = random_point_instance(rng, n, k, alpha, caps_mode=mode, span=6)
+        centers = rng.sample(range(n), k)
+        tau2 = rng.choice(inst.thresholds_sq())
+        for m in (1, 2, 4, 9):
+            radius = Radius(m, tau2)
+            shorts.clear()
+            got = verify_ft(inst, centers, radius)
+            want = scratch_verify_ft(inst, centers, radius)
+            assert got == want
+            accepted = shorts[0][1] is None
+            assert want.ok or not accepted
+            if mode != "general":
+                assert accepted == want.ok
+            seen[mode, accepted] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 50, seen
 
 
 def test_verify_conservative_accepts():

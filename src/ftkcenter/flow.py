@@ -1,11 +1,11 @@
 """Exact max-flow on integer residual arrays, the client -> center transport
 network, and capacitated assignment.
 
-Dinic's algorithm on integer-indexed arrays, `_augment`: each phase builds a
-level graph by BFS and saturates it with a blocking flow.  There are at most
-V phases of O(VE) work each, O(V^2 E) in all, a bound that does not depend
-on capacity values.  Infinite capacity is math.inf, never a large surrogate
-number.
+Edmonds-Karp on integer-indexed arrays, `_augment`: each round finds a
+shortest augmenting path by BFS and pushes its bottleneck.  There are at
+most O(VE) rounds of O(E) work each, O(V E^2) in all, a bound that does not
+depend on capacity values.  Infinite capacity is math.inf, never a large
+surrogate number.
 
 The package solves every flow network on one path, `TransportNetwork`:
 client demand routed to allowed centers within their supply, the Hall-type
@@ -18,14 +18,7 @@ positional: client i may use the center ids `allowed[i]`, and `short` takes
 demand in client order and supply in center order.  Clients whose allowed
 lists are equal are twins, and each class of twins is one flow node whose
 demand is the sum of its members': at a verification radius most clients
-see the same centers.  The positive-demand members of a class are on one
-side of every min cut, since a member moved to its class-mates' side saves
-its demand and adds nothing, its unbounded arcs going to the same centers;
-a zero-demand client carries no flow and is on the minimal source side
-only when forced.  So the class network has the value and, expanded to
-members, the minimal min cut of the per-client one, and forcing any
-member of a class gives the class's one forced value: a class that is not
-short at its first member is short at none, and is solved once.  The
+see the same centers.  `TransportNetwork` says why that is exact.  The
 network builds its integer arrays once, and `short` reads two facts of
 their layout: the source's arcs are the source arcs in class order, and a
 center lists its sink arc first, then only the reverses of the class arcs
@@ -34,15 +27,15 @@ writes each class's sum into a copy of the zero-flow residuals, and solves
 the variants in order until one falls short: each client forced in, one
 class at a time from one base flow, or one center set closed, the closed
 ones as one chain, each from the maximum flow of the one before with only
-the load of the newly closed centers re-augmented.  Before Dinic runs on a
-variant, a seating pass, `_seat`, routes what it can along the one-step
-paths source -> class -> allowed center -> sink, the classes in order,
-without a level graph; Dinic then finishes the flow, and often its first
-BFS already finds no path to the sink.  The seated flow is a feasible
-flow, Dinic takes any feasible flow to a maximum one, and the value and
-the minimal min cut are the same for every maximum flow, so the pass
-changes no result.  The LP separators build one network per threshold and
-call `short` once per cutting-plane round, with the supplies of that
+the load of the newly closed centers re-augmented.  Before `_augment` runs
+on a variant, a seating pass, `_seat`, routes what it can along the
+one-step paths source -> class -> allowed center -> sink, the classes in
+order, without a BFS; `_augment` then finishes the flow, and often its
+first BFS already finds no path to the sink.  The seated flow is a
+feasible flow, `_augment` takes any feasible flow to a maximum one, and the
+value and the minimal min cut are the same for every maximum flow, so the
+pass changes no result.  The LP separators build one network per threshold
+and call `short` once per cutting-plane round, with the supplies of that
 round's point; the other callers build a network for a single call.  A
 caller that needs the plain network asks for the single variant
 closed=[()].
@@ -132,63 +125,40 @@ def _arrays(cap, index):
 
 
 def _augment(head, res, adj, s, t):
-    """Dinic from the flow that the residuals `res` hold to a maximum flow,
-    updating `res` in place.  Returns the value added and the nodes the last
-    BFS reached: the minimal source side of a min cut."""
+    """Edmonds-Karp from the flow that the residuals `res` hold to a maximum
+    flow, updating `res` in place.  Returns the value added and the nodes the
+    last BFS reached: the minimal source side of a min cut."""
     value = 0
     while True:
-        # level graph: BFS over arcs with residual capacity
-        level = [-1] * len(adj)
-        level[s] = 0
+        # BFS over arcs with residual capacity until it reaches t
+        into = [-1] * len(adj)  # the arc the BFS entered each node by, -1 before
+        into[s] = None
         reached = [s]
         for u in reached:
-            lv = level[u] + 1
             for e in adj[u]:
-                if res[e] and level[head[e]] < 0:
-                    level[head[e]] = lv
-                    reached.append(head[e])
-        if level[t] < 0:
-            return value, reached
-        # blocking flow: iterative DFS along level-increasing arcs, each node
-        # resuming at its current arc
-        pos = [0] * len(adj)
-        path = []
-        u = s
-        while True:
-            if u == t:
-                push = min(res[e] for e in path)
-                if push == INF:  # cannot happen: some arc on any s-t path is finite
-                    raise ContractViolation("infinite bottleneck after the infinite-path check")
-                value += push
-                cut = None
-                for k, e in enumerate(path):
-                    res[e] -= push
-                    res[e ^ 1] += push
-                    if cut is None and not res[e]:
-                        cut = k
-                # resume at the tail of the first saturated arc
-                u = head[path[cut] ^ 1]
-                del path[cut:]
-                continue
-            arcs = adj[u]
-            end = len(arcs)
-            i = pos[u]
-            lv = level[u] + 1
-            while i < end:
-                e = arcs[i]
-                if res[e] and level[head[e]] == lv:
-                    break
-                i += 1
-            pos[u] = i
-            if i < end:
-                path.append(arcs[i])
-                u = head[arcs[i]]
-            elif u == s:
+                if res[e]:
+                    v = head[e]
+                    if into[v] == -1:
+                        into[v] = e
+                        reached.append(v)
+            if into[t] != -1:
                 break
-            else:  # dead end: retreat and skip the arc that led here
-                level[u] = -1
-                u = head[path.pop() ^ 1]
-                pos[u] += 1
+        else:
+            return value, reached
+        # push the bottleneck along the shortest path back from t
+        path = []
+        v = t
+        while v != s:
+            e = into[v]
+            path.append(e)
+            v = head[e ^ 1]
+        push = min(res[e] for e in path)
+        if push == INF:  # cannot happen: some arc on any s-t path is finite
+            raise ContractViolation("infinite bottleneck after the infinite-path check")
+        value += push
+        for e in path:
+            res[e] -= push
+            res[e ^ 1] += push
 
 
 def max_flow(net: FlowNetwork):
@@ -248,7 +218,10 @@ class TransportNetwork:
     member left outside while a class-mate is inside may move in: that
     saves its demand and adds nothing, since its unbounded arcs go to the
     class-mate's centers.  A client without demand carries no flow, so it
-    is on the minimal source side only when it is forced.
+    is on the minimal source side only when it is forced.  So the class
+    network has the value and, expanded to members, the minimal min cut of
+    the per-client one, and forcing any member of a class gives the
+    class's one forced value.
     """
 
     def __init__(self, allowed: Sequence[Sequence], centers: Sequence):
@@ -320,12 +293,11 @@ class TransportNetwork:
 
         The flows run on the class nodes: a class's demand is the sum of
         its members' scaled demands, and a class on the source side of a
-        cut stands for its members of positive demand.  Forcing client w
-        forces w's class, whose members of positive demand are on w's side
-        of every min cut anyway, so every member of a class has one forced
-        value.  A class is therefore solved once, at its first member in
-        client order: if that member is not short, no later member is, and
-        the class is never revisited; if it is, the first member is the one
+        cut stands for its members of positive demand.  Every member of a
+        class has one forced value (`TransportNetwork` says why), so a
+        class is solved once, at its first member in client order: if that
+        member is not short, no later member is, and the class is never
+        revisited; if it is, the first member is the one
         returned, with itself added to the clients.  A forced variant sets
         its class's source arc to INF on a copy of the base maximum flow,
         which stays feasible when a capacity rises.  The first closed
@@ -335,8 +307,8 @@ class TransportNetwork:
         source, and only that displaced load is augmented again.  Each
         variant first runs the seating pass, `_seat`, which routes leftover
         demand straight to allowed centers with supply left, and then one
-        Dinic call, which takes that feasible flow to a maximum one.  The
-        value and the minimal min cut do not depend on the maximum flow
+        `_augment` call, which takes that feasible flow to a maximum one.
+        The value and the minimal min cut do not depend on the maximum flow
         reached, so the seated flow changes neither.
         """
         centers, head, adj, direct, twin = self.centers, self.head, self.adj, self.direct, self.twin

@@ -324,8 +324,8 @@ def separate_uniform(
     warm-started from the maximum flow of the unforced network.  Vertices
     whose closed neighborhoods hold the same positive-capacity vertices are
     one twin class of the network and share one cut, so a clean pass runs
-    one Dinic call per class after the base flow.  Returns the row of the
-    first short vertex, the lowest forced vertex whose cut is below
+    one `_augment` call per class after the base flow.  Returns the row of
+    the first short vertex, the lowest forced vertex whose cut is below
     n + alpha * L, or None if y is clean.
     """
     n = len(capacities)

@@ -26,6 +26,10 @@ from .instance import (
 )
 from .verify import verify_conservative, verify_ft
 
+# The most vertices the exhaustive subset searches take: `exact_distance1`
+# tries all C(n, k) center sets, `condition_b_exhaustive` all 2^n subsets.
+_MAX_SUBSET_N = 22
+
 
 # -- exhaustive optima -------------------------------------------------------
 
@@ -169,7 +173,10 @@ def exact_distance1(graph: ThresholdGraph, k: int, caps: Sequence[int]):
 
     Exhaustive; a test oracle, the residual of the 1 + 6*alpha cross-check
     of the general conservative pipeline, and never run by a solver.
+    Refuses a graph of more than _MAX_SUBSET_N vertices.
     """
+    if graph.n > _MAX_SUBSET_N:
+        raise SizeLimitError(f"n={graph.n} exceeds the subset-search cap {_MAX_SUBSET_N}")
     if k > graph.n:
         return None
     balls = [graph.closed(u) for u in range(graph.n)]
@@ -187,10 +194,11 @@ def exact_distance1(graph: ThresholdGraph, k: int, caps: Sequence[int]):
 
 def condition_b_exhaustive(y, y2, graph: ThresholdGraph, r: int, B, caps) -> bool:
     """Coverage condition of a distance-r transfer checked over every vertex
-    subset via bitmasks; the reference for `rounding.condition_b_flow`."""
+    subset via bitmasks; the reference for `rounding.condition_b_flow`.
+    Refuses a graph of more than _MAX_SUBSET_N vertices."""
     n = graph.n
-    if n > 22:
-        raise InstanceError(f"exhaustive subset check infeasible for n={n}")
+    if n > _MAX_SUBSET_N:
+        raise SizeLimitError(f"n={n} exceeds the subset-search cap {_MAX_SUBSET_N}")
     B = frozenset(B)
     nbr = [graph.balls(v, r)[r] for v in range(n)]
     zero = Fraction(0)

@@ -24,6 +24,7 @@ from ftkcenter.solvers import solve_ft_general, solve_ft_uniform
 from ftkcenter.verify import VerifyReport
 
 from helpers import (
+    all_subsets,
     assert_first_violated_row,
     brute_separate_general,
     brute_separate_uniform,
@@ -441,8 +442,8 @@ def test_a_reused_network_matches_a_fresh_build(monkeypatch):
 
 
 def count_augments(monkeypatch):
-    """Rebind `flow._augment`, the Dinic loop every variant runs, to a
-    wrapper that counts its calls in the returned one-item list."""
+    """Rebind `flow._augment`, the Edmonds-Karp loop every variant runs,
+    to a wrapper that counts its calls in the returned one-item list."""
     calls = [0]
     augment = flow._augment
 
@@ -708,7 +709,7 @@ def watch_augments(monkeypatch):
 def test_seating_routes_one_step_demand_before_dinic(monkeypatch):
     """Two client groups, each sharing two centers that hold the group's
     whole demand: the seating pass routes every variant's demand before
-    Dinic runs, so every variant enters `_augment` with each finite source
+    `_augment` runs, so every variant enters it with each finite source
     arc saturated and adds nothing, in one BFS.  Clients 0 and 1 share an
     allowed list, so they are one class node with demand 2, and the forced
     variants are one per class.  The base and every closed variant have all
@@ -745,8 +746,9 @@ def test_seating_routes_one_step_demand_before_dinic(monkeypatch):
 def test_dinic_finishes_what_seating_leaves(monkeypatch):
     """Client 0 is seated first at center 10, client 1's only center: the
     base flow needs the longer path source -> 1 -> 10 -> 0 -> 11 -> sink,
-    which Dinic finds after the seating pass.  At every bound, forced and
-    closed, `short` returns what `reference_short` returns."""
+    which a BFS augmenting path finds after the seating pass.  At every
+    bound, forced and closed, `short` returns what `reference_short`
+    returns."""
     entries = watch_augments(monkeypatch)
     allowed = [[10, 11], [10], [11, 12]]
     supply = {10: 1, 11: 1, 12: Fraction(1, 2)}
@@ -756,7 +758,8 @@ def test_dinic_finishes_what_seating_leaves(monkeypatch):
     assert network.short(demand, list(supply.values()), 0, forced=True) is None
     assert network.short(demand, list(supply.values()), 0, closed=closed) is None
     assert len(entries) == 1 + len(allowed) + len(closed)
-    # Dinic moves client 0 on to seat client 1: 2 in the scaled units of 1/2
+    # the augmenting path moves client 0 on to seat client 1: 2 in the
+    # scaled units of 1/2
     assert entries[0][1] == 2
     for forced, variants in ((True, ()), (False, closed)):
         for bound in bounds_for(variant_values(demand, allowed, supply, forced, variants)):
@@ -877,6 +880,35 @@ def test_max_flow_agrees_with_edmonds_karp():
         assert net_out.pop("s") == value == -net_out.pop("t")
         assert set(net_out.values()) <= {0}
         assert cut_capacity(net, cut) == value
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_max_flow_is_the_least_cut_by_enumeration():
+    """Checked against every s-t cut, with no augmenting path involved:
+    `max_flow`'s value is the least cut capacity, and its cut is the
+    intersection of the source sides of all least cuts, the minimal one.
+    A network with an all-infinite path has only infinite cuts and gives
+    (inf, None)."""
+    rng = random.Random(1972)
+    kinds = {"infinite": 0, "zero": 0, "positive": 0, "several least cuts": 0}
+    for _ in range(300):
+        net = random_network(rng)
+        sides = [
+            frozenset({"s", *inside})
+            for inside in all_subsets(u for u in net.cap if u not in ("s", "t"))
+        ]
+        capacities = [cut_capacity(net, side) for side in sides]
+        least = min(capacities)
+        value, cut = max_flow(net)
+        assert value == least
+        if value is INF:
+            kinds["infinite"] += 1
+            assert cut is None
+            continue
+        kinds["zero" if value == 0 else "positive"] += 1
+        least_sides = [side for side, c in zip(sides, capacities) if c == least]
+        kinds["several least cuts"] += len(least_sides) > 1
+        assert cut == frozenset.intersection(*least_sides)
     assert min(kinds.values()) > 0, kinds
 
 

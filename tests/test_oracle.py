@@ -367,6 +367,14 @@ def test_exact_distance1():
     assert exact_distance1(g, 1, [4] * 4) is None  # no vertex covers the path
 
 
+def test_exact_distance1_size_guard():
+    """The C(n, k) search refuses n = 23 before it tries a set, at the cap
+    of the 2^n subset check; n = 22 with k > n still answers None."""
+    with pytest.raises(SizeLimitError):
+        exact_distance1(path_graph(23), 1, [23] * 23)
+    assert exact_distance1(path_graph(22), 23, [1] * 22) is None
+
+
 def test_relaxed_ilp_holds():
     k3 = cycle_graph(3)
     one = {0: 1, 1: 1}

@@ -11,7 +11,13 @@ import pytest
 
 from ftkcenter import rounding, solvers
 from ftkcenter.clustering import monarch_clustering, select_backups
-from ftkcenter.instance import ContractViolation, InstanceError, MetricInstance, ThresholdGraph
+from ftkcenter.instance import (
+    ContractViolation,
+    InstanceError,
+    MetricInstance,
+    SizeLimitError,
+    ThresholdGraph,
+)
 from ftkcenter.oracle import condition_b_exhaustive, random_point_instance
 from ftkcenter.rounding import (
     GeneralRounding,
@@ -48,7 +54,7 @@ def test_condition_b_hand_cases():
 
 def test_condition_b_exhaustive_size_guard():
     g = ThresholdGraph(23, [(i, i + 1) for i in range(22)])
-    with pytest.raises(InstanceError):
+    with pytest.raises(SizeLimitError):
         condition_b_exhaustive({}, {}, g, 1, frozenset(), [1] * 23)
 
 
